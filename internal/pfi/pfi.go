@@ -19,8 +19,10 @@
 package pfi
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"snip/internal/memo"
@@ -148,21 +150,6 @@ type Result struct {
 	SelectedBytes   units.Size
 }
 
-// fieldMeta describes one input field location within one event type.
-type fieldMeta struct {
-	name     string
-	category trace.Category
-	size     units.Size
-}
-
-// typeData is the per-event-type training matrix.
-type typeData struct {
-	eventType string
-	fields    []fieldMeta
-	train     []*trace.Record
-	valid     []*trace.Record
-}
-
 // Run executes PFI over a profile and returns the necessary-input
 // selection.
 func Run(d *trace.Dataset, cfg Config) (*Result, error) {
@@ -188,11 +175,6 @@ func Run(d *trace.Dataset, cfg Config) (*Result, error) {
 	for i := range types {
 		srcs[i] = r.Split()
 	}
-	type typeResult struct {
-		sel   []memo.SelectedField
-		imps  []FieldImportance
-		curve []TrimPoint
-	}
 	// Elimination logging writes one line per decision; keep the type
 	// fan-out serial when a log is attached so lines stay in type order.
 	typeWorkers := cfg.Workers
@@ -200,135 +182,310 @@ func Run(d *trace.Dataset, cfg Config) (*Result, error) {
 		typeWorkers = 1
 	}
 	results, err := parallel.Map(typeWorkers, len(types), func(i int) (typeResult, error) {
-		sel, imps, curve := selectForType(types[i], cfg, srcs[i])
-		return typeResult{sel: sel, imps: imps, curve: curve}, nil
+		return selectForType(types[i], cfg, srcs[i]), nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	var final evalCounts
 	for i, tr := range results {
 		res.Selection[types[i].eventType] = tr.sel
 		res.Importance = append(res.Importance, tr.imps...)
 		res.Curve = append(res.Curve, tr.curve...)
+		final.merge(tr.final)
 	}
 	res.Selection.Canonicalize()
 	res.SelectedBytes = res.Selection.TotalWidth()
-	res.Final = Evaluate(d, res.Selection, cfg.TrainFrac)
+	res.Final = final.metrics()
 	if m := cfg.metrics; m != nil {
 		m.selectedBytes.Set(int64(res.SelectedBytes))
 	}
 	return res, nil
 }
 
+// typeData is one event type's records under the temporal split:
+// records[:nTrain] train, the rest validate.
+type typeData struct {
+	eventType string
+	records   []*trace.Record
+	nTrain    int
+}
+
 // splitByType partitions the dataset per event type with a temporal
 // train/validation split.
 func splitByType(d *trace.Dataset, trainFrac float64) []*typeData {
 	byType := make(map[string]*typeData)
-	var order []string
+	var order []*typeData
 	for _, rec := range d.Records {
 		td, ok := byType[rec.EventType]
 		if !ok {
 			td = &typeData{eventType: rec.EventType}
 			byType[rec.EventType] = td
-			order = append(order, rec.EventType)
+			order = append(order, td)
 		}
-		td.train = append(td.train, rec) // temporarily hold all
+		td.records = append(td.records, rec)
 	}
-	var out []*typeData
-	for _, t := range order {
-		td := byType[t]
-		all := td.train
-		n := int(float64(len(all)) * trainFrac)
+	out := order[:0]
+	for _, td := range order {
+		n := int(float64(len(td.records)) * trainFrac)
 		if n < 1 {
 			n = 1
 		}
-		if n >= len(all) {
-			n = len(all) - 1
+		if n >= len(td.records) {
+			n = len(td.records) - 1
 		}
 		if n < 1 {
 			continue // a single record cannot be split; skip the type
 		}
-		td.train, td.valid = all[:n], all[n:]
-		td.fields = fieldUniverse(all)
+		td.nTrain = n
 		out = append(out, td)
 	}
 	return out
 }
 
-func fieldUniverse(recs []*trace.Record) []fieldMeta {
-	seen := make(map[string]*fieldMeta)
-	var order []string
-	for _, rec := range recs {
+// absent is the value a key hashes for a field the record does not
+// carry (matches memo).
+const absent = uint64(0xdeadbeefcafef00d)
+
+// keySeed is the hash state a model key starts from.
+const keySeed = uint64(1469598103934665603)
+
+// fieldMeta describes one input field location within one event type.
+type fieldMeta struct {
+	name     string
+	category trace.Category
+	size     units.Size
+}
+
+// outVal is one output field of a record: the index of its name in the
+// type's output-name universe, its value and whether it is Out.Temp.
+type outVal struct {
+	name  int32
+	temp  bool
+	value uint64
+}
+
+// columns is one event type's records in the column-major form the
+// search runs on. Record r < nTrain is a training record, the others
+// validate; validation record j is record nTrain+j.
+//
+// A model over a field subset keys record r on the trace.Combine chain
+// of (name hash, value) over the subset in sorted-name order, starting
+// from keySeed. Predicting a validation record finds the first training
+// record with the same key and compares outputs by name.
+type columns struct {
+	fields   []fieldMeta // input-field universe, sorted by name
+	nameHash []uint64    // trace.HashString of each field name
+	// vals[f][r] is field f's value in record r: its first occurrence
+	// in the record's inputs, or absent.
+	vals   [][]uint64
+	instr  []int64 // per record
+	nTrain int
+	// pred[predAt[r]:predAt[r+1]] is what training record r predicts:
+	// one entry per output name, the last duplicate's value, sorted by
+	// name index.
+	pred   []outVal
+	predAt []int32
+	// truth[truthAt[j]:truthAt[j+1]] are validation record j's outputs,
+	// duplicates kept, sorted by name index; nTemp[j] of them are
+	// Out.Temp, nNonTemp[j] are not.
+	truth           []outVal
+	truthAt         []int32
+	nTemp, nNonTemp []int32
+}
+
+func newColumns(td *typeData) *columns {
+	n := len(td.records)
+	c := &columns{instr: make([]int64, n), nTrain: td.nTrain,
+		predAt: []int32{0}, truthAt: []int32{0}}
+	inIndex := make(map[string]int)
+	var setBy []int // setBy[f] = r+1 once record r set field f
+	outIndex := make(map[string]int32)
+	var outs []outVal
+	for r, rec := range td.records {
+		c.instr[r] = rec.Instr
 		for _, f := range rec.Inputs {
-			if m, ok := seen[f.Name]; ok {
-				if f.Size > m.size {
-					m.size = f.Size
+			i, ok := inIndex[f.Name]
+			if !ok {
+				i = len(c.fields)
+				inIndex[f.Name] = i
+				c.fields = append(c.fields, fieldMeta{name: f.Name, category: f.Category, size: f.Size})
+				col := make([]uint64, n)
+				for k := range col {
+					col[k] = absent
 				}
-				continue
+				c.vals = append(c.vals, col)
+				setBy = append(setBy, 0)
+			} else if f.Size > c.fields[i].size {
+				c.fields[i].size = f.Size
 			}
-			seen[f.Name] = &fieldMeta{name: f.Name, category: f.Category, size: f.Size}
-			order = append(order, f.Name)
+			if setBy[i] != r+1 {
+				setBy[i] = r + 1
+				c.vals[i][r] = f.Value
+			}
+		}
+
+		outs = outs[:0]
+		for _, f := range rec.Outputs {
+			k, ok := outIndex[f.Name]
+			if !ok {
+				k = int32(len(outIndex))
+				outIndex[f.Name] = k
+			}
+			outs = append(outs, outVal{name: k, temp: f.Category == trace.OutTemp, value: f.Value})
+		}
+		slices.SortStableFunc(outs, func(a, b outVal) int { return cmp.Compare(a.name, b.name) })
+		if r < c.nTrain {
+			for i, o := range outs {
+				if i+1 < len(outs) && outs[i+1].name == o.name {
+					continue // a later duplicate wins
+				}
+				c.pred = append(c.pred, o)
+			}
+			c.predAt = append(c.predAt, int32(len(c.pred)))
+			continue
+		}
+		c.truth = append(c.truth, outs...)
+		c.truthAt = append(c.truthAt, int32(len(c.truth)))
+		var temp int32
+		for _, o := range outs {
+			if o.temp {
+				temp++
+			}
+		}
+		c.nTemp = append(c.nTemp, temp)
+		c.nNonTemp = append(c.nNonTemp, int32(len(outs))-temp)
+	}
+
+	// Sort the universe by name, carrying each field's column along.
+	perm := make([]int, len(c.fields))
+	for i := range perm {
+		perm[i] = i
+	}
+	sort.Slice(perm, func(a, b int) bool { return c.fields[perm[a]].name < c.fields[perm[b]].name })
+	fields, vals := c.fields, c.vals
+	c.fields, c.vals = make([]fieldMeta, len(perm)), make([][]uint64, len(perm))
+	c.nameHash = make([]uint64, len(perm))
+	for i, p := range perm {
+		c.fields[i], c.vals[i] = fields[p], vals[p]
+		c.nameHash[i] = trace.HashString(fields[p].name)
+	}
+	return c
+}
+
+// extend sets dst[r] to src[r] with field f chained on, for every
+// record: one step of every record's model key at once.
+func (c *columns) extend(dst, src []uint64, f int) {
+	h, col := c.nameHash[f], c.vals[f]
+	for r, k := range src {
+		dst[r] = trace.Combine(trace.Combine(k, h), col[r])
+	}
+}
+
+// keysOf returns every record's key under a model over the given field
+// names, in the order given; a name outside the universe hashes as
+// absent in every record.
+func (c *columns) keysOf(names []string) []uint64 {
+	keys := make([]uint64, len(c.instr))
+	for r := range keys {
+		keys[r] = keySeed
+	}
+	for _, name := range names {
+		f := sort.Search(len(c.fields), func(i int) bool { return c.fields[i].name >= name })
+		if f < len(c.fields) && c.fields[f].name == name {
+			c.extend(keys, keys, f)
+			continue
+		}
+		h := trace.HashString(name)
+		for r, k := range keys {
+			keys[r] = trace.Combine(trace.Combine(k, h), absent)
 		}
 	}
-	out := make([]fieldMeta, 0, len(order))
-	for _, n := range order {
-		out = append(out, *seen[n])
+	return keys
+}
+
+// rowTable maps a model key to the first training record that has it —
+// the row the model predicts from. It is an open-addressing table over
+// power-of-two slot arrays that are cleared and refilled per model, so
+// the search trains its models without allocating.
+type rowTable struct {
+	keys  []uint64
+	rows  []int32 // -1 marks an empty slot
+	shift uint
+}
+
+// train refills t with the training records' keys.
+func (t *rowTable) train(keys []uint64, nTrain int) {
+	size, bits := 1, uint(0)
+	for size < 2*nTrain {
+		size <<= 1
+		bits++
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
-
-// fieldKey pairs a field name with its precomputed trace.HashString:
-// keyOf runs once per record per evaluation pass (O(records × fields ×
-// permutations) over a PFI search), so the name is hashed once per model
-// instead of once per record.
-type fieldKey struct {
-	name string
-	hash uint64
-}
-
-func hashFields(names []string) []fieldKey {
-	out := make([]fieldKey, len(names))
-	for i, n := range names {
-		out[i] = fieldKey{name: n, hash: trace.HashString(n)}
+	if cap(t.rows) < size {
+		t.keys, t.rows = make([]uint64, size), make([]int32, size)
 	}
-	return out
-}
-
-// model is the table predictor over a field subset.
-type model struct {
-	fields []fieldKey // selected fields, sorted by name
-	rows   map[uint64][]trace.Field
-	instr  map[uint64]int64
-}
-
-func trainModel(recs []*trace.Record, fields []string) *model {
-	m := &model{fields: hashFields(fields), rows: make(map[uint64][]trace.Field), instr: make(map[uint64]int64)}
-	for _, rec := range recs {
-		k := keyOf(rec, m.fields, nil)
-		if _, ok := m.rows[k]; !ok {
-			m.rows[k] = rec.Outputs
-			m.instr[k] = rec.Instr
+	t.keys, t.rows = t.keys[:size], t.rows[:size]
+	for i := range t.rows {
+		t.rows[i] = -1
+	}
+	t.shift = 64 - bits
+	mask := uint64(size - 1)
+	for r, k := range keys[:nTrain] {
+		for i := t.slot(k); ; i = (i + 1) & mask {
+			if t.rows[i] < 0 {
+				t.keys[i], t.rows[i] = k, int32(r)
+				break
+			}
+			if t.keys[i] == k {
+				break // the first training record keeps the row
+			}
 		}
 	}
-	return m
 }
 
-// keyOf hashes the record's values of the given fields; override (may be
-// nil) substitutes values for permutation-importance shuffles.
-func keyOf(rec *trace.Record, fields []fieldKey, override map[string]uint64) uint64 {
-	h := uint64(1469598103934665603)
-	for _, fk := range fields {
-		v := uint64(0xdeadbeefcafef00d) // absent sentinel (matches memo)
-		if ov, ok := override[fk.name]; ok {
-			v = ov
-		} else if f, ok := rec.Input(fk.name); ok {
-			v = f.Value
+func (t *rowTable) slot(k uint64) uint64 { return (k * 0x9e3779b97f4a7c15) >> t.shift }
+
+// row returns the training record keyed k, or -1.
+func (t *rowTable) row(k uint64) int32 {
+	mask := uint64(len(t.rows) - 1)
+	for i := t.slot(k); ; i = (i + 1) & mask {
+		if t.rows[i] < 0 || t.keys[i] == k {
+			return t.rows[i]
 		}
-		h = trace.Combine(h, fk.hash)
-		h = trace.Combine(h, v)
 	}
-	return h
+}
+
+// outcome is how one validation record fares under a model: whether its
+// key hit a row, and how many of its Temp and non-Temp outputs the row
+// mispredicts.
+type outcome struct {
+	hit                 bool
+	errTemp, errNonTemp int32
+}
+
+// predict scores validation record j, keyed k, against the model in t.
+func (c *columns) predict(t *rowTable, j int, k uint64) outcome {
+	row := t.row(k)
+	if row < 0 {
+		return outcome{}
+	}
+	pred := c.pred[c.predAt[row]:c.predAt[row+1]]
+	o := outcome{hit: true}
+	p := 0
+	for _, f := range c.truth[c.truthAt[j]:c.truthAt[j+1]] {
+		for p < len(pred) && pred[p].name < f.name {
+			p++
+		}
+		if p < len(pred) && pred[p].name == f.name && pred[p].value == f.value {
+			continue
+		}
+		if f.temp {
+			o.errTemp++
+		} else {
+			o.errNonTemp++
+		}
+	}
+	return o
 }
 
 // evalCounts accumulates the error metrics of one evaluation pass.
@@ -338,79 +495,99 @@ type evalCounts struct {
 	predTemp, errTemp       int64
 }
 
-func (c evalCounts) metrics() Metrics {
+// add counts validation record j's outcome; sign -1 takes it back out.
+func (e *evalCounts) add(c *columns, j int, o outcome, sign int64) {
+	instr := c.instr[c.nTrain+j]
+	e.totalInstr += sign * instr
+	if !o.hit {
+		return
+	}
+	e.hitInstr += sign * instr
+	e.predTemp += sign * int64(c.nTemp[j])
+	e.errTemp += sign * int64(o.errTemp)
+	e.predNonTemp += sign * int64(c.nNonTemp[j])
+	e.errNonTemp += sign * int64(o.errNonTemp)
+}
+
+func (e *evalCounts) merge(o evalCounts) {
+	e.totalInstr += o.totalInstr
+	e.hitInstr += o.hitInstr
+	e.predNonTemp += o.predNonTemp
+	e.errNonTemp += o.errNonTemp
+	e.predTemp += o.predTemp
+	e.errTemp += o.errTemp
+}
+
+func (e evalCounts) metrics() Metrics {
 	var m Metrics
-	if c.totalInstr > 0 {
-		m.Coverage = float64(c.hitInstr) / float64(c.totalInstr)
+	if e.totalInstr > 0 {
+		m.Coverage = float64(e.hitInstr) / float64(e.totalInstr)
 	}
-	if c.predNonTemp > 0 {
-		m.NonTempError = float64(c.errNonTemp) / float64(c.predNonTemp)
+	if e.predNonTemp > 0 {
+		m.NonTempError = float64(e.errNonTemp) / float64(e.predNonTemp)
 	}
-	if c.predTemp > 0 {
-		m.TempError = float64(c.errTemp) / float64(c.predTemp)
+	if e.predTemp > 0 {
+		m.TempError = float64(e.errTemp) / float64(e.predTemp)
 	}
-	if t := c.predNonTemp + c.predTemp; t > 0 {
-		m.FieldError = float64(c.errNonTemp+c.errTemp) / float64(t)
+	if t := e.predNonTemp + e.predTemp; t > 0 {
+		m.FieldError = float64(e.errNonTemp+e.errTemp) / float64(t)
 	}
 	return m
 }
 
-// evalModel replays validation records against the model, optionally with
-// one column overridden (for permutation importance).
-func evalModel(m *model, valid []*trace.Record, override map[int]map[string]uint64) evalCounts {
-	var c evalCounts
-	for i, rec := range valid {
-		c.totalInstr += rec.Instr
-		var ov map[string]uint64
-		if override != nil {
-			ov = override[i]
+// evaluate trains the model keyed by keys (one per record) into t and
+// replays the validation records against it. When outs is non-nil it
+// receives every validation record's outcome.
+func (c *columns) evaluate(t *rowTable, keys []uint64, outs []outcome) evalCounts {
+	t.train(keys, c.nTrain)
+	var e evalCounts
+	for j, k := range keys[c.nTrain:] {
+		o := c.predict(t, j, k)
+		if outs != nil {
+			outs[j] = o
 		}
-		k := keyOf(rec, m.fields, ov)
-		pred, ok := m.rows[k]
-		if !ok {
-			continue
-		}
-		c.hitInstr += rec.Instr
-		predicted := make(map[string]uint64, len(pred))
-		for _, f := range pred {
-			predicted[f.Name] = f.Value
-		}
-		for _, f := range rec.Outputs {
-			match := false
-			if pv, ok := predicted[f.Name]; ok && pv == f.Value {
-				match = true
-			}
-			if f.Category == trace.OutTemp {
-				c.predTemp++
-				if !match {
-					c.errTemp++
-				}
-			} else {
-				c.predNonTemp++
-				if !match {
-					c.errNonTemp++
-				}
-			}
-		}
+		e.add(c, j, o, 1)
 	}
-	return c
+	return e
+}
+
+// typeResult is one event type's share of a Result; final counts the
+// selection's validation quality.
+type typeResult struct {
+	sel   []memo.SelectedField
+	imps  []FieldImportance
+	curve []TrimPoint
+	final evalCounts
 }
 
 // selectForType runs importance ranking and backward elimination for one
 // event type.
-func selectForType(td *typeData, cfg Config, r *rng.Source) ([]memo.SelectedField, []FieldImportance, []TrimPoint) {
+func selectForType(td *typeData, cfg Config, r *rng.Source) typeResult {
 	if m := cfg.metrics; m != nil {
 		m.types.Inc()
 	}
-	names := make([]string, len(td.fields))
-	metaByName := make(map[string]fieldMeta, len(td.fields))
-	for i, f := range td.fields {
-		names[i] = f.name
-		metaByName[f.name] = f
-	}
+	c := newColumns(td)
+	nf, nRec := len(c.fields), len(c.instr)
 
-	full := trainModel(td.train, names)
-	base := evalModel(full, td.valid, nil).metrics()
+	// prefix[k] holds every record's key under the model over the first
+	// k selected fields; prefix[len(selected)] keys the current model.
+	// Both the permuted full model and a candidate drop rehash only from
+	// the field they change on.
+	selected := make([]int, nf)
+	prefix := make([][]uint64, nf+1)
+	prefix[0] = make([]uint64, nRec)
+	for i := range prefix[0] {
+		prefix[0][i] = keySeed
+	}
+	for f := range selected {
+		selected[f] = f
+		prefix[f+1] = make([]uint64, nRec)
+		c.extend(prefix[f+1], prefix[f], f)
+	}
+	var full rowTable
+	baseOuts := make([]outcome, nRec-c.nTrain)
+	baseCounts := c.evaluate(&full, prefix[nf], baseOuts)
+	base := baseCounts.metrics()
 
 	// Permutation importance: shuffle one column's values across the
 	// validation records and measure the error increase. Errors in
@@ -420,30 +597,42 @@ func selectForType(td *typeData, cfg Config, r *rng.Source) ([]memo.SelectedFiel
 	// scores are independent of how the fields are scheduled across
 	// workers — Workers=1 and Workers=N shuffle identically.
 	score := func(m Metrics) float64 { return 10*m.NonTempError + m.TempError }
-	fieldSrcs := make([]*rng.Source, len(names))
-	for i := range names {
+	fieldSrcs := make([]*rng.Source, nf)
+	for i := range fieldSrcs {
 		fieldSrcs[i] = r.Split()
 	}
-	imps, _ := parallel.Map(cfg.Workers, len(names), func(fi int) (FieldImportance, error) {
-		name, fr := names[fi], fieldSrcs[fi]
+	imps, _ := parallel.Map(cfg.Workers, nf, func(f int) (FieldImportance, error) {
+		orig := c.vals[f][c.nTrain:]
+		vals := make([]uint64, len(orig))
+		var moved []int       // validation records whose value the shuffle changed
+		var movedKey []uint64 // and their permuted keys
 		var total float64
 		for p := 0; p < cfg.Permutations; p++ {
-			// Collect the column, shuffle, build per-record overrides.
-			vals := make([]uint64, len(td.valid))
-			for i, rec := range td.valid {
-				if f, ok := rec.Input(name); ok {
-					vals[i] = f.Value
-				} else {
-					vals[i] = 0xdeadbeefcafef00d
+			copy(vals, orig)
+			fieldSrcs[f].Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+			// A record whose value the shuffle left in place keeps its
+			// key and so its base outcome; the rest resume their key
+			// from the prefix before f.
+			moved, movedKey = moved[:0], movedKey[:0]
+			pre, h := prefix[f][c.nTrain:], c.nameHash[f]
+			for j, v := range vals {
+				if v != orig[j] {
+					moved = append(moved, j)
+					movedKey = append(movedKey, trace.Combine(trace.Combine(pre[j], h), v))
 				}
 			}
-			fr.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-			override := make(map[int]map[string]uint64, len(vals))
-			for i, v := range vals {
-				override[i] = map[string]uint64{name: v}
+			for g := f + 1; g < nf; g++ {
+				col, h := c.vals[g][c.nTrain:], c.nameHash[g]
+				for i, j := range moved {
+					movedKey[i] = trace.Combine(trace.Combine(movedKey[i], h), col[j])
+				}
 			}
-			perm := evalModel(full, td.valid, override).metrics()
-			total += score(perm) - score(base)
+			perm := baseCounts
+			for i, j := range moved {
+				perm.add(c, j, baseOuts[j], -1)
+				perm.add(c, j, c.predict(&full, j, movedKey[i]), 1)
+			}
+			total += score(perm.metrics()) - score(base)
 			if m := cfg.metrics; m != nil {
 				m.permutations.Inc()
 			}
@@ -451,49 +640,57 @@ func selectForType(td *typeData, cfg Config, r *rng.Source) ([]memo.SelectedFiel
 		if m := cfg.metrics; m != nil {
 			m.fields.Inc()
 		}
-		meta := metaByName[name]
+		meta := c.fields[f]
 		return FieldImportance{
-			Name: name, Category: meta.category, Size: meta.size,
+			Name: meta.name, Category: meta.category, Size: meta.size,
 			EventType: td.eventType, Importance: total / float64(cfg.Permutations),
 		}, nil
 	})
 
 	// Backward elimination, least important first. Larger fields break
 	// ties so the table shrinks fastest.
-	order := append([]FieldImportance(nil), imps...)
+	order := make([]int, nf)
+	for i := range order {
+		order[i] = i
+	}
 	sort.SliceStable(order, func(i, j int) bool {
-		if order[i].Importance != order[j].Importance {
-			return order[i].Importance < order[j].Importance
+		a, b := imps[order[i]], imps[order[j]]
+		if a.Importance != b.Importance {
+			return a.Importance < b.Importance
 		}
-		return order[i].Size > order[j].Size
+		return a.Size > b.Size
 	})
 
-	selected := make(map[string]bool, len(names))
-	for _, n := range names {
-		selected[n] = true
-	}
 	var curve []TrimPoint
-	widthOf := func() units.Size {
-		var w units.Size
-		for n := range selected {
-			w += metaByName[n].size
-		}
-		return w
+	var width units.Size
+	for _, f := range selected {
+		width += c.fields[f].size
 	}
-	for _, cand := range order {
+	final := baseCounts
+	var spare [][]uint64 // key rows a drop builds past the dropped field
+	var tab rowTable
+	for _, f := range order {
+		cand := imps[f]
 		if cfg.ForceInclude[cand.Name] {
 			continue
 		}
 		if !cfg.ForceExclude[cand.Name] && len(selected) == 1 {
 			break // keep at least one field unless explicitly excluded
 		}
-		delete(selected, cand.Name)
-		subset := make([]string, 0, len(selected))
-		for n := range selected {
-			subset = append(subset, n)
+		// Key every record under the selection without f: resume from
+		// the prefix before f and chain the fields after it.
+		at := sort.SearchInts(selected, f)
+		rest := selected[at+1:]
+		for len(spare) < len(rest) {
+			spare = append(spare, make([]uint64, nRec))
 		}
-		sort.Strings(subset)
-		m := evalModel(trainModel(td.train, subset), td.valid, nil).metrics()
+		keys := prefix[at]
+		for i, g := range rest {
+			c.extend(spare[i], keys, g)
+			keys = spare[i]
+		}
+		counts := c.evaluate(&tab, keys, nil)
+		m := counts.metrics()
 		ok := m.NonTempError <= cfg.MaxNonTempError && m.TempError <= cfg.MaxTempError
 		if cfg.ForceExclude[cand.Name] {
 			ok = true
@@ -505,7 +702,7 @@ func selectForType(td *typeData, cfg Config, r *rng.Source) ([]memo.SelectedFiel
 			}
 		}
 		curve = append(curve, TrimPoint{
-			SelectedBytes: widthOf(), NonTempError: m.NonTempError, TempError: m.TempError,
+			SelectedBytes: width - cand.Size, NonTempError: m.NonTempError, TempError: m.TempError,
 			Coverage: m.Coverage, DroppedField: cand.Name, DroppedCategory: cand.Category,
 			Accepted: ok,
 		})
@@ -514,17 +711,26 @@ func selectForType(td *typeData, cfg Config, r *rng.Source) ([]memo.SelectedFiel
 				td.eventType, cand.Name, cand.Importance, 100*m.Coverage, 100*m.NonTempError, 100*m.TempError, ok)
 		}
 		if !ok {
-			selected[cand.Name] = true // revert the drop
+			continue // keep f
 		}
+		// Commit the drop: the rows just built become the prefixes past
+		// f, and the rows they replace become spare.
+		for i := range rest {
+			prefix[at+1+i], spare[i] = spare[i], prefix[at+1+i]
+		}
+		spare = append(spare, prefix[len(selected)])
+		prefix = prefix[:len(selected)]
+		selected = append(selected[:at], rest...)
+		width -= cand.Size
+		final = counts
 	}
 
-	out := make([]memo.SelectedField, 0, len(selected))
-	for n := range selected {
-		meta := metaByName[n]
-		out = append(out, memo.SelectedField{Name: n, Category: meta.category, Size: meta.size})
+	out := make([]memo.SelectedField, len(selected))
+	for i, f := range selected {
+		meta := c.fields[f]
+		out[i] = memo.SelectedField{Name: meta.name, Category: meta.category, Size: meta.size}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, imps, curve
+	return typeResult{sel: out, imps: imps, curve: curve, final: final}
 }
 
 // Evaluate measures a selection's quality on a dataset with the given
@@ -532,19 +738,15 @@ func selectForType(td *typeData, cfg Config, r *rng.Source) ([]memo.SelectedFiel
 // (PFI, developer overrides, ablations).
 func Evaluate(d *trace.Dataset, sel memo.Selection, trainFrac float64) Metrics {
 	var agg evalCounts
+	var tab rowTable
 	for _, td := range splitByType(d, trainFrac) {
 		names := make([]string, 0, len(sel[td.eventType]))
 		for _, f := range sel[td.eventType] {
 			names = append(names, f.Name)
 		}
 		sort.Strings(names)
-		c := evalModel(trainModel(td.train, names), td.valid, nil)
-		agg.totalInstr += c.totalInstr
-		agg.hitInstr += c.hitInstr
-		agg.predNonTemp += c.predNonTemp
-		agg.errNonTemp += c.errNonTemp
-		agg.predTemp += c.predTemp
-		agg.errTemp += c.errTemp
+		c := newColumns(td)
+		agg.merge(c.evaluate(&tab, c.keysOf(names), nil))
 	}
 	return agg.metrics()
 }
