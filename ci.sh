@@ -21,6 +21,9 @@ fi
 echo "== go build"
 go build ./...
 
+echo "== perfbench module (vet + build: the root ./... does not cross its module boundary)"
+(cd perfbench && go vet . && go build -o /dev/null .)
+
 echo "== go test"
 go test ./...
 
@@ -87,6 +90,9 @@ if [ -n "$bad" ]; then
 	echo "$bad" >&2
 	exit 1
 fi
+
+echo "== PFI search smoke (one pass of BenchmarkPFIRun over every game's pinned 16-session profile)"
+go test -run '^$' -bench '^BenchmarkPFIRun$' -benchtime 1x -benchmem ./internal/pfi
 
 echo "== lookup regression gate (flat backend must stay within 10% of map, both measured now)"
 # Gated at sizes past cache capacity, where the flat layout's advantage

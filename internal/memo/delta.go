@@ -57,28 +57,30 @@ func (t *FlatTable) walkFlat(fn func(et string, ek uint64, entries []SnipEntry))
 }
 
 // selectionToWire converts a Selection into the trace-level form a
-// delta carries (NameHash is derived, not shipped).
-func selectionToWire(sel Selection) map[string][]trace.SelectionField {
-	w := make(map[string][]trace.SelectionField, len(sel))
+// delta carries, sorted by event type (NameHash is derived, not
+// shipped).
+func selectionToWire(sel Selection) []trace.SelectionType {
+	w := make([]trace.SelectionType, 0, len(sel))
 	for et, fs := range sel {
 		out := make([]trace.SelectionField, len(fs))
 		for i, f := range fs {
 			out[i] = trace.SelectionField{Name: f.Name, Category: f.Category, Size: f.Size}
 		}
-		w[et] = out
+		w = append(w, trace.SelectionType{EventType: et, Fields: out})
 	}
+	sort.Slice(w, func(i, j int) bool { return w[i].EventType < w[j].EventType })
 	return w
 }
 
 // selectionFromWire rebuilds a canonical Selection from its delta form.
-func selectionFromWire(w map[string][]trace.SelectionField) Selection {
+func selectionFromWire(w []trace.SelectionType) Selection {
 	sel := make(Selection, len(w))
-	for et, fs := range w {
-		out := make([]SelectedField, len(fs))
-		for i, f := range fs {
+	for _, st := range w {
+		out := make([]SelectedField, len(st.Fields))
+		for i, f := range st.Fields {
 			out[i] = SelectedField{Name: f.Name, Category: f.Category, Size: f.Size}
 		}
-		sel[et] = out
+		sel[st.EventType] = out
 	}
 	sel.Canonicalize()
 	return sel

@@ -313,3 +313,74 @@ func BenchmarkDeltaAppliedLookupHit(b *testing.B) {
 		}
 	}
 }
+
+// A delta's encoded bytes are a pure function of the delta: encoding the
+// same chain over and over yields the same bytes, whatever order the
+// selection's event types come out of the Selection map in.
+func TestDeltaChainEncodingDeterministic(t *testing.T) {
+	const n = 256
+	sel := SynthSelection()
+	for _, et := range []string{"swipe", "vsync", "drag", "pinch", "sensor", "timer", "net"} {
+		sel[et] = []SelectedField{
+			{Name: "event." + et + ".x", Category: trace.InEvent, Size: 4},
+			{Name: "state." + et, Category: trace.InHistory, Size: 2},
+		}
+	}
+	sel.Canonicalize()
+	build := func(ids []int) *FlatTable {
+		st := NewSnipTable(sel)
+		for _, i := range ids {
+			x, y, mode, level, combo := synthRow(n, i)
+			st.Insert(&trace.Record{
+				EventSeq: int64(i), EventType: "tap", Instr: 100, StateChanged: true,
+				Inputs: []trace.Field{
+					{Name: "event.tap.x", Category: trace.InEvent, Size: 4, Value: x},
+					{Name: "event.tap.y", Category: trace.InEvent, Size: 4, Value: y},
+					{Name: "state.mode", Category: trace.InHistory, Size: 1, Value: mode},
+					{Name: "state.level", Category: trace.InHistory, Size: 2, Value: level},
+					{Name: "state.combo", Category: trace.InHistory, Size: 2, Value: combo},
+				},
+				Outputs: []trace.Field{{Name: "state.out", Category: trace.OutHistory, Size: 4, Value: x + y + combo}},
+			})
+		}
+		ft, err := Flatten(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ft
+	}
+	v1, v2 := build(seqIDs(0, 60)), build(seqIDs(0, 70))
+	d, err := DiffFlat("g", 1, 2, v1, v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Selection) != len(sel) {
+		t.Fatalf("delta carries %d selection types, want %d", len(d.Selection), len(sel))
+	}
+	chain := &trace.DeltaChain{Game: "g", Deltas: []trace.TableDelta{*d}}
+	var first []byte
+	for i := 0; i < 20; i++ {
+		var buf bytes.Buffer
+		if err := trace.EncodeDeltaChain(&buf, chain); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = buf.Bytes()
+			continue
+		}
+		if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("encoding %d differs from the first (%d vs %d bytes)", i, buf.Len(), len(first))
+		}
+	}
+	dec, err := trace.DecodeDeltaChain(bytes.NewReader(first), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ApplyDeltaChain(v1, dec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Image(), v2.Image()) {
+		t.Fatal("decoded chain does not patch onto the target image")
+	}
+}

@@ -614,11 +614,11 @@ func selectForType(td *typeData, cfg Config, r *rng.Source) typeResult {
 			// key and so its base outcome; the rest resume their key
 			// from the prefix before f.
 			moved, movedKey = moved[:0], movedKey[:0]
-			pre, h := prefix[f][c.nTrain:], c.nameHash[f]
+			pre := prefix[f][c.nTrain:]
 			for j, v := range vals {
 				if v != orig[j] {
 					moved = append(moved, j)
-					movedKey = append(movedKey, trace.Combine(trace.Combine(pre[j], h), v))
+					movedKey = append(movedKey, trace.Combine(trace.Combine(pre[j], c.nameHash[f]), v))
 				}
 			}
 			for g := f + 1; g < nf; g++ {

@@ -60,6 +60,12 @@ type SelectionField struct {
 	Size     units.Size
 }
 
+// SelectionType is one event type's share of the target selection.
+type SelectionType struct {
+	EventType string
+	Fields    []SelectionField
+}
+
 // TableDelta is one generation step old→new of one game's flat table.
 // FromCRC/ToCRC are the arena CRC32s of the two flat images: apply
 // refuses a base image whose CRC is not FromCRC and fails unless the
@@ -71,9 +77,11 @@ type TableDelta struct {
 	ToVersion   int
 	FromCRC     uint32
 	ToCRC       uint32
-	// Selection is the full target selection, keyed by event type. It is
-	// tiny next to the entries, so it ships whole instead of as an edit.
-	Selection map[string][]SelectionField
+	// Selection is the full target selection, one element per event
+	// type in sorted type order. It is tiny next to the entries, so it
+	// ships whole instead of as an edit. It is a slice, not a map, so
+	// that gob encodes the same delta to the same bytes every time.
+	Selection []SelectionType
 	Removed   []DeltaKey
 	Upserts   []DeltaEntry
 }

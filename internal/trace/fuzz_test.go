@@ -45,7 +45,7 @@ func FuzzDecodeDelta(f *testing.F) {
 	var buf bytes.Buffer
 	chain := &DeltaChain{Game: "Colorphun", Deltas: []TableDelta{{
 		Game: "Colorphun", FromVersion: 1, ToVersion: 2, FromCRC: 0xDEAD, ToCRC: 0xBEEF,
-		Selection: map[string][]SelectionField{"tap": {{Name: "event.tap.x", Category: InEvent, Size: 4}}},
+		Selection: []SelectionType{{EventType: "tap", Fields: []SelectionField{{Name: "event.tap.x", Category: InEvent, Size: 4}}}},
 		Removed:   []DeltaKey{{Type: "tap", EventKey: 7, StateKey: 9}},
 		Upserts: []DeltaEntry{{
 			Key: DeltaKey{Type: "tap", EventKey: 7, StateKey: 11}, Pos: 2, Instr: 100,
