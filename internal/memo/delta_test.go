@@ -15,7 +15,14 @@ import (
 // entry between generations; salt applies to the ids in salted.
 func deltaRows(t testing.TB, n int, ids []int, salted map[int]uint64) *FlatTable {
 	t.Helper()
-	st := NewSnipTable(SynthSelection())
+	return deltaRowsUnder(t, SynthSelection(), n, ids, salted)
+}
+
+// deltaRowsUnder is deltaRows under the given selection, which must
+// select SynthSelection's "tap" fields.
+func deltaRowsUnder(t testing.TB, sel Selection, n int, ids []int, salted map[int]uint64) *FlatTable {
+	t.Helper()
+	st := NewSnipTable(sel)
 	for _, i := range ids {
 		x, y, mode, level, combo := synthRow(n, i)
 		salt := salted[i]
@@ -327,29 +334,7 @@ func TestDeltaChainEncodingDeterministic(t *testing.T) {
 		}
 	}
 	sel.Canonicalize()
-	build := func(ids []int) *FlatTable {
-		st := NewSnipTable(sel)
-		for _, i := range ids {
-			x, y, mode, level, combo := synthRow(n, i)
-			st.Insert(&trace.Record{
-				EventSeq: int64(i), EventType: "tap", Instr: 100, StateChanged: true,
-				Inputs: []trace.Field{
-					{Name: "event.tap.x", Category: trace.InEvent, Size: 4, Value: x},
-					{Name: "event.tap.y", Category: trace.InEvent, Size: 4, Value: y},
-					{Name: "state.mode", Category: trace.InHistory, Size: 1, Value: mode},
-					{Name: "state.level", Category: trace.InHistory, Size: 2, Value: level},
-					{Name: "state.combo", Category: trace.InHistory, Size: 2, Value: combo},
-				},
-				Outputs: []trace.Field{{Name: "state.out", Category: trace.OutHistory, Size: 4, Value: x + y + combo}},
-			})
-		}
-		ft, err := Flatten(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ft
-	}
-	v1, v2 := build(seqIDs(0, 60)), build(seqIDs(0, 70))
+	v1, v2 := deltaRowsUnder(t, sel, n, seqIDs(0, 60), nil), deltaRowsUnder(t, sel, n, seqIDs(0, 70), nil)
 	d, err := DiffFlat("g", 1, 2, v1, v2)
 	if err != nil {
 		t.Fatal(err)
