@@ -27,8 +27,8 @@ echo "== perfbench module (vet + build: the root ./... does not cross its module
 echo "== go test"
 go test ./...
 
-echo "== go test -race (concurrent packages)"
-go test -race ./internal/parallel ./internal/experiments ./internal/pfi ./internal/cloud ./internal/obs .
+echo "== go test -race (concurrent packages; games: clones share the state store's name index copy-on-write)"
+go test -race ./internal/parallel ./internal/experiments ./internal/pfi ./internal/cloud ./internal/obs ./internal/games .
 
 echo "== go test -race (fleet serving: shared table + device fleet + chaos)"
 go test -race ./internal/fleet ./internal/memo ./internal/chaos
@@ -55,7 +55,7 @@ go run ./cmd/fleetbench -shard-sweep 1,2,4 -shard-games 3 -shard-sessions 2 -sec
 go run ./cmd/fleetbench -validate /tmp/snip_bench_shards_smoke.json
 rm -f /tmp/snip_bench_shards_smoke.json
 
-echo "== fuzz smoke (ingest decoders must reject arbitrary bytes, never panic)"
+echo "== fuzz smoke (ingest decoders must reject arbitrary bytes, never panic; the game state store must match its map-backed reference)"
 go test -run '^$' -fuzz '^FuzzDecodeBatch$' -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzDecodeEventsOnly$' -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzDecodeTelemetry$' -fuzztime 5s ./internal/trace
@@ -63,6 +63,7 @@ go test -run '^$' -fuzz '^FuzzDecodeUpdate$' -fuzztime 5s ./internal/cloud
 go test -run '^$' -fuzz '^FuzzLoadFlatTable$' -fuzztime 5s ./internal/memo
 go test -run '^$' -fuzz '^FuzzDecodeDelta$' -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzApplyDelta$' -fuzztime 5s ./internal/memo
+go test -run '^$' -fuzz '^FuzzStoreOps$' -fuzztime 5s ./internal/games
 
 echo "== chaos gate (all faults + mispredict guard under the race detector, zero panics)"
 go run -race ./cmd/fleetbench -chaos all -chaos-seed 7 -shadow-rate 0.25 \
@@ -93,6 +94,9 @@ fi
 
 echo "== PFI search smoke (one pass of BenchmarkPFIRun over every game's pinned 16-session profile)"
 go test -run '^$' -bench '^BenchmarkPFIRun$' -benchtime 1x -benchmem ./internal/pfi
+
+echo "== replay smoke (one pass of BenchmarkReplay over every game's golden log)"
+go test -run '^$' -bench '^BenchmarkReplay$' -benchtime 1x -benchmem ./internal/cloud
 
 echo "== lookup regression gate (flat backend must stay within 10% of map, both measured now)"
 # Gated at sizes past cache capacity, where the flat layout's advantage

@@ -34,19 +34,19 @@ func Replay(gameName string, seed uint64, log *trace.EventLog) (*trace.Dataset, 
 		return nil, err
 	}
 	g.Reset(seed)
-	handled := make(map[string]bool)
+	var handled [events.NumTypes]bool
 	for _, t := range g.Types() {
-		handled[t.String()] = true
+		handled[t] = true
 	}
 	ds := &trace.Dataset{Game: gameName}
 	for _, le := range log.Events {
 		// Unknown names mean a corrupt log; known-but-unregistered types
 		// are simply not delivered, as on the device.
-		t, err := eventTypeByName(le.Type)
-		if err != nil {
-			return nil, err
+		t, ok := eventTypes[le.Type]
+		if !ok {
+			return nil, fmt.Errorf("cloud: unknown event type %q", le.Type)
 		}
-		if !handled[le.Type] {
+		if !handled[t] {
 			continue
 		}
 		ev := events.New(t, le.Seq, le.Time, le.Values...)
@@ -56,14 +56,14 @@ func Replay(gameName string, seed uint64, log *trace.EventLog) (*trace.Dataset, 
 	return ds, nil
 }
 
-func eventTypeByName(name string) (events.Type, error) {
+// eventTypes maps every event type's name to the type.
+var eventTypes = func() map[string]events.Type {
+	m := make(map[string]events.Type, events.NumTypes)
 	for t := events.Type(0); int(t) < events.NumTypes; t++ {
-		if t.String() == name {
-			return t, nil
-		}
+		m[t.String()] = t
 	}
-	return 0, fmt.Errorf("cloud: unknown event type %q", name)
-}
+	return m
+}()
 
 // SessionLog is one uploaded session awaiting replay: the events-only
 // log plus the seed that regenerates the game content it was played on.

@@ -129,12 +129,21 @@ type Event struct {
 	Values []int64
 }
 
+// FieldIndex returns the position of the named field in t's schema, or
+// -1 if t has no such field.
+func FieldIndex(t Type, name string) int {
+	for i, f := range schemas[t] {
+		if f.Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
 // Field returns the value of the named field, and whether it exists.
 func (e *Event) Field(name string) (int64, bool) {
-	for i, f := range schemas[e.Type] {
-		if f.Name == name {
-			return e.Values[i], true
-		}
+	if i := FieldIndex(e.Type, name); i >= 0 {
+		return e.Values[i], true
 	}
 	return 0, false
 }

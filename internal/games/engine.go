@@ -17,7 +17,8 @@ package games
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"snip/internal/energy"
@@ -123,47 +124,74 @@ type Game interface {
 // a modeled byte size (the size a real implementation's data would occupy
 // — what lookup-table records are charged for). Keeping ALL mutable state
 // here makes cloning and short-circuit output application generic.
+//
+// Locations live in slots in sorted-name order, so a prefix's locations
+// are one contiguous slot range. A digest caches the Combine chain state
+// after each slot of its range; a write marks chains stale from its slot
+// on, and the next digest refolds only from there.
 type Store struct {
-	vals  map[string]int64
-	sizes map[string]units.Size
-	// sorted is the cached key ordering for HashPrefix; nil when a key
-	// was added since the last hash.
-	sorted []string
+	// The name side: slot by name, and per slot the name, its hash and
+	// its record name. Clones share it until one adds a location.
+	slot   map[string]int32
+	names  []string
+	keyH   []uint64
+	qual   []string
+	shared bool
+
+	vals  []int64
+	sizes []units.Size
+	// digests caches HashPrefix results; digest d's chain states are
+	// chains[d.off : d.off+d.hi-d.lo].
+	digests []digest
+	chains  []uint64
+}
+
+// digest is one cached HashPrefix result: the slot range [lo, hi) of a
+// prefix, its summed size, its blob record name, and how many leading
+// chain states are current.
+type digest struct {
+	prefix, blob      string
+	lo, hi, off, done int32
+	size              units.Size
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store {
-	return &Store{vals: make(map[string]int64), sizes: make(map[string]units.Size)}
-}
+func NewStore() *Store { return &Store{slot: make(map[string]int32)} }
 
 // Declare registers a location with its modeled size and initial value.
 func (s *Store) Declare(name string, size units.Size, init int64) {
-	if _, ok := s.vals[name]; !ok {
-		s.sorted = nil
+	i, ok := s.slot[name]
+	if !ok {
+		s.insert(name, size, init)
+		return
 	}
-	s.vals[name] = init
-	s.sizes[name] = size
+	s.setSlot(i, init)
+	if s.sizes[i] != size {
+		// Digests carry their range's summed size: rebuild them.
+		s.sizes[i] = size
+		s.digests, s.chains = s.digests[:0], s.chains[:0]
+	}
 }
 
 // Get returns the value at name (zero if undeclared).
-func (s *Store) Get(name string) int64 { return s.vals[name] }
+func (s *Store) Get(name string) int64 {
+	if i, ok := s.slot[name]; ok {
+		return s.vals[i]
+	}
+	return 0
+}
 
 // Set stores a value, reporting whether it changed. Setting an undeclared
 // location declares it with size 8.
 func (s *Store) Set(name string, v int64) (changed bool) {
-	old, ok := s.vals[name]
-	if !ok {
-		s.sizes[name] = 8
-		s.sorted = nil
-	}
-	s.vals[name] = v
-	return !ok || old != v
+	_, changed = s.write(name, v)
+	return changed
 }
 
 // Size returns the modeled size of a location.
 func (s *Store) Size(name string) units.Size {
-	if sz, ok := s.sizes[name]; ok {
-		return sz
+	if i, ok := s.slot[name]; ok {
+		return s.sizes[i]
 	}
 	return 8
 }
@@ -173,23 +201,8 @@ func (s *Store) Size(name string) units.Size {
 // composite state blobs (a whole board, a scene mesh) as one In.History
 // field.
 func (s *Store) HashPrefix(prefix string) (hash uint64, size units.Size) {
-	if s.sorted == nil {
-		s.sorted = make([]string, 0, len(s.vals))
-		for k := range s.vals {
-			s.sorted = append(s.sorted, k)
-		}
-		sort.Strings(s.sorted)
-	}
-	hash = 1469598103934665603
-	for _, k := range s.sorted {
-		if !strings.HasPrefix(k, prefix) {
-			continue
-		}
-		hash = trace.Combine(hash, trace.HashString(k))
-		hash = trace.Combine(hash, uint64(s.vals[k]))
-		size += s.Size(k)
-	}
-	return hash, size
+	d := s.digest(prefix)
+	return s.fold(d), d.size
 }
 
 // Hash digests the entire store.
@@ -198,21 +211,95 @@ func (s *Store) Hash() uint64 {
 	return h
 }
 
-// Clone deep-copies the store.
+// Clone copies the store's values, sizes and digests; the name side is
+// shared copy-on-write.
 func (s *Store) Clone() *Store {
-	c := NewStore()
-	c.sorted = s.sorted
-	for k, v := range s.vals {
-		c.vals[k] = v
-	}
-	for k, v := range s.sizes {
-		c.sizes[k] = v
-	}
-	return c
+	c := *s
+	c.vals, c.sizes = slices.Clone(s.vals), slices.Clone(s.sizes)
+	c.digests, c.chains = slices.Clone(s.digests), slices.Clone(s.chains)
+	s.shared, c.shared = true, true
+	return &c
 }
 
 // Len returns the number of declared locations.
 func (s *Store) Len() int { return len(s.vals) }
+
+// write stores a value like Set, returning the location's slot.
+func (s *Store) write(name string, v int64) (int32, bool) {
+	if i, ok := s.slot[name]; ok {
+		return i, s.setSlot(i, v)
+	}
+	return s.insert(name, 8, v), true
+}
+
+// setSlot stores a value and marks the chains covering the slot stale
+// from it on.
+func (s *Store) setSlot(i int32, v int64) bool {
+	if s.vals[i] == v {
+		return false
+	}
+	s.vals[i] = v
+	for k := range s.digests {
+		if d := &s.digests[k]; d.lo <= i && i-d.lo < d.done {
+			d.done = i - d.lo
+		}
+	}
+	return true
+}
+
+// insert adds a location at its sorted slot. Later slots shift, so every
+// digest is dropped.
+func (s *Store) insert(name string, size units.Size, v int64) int32 {
+	if s.shared {
+		s.slot, s.shared = maps.Clone(s.slot), false
+		s.names, s.keyH, s.qual = slices.Clone(s.names), slices.Clone(s.keyH), slices.Clone(s.qual)
+	}
+	i, _ := slices.BinarySearch(s.names, name)
+	s.names = slices.Insert(s.names, i, name)
+	s.keyH = slices.Insert(s.keyH, i, trace.HashString(name))
+	s.qual = slices.Insert(s.qual, i, "state."+name)
+	s.vals = slices.Insert(s.vals, i, v)
+	s.sizes = slices.Insert(s.sizes, i, size)
+	for j := i; j < len(s.names); j++ {
+		s.slot[s.names[j]] = int32(j)
+	}
+	s.digests, s.chains = s.digests[:0], s.chains[:0]
+	return int32(i)
+}
+
+// digest returns prefix's cached digest, adding it if absent.
+func (s *Store) digest(prefix string) *digest {
+	for k := range s.digests {
+		if s.digests[k].prefix == prefix {
+			return &s.digests[k]
+		}
+	}
+	lo, _ := slices.BinarySearch(s.names, prefix)
+	d := digest{prefix: prefix, blob: "state." + prefix + "*", lo: int32(lo), hi: int32(lo), off: int32(len(s.chains))}
+	for ; int(d.hi) < len(s.names) && strings.HasPrefix(s.names[d.hi], prefix); d.hi++ {
+		d.size += s.sizes[d.hi]
+	}
+	s.chains = append(s.chains, make([]uint64, d.hi-d.lo)...)
+	s.digests = append(s.digests, d)
+	return &s.digests[len(s.digests)-1]
+}
+
+// fold brings d's chain up to date and returns the digest: the FNV
+// offset basis, then each location's name hash and value Combined in
+// slot order.
+func (s *Store) fold(d *digest) uint64 {
+	chain := s.chains[d.off : d.off+d.hi-d.lo]
+	h := uint64(1469598103934665603)
+	if d.done > 0 {
+		h = chain[d.done-1]
+	}
+	for ; d.done < d.hi-d.lo; d.done++ {
+		i := d.lo + d.done
+		h = trace.Combine(trace.Combine(h, s.keyH[i]), uint64(s.vals[i]))
+		chain[d.done] = h
+	}
+	return h
+}
 
 // Ctx is the execution context a handler records into. It implements the
 // tracer: every state read/write flows through it.
@@ -233,20 +320,28 @@ func newCtx(store *Store, e *events.Event) *Ctx {
 	return &Ctx{store: store, rec: rec, exec: &Execution{Record: rec}}
 }
 
-// Event reads a field of the event object, logging an In.Event input.
-func (c *Ctx) Event(e *events.Event, name string) int64 {
-	v := e.MustField(name)
-	var size units.Size
-	for _, f := range events.Schema(e.Type) {
-		if f.Name == name {
-			size = f.Size
-			break
+// eventFieldNames holds the record name of every event field,
+// "event.<type>.<field>", indexed by type and schema position.
+var eventFieldNames = func() (names [events.NumTypes][]string) {
+	for t := events.Type(0); int(t) < events.NumTypes; t++ {
+		for _, f := range events.Schema(t) {
+			names[t] = append(names[t], "event."+t.String()+"."+f.Name)
 		}
 	}
+	return names
+}()
+
+// Event reads a field of the event object, logging an In.Event input.
+func (c *Ctx) Event(e *events.Event, name string) int64 {
+	i := events.FieldIndex(e.Type, name)
+	if i < 0 {
+		e.MustField(name) // panics with the missing field's name
+	}
+	v := e.Values[i]
 	c.rec.Inputs = append(c.rec.Inputs, trace.Field{
-		Name:     "event." + e.Type.String() + "." + name,
+		Name:     eventFieldNames[e.Type][i],
 		Category: trace.InEvent,
-		Size:     size,
+		Size:     events.Schema(e.Type)[i].Size,
 		Value:    uint64(v),
 	})
 	return v
@@ -254,24 +349,25 @@ func (c *Ctx) Event(e *events.Event, name string) int64 {
 
 // Read reads a state location, logging an In.History input.
 func (c *Ctx) Read(name string) int64 {
-	v := c.store.Get(name)
-	c.rec.Inputs = append(c.rec.Inputs, trace.Field{
-		Name:     "state." + name,
-		Category: trace.InHistory,
-		Size:     c.store.Size(name),
-		Value:    uint64(v),
-	})
-	return v
+	f := trace.Field{Category: trace.InHistory, Size: 8}
+	if i, ok := c.store.slot[name]; ok {
+		f.Name, f.Size, f.Value = c.store.qual[i], c.store.sizes[i], uint64(c.store.vals[i])
+	} else {
+		f.Name = "state." + name
+	}
+	c.rec.Inputs = append(c.rec.Inputs, f)
+	return int64(f.Value)
 }
 
 // ReadBlob reads a composite state region (all locations under prefix) as
 // one large In.History field, logging its combined hash and size.
 func (c *Ctx) ReadBlob(prefix string) uint64 {
-	h, size := c.store.HashPrefix(prefix)
+	d := c.store.digest(prefix)
+	h := c.store.fold(d)
 	c.rec.Inputs = append(c.rec.Inputs, trace.Field{
-		Name:     "state." + prefix + "*",
+		Name:     d.blob,
 		Category: trace.InHistory,
-		Size:     size,
+		Size:     d.size,
 		Value:    h,
 	})
 	return h
@@ -292,11 +388,11 @@ func (c *Ctx) Extern(name string, size units.Size, value int64) int64 {
 // Write stores a value, logging an Out.History output. It marks the
 // record state-changed iff the value differs from the previous one.
 func (c *Ctx) Write(name string, v int64) {
-	changed := c.store.Set(name, v)
+	i, changed := c.store.write(name, v)
 	c.rec.Outputs = append(c.rec.Outputs, trace.Field{
-		Name:     "state." + name,
+		Name:     c.store.qual[i],
 		Category: trace.OutHistory,
-		Size:     c.store.Size(name),
+		Size:     c.store.sizes[i],
 		Value:    uint64(v),
 	})
 	if changed {

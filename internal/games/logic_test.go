@@ -362,4 +362,83 @@ func TestStoreBlobHashTracksMembers(t *testing.T) {
 	if h4 == h2 || size4 != 12 {
 		t.Fatalf("new member not hashed: size %v", size4)
 	}
+	// Re-declaring a member with a new size moves the blob size, not the
+	// hash (values and names are unchanged).
+	s.Declare("cell.c", 20, 0)
+	h5, size5 := s.HashPrefix("cell.")
+	if h5 != h4 || size5 != 28 {
+		t.Fatalf("re-declared size: hash moved %v, size %v", h5 != h4, size5)
+	}
+	// A clone inherits the cached chains; writes on either side must
+	// mark only that side's chains stale.
+	c := s.Clone()
+	c.Set("cell.a", 7)
+	if hc, _ := c.HashPrefix("cell."); hc == h5 {
+		t.Fatal("clone's write did not reach its blob hash")
+	}
+	if hs, _ := s.HashPrefix("cell."); hs != h5 {
+		t.Fatal("clone's write leaked into the source's cached chain")
+	}
+	s.Set("cell.b", 2)
+	c.Set("cell.a", 1)
+	c.Set("cell.b", 2)
+	hs, _ := s.HashPrefix("cell.")
+	hc, _ := c.HashPrefix("cell.")
+	if hs != hc || s.Hash() != c.Hash() {
+		t.Fatal("source and clone disagree after converging writes")
+	}
+}
+
+// TestCloneAddsKeysIndependently runs a source and its clone on two
+// goroutines, each adding locations, so the race detector sees any
+// write through the shared name index; each side must then digest
+// exactly like a reference store given the same calls.
+func TestCloneAddsKeysIndependently(t *testing.T) {
+	s, ref := NewStore(), newRefStore()
+	for _, n := range []string{"b", "d", "f"} {
+		s.Declare(n, 4, 1)
+		ref.Declare(n, 4, 1)
+	}
+	s.Hash()
+	c, cref := s.Clone(), ref.Clone()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, n := range []string{"a", "c", "e"} {
+			c.Set(n, 2)
+			cref.Set(n, 2)
+			c.Hash()
+		}
+	}()
+	for _, n := range []string{"g", "h"} {
+		s.Declare(n, 8, 3)
+		ref.Declare(n, 8, 3)
+		s.Hash()
+	}
+	<-done
+	if c.Len() != 6 || s.Len() != 5 {
+		t.Fatalf("locations crossed between clone and source: %d/%d", c.Len(), s.Len())
+	}
+	if s.Hash() != ref.Hash() || c.Hash() != cref.Hash() {
+		t.Fatal("digests differ from the reference store")
+	}
+}
+
+// TestCtxReadUndeclared checks that reading an undeclared location logs
+// a zero-valued 8-byte input without declaring it.
+func TestCtxReadUndeclared(t *testing.T) {
+	s := NewStore()
+	s.Declare("a", 4, 1)
+	h := s.Hash()
+	c := newCtx(s, events.New(events.VSync, 1, 0, 0))
+	if v := c.Read("missing"); v != 0 {
+		t.Fatalf("Read = %d", v)
+	}
+	in := c.rec.Inputs[0]
+	if in.Name != "state.missing" || in.Size != 8 || in.Value != 0 {
+		t.Fatalf("logged %+v", in)
+	}
+	if s.Len() != 1 || s.Hash() != h {
+		t.Fatal("Read declared the location")
+	}
 }
