@@ -27,8 +27,8 @@ echo "== perfbench module (vet + build: the root ./... does not cross its module
 echo "== go test"
 go test ./...
 
-echo "== go test -race (concurrent packages; games: clones share the state store's name index copy-on-write)"
-go test -race ./internal/parallel ./internal/experiments ./internal/pfi ./internal/cloud ./internal/obs ./internal/games .
+echo "== go test -race (concurrent packages; games: clones share the state store's name index copy-on-write; trace: frames share pooled gzip writers)"
+go test -race ./internal/parallel ./internal/experiments ./internal/pfi ./internal/cloud ./internal/obs ./internal/games ./internal/trace .
 
 echo "== go test -race (fleet serving: shared table + device fleet + chaos)"
 go test -race ./internal/fleet ./internal/memo ./internal/chaos
@@ -97,6 +97,9 @@ go test -run '^$' -bench '^BenchmarkPFIRun$' -benchtime 1x -benchmem ./internal/
 
 echo "== replay smoke (one pass of BenchmarkReplay over every game's golden log)"
 go test -run '^$' -bench '^BenchmarkReplay$' -benchtime 1x -benchmem ./internal/cloud
+
+echo "== batch codec smoke (one pass of BenchmarkBatchCodec: encode + decode of every game's 4-session batch)"
+go test -run '^$' -bench '^BenchmarkBatchCodec$' -benchtime 1x -benchmem ./internal/cloud
 
 echo "== lookup regression gate (flat backend must stay within 10% of map, both measured now)"
 # Gated at sizes past cache capacity, where the flat layout's advantage

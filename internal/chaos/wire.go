@@ -152,7 +152,7 @@ func synthetic503(req *http.Request) *http.Response {
 	}
 }
 
-// The gzip bomb: a syntactically valid SNIPBTCH1 body — correct magic,
+// The gzip bomb: a syntactically valid SNIPBTCH2 body — correct magic,
 // well-formed gzip stream, valid CRC trailer — whose DECOMPRESSED size
 // (~48 MiB of zeros) blows far past the server's decoded-size cap while
 // compressing to a few tens of KiB on the wire. It sails through the
@@ -166,15 +166,14 @@ var (
 func bombBody() []byte {
 	bombOnce.Do(func() {
 		var buf bytes.Buffer
-		buf.WriteString("SNIPBTCH1")
+		buf.WriteString("SNIPBTCH2")
 		crc := crc32.NewIEEE()
 		zw := gzip.NewWriter(io.MultiWriter(&buf, crc))
-		// A gob length prefix declaring one 48 MiB message makes the
-		// decoder pull every decompressed byte through its capped reader
-		// (raw zeros would fail gob parsing long before the cap, which
-		// the server would count as corruption, not oversize).
+		// Plain zeros suffice: the decoder drains the whole decompressed
+		// stream through its capped reader before it parses a byte, so
+		// the cap trips before the zeros can fail as a malformed payload
+		// (which the server would count as corruption, not oversize).
 		const bombSize = 48 << 20
-		zw.Write([]byte{0xFC, bombSize >> 24, bombSize >> 16 & 0xFF, bombSize >> 8 & 0xFF, bombSize & 0xFF})
 		zeros := make([]byte, 1<<16)
 		for written := 0; written < bombSize; written += len(zeros) {
 			zw.Write(zeros)

@@ -53,19 +53,17 @@ func TestBatchOversizedCompressedRejected(t *testing.T) {
 	}
 }
 
-// gzipBomb builds a syntactically valid SNIPBTCH1 body whose gob message
+// gzipBomb builds a syntactically valid SNIPBTCH2 body whose payload
 // decompresses past the server's decoded cap: correct magic, valid gzip,
-// valid CRC trailer — only the decoded-size guard can stop it.
+// valid CRC trailer — only the decoded-size guard can stop it. The
+// payload is plain zeros: the decoder drains the stream to the cap
+// before parsing any of it.
 func gzipBomb(t *testing.T, decoded int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	buf.WriteString("SNIPBTCH1")
+	buf.WriteString("SNIPBTCH2")
 	crc := crc32.NewIEEE()
 	zw := gzip.NewWriter(io.MultiWriter(&buf, crc))
-	header := []byte{0xFC, byte(decoded >> 24), byte(decoded >> 16), byte(decoded >> 8), byte(decoded)}
-	if _, err := zw.Write(header); err != nil {
-		t.Fatal(err)
-	}
 	zeros := make([]byte, 1<<16)
 	for written := 0; written < decoded; written += len(zeros) {
 		if _, err := zw.Write(zeros); err != nil {
@@ -159,6 +157,35 @@ func TestBatchTrailerlessCounted(t *testing.T) {
 	}
 	if snap.Counters["snip_cloud_uploads_rejected_corrupt_total"] != 0 {
 		t.Fatal("trailerless rejection miscounted as corrupt")
+	}
+}
+
+// TestBatchOldMagicCounted: a batch framed under the retired SNIPBTCH1
+// magic — a writer older than the columnar payload — answers 400 at the
+// header and counts as corrupt; no reader for that format remains.
+func TestBatchOldMagicCounted(t *testing.T) {
+	svc, srv := testServer(t)
+	log := &trace.EventLog{Game: "Colorphun", Events: []trace.LoggedEvent{
+		{Type: "touch", Seq: 1, Time: 1000, Values: []int64{3}},
+	}}
+	var buf bytes.Buffer
+	err := trace.EncodeBatch(&buf, &trace.SessionBatch{
+		Game: "Colorphun", Sessions: []trace.SessionEvents{{Seed: 1, Log: log}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := append([]byte("SNIPBTCH1"), buf.Bytes()[len("SNIPBTCH2"):]...)
+	resp, body := post(t, srv.URL+"/v1/upload-batch?game=Colorphun", bytes.NewReader(wire))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d body %q, want 400", resp.StatusCode, body)
+	}
+	if !strings.Contains(body, "magic") {
+		t.Fatalf("body %q, want a bad-magic message", body)
+	}
+	snap := svc.Metrics().Snapshot()
+	if snap.Counters["snip_cloud_uploads_rejected_corrupt_total"] != 1 {
+		t.Fatal("old-magic rejection not counted as corrupt")
 	}
 }
 

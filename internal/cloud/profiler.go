@@ -49,6 +49,11 @@ func Replay(gameName string, seed uint64, log *trace.EventLog) (*trace.Dataset, 
 		if !handled[t] {
 			continue
 		}
+		// events.New panics on a value count its schema does not have;
+		// a log from the wire gets an error instead.
+		if want := len(events.Schema(t)); len(le.Values) != want {
+			return nil, fmt.Errorf("cloud: %s event %d has %d values, want %d", le.Type, le.Seq, len(le.Values), want)
+		}
 		ev := events.New(t, le.Seq, le.Time, le.Values...)
 		exec := g.Process(ev)
 		ds.Append(exec.Record)

@@ -11,22 +11,24 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 
 	"snip/internal/units"
 )
 
-// The wire formats for shipping profiles to the cloud profiler: a compact
-// gob stream for the actual transfer and JSON for debugging/inspection.
-// The paper notes that SNIP records "only the event inputs" on-device to
-// keep the client overhead negligible; EncodeEventsOnly implements that
-// reduced form.
+// The wire formats for shipping profiles to the cloud profiler: gob
+// streams for single profiles, a columnar batch payload for the fleet's
+// bulk upload (batch.go) and JSON for debugging/inspection. The paper
+// notes that SNIP records "only the event inputs" on-device to keep the
+// client overhead negligible; EncodeEventsOnly implements that reduced
+// form.
 
 // magic distinguishes full profiles, events-only profiles, gzip'd
 // session batches and telemetry batches on the wire.
 const (
 	magicFull       = "SNIPPROF1"
 	magicEventsOnly = "SNIPEVTS1"
-	magicBatch      = "SNIPBTCH1"
+	magicBatch      = "SNIPBTCH2"
 	magicTelemetry  = "SNIPTEL1"
 )
 
@@ -105,45 +107,29 @@ func DecodeEventsOnly(r io.Reader) (*EventLog, error) {
 	return &l, nil
 }
 
-// SessionEvents is one session's events-only log paired with the seed
-// that regenerates the game content it was played on — the unit of the
-// batched fleet upload.
-type SessionEvents struct {
-	Seed uint64
-	Log  *EventLog
-}
-
-// SessionBatch packs many sessions of one game into a single upload.
-// Gob's string interning plus gzip across sessions is what makes the
-// batch dramatically smaller than the per-session uploads it replaces
-// (event type names and value patterns repeat across sessions).
-type SessionBatch struct {
-	Game     string
-	Sessions []SessionEvents
-}
-
-// The batch wire format carries an integrity trailer after the gzip
-// stream: 4 marker bytes plus the big-endian CRC32 (IEEE) of the gzip
-// payload. A flipped or truncated body is rejected deterministically at
-// decode time instead of surfacing as a nondeterministic gob/gzip parse
-// error deep in the session data. The trailer is mandatory: the
-// one-release compatibility window for trailerless payloads has closed,
-// so a batch without the marker is rejected as corrupt.
+// The trailer-guarded frame shared by the SNIPBTCH2 session-batch,
+// SNIPTEL1 telemetry and SNIPDLT1 delta codecs: magic, gzip(body), then
+// an integrity trailer of 4 marker bytes plus the big-endian CRC32
+// (IEEE) of the gzip bytes. A flipped or truncated body is rejected
+// deterministically at decode time instead of surfacing as a
+// nondeterministic parse error deep in the body. The trailer is
+// mandatory: a frame without the marker is rejected as corrupt.
 const (
 	batchTrailerMagic = "SNPC"
 	batchTrailerLen   = len(batchTrailerMagic) + crc32.Size
 )
 
 // DefaultMaxDecodedBatch caps how many decompressed bytes DecodeBatch
-// will feed the gob decoder — the library-level defense against gzip
-// bombs. Servers pass tighter caps via DecodeBatchLimit.
+// will accept — the library-level defense against gzip bombs. Servers
+// pass tighter caps via DecodeBatchLimit.
 const DefaultMaxDecodedBatch = 1 << 30
 
 // Deterministic batch-rejection causes, counted by the cloud ingest
 // metrics. Wrapped in the returned errors; test with errors.Is.
 var (
 	// ErrBatchChecksum marks a batch whose CRC32 trailer does not match
-	// its payload — a corrupted body.
+	// its payload, or whose payload carries bytes past its end — a
+	// corrupted body.
 	ErrBatchChecksum = errors.New("trace: batch checksum mismatch")
 	// ErrBatchTooLarge marks a batch whose decompressed size exceeds the
 	// decoder's cap — a gzip bomb or a runaway client.
@@ -156,17 +142,29 @@ var (
 	ErrBatchTrailerless = fmt.Errorf("%w: missing integrity trailer", ErrBatchChecksum)
 )
 
-// encodeFramed writes one trailer-guarded frame — magic + gzip(gob(v))
-// + CRC32 trailer — the machinery shared by the SNIPBTCH1 session-batch
-// and SNIPTEL1 telemetry codecs. label names the frame in errors.
-func encodeFramed(w io.Writer, magic, label string, v any) error {
+// A deflate compressor is most of a MiB of state, far more than a
+// typical frame's payload, so frames reuse gzip writers instead of
+// allocating one each. Reset leaves a writer byte-for-byte equivalent
+// to a new one.
+var gzipWriters sync.Pool // *gzip.Writer
+
+// writeFrame writes one frame — magic + gzip(body) + CRC32 trailer.
+// body writes the uncompressed payload; label names the frame in errors.
+func writeFrame(w io.Writer, magic, label string, body func(io.Writer) error) error {
 	bw := bufio.NewWriter(w)
 	if _, err := io.WriteString(bw, magic); err != nil {
 		return err
 	}
 	crc := crc32.NewIEEE()
-	zw := gzip.NewWriter(io.MultiWriter(bw, crc))
-	if err := gob.NewEncoder(zw).Encode(v); err != nil {
+	out := io.MultiWriter(bw, crc)
+	zw, _ := gzipWriters.Get().(*gzip.Writer)
+	if zw == nil {
+		zw = gzip.NewWriter(out)
+	} else {
+		zw.Reset(out)
+	}
+	defer gzipWriters.Put(zw)
+	if err := body(zw); err != nil {
 		return fmt.Errorf("trace: encode %s: %w", label, err)
 	}
 	if err := zw.Close(); err != nil {
@@ -183,13 +181,14 @@ func encodeFramed(w io.Writer, magic, label string, v any) error {
 	return bw.Flush()
 }
 
-// decodeFramed reads a frame written by encodeFramed into v, verifying
-// the mandatory CRC32 trailer and refusing to decompress more than
-// maxDecoded bytes. Trailerless payloads are rejected with
-// ErrBatchTrailerless; corrupt input returns an error wrapping
-// ErrBatchChecksum; oversized input one wrapping ErrBatchTooLarge. It
-// never panics, whatever the input (pinned by the fuzz targets).
-func decodeFramed(r io.Reader, magic, label string, maxDecoded int64, v any) error {
+// readFrame reads a frame written by writeFrame, verifying the
+// mandatory CRC32 trailer, and hands body the decompressed payload
+// behind a reader that refuses to yield more than maxDecoded bytes.
+// Trailerless frames are rejected with ErrBatchTrailerless; corrupt
+// input returns an error wrapping ErrBatchChecksum; oversized input one
+// wrapping ErrBatchTooLarge. It never panics, whatever the input
+// (pinned by the fuzz targets).
+func readFrame(r io.Reader, magic, label string, maxDecoded int64, body func(io.Reader) error) error {
 	br := bufio.NewReader(r)
 	got := make([]byte, len(magic))
 	if _, err := io.ReadFull(br, got); err != nil {
@@ -221,15 +220,14 @@ func decodeFramed(r io.Reader, magic, label string, maxDecoded int64, v any) err
 		maxDecoded = DefaultMaxDecodedBatch
 	}
 	lr := &cappedReader{r: zr, remaining: maxDecoded}
-	if err := gob.NewDecoder(lr).Decode(v); err != nil {
+	if err := body(lr); err != nil {
 		if lr.exceeded {
 			return fmt.Errorf("%w (cap %d bytes)", ErrBatchTooLarge, maxDecoded)
 		}
 		return fmt.Errorf("trace: decode %s: %w", label, err)
 	}
-	// Anything left after the gob message inside the gzip stream is
-	// garbage — a stale or hand-spliced payload whose trailer happened to
-	// check out.
+	// Anything left in the gzip stream after the body is garbage — a
+	// stale or hand-spliced payload whose trailer happened to check out.
 	var tail [1]byte
 	if n, err := zr.Read(tail[:]); n != 0 || (err != nil && err != io.EOF) {
 		return fmt.Errorf("%w: trailing garbage after %s payload", ErrBatchChecksum, label)
@@ -237,35 +235,24 @@ func decodeFramed(r io.Reader, magic, label string, maxDecoded int64, v any) err
 	return nil
 }
 
-// EncodeBatch writes a session batch as magic + gzip(gob) + CRC32
-// trailer — the wire form of POST /v1/upload-batch.
-func EncodeBatch(w io.Writer, b *SessionBatch) error {
-	return encodeFramed(w, magicBatch, "batch", b)
+// encodeGobFrame writes v as one gob-bodied frame — the SNIPTEL1 and
+// SNIPDLT1 wire forms.
+func encodeGobFrame(w io.Writer, magic, label string, v any) error {
+	return writeFrame(w, magic, label, func(zw io.Writer) error {
+		return gob.NewEncoder(zw).Encode(v)
+	})
 }
 
-// DecodeBatch reads a session batch written by EncodeBatch, capping the
-// decompressed size at DefaultMaxDecodedBatch.
-func DecodeBatch(r io.Reader) (*SessionBatch, error) {
-	return DecodeBatchLimit(r, DefaultMaxDecodedBatch)
-}
-
-// DecodeBatchLimit reads a session batch, verifying the mandatory CRC32
-// trailer and refusing to decompress more than maxDecoded bytes.
-// Trailerless payloads (the previous wire release) are rejected with
-// ErrBatchTrailerless — the one-release compatibility window has
-// closed. Corrupt input returns an error wrapping ErrBatchChecksum;
-// oversized input one wrapping ErrBatchTooLarge. It never panics,
-// whatever the input (pinned by FuzzDecodeBatch).
-func DecodeBatchLimit(r io.Reader, maxDecoded int64) (*SessionBatch, error) {
-	var b SessionBatch
-	if err := decodeFramed(r, magicBatch, "batch", maxDecoded, &b); err != nil {
-		return nil, err
-	}
-	return &b, nil
+// decodeGobFrame reads a frame written by encodeGobFrame into v.
+func decodeGobFrame(r io.Reader, magic, label string, maxDecoded int64, v any) error {
+	return readFrame(r, magic, label, maxDecoded, func(zr io.Reader) error {
+		return gob.NewDecoder(zr).Decode(v)
+	})
 }
 
 // cappedReader bounds the bytes read through it, flagging (and erroring
-// on) any attempt to read past the cap — the gzip-bomb guard.
+// on) any attempt to read past the cap — the gzip-bomb guard. A stream
+// of exactly the cap ends cleanly.
 type cappedReader struct {
 	r         io.Reader
 	remaining int64
@@ -274,6 +261,10 @@ type cappedReader struct {
 
 func (c *cappedReader) Read(p []byte) (int, error) {
 	if c.remaining <= 0 {
+		var probe [1]byte
+		if n, err := c.r.Read(probe[:]); n == 0 && err == io.EOF {
+			return 0, io.EOF
+		}
 		c.exceeded = true
 		return 0, ErrBatchTooLarge
 	}
@@ -283,16 +274,6 @@ func (c *cappedReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.remaining -= int64(n)
 	return n, err
-}
-
-// BatchTransferSize returns the encoded (compressed) size of a session
-// batch — what the fleet actually puts on the wire per upload.
-func BatchTransferSize(b *SessionBatch) (units.Size, error) {
-	var cw countingWriter
-	if err := EncodeBatch(&cw, b); err != nil {
-		return 0, err
-	}
-	return units.Size(cw.n), nil
 }
 
 // MarshalJSON-ready view types keep the JSON stable and readable.

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"hash/crc32"
 	"io"
@@ -38,7 +37,7 @@ func encodeSample(t *testing.T) []byte {
 // the 8-byte "SNPC"+CRC32 trailer whose checksum covers the gzip bytes.
 func TestBatchTrailerPresent(t *testing.T) {
 	wire := encodeSample(t)
-	if string(wire[:9]) != magicBatch {
+	if string(wire[:9]) != "SNIPBTCH2" {
 		t.Fatalf("bad magic %q", wire[:9])
 	}
 	n := len(wire)
@@ -53,7 +52,7 @@ func TestBatchTrailerPresent(t *testing.T) {
 }
 
 // TestBatchBitflipRejected: any single flipped bit in the gzip payload
-// must surface as ErrBatchChecksum, not a gob/gzip parse error.
+// must surface as ErrBatchChecksum, not a gzip or payload parse error.
 func TestBatchBitflipRejected(t *testing.T) {
 	wire := encodeSample(t)
 	for _, pos := range []int{9, 9 + (len(wire)-9-batchTrailerLen)/2, len(wire) - batchTrailerLen - 1} {
@@ -77,17 +76,21 @@ func TestBatchTruncationRejected(t *testing.T) {
 	}
 }
 
-// TestBatchLegacyTrailerlessRejected: a payload from the pre-trailer
-// wire release — magic + gzip(gob), no trailer — is rejected as corrupt
-// now that the one-release compatibility window has closed.
+// TestBatchLegacyTrailerlessRejected: a payload framed the pre-trailer
+// way — magic + gzip(payload), no trailer — is rejected as corrupt now
+// that the one-release compatibility window has closed.
 func TestBatchLegacyTrailerlessRejected(t *testing.T) {
+	payload, err := appendBatch(nil, sampleBatch())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
 	if _, err := io.WriteString(bw, magicBatch); err != nil {
 		t.Fatal(err)
 	}
 	zw := gzip.NewWriter(bw)
-	if err := gob.NewEncoder(zw).Encode(sampleBatch()); err != nil {
+	if _, err := zw.Write(payload); err != nil {
 		t.Fatal(err)
 	}
 	if err := zw.Close(); err != nil {
@@ -96,7 +99,7 @@ func TestBatchLegacyTrailerlessRejected(t *testing.T) {
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	_, err := DecodeBatch(bytes.NewReader(buf.Bytes()))
+	_, err = DecodeBatch(bytes.NewReader(buf.Bytes()))
 	if !errors.Is(err, ErrBatchChecksum) {
 		t.Fatalf("trailerless payload: got %v, want ErrBatchChecksum", err)
 	}
@@ -117,13 +120,9 @@ func TestBatchDecodedCap(t *testing.T) {
 	}
 	crc := crc32.NewIEEE()
 	zw := gzip.NewWriter(io.MultiWriter(bw, crc))
-	// A gob length prefix declaring a 64 MiB message forces the decoder
-	// to pull all of it through the capped reader; raw zeros alone would
-	// fail gob parsing long before the cap is reached.
-	const bombSize = 64 << 20
-	if _, err := zw.Write([]byte{0xFC, bombSize >> 24, bombSize >> 16 & 0xFF, bombSize >> 8 & 0xFF, bombSize & 0xFF}); err != nil {
-		t.Fatal(err)
-	}
+	// Plain zeros: the decoder drains the decompressed stream through
+	// the capped reader before parsing, so nothing fails before the cap.
+	const bombSize = 8 << 20
 	zeros := make([]byte, 1<<16)
 	for written := 0; written < bombSize; written += len(zeros) {
 		if _, err := zw.Write(zeros); err != nil {
@@ -149,8 +148,9 @@ func TestBatchDecodedCap(t *testing.T) {
 	if !errors.Is(err, ErrBatchTooLarge) {
 		t.Fatalf("bomb got %v, want ErrBatchTooLarge", err)
 	}
-	// Under the default (1 GiB) cap the same payload fails as garbage gob,
-	// not as oversize: the cap is the only thing distinguishing the two.
+	// Under the default (1 GiB) cap the same payload fails as a malformed
+	// payload, not as oversize: the cap is the only thing distinguishing
+	// the two.
 	if _, err := DecodeBatch(bytes.NewReader(buf.Bytes())); errors.Is(err, ErrBatchTooLarge) {
 		t.Fatalf("8 MiB decoded payload tripped the 1 GiB default cap: %v", err)
 	}

@@ -22,7 +22,7 @@ import (
 // this package, so the codec speaks only in the identity keys both ends
 // already share — the open-addressing event/state key hashes.
 
-// magicDelta frames a delta chain on the wire, alongside SNIPBTCH1
+// magicDelta frames a delta chain on the wire, alongside SNIPBTCH2
 // batches and SNIPTEL1 telemetry.
 const magicDelta = "SNIPDLT1"
 
@@ -98,7 +98,7 @@ type DeltaChain struct {
 // gzip(gob) + CRC32 trailer, the framing shared with session batches
 // and telemetry.
 func EncodeDeltaChain(w io.Writer, c *DeltaChain) error {
-	return encodeFramed(w, magicDelta, "delta", c)
+	return encodeGobFrame(w, magicDelta, "delta", c)
 }
 
 // DecodeDeltaChain reads a delta chain written by EncodeDeltaChain,
@@ -112,7 +112,7 @@ func DecodeDeltaChain(r io.Reader, maxDecoded int64) (*DeltaChain, error) {
 		maxDecoded = DefaultMaxDecodedDelta
 	}
 	var c DeltaChain
-	if err := decodeFramed(r, magicDelta, "delta", maxDecoded, &c); err != nil {
+	if err := decodeGobFrame(r, magicDelta, "delta", maxDecoded, &c); err != nil {
 		return nil, err
 	}
 	return &c, nil

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -12,22 +13,26 @@ import (
 // format instead of rediscovering the header check.
 
 func FuzzDecodeBatch(f *testing.F) {
-	var buf bytes.Buffer
-	log := &EventLog{Game: "Colorphun", Events: []LoggedEvent{
-		{Type: "touch", Seq: 1, Time: 1000, Values: []int64{3, 7}},
-	}}
-	b := &SessionBatch{Game: "Colorphun", Sessions: []SessionEvents{{Seed: 9, Log: log}}}
-	if err := EncodeBatch(&buf, b); err != nil {
-		f.Fatal(err)
+	for _, b := range []*SessionBatch{goldenBatch(), sampleBatch()} {
+		var buf bytes.Buffer
+		if err := EncodeBatch(&buf, b); err != nil {
+			f.Fatal(err)
+		}
+		wire := buf.Bytes()
+		f.Add(wire)
+		f.Add(wire[:len(wire)/2])
+		f.Add(wire[:9])
+		flipped := bytes.Clone(wire)
+		flipped[len(flipped)/2] ^= 0x01
+		f.Add(flipped)
+		f.Add(append([]byte("SNIPBTCH1"), wire[9:]...))
 	}
-	wire := buf.Bytes()
-	f.Add(wire)
-	f.Add(wire[:len(wire)/2])
-	f.Add(wire[:9])
-	flipped := bytes.Clone(wire)
-	flipped[len(flipped)/2] ^= 0x01
-	f.Add(flipped)
-	f.Add([]byte("SNIPBTCH1"))
+	// Valid frames around hostile payloads start the fuzzer past the
+	// checksum, in the parser.
+	for _, p := range hostilePayloads {
+		f.Add(frameBatch(f, p))
+	}
+	f.Add([]byte("SNIPBTCH2"))
 	f.Add([]byte("SNIPEVTS1junk"))
 	f.Add([]byte{})
 
@@ -35,8 +40,23 @@ func FuzzDecodeBatch(f *testing.F) {
 		// A tight decoded cap keeps fuzz iterations fast and exercises
 		// the bomb guard; the decoder must error or succeed, not panic.
 		b, err := DecodeBatchLimit(bytes.NewReader(data), 1<<20)
-		if err == nil && b == nil {
+		if err != nil {
+			return
+		}
+		if b == nil {
 			t.Fatal("nil batch with nil error")
+		}
+		// Whatever decodes is a batch the encoder can carry unchanged.
+		var wire bytes.Buffer
+		if err := EncodeBatch(&wire, b); err != nil {
+			t.Fatalf("decoded batch does not re-encode: %v", err)
+		}
+		again, err := DecodeBatch(bytes.NewReader(wire.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded batch does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(b, again) {
+			t.Fatalf("re-encode changed the batch:\n%+v\n%+v", b, again)
 		}
 	})
 }
@@ -63,7 +83,7 @@ func FuzzDecodeDelta(f *testing.F) {
 	flipped[len(flipped)/2] ^= 0x01
 	f.Add(flipped)
 	f.Add([]byte("SNIPDLT1"))
-	f.Add([]byte("SNIPBTCH1junk"))
+	f.Add([]byte("SNIPBTCH2junk"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -5,8 +5,8 @@ import "io"
 // Telemetry wire format. Devices periodically fold their tallies into
 // compact TelemetryRecords and ship them to the cloud over
 // POST /v1/telemetry as SNIPTEL1 frames — the same trailer-guarded
-// magic + gzip(gob) + CRC32 framing as SNIPBTCH1 session batches, so
-// the telemetry path inherits the batch codec's corruption and
+// magic + gzip + CRC32 framing as SNIPBTCH2 session batches, with a gob
+// body, so the telemetry path inherits the batch codec's corruption and
 // gzip-bomb defenses (and its error sentinels: ErrBatchChecksum,
 // ErrBatchTooLarge, ErrBatchTrailerless).
 //
@@ -100,7 +100,7 @@ const DefaultMaxDecodedTelemetry = 4 << 20
 // EncodeTelemetry writes a telemetry batch as SNIPTEL1 magic +
 // gzip(gob) + CRC32 trailer — the wire form of POST /v1/telemetry.
 func EncodeTelemetry(w io.Writer, b *TelemetryBatch) error {
-	return encodeFramed(w, magicTelemetry, "telemetry", b)
+	return encodeGobFrame(w, magicTelemetry, "telemetry", b)
 }
 
 // DecodeTelemetry reads a telemetry batch written by EncodeTelemetry,
@@ -120,7 +120,7 @@ func DecodeTelemetryLimit(r io.Reader, maxDecoded int64) (*TelemetryBatch, error
 		maxDecoded = DefaultMaxDecodedTelemetry
 	}
 	var b TelemetryBatch
-	if err := decodeFramed(r, magicTelemetry, "telemetry", maxDecoded, &b); err != nil {
+	if err := decodeGobFrame(r, magicTelemetry, "telemetry", maxDecoded, &b); err != nil {
 		return nil, err
 	}
 	return &b, nil
