@@ -98,6 +98,9 @@ go test -run '^$' -bench '^BenchmarkPFIRun$' -benchtime 1x -benchmem ./internal/
 echo "== replay smoke (one pass of BenchmarkReplay over every game's golden log)"
 go test -run '^$' -bench '^BenchmarkReplay$' -benchtime 1x -benchmem ./internal/cloud
 
+echo "== handler smoke (one pass of BenchmarkProcess: every game, logging inputs and not)"
+go test -run '^$' -bench '^BenchmarkProcess$' -benchtime 1x -benchmem ./internal/games
+
 echo "== batch codec smoke (one pass of BenchmarkBatchCodec: encode + decode of every game's 4-session batch)"
 go test -run '^$' -bench '^BenchmarkBatchCodec$' -benchtime 1x -benchmem ./internal/cloud
 

@@ -624,7 +624,7 @@ func (s *Service) handleUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err != nil {
-		http.Error(w, "replay: "+err.Error(), http.StatusInternalServerError)
+		s.replayFailed(w, err)
 		return
 	}
 	s.met.uploads.Inc()
@@ -632,6 +632,17 @@ func (s *Service) handleUpload(w http.ResponseWriter, r *http.Request) {
 	sh.met.sessions.Inc()
 	sh.met.records.Add(int64(after - before))
 	fmt.Fprintf(w, "ok records=%d\n", after)
+}
+
+// replayFailed answers an ingest whose replay failed: 400, counted as
+// corrupt, for a log the emulator cannot replay, and 500 otherwise.
+func (s *Service) replayFailed(w http.ResponseWriter, err error) {
+	if errors.Is(err, ErrBadLog) {
+		s.met.rejectedCorrupt.Inc()
+		http.Error(w, "replay: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	http.Error(w, "replay: "+err.Error(), http.StatusInternalServerError)
 }
 
 // handleUploadBatch ingests a gzip'd multi-session batch: the fleet's
@@ -708,7 +719,7 @@ func (s *Service) handleUploadBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err != nil {
-		http.Error(w, "replay: "+err.Error(), http.StatusInternalServerError)
+		s.replayFailed(w, err)
 		return
 	}
 	s.met.uploads.Add(int64(len(logs)))

@@ -8,6 +8,7 @@
 package cloud
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -19,6 +20,11 @@ import (
 	"snip/internal/trace"
 	"snip/internal/units"
 )
+
+// ErrBadLog marks an events-only log the emulator cannot replay: an
+// event type it does not know, or a value count its type's schema does
+// not have. The uploader sent a bad request; retrying cannot help.
+var ErrBadLog = errors.New("cloud: bad log")
 
 // Replay re-executes an events-only log against a fresh instance of the
 // game (the emulator step): it reconstructs the full input/output profile
@@ -44,7 +50,7 @@ func Replay(gameName string, seed uint64, log *trace.EventLog) (*trace.Dataset, 
 		// are simply not delivered, as on the device.
 		t, ok := eventTypes[le.Type]
 		if !ok {
-			return nil, fmt.Errorf("cloud: unknown event type %q", le.Type)
+			return nil, fmt.Errorf("%w: unknown event type %q", ErrBadLog, le.Type)
 		}
 		if !handled[t] {
 			continue
@@ -52,10 +58,10 @@ func Replay(gameName string, seed uint64, log *trace.EventLog) (*trace.Dataset, 
 		// events.New panics on a value count its schema does not have;
 		// a log from the wire gets an error instead.
 		if want := len(events.Schema(t)); len(le.Values) != want {
-			return nil, fmt.Errorf("cloud: %s event %d has %d values, want %d", le.Type, le.Seq, len(le.Values), want)
+			return nil, fmt.Errorf("%w: %s event %d has %d values, want %d", ErrBadLog, le.Type, le.Seq, len(le.Values), want)
 		}
 		ev := events.New(t, le.Seq, le.Time, le.Values...)
-		exec := g.Process(ev)
+		exec := g.Process(ev, true)
 		ds.Append(exec.Record)
 	}
 	return ds, nil

@@ -49,7 +49,7 @@ func Fig12ContinuousLearning(cfg Config, game string, epochs, initialRecords int
 		r, err := schemes.Run(schemes.Config{
 			Game: game, Seed: seed, Duration: cfg.Duration(),
 			Scheme: schemes.SNIP, Table: update.Table,
-			EvalCorrectness: true, CollectTrace: true,
+			EvalCorrectness: true,
 		})
 		if err != nil {
 			return nil, err

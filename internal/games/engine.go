@@ -9,10 +9,12 @@
 //     memoize them individually) and invoke accelerator IPs;
 //   - write Out.Temp, Out.History and Out.Extern fields.
 //
-// Every read and write is captured in a trace.Record, which is what the
-// profiler ships to the cloud and what PFI trains on. Redundant and
-// useless events are not injected — they emerge from game mechanics, e.g.
-// dragging AB Evolution's catapult past max stretch changes nothing.
+// Every write is captured in a trace.Record. Reads are logged into it only
+// for callers that ask: the cloud's replay and the figures' baseline
+// profile, which PFI trains on. Devices upload events-only logs (§VI) and
+// do not ask. Redundant and useless events are not injected — they emerge
+// from game mechanics, e.g. dragging AB Evolution's catapult past max
+// stretch changes nothing.
 package games
 
 import (
@@ -97,8 +99,11 @@ type Game interface {
 	// Types returns the event types the game registers handlers for.
 	Types() []events.Type
 	// Process executes one event against current state, mutating it and
-	// returning the traced execution.
-	Process(e *events.Event) *Execution
+	// returning the traced execution. With logInputs false the record
+	// keeps no Inputs and zero EventHash and PreStateHash; its outputs,
+	// StateChanged and Instr, the work and every state mutation are the
+	// same either way. Only callers that read inputs ask for them.
+	Process(e *events.Event, logInputs bool) *Execution
 	// Clone returns an independent deep copy (for shadow execution when
 	// checking short-circuit correctness).
 	Clone() Game
@@ -302,22 +307,35 @@ func (s *Store) fold(d *digest) uint64 {
 }
 
 // Ctx is the execution context a handler records into. It implements the
-// tracer: every state read/write flows through it.
+// tracer: every state read/write flows through it. The execution lives
+// inside it, so a handler call allocates both at once.
 type Ctx struct {
 	store *Store
+	log   bool // log inputs into rec
 	rec   *trace.Record
-	exec  *Execution
+	exec  Execution
 }
 
-func newCtx(store *Store, e *events.Event) *Ctx {
-	rec := &trace.Record{
-		EventSeq:     e.Seq,
-		EventType:    e.Type.String(),
-		EventHash:    e.Hash(),
-		Time:         e.Time,
-		PreStateHash: store.Hash(),
+// bareCtx is a Ctx that logs no inputs, with its record inline: the
+// caller drops such a record with the execution, so all three share one
+// allocation. A logged record is allocated on its own, because a profile
+// keeps it long after its context is garbage.
+type bareCtx struct {
+	Ctx
+	record trace.Record
+}
+
+func newCtx(store *Store, e *events.Event, logInputs bool) *Ctx {
+	var c *Ctx
+	if logInputs {
+		c = &Ctx{store: store, log: true, rec: &trace.Record{EventHash: e.Hash(), PreStateHash: store.Hash()}}
+	} else {
+		b := &bareCtx{Ctx: Ctx{store: store}}
+		c, b.rec = &b.Ctx, &b.record
 	}
-	return &Ctx{store: store, rec: rec, exec: &Execution{Record: rec}}
+	c.rec.EventSeq, c.rec.EventType, c.rec.Time = e.Seq, e.Type.String(), e.Time
+	c.exec.Record = c.rec
+	return c
 }
 
 // eventFieldNames holds the record name of every event field,
@@ -338,6 +356,9 @@ func (c *Ctx) Event(e *events.Event, name string) int64 {
 		e.MustField(name) // panics with the missing field's name
 	}
 	v := e.Values[i]
+	if !c.log {
+		return v
+	}
 	c.rec.Inputs = append(c.rec.Inputs, trace.Field{
 		Name:     eventFieldNames[e.Type][i],
 		Category: trace.InEvent,
@@ -349,6 +370,9 @@ func (c *Ctx) Event(e *events.Event, name string) int64 {
 
 // Read reads a state location, logging an In.History input.
 func (c *Ctx) Read(name string) int64 {
+	if !c.log {
+		return c.store.Get(name)
+	}
 	f := trace.Field{Category: trace.InHistory, Size: 8}
 	if i, ok := c.store.slot[name]; ok {
 		f.Name, f.Size, f.Value = c.store.qual[i], c.store.sizes[i], uint64(c.store.vals[i])
@@ -364,6 +388,9 @@ func (c *Ctx) Read(name string) int64 {
 func (c *Ctx) ReadBlob(prefix string) uint64 {
 	d := c.store.digest(prefix)
 	h := c.store.fold(d)
+	if !c.log {
+		return h
+	}
 	c.rec.Inputs = append(c.rec.Inputs, trace.Field{
 		Name:     d.blob,
 		Category: trace.InHistory,
@@ -376,6 +403,9 @@ func (c *Ctx) ReadBlob(prefix string) uint64 {
 // Extern reads data from outside the app (network, asset pack), logging
 // an In.Extern input of the given size.
 func (c *Ctx) Extern(name string, size units.Size, value int64) int64 {
+	if !c.log {
+		return value
+	}
 	c.rec.Inputs = append(c.rec.Inputs, trace.Field{
 		Name:     "extern." + name,
 		Category: trace.InExtern,
@@ -475,7 +505,7 @@ func (c *Ctx) finish() *Execution {
 		instr += int64(ip.Duration) * 1200 // ≈ instructions a core would burn in that time
 	}
 	c.rec.Instr = instr
-	return c.exec
+	return &c.exec
 }
 
 // base provides the shared Game plumbing: the store, deterministic
@@ -544,7 +574,7 @@ func (b *base) cloneBase() base {
 	return c
 }
 
-func (b *base) ctx(e *events.Event) *Ctx { return newCtx(b.store, e) }
+func (b *base) ctx(e *events.Event, logInputs bool) *Ctx { return newCtx(b.store, e, logInputs) }
 
 // errUnhandled panics for event types the game did not register.
 func (b *base) errUnhandled(e *events.Event) {

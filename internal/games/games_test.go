@@ -73,8 +73,8 @@ func TestDeterminism(t *testing.T) {
 		a.Reset(7)
 		b.Reset(7)
 		for i, e := range evs {
-			ra := a.Process(e.Clone())
-			rb := b.Process(e.Clone())
+			ra := a.Process(e.Clone(), true)
+			rb := b.Process(e.Clone(), true)
 			if ra.Record.OutputHash() != rb.Record.OutputHash() {
 				t.Fatalf("%s: outputs diverged at event %d", name, i)
 			}
@@ -97,10 +97,10 @@ func TestDifferentSeedsDiverge(t *testing.T) {
 		a.Reset(3)
 		b.Reset(4)
 		for _, e := range evs1 {
-			a.Process(e)
+			a.Process(e, true)
 		}
 		for _, e := range evs2 {
-			b.Process(e)
+			b.Process(e, true)
 		}
 		if a.StateHash() == b.StateHash() {
 			t.Fatalf("%s: different sessions ended in identical state", name)
@@ -114,7 +114,7 @@ func TestCloneIndependence(t *testing.T) {
 		g := games.MustNew(name)
 		g.Reset(9)
 		for _, e := range evs[:len(evs)/2] {
-			g.Process(e)
+			g.Process(e, true)
 		}
 		c := g.Clone()
 		if c.StateHash() != g.StateHash() {
@@ -123,7 +123,7 @@ func TestCloneIndependence(t *testing.T) {
 		// Advancing the clone must not disturb the original.
 		before := g.StateHash()
 		for _, e := range evs[len(evs)/2:] {
-			c.Process(e)
+			c.Process(e, true)
 		}
 		if g.StateHash() != before {
 			t.Fatalf("%s: processing the clone mutated the original", name)
@@ -141,7 +141,7 @@ func TestApplyOutputsRoundtrip(t *testing.T) {
 		g.Reset(11)
 		for i, e := range evs {
 			shadow := g.Clone()
-			exec := g.Process(e)
+			exec := g.Process(e, true)
 			shadow.ApplyOutputs(exec.Record.Outputs)
 			if shadow.StateHash() != g.StateHash() {
 				t.Fatalf("%s: ApplyOutputs diverged from execution at event %d (%v)",
@@ -160,7 +160,7 @@ func TestStateChangedGroundTruth(t *testing.T) {
 		g.Reset(13)
 		for i, e := range evs {
 			before := g.StateHash()
-			exec := g.Process(e)
+			exec := g.Process(e, true)
 			after := g.StateHash()
 			if !exec.Record.StateChanged && before != after {
 				t.Fatalf("%s: event %d (%v) changed state but was marked useless",
@@ -198,7 +198,7 @@ func TestPeekFieldMatchesRecordedInputs(t *testing.T) {
 				val  uint64
 			}
 			shadow := g.Clone()
-			exec := g.Process(e)
+			exec := g.Process(e, true)
 			// A handler may read the same location repeatedly as it
 			// mutates it (the traced RNG does); the FIRST occurrence is
 			// the pre-execution value — the one Record.Input returns and
@@ -229,7 +229,7 @@ func TestFieldCategoriesWellFormed(t *testing.T) {
 		g := games.MustNew(name)
 		g.Reset(19)
 		for _, e := range evs {
-			exec := g.Process(e)
+			exec := g.Process(e, true)
 			for _, f := range exec.Record.Inputs {
 				if !f.Category.IsInput() {
 					t.Fatalf("%s: input field %s has output category %v", name, f.Name, f.Category)
@@ -259,7 +259,7 @@ func TestUselessFractionInPaperRange(t *testing.T) {
 		g.Reset(1)
 		useless := 0
 		for _, e := range evs {
-			if exec := g.Process(e); !exec.Record.StateChanged {
+			if exec := g.Process(e, true); !exec.Record.StateChanged {
 				useless++
 			}
 		}
@@ -284,7 +284,7 @@ func TestWorkIsPositive(t *testing.T) {
 		g := games.MustNew(name)
 		g.Reset(23)
 		for _, e := range evs {
-			w := g.Process(e).Work()
+			w := g.Process(e, true).Work()
 			if w.CPUInstr <= 0 {
 				t.Fatalf("%s: %v event with no CPU work", name, e.Type)
 			}
@@ -337,14 +337,14 @@ func TestShadowExecutionProperty(t *testing.T) {
 		g := games.MustNew(name)
 		g.Reset(29)
 		for _, e := range evs[:n] {
-			g.Process(e)
+			g.Process(e, true)
 		}
 		clone := g.Clone()
 		if n >= len(evs) {
 			return true
 		}
-		r1 := g.Process(evs[n]).Record
-		r2 := clone.Process(evs[n]).Record
+		r1 := g.Process(evs[n], true).Record
+		r2 := clone.Process(evs[n], true).Record
 		return r1.OutputHash() == r2.OutputHash() && g.StateHash() == clone.StateHash()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

@@ -94,8 +94,8 @@ func (g *candyCrush) Clone() Game {
 }
 
 // Process implements Game.
-func (g *candyCrush) Process(e *events.Event) *Execution {
-	c := g.ctx(e)
+func (g *candyCrush) Process(e *events.Event, logInputs bool) *Execution {
+	c := g.ctx(e, logInputs)
 	switch e.Type {
 	case events.Swipe:
 		g.swipe(c, e)
@@ -327,8 +327,8 @@ func (g *greenwall) Clone() Game {
 }
 
 // Process implements Game.
-func (g *greenwall) Process(e *events.Event) *Execution {
-	c := g.ctx(e)
+func (g *greenwall) Process(e *events.Event, logInputs bool) *Execution {
+	c := g.ctx(e, logInputs)
 	switch e.Type {
 	case events.Swipe:
 		g.swipe(c, e)

@@ -79,8 +79,10 @@ type Config struct {
 	// for SNIP and NoOverheads). Both backends return bit-identical
 	// results and costs, so the choice never shows up in a Result.
 	Table memo.Table
-	// CollectTrace captures the full per-event profile (the cloud-side
-	// instrumentation; adds memory, not simulated energy).
+	// CollectTrace captures the full per-event profile, inputs included
+	// (the cloud-side instrumentation; adds memory, not simulated
+	// energy). Only Baseline runs record it; under any other scheme
+	// Dataset stays empty.
 	CollectTrace bool
 	// CollectEventLog captures the reduced events-only log the device
 	// actually uploads.
@@ -246,7 +248,7 @@ type Result struct {
 	// Callers propagate it when uploading the session's EventLog.
 	TraceID obs.ID
 
-	Dataset  *trace.Dataset  // when CollectTrace
+	Dataset  *trace.Dataset  // when CollectTrace; filled on Baseline only
 	EventLog *trace.EventLog // when CollectEventLog
 }
 
@@ -375,7 +377,7 @@ func Run(cfg Config) (*Result, error) {
 		switch cfg.Scheme {
 		case Baseline:
 			before := meter.Total()
-			exec := game.Process(e)
+			exec := game.Process(e, cfg.CollectTrace)
 			chip.Execute(exec.Work())
 			delta := meter.Total() - before
 			res.TotalWeight += exec.Record.Instr
@@ -400,7 +402,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 
 		case MaxCPU:
-			exec := game.Process(e)
+			exec := game.Process(e, false)
 			w, skipped := exec.CPUWork(cpuSeen)
 			w.IPCalls = exec.IPCalls
 			chip.Execute(w)
@@ -419,7 +421,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 
 		case MaxIP:
-			exec := game.Process(e)
+			exec := game.Process(e, false)
 			w := soc.Work{}
 			cw, _ := exec.CPUWork(nil)
 			w.CPUInstr, w.MemBytes = cw.CPUInstr, cw.MemBytes
@@ -485,7 +487,7 @@ func Run(cfg Config) (*Result, error) {
 				weight := entry.Instr
 				if cfg.EvalCorrectness {
 					shadow := game.Clone()
-					truth := shadow.Process(e).Record
+					truth := shadow.Process(e, false).Record
 					weight = truth.Instr
 					res.Errors.ShadowedEvents++
 					errBefore := res.Errors.ErrFields()
@@ -502,7 +504,7 @@ func Run(cfg Config) (*Result, error) {
 					// Sampled production guard: run the real handler on a
 					// clone (before ApplyOutputs mutates the live game) and
 					// compare what the table served against ground truth.
-					truth := game.Clone().Process(e).Record
+					truth := game.Clone().Process(e, false).Record
 					match := trace.OutputsMatch(entry.Outputs, truth.Outputs)
 					res.Guard.ShadowChecks++
 					if !match {
@@ -526,7 +528,7 @@ func Run(cfg Config) (*Result, error) {
 					chain.HandlerInstr = weight
 				}
 			} else {
-				exec := game.Process(e)
+				exec := game.Process(e, false)
 				chip.Execute(exec.Work())
 				res.TotalWeight += exec.Record.Instr
 				if met != nil {

@@ -133,7 +133,7 @@ func (candyUser) Generate(seed uint64, duration units.Time) *sensors.Stream {
 		q := func(v int64) int64 { return v / 8 * 8 }
 		ev := events.New(events.Swipe, seq, b.now, q(ax), q(ay), q(ax+dx), q(ay+dy), 0, 0, 16, 0, 0)
 		seq++
-		shadow.Process(ev)
+		shadow.Process(ev, false)
 		b.wait(950 * units.Millisecond)
 	}
 	return b.finish()
