@@ -104,6 +104,18 @@ go test -run '^$' -bench '^BenchmarkProcess$' -benchtime 1x -benchmem ./internal
 echo "== batch codec smoke (one pass of BenchmarkBatchCodec: encode + decode of every game's 4-session batch)"
 go test -run '^$' -bench '^BenchmarkBatchCodec$' -benchtime 1x -benchmem ./internal/cloud
 
+echo "== delta apply complexity gate (rewrite shape: every key of one bucket removed and upserted; ns/op at 8k rows must stay within 8x of 2k rows, both measured now)"
+# Linear apply gives a ratio of about 4, a quadratic one about 16. Both
+# sizes run in one process, so machine speed cancels out of the ratio.
+apply_out=$(go test -run '^$' -bench '^BenchmarkApplyDelta$/^rewrite$' ./internal/memo)
+echo "$apply_out"
+ratio=$(echo "$apply_out" | awk '/rewrite\/rows=2048/ { a = $3 } /rewrite\/rows=8192/ { b = $3 } END { if (a > 0 && b > 0) printf "%.2f", b / a }')
+if [ -z "$ratio" ] || awk -v r="$ratio" 'BEGIN { exit !(r > 8) }'; then
+	echo "delta apply is not linear in the bucket size: ns/op(8k) / ns/op(2k) = ${ratio:-missing}" >&2
+	exit 1
+fi
+echo "rewrite ns/op(8k) / ns/op(2k) = $ratio"
+
 echo "== lookup regression gate (flat backend must stay within 10% of map, both measured now)"
 # Gated at sizes past cache capacity, where the flat layout's advantage
 # is structural; at 1k rows both backends are cache-resident and the

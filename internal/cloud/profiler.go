@@ -8,6 +8,7 @@
 package cloud
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -130,9 +131,12 @@ type Profiler struct {
 
 	// Delta OTA state (flat builds only): the previous generation's flat
 	// table and the verified chain of consecutive deltas ending at the
-	// latest version, oldest first, at most deltaCap long.
+	// latest version, oldest first, at most deltaCap long. frame is the
+	// encoded one-link chain of the newest delta — what a device one
+	// generation behind fetches — and is nil exactly when deltas is.
 	prevFlat *memo.FlatTable
 	deltas   []*trace.TableDelta
+	frame    []byte
 	deltaCap int
 }
 
@@ -152,7 +156,7 @@ func (p *Profiler) SetLegacyTables(v bool) {
 	defer p.mu.Unlock()
 	p.legacy = v
 	if v {
-		p.prevFlat, p.deltas = nil, nil
+		p.prevFlat, p.deltas, p.frame = nil, nil, nil
 	}
 }
 
@@ -252,7 +256,8 @@ func (p *Profiler) Rebuild() (*TableUpdate, error) {
 		// byte-exactly may ever be served. A diff or verify failure (or a
 		// delta no smaller than the image it replaces, e.g. after a
 		// selection change rewrote every key) breaks the chain instead:
-		// devices behind that point get the full image.
+		// devices behind that point get the full image. The size check's
+		// encoding is kept as the newest link's frame.
 		if p.prevFlat != nil {
 			d, err := memo.DiffFlat(p.game, p.version, p.version+1, p.prevFlat, flat)
 			ok := err == nil
@@ -260,18 +265,19 @@ func (p *Profiler) Rebuild() (*TableUpdate, error) {
 				_, verr := memo.ApplyDelta(p.prevFlat, d)
 				ok = verr == nil
 			}
+			var frame bytes.Buffer
 			if ok {
-				if sz, err := trace.DeltaTransferSize(&trace.DeltaChain{Game: p.game, Deltas: []trace.TableDelta{*d}}); err != nil || int(sz) >= len(flat.Image()) {
-					ok = false
-				}
+				err := trace.EncodeDeltaChain(&frame, &trace.DeltaChain{Game: p.game, Deltas: []trace.TableDelta{*d}})
+				ok = err == nil && frame.Len() < len(flat.Image())
 			}
 			if ok {
 				p.deltas = append(p.deltas, d)
 				if len(p.deltas) > p.deltaCap {
 					p.deltas = append([]*trace.TableDelta(nil), p.deltas[len(p.deltas)-p.deltaCap:]...)
 				}
+				p.frame = frame.Bytes()
 			} else {
-				p.deltas = nil
+				p.deltas, p.frame = nil, nil
 			}
 		}
 		p.prevFlat = flat
@@ -295,30 +301,40 @@ func (p *Profiler) Latest() *TableUpdate {
 	return p.latest
 }
 
-// DeltaChainFrom returns the consecutive deltas that carry a device
-// from generation gen to the latest version, oldest first, or nil when
-// the chain cannot serve it (device already current or ahead, never
-// fetched a table, too far behind for the retained chain, or the chain
-// was broken) — the caller then serves the full image.
-func (p *Profiler) DeltaChainFrom(gen int) *trace.DeltaChain {
+// DeltaChainFrom returns the encoded SNIPDLT1 frame of the consecutive
+// deltas that carry a device from generation gen to the latest version,
+// oldest first, or nil when the chain cannot serve it (device already
+// current or ahead, never fetched a table, too far behind for the
+// retained chain, or the chain was broken) — the caller then serves the
+// full image. A one-link chain is the frame Rebuild already encoded;
+// longer chains are encoded per call. The returned bytes are shared:
+// callers must not modify them.
+func (p *Profiler) DeltaChainFrom(gen int) ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if gen <= 0 || p.latest == nil || gen >= p.version {
-		return nil
+		return nil, nil
 	}
 	needed := p.version - gen
 	if needed > len(p.deltas) {
-		return nil
+		return nil, nil
 	}
 	links := p.deltas[len(p.deltas)-needed:]
 	if links[0].FromVersion != gen {
-		return nil
+		return nil, nil
+	}
+	if needed == 1 {
+		return p.frame, nil
 	}
 	c := &trace.DeltaChain{Game: p.game, Deltas: make([]trace.TableDelta, len(links))}
 	for i, d := range links {
 		c.Deltas[i] = *d
 	}
-	return c
+	var buf bytes.Buffer
+	if err := trace.EncodeDeltaChain(&buf, c); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // DeltaChainLen reports how many consecutive deltas are currently

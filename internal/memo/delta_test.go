@@ -86,13 +86,12 @@ func TestDiffApplyRoundTrip(t *testing.T) {
 		t.Fatal("fingerprint mismatch after apply")
 	}
 
-	chain := &trace.DeltaChain{Game: "g", Deltas: []trace.TableDelta{*d}}
-	deltaBytes, err := trace.DeltaTransferSize(chain)
-	if err != nil {
+	var frame bytes.Buffer
+	if err := trace.EncodeDeltaChain(&frame, &trace.DeltaChain{Game: "g", Deltas: []trace.TableDelta{*d}}); err != nil {
 		t.Fatal(err)
 	}
-	if deltaBytes >= next.ImageBytes() {
-		t.Fatalf("delta %d bytes not smaller than full image %d bytes", deltaBytes, next.ImageBytes())
+	if frame.Len() >= len(next.Image()) {
+		t.Fatalf("delta %d bytes not smaller than full image %d bytes", frame.Len(), len(next.Image()))
 	}
 }
 
@@ -285,18 +284,53 @@ func BenchmarkDiffFlat(b *testing.B) {
 	}
 }
 
+// rewriteBenchPair is the delta a selection change produces: rows
+// entries in one bucket, keyed on state.b in the base and state.c in
+// the target, so the delta removes every key of the bucket and upserts
+// every key back.
+func rewriteBenchPair(b *testing.B, rows int) (*FlatTable, *trace.TableDelta) {
+	b.Helper()
+	rs := make([]refRow, rows)
+	for i := range rs {
+		rs[i] = refRow{et: "tap", a: uint64(i), b: uint64(i % 7), c: uint64(i % 5)}
+	}
+	base := refRowsTable(b, refSelection([]string{"tap"}, nil), rs)
+	next := refRowsTable(b, refSelection([]string{"tap"}, map[string]bool{"tap": true}), rs)
+	d, err := DiffFlat("g", 1, 2, base, next)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(d.Removed) != rows || len(d.Upserts) != rows {
+		b.Fatalf("rewrite delta removes %d and upserts %d, want %d each", len(d.Removed), len(d.Upserts), rows)
+	}
+	return base, d
+}
+
+// BenchmarkApplyDelta times one apply per shape: append (64 new rows
+// spread over a table's small buckets, the stable-selection rebuild)
+// and rewrite (every key of one large bucket removed and upserted, the
+// selection-change rebuild). ci.sh gates rewrite's 8k/2k ns/op ratio:
+// linear apply gives about 4, a quadratic one about 16.
 func BenchmarkApplyDelta(b *testing.B) {
-	for _, rows := range []int{1 << 12} {
-		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+	for _, rows := range []int{1 << 11, 1 << 13} {
+		b.Run(fmt.Sprintf("append/rows=%d", rows), func(b *testing.B) {
 			base, _, d := deltaBenchPair(b, rows, 64)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ApplyDelta(base, d); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchApply(b, base, d)
 		})
+		b.Run(fmt.Sprintf("rewrite/rows=%d", rows), func(b *testing.B) {
+			base, d := rewriteBenchPair(b, rows)
+			benchApply(b, base, d)
+		})
+	}
+}
+
+func benchApply(b *testing.B, base *FlatTable, d *trace.TableDelta) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ApplyDelta(base, d); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

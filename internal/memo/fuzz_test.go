@@ -90,8 +90,9 @@ func FuzzLoadFlatTable(f *testing.F) {
 }
 
 // FuzzApplyDelta throws arbitrary delta-chain bytes at the device-side
-// apply path: whatever the chain claims, apply must either error or
-// produce an image that full LoadFlatTable validation accepts — a
+// apply path: whatever the chain claims, apply must agree with the
+// reference apply, and either error or produce an image that full
+// LoadFlatTable validation accepts — a
 // crafted chain must never make "apply reported success" and "the
 // patched table is servable" come apart, because success is what
 // authorizes the memo.Shared swap.
@@ -134,6 +135,12 @@ func FuzzApplyDelta(f *testing.F) {
 			return
 		}
 		got, err := ApplyDeltaChain(base, c)
+		// Whatever the chain, the apply must agree with the original
+		// scan-and-shift apply kept in delta_ref_test.go.
+		want, werr := refApplyDeltaChain(base, c)
+		if diff := sameApplyOutcome(want, werr, got, err); diff != "" {
+			t.Fatal(diff)
+		}
 		if err != nil {
 			return
 		}

@@ -117,13 +117,3 @@ func DecodeDeltaChain(r io.Reader, maxDecoded int64) (*DeltaChain, error) {
 	}
 	return &c, nil
 }
-
-// DeltaTransferSize returns the encoded (compressed) size of a delta
-// chain — what /v1/update puts on the wire for a delta response.
-func DeltaTransferSize(c *DeltaChain) (units.Size, error) {
-	var cw countingWriter
-	if err := EncodeDeltaChain(&cw, c); err != nil {
-		return 0, err
-	}
-	return units.Size(cw.n), nil
-}
