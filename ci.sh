@@ -98,6 +98,31 @@ go test -run '^$' -bench '^BenchmarkPFIRun$' -benchtime 1x -benchmem ./internal/
 echo "== replay smoke (one pass of BenchmarkReplay over every game's golden log)"
 go test -run '^$' -bench '^BenchmarkReplay$' -benchtime 1x -benchmem ./internal/cloud
 
+echo "== replay allocation gate (BenchmarkReplay allocs/record per game must stay within its committed bound)"
+# Allocation counts are deterministic, so the bounds are hard. Each sits
+# at about 1.2x what replay into the columnar profile measures (3.19 to
+# 4.16 allocs/record); replay into a record list took 11.2 to 12.4.
+replay_out=$(go test -run '^$' -bench '^BenchmarkReplay$' -benchtime 3x ./internal/cloud)
+echo "$replay_out"
+echo "$replay_out" | awk '
+BEGIN {
+	bound["Colorphun"] = 3.8; bound["MemoryGame"] = 4.1; bound["CandyCrush"] = 4.6
+	bound["Greenwall"] = 4.9; bound["ABEvolution"] = 4.6; bound["ChaseWhisply"] = 3.9
+	bound["RaceKings"] = 4.3
+}
+/^BenchmarkReplay\// {
+	split($1, name, "/"); game = name[2]; sub(/-[0-9]+$/, "", game)
+	v = ""
+	for (i = 2; i < NF; i++) if ($(i + 1) == "allocs/record") v = $i
+	seen[game] = 1
+	if (!(game in bound) || v == "") { printf "replay allocation gate: no bound or no allocs/record for %s\n", game > "/dev/stderr"; bad = 1 }
+	else if (v + 0 > bound[game]) { printf "replay allocation gate: %s allocates %s per record, bound %s\n", game, v, bound[game] > "/dev/stderr"; bad = 1 }
+}
+END {
+	for (game in bound) if (!(game in seen)) { printf "replay allocation gate: %s not measured\n", game > "/dev/stderr"; bad = 1 }
+	exit bad
+}'
+
 echo "== handler smoke (one pass of BenchmarkProcess: every game, logging inputs and not)"
 go test -run '^$' -bench '^BenchmarkProcess$' -benchtime 1x -benchmem ./internal/games
 

@@ -39,10 +39,9 @@ func TestReplayReconstructsProfile(t *testing.T) {
 		if replayed.Len() != dev.Dataset.Len() {
 			t.Fatalf("%s: replay %d records vs device %d", game, replayed.Len(), dev.Dataset.Len())
 		}
-		for i := range replayed.Records {
-			a, b := replayed.Records[i], dev.Dataset.Records[i]
-			if a.InputHash(nil) != b.InputHash(nil) || a.OutputHash() != b.OutputHash() {
-				t.Fatalf("%s: record %d (%s) diverged in replay", game, i, a.EventType)
+		for i := 0; i < replayed.Len(); i++ {
+			if replayed.InputHash(i) != dev.Dataset.InputHash(i) || replayed.OutputHash(i) != dev.Dataset.OutputHash(i) {
+				t.Fatalf("%s: record %d (%s) diverged in replay", game, i, replayed.Record(i).EventType)
 			}
 		}
 	}
@@ -84,9 +83,8 @@ func TestReplayBatchMatchesSerial(t *testing.T) {
 			if got[i].Len() != want[i].Len() {
 				t.Fatalf("workers=%d: dataset %d has %d records vs %d", workers, i, got[i].Len(), want[i].Len())
 			}
-			for j := range got[i].Records {
-				a, b := got[i].Records[j], want[i].Records[j]
-				if a.InputHash(nil) != b.InputHash(nil) || a.OutputHash() != b.OutputHash() {
+			for j := 0; j < got[i].Len(); j++ {
+				if got[i].InputHash(j) != want[i].InputHash(j) || got[i].OutputHash(j) != want[i].OutputHash(j) {
 					t.Fatalf("workers=%d: dataset %d record %d diverged", workers, i, j)
 				}
 			}
@@ -107,9 +105,8 @@ func TestReplayBatchMatchesSerial(t *testing.T) {
 	if serial.ProfileLen() != batch.ProfileLen() {
 		t.Fatalf("batch profile %d records vs serial %d", batch.ProfileLen(), serial.ProfileLen())
 	}
-	for i := range serial.profile.Records {
-		a, b := serial.profile.Records[i], batch.profile.Records[i]
-		if a.InputHash(nil) != b.InputHash(nil) || a.OutputHash() != b.OutputHash() {
+	for i := 0; i < serial.profile.Len(); i++ {
+		if serial.profile.InputHash(i) != batch.profile.InputHash(i) || serial.profile.OutputHash(i) != batch.profile.OutputHash(i) {
 			t.Fatalf("batch profile record %d diverged from serial ingest", i)
 		}
 	}

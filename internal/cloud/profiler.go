@@ -46,7 +46,12 @@ func Replay(gameName string, seed uint64, log *trace.EventLog) (*trace.Dataset, 
 		handled[t] = true
 	}
 	ds := &trace.Dataset{Game: gameName}
-	for _, le := range log.Events {
+	ds.Grow(len(log.Events))
+	var ev events.Event // one for every event: handlers do not retain it
+	for i, le := range log.Events {
+		if i == replaySample {
+			ds.Grow(len(log.Events) - i) // presize the cells from the rows so far
+		}
 		// Unknown names mean a corrupt log; known-but-unregistered types
 		// are simply not delivered, as on the device.
 		t, ok := eventTypes[le.Type]
@@ -56,17 +61,20 @@ func Replay(gameName string, seed uint64, log *trace.EventLog) (*trace.Dataset, 
 		if !handled[t] {
 			continue
 		}
-		// events.New panics on a value count its schema does not have;
-		// a log from the wire gets an error instead.
+		// A handler indexes the values by its type's schema: a log from
+		// the wire with another value count gets an error.
 		if want := len(events.Schema(t)); len(le.Values) != want {
 			return nil, fmt.Errorf("%w: %s event %d has %d values, want %d", ErrBadLog, le.Type, le.Seq, len(le.Values), want)
 		}
-		ev := events.New(t, le.Seq, le.Time, le.Values...)
-		exec := g.Process(ev, true)
-		ds.Append(exec.Record)
+		ev = events.Event{Type: t, Seq: le.Seq, Time: le.Time, Values: le.Values}
+		g.Process(&ev, ds)
 	}
 	return ds, nil
 }
+
+// replaySample is how many events Replay runs before it presizes the
+// profile's cell streams.
+const replaySample = 64
 
 // eventTypes maps every event type's name to the type.
 var eventTypes = func() map[string]events.Type {

@@ -696,7 +696,7 @@ func (co *coordinator) session(ws *workerState, gen workload.Generator, seed uin
 			// No table yet, or the breaker judged the current one unsafe:
 			// execute the handler in full. Always correct, never efficient
 			// — the fail-safe side of the trade.
-			en.chargeExec(tabGen, game.Process(e, false))
+			en.chargeExec(tabGen, game.Process(e, nil))
 			continue
 		}
 		ev := e
@@ -722,7 +722,7 @@ func (co *coordinator) session(ws *workerState, gen workload.Generator, seed uin
 				// Sampled shadow verification: run the real handler on a
 				// clone (before ApplyOutputs mutates the live game) and
 				// tell the guard whether the table's outputs were truth.
-				texec := game.Clone().Process(e, false)
+				texec := game.Clone().Process(e, nil)
 				truth := texec.Record
 				en.chargeShadow(tabGen, texec)
 				mispredict := !trace.OutputsMatch(entry.Outputs, truth.Outputs)
@@ -744,7 +744,7 @@ func (co *coordinator) session(ws *workerState, gen workload.Generator, seed uin
 			en.creditSaved(tabGen, entry.Instr)
 			game.ApplyOutputs(entry.Outputs)
 		} else {
-			en.chargeExec(tabGen, game.Process(e, false))
+			en.chargeExec(tabGen, game.Process(e, nil))
 		}
 	}
 	res.Lookup.Merge(st)

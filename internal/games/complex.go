@@ -73,8 +73,8 @@ func (g *abEvolution) Overrides() []string {
 }
 
 // Process implements Game.
-func (g *abEvolution) Process(e *events.Event, logInputs bool) *Execution {
-	c := g.ctx(e, logInputs)
+func (g *abEvolution) Process(e *events.Event, profile *trace.Dataset) *Execution {
+	c := g.ctx(e, profile)
 	switch e.Type {
 	case events.Drag:
 		g.drag(c, e)
@@ -357,8 +357,8 @@ func (g *chaseWhisply) Clone() Game {
 }
 
 // Process implements Game.
-func (g *chaseWhisply) Process(e *events.Event, logInputs bool) *Execution {
-	c := g.ctx(e, logInputs)
+func (g *chaseWhisply) Process(e *events.Event, profile *trace.Dataset) *Execution {
+	c := g.ctx(e, profile)
 	switch e.Type {
 	case events.Tap:
 		g.shoot(c, e)
@@ -576,8 +576,8 @@ func (g *raceKings) Overrides() []string {
 }
 
 // Process implements Game.
-func (g *raceKings) Process(e *events.Event, logInputs bool) *Execution {
-	c := g.ctx(e, logInputs)
+func (g *raceKings) Process(e *events.Event, profile *trace.Dataset) *Execution {
+	c := g.ctx(e, profile)
 	switch e.Type {
 	case events.Tilt:
 		g.tilt(c, e)

@@ -9,12 +9,13 @@
 //     memoize them individually) and invoke accelerator IPs;
 //   - write Out.Temp, Out.History and Out.Extern fields.
 //
-// Every write is captured in a trace.Record. Reads are logged into it only
-// for callers that ask: the cloud's replay and the figures' baseline
-// profile, which PFI trains on. Devices upload events-only logs (§VI) and
-// do not ask. Redundant and useless events are not injected — they emerge
-// from game mechanics, e.g. dragging AB Evolution's catapult past max
-// stretch changes nothing.
+// Every write is captured in a trace.Record. A caller that passes a
+// profile gets the whole execution, reads included, logged as a row of
+// it: the cloud's replay and the figures' baseline profile, which PFI
+// trains on. Devices upload events-only logs (§VI) and pass none.
+// Redundant and useless events are not injected — they emerge from game
+// mechanics, e.g. dragging AB Evolution's catapult past max stretch
+// changes nothing.
 package games
 
 import (
@@ -99,11 +100,13 @@ type Game interface {
 	// Types returns the event types the game registers handlers for.
 	Types() []events.Type
 	// Process executes one event against current state, mutating it and
-	// returning the traced execution. With logInputs false the record
-	// keeps no Inputs and zero EventHash and PreStateHash; its outputs,
-	// StateChanged and Instr, the work and every state mutation are the
-	// same either way. Only callers that read inputs ask for them.
-	Process(e *events.Event, logInputs bool) *Execution
+	// returning the traced execution. With a nil profile the record
+	// carries the outputs. A non-nil profile gets a row instead, holding
+	// the event hash, the pre-state hash, every input and the outputs,
+	// and the record carries no outputs. StateChanged, Instr, the work
+	// and every state mutation are the same either way. Only callers
+	// that read inputs pass a profile. Process does not retain e.
+	Process(e *events.Event, profile *trace.Dataset) *Execution
 	// Clone returns an independent deep copy (for shadow execution when
 	// checking short-circuit correctness).
 	Clone() Game
@@ -307,34 +310,22 @@ func (s *Store) fold(d *digest) uint64 {
 }
 
 // Ctx is the execution context a handler records into. It implements the
-// tracer: every state read/write flows through it. The execution lives
-// inside it, so a handler call allocates both at once.
+// tracer: every state read/write flows through it. The execution and its
+// record live inside it, so a handler call allocates all three at once.
 type Ctx struct {
 	store *Store
-	log   bool // log inputs into rec
-	rec   *trace.Record
+	prof  *trace.Dataset // non-nil: the execution is logged as a row of it
+	rec   trace.Record
 	exec  Execution
 }
 
-// bareCtx is a Ctx that logs no inputs, with its record inline: the
-// caller drops such a record with the execution, so all three share one
-// allocation. A logged record is allocated on its own, because a profile
-// keeps it long after its context is garbage.
-type bareCtx struct {
-	Ctx
-	record trace.Record
-}
-
-func newCtx(store *Store, e *events.Event, logInputs bool) *Ctx {
-	var c *Ctx
-	if logInputs {
-		c = &Ctx{store: store, log: true, rec: &trace.Record{EventHash: e.Hash(), PreStateHash: store.Hash()}}
-	} else {
-		b := &bareCtx{Ctx: Ctx{store: store}}
-		c, b.rec = &b.Ctx, &b.record
-	}
+func newCtx(store *Store, e *events.Event, profile *trace.Dataset) *Ctx {
+	c := &Ctx{store: store, prof: profile}
 	c.rec.EventSeq, c.rec.EventType, c.rec.Time = e.Seq, e.Type.String(), e.Time
-	c.exec.Record = c.rec
+	c.exec.Record = &c.rec
+	if profile != nil {
+		profile.BeginRow(e.Seq, c.rec.EventType, e.Time, e.Hash(), store.Hash())
+	}
 	return c
 }
 
@@ -356,31 +347,25 @@ func (c *Ctx) Event(e *events.Event, name string) int64 {
 		e.MustField(name) // panics with the missing field's name
 	}
 	v := e.Values[i]
-	if !c.log {
-		return v
+	if c.prof != nil {
+		c.prof.LogInput("", eventFieldNames[e.Type][i], trace.InEvent, events.Schema(e.Type)[i].Size, uint64(v))
 	}
-	c.rec.Inputs = append(c.rec.Inputs, trace.Field{
-		Name:     eventFieldNames[e.Type][i],
-		Category: trace.InEvent,
-		Size:     events.Schema(e.Type)[i].Size,
-		Value:    uint64(v),
-	})
 	return v
 }
 
 // Read reads a state location, logging an In.History input.
 func (c *Ctx) Read(name string) int64 {
-	if !c.log {
+	if c.prof == nil {
 		return c.store.Get(name)
 	}
-	f := trace.Field{Category: trace.InHistory, Size: 8}
-	if i, ok := c.store.slot[name]; ok {
-		f.Name, f.Size, f.Value = c.store.qual[i], c.store.sizes[i], uint64(c.store.vals[i])
-	} else {
-		f.Name = "state." + name
+	i, ok := c.store.slot[name]
+	if !ok {
+		c.prof.LogInput("state.", name, trace.InHistory, 8, 0)
+		return 0
 	}
-	c.rec.Inputs = append(c.rec.Inputs, f)
-	return int64(f.Value)
+	v := c.store.vals[i]
+	c.prof.LogInput("", c.store.qual[i], trace.InHistory, c.store.sizes[i], uint64(v))
+	return v
 }
 
 // ReadBlob reads a composite state region (all locations under prefix) as
@@ -388,43 +373,36 @@ func (c *Ctx) Read(name string) int64 {
 func (c *Ctx) ReadBlob(prefix string) uint64 {
 	d := c.store.digest(prefix)
 	h := c.store.fold(d)
-	if !c.log {
-		return h
+	if c.prof != nil {
+		c.prof.LogInput("", d.blob, trace.InHistory, d.size, h)
 	}
-	c.rec.Inputs = append(c.rec.Inputs, trace.Field{
-		Name:     d.blob,
-		Category: trace.InHistory,
-		Size:     d.size,
-		Value:    h,
-	})
 	return h
 }
 
 // Extern reads data from outside the app (network, asset pack), logging
 // an In.Extern input of the given size.
 func (c *Ctx) Extern(name string, size units.Size, value int64) int64 {
-	if !c.log {
-		return value
+	if c.prof != nil {
+		c.prof.LogInput("extern.", name, trace.InExtern, size, uint64(value))
 	}
-	c.rec.Inputs = append(c.rec.Inputs, trace.Field{
-		Name:     "extern." + name,
-		Category: trace.InExtern,
-		Size:     size,
-		Value:    uint64(value),
-	})
 	return value
+}
+
+// output logs an output field named prefix+name: into the profile's row
+// when there is one, else into the record.
+func (c *Ctx) output(prefix, name string, cat trace.Category, size units.Size, value uint64) {
+	if c.prof != nil {
+		c.prof.LogOutput(prefix, name, cat, size, value)
+		return
+	}
+	c.rec.Outputs = append(c.rec.Outputs, trace.Field{Name: prefix + name, Category: cat, Size: size, Value: value})
 }
 
 // Write stores a value, logging an Out.History output. It marks the
 // record state-changed iff the value differs from the previous one.
 func (c *Ctx) Write(name string, v int64) {
 	i, changed := c.store.write(name, v)
-	c.rec.Outputs = append(c.rec.Outputs, trace.Field{
-		Name:     c.store.qual[i],
-		Category: trace.OutHistory,
-		Size:     c.store.sizes[i],
-		Value:    uint64(v),
-	})
+	c.output("", c.store.qual[i], trace.OutHistory, c.store.sizes[i], uint64(v))
 	if changed {
 		c.rec.StateChanged = true
 	}
@@ -433,24 +411,14 @@ func (c *Ctx) Write(name string, v int64) {
 // Temp emits a transient user-facing output (frame tile, haptic buzz),
 // logging an Out.Temp output. Temp outputs never mark state changed.
 func (c *Ctx) Temp(name string, size units.Size, value uint64) {
-	c.rec.Outputs = append(c.rec.Outputs, trace.Field{
-		Name:     "temp." + name,
-		Category: trace.OutTemp,
-		Size:     size,
-		Value:    value,
-	})
+	c.output("temp.", name, trace.OutTemp, size, value)
 }
 
 // Send emits data leaving the device (score upload, multiplayer sync),
 // logging an Out.Extern output. Extern sends always count as a state
 // change: the outside world observed them.
 func (c *Ctx) Send(name string, size units.Size, value uint64) {
-	c.rec.Outputs = append(c.rec.Outputs, trace.Field{
-		Name:     "extern." + name,
-		Category: trace.OutExtern,
-		Size:     size,
-		Value:    value,
-	})
+	c.output("extern.", name, trace.OutExtern, size, value)
 	c.rec.StateChanged = true
 }
 
@@ -495,7 +463,8 @@ func (c *Ctx) IP(ip energy.Component, op string, inputHash uint64, dur units.Tim
 
 // finish computes the record's instruction weight: CPU instructions plus
 // an instruction-equivalent for IP busy time, so heavy-GPU events carry
-// the execution weight the paper's coverage metric gives them.
+// the execution weight the paper's coverage metric gives them. A logged
+// execution's row closes here.
 func (c *Ctx) finish() *Execution {
 	var instr int64
 	for _, f := range c.exec.CPUFuncs {
@@ -505,6 +474,9 @@ func (c *Ctx) finish() *Execution {
 		instr += int64(ip.Duration) * 1200 // ≈ instructions a core would burn in that time
 	}
 	c.rec.Instr = instr
+	if c.prof != nil {
+		c.prof.EndRow(instr, c.rec.StateChanged)
+	}
 	return &c.exec
 }
 
@@ -574,7 +546,7 @@ func (b *base) cloneBase() base {
 	return c
 }
 
-func (b *base) ctx(e *events.Event, logInputs bool) *Ctx { return newCtx(b.store, e, logInputs) }
+func (b *base) ctx(e *events.Event, profile *trace.Dataset) *Ctx { return newCtx(b.store, e, profile) }
 
 // errUnhandled panics for event types the game did not register.
 func (b *base) errUnhandled(e *events.Event) {

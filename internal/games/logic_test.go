@@ -128,7 +128,7 @@ func TestCandyLegalSwapResolves(t *testing.T) {
 	}
 	before := g.store.Get("score")
 	ev := events.New(events.Swipe, 1, 0, ax/8*8, ay/8*8, (ax+dx)/8*8, (ay+dy)/8*8, 0, 0, 16, 0, 0)
-	exec := g.Process(ev, true)
+	exec := g.Process(ev, nil)
 	if !exec.Record.StateChanged {
 		t.Fatal("hinted swap did not change state")
 	}
@@ -212,7 +212,7 @@ func TestColorphunScoring(t *testing.T) {
 		y = 1900
 	}
 	ev := events.New(events.Tap, 1, 0, 720, y, 512, 0, 1)
-	g.Process(ev, true)
+	g.Process(ev, nil)
 	if got := g.store.Get("score"); got != 5 {
 		t.Fatalf("bright-side tap scored %d, want 5", got)
 	}
@@ -222,7 +222,7 @@ func TestColorphunScoring(t *testing.T) {
 	}
 	// A margin tap changes nothing.
 	before := g.StateHash()
-	g.Process(events.New(events.Tap, 2, 1, 10, 10, 512, 0, 1), true)
+	g.Process(events.New(events.Tap, 2, 1, 10, 10, 512, 0, 1), nil)
 	if g.StateHash() != before {
 		t.Fatal("margin tap changed state")
 	}
@@ -248,7 +248,7 @@ func TestMemoryGameMatchFlow(t *testing.T) {
 	tapCell := func(idx, seq int) {
 		x := int64(120 + (idx%4)*300 + 150)
 		y := int64(640 + (idx/4)*320 + 160)
-		g.Process(events.New(events.Tap, int64(seq), 0, x, y, 512, 0, 1), true)
+		g.Process(events.New(events.Tap, int64(seq), 0, x, y, 512, 0, 1), nil)
 	}
 	tapCell(first, 1)
 	tapCell(second, 2)
@@ -270,7 +270,7 @@ func TestRaceKingsSteeringDeadzone(t *testing.T) {
 	g := NewRaceKings().(*raceKings)
 	g.Reset(1)
 	tilt := func(seq, beta int64) *trace.Record {
-		return g.Process(events.New(events.Tilt, seq, 0, 0, beta, 0, 0, beta, 0), true).Record
+		return g.Process(events.New(events.Tilt, seq, 0, 0, beta, 0, 0, beta, 0), nil).Record
 	}
 	if r := tilt(1, 40); r.StateChanged {
 		t.Fatal("deadzone tilt changed state")
@@ -291,20 +291,20 @@ func TestRaceKingsBoostAndWrap(t *testing.T) {
 	g := NewRaceKings().(*raceKings)
 	g.Reset(1)
 	// Boost button (bottom-right corner).
-	g.Process(events.New(events.Tap, 1, 0, 1300, 2400, 512, 0, 1), true)
+	g.Process(events.New(events.Tap, 1, 0, 1300, 2400, 512, 0, 1), nil)
 	if g.store.Get("boost") == 0 {
 		t.Fatal("boost button ignored")
 	}
 	// Hammering mid-boost does nothing.
 	before := g.StateHash()
-	g.Process(events.New(events.Tap, 2, 1, 1300, 2400, 512, 0, 1), true)
+	g.Process(events.New(events.Tap, 2, 1, 1300, 2400, 512, 0, 1), nil)
 	if g.StateHash() != before {
 		t.Fatal("mid-boost tap changed state")
 	}
 	// Drive until the lap line: a lap-sync Out.Extern must fire.
 	sawSync := false
 	for i := 0; i < rkTrackLen && !sawSync; i++ {
-		rec := g.Process(events.New(events.VSync, int64(10+i), 0, int64(i)), true).Record
+		rec := g.Process(events.New(events.VSync, int64(10+i), 0, int64(i)), nil).Record
 		for _, f := range rec.Outputs {
 			if f.Name == "extern.lap-sync" && f.Category == trace.OutExtern {
 				sawSync = true
@@ -321,7 +321,7 @@ func TestChaseWhisplyCameraRedundancy(t *testing.T) {
 	g.Reset(1)
 	frame := func(seq, scene, surfaces int64) *trace.Record {
 		feat := scene*1000003 + surfaces*10007 + 120
-		return g.Process(events.New(events.CameraFrame, seq, 0, scene, surfaces, 120, feat), true).Record
+		return g.Process(events.New(events.CameraFrame, seq, 0, scene, surfaces, 120, feat), nil).Record
 	}
 	// First frame of a new scene changes state; repeats do not.
 	if r := frame(1, 104, 5); !r.StateChanged {
@@ -331,7 +331,7 @@ func TestChaseWhisplyCameraRedundancy(t *testing.T) {
 		t.Fatal("static camera frame changed state")
 	}
 	// The static frame still did the heavy vision work.
-	exec := g.Process(events.New(events.CameraFrame, 3, 0, 104, 5, 120, 104*1000003+5*10007+120), true)
+	exec := g.Process(events.New(events.CameraFrame, 3, 0, 104, 5, 120, 104*1000003+5*10007+120), nil)
 	if len(exec.IPCalls) < 2 {
 		t.Fatal("static frame skipped the ISP/DSP pipeline")
 	}
@@ -430,12 +430,14 @@ func TestCtxReadUndeclared(t *testing.T) {
 	s := NewStore()
 	s.Declare("a", 4, 1)
 	h := s.Hash()
-	c := newCtx(s, events.New(events.VSync, 1, 0, 0), true)
+	prof := &trace.Dataset{}
+	c := newCtx(s, events.New(events.VSync, 1, 0, 0), prof)
 	if v := c.Read("missing"); v != 0 {
 		t.Fatalf("Read = %d", v)
 	}
-	in := c.rec.Inputs[0]
-	if in.Name != "state.missing" || in.Size != 8 || in.Value != 0 {
+	c.finish()
+	in := prof.Record(0).Inputs[0]
+	if in.Name != "state.missing" || in.Size != 8 || in.Value != 0 || in.Category != trace.InHistory {
 		t.Fatalf("logged %+v", in)
 	}
 	if s.Len() != 1 || s.Hash() != h {
@@ -449,11 +451,11 @@ func TestCtxReadUndeclared(t *testing.T) {
 func TestCtxNoLogSkipsStoreDigest(t *testing.T) {
 	s := NewStore()
 	s.Declare("a", 4, 1)
-	newCtx(s, events.New(events.VSync, 1, 0, 0), false)
+	newCtx(s, events.New(events.VSync, 1, 0, 0), nil)
 	if len(s.digests) != 0 {
 		t.Fatalf("no-log context built %d digests", len(s.digests))
 	}
-	newCtx(s, events.New(events.VSync, 2, 0, 0), true)
+	newCtx(s, events.New(events.VSync, 2, 0, 0), &trace.Dataset{})
 	if len(s.digests) != 1 || s.digests[0].prefix != "" {
 		t.Fatalf("logging context built digests %+v, want the whole-store one", s.digests)
 	}

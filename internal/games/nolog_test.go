@@ -6,25 +6,35 @@ import (
 
 	"snip/internal/events"
 	"snip/internal/games"
+	"snip/internal/trace"
 )
 
 // TestNoLogMatchesLog drives two instances of every game through the same
-// sessions, one logging inputs and one not, and checks after every event
-// that everything but the logged inputs is identical: outputs, the
-// state-changed bit, the instruction weight, the work, and the state. A
-// clone of the logging game processing without logs (the device's shadow
-// guard) must agree too.
+// sessions, one logging into a profile and one not, and checks after
+// every event that everything but the logged inputs is identical: the
+// outputs (in the profile's row on one side, in the record on the other),
+// the state-changed bit, the instruction weight, the work, and the state.
+// A clone of the logging game processing without a profile (the device's
+// shadow guard) must agree too.
 func TestNoLogMatchesLog(t *testing.T) {
 	for _, name := range games.Names() {
 		for _, seed := range []uint64{3, 17, 41} {
 			logged, bare := games.MustNew(name), games.MustNew(name)
 			logged.Reset(seed)
 			bare.Reset(seed)
+			prof := &trace.Dataset{Game: name}
 			for i, e := range sessionEvents(t, name, seed, 8) {
-				shadow := logged.Clone().Process(e, false)
-				want := logged.Process(e, true)
-				for _, got := range []*games.Execution{bare.Process(e, false), shadow} {
-					if !sameWork(got, want) {
+				shadow := logged.Clone().Process(e, nil)
+				want := logged.Process(e, prof)
+				if prof.Len() != i+1 {
+					t.Fatalf("%s seed %d event %d: profile has %d rows", name, seed, i, prof.Len())
+				}
+				row := prof.Record(i)
+				if r := want.Record; r.Inputs != nil || r.Outputs != nil || r.StateChanged != row.StateChanged || r.Instr != row.Instr {
+					t.Fatalf("%s seed %d event %d: logged record %+v disagrees with its row", name, seed, i, r)
+				}
+				for _, got := range []*games.Execution{bare.Process(e, nil), shadow} {
+					if !sameWork(got, want, row) {
 						t.Fatalf("%s seed %d event %d (%v): no-log execution differs from the logged one", name, seed, i, e.Type)
 					}
 					r := got.Record
@@ -41,11 +51,11 @@ func TestNoLogMatchesLog(t *testing.T) {
 	}
 }
 
-// sameWork reports whether two executions agree on everything but the
-// logged inputs.
-func sameWork(a, b *games.Execution) bool {
+// sameWork reports whether a no-log execution agrees with a logged one,
+// whose profile row is row, on everything but the logged inputs.
+func sameWork(a, b *games.Execution, row *trace.Record) bool {
 	ra, rb := a.Record, b.Record
-	return reflect.DeepEqual(ra.Outputs, rb.Outputs) && ra.StateChanged == rb.StateChanged &&
+	return reflect.DeepEqual(ra.Outputs, row.Outputs) && ra.StateChanged == rb.StateChanged &&
 		ra.Instr == rb.Instr && ra.EventSeq == rb.EventSeq && ra.EventType == rb.EventType &&
 		ra.Time == rb.Time && reflect.DeepEqual(a.CPUFuncs, b.CPUFuncs) && reflect.DeepEqual(a.IPCalls, b.IPCalls)
 }
@@ -79,7 +89,7 @@ func TestNoLogVSyncAllocs(t *testing.T) {
 				vsync = e
 				break
 			}
-			g.Process(e, false)
+			g.Process(e, nil)
 		}
 		if vsync == nil {
 			t.Fatalf("%s: no VSync in the second half of the session", name)
@@ -90,7 +100,7 @@ func TestNoLogVSyncAllocs(t *testing.T) {
 		}
 		next := 0
 		got := testing.AllocsPerRun(runs, func() {
-			clones[next].Process(vsync, false)
+			clones[next].Process(vsync, nil)
 			next++
 		})
 		if want := noLogVSyncAllocs[name]; got != want {
@@ -100,8 +110,8 @@ func TestNoLogVSyncAllocs(t *testing.T) {
 }
 
 // BenchmarkProcess times one Process call per op for every game, logging
-// inputs and not, cycling through a 15 s session and resetting the game
-// (untimed) when it wraps.
+// into a profile and not, cycling through a 15 s session and resetting
+// the game and the profile (untimed) when it wraps.
 func BenchmarkProcess(b *testing.B) {
 	for _, name := range games.Names() {
 		evs := sessionEvents(b, name, 1, 15)
@@ -112,16 +122,23 @@ func BenchmarkProcess(b *testing.B) {
 			b.Run(name+"/"+mode.name, func(b *testing.B) {
 				g := games.MustNew(name)
 				g.Reset(1)
+				var prof *trace.Dataset
+				if mode.log {
+					prof = &trace.Dataset{Game: name}
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i, k := 0, 0; i < b.N; i, k = i+1, k+1 {
 					if k == len(evs) {
 						b.StopTimer()
 						g.Reset(1)
+						if mode.log {
+							prof = &trace.Dataset{Game: name}
+						}
 						k = 0
 						b.StartTimer()
 					}
-					g.Process(evs[k], mode.log)
+					g.Process(evs[k], prof)
 				}
 			})
 		}

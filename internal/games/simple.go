@@ -52,8 +52,8 @@ func (g *colorphun) Clone() Game {
 }
 
 // Process implements Game.
-func (g *colorphun) Process(e *events.Event, logInputs bool) *Execution {
-	c := g.ctx(e, logInputs)
+func (g *colorphun) Process(e *events.Event, profile *trace.Dataset) *Execution {
+	c := g.ctx(e, profile)
 	switch e.Type {
 	case events.Tap:
 		g.tap(c, e)
@@ -202,8 +202,8 @@ func (g *memoryGame) Clone() Game {
 }
 
 // Process implements Game.
-func (g *memoryGame) Process(e *events.Event, logInputs bool) *Execution {
-	c := g.ctx(e, logInputs)
+func (g *memoryGame) Process(e *events.Event, profile *trace.Dataset) *Execution {
+	c := g.ctx(e, profile)
 	switch e.Type {
 	case events.Tap:
 		g.tap(c, e)

@@ -94,8 +94,8 @@ func (g *candyCrush) Clone() Game {
 }
 
 // Process implements Game.
-func (g *candyCrush) Process(e *events.Event, logInputs bool) *Execution {
-	c := g.ctx(e, logInputs)
+func (g *candyCrush) Process(e *events.Event, profile *trace.Dataset) *Execution {
+	c := g.ctx(e, profile)
 	switch e.Type {
 	case events.Swipe:
 		g.swipe(c, e)
@@ -327,8 +327,8 @@ func (g *greenwall) Clone() Game {
 }
 
 // Process implements Game.
-func (g *greenwall) Process(e *events.Event, logInputs bool) *Execution {
-	c := g.ctx(e, logInputs)
+func (g *greenwall) Process(e *events.Event, profile *trace.Dataset) *Execution {
+	c := g.ctx(e, profile)
 	switch e.Type {
 	case events.Swipe:
 		g.swipe(c, e)

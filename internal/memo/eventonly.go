@@ -26,9 +26,8 @@ type EventOnlyTable struct {
 func (t *EventOnlyTable) SetMetrics(m *TableMetrics) { t.metrics = m }
 
 type eventRow struct {
-	outputs     map[uint64][]trace.Field // distinct output records by hash
-	first       uint64                   // output hash the table would serve
-	firstFields []trace.Field
+	outputs     map[uint64]struct{} // distinct output records by hash
+	firstFields []trace.Field       // the output record the table would serve
 	hits        int
 	hitInstr    int64
 }
@@ -48,14 +47,14 @@ func BuildEventOnlyObserved(d *trace.Dataset, m *TableMetrics) *EventOnlyTable {
 			t.inWidth += f.Size
 		}
 	}
-	th := typeHashes{}
-	for _, r := range d.Records {
-		key := trace.Combine(r.EventHash, th.of(r.EventType))
+	th := d.TypeHashes()
+	for i := 0; i < d.Len(); i++ {
+		r := d.Row(i)
+		key := trace.Combine(r.EventHash, th[r.Type])
 		row, ok := t.rows[key]
-		outHash := r.OutputHash()
+		outHash := d.OutputHash(i)
 		if !ok {
-			row = &eventRow{outputs: map[uint64][]trace.Field{}, first: outHash, firstFields: r.Outputs}
-			row.outputs[outHash] = r.Outputs
+			row = &eventRow{outputs: map[uint64]struct{}{outHash: {}}, firstFields: d.Fields(r.Outputs)}
 			t.rows[key] = row
 			if m != nil {
 				m.Inserts.Inc()
@@ -67,7 +66,7 @@ func BuildEventOnlyObserved(d *trace.Dataset, m *TableMetrics) *EventOnlyTable {
 		row.hitInstr += r.Instr
 		if _, seen := row.outputs[outHash]; !seen {
 			// Same In.Event key, different outputs: the §IV-B ambiguity.
-			row.outputs[outHash] = r.Outputs
+			row.outputs[outHash] = struct{}{}
 			if m != nil {
 				m.Conflicts.Inc()
 			}
@@ -112,13 +111,14 @@ func (t *EventOnlyTable) Evaluate(d *trace.Dataset) EventOnlyStats {
 	}
 	seen := make(map[uint64]bool, len(t.rows))
 	var coveredInstr, ambiguousInstr int64
-	th := typeHashes{}
-	for _, r := range d.Records {
+	th := d.TypeHashes()
+	for i := 0; i < d.Len(); i++ {
 		var probeStart time.Time
 		if t.metrics != nil {
 			probeStart = time.Now()
 		}
-		key := trace.Combine(r.EventHash, th.of(r.EventType))
+		r := d.Row(i)
+		key := trace.Combine(r.EventHash, th[r.Type])
 		row := t.rows[key]
 		if t.metrics != nil {
 			t.metrics.observe(row != nil && seen[key], time.Since(probeStart).Nanoseconds())
@@ -139,8 +139,9 @@ func (t *EventOnlyTable) Evaluate(d *trace.Dataset) EventOnlyStats {
 		for _, f := range row.firstFields {
 			predicted[f.Name] = f.Value
 		}
-		for _, f := range r.Outputs {
-			if pv, ok := predicted[f.Name]; ok && pv == f.Value {
+		for _, c := range r.Outputs {
+			f := d.Field(c.ID)
+			if pv, ok := predicted[f.Name]; ok && pv == c.Value {
 				continue
 			}
 			switch f.Category {

@@ -83,8 +83,8 @@ func TestBuildObservedMatchesBare(t *testing.T) {
 	if naive.Rows() != bareNaive.Rows() || naive.Size() != bareNaive.Size() {
 		t.Fatal("observed naive build differs from bare build")
 	}
-	if nm.Lookups.Value() != int64(len(d.Records)) {
-		t.Fatalf("naive lookups %d, want %d", nm.Lookups.Value(), len(d.Records))
+	if nm.Lookups.Value() != int64(d.Len()) {
+		t.Fatalf("naive lookups %d, want %d", nm.Lookups.Value(), d.Len())
 	}
 	if nm.Inserts.Value() != int64(naive.Rows()) {
 		t.Fatalf("naive inserts %d, want %d rows", nm.Inserts.Value(), naive.Rows())
@@ -107,7 +107,7 @@ func TestBuildObservedMatchesBare(t *testing.T) {
 	if st != bareSt {
 		t.Fatalf("instrumented Evaluate diverged: %+v vs %+v", st, bareSt)
 	}
-	if em.Lookups.Value() != int64(len(d.Records)) {
-		t.Fatalf("eventonly lookups %d, want %d", em.Lookups.Value(), len(d.Records))
+	if em.Lookups.Value() != int64(d.Len()) {
+		t.Fatalf("eventonly lookups %d, want %d", em.Lookups.Value(), d.Len())
 	}
 }

@@ -46,20 +46,6 @@ type naiveRow struct {
 	repeatInstr int64 // dynamic-instruction weight of those recurrences
 }
 
-// typeHashes memoizes trace.HashString per event type: profiles hold a
-// handful of types but hundreds of thousands of records, so the build
-// and evaluate loops would otherwise rehash the same few names per row.
-type typeHashes map[string]uint64
-
-func (th typeHashes) of(eventType string) uint64 {
-	h, ok := th[eventType]
-	if !ok {
-		h = trace.HashString(eventType)
-		th[eventType] = h
-	}
-	return h
-}
-
 // BuildNaive constructs the naive table from a profile and reports its
 // hit statistics. The key of a record is the hash of ALL its input field
 // values plus the event type (the union record).
@@ -74,8 +60,8 @@ func BuildNaiveObserved(d *trace.Dataset, m *TableMetrics) *NaiveTable {
 		outWidth: d.UnionOutputWidth(),
 		rows:     make(map[uint64]*naiveRow),
 	}
-	th := typeHashes{}
-	for _, r := range d.Records {
+	th := d.TypeHashes()
+	for i := 0; i < d.Len(); i++ {
 		var start time.Time
 		if m != nil {
 			start = time.Now()
@@ -83,7 +69,8 @@ func BuildNaiveObserved(d *trace.Dataset, m *TableMetrics) *NaiveTable {
 		// The union record spans every input location the app has — two
 		// executions share a row only when the whole state AND the event
 		// object match byte for byte.
-		key := trace.Combine(r.InputHash(nil), th.of(r.EventType))
+		r := d.Row(i)
+		key := trace.Combine(d.InputHash(i), th[r.Type])
 		key = trace.Combine(key, r.PreStateHash)
 		if row, ok := t.rows[key]; ok {
 			row.repeats++

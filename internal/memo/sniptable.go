@@ -239,13 +239,91 @@ func (s LookupStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Lookups)
 }
 
-// BuildSnip constructs the table from a profile under a selection.
+// BuildSnip constructs the table from a profile under a selection. It
+// keys the rows in place, as Insert keys a record, and builds an entry's
+// outputs only for the rows that insert one.
 func BuildSnip(d *trace.Dataset, sel Selection) *SnipTable {
 	t := NewSnipTable(sel)
-	for _, r := range d.Records {
-		t.Insert(r)
+	keyers := make([]*rowKeyer, d.NumTypes())
+	for i := 0; i < d.Len(); i++ {
+		r := d.Row(i)
+		k := keyers[r.Type]
+		if k == nil {
+			et := d.TypeName(r.Type)
+			k = newRowKeyer(d, t.sel[et], t.byEvent(et))
+			keyers[r.Type] = k
+		}
+		ek, sk := k.keys(r.Inputs)
+		t.insert(k.byEvent, ek, sk, r.Instr, func() []trace.Field { return d.Fields(r.Outputs) },
+			func(out []trace.Field) bool { return sameRowOutputs(d, out, r.Outputs) })
 	}
 	return t
+}
+
+// rowKeyer computes one event type's row keys under its selected fields,
+// with the same result as Selection.KeysFromRecord on the row's Record.
+type rowKeyer struct {
+	fields []SelectedField
+	// slot[id] is 1 + the first selected field named like dictionary
+	// field id, or 0; first[j] is the first selected field named like j.
+	slot, first []int32
+	vals        []uint64
+	byEvent     map[uint64]*Bucket // the type's buckets in the table built
+}
+
+func newRowKeyer(d *trace.Dataset, fields []SelectedField, byEvent map[uint64]*Bucket) *rowKeyer {
+	k := &rowKeyer{fields: fields, slot: make([]int32, d.NumFields()),
+		first: make([]int32, len(fields)), vals: make([]uint64, len(fields)), byEvent: byEvent}
+	at := make(map[string]int32, len(fields))
+	for j, f := range fields {
+		if _, ok := at[f.Name]; !ok {
+			at[f.Name] = int32(j)
+		}
+		k.first[j] = at[f.Name]
+	}
+	for id := range k.slot {
+		if j, ok := at[d.Field(uint32(id)).Name]; ok {
+			k.slot[id] = j + 1
+		}
+	}
+	return k
+}
+
+// keys returns the two-level key of a row with the given inputs. A
+// field's value is its first occurrence, so the inputs are walked
+// backwards and earlier cells overwrite later ones.
+func (k *rowKeyer) keys(inputs []trace.Cell) (eventKey, stateKey uint64) {
+	for j := range k.vals {
+		k.vals[j] = absentSentinel
+	}
+	for i := len(inputs) - 1; i >= 0; i-- {
+		if j := k.slot[inputs[i].ID]; j > 0 {
+			k.vals[j-1] = inputs[i].Value
+		}
+	}
+	eventKey, stateKey = 1469598103934665603, 1469598103934665603
+	for j, sf := range k.fields {
+		v := k.vals[k.first[j]]
+		if sf.Category == trace.InEvent {
+			eventKey = trace.Combine(trace.Combine(eventKey, sf.NameHash), v)
+		} else {
+			stateKey = trace.Combine(trace.Combine(stateKey, sf.NameHash), v)
+		}
+	}
+	return eventKey, stateKey
+}
+
+// sameRowOutputs is sameOutputs against a row's output cells.
+func sameRowOutputs(d *trace.Dataset, a []trace.Field, b []trace.Cell) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, c := range b {
+		if a[i].Name != d.Field(c.ID).Name || a[i].Value != c.Value {
+			return false
+		}
+	}
+	return true
 }
 
 // NewSnipTable returns an empty table under a selection.
@@ -286,22 +364,38 @@ func (t *SnipTable) Frozen() bool { return t.frozen }
 // Inserting into a frozen (shared) table is a programming error and
 // panics.
 func (t *SnipTable) Insert(r *trace.Record) {
+	byEvent := t.byEvent(r.EventType)
+	ek, sk := t.sel.KeysFromRecord(r)
+	t.insert(byEvent, ek, sk, r.Instr, func() []trace.Field { return r.Outputs },
+		func(out []trace.Field) bool { return sameOutputs(out, r.Outputs) })
+}
+
+// byEvent returns an event type's bucket map, adding it if absent.
+// Inserting into a frozen table panics here.
+func (t *SnipTable) byEvent(eventType string) map[uint64]*Bucket {
 	if t.frozen {
 		panic("memo: Insert on a frozen SnipTable")
 	}
-	byEvent := t.buckets[r.EventType]
+	byEvent := t.buckets[eventType]
 	if byEvent == nil {
 		byEvent = make(map[uint64]*Bucket)
-		t.buckets[r.EventType] = byEvent
+		t.buckets[eventType] = byEvent
 	}
-	ek, sk := t.sel.KeysFromRecord(r)
+	return byEvent
+}
+
+// insert adds an entry keyed (ek, sk) to a type's buckets, with the
+// outputs it asks for, unless the key is taken; then same says whether
+// the taken entry's outputs match.
+func (t *SnipTable) insert(byEvent map[uint64]*Bucket, ek, sk uint64, instr int64,
+	outputs func() []trace.Field, same func([]trace.Field) bool) {
 	b := byEvent[ek]
 	if b == nil {
 		b = &Bucket{ByKey: make(map[uint64]*SnipEntry)}
 		byEvent[ek] = b
 	}
 	if e, ok := b.ByKey[sk]; ok {
-		if !sameOutputs(e.Outputs, r.Outputs) {
+		if !same(e.Outputs) {
 			t.conflictedRows++
 			if t.metrics != nil {
 				t.metrics.Conflicts.Inc()
@@ -309,7 +403,7 @@ func (t *SnipTable) Insert(r *trace.Record) {
 		}
 		return
 	}
-	e := &SnipEntry{StateKey: sk, Outputs: r.Outputs, Instr: r.Instr}
+	e := &SnipEntry{StateKey: sk, Outputs: outputs(), Instr: instr}
 	b.ByKey[sk] = e
 	b.Order = append(b.Order, e)
 	if t.metrics != nil {

@@ -43,25 +43,20 @@ func synthRow(n, i int) (x, y, mode, level, combo uint64) {
 
 // SynthTable builds a deterministic n-row table under SynthSelection.
 func SynthTable(n int) *SnipTable {
-	t := NewSnipTable(SynthSelection())
+	d := &trace.Dataset{Game: "synth"}
 	for i := 0; i < n; i++ {
 		x, y, mode, level, combo := synthRow(n, i)
-		t.Insert(&trace.Record{
-			EventSeq: int64(i), EventType: "tap", Instr: 100, StateChanged: true,
-			Inputs: []trace.Field{
-				{Name: "event.tap.x", Category: trace.InEvent, Size: 4, Value: x},
-				{Name: "event.tap.y", Category: trace.InEvent, Size: 4, Value: y},
-				{Name: "state.mode", Category: trace.InHistory, Size: 1, Value: mode},
-				{Name: "state.level", Category: trace.InHistory, Size: 2, Value: level},
-				{Name: "state.combo", Category: trace.InHistory, Size: 2, Value: combo},
-			},
-			Outputs: []trace.Field{
-				{Name: "state.out", Category: trace.OutHistory, Size: 4, Value: x + y + combo},
-				{Name: "frame.tile", Category: trace.OutTemp, Size: 8, Value: x ^ y},
-			},
-		})
+		d.BeginRow(int64(i), "tap", 0, 0, 0)
+		d.LogInput("", "event.tap.x", trace.InEvent, 4, x)
+		d.LogInput("", "event.tap.y", trace.InEvent, 4, y)
+		d.LogInput("", "state.mode", trace.InHistory, 1, mode)
+		d.LogInput("", "state.level", trace.InHistory, 2, level)
+		d.LogInput("", "state.combo", trace.InHistory, 2, combo)
+		d.LogOutput("", "state.out", trace.OutHistory, 4, x+y+combo)
+		d.LogOutput("", "frame.tile", trace.OutTemp, 8, x^y)
+		d.EndRow(100, true)
 	}
-	return t
+	return BuildSnip(d, SynthSelection())
 }
 
 // SynthHit returns a resolver matching row i of an n-row SynthTable —

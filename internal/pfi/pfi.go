@@ -153,7 +153,7 @@ type Result struct {
 // Run executes PFI over a profile and returns the necessary-input
 // selection.
 func Run(d *trace.Dataset, cfg Config) (*Result, error) {
-	if len(d.Records) == 0 {
+	if d.Len() == 0 {
 		return nil, fmt.Errorf("pfi: empty profile")
 	}
 	if cfg.TrainFrac <= 0 || cfg.TrainFrac >= 1 {
@@ -203,36 +203,38 @@ func Run(d *trace.Dataset, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// typeData is one event type's records under the temporal split:
-// records[:nTrain] train, the rest validate.
+// typeData is one event type's rows of a dataset under the temporal
+// split: rows[:nTrain] train, the rest validate.
 type typeData struct {
+	d         *trace.Dataset
 	eventType string
-	records   []*trace.Record
+	rows      []int32
 	nTrain    int
 }
 
-// splitByType partitions the dataset per event type with a temporal
-// train/validation split.
+// splitByType partitions the dataset per event type, in order of first
+// appearance, with a temporal train/validation split.
 func splitByType(d *trace.Dataset, trainFrac float64) []*typeData {
-	byType := make(map[string]*typeData)
+	byType := make([]*typeData, d.NumTypes())
 	var order []*typeData
-	for _, rec := range d.Records {
-		td, ok := byType[rec.EventType]
-		if !ok {
-			td = &typeData{eventType: rec.EventType}
-			byType[rec.EventType] = td
+	for i := 0; i < d.Len(); i++ {
+		t := d.Row(i).Type
+		td := byType[t]
+		if td == nil {
+			td = &typeData{d: d, eventType: d.TypeName(t)}
+			byType[t] = td
 			order = append(order, td)
 		}
-		td.records = append(td.records, rec)
+		td.rows = append(td.rows, int32(i))
 	}
 	out := order[:0]
 	for _, td := range order {
-		n := int(float64(len(td.records)) * trainFrac)
+		n := int(float64(len(td.rows)) * trainFrac)
 		if n < 1 {
 			n = 1
 		}
-		if n >= len(td.records) {
-			n = len(td.records) - 1
+		if n >= len(td.rows) {
+			n = len(td.rows) - 1
 		}
 		if n < 1 {
 			continue // a single record cannot be split; skip the type
@@ -295,44 +297,54 @@ type columns struct {
 }
 
 func newColumns(td *typeData) *columns {
-	n := len(td.records)
+	d, n := td.d, len(td.rows)
 	c := &columns{instr: make([]int64, n), nTrain: td.nTrain,
 		predAt: []int32{0}, truthAt: []int32{0}}
-	inIndex := make(map[string]int)
+	// inCol and outName map a dictionary id to 1 + its input column and
+	// 1 + its output-name index (0 until first seen): names resolve
+	// through the maps once per id, not once per cell.
+	inCol, outName := make([]int32, d.NumFields()), make([]int32, d.NumFields())
+	inIndex := make(map[string]int32)
 	var setBy []int // setBy[f] = r+1 once record r set field f
 	outIndex := make(map[string]int32)
 	var outs []outVal
-	for r, rec := range td.records {
+	for r, row := range td.rows {
+		rec := d.Row(int(row))
 		c.instr[r] = rec.Instr
-		for _, f := range rec.Inputs {
-			i, ok := inIndex[f.Name]
-			if !ok {
-				i = len(c.fields)
-				inIndex[f.Name] = i
-				c.fields = append(c.fields, fieldMeta{name: f.Name, category: f.Category, size: f.Size})
-				col := make([]uint64, n)
-				for k := range col {
-					col[k] = absent
+		for _, cell := range rec.Inputs {
+			if inCol[cell.ID] == 0 {
+				f := d.Field(cell.ID)
+				i, ok := inIndex[f.Name]
+				if !ok {
+					i = int32(len(c.fields))
+					inIndex[f.Name] = i
+					c.fields = append(c.fields, fieldMeta{name: f.Name, category: f.Category})
+					col := make([]uint64, n)
+					for k := range col {
+						col[k] = absent
+					}
+					c.vals = append(c.vals, col)
+					setBy = append(setBy, 0)
 				}
-				c.vals = append(c.vals, col)
-				setBy = append(setBy, 0)
-			} else if f.Size > c.fields[i].size {
-				c.fields[i].size = f.Size
+				c.fields[i].size = max(c.fields[i].size, f.Size)
+				inCol[cell.ID] = i + 1
 			}
-			if setBy[i] != r+1 {
+			if i := inCol[cell.ID] - 1; setBy[i] != r+1 {
 				setBy[i] = r + 1
-				c.vals[i][r] = f.Value
+				c.vals[i][r] = cell.Value
 			}
 		}
 
 		outs = outs[:0]
-		for _, f := range rec.Outputs {
-			k, ok := outIndex[f.Name]
-			if !ok {
-				k = int32(len(outIndex))
-				outIndex[f.Name] = k
+		for _, cell := range rec.Outputs {
+			f := d.Field(cell.ID)
+			if outName[cell.ID] == 0 {
+				if _, ok := outIndex[f.Name]; !ok {
+					outIndex[f.Name] = int32(len(outIndex))
+				}
+				outName[cell.ID] = outIndex[f.Name] + 1
 			}
-			outs = append(outs, outVal{name: k, temp: f.Category == trace.OutTemp, value: f.Value})
+			outs = append(outs, outVal{name: outName[cell.ID] - 1, temp: f.Category == trace.OutTemp, value: cell.Value})
 		}
 		slices.SortStableFunc(outs, func(a, b outVal) int { return cmp.Compare(a.name, b.name) })
 		if r < c.nTrain {

@@ -377,7 +377,7 @@ func Run(cfg Config) (*Result, error) {
 		switch cfg.Scheme {
 		case Baseline:
 			before := meter.Total()
-			exec := game.Process(e, cfg.CollectTrace)
+			exec := game.Process(e, res.Dataset)
 			chip.Execute(exec.Work())
 			delta := meter.Total() - before
 			res.TotalWeight += exec.Record.Instr
@@ -389,9 +389,6 @@ func Run(cfg Config) (*Result, error) {
 					met.useless++
 				}
 			}
-			if cfg.CollectTrace {
-				res.Dataset.Append(exec.Record)
-			}
 			if met != nil {
 				met.executed++
 			}
@@ -402,7 +399,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 
 		case MaxCPU:
-			exec := game.Process(e, false)
+			exec := game.Process(e, nil)
 			w, skipped := exec.CPUWork(cpuSeen)
 			w.IPCalls = exec.IPCalls
 			chip.Execute(w)
@@ -421,7 +418,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 
 		case MaxIP:
-			exec := game.Process(e, false)
+			exec := game.Process(e, nil)
 			w := soc.Work{}
 			cw, _ := exec.CPUWork(nil)
 			w.CPUInstr, w.MemBytes = cw.CPUInstr, cw.MemBytes
@@ -487,7 +484,7 @@ func Run(cfg Config) (*Result, error) {
 				weight := entry.Instr
 				if cfg.EvalCorrectness {
 					shadow := game.Clone()
-					truth := shadow.Process(e, false).Record
+					truth := shadow.Process(e, nil).Record
 					weight = truth.Instr
 					res.Errors.ShadowedEvents++
 					errBefore := res.Errors.ErrFields()
@@ -504,7 +501,7 @@ func Run(cfg Config) (*Result, error) {
 					// Sampled production guard: run the real handler on a
 					// clone (before ApplyOutputs mutates the live game) and
 					// compare what the table served against ground truth.
-					truth := game.Clone().Process(e, false).Record
+					truth := game.Clone().Process(e, nil).Record
 					match := trace.OutputsMatch(entry.Outputs, truth.Outputs)
 					res.Guard.ShadowChecks++
 					if !match {
@@ -528,7 +525,7 @@ func Run(cfg Config) (*Result, error) {
 					chain.HandlerInstr = weight
 				}
 			} else {
-				exec := game.Process(e, false)
+				exec := game.Process(e, nil)
 				chip.Execute(exec.Work())
 				res.TotalWeight += exec.Record.Instr
 				if met != nil {

@@ -38,8 +38,18 @@ func Encode(w io.Writer, d *Dataset) error {
 	if _, err := io.WriteString(bw, magicFull); err != nil {
 		return err
 	}
-	enc := gob.NewEncoder(bw)
-	if err := enc.Encode(d); err != nil {
+	// Gob names a struct type on the wire: the local type keeps the
+	// name, so the stream and TransferSize stay what they were when a
+	// Dataset held a record list.
+	type Dataset struct {
+		Game    string
+		Records []*Record
+	}
+	g := Dataset{Game: d.Game, Records: make([]*Record, d.Len())}
+	for i := range g.Records {
+		g.Records[i] = d.Record(i)
+	}
+	if err := gob.NewEncoder(bw).Encode(&g); err != nil {
 		return fmt.Errorf("trace: encode: %w", err)
 	}
 	return bw.Flush()
@@ -55,11 +65,16 @@ func Decode(r io.Reader) (*Dataset, error) {
 	if string(magic[:]) != magicFull {
 		return nil, fmt.Errorf("trace: bad magic %q", magic)
 	}
-	var d Dataset
-	if err := gob.NewDecoder(br).Decode(&d); err != nil {
+	var w struct {
+		Game    string
+		Records []*Record
+	}
+	if err := gob.NewDecoder(br).Decode(&w); err != nil {
 		return nil, fmt.Errorf("trace: decode: %w", err)
 	}
-	return &d, nil
+	d := &Dataset{Game: w.Game}
+	d.Append(w.Records...)
+	return d, nil
 }
 
 // EventLog is the reduced on-device recording: just the events (In.Event
@@ -301,16 +316,20 @@ type jsonRecord struct {
 func WriteJSON(w io.Writer, d *Dataset) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, r := range d.Records {
+	fields := func(cells []Cell) []jsonField {
+		var out []jsonField
+		for _, c := range cells {
+			f := d.Field(c.ID)
+			out = append(out, jsonField{f.Name, f.Category.String(), int64(f.Size), c.Value})
+		}
+		return out
+	}
+	for i := 0; i < d.Len(); i++ {
+		r := d.Row(i)
 		jr := jsonRecord{
-			EventSeq: r.EventSeq, EventType: r.EventType, EventHash: r.EventHash,
+			EventSeq: r.EventSeq, EventType: d.TypeName(r.Type), EventHash: r.EventHash,
 			Time: int64(r.Time), Instr: r.Instr, StateChanged: r.StateChanged,
-		}
-		for _, f := range r.Inputs {
-			jr.Inputs = append(jr.Inputs, jsonField{f.Name, f.Category.String(), int64(f.Size), f.Value})
-		}
-		for _, f := range r.Outputs {
-			jr.Outputs = append(jr.Outputs, jsonField{f.Name, f.Category.String(), int64(f.Size), f.Value})
+			Inputs: fields(r.Inputs), Outputs: fields(r.Outputs),
 		}
 		if err := enc.Encode(jr); err != nil {
 			return fmt.Errorf("trace: write json: %w", err)

@@ -115,40 +115,17 @@ func containsCat(cats []Category, c Category) bool {
 	return false
 }
 
-// InputHash digests the values of all input fields whose names are in the
-// given set (nil = all inputs). Field order is the record's own order, so
-// hashes are comparable across records of the same event type.
-func (r *Record) InputHash(names map[string]bool) uint64 {
-	h := uint64(1469598103934665603)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= 1099511628211
-		}
-	}
-	for _, f := range r.Inputs {
-		if names == nil || names[f.Name] {
-			mix(hashString(f.Name))
-			mix(f.Value)
-		}
-	}
-	return h
-}
+// FNV-1a parameters of every digest in this package.
+const (
+	fnvOffset = 1469598103934665603
+	fnvPrime  = 1099511628211
+)
 
-// OutputHash digests all output field values; two executions with equal
-// OutputHash produced identical outputs (the paper's "redundant events"
-// compare on exactly this).
-func (r *Record) OutputHash() uint64 {
-	h := uint64(1469598103934665603)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= 1099511628211
-		}
-	}
-	for _, f := range r.Outputs {
-		mix(hashString(f.Name))
-		mix(f.Value)
+// fnvMix folds v's eight bytes, low first, into FNV-1a state h.
+func fnvMix(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= (v >> (8 * i)) & 0xff
+		h *= fnvPrime
 	}
 	return h
 }
@@ -174,10 +151,10 @@ func (r *Record) Input(name string) (Field, bool) {
 }
 
 func hashString(s string) uint64 {
-	h := uint64(1469598103934665603)
+	h := uint64(fnvOffset)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
-		h *= 1099511628211
+		h *= fnvPrime
 	}
 	return h
 }
@@ -188,13 +165,9 @@ func HashString(s string) uint64 { return hashString(s) }
 
 // HashValues digests a sequence of integers (state content).
 func HashValues(vs ...int64) uint64 {
-	h := uint64(1469598103934665603)
+	h := uint64(fnvOffset)
 	for _, v := range vs {
-		u := uint64(v)
-		for i := 0; i < 8; i++ {
-			h ^= (u >> (8 * i)) & 0xff
-			h *= 1099511628211
-		}
+		h = fnvMix(h, uint64(v))
 	}
 	return h
 }
@@ -206,7 +179,7 @@ func Combine(a, b uint64) uint64 {
 	h := a
 	u := b
 	for i := 0; i < 8; i++ {
-		h *= 1099511628211
+		h *= fnvPrime
 		h ^= (u >> (8 * i)) & 0xff
 	}
 	return h

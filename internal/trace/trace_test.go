@@ -53,18 +53,18 @@ func TestRecordSizes(t *testing.T) {
 }
 
 func TestInputHashSelectivity(t *testing.T) {
-	r := rec(1, "tap", true,
-		[]Field{f("a", InEvent, 4, 10), f("b", InHistory, 4, 20)}, nil)
-	all := r.InputHash(nil)
-	onlyA := r.InputHash(map[string]bool{"a": true})
-	onlyB := r.InputHash(map[string]bool{"b": true})
-	if all == onlyA || onlyA == onlyB {
+	d := &Dataset{}
+	d.Append(
+		rec(1, "tap", true, []Field{f("a", InEvent, 4, 10), f("b", InHistory, 4, 20)}, nil),
+		rec(2, "tap", true, []Field{f("a", InEvent, 4, 10), f("b", InHistory, 4, 21)}, nil),
+		rec(3, "tap", true, []Field{f("a", InEvent, 4, 10), f("c", InHistory, 4, 20)}, nil),
+		// Same fields, same values -> same hash.
+		rec(99, "tap", false, []Field{f("a", InEvent, 4, 10), f("b", InHistory, 4, 20)}, nil),
+	)
+	if d.InputHash(0) == d.InputHash(1) || d.InputHash(0) == d.InputHash(2) {
 		t.Fatal("input hash not selective")
 	}
-	// Same fields, same values -> same hash.
-	r2 := rec(99, "tap", false,
-		[]Field{f("a", InEvent, 4, 10), f("b", InHistory, 4, 20)}, nil)
-	if r.InputHash(nil) != r2.InputHash(nil) {
+	if d.InputHash(0) != d.InputHash(3) {
 		t.Fatal("hash depends on non-field data")
 	}
 }
@@ -74,7 +74,9 @@ func TestOutputHashAndAccessors(t *testing.T) {
 		[]Field{f("x", OutHistory, 4, 7), f("y", OutTemp, 4, 8)})
 	r2 := rec(2, "tap", true, nil,
 		[]Field{f("x", OutHistory, 4, 7), f("y", OutTemp, 4, 9)})
-	if r.OutputHash() == r2.OutputHash() {
+	d := &Dataset{}
+	d.Append(r, r2)
+	if d.OutputHash(0) == d.OutputHash(1) {
 		t.Fatal("output hash collision")
 	}
 	if fld, ok := r.Output("x"); !ok || fld.Value != 7 {
@@ -205,8 +207,8 @@ func TestSplitTruncateFilter(t *testing.T) {
 	if u.Len() != 3 {
 		t.Fatalf("filter left %d", u.Len())
 	}
-	for _, r := range u.Records {
-		if r.EventType == "vsync" {
+	for i := 0; i < u.Len(); i++ {
+		if u.Record(i).EventType == "vsync" {
 			t.Fatal("vsync survived the filter")
 		}
 	}
@@ -225,11 +227,11 @@ func TestCodecRoundtrip(t *testing.T) {
 	if got.Len() != d.Len() || got.Game != d.Game {
 		t.Fatalf("roundtrip lost data: %d records", got.Len())
 	}
-	for i := range d.Records {
-		if got.Records[i].OutputHash() != d.Records[i].OutputHash() {
+	for i := 0; i < d.Len(); i++ {
+		if got.OutputHash(i) != d.OutputHash(i) {
 			t.Fatalf("record %d outputs changed", i)
 		}
-		if got.Records[i].InputHash(nil) != d.Records[i].InputHash(nil) {
+		if got.InputHash(i) != d.InputHash(i) {
 			t.Fatalf("record %d inputs changed", i)
 		}
 	}
