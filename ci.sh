@@ -55,7 +55,7 @@ go run ./cmd/fleetbench -shard-sweep 1,2,4 -shard-games 3 -shard-sessions 2 -sec
 go run ./cmd/fleetbench -validate /tmp/snip_bench_shards_smoke.json
 rm -f /tmp/snip_bench_shards_smoke.json
 
-echo "== fuzz smoke (ingest decoders must reject arbitrary bytes, never panic; the game state store must match its map-backed reference)"
+echo "== fuzz smoke (ingest decoders must reject arbitrary bytes, never panic; the game state store must match its map-backed reference; the key-hash kernel must match its byte-loop oracle)"
 go test -run '^$' -fuzz '^FuzzDecodeBatch$' -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzDecodeEventsOnly$' -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzDecodeTelemetry$' -fuzztime 5s ./internal/trace
@@ -64,6 +64,7 @@ go test -run '^$' -fuzz '^FuzzLoadFlatTable$' -fuzztime 5s ./internal/memo
 go test -run '^$' -fuzz '^FuzzDecodeDelta$' -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzApplyDelta$' -fuzztime 5s ./internal/memo
 go test -run '^$' -fuzz '^FuzzStoreOps$' -fuzztime 5s ./internal/games
+go test -run '^$' -fuzz '^FuzzHashKernel$' -fuzztime 5s ./internal/trace
 
 echo "== chaos gate (all faults + mispredict guard under the race detector, zero panics)"
 go run -race ./cmd/fleetbench -chaos all -chaos-seed 7 -shadow-rate 0.25 \
@@ -140,6 +141,19 @@ if [ -z "$ratio" ] || awk -v r="$ratio" 'BEGIN { exit !(r > 8) }'; then
 	exit 1
 fi
 echo "rewrite ns/op(8k) / ns/op(2k) = $ratio"
+
+echo "== key-hash kernel gate (Step.Fold ns/op at 1-byte values must stay within 0.5x of the byte-loop oracle's, both measured now)"
+# The kernel folds a one-byte value with three multiplies and one table
+# load where the oracle runs sixteen dependent multiplies; it measures
+# about 0.2x. Both run in one process, so machine speed cancels out.
+fold_out=$(go test -run '^$' -bench '^BenchmarkKeyFold$' ./internal/trace)
+echo "$fold_out"
+ratio=$(echo "$fold_out" | awk '/KeyFold\/kernel\/1B/ { a = $3 } /KeyFold\/oracle\/1B/ { b = $3 } END { if (a > 0 && b > 0) printf "%.2f", a / b }')
+if [ -z "$ratio" ] || awk -v r="$ratio" 'BEGIN { exit !(r > 0.5) }'; then
+	echo "key-hash kernel lost its shortcut: ns/op(kernel, 1B) / ns/op(oracle, 1B) = ${ratio:-missing}" >&2
+	exit 1
+fi
+echo "key fold ns/op(kernel, 1B) / ns/op(oracle, 1B) = $ratio"
 
 echo "== lookup regression gate (flat backend must stay within 10% of map, both measured now)"
 # Gated at sizes past cache capacity, where the flat layout's advantage

@@ -3,6 +3,7 @@ package cloud
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"math/bits"
 	"runtime"
 	"testing"
 
@@ -102,6 +103,35 @@ func TestReplayGolden(t *testing.T) {
 		if got, want := digestDataset(ds), replayGoldenDigests[game]; got != want {
 			t.Errorf("%s: digest %#x, want %#x", game, got, want)
 		}
+	}
+}
+
+// TestReplayValueWidths histograms the byte width of every input value
+// the golden replays log: the premise of the key-hash kernel's
+// shortcuts, which fold a value below 2^16 in one or two byte steps
+// instead of eight. Run with -v to see the histogram.
+func TestReplayValueWidths(t *testing.T) {
+	var width [9]int
+	for _, game := range games.Names() {
+		ds, err := Replay(game, replayGoldenSeed, recordLog(t, game, replayGoldenSeed))
+		if err != nil {
+			t.Fatalf("%s: %v", game, err)
+		}
+		for i := 0; i < ds.Len(); i++ {
+			for _, c := range ds.Row(i).Inputs {
+				width[(bits.Len64(c.Value)+7)/8]++
+			}
+		}
+	}
+	total := 0
+	for _, n := range width {
+		total += n
+	}
+	short := width[0] + width[1] + width[2]
+	t.Logf("input cells by value width in bytes (0 = zero): %v; %d of %d (%.1f%%) fit in 2 bytes",
+		width, short, total, 100*float64(short)/float64(total))
+	if 2*short < total {
+		t.Errorf("only %d of %d input values fit in 2 bytes; the kernel's shortcuts no longer pay", short, total)
 	}
 }
 

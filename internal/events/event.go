@@ -9,6 +9,7 @@ package events
 import (
 	"fmt"
 
+	"snip/internal/trace"
 	"snip/internal/units"
 )
 
@@ -164,16 +165,9 @@ func (e *Event) Size() units.Size { return ObjectSize(e.Type) }
 // Hash returns a 64-bit hash of the event's type and field values — the
 // "event hash-code" SNIP's runtime indexes its lookup table with (§V-B).
 func (e *Event) Hash() uint64 {
-	h := uint64(1469598103934665603) // FNV offset basis
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= 1099511628211
-		}
-	}
-	mix(uint64(e.Type))
+	h := trace.Mix(trace.KeySeed, uint64(e.Type))
 	for _, v := range e.Values {
-		mix(uint64(v))
+		h = trace.Mix(h, uint64(v))
 	}
 	return h
 }

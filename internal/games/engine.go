@@ -138,11 +138,12 @@ type Game interface {
 // after each slot of its range; a write marks chains stale from its slot
 // on, and the next digest refolds only from there.
 type Store struct {
-	// The name side: slot by name, and per slot the name, its hash and
-	// its record name. Clones share it until one adds a location.
+	// The name side: slot by name, and per slot the name, the key-chain
+	// step of its hash and its record name. Clones share it until one
+	// adds a location.
 	slot   map[string]int32
 	names  []string
-	keyH   []uint64
+	step   []trace.Step
 	qual   []string
 	shared bool
 
@@ -260,11 +261,11 @@ func (s *Store) setSlot(i int32, v int64) bool {
 func (s *Store) insert(name string, size units.Size, v int64) int32 {
 	if s.shared {
 		s.slot, s.shared = maps.Clone(s.slot), false
-		s.names, s.keyH, s.qual = slices.Clone(s.names), slices.Clone(s.keyH), slices.Clone(s.qual)
+		s.names, s.step, s.qual = slices.Clone(s.names), slices.Clone(s.step), slices.Clone(s.qual)
 	}
 	i, _ := slices.BinarySearch(s.names, name)
 	s.names = slices.Insert(s.names, i, name)
-	s.keyH = slices.Insert(s.keyH, i, trace.HashString(name))
+	s.step = slices.Insert(s.step, i, trace.StepOf(trace.HashString(name)))
 	s.qual = slices.Insert(s.qual, i, "state."+name)
 	s.vals = slices.Insert(s.vals, i, v)
 	s.sizes = slices.Insert(s.sizes, i, size)
@@ -292,18 +293,17 @@ func (s *Store) digest(prefix string) *digest {
 	return &s.digests[len(s.digests)-1]
 }
 
-// fold brings d's chain up to date and returns the digest: the FNV
-// offset basis, then each location's name hash and value Combined in
-// slot order.
+// fold brings d's chain up to date and returns the digest: trace.KeySeed,
+// then each location's name hash and value Combined in slot order.
 func (s *Store) fold(d *digest) uint64 {
 	chain := s.chains[d.off : d.off+d.hi-d.lo]
-	h := uint64(1469598103934665603)
+	h := trace.KeySeed
 	if d.done > 0 {
 		h = chain[d.done-1]
 	}
 	for ; d.done < d.hi-d.lo; d.done++ {
 		i := d.lo + d.done
-		h = trace.Combine(trace.Combine(h, s.keyH[i]), uint64(s.vals[i]))
+		h = s.step[i].Fold(h, uint64(s.vals[i]))
 		chain[d.done] = h
 	}
 	return h

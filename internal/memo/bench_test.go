@@ -60,12 +60,13 @@ func hitResolver(i int) Resolver {
 }
 
 func BenchmarkSelectionKeys(b *testing.B) {
-	sel := benchSelection()
+	fields := benchSelection()["tap"]
+	steps := fieldSteps(fields)
 	resolve := hitResolver(1234)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkE, sinkS = sel.KeysFromRuntime("tap", resolve)
+		sinkE, sinkS = keys(fields, steps, resolve)
 	}
 }
 

@@ -319,10 +319,13 @@ func Flatten(t Table) (*FlatTable, error) {
 }
 
 // flatType is the per-event-type lookup context: the precomputed type
-// hash feeding the index and the state width Lookup charges per probe.
+// hash feeding the index, the selected fields and the key-chain step of
+// each, and the state width Lookup charges per probe.
 type flatType struct {
-	hash  uint64
-	width units.Size
+	hash   uint64
+	fields []SelectedField
+	steps  []trace.Step
+	width  units.Size
 }
 
 // FlatTable serves lookups straight out of a flat image. It is immutable
@@ -587,7 +590,7 @@ func LoadFlatTable(img []byte) (*FlatTable, error) {
 		seenHash[h] = true
 		typeNames[i] = et
 		typeHashes[i] = h
-		types[et] = flatType{hash: h, width: sel.StateWidth(et)}
+		types[et] = flatType{hash: h, fields: sel[et], steps: fieldSteps(sel[et]), width: sel.StateWidth(et)}
 	}
 	if tr.fail || tr.off != len(tr.b) {
 		return nil, corrupt("type section malformed")

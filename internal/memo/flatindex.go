@@ -74,7 +74,7 @@ func (t *FlatTable) lookup(eventType string, resolve Resolver) (entry *SnipEntry
 	if !known {
 		return nil, 0, 0, false
 	}
-	ek, sk := t.sel.KeysFromRuntime(eventType, resolve)
+	ek, sk := keys(ft.fields, ft.steps, resolve)
 	bh := trace.Combine(ft.hash, ek)
 	bi, found := t.probeIndex(bh, ft.hash, ek)
 	if !found {

@@ -15,9 +15,10 @@ type SelectedField struct {
 	Category trace.Category
 	Size     units.Size
 	// NameHash caches trace.HashString(Name). keys folds every selected
-	// field's name hash into the lookup key on EVERY event, so rehashing
-	// the name per lookup would put a string walk on the hottest path in
-	// the repo. Canonicalize fills it; zero means "not yet computed".
+	// field's name hash into the lookup key on EVERY event, through a
+	// step the tables build from NameHash once per event type, so no
+	// lookup walks a name string. Canonicalize fills it; zero means
+	// "not yet computed".
 	NameHash uint64
 }
 
@@ -97,10 +98,6 @@ func (s Selection) String() string {
 	return out
 }
 
-// absentSentinel marks a selected field missing from a record or from the
-// runtime context when keying.
-const absentSentinel = 0xdeadbeefcafef00d
-
 // Resolver supplies live values for selected fields at lookup time:
 // "event.<type>.<field>" names resolve from the pending event object,
 // "state.*" names from the game's memory. It returns ok=false for fields
@@ -108,42 +105,36 @@ const absentSentinel = 0xdeadbeefcafef00d
 // fetched).
 type Resolver func(name string) (uint64, bool)
 
-// keys computes the two-level key of a record under the selection: the
-// hash of the selected In.Event fields (the bucket index) and the hash of
-// the selected state/extern fields (compared linearly within the bucket).
-func (s Selection) keys(eventType string, value func(name string) (uint64, bool)) (eventKey, stateKey uint64) {
-	eventKey, stateKey = 1469598103934665603, 1469598103934665603
-	for _, sf := range s[eventType] {
-		v := uint64(absentSentinel)
+// fieldSteps returns the key-chain step of each field's NameHash; the
+// selection must be canonical.
+func fieldSteps(fields []SelectedField) []trace.Step {
+	steps := make([]trace.Step, len(fields))
+	for i, f := range fields {
+		steps[i] = trace.StepOf(f.NameHash)
+	}
+	return steps
+}
+
+// keys computes the two-level key of a record under one event type's
+// selected fields: the hash of the selected In.Event fields (the bucket
+// index) and the hash of the selected state/extern fields (compared
+// linearly within the bucket). Each field folds its name hash and value
+// into one of the two through its step, steps[i] for fields[i].
+func keys(fields []SelectedField, steps []trace.Step, value func(name string) (uint64, bool)) (eventKey, stateKey uint64) {
+	eventKey, stateKey = trace.KeySeed, trace.KeySeed
+	for i := range fields {
+		sf := &fields[i]
+		v := trace.Absent
 		if rv, ok := value(sf.Name); ok {
 			v = rv
 		}
-		nh := sf.NameHash
-		if nh == 0 { // selection built without Canonicalize
-			nh = trace.HashString(sf.Name)
-		}
 		if sf.Category == trace.InEvent {
-			eventKey = trace.Combine(eventKey, nh)
-			eventKey = trace.Combine(eventKey, v)
+			eventKey = steps[i].Fold(eventKey, v)
 		} else {
-			stateKey = trace.Combine(stateKey, nh)
-			stateKey = trace.Combine(stateKey, v)
+			stateKey = steps[i].Fold(stateKey, v)
 		}
 	}
 	return eventKey, stateKey
-}
-
-// KeysFromRecord computes the two-level key of a profiled record.
-func (s Selection) KeysFromRecord(r *trace.Record) (eventKey, stateKey uint64) {
-	return s.keys(r.EventType, func(name string) (uint64, bool) {
-		f, ok := r.Input(name)
-		return f.Value, ok
-	})
-}
-
-// KeysFromRuntime computes the two-level key from live values.
-func (s Selection) KeysFromRuntime(eventType string, resolve Resolver) (eventKey, stateKey uint64) {
-	return s.keys(eventType, resolve)
 }
 
 // SnipEntry is one row of the deployed table: the outputs to apply when
@@ -179,9 +170,9 @@ type Bucket struct {
 type SnipTable struct {
 	sel     Selection
 	buckets map[string]map[uint64]*Bucket
-	// stateWidth caches Selection.StateWidth per event type; Lookup needs
-	// it on every event and the selection is immutable once deployed.
-	stateWidth map[string]units.Size
+	// types caches what Lookup needs per event type on every event; the
+	// selection is immutable once deployed.
+	types map[string]snipType
 
 	conflictedRows int64 // build-time only
 
@@ -250,7 +241,8 @@ func BuildSnip(d *trace.Dataset, sel Selection) *SnipTable {
 		k := keyers[r.Type]
 		if k == nil {
 			et := d.TypeName(r.Type)
-			k = newRowKeyer(d, t.sel[et], t.byEvent(et))
+			st := t.types[et]
+			k = newRowKeyer(d, st.fields, st.steps, t.byEvent(et))
 			keyers[r.Type] = k
 		}
 		ek, sk := k.keys(r.Inputs)
@@ -261,9 +253,10 @@ func BuildSnip(d *trace.Dataset, sel Selection) *SnipTable {
 }
 
 // rowKeyer computes one event type's row keys under its selected fields,
-// with the same result as Selection.KeysFromRecord on the row's Record.
+// with the same result as keys on the row's Record.
 type rowKeyer struct {
 	fields []SelectedField
+	steps  []trace.Step // steps[j] is the key-chain step of fields[j]
 	// slot[id] is 1 + the first selected field named like dictionary
 	// field id, or 0; first[j] is the first selected field named like j.
 	slot, first []int32
@@ -271,8 +264,8 @@ type rowKeyer struct {
 	byEvent     map[uint64]*Bucket // the type's buckets in the table built
 }
 
-func newRowKeyer(d *trace.Dataset, fields []SelectedField, byEvent map[uint64]*Bucket) *rowKeyer {
-	k := &rowKeyer{fields: fields, slot: make([]int32, d.NumFields()),
+func newRowKeyer(d *trace.Dataset, fields []SelectedField, steps []trace.Step, byEvent map[uint64]*Bucket) *rowKeyer {
+	k := &rowKeyer{fields: fields, steps: steps, slot: make([]int32, d.NumFields()),
 		first: make([]int32, len(fields)), vals: make([]uint64, len(fields)), byEvent: byEvent}
 	at := make(map[string]int32, len(fields))
 	for j, f := range fields {
@@ -294,20 +287,20 @@ func newRowKeyer(d *trace.Dataset, fields []SelectedField, byEvent map[uint64]*B
 // backwards and earlier cells overwrite later ones.
 func (k *rowKeyer) keys(inputs []trace.Cell) (eventKey, stateKey uint64) {
 	for j := range k.vals {
-		k.vals[j] = absentSentinel
+		k.vals[j] = trace.Absent
 	}
 	for i := len(inputs) - 1; i >= 0; i-- {
 		if j := k.slot[inputs[i].ID]; j > 0 {
 			k.vals[j-1] = inputs[i].Value
 		}
 	}
-	eventKey, stateKey = 1469598103934665603, 1469598103934665603
+	eventKey, stateKey = trace.KeySeed, trace.KeySeed
 	for j, sf := range k.fields {
 		v := k.vals[k.first[j]]
 		if sf.Category == trace.InEvent {
-			eventKey = trace.Combine(trace.Combine(eventKey, sf.NameHash), v)
+			eventKey = k.steps[j].Fold(eventKey, v)
 		} else {
-			stateKey = trace.Combine(trace.Combine(stateKey, sf.NameHash), v)
+			stateKey = k.steps[j].Fold(stateKey, v)
 		}
 	}
 	return eventKey, stateKey
@@ -330,15 +323,24 @@ func sameRowOutputs(d *trace.Dataset, a []trace.Field, b []trace.Cell) bool {
 func NewSnipTable(sel Selection) *SnipTable {
 	sel.Canonicalize()
 	t := &SnipTable{sel: sel, buckets: make(map[string]map[uint64]*Bucket)}
-	t.cacheWidths()
+	t.cacheTypes()
 	return t
 }
 
-// cacheWidths precomputes the per-type state width Lookup charges.
-func (t *SnipTable) cacheWidths() {
-	t.stateWidth = make(map[string]units.Size, len(t.sel))
-	for et := range t.sel {
-		t.stateWidth[et] = t.sel.StateWidth(et)
+// snipType is the per-event-type lookup context: the selected fields,
+// the key-chain step of each, and the state width Lookup charges per
+// probe.
+type snipType struct {
+	fields []SelectedField
+	steps  []trace.Step
+	width  units.Size
+}
+
+// cacheTypes precomputes each event type's lookup context.
+func (t *SnipTable) cacheTypes() {
+	t.types = make(map[string]snipType, len(t.sel))
+	for et, fs := range t.sel {
+		t.types[et] = snipType{fields: fs, steps: fieldSteps(fs), width: t.sel.StateWidth(et)}
 	}
 }
 
@@ -365,7 +367,11 @@ func (t *SnipTable) Frozen() bool { return t.frozen }
 // panics.
 func (t *SnipTable) Insert(r *trace.Record) {
 	byEvent := t.byEvent(r.EventType)
-	ek, sk := t.sel.KeysFromRecord(r)
+	st := t.types[r.EventType]
+	ek, sk := keys(st.fields, st.steps, func(name string) (uint64, bool) {
+		f, ok := r.Input(name)
+		return f.Value, ok
+	})
 	t.insert(byEvent, ek, sk, r.Instr, func() []trace.Field { return r.Outputs },
 		func(out []trace.Field) bool { return sameOutputs(out, r.Outputs) })
 }
@@ -444,11 +450,12 @@ func (t *SnipTable) Lookup(eventType string, resolve Resolver) (entry *SnipEntry
 // lookup is the uninstrumented probe Lookup wraps.
 func (t *SnipTable) lookup(eventType string, resolve Resolver) (entry *SnipEntry, probes int64, comparedBytes units.Size, ok bool) {
 	byEvent := t.buckets[eventType]
-	width := t.stateWidth[eventType]
+	st := t.types[eventType]
+	width := st.width
 	if byEvent == nil {
 		return nil, 0, 0, false
 	}
-	ek, sk := t.sel.KeysFromRuntime(eventType, resolve)
+	ek, sk := keys(st.fields, st.steps, resolve)
 	b := byEvent[ek]
 	if b == nil {
 		return nil, 1, width, false

@@ -40,7 +40,7 @@ func FromWire(w *Wire) *SnipTable {
 	}
 	sel.Canonicalize()
 	t := &SnipTable{sel: sel, buckets: w.Buckets}
-	t.cacheWidths()
+	t.cacheTypes()
 	return t
 }
 

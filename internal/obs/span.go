@@ -84,7 +84,10 @@ func mix64(x uint64) uint64 {
 }
 
 // HashName hashes a series/span name with FNV-1a — allocation-free,
-// stable across runs, used to salt ID derivation per subsystem.
+// stable across runs, used to salt ID derivation per subsystem. It
+// starts from the standard 64-bit offset basis; trace.KeySeed, which
+// the data-path digests start from, is that number with its last digit
+// dropped, and the two must not be unified.
 func HashName(s string) uint64 {
 	const (
 		offset64 = 14695981039346656037

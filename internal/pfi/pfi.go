@@ -245,13 +245,6 @@ func splitByType(d *trace.Dataset, trainFrac float64) []*typeData {
 	return out
 }
 
-// absent is the value a key hashes for a field the record does not
-// carry (matches memo).
-const absent = uint64(0xdeadbeefcafef00d)
-
-// keySeed is the hash state a model key starts from.
-const keySeed = uint64(1469598103934665603)
-
 // fieldMeta describes one input field location within one event type.
 type fieldMeta struct {
 	name     string
@@ -271,15 +264,17 @@ type outVal struct {
 // search runs on. Record r < nTrain is a training record, the others
 // validate; validation record j is record nTrain+j.
 //
-// A model over a field subset keys record r on the trace.Combine chain
-// of (name hash, value) over the subset in sorted-name order, starting
-// from keySeed. Predicting a validation record finds the first training
-// record with the same key and compares outputs by name.
+// A model over a field subset keys record r on the chain of (name hash,
+// value) folds over the subset in sorted-name order, starting from
+// trace.KeySeed, with trace.Absent for a field the record lacks: the
+// key memo's tables give the record under the same selection.
+// Predicting a validation record finds the first training record with
+// the same key and compares outputs by name.
 type columns struct {
-	fields   []fieldMeta // input-field universe, sorted by name
-	nameHash []uint64    // trace.HashString of each field name
+	fields []fieldMeta  // input-field universe, sorted by name
+	steps  []trace.Step // the key-chain step of each field name's hash
 	// vals[f][r] is field f's value in record r: its first occurrence
-	// in the record's inputs, or absent.
+	// in the record's inputs, or trace.Absent.
 	vals   [][]uint64
 	instr  []int64 // per record
 	nTrain int
@@ -321,7 +316,7 @@ func newColumns(td *typeData) *columns {
 					c.fields = append(c.fields, fieldMeta{name: f.Name, category: f.Category})
 					col := make([]uint64, n)
 					for k := range col {
-						col[k] = absent
+						col[k] = trace.Absent
 					}
 					c.vals = append(c.vals, col)
 					setBy = append(setBy, 0)
@@ -377,10 +372,10 @@ func newColumns(td *typeData) *columns {
 	sort.Slice(perm, func(a, b int) bool { return c.fields[perm[a]].name < c.fields[perm[b]].name })
 	fields, vals := c.fields, c.vals
 	c.fields, c.vals = make([]fieldMeta, len(perm)), make([][]uint64, len(perm))
-	c.nameHash = make([]uint64, len(perm))
+	c.steps = make([]trace.Step, len(perm))
 	for i, p := range perm {
 		c.fields[i], c.vals[i] = fields[p], vals[p]
-		c.nameHash[i] = trace.HashString(fields[p].name)
+		c.steps[i] = trace.StepOf(trace.HashString(fields[p].name))
 	}
 	return c
 }
@@ -388,19 +383,19 @@ func newColumns(td *typeData) *columns {
 // extend sets dst[r] to src[r] with field f chained on, for every
 // record: one step of every record's model key at once.
 func (c *columns) extend(dst, src []uint64, f int) {
-	h, col := c.nameHash[f], c.vals[f]
+	s, col := c.steps[f], c.vals[f][:len(src)]
 	for r, k := range src {
-		dst[r] = trace.Combine(trace.Combine(k, h), col[r])
+		dst[r] = s.Fold(k, col[r])
 	}
 }
 
 // keysOf returns every record's key under a model over the given field
 // names, in the order given; a name outside the universe hashes as
-// absent in every record.
+// trace.Absent in every record.
 func (c *columns) keysOf(names []string) []uint64 {
 	keys := make([]uint64, len(c.instr))
 	for r := range keys {
-		keys[r] = keySeed
+		keys[r] = trace.KeySeed
 	}
 	for _, name := range names {
 		f := sort.Search(len(c.fields), func(i int) bool { return c.fields[i].name >= name })
@@ -408,9 +403,9 @@ func (c *columns) keysOf(names []string) []uint64 {
 			c.extend(keys, keys, f)
 			continue
 		}
-		h := trace.HashString(name)
+		s := trace.StepOf(trace.HashString(name))
 		for r, k := range keys {
-			keys[r] = trace.Combine(trace.Combine(k, h), absent)
+			keys[r] = s.Fold(k, trace.Absent)
 		}
 	}
 	return keys
@@ -589,7 +584,7 @@ func selectForType(td *typeData, cfg Config, r *rng.Source) typeResult {
 	prefix := make([][]uint64, nf+1)
 	prefix[0] = make([]uint64, nRec)
 	for i := range prefix[0] {
-		prefix[0][i] = keySeed
+		prefix[0][i] = trace.KeySeed
 	}
 	for f := range selected {
 		selected[f] = f
@@ -630,13 +625,13 @@ func selectForType(td *typeData, cfg Config, r *rng.Source) typeResult {
 			for j, v := range vals {
 				if v != orig[j] {
 					moved = append(moved, j)
-					movedKey = append(movedKey, trace.Combine(trace.Combine(pre[j], c.nameHash[f]), v))
+					movedKey = append(movedKey, c.steps[f].Fold(pre[j], v))
 				}
 			}
 			for g := f + 1; g < nf; g++ {
-				col, h := c.vals[g][c.nTrain:], c.nameHash[g]
+				col, s := c.vals[g][c.nTrain:], c.steps[g]
 				for i, j := range moved {
-					movedKey[i] = trace.Combine(trace.Combine(movedKey[i], h), col[j])
+					movedKey[i] = s.Fold(movedKey[i], col[j])
 				}
 			}
 			perm := baseCounts

@@ -210,7 +210,7 @@ func (d *Dataset) intern(k FieldKey, dir int) uint32 {
 		id = uint32(len(d.fields))
 		d.fieldID[k] = id
 		d.fields = append(d.fields, k)
-		d.fieldHash = append(d.fieldHash, hashString(k.Name))
+		d.fieldHash = append(d.fieldHash, HashString(k.Name))
 		d.fieldDirs = append(d.fieldDirs, 0)
 	}
 	d.fieldDirs[id] |= 1 << dir
@@ -398,9 +398,9 @@ func (d *Dataset) InputHash(i int) uint64 { return d.runHash(dirIn, i) }
 func (d *Dataset) OutputHash(i int) uint64 { return d.runHash(dirOut, i) }
 
 func (d *Dataset) runHash(dir, i int) uint64 {
-	h := uint64(fnvOffset)
+	h := KeySeed
 	for _, c := range d.run(dir, i) {
-		h = fnvMix(fnvMix(h, d.fieldHash[c.ID]), c.Value)
+		h = Mix(Mix(h, d.fieldHash[c.ID]), c.Value)
 	}
 	return h
 }
@@ -498,7 +498,7 @@ func (d *Dataset) UselessFraction() (events, instr float64) {
 func (d *Dataset) TypeHashes() []uint64 {
 	hs := make([]uint64, len(d.types))
 	for i, t := range d.types {
-		hs[i] = hashString(t)
+		hs[i] = HashString(t)
 	}
 	return hs
 }

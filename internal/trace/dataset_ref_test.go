@@ -130,7 +130,7 @@ func (d *refDataset) RepeatedFraction() float64 {
 	for _, r := range d.Records {
 		// "Exactly repetitive in their inputs" is judged on the union
 		// record: the event object AND every byte of application state.
-		h := Combine(refInputHash(r), hashString(r.EventType))
+		h := Combine(refInputHash(r), HashString(r.EventType))
 		h = Combine(h, r.PreStateHash)
 		if _, ok := seen[h]; ok {
 			repeats++
@@ -151,7 +151,7 @@ func (d *refDataset) RedundantFraction() float64 {
 	seen := make(map[uint64]struct{}, len(d.Records))
 	var redundant int
 	for _, r := range d.Records {
-		h := Combine(refOutputHash(r), hashString(r.EventType))
+		h := Combine(refOutputHash(r), HashString(r.EventType))
 		if _, ok := seen[h]; ok {
 			redundant++
 		} else {
@@ -247,7 +247,7 @@ func refInputHash(r *Record) uint64 {
 		}
 	}
 	for _, f := range r.Inputs {
-		mix(hashString(f.Name))
+		mix(HashString(f.Name))
 		mix(f.Value)
 	}
 	return h

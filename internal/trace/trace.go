@@ -115,21 +115,6 @@ func containsCat(cats []Category, c Category) bool {
 	return false
 }
 
-// FNV-1a parameters of every digest in this package.
-const (
-	fnvOffset = 1469598103934665603
-	fnvPrime  = 1099511628211
-)
-
-// fnvMix folds v's eight bytes, low first, into FNV-1a state h.
-func fnvMix(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= (v >> (8 * i)) & 0xff
-		h *= fnvPrime
-	}
-	return h
-}
-
 // Output returns the output field with the given name, if present.
 func (r *Record) Output(name string) (Field, bool) {
 	for _, f := range r.Outputs {
@@ -148,39 +133,4 @@ func (r *Record) Input(name string) (Field, bool) {
 		}
 	}
 	return Field{}, false
-}
-
-func hashString(s string) uint64 {
-	h := uint64(fnvOffset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
-	}
-	return h
-}
-
-// HashString exposes the FNV-1a digest used throughout the tracer so that
-// games hash state content consistently.
-func HashString(s string) uint64 { return hashString(s) }
-
-// HashValues digests a sequence of integers (state content).
-func HashValues(vs ...int64) uint64 {
-	h := uint64(fnvOffset)
-	for _, v := range vs {
-		h = fnvMix(h, uint64(v))
-	}
-	return h
-}
-
-// Combine folds two hashes into one. The multiply happens BEFORE the
-// byte XOR (FNV-1 order) so that Combine is not commutative even for
-// small operands — Combine(1,2) must differ from Combine(2,1).
-func Combine(a, b uint64) uint64 {
-	h := a
-	u := b
-	for i := 0; i < 8; i++ {
-		h *= fnvPrime
-		h ^= (u >> (8 * i)) & 0xff
-	}
-	return h
 }
