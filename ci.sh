@@ -130,6 +130,33 @@ go test -run '^$' -bench '^BenchmarkProcess$' -benchtime 1x -benchmem ./internal
 echo "== batch codec smoke (one pass of BenchmarkBatchCodec: encode + decode of every game's 4-session batch)"
 go test -run '^$' -bench '^BenchmarkBatchCodec$' -benchtime 1x -benchmem ./internal/cloud
 
+echo "== delta codec smoke + decode allocation gate (one pass of BenchmarkDeltaCodec: encode + decode of every game's learn-shaped delta, B/frame; decode allocs/upsert per game must stay within its committed bound)"
+# The decoder allocates per string, per table and per frame, never per
+# upsert: the outputs of all upserts share one array. Each run starts
+# from a GC, so the pooled payload buffer is cold and the counts repeat
+# exactly. Each bound sits at about 1.2x what one pass measures (0.037
+# to 0.226 allocs/upsert); the gob decoder took 6.6 to 8.5.
+delta_out=$(go test -run '^$' -bench '^BenchmarkDeltaCodec$' -benchtime 1x -benchmem ./internal/cloud)
+echo "$delta_out"
+echo "$delta_out" | awk '
+BEGIN {
+	bound["Colorphun"] = 0.047; bound["MemoryGame"] = 0.27; bound["CandyCrush"] = 0.26
+	bound["Greenwall"] = 0.071; bound["ABEvolution"] = 0.106; bound["ChaseWhisply"] = 0.094
+	bound["RaceKings"] = 0.044
+}
+/^BenchmarkDeltaCodec\/.*\/decode/ {
+	split($1, name, "/"); game = name[2]
+	v = ""
+	for (i = 2; i < NF; i++) if ($(i + 1) == "allocs/upsert") v = $i
+	seen[game] = 1
+	if (!(game in bound) || v == "") { printf "delta decode allocation gate: no bound or no allocs/upsert for %s\n", game > "/dev/stderr"; bad = 1 }
+	else if (v + 0 > bound[game]) { printf "delta decode allocation gate: %s allocates %s per upsert, bound %s\n", game, v, bound[game] > "/dev/stderr"; bad = 1 }
+}
+END {
+	for (game in bound) if (!(game in seen)) { printf "delta decode allocation gate: %s not measured\n", game > "/dev/stderr"; bad = 1 }
+	exit bad
+}'
+
 echo "== delta apply complexity gate (rewrite shape: every key of one bucket removed and upserted; ns/op at 8k rows must stay within 8x of 2k rows, both measured now)"
 # Linear apply gives a ratio of about 4, a quadratic one about 16. Both
 # sizes run in one process, so machine speed cancels out of the ratio.

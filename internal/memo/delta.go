@@ -25,7 +25,7 @@ import (
 // types it touches, removing whole buckets' keys and upserting them
 // back. Such deltas are common and still pass the cloud's size check:
 // in perfbench learn rounds one RaceKings delta removes 5813 keys and
-// upserts 7121, encoding to 252 KB against a 710 KB image, and no round
+// upserts 7121, encoding to 189 KB against a 710 KB image, and no round
 // fell back to the full image. ApplyDelta therefore rebuilds each
 // touched bucket in one pass, O(base + delta), however many keys one
 // bucket loses.

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"compress/gzip"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -57,7 +58,7 @@ func EncodeBatch(w io.Writer, b *SessionBatch) error {
 	if err != nil {
 		return fmt.Errorf("trace: encode batch: %w", err)
 	}
-	return writeFrame(w, magicBatch, "batch", func(zw io.Writer) error {
+	return writeFrame(w, magicBatch, "batch", gzip.DefaultCompression, func(zw io.Writer) error {
 		_, err := zw.Write(p)
 		return err
 	})
@@ -156,18 +157,20 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// payloadReader walks a SNIPBTCH2 payload. The first fault sticks in
-// err and every later read returns zero, so the parser checks err once
-// per element rather than after every field.
+// payloadReader walks a SNIPBTCH2 or SNIPDLT2 payload; name says which
+// in its errors. The first fault sticks in err and every later read
+// returns zero, so the parser checks err once per element rather than
+// after every field.
 type payloadReader struct {
-	buf []byte
-	off int
-	err error
+	name string
+	buf  []byte
+	off  int
+	err  error
 }
 
 func (r *payloadReader) fail(format string, args ...any) {
 	if r.err == nil {
-		r.err = fmt.Errorf("batch payload at byte %d: "+format, append([]any{r.off}, args...)...)
+		r.err = fmt.Errorf("%s payload at byte %d: "+format, append([]any{r.name, r.off}, args...)...)
 	}
 }
 
@@ -197,6 +200,19 @@ func (r *payloadReader) varint() int64 {
 	return v
 }
 
+// fixed returns the next n bytes, a little-endian fixed-width integer,
+// or n zero bytes after a fault.
+func (r *payloadReader) fixed(n int) []byte {
+	if r.err == nil && len(r.buf)-r.off < n {
+		r.fail("truncated %d-byte integer", n)
+	}
+	if r.err != nil {
+		return make([]byte, n)
+	}
+	r.off += n
+	return r.buf[r.off-n : r.off]
+}
+
 // count reads a declared element count and fails unless the bytes left
 // could hold that many elements of at least minBytes each — the check
 // that keeps a few hostile bytes from sizing a huge allocation.
@@ -222,7 +238,7 @@ func (r *payloadReader) str(what string) string {
 // parseBatch decodes a SNIPBTCH2 payload written by appendBatch. The
 // events of a session share one backing array for their values.
 func parseBatch(p []byte) (*SessionBatch, error) {
-	r := &payloadReader{buf: p}
+	r := &payloadReader{name: "batch", buf: p}
 	b := &SessionBatch{Game: r.str("game")}
 	nSessions := r.count("sessions", minSessionBytes)
 	nTypes := r.count("event types", 1)

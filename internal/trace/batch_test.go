@@ -140,12 +140,12 @@ func TestBatchEncodeRejectsNilLog(t *testing.T) {
 	}
 }
 
-// frameBatch wraps payload in a valid SNIPBTCH2 frame — magic, gzip and
-// a matching CRC trailer — so a test reaches the payload parser.
-func frameBatch(tb testing.TB, payload []byte) []byte {
+// framed wraps payload in a valid frame — magic, gzip and a matching
+// CRC trailer — so a test reaches the payload parser.
+func framed(tb testing.TB, magic string, payload []byte) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	buf.WriteString(magicBatch)
+	buf.WriteString(magic)
 	crc := crc32.NewIEEE()
 	zw := gzip.NewWriter(io.MultiWriter(&buf, crc))
 	if _, err := zw.Write(payload); err != nil {
@@ -158,8 +158,9 @@ func frameBatch(tb testing.TB, payload []byte) []byte {
 	return binary.BigEndian.AppendUint32(buf.Bytes(), crc.Sum32())
 }
 
-// payload assembles a hand-built SNIPBTCH2 payload: uint64s become
-// uvarints, strings length-prefixed strings and []byte raw bytes.
+// payload assembles a hand-built SNIPBTCH2 or SNIPDLT2 payload: uint64s
+// and ints become uvarints, strings length-prefixed strings and []byte
+// raw bytes.
 func payload(parts ...any) []byte {
 	var p []byte
 	for _, x := range parts {
@@ -208,7 +209,7 @@ func TestBatchHostilePayloadsRejected(t *testing.T) {
 		if got := bytesPerRun(func() { parseBatch(p) }); got > 1<<10 {
 			t.Errorf("%s: %d bytes allocated per parse, want <= 1 KiB", name, got)
 		}
-		wire := frameBatch(t, p)
+		wire := framed(t, magicBatch, p)
 		_, err := DecodeBatch(bytes.NewReader(wire))
 		if err == nil || errors.Is(err, ErrBatchTooLarge) {
 			t.Errorf("%s: framed decode got %v, want a corrupt-payload error", name, err)
@@ -218,7 +219,7 @@ func TestBatchHostilePayloadsRejected(t *testing.T) {
 			t.Errorf("%s: %d bytes allocated per framed decode, want <= 64 KiB", name, got)
 		}
 	}
-	_, err := DecodeBatch(bytes.NewReader(frameBatch(t, hostilePayloads["trailing bytes"])))
+	_, err := DecodeBatch(bytes.NewReader(framed(t, magicBatch, hostilePayloads["trailing bytes"])))
 	if !errors.Is(err, ErrBatchChecksum) {
 		t.Errorf("trailing bytes: got %v, want ErrBatchChecksum", err)
 	}
@@ -245,7 +246,7 @@ func TestBatchDecodedCapExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire := frameBatch(t, p)
+	wire := framed(t, magicBatch, p)
 	if _, err := DecodeBatchLimit(bytes.NewReader(wire), int64(len(p))); err != nil {
 		t.Fatalf("payload of exactly the cap: %v", err)
 	}

@@ -123,7 +123,7 @@ func DecodeEventsOnly(r io.Reader) (*EventLog, error) {
 }
 
 // The trailer-guarded frame shared by the SNIPBTCH2 session-batch,
-// SNIPTEL1 telemetry and SNIPDLT1 delta codecs: magic, gzip(body), then
+// SNIPTEL1 telemetry and SNIPDLT2 delta codecs: magic, gzip(body), then
 // an integrity trailer of 4 marker bytes plus the big-endian CRC32
 // (IEEE) of the gzip bytes. A flipped or truncated body is rejected
 // deterministically at decode time instead of surfacing as a
@@ -160,25 +160,31 @@ var (
 // A deflate compressor is most of a MiB of state, far more than a
 // typical frame's payload, so frames reuse gzip writers instead of
 // allocating one each. Reset leaves a writer byte-for-byte equivalent
-// to a new one.
-var gzipWriters sync.Pool // *gzip.Writer
+// to a new one of the same level, so the pools are per level, indexed
+// by level - gzip.HuffmanOnly.
+var gzipWriters [gzip.BestCompression - gzip.HuffmanOnly + 1]sync.Pool // *gzip.Writer
 
-// writeFrame writes one frame — magic + gzip(body) + CRC32 trailer.
-// body writes the uncompressed payload; label names the frame in errors.
-func writeFrame(w io.Writer, magic, label string, body func(io.Writer) error) error {
+// writeFrame writes one frame — magic + gzip(body) + CRC32 trailer —
+// compressing at the given gzip level, which each codec fixes. body
+// writes the uncompressed payload; label names the frame in errors.
+func writeFrame(w io.Writer, magic, label string, level int, body func(io.Writer) error) error {
 	bw := bufio.NewWriter(w)
 	if _, err := io.WriteString(bw, magic); err != nil {
 		return err
 	}
 	crc := crc32.NewIEEE()
 	out := io.MultiWriter(bw, crc)
-	zw, _ := gzipWriters.Get().(*gzip.Writer)
+	pool := &gzipWriters[level-gzip.HuffmanOnly]
+	zw, _ := pool.Get().(*gzip.Writer)
 	if zw == nil {
-		zw = gzip.NewWriter(out)
+		var err error
+		if zw, err = gzip.NewWriterLevel(out, level); err != nil {
+			return fmt.Errorf("trace: encode %s: %w", label, err)
+		}
 	} else {
 		zw.Reset(out)
 	}
-	defer gzipWriters.Put(zw)
+	defer pool.Put(zw)
 	if err := body(zw); err != nil {
 		return fmt.Errorf("trace: encode %s: %w", label, err)
 	}
@@ -250,10 +256,10 @@ func readFrame(r io.Reader, magic, label string, maxDecoded int64, body func(io.
 	return nil
 }
 
-// encodeGobFrame writes v as one gob-bodied frame — the SNIPTEL1 and
-// SNIPDLT1 wire forms.
+// encodeGobFrame writes v as one gob-bodied frame — the SNIPTEL1 wire
+// form.
 func encodeGobFrame(w io.Writer, magic, label string, v any) error {
-	return writeFrame(w, magic, label, func(zw io.Writer) error {
+	return writeFrame(w, magic, label, gzip.DefaultCompression, func(zw io.Writer) error {
 		return gob.NewEncoder(zw).Encode(v)
 	})
 }

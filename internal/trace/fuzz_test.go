@@ -30,7 +30,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	// Valid frames around hostile payloads start the fuzzer past the
 	// checksum, in the parser.
 	for _, p := range hostilePayloads {
-		f.Add(frameBatch(f, p))
+		f.Add(framed(f, magicBatch, p))
 	}
 	f.Add([]byte("SNIPBTCH2"))
 	f.Add([]byte("SNIPEVTS1junk"))
@@ -63,16 +63,7 @@ func FuzzDecodeBatch(f *testing.F) {
 
 func FuzzDecodeDelta(f *testing.F) {
 	var buf bytes.Buffer
-	chain := &DeltaChain{Game: "Colorphun", Deltas: []TableDelta{{
-		Game: "Colorphun", FromVersion: 1, ToVersion: 2, FromCRC: 0xDEAD, ToCRC: 0xBEEF,
-		Selection: []SelectionType{{EventType: "tap", Fields: []SelectionField{{Name: "event.tap.x", Category: InEvent, Size: 4}}}},
-		Removed:   []DeltaKey{{Type: "tap", EventKey: 7, StateKey: 9}},
-		Upserts: []DeltaEntry{{
-			Key: DeltaKey{Type: "tap", EventKey: 7, StateKey: 11}, Pos: 2, Instr: 100,
-			Outputs: []Field{{Name: "state.out", Category: OutHistory, Size: 4, Value: 5}},
-		}},
-	}}}
-	if err := EncodeDeltaChain(&buf, chain); err != nil {
+	if err := EncodeDeltaChain(&buf, goldenChain()); err != nil {
 		f.Fatal(err)
 	}
 	wire := buf.Bytes()
@@ -82,14 +73,41 @@ func FuzzDecodeDelta(f *testing.F) {
 	flipped := bytes.Clone(wire)
 	flipped[len(flipped)/2] ^= 0x01
 	f.Add(flipped)
-	f.Add([]byte("SNIPDLT1"))
+	// The format SNIPDLT2 replaced, and its magic on a SNIPDLT2 body:
+	// both must be rejected.
+	f.Add(snipdlt1Frame(f, goldenChain()))
+	f.Add(append([]byte("SNIPDLT1"), wire[8:]...))
+	// Valid frames around hostile payloads start the fuzzer past the
+	// checksum, in the parser.
+	for _, p := range hostileDeltaPayloads {
+		f.Add(framed(f, magicDelta, p))
+	}
+	f.Add([]byte("SNIPDLT2"))
 	f.Add([]byte("SNIPBTCH2junk"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := DecodeDeltaChain(bytes.NewReader(data), 1<<20)
-		if err == nil && c == nil {
+		if err != nil {
+			return
+		}
+		if c == nil {
 			t.Fatal("nil chain with nil error")
+		}
+		if bytes.HasPrefix(data, []byte("SNIPDLT1")) {
+			t.Fatal("a SNIPDLT1 frame decoded")
+		}
+		// Whatever decodes is a chain the encoder can carry unchanged.
+		var wire bytes.Buffer
+		if err := EncodeDeltaChain(&wire, c); err != nil {
+			t.Fatalf("decoded chain does not re-encode: %v", err)
+		}
+		again, err := DecodeDeltaChain(bytes.NewReader(wire.Bytes()), 0)
+		if err != nil {
+			t.Fatalf("re-encoded chain does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(c, again) {
+			t.Fatalf("re-encode changed the chain:\n%+v\n%+v", c, again)
 		}
 	})
 }
