@@ -157,6 +157,29 @@ END {
 	exit bad
 }'
 
+echo "== table build gate (BenchmarkBuildFlat: BuildFlat allocs/op must stay within its committed bound, and its ns/op within 1.25x of the BuildSnip + Flatten path's, both measured now)"
+# Allocation counts are deterministic, so the bound is hard; it sits at
+# about 1.2x the 80 allocs/op the direct build measures (the map path
+# takes 106). Both paths key the same 4096 rows into 8 entries, so the
+# direct build saves little here: single runs measure 0.7x to 1.1x of
+# the map path's ns/op on a shared 2-vCPU VM. The gate takes each path's
+# fastest of five runs, made in one process so machine speed cancels
+# out, and fails when the direct build is 1.25x slower than the path it
+# replaced.
+build_out=$(go test -run '^$' -bench '^BenchmarkBuildFlat$' -benchmem -benchtime 200x -count 5 ./internal/memo)
+echo "$build_out"
+echo "$build_out" | awk '
+function field(unit,   i) { for (i = 2; i < NF; i++) if ($(i + 1) == unit) return $i; return "" }
+/BuildFlat\/direct/ { v = field("ns/op") + 0; if (d == "" || v < d) d = v; a = field("allocs/op") + 0 > a ? field("allocs/op") + 0 : a }
+/BuildFlat\/map/ { v = field("ns/op") + 0; if (m == "" || v < m) m = v }
+END {
+	if (d == "" || m == "" || a == "") { print "table build gate: BenchmarkBuildFlat did not report" > "/dev/stderr"; exit 1 }
+	if (a > 96) { printf "table build gate: BuildFlat allocates %s per build, bound 96\n", a > "/dev/stderr"; bad = 1 }
+	if (d / m > 1.25) { printf "table build gate: ns/op(BuildFlat) / ns/op(BuildSnip + Flatten) = %.2f, bound 1.25\n", d / m > "/dev/stderr"; bad = 1 }
+	printf "BuildFlat allocs/op = %s; fastest ns/op(BuildFlat) / fastest ns/op(BuildSnip + Flatten) = %.2f\n", a, d / m
+	exit bad
+}'
+
 echo "== delta apply complexity gate (rewrite shape: every key of one bucket removed and upserted; ns/op at 8k rows must stay within 8x of 2k rows, both measured now)"
 # Linear apply gives a ratio of about 4, a quadratic one about 16. Both
 # sizes run in one process, so machine speed cancels out of the ratio.

@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
@@ -49,5 +50,55 @@ func TestLearnImageGolden(t *testing.T) {
 			t.Errorf("%s: generation 1 CRC %08x, generation 2 CRC %08x, frame SHA-256 %x; want %08x, %08x, %s",
 				game, base.ArenaCRC(), gen2, sum, want.gen1, want.gen2, want.frame)
 		}
+	}
+}
+
+// TestBuildFlatMatchesMapBuild: on every game's learn-shaped profile
+// under its PFI selection, the direct build gives the image, size and
+// fingerprint of the map path it replaced (BuildSnip, then Flatten).
+func TestBuildFlatMatchesMapBuild(t *testing.T) {
+	if testing.Short() {
+		t.Skip("records 8 sessions per game")
+	}
+	for _, game := range games.Names() {
+		p, _ := learnDeltaRounds(t, game)
+		sel := p.Latest().Selection
+		want, err := memo.Flatten(memo.BuildSnip(p.profile, sel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := memo.BuildFlat(p.profile, sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Image(), want.Image()) || got.Size() != want.Size() || got.Fingerprint() != want.Fingerprint() {
+			t.Errorf("%s: BuildFlat differs from BuildSnip + Flatten", game)
+		}
+	}
+}
+
+// BenchmarkTableBuild times each game's learn-shaped table build from
+// its profile and selection, direct (BuildFlat) and through the map
+// table (BuildSnip, then Flatten).
+func BenchmarkTableBuild(b *testing.B) {
+	for _, game := range games.Names() {
+		p, _ := learnDeltaRounds(b, game)
+		sel := p.Latest().Selection
+		b.Run(game+"/direct", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := memo.BuildFlat(p.profile, sel); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(game+"/map", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := memo.Flatten(memo.BuildSnip(p.profile, sel)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

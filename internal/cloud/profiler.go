@@ -106,7 +106,8 @@ func ReplayBatch(gameName string, workers int, logs []SessionLog) ([]*trace.Data
 
 // TableUpdate is the OTA payload the cloud sends back to devices: the
 // necessary-input selection and the populated lookup table. The table
-// is a *memo.FlatTable by default (the image-serving path) or a
+// is a *memo.FlatTable by default (the image-serving path, built
+// straight from the profile's columns by memo.BuildFlat) or a
 // *memo.SnipTable when legacy tables are selected.
 type TableUpdate struct {
 	Game      string
@@ -150,8 +151,17 @@ type Profiler struct {
 
 // NewProfiler creates a profiler for one game. Rebuilds produce flat
 // tables unless SetLegacyTables switches the profiler to the map-backed
-// path.
+// path. Unless cfg names its own ForceInclude set, PFI keeps the fields
+// the game's developer marked as necessary (games.Game.Overrides).
 func NewProfiler(game string, cfg pfi.Config) *Profiler {
+	if g, err := games.New(game); err == nil && cfg.ForceInclude == nil {
+		if ov := g.Overrides(); len(ov) > 0 {
+			cfg.ForceInclude = make(map[string]bool, len(ov))
+			for _, f := range ov {
+				cfg.ForceInclude[f] = true
+			}
+		}
+	}
 	return &Profiler{game: game, cfg: cfg, profile: &trace.Dataset{Game: game}, deltaCap: DefaultMaxDeltaChain}
 }
 
@@ -237,23 +247,15 @@ func (p *Profiler) Rebuild() (*TableUpdate, error) {
 	if p.profile.Len() == 0 {
 		return nil, fmt.Errorf("cloud: no profile data for %s", p.game)
 	}
-	cfg := p.cfg
-	if g, err := games.New(p.game); err == nil {
-		if ov := g.Overrides(); len(ov) > 0 && cfg.ForceInclude == nil {
-			cfg.ForceInclude = make(map[string]bool, len(ov))
-			for _, f := range ov {
-				cfg.ForceInclude[f] = true
-			}
-		}
-	}
-	res, err := pfi.Run(p.profile, cfg)
+	res, err := pfi.Run(p.profile, p.cfg)
 	if err != nil {
 		return nil, err
 	}
-	var table memo.Table = memo.BuildSnip(p.profile, res.Selection)
-	if !p.legacy {
-		table.Freeze()
-		flat, err := memo.Flatten(table)
+	var table memo.Table
+	if p.legacy {
+		table = memo.BuildSnip(p.profile, res.Selection)
+	} else {
+		flat, err := memo.BuildFlat(p.profile, res.Selection)
 		if err != nil {
 			return nil, fmt.Errorf("cloud: flat table build for %s: %w", p.game, err)
 		}
@@ -309,7 +311,7 @@ func (p *Profiler) Latest() *TableUpdate {
 	return p.latest
 }
 
-// DeltaChainFrom returns the encoded SNIPDLT1 frame of the consecutive
+// DeltaChainFrom returns the encoded SNIPDLT2 frame of the consecutive
 // deltas that carry a device from generation gen to the latest version,
 // oldest first, or nil when the chain cannot serve it (device already
 // current or ahead, never fetched a table, too far behind for the

@@ -152,6 +152,34 @@ func BenchmarkBuildSnip(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildFlat times a flat table build from BenchmarkBuildSnip's
+// profile and selection two ways: direct (BuildFlat) and through the map
+// table (BuildSnip, then Flatten). ci.sh gates direct's allocs/op and
+// its ns/op against the map path's.
+func BenchmarkBuildFlat(b *testing.B) {
+	d := synthProfile(4096)
+	sel := Selection{"tap": {
+		{Name: "event.tap.x", Category: trace.InEvent, Size: 4},
+		{Name: "state.mode", Category: trace.InHistory, Size: 1},
+	}}
+	for _, path := range []struct {
+		name  string
+		build func() (*FlatTable, error)
+	}{
+		{"direct", func() (*FlatTable, error) { return BuildFlat(d, sel) }},
+		{"map", func() (*FlatTable, error) { return Flatten(BuildSnip(d, sel)) }},
+	} {
+		b.Run(path.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if ft, err := path.build(); err != nil || ft.Rows() == 0 {
+					b.Fatal("empty table", err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkBuildNaive(b *testing.B) {
 	d := synthProfile(4096)
 	b.ReportAllocs()

@@ -1,10 +1,13 @@
 package memo
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"snip/internal/trace"
 )
@@ -12,13 +15,19 @@ import (
 // Flat-image delta diff/apply: the cloud diffs consecutive SNIPFLT1
 // images after every rebuild into a trace.TableDelta (entry-level edits
 // keyed by the open-addressing key hashes), and a device patches its
-// current image forward by replaying the edits into a fresh table and
-// recompiling the canonical image. Because the flat builder is a
-// deterministic function of the table contents, "patch then recompile"
-// reproduces the cloud's image byte-exactly — which the mandatory
-// ToCRC check proves before the table can reach a memo.Shared swap.
+// current image forward by splicing the edits into it. Both walk the
+// images' bucket records in canonical order, never a map table. DiffFlat
+// merges the two bucket walks and finds each entry's old version
+// through the old image's entry index. ApplyDelta copies the keys, meta
+// and output records of the buckets the delta does not touch as byte
+// ranges, rewrites only the touched buckets, and rebuilds both slot
+// indexes, all through the image writer the builders use. The writer is
+// canonical, so "splice then reload" reproduces the cloud's image
+// byte-exactly — which the mandatory ToCRC check proves, after the full
+// LoadFlatTable validation, before the table can reach a memo.Shared
+// swap.
 //
-// Profiling is append-only (Dataset.Merge) and BuildSnip keeps
+// Profiling is append-only (Dataset.Merge) and the builders keep
 // first-profiled entries on conflicts, so under a stable selection a
 // rebuild only appends entries to bucket tails and adds buckets: the
 // delta is O(new entries). A selection change rewrites every key of the
@@ -44,21 +53,59 @@ func (t *FlatTable) ArenaCRC() uint32 {
 	return binary.LittleEndian.Uint32(t.img[48:])
 }
 
-// walkFlat visits every bucket in stored (canonical) order with its
-// owning type name, event key and entry slice.
-func (t *FlatTable) walkFlat(fn func(et string, ek uint64, entries []SnipEntry)) {
-	byHash := make(map[uint64]string, len(t.types))
-	for name, ft := range t.types {
-		byHash[ft.hash] = name
+// section returns arena section i of a loaded table.
+func (t *FlatTable) section(i int) []byte {
+	end := uint64(len(t.arena))
+	if i+1 < flatDirSections {
+		end = binary.LittleEndian.Uint64(t.arena[8*(i+1):])
 	}
-	for bi := 0; bi < t.bucketCnt; bi++ {
-		rec := t.arena[t.bucketsOff+flatBucketRecLen*bi:]
-		th := binary.LittleEndian.Uint64(rec)
-		ek := binary.LittleEndian.Uint64(rec[8:])
-		first := binary.LittleEndian.Uint32(rec[16:])
-		count := binary.LittleEndian.Uint32(rec[20:])
-		fn(byHash[th], ek, t.entries[first:uint64(first)+uint64(count)])
+	return t.arena[binary.LittleEndian.Uint64(t.arena[8*i:]):end]
+}
+
+// bucketCursor walks a flat table's bucket records in stored, canonical
+// order: owning types by name, event keys ascending within a type.
+type bucketCursor struct {
+	t            *FlatTable
+	types        []string // the owning types, sorted
+	hashes       []uint64 // their type hashes
+	bi, ti       int      // current bucket and its type's index in types
+	et           string
+	th, ek       uint64
+	first, count uint32
+}
+
+func (t *FlatTable) cursor() *bucketCursor {
+	c := &bucketCursor{t: t, bi: -1, ti: -1}
+	for et := range t.types {
+		c.types = append(c.types, et)
 	}
+	sort.Strings(c.types)
+	for _, et := range c.types {
+		c.hashes = append(c.hashes, t.types[et].hash)
+	}
+	return c
+}
+
+// next moves to the next bucket and reports whether there is one.
+// LoadFlatTable has checked that the buckets follow the type list.
+func (c *bucketCursor) next() bool {
+	if c.bi+1 >= c.t.bucketCnt {
+		return false
+	}
+	c.bi++
+	rec := c.t.arena[c.t.bucketsOff+flatBucketRecLen*c.bi:]
+	c.th, c.ek = binary.LittleEndian.Uint64(rec), binary.LittleEndian.Uint64(rec[8:])
+	c.first, c.count = binary.LittleEndian.Uint32(rec[16:]), binary.LittleEndian.Uint32(rec[20:])
+	for c.ti < 0 || c.hashes[c.ti] != c.th {
+		c.ti++
+	}
+	c.et = c.types[c.ti]
+	return true
+}
+
+// compareBuckets orders two buckets canonically.
+func compareBuckets(et1 string, ek1 uint64, et2 string, ek2 uint64) int {
+	return cmp.Or(strings.Compare(et1, et2), cmp.Compare(ek1, ek2))
 }
 
 // selectionToWire converts a Selection into the trace-level form a
@@ -105,21 +152,15 @@ func deltaEntryEqual(a, b *SnipEntry) bool {
 
 // DiffFlat computes the delta that patches old into new: removed keys,
 // plus one upsert per added-or-changed entry carrying its scan position
-// in the target bucket. The walk order is canonical on both sides, so
-// identical inputs produce an identical delta. game and the version
-// pair are stamped into the delta for chain bookkeeping; the CRCs come
-// from the two images.
+// in the target bucket. It merges the two images' bucket walks, so
+// upserts come in the new image's canonical order and removals in the
+// old image's, and identical inputs produce an identical delta. game and
+// the version pair are stamped into the delta for chain bookkeeping; the
+// CRCs come from the two images.
 func DiffFlat(game string, fromVersion, toVersion int, old, new *FlatTable) (*trace.TableDelta, error) {
 	if old == nil || new == nil {
 		return nil, fmt.Errorf("memo: diff: nil table")
 	}
-	oldEntries := make(map[trace.DeltaKey]*SnipEntry, old.Rows())
-	old.walkFlat(func(et string, ek uint64, entries []SnipEntry) {
-		for i := range entries {
-			oldEntries[trace.DeltaKey{Type: et, EventKey: ek, StateKey: entries[i].StateKey}] = &entries[i]
-		}
-	})
-
 	d := &trace.TableDelta{
 		Game:        game,
 		FromVersion: fromVersion,
@@ -128,57 +169,61 @@ func DiffFlat(game string, fromVersion, toVersion int, old, new *FlatTable) (*tr
 		ToCRC:       new.ArenaCRC(),
 		Selection:   selectionToWire(new.sel),
 	}
-	seen := make(map[trace.DeltaKey]bool, old.Rows())
-	new.walkFlat(func(et string, ek uint64, entries []SnipEntry) {
-		for i := range entries {
-			k := trace.DeltaKey{Type: et, EventKey: ek, StateKey: entries[i].StateKey}
-			if prev, ok := oldEntries[k]; ok {
-				seen[k] = true
-				if deltaEntryEqual(prev, &entries[i]) {
-					continue
+	upsert := func(et string, ek uint64, pos int, e *SnipEntry) {
+		d.Upserts = append(d.Upserts, trace.DeltaEntry{
+			Key: trace.DeltaKey{Type: et, EventKey: ek, StateKey: e.StateKey}, Pos: uint32(pos), Instr: e.Instr, Outputs: e.Outputs,
+		})
+	}
+	var kept []bool // kept[i]: the old bucket's entry i is in the new one
+	o, n := old.cursor(), new.cursor()
+	oOK, nOK := o.next(), n.next()
+	for oOK || nOK {
+		c := -1
+		if !oOK {
+			c = 1
+		} else if nOK {
+			c = compareBuckets(o.et, o.ek, n.et, n.ek)
+		}
+		kept = slices.Grow(kept[:0], int(o.count))[:o.count]
+		clear(kept)
+		if c >= 0 {
+			bh := trace.Combine(n.th, n.ek)
+			for i := range n.count {
+				e := &new.entries[n.first+i]
+				if c == 0 {
+					if j, ok := old.probeEntry(trace.Combine(bh, e.StateKey), e.StateKey, o.first, o.count); ok {
+						kept[j-o.first] = true
+						if deltaEntryEqual(&old.entries[j], e) {
+							continue
+						}
+					}
+				}
+				upsert(n.et, n.ek, int(i), e)
+			}
+			nOK = n.next()
+		}
+		if c <= 0 {
+			for i, e := range old.entries[o.first : o.first+o.count] {
+				if !kept[i] {
+					d.Removed = append(d.Removed, trace.DeltaKey{Type: o.et, EventKey: o.ek, StateKey: e.StateKey})
 				}
 			}
-			d.Upserts = append(d.Upserts, trace.DeltaEntry{
-				Key:     k,
-				Pos:     uint32(i),
-				Instr:   entries[i].Instr,
-				Outputs: entries[i].Outputs,
-			})
+			oOK = o.next()
 		}
-	})
-	old.walkFlat(func(et string, ek uint64, entries []SnipEntry) {
-		for i := range entries {
-			k := trace.DeltaKey{Type: et, EventKey: ek, StateKey: entries[i].StateKey}
-			if !seen[k] {
-				d.Removed = append(d.Removed, k)
-			}
-		}
-	})
+	}
 	return d, nil
 }
 
-type deltaBucketKey struct {
-	et string
-	ek uint64
-}
-
-// bucketEdits is one bucket's share of a delta: the state keys it
-// removes and its upserts in delta order.
-type bucketEdits struct {
-	removed map[uint64]bool
-	upserts []*trace.DeltaEntry
-}
-
-// ApplyDelta patches old forward by one generation: replay the delta's
-// removals and upserts onto the base's buckets, recompile the canonical
-// flat image, run it through full LoadFlatTable validation, and prove
-// the arena CRC equals the delta's ToCRC. A nil error therefore
-// guarantees the result is byte-identical to the table the cloud built
-// AND passed the same validation a full OTA image would. Apply runs
-// twice per OTA round (the cloud's self-verify, then the device), and
-// its patch step is O(base + delta): edits are grouped by bucket and
-// each touched bucket is rebuilt in one pass. The returned table's
-// lookup path allocates nothing, like any loaded flat table.
+// ApplyDelta patches old forward by one generation: it splices the
+// delta's removals and upserts into the base image, runs the result
+// through full LoadFlatTable validation, and proves the arena CRC
+// equals the delta's ToCRC. A nil error therefore guarantees the result
+// is byte-identical to the table the cloud built AND passed the same
+// validation a full OTA image would. Apply runs twice per OTA round (the
+// cloud's self-verify, then the device), and is O(base + delta): the
+// buckets the delta does not touch are copied as byte ranges, and each
+// touched bucket is rebuilt in one pass. The returned table's lookup
+// path allocates nothing, like any loaded flat table.
 func ApplyDelta(old *FlatTable, d *trace.TableDelta) (*FlatTable, error) {
 	if old == nil || d == nil {
 		return nil, fmt.Errorf("memo: apply: nil input")
@@ -186,75 +231,11 @@ func ApplyDelta(old *FlatTable, d *trace.TableDelta) (*FlatTable, error) {
 	if got := old.ArenaCRC(); got != d.FromCRC {
 		return nil, fmt.Errorf("%w: base arena CRC %08x, delta expects %08x", ErrDeltaMismatch, got, d.FromCRC)
 	}
-
-	// Group the edits by bucket, then rebuild each touched bucket in one
-	// pass. Untouched buckets alias the base's entries: nothing below
-	// writes them, and the result is reloaded from its compiled image.
-	edits := make(map[deltaBucketKey]*bucketEdits)
-	edit := func(et string, ek uint64) *bucketEdits {
-		bk := deltaBucketKey{et, ek}
-		if edits[bk] == nil {
-			edits[bk] = &bucketEdits{removed: make(map[uint64]bool)}
-		}
-		return edits[bk]
-	}
-	for _, k := range d.Removed {
-		e := edit(k.Type, k.EventKey)
-		if e.removed[k.StateKey] {
-			return nil, fmt.Errorf("%w: duplicate removal of %q/%#x/%#x", ErrDeltaMismatch, k.Type, k.EventKey, k.StateKey)
-		}
-		e.removed[k.StateKey] = true
-	}
-	for i := range d.Upserts {
-		e := edit(d.Upserts[i].Key.Type, d.Upserts[i].Key.EventKey)
-		e.upserts = append(e.upserts, &d.Upserts[i])
-	}
-	work := make(map[deltaBucketKey][]SnipEntry)
-	var err error
-	old.walkFlat(func(et string, ek uint64, entries []SnipEntry) {
-		bk := deltaBucketKey{et, ek}
-		if e := edits[bk]; e != nil && err == nil {
-			delete(edits, bk)
-			entries, err = e.apply(bk, entries)
-		}
-		work[bk] = entries
-	})
-	for bk, e := range edits { // buckets the base does not hold
-		if err == nil {
-			work[bk], err = e.apply(bk, nil)
-		}
-	}
+	s, err := planSplice(old, d)
 	if err != nil {
 		return nil, err
 	}
-
-	// Recompile through the canonical builder and revalidate exactly as a
-	// full OTA image would be. Wire/FromWire is the builder's native
-	// input shape; ByKey doubles as the duplicate-state-key check
-	// (FromWire would silently collapse duplicates, LoadFlatTable would
-	// then reject the probe chains — fail early with a clearer error).
-	buckets := make(map[string]map[uint64]*Bucket, len(work))
-	for bk, entries := range work {
-		if len(entries) == 0 {
-			continue
-		}
-		byEvent := buckets[bk.et]
-		if byEvent == nil {
-			byEvent = make(map[uint64]*Bucket)
-			buckets[bk.et] = byEvent
-		}
-		b := &Bucket{Order: make([]*SnipEntry, len(entries)), ByKey: make(map[uint64]*SnipEntry, len(entries))}
-		for i := range entries {
-			e := &entries[i]
-			if _, dup := b.ByKey[e.StateKey]; dup {
-				return nil, fmt.Errorf("%w: duplicate state key %#x in bucket %q/%#x", ErrDeltaMismatch, e.StateKey, bk.et, bk.ek)
-			}
-			b.Order[i] = e
-			b.ByKey[e.StateKey] = e
-		}
-		byEvent[bk.ek] = b
-	}
-	img, err := FromWire(&Wire{Selection: selectionFromWire(d.Selection), Buckets: buckets}).FlatImage()
+	img, err := s.write(selectionFromWire(d.Selection))
 	if err != nil {
 		return nil, fmt.Errorf("memo: apply: %w", err)
 	}
@@ -268,43 +249,277 @@ func ApplyDelta(old *FlatTable, d *trace.TableDelta) (*FlatTable, error) {
 	return t, nil
 }
 
-// apply rebuilds one bucket in a single pass over its base entries:
-// removed keys are dropped, upserts of surviving keys replace them in
-// place, and every other upsert is inserted at its carried target
-// position. Inserts go in ascending position order, so each Pos means
-// "scan position in the final bucket" regardless of how the upserts
-// were listed; the order among equal positions is part of the image.
-func (e *bucketEdits) apply(bk deltaBucketKey, base []SnipEntry) ([]SnipEntry, error) {
-	out := make([]SnipEntry, 0, len(base)+len(e.upserts))
-	index := make(map[uint64]int, len(base))
-	for i := range base {
-		if !e.removed[base[i].StateKey] {
-			index[base[i].StateKey] = len(out)
-			out = append(out, base[i])
+// splice is ApplyDelta's plan: the buckets the delta touches, what
+// becomes of each base entry, and the base sections the write copies.
+type splice struct {
+	old     *FlatTable
+	d       *trace.TableDelta
+	touched []touchedBucket
+	byBase  []int32 // 1 + the touched index of each base bucket, 0 if untouched
+	fate    []int32 // per base entry: 0 kept, -1 removed, 1 + the upsert replacing it
+	seq     []int32 // touched entries in scan order: i >= 0 base entry i, i < 0 upsert -i-1
+
+	keys, meta, fields []byte
+	names              []string // the base's output-name pool
+	ref                []uint32 // 1 + the new pool index of each base name, 0 until pooled
+	pooled             int
+	same               bool // every pooled base name kept its index
+}
+
+// touchedBucket is one bucket a delta edits.
+type touchedBucket struct {
+	et           string
+	th, ek       uint64
+	base         int    // the base's bucket index, -1 if the base has none
+	first, count uint32 // the base's entries
+	upserts      []int32
+	lo, hi       int // the bucket's entries are seq[lo:hi]
+}
+
+// planSplice groups the delta's edits by bucket and lays out each
+// touched bucket's entries. It rejects every edit that does not fit the
+// base: a removal of an entry the base does not hold or removed twice,
+// an upsert position beyond its bucket, and two inserts of one key.
+func planSplice(old *FlatTable, d *trace.TableDelta) (*splice, error) {
+	s := &splice{old: old, d: d, byBase: make([]int32, old.bucketCnt), fate: make([]int32, len(old.entries))}
+	index := map[trace.DeltaKey]int{}
+	last := -1
+	bucketOf := func(k trace.DeltaKey) *touchedBucket {
+		if last < 0 || s.touched[last].ek != k.EventKey || s.touched[last].et != k.Type {
+			k.StateKey = 0
+			i, ok := index[k]
+			if !ok {
+				i = len(s.touched)
+				index[k] = i
+				tb := touchedBucket{et: k.Type, th: trace.HashString(k.Type), ek: k.EventKey, base: -1}
+				if _, known := old.types[k.Type]; known {
+					if b, ok := old.probeIndex(trace.Combine(tb.th, tb.ek), tb.th, tb.ek); ok {
+						rec := old.arena[old.bucketsOff+flatBucketRecLen*int(b):]
+						tb.base, tb.first, tb.count = int(b), binary.LittleEndian.Uint32(rec[16:]), binary.LittleEndian.Uint32(rec[20:])
+						s.byBase[b] = int32(i + 1)
+					}
+				}
+				s.touched = append(s.touched, tb)
+			}
+			last = i
 		}
+		return &s.touched[last]
 	}
-	if dropped := len(base) - len(out); dropped != len(e.removed) {
-		return nil, fmt.Errorf("%w: %d of %d removals in bucket %q/%#x name no entry", ErrDeltaMismatch, len(e.removed)-dropped, len(e.removed), bk.et, bk.ek)
+	for _, k := range d.Removed {
+		tb := bucketOf(k)
+		j, ok := uint32(0), false
+		if tb.base >= 0 {
+			j, ok = old.probeEntry(trace.Combine(trace.Combine(tb.th, tb.ek), k.StateKey), k.StateKey, tb.first, tb.count)
+		}
+		if !ok || s.fate[j] != 0 {
+			return nil, fmt.Errorf("%w: removal of %q/%#x/%#x names no entry or repeats", ErrDeltaMismatch, k.Type, k.EventKey, k.StateKey)
+		}
+		s.fate[j] = -1
 	}
-	var inserts []*trace.DeltaEntry
-	for _, u := range e.upserts {
-		if j, ok := index[u.Key.StateKey]; ok {
-			out[j] = SnipEntry{StateKey: u.Key.StateKey, Outputs: u.Outputs, Instr: u.Instr}
-		} else {
+	for u := range d.Upserts {
+		tb := bucketOf(d.Upserts[u].Key)
+		tb.upserts = append(tb.upserts, int32(u))
+	}
+
+	// Per bucket: an upsert of a surviving key replaces it in place, every
+	// other upsert is inserted at its carried target position. Inserts
+	// go in ascending position order, so each Pos means "scan position
+	// in the final bucket" regardless of how the upserts were listed. The
+	// order among equal positions is part of the image: it is the order
+	// sort.Slice leaves, inserted one at a time.
+	var inserted pairIndex // (touched index, state key) of every insert
+	var inserts, stack []int32
+	for b := range s.touched {
+		tb := &s.touched[b]
+		bh := trace.Combine(tb.th, tb.ek)
+		inserts = inserts[:0]
+		for _, u := range tb.upserts {
+			sk := d.Upserts[u].Key.StateKey
+			if tb.base >= 0 {
+				if j, ok := old.probeEntry(trace.Combine(bh, sk), sk, tb.first, tb.count); ok && s.fate[j] >= 0 {
+					s.fate[j] = u + 1
+					continue
+				}
+			}
+			if _, added := inserted.id(uint32(b), sk); !added {
+				return nil, fmt.Errorf("%w: duplicate state key %#x in bucket %q/%#x", ErrDeltaMismatch, sk, tb.et, tb.ek)
+			}
 			inserts = append(inserts, u)
 		}
-	}
-	sort.Slice(inserts, func(i, j int) bool { return inserts[i].Pos < inserts[j].Pos })
-	for _, u := range inserts {
-		at := int(u.Pos)
-		if at > len(out) {
-			return nil, fmt.Errorf("%w: upsert %q/%#x/%#x at position %d of %d", ErrDeltaMismatch, u.Key.Type, u.Key.EventKey, u.Key.StateKey, at, len(out))
+		pos := func(i int) uint32 { return d.Upserts[inserts[i]].Pos }
+		// (Strictly ascending inserts are already in the one sorted order.)
+		if !sort.SliceIsSorted(inserts, func(i, j int) bool { return pos(i) <= pos(j) }) {
+			sort.Slice(inserts, func(i, j int) bool { return pos(i) < pos(j) })
 		}
-		out = append(out, SnipEntry{})
-		copy(out[at+1:], out[at:])
-		out[at] = SnipEntry{StateKey: u.Key.StateKey, Outputs: u.Outputs, Instr: u.Instr}
+		// Merge the surviving base entries with the inserts. Entries before
+		// an insert's position are final; the inserts waiting at or after
+		// it come before the remaining base entries, the newest first.
+		tb.lo = len(s.seq)
+		next, end := tb.first, tb.first+tb.count
+		emit := func() bool {
+			if n := len(stack); n > 0 {
+				s.seq, stack = append(s.seq, stack[n-1]), stack[:n-1]
+				return true
+			}
+			for next < end && s.fate[next] < 0 {
+				next++
+			}
+			if next == end {
+				return false
+			}
+			s.seq, next = append(s.seq, int32(next)), next+1
+			return true
+		}
+		for _, u := range inserts {
+			for p := d.Upserts[u].Pos; uint64(len(s.seq)-tb.lo) < uint64(p); {
+				if !emit() {
+					k := d.Upserts[u].Key
+					return nil, fmt.Errorf("%w: upsert %q/%#x/%#x at position %d of %d", ErrDeltaMismatch, k.Type, k.EventKey, k.StateKey, p, len(s.seq)-tb.lo)
+				}
+			}
+			stack = append(stack, -u-1)
+		}
+		for emit() {
+		}
+		tb.hi = len(s.seq)
 	}
-	return out, nil
+	return s, nil
+}
+
+// write lays out the patched image under the target selection, in
+// canonical order: the base buckets the delta leaves alone are copied,
+// the touched ones written from the plan.
+func (s *splice) write(sel Selection) ([]byte, error) {
+	old := s.old
+	var types []string
+	buckets, entries, fields := 0, 0, len(old.section(secFields))/flatFieldRecLen
+	for c := old.cursor(); c.next(); {
+		n := int(c.count)
+		if i := s.byBase[c.bi]; i != 0 {
+			n = s.touched[i-1].hi - s.touched[i-1].lo
+		}
+		if n > 0 {
+			if len(types) == 0 || types[len(types)-1] != c.et {
+				types = append(types, c.et)
+			}
+			buckets, entries = buckets+1, entries+n
+		}
+	}
+	var added []*touchedBucket // the buckets the base does not hold
+	for i := range s.touched {
+		if tb := &s.touched[i]; tb.base < 0 {
+			added = append(added, tb)
+			buckets, entries = buckets+1, entries+tb.hi-tb.lo
+			if !slices.Contains(types, tb.et) {
+				types = append(types, tb.et)
+			}
+		}
+	}
+	for i := range s.d.Upserts {
+		fields += len(s.d.Upserts[i].Outputs)
+	}
+	sort.Strings(types)
+	slices.SortFunc(added, func(a, b *touchedBucket) int { return compareBuckets(a.et, a.ek, b.et, b.ek) })
+	w, err := newImageWriter(sel, types, buckets, entries, fields)
+	if err != nil {
+		return nil, err
+	}
+
+	s.keys, s.meta, s.fields = old.section(secKeys), old.section(secMeta), old.section(secFields)
+	nr := flatReader{b: old.section(secNames)}
+	s.names = make([]string, nr.u32())
+	for i := range s.names {
+		s.names[i] = nr.str()
+	}
+	s.ref, s.same = make([]uint32, len(s.names)), true
+	c := old.cursor()
+	for ok := c.next(); ok || len(added) > 0; {
+		if len(added) > 0 && (!ok || compareBuckets(added[0].et, added[0].ek, c.et, c.ek) < 0) {
+			s.writeTouched(w, added[0])
+			added = added[1:]
+			continue
+		}
+		if i := s.byBase[c.bi]; i != 0 {
+			s.writeTouched(w, &s.touched[i-1])
+		} else {
+			w.bucket(c.th, c.ek, int(c.count))
+			s.copyEntries(w, c.first, c.count)
+		}
+		ok = c.next()
+	}
+	return w.image()
+}
+
+// writeTouched writes a touched bucket's entries, if it keeps any.
+func (s *splice) writeTouched(w *imageWriter, tb *touchedBucket) {
+	if tb.hi == tb.lo {
+		return
+	}
+	w.bucket(tb.th, tb.ek, tb.hi-tb.lo)
+	seq := s.seq[tb.lo:tb.hi]
+	for k := 0; k < len(seq); k++ {
+		i, u := seq[k], -seq[k]-1
+		if i >= 0 && s.fate[i] == 0 { // a run of kept base entries
+			n := int32(1)
+			for k+1 < len(seq) && seq[k+1] == i+n && s.fate[i+n] == 0 {
+				k, n = k+1, n+1
+			}
+			s.copyEntries(w, uint32(i), uint32(n))
+			continue
+		}
+		if i >= 0 {
+			u = s.fate[i] - 1
+		}
+		e := &s.d.Upserts[u]
+		w.entry(e.Key.StateKey, e.Instr, len(e.Outputs))
+		for _, f := range e.Outputs {
+			w.field(w.name(f.Name), f.Category, f.Size, f.Value)
+		}
+	}
+}
+
+// copyEntries writes base entries [first, first+count) unchanged: their
+// keys, meta and output records are copied as byte ranges, with meta
+// output offsets rebased and output name refs moved to the new pool.
+func (s *splice) copyEntries(w *imageWriter, first, count uint32) {
+	keys := s.keys[8*first : 8*(first+count)]
+	w.keys.b = append(w.keys.b, keys...)
+	for i := 0; i < len(keys); i += 8 {
+		w.entryHashes = append(w.entryHashes, trace.Combine(w.bh, binary.LittleEndian.Uint64(keys[i:])))
+	}
+	// The builders store each entry's output records right after the
+	// previous entry's, so they copy as one run; any other layout is
+	// copied run by run.
+	meta := s.meta[flatMetaRecLen*first : flatMetaRecLen*(first+count)]
+	from := len(w.fields.b)
+	at := uint32(from / flatFieldRecLen)
+	lo := binary.LittleEndian.Uint32(meta[8:])
+	hi := lo
+	for i := 0; i < len(meta); i += flatMetaRecLen {
+		off, n := binary.LittleEndian.Uint32(meta[i+8:]), binary.LittleEndian.Uint32(meta[i+12:])
+		if off != hi {
+			w.fields.b = append(w.fields.b, s.fields[flatFieldRecLen*int(lo):flatFieldRecLen*int(hi)]...)
+			lo = off
+		}
+		hi = off + n
+		w.meta.b = append(w.meta.b, meta[i:i+8]...)
+		w.meta.u32(at)
+		w.meta.u32(n)
+		at += n
+	}
+	w.fields.b = append(w.fields.b, s.fields[flatFieldRecLen*int(lo):flatFieldRecLen*int(hi)]...)
+	if s.same && s.pooled == len(s.names) {
+		return
+	}
+	for i := from; i < len(w.fields.b); i += flatFieldRecLen {
+		r := binary.LittleEndian.Uint32(w.fields.b[i:])
+		if s.ref[r] == 0 {
+			s.ref[r] = w.name(s.names[r]) + 1
+			s.pooled++
+			s.same = s.same && s.ref[r] == r+1
+		}
+		binary.LittleEndian.PutUint32(w.fields.b[i:], s.ref[r]-1)
+	}
 }
 
 // ApplyDeltaChain applies consecutive deltas oldest-first, verifying

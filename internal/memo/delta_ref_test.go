@@ -2,9 +2,11 @@ package memo
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -122,6 +124,219 @@ func refApplyDelta(old *FlatTable, d *trace.TableDelta) (*FlatTable, error) {
 		return nil, fmt.Errorf("%w: patched arena CRC %08x, delta promises %08x", ErrDeltaMismatch, got, d.ToCRC)
 	}
 	return t, nil
+}
+
+// walkFlat visits every bucket in stored (canonical) order with its
+// owning type name, event key and entry slice.
+func (t *FlatTable) walkFlat(fn func(et string, ek uint64, entries []SnipEntry)) {
+	byHash := make(map[uint64]string, len(t.types))
+	for name, ft := range t.types {
+		byHash[ft.hash] = name
+	}
+	for bi := 0; bi < t.bucketCnt; bi++ {
+		rec := t.arena[t.bucketsOff+flatBucketRecLen*bi:]
+		th := binary.LittleEndian.Uint64(rec)
+		ek := binary.LittleEndian.Uint64(rec[8:])
+		first := binary.LittleEndian.Uint32(rec[16:])
+		count := binary.LittleEndian.Uint32(rec[20:])
+		fn(byHash[th], ek, t.entries[first:uint64(first)+uint64(count)])
+	}
+}
+
+// refDiffFlat is the map-keyed DiffFlat the merge walk replaced, kept
+// verbatim (only renamed) as its oracle: the old image's entries in a
+// map by key, the new image walked against it, and a seen map for the
+// removals.
+func refDiffFlat(game string, fromVersion, toVersion int, old, new *FlatTable) (*trace.TableDelta, error) {
+	if old == nil || new == nil {
+		return nil, fmt.Errorf("memo: diff: nil table")
+	}
+	oldEntries := make(map[trace.DeltaKey]*SnipEntry, old.Rows())
+	old.walkFlat(func(et string, ek uint64, entries []SnipEntry) {
+		for i := range entries {
+			oldEntries[trace.DeltaKey{Type: et, EventKey: ek, StateKey: entries[i].StateKey}] = &entries[i]
+		}
+	})
+
+	d := &trace.TableDelta{
+		Game:        game,
+		FromVersion: fromVersion,
+		ToVersion:   toVersion,
+		FromCRC:     old.ArenaCRC(),
+		ToCRC:       new.ArenaCRC(),
+		Selection:   selectionToWire(new.sel),
+	}
+	seen := make(map[trace.DeltaKey]bool, old.Rows())
+	new.walkFlat(func(et string, ek uint64, entries []SnipEntry) {
+		for i := range entries {
+			k := trace.DeltaKey{Type: et, EventKey: ek, StateKey: entries[i].StateKey}
+			if prev, ok := oldEntries[k]; ok {
+				seen[k] = true
+				if deltaEntryEqual(prev, &entries[i]) {
+					continue
+				}
+			}
+			d.Upserts = append(d.Upserts, trace.DeltaEntry{
+				Key:     k,
+				Pos:     uint32(i),
+				Instr:   entries[i].Instr,
+				Outputs: entries[i].Outputs,
+			})
+		}
+	})
+	old.walkFlat(func(et string, ek uint64, entries []SnipEntry) {
+		for i := range entries {
+			k := trace.DeltaKey{Type: et, EventKey: ek, StateKey: entries[i].StateKey}
+			if !seen[k] {
+				d.Removed = append(d.Removed, k)
+			}
+		}
+	})
+	return d, nil
+}
+
+type deltaBucketKey struct {
+	et string
+	ek uint64
+}
+
+// bucketEdits is one bucket's share of a delta: the state keys it
+// removes and its upserts in delta order.
+type bucketEdits struct {
+	removed map[uint64]bool
+	upserts []*trace.DeltaEntry
+}
+
+// bucketApplyDelta is the bucket-at-a-time ApplyDelta the splice
+// replaced, kept verbatim (only renamed) as its second oracle: it
+// groups the edits by bucket in maps, rebuilds each touched bucket in
+// one pass, and recompiles the whole table through FromWire.
+func bucketApplyDelta(old *FlatTable, d *trace.TableDelta) (*FlatTable, error) {
+	if old == nil || d == nil {
+		return nil, fmt.Errorf("memo: apply: nil input")
+	}
+	if got := old.ArenaCRC(); got != d.FromCRC {
+		return nil, fmt.Errorf("%w: base arena CRC %08x, delta expects %08x", ErrDeltaMismatch, got, d.FromCRC)
+	}
+
+	// Group the edits by bucket, then rebuild each touched bucket in one
+	// pass. Untouched buckets alias the base's entries: nothing below
+	// writes them, and the result is reloaded from its compiled image.
+	edits := make(map[deltaBucketKey]*bucketEdits)
+	edit := func(et string, ek uint64) *bucketEdits {
+		bk := deltaBucketKey{et, ek}
+		if edits[bk] == nil {
+			edits[bk] = &bucketEdits{removed: make(map[uint64]bool)}
+		}
+		return edits[bk]
+	}
+	for _, k := range d.Removed {
+		e := edit(k.Type, k.EventKey)
+		if e.removed[k.StateKey] {
+			return nil, fmt.Errorf("%w: duplicate removal of %q/%#x/%#x", ErrDeltaMismatch, k.Type, k.EventKey, k.StateKey)
+		}
+		e.removed[k.StateKey] = true
+	}
+	for i := range d.Upserts {
+		e := edit(d.Upserts[i].Key.Type, d.Upserts[i].Key.EventKey)
+		e.upserts = append(e.upserts, &d.Upserts[i])
+	}
+	work := make(map[deltaBucketKey][]SnipEntry)
+	var err error
+	old.walkFlat(func(et string, ek uint64, entries []SnipEntry) {
+		bk := deltaBucketKey{et, ek}
+		if e := edits[bk]; e != nil && err == nil {
+			delete(edits, bk)
+			entries, err = e.apply(bk, entries)
+		}
+		work[bk] = entries
+	})
+	for bk, e := range edits { // buckets the base does not hold
+		if err == nil {
+			work[bk], err = e.apply(bk, nil)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	// Recompile through the canonical builder and revalidate exactly as a
+	// full OTA image would be. Wire/FromWire is the builder's native
+	// input shape; ByKey doubles as the duplicate-state-key check
+	// (FromWire would silently collapse duplicates, LoadFlatTable would
+	// then reject the probe chains — fail early with a clearer error).
+	buckets := make(map[string]map[uint64]*Bucket, len(work))
+	for bk, entries := range work {
+		if len(entries) == 0 {
+			continue
+		}
+		byEvent := buckets[bk.et]
+		if byEvent == nil {
+			byEvent = make(map[uint64]*Bucket)
+			buckets[bk.et] = byEvent
+		}
+		b := &Bucket{Order: make([]*SnipEntry, len(entries)), ByKey: make(map[uint64]*SnipEntry, len(entries))}
+		for i := range entries {
+			e := &entries[i]
+			if _, dup := b.ByKey[e.StateKey]; dup {
+				return nil, fmt.Errorf("%w: duplicate state key %#x in bucket %q/%#x", ErrDeltaMismatch, e.StateKey, bk.et, bk.ek)
+			}
+			b.Order[i] = e
+			b.ByKey[e.StateKey] = e
+		}
+		byEvent[bk.ek] = b
+	}
+	img, err := FromWire(&Wire{Selection: selectionFromWire(d.Selection), Buckets: buckets}).FlatImage()
+	if err != nil {
+		return nil, fmt.Errorf("memo: apply: %w", err)
+	}
+	t, err := LoadFlatTable(img)
+	if err != nil {
+		return nil, fmt.Errorf("memo: apply: %w", err)
+	}
+	if got := t.ArenaCRC(); got != d.ToCRC {
+		return nil, fmt.Errorf("%w: patched arena CRC %08x, delta promises %08x", ErrDeltaMismatch, got, d.ToCRC)
+	}
+	return t, nil
+}
+
+// apply rebuilds one bucket in a single pass over its base entries:
+// removed keys are dropped, upserts of surviving keys replace them in
+// place, and every other upsert is inserted at its carried target
+// position. Inserts go in ascending position order, so each Pos means
+// "scan position in the final bucket" regardless of how the upserts
+// were listed; the order among equal positions is part of the image.
+func (e *bucketEdits) apply(bk deltaBucketKey, base []SnipEntry) ([]SnipEntry, error) {
+	out := make([]SnipEntry, 0, len(base)+len(e.upserts))
+	index := make(map[uint64]int, len(base))
+	for i := range base {
+		if !e.removed[base[i].StateKey] {
+			index[base[i].StateKey] = len(out)
+			out = append(out, base[i])
+		}
+	}
+	if dropped := len(base) - len(out); dropped != len(e.removed) {
+		return nil, fmt.Errorf("%w: %d of %d removals in bucket %q/%#x name no entry", ErrDeltaMismatch, len(e.removed)-dropped, len(e.removed), bk.et, bk.ek)
+	}
+	var inserts []*trace.DeltaEntry
+	for _, u := range e.upserts {
+		if j, ok := index[u.Key.StateKey]; ok {
+			out[j] = SnipEntry{StateKey: u.Key.StateKey, Outputs: u.Outputs, Instr: u.Instr}
+		} else {
+			inserts = append(inserts, u)
+		}
+	}
+	sort.Slice(inserts, func(i, j int) bool { return inserts[i].Pos < inserts[j].Pos })
+	for _, u := range inserts {
+		at := int(u.Pos)
+		if at > len(out) {
+			return nil, fmt.Errorf("%w: upsert %q/%#x/%#x at position %d of %d", ErrDeltaMismatch, u.Key.Type, u.Key.EventKey, u.Key.StateKey, at, len(out))
+		}
+		out = append(out, SnipEntry{})
+		copy(out[at+1:], out[at:])
+		out[at] = SnipEntry{StateKey: u.Key.StateKey, Outputs: u.Outputs, Instr: u.Instr}
+	}
+	return out, nil
 }
 
 // refApplyDeltaChain is ApplyDeltaChain over refApplyDelta.
@@ -353,7 +568,7 @@ func mutateDelta(rnd *rand.Rand, base *FlatTable, d *trace.TableDelta, shape str
 }
 
 // ApplyDelta must accept and reject exactly the deltas the original
-// scan-and-shift apply did, and build byte-identical images from the
+// scan-and-shift apply and the bucket-at-a-time apply did, and build byte-identical images from the
 // ones it accepts: appends, in-place output changes, whole-type
 // rewrites under a changed selection (buckets emptied then refilled),
 // new types, and hostile edits — tied insert positions, duplicate and
@@ -408,6 +623,9 @@ func TestApplyDeltaMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if ref, _ := refDiffFlat("g", 1, 2, base, next); !reflect.DeepEqual(d, ref) {
+			t.Fatalf("case %d: DiffFlat differs from the map-keyed diff", n)
+		}
 		shape := refMutations[rnd.Intn(len(refMutations))]
 		d = cloneDelta(d)
 		if shape != "none" {
@@ -419,6 +637,9 @@ func TestApplyDeltaMatchesReference(t *testing.T) {
 		got, gerr := ApplyDelta(base, d)
 		if diff := sameApplyOutcome(want, werr, got, gerr); diff != "" {
 			t.Fatalf("case %d (%s): %s", n, shape, diff)
+		}
+		if bw, berr := bucketApplyDelta(base, d); sameApplyOutcome(bw, berr, got, gerr) != "" {
+			t.Fatalf("case %d (%s): %s against the bucket-at-a-time apply", n, shape, sameApplyOutcome(bw, berr, got, gerr))
 		}
 		if shape == "none" && werr != nil {
 			t.Fatalf("case %d: unedited delta rejected: %v", n, werr)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"snip/internal/trace"
@@ -401,5 +403,109 @@ func TestDeltaChainEncodingDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(got.Image(), v2.Image()) {
 		t.Fatal("decoded chain does not patch onto the target image")
+	}
+}
+
+// namePool returns a table's output-name pool in image order.
+func namePool(ft *FlatTable) []string {
+	r := flatReader{b: ft.section(secNames)}
+	pool := make([]string, r.u32())
+	for i := range pool {
+		pool[i] = r.str()
+	}
+	return pool
+}
+
+// TestSpliceMatchesOracles: each named rebuild shape is diffed by the
+// merge walk and the map-keyed diff it replaced (equal deltas), then
+// applied by the splice and by both earlier applies (byte-identical
+// images, the target's). Every FuzzApplyDelta seed is applied too, and
+// there the three must also agree on ErrDeltaMismatch.
+func TestSpliceMatchesOracles(t *testing.T) {
+	gen := func(et string, n, nb int, salt uint64, from int) []refRow {
+		rs := make([]refRow, n)
+		for i := range rs {
+			id := uint64(from + i)
+			rs[i] = refRow{et: et, x: uint64(i % nb), a: id, b: id % 8, c: id % 5, salt: salt}
+		}
+		return rs
+	}
+	types := []string{"tap", "vsync"}
+	baseRows := append(gen("tap", 60, 4, 0, 0), gen("vsync", 30, 3, 0, 100)...)
+	base := refRowsTable(t, refSelection(types, nil), baseRows)
+	var removal, bucketGone []refRow
+	for i, r := range baseRows {
+		if i%5 != 0 {
+			removal = append(removal, r)
+		}
+		if r.et != "tap" || r.x != 0 {
+			bucketGone = append(bucketGone, r)
+		}
+	}
+	newBucket := append(append([]refRow(nil), baseRows...), gen("tap", 6, 1, 0, 200)...)
+	for i := range newBucket[len(baseRows):] {
+		newBucket[len(baseRows)+i].x = 9
+	}
+	cases := []struct {
+		name string
+		sel  Selection
+		rows []refRow
+	}{
+		{"append", refSelection(types, nil), append(append([]refRow(nil), baseRows...), gen("tap", 10, 4, 0, 300)...)},
+		{"removal only", refSelection(types, nil), removal},
+		{"changed outputs", refSelection(types, nil), append(gen("tap", 60, 4, 3, 0), gen("vsync", 30, 3, 0, 100)...)},
+		{"selection change", refSelection(types, map[string]bool{"tap": true}), baseRows},
+		{"whole bucket removed", refSelection(types, nil), bucketGone},
+		{"new bucket", refSelection(types, nil), newBucket},
+		{"new name renumbers pool", refSelection(append([]string{"swipe"}, types...), nil), append(gen("swipe", 8, 2, 0, 400), baseRows...)},
+		{"empty target", refSelection(types, nil), nil},
+	}
+	for _, tc := range cases {
+		next := refRowsTable(t, tc.sel, tc.rows)
+		if tc.name == "new name renumbers pool" {
+			if bp, np := namePool(base), namePool(next); len(np) <= len(bp) || slices.Equal(np[:len(bp)], bp) {
+				t.Fatalf("%s: pool %q does not renumber %q", tc.name, np, bp)
+			}
+		}
+		d, err := DiffFlat("g", 1, 2, base, next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref, _ := refDiffFlat("g", 1, 2, base, next); !reflect.DeepEqual(d, ref) {
+			t.Fatalf("%s: DiffFlat differs from the map-keyed diff", tc.name)
+		}
+		got, err := ApplyDelta(base, d)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !bytes.Equal(got.Image(), next.Image()) {
+			t.Fatalf("%s: spliced image differs from the target", tc.name)
+		}
+		for oracle, apply := range map[string]func(*FlatTable, *trace.TableDelta) (*FlatTable, error){
+			"scan-and-shift": refApplyDelta, "bucket-at-a-time": bucketApplyDelta} {
+			if want, err := apply(base, d); err != nil || !bytes.Equal(want.Image(), got.Image()) {
+				t.Fatalf("%s: %s apply disagrees (%v)", tc.name, oracle, err)
+			}
+		}
+	}
+
+	fbase, seeds := applyDeltaSeeds(t)
+	for i, seed := range seeds {
+		c, err := trace.DecodeDeltaChain(bytes.NewReader(seed), 1<<22)
+		if err != nil {
+			continue
+		}
+		for j := range c.Deltas {
+			d := &c.Deltas[j]
+			got, gerr := ApplyDelta(fbase, d)
+			want, werr := refApplyDelta(fbase, d)
+			bw, berr := bucketApplyDelta(fbase, d)
+			if diff := sameApplyOutcome(want, werr, got, gerr) + sameApplyOutcome(bw, berr, got, gerr); diff != "" {
+				t.Fatalf("fuzz seed %d delta %d: %s", i, j, diff)
+			}
+			if gerr != nil && !errors.Is(gerr, ErrDeltaMismatch) {
+				t.Fatalf("fuzz seed %d delta %d: %v is not ErrDeltaMismatch", i, j, gerr)
+			}
+		}
 	}
 }

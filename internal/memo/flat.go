@@ -13,7 +13,7 @@ import (
 	"snip/internal/units"
 )
 
-// This file implements the flat table image: a frozen SnipTable compiled
+// This file implements the flat table image: a lookup table compiled
 // into one contiguous []byte that is simultaneously the on-device serving
 // structure, the OTA wire payload and the storage format. A lookup is two
 // open-addressing probes — Combine(type hash, event key) to the bucket
@@ -56,10 +56,11 @@ import (
 //	             entry index + 1, 0 = empty (the open-addressing index
 //	             over Combine(bucket hash, state key))
 //
-// The builder walks the source table in canonical order (sorted types,
-// sorted event keys, insertion order within a bucket) so the image bytes
-// are a deterministic function of the table contents, and a flat table's
-// Fingerprint equals its source's.
+// Every builder (SnipTable.FlatImage, BuildFlat and the delta splice in
+// delta.go) writes through imageWriter in canonical order (sorted types,
+// sorted event keys, first-profiled order within a bucket), so the image
+// bytes are a deterministic function of the table contents, and a flat
+// table's Fingerprint equals its map-backed source's.
 
 // flatMagic identifies a flat table image; it doubles as the format
 // sniff for OTA payloads (a gob stream can never start with it).
@@ -117,158 +118,156 @@ func (w *flatWriter) str(s string) {
 	w.b = append(w.b, s...)
 }
 
-// FlatImage compiles the table into its flat image. The walk is in
-// canonical order, so two tables with identical rows produce identical
-// bytes. Compiling does not require the table to be frozen (the bytes
-// are a snapshot either way), but the intended flow is Freeze-then-
-// compile: the image of a table that keeps mutating is just stale.
-func (t *SnipTable) FlatImage() ([]byte, error) {
-	types := make([]string, 0, len(t.buckets))
-	for et := range t.buckets {
-		types = append(types, et)
-	}
-	sort.Strings(types)
+// imageWriter lays out one SNIPFLT1 image; every builder writes through
+// it (SnipTable.FlatImage, BuildFlat and ApplyDelta). The caller writes
+// in canonical order: newImageWriter takes the selection and the sorted
+// bucket-owning types, then each bucket is one bucket call followed by
+// its entries, each entry followed by its output fields. image compiles
+// both slot indexes, the directory and the header.
+type imageWriter struct {
+	sel, types, buckets, keys, meta, fields flatWriter
+	// names is the output-name pool in first-use order, nameRef its index.
+	names   []string
+	nameRef map[string]uint32
+	// bucketHashes and entryHashes are the probe hashes of every bucket
+	// and entry written so far; bh is the current bucket's.
+	bucketHashes, entryHashes []uint64
+	bh                        uint64
+}
 
-	// The index stores type hashes, not names; a hash collision between
-	// two type names would alias their buckets, so refuse to build.
-	byHash := make(map[uint64]string, len(types))
-	for _, et := range types {
-		h := trace.HashString(et)
-		if prev, dup := byHash[h]; dup {
-			return nil, fmt.Errorf("memo: flat image: type hash collision between %q and %q", prev, et)
+// newImageWriter starts an image with room for the given numbers of
+// buckets, entries and output fields. The index stores type hashes, not
+// names; a hash collision between two type names would alias their
+// buckets, so it refuses to build one.
+func newImageWriter(sel Selection, types []string, buckets, entries, fields int) (*imageWriter, error) {
+	hashes := make([]uint64, len(types))
+	for i, et := range types {
+		hashes[i] = trace.HashString(et)
+		for j := range i {
+			if hashes[j] == hashes[i] {
+				return nil, fmt.Errorf("memo: flat image: type hash collision between %q and %q", types[j], et)
+			}
 		}
-		byHash[h] = et
 	}
+	w := &imageWriter{nameRef: make(map[string]uint32), bucketHashes: make([]uint64, 0, buckets),
+		entryHashes: make([]uint64, 0, entries)}
+	w.buckets.b = make([]byte, 0, flatBucketRecLen*buckets)
+	w.keys.b = make([]byte, 0, 8*entries)
+	w.meta.b = make([]byte, 0, flatMetaRecLen*entries)
+	w.fields.b = make([]byte, 0, flatFieldRecLen*fields)
 
-	var sel flatWriter
-	selTypes := make([]string, 0, len(t.sel))
-	for et := range t.sel {
+	selTypes := make([]string, 0, len(sel))
+	for et := range sel {
 		selTypes = append(selTypes, et)
 	}
 	sort.Strings(selTypes)
-	sel.u32(uint32(len(selTypes)))
+	w.sel.u32(uint32(len(selTypes)))
 	for _, et := range selTypes {
-		sel.str(et)
-		fs := t.sel[et]
-		sel.u32(uint32(len(fs)))
-		for _, f := range fs {
-			sel.str(f.Name)
-			sel.u32(uint32(f.Category))
-			sel.u64(uint64(f.Size))
+		w.sel.str(et)
+		w.sel.u32(uint32(len(sel[et])))
+		for _, f := range sel[et] {
+			w.sel.str(f.Name)
+			w.sel.u32(uint32(f.Category))
+			w.sel.u64(uint64(f.Size))
 		}
 	}
-
-	var typesSec flatWriter
-	typesSec.u32(uint32(len(types)))
+	w.types.u32(uint32(len(types)))
 	for _, et := range types {
-		typesSec.str(et)
+		w.types.str(et)
 	}
+	return w, nil
+}
 
-	var buckets, keys, meta, fields, namesSec flatWriter
-	nameRef := make(map[string]uint32)
-	var names []string
-	intern := func(s string) uint32 {
-		if id, ok := nameRef[s]; ok {
-			return id
-		}
-		id := uint32(len(names))
-		nameRef[s] = id
-		names = append(names, s)
+// bucket starts the record of a bucket holding count entries.
+func (w *imageWriter) bucket(th, ek uint64, count int) {
+	w.bh = trace.Combine(th, ek)
+	w.bucketHashes = append(w.bucketHashes, w.bh)
+	w.buckets.u64(th)
+	w.buckets.u64(ek)
+	w.buckets.u32(uint32(len(w.entryHashes)))
+	w.buckets.u32(uint32(count))
+}
+
+// entry adds an entry of the current bucket with the given number of
+// output fields.
+func (w *imageWriter) entry(sk uint64, instr int64, outputs int) {
+	w.entryHashes = append(w.entryHashes, trace.Combine(w.bh, sk))
+	w.keys.u64(sk)
+	w.meta.u64(uint64(instr))
+	w.meta.u32(uint32(len(w.fields.b) / flatFieldRecLen))
+	w.meta.u32(uint32(outputs))
+}
+
+// field adds an output field of the current entry; ref is its name's
+// index in the pool (name).
+func (w *imageWriter) field(ref uint32, cat trace.Category, size units.Size, value uint64) {
+	w.fields.u32(ref)
+	w.fields.u32(uint32(cat))
+	w.fields.u64(uint64(size))
+	w.fields.u64(value)
+}
+
+// name returns an output name's index in the pool, adding it if absent.
+func (w *imageWriter) name(s string) uint32 {
+	if id, ok := w.nameRef[s]; ok {
 		return id
 	}
+	id := uint32(len(w.names))
+	w.nameRef[s] = id
+	w.names = append(w.names, s)
+	return id
+}
 
-	type bucketRec struct{ hash, ek uint64 }
-	var recs []bucketRec
-	var entryHashes []uint64
-	entryCount := uint64(0)
-	fieldCount := uint64(0)
-	for _, et := range types {
-		byEvent := t.buckets[et]
-		th := trace.HashString(et)
-		eks := make([]uint64, 0, len(byEvent))
-		for ek := range byEvent {
-			eks = append(eks, ek)
-		}
-		sort.Slice(eks, func(i, j int) bool { return eks[i] < eks[j] })
-		for _, ek := range eks {
-			b := byEvent[ek]
-			buckets.u64(th)
-			buckets.u64(ek)
-			buckets.u32(uint32(entryCount))
-			buckets.u32(uint32(len(b.Order)))
-			recs = append(recs, bucketRec{hash: th, ek: ek})
-			bh := trace.Combine(th, ek)
-			for _, e := range b.Order {
-				entryHashes = append(entryHashes, trace.Combine(bh, e.StateKey))
-				keys.u64(e.StateKey)
-				meta.u64(uint64(e.Instr))
-				meta.u32(uint32(fieldCount))
-				meta.u32(uint32(len(e.Outputs)))
-				for _, f := range e.Outputs {
-					fields.u32(intern(f.Name))
-					fields.u32(uint32(f.Category))
-					fields.u64(uint64(f.Size))
-					fields.u64(f.Value)
-				}
-				fieldCount += uint64(len(e.Outputs))
-			}
-			entryCount += uint64(len(b.Order))
-		}
+// slotIndex returns an open-addressing slot array over hashes: a power
+// of two at least twice as long, so linear probe chains stay short and
+// always end at an empty slot. Slot s holds 1 + the index of the hash
+// that claimed it, in hash order. Slots cost 4 bytes each — noise next
+// to the records they index.
+func slotIndex(hashes []uint64) (count uint64, slots []byte) {
+	count = 8
+	for count < 2*uint64(len(hashes)) {
+		count <<= 1
 	}
-	if entryCount > math.MaxUint32 || fieldCount > math.MaxUint32 {
-		return nil, fmt.Errorf("memo: flat image: table too large (%d entries, %d fields)", entryCount, fieldCount)
-	}
-	namesSec.u32(uint32(len(names)))
-	for _, s := range names {
-		namesSec.str(s)
-	}
-
-	// Open-addressing slots: power of two, load factor <= 1/2 so linear
-	// probe chains stay short. Slots cost 4 bytes each — noise next to
-	// the entries they index.
-	slotCount := uint64(8)
-	for slotCount < 2*uint64(len(recs)) {
-		slotCount <<= 1
-	}
-	slots := make([]byte, 4*slotCount)
-	mask := slotCount - 1
-	for i, r := range recs {
-		slot := trace.Combine(r.hash, r.ek) & mask
+	slots = make([]byte, 4*count)
+	mask := count - 1
+	for i, h := range hashes {
+		slot := h & mask
 		for binary.LittleEndian.Uint32(slots[4*slot:]) != 0 {
 			slot = (slot + 1) & mask
 		}
 		binary.LittleEndian.PutUint32(slots[4*slot:], uint32(i)+1)
 	}
+	return count, slots
+}
 
-	// A second slot array resolves the exact entry: open addressing over
-	// Combine(bucket hash, state key), same power-of-two half-full shape
-	// as the bucket index. It makes hits and misses O(1) regardless of
-	// bucket size; the modeled scan cost is still charged from the
-	// bucket record at lookup time.
-	eSlotCount := uint64(8)
-	for eSlotCount < 2*uint64(len(entryHashes)) {
-		eSlotCount <<= 1
+// image compiles the finished image. The bucket index resolves
+// Combine(type hash, event key) to a bucket record; the entry index
+// resolves Combine(bucket hash, state key) to the exact entry, so hits
+// and misses are O(1) regardless of bucket size. The modeled scan cost
+// is still charged from the bucket record at lookup time.
+func (w *imageWriter) image() ([]byte, error) {
+	entryCount, fieldCount := uint64(len(w.entryHashes)), uint64(len(w.fields.b)/flatFieldRecLen)
+	if entryCount > math.MaxUint32 || fieldCount > math.MaxUint32 {
+		return nil, fmt.Errorf("memo: flat image: table too large (%d entries, %d fields)", entryCount, fieldCount)
 	}
-	eslots := make([]byte, 8+4*eSlotCount)
-	binary.LittleEndian.PutUint64(eslots, eSlotCount)
-	emask := eSlotCount - 1
-	for i, h := range entryHashes {
-		slot := h & emask
-		for binary.LittleEndian.Uint32(eslots[8+4*slot:]) != 0 {
-			slot = (slot + 1) & emask
-		}
-		binary.LittleEndian.PutUint32(eslots[8+4*slot:], uint32(i)+1)
+	var names flatWriter
+	names.u32(uint32(len(w.names)))
+	for _, s := range w.names {
+		names.str(s)
 	}
+	slotCount, slots := slotIndex(w.bucketHashes)
+	eSlotCount, eslots := slotIndex(w.entryHashes)
+	eslots = append(binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(eslots)), eSlotCount), eslots...)
 
 	sections := [flatDirSections][]byte{
-		secSelection:  sel.b,
-		secTypes:      typesSec.b,
-		secBuckets:    buckets.b,
+		secSelection:  w.sel.b,
+		secTypes:      w.types.b,
+		secBuckets:    w.buckets.b,
 		secSlots:      slots,
-		secKeys:       keys.b,
-		secMeta:       meta.b,
-		secFields:     fields.b,
-		secNames:      namesSec.b,
+		secKeys:       w.keys.b,
+		secMeta:       w.meta.b,
+		secFields:     w.fields.b,
+		secNames:      names.b,
 		secEntrySlots: eslots,
 	}
 	arenaLen := uint64(flatDirLen)
@@ -288,7 +287,7 @@ func (t *SnipTable) FlatImage() ([]byte, error) {
 	copy(img[0:8], flatMagic)
 	binary.LittleEndian.PutUint32(img[8:], FlatLayoutVersion)
 	binary.LittleEndian.PutUint64(img[16:], entryCount)
-	binary.LittleEndian.PutUint64(img[24:], uint64(len(recs)))
+	binary.LittleEndian.PutUint64(img[24:], uint64(len(w.bucketHashes)))
 	binary.LittleEndian.PutUint64(img[32:], slotCount)
 	binary.LittleEndian.PutUint64(img[40:], arenaLen)
 	binary.LittleEndian.PutUint32(img[48:], crc32.ChecksumIEEE(img[flatHeaderLen:]))
@@ -296,26 +295,58 @@ func (t *SnipTable) FlatImage() ([]byte, error) {
 	return img, nil
 }
 
-// Flatten returns the flat form of any table: a FlatTable as-is, a
-// SnipTable compiled and reloaded through its image (so the result is
-// exactly what a device would serve after an OTA fetch).
-func Flatten(t Table) (*FlatTable, error) {
-	switch v := t.(type) {
-	case *FlatTable:
-		return v, nil
-	case *SnipTable:
-		img, err := v.FlatImage()
-		if err != nil {
-			return nil, err
-		}
-		return LoadFlatTable(img)
-	default:
-		img, err := FromWire(t.Export()).FlatImage()
-		if err != nil {
-			return nil, err
-		}
-		return LoadFlatTable(img)
+// FlatImage compiles the table into its flat image. The walk is in
+// canonical order, so two tables with identical rows produce identical
+// bytes. Compiling does not require the table to be frozen (the bytes
+// are a snapshot either way), but the intended flow is Freeze-then-
+// compile: the image of a table that keeps mutating is just stale.
+func (t *SnipTable) FlatImage() ([]byte, error) {
+	types := make([]string, 0, len(t.buckets))
+	for et := range t.buckets {
+		types = append(types, et)
 	}
+	sort.Strings(types)
+	w, err := newImageWriter(t.sel, types, t.Buckets(), t.Rows(), 0)
+	if err != nil {
+		return nil, err
+	}
+	for _, et := range types {
+		byEvent := t.buckets[et]
+		th := trace.HashString(et)
+		eks := make([]uint64, 0, len(byEvent))
+		for ek := range byEvent {
+			eks = append(eks, ek)
+		}
+		sort.Slice(eks, func(i, j int) bool { return eks[i] < eks[j] })
+		for _, ek := range eks {
+			b := byEvent[ek]
+			w.bucket(th, ek, len(b.Order))
+			for _, e := range b.Order {
+				w.entry(e.StateKey, e.Instr, len(e.Outputs))
+				for _, f := range e.Outputs {
+					w.field(w.name(f.Name), f.Category, f.Size, f.Value)
+				}
+			}
+		}
+	}
+	return w.image()
+}
+
+// Flatten returns the flat form of a table: a FlatTable as-is, a
+// SnipTable compiled and reloaded through its image (so the result is
+// exactly what a device would serve after an OTA fetch). Those are the
+// only two Tables. The cloud builds its flat tables with BuildFlat
+// instead; Flatten serves the map table's callers (the legacy backend,
+// the figures and the benchmark's staged build).
+func Flatten(t Table) (*FlatTable, error) {
+	if ft, ok := t.(*FlatTable); ok {
+		return ft, nil
+	}
+	img, err := t.(*SnipTable).FlatImage()
+	if err != nil {
+		return nil, err
+	}
+	return LoadFlatTable(img)
 }
 
 // flatType is the per-event-type lookup context: the precomputed type
@@ -785,31 +816,16 @@ func (t *FlatTable) SetMetrics(m *TableMetrics) { t.metrics = m }
 // the serving path never calls it.
 func (t *FlatTable) Export() *Wire {
 	buckets := make(map[string]map[uint64]*Bucket, len(t.types))
-	for bi := 0; bi < t.bucketCnt; bi++ {
-		rec := t.arena[t.bucketsOff+flatBucketRecLen*bi:]
-		th := binary.LittleEndian.Uint64(rec)
-		ek := binary.LittleEndian.Uint64(rec[8:])
-		first := binary.LittleEndian.Uint32(rec[16:])
-		count := binary.LittleEndian.Uint32(rec[20:])
-		var et string
-		for name, ft := range t.types {
-			if ft.hash == th {
-				et = name
-				break
-			}
+	for c := t.cursor(); c.next(); {
+		if buckets[c.et] == nil {
+			buckets[c.et] = make(map[uint64]*Bucket)
 		}
-		byEvent := buckets[et]
-		if byEvent == nil {
-			byEvent = make(map[uint64]*Bucket)
-			buckets[et] = byEvent
+		b := &Bucket{Order: make([]*SnipEntry, c.count), ByKey: make(map[uint64]*SnipEntry, c.count)}
+		for i := range b.Order {
+			e := &t.entries[c.first+uint32(i)]
+			b.Order[i], b.ByKey[e.StateKey] = e, e
 		}
-		b := &Bucket{Order: make([]*SnipEntry, count), ByKey: make(map[uint64]*SnipEntry, count)}
-		for i := uint32(0); i < count; i++ {
-			e := &t.entries[first+i]
-			b.Order[i] = e
-			b.ByKey[e.StateKey] = e
-		}
-		byEvent[ek] = b
+		buckets[c.et][c.ek] = b
 	}
 	return &Wire{Selection: t.sel, Buckets: buckets}
 }

@@ -97,38 +97,10 @@ func FuzzLoadFlatTable(f *testing.F) {
 // patched table is servable" come apart, because success is what
 // authorizes the memo.Shared swap.
 func FuzzApplyDelta(f *testing.F) {
-	base := fuzzDeltaTable(f, 0, 48)
-	next := fuzzDeltaTable(f, 0, 64)
-	d, err := DiffFlat("g", 1, 2, base, next)
-	if err != nil {
-		f.Fatal(err)
+	base, seeds := applyDeltaSeeds(f)
+	for _, seed := range seeds {
+		f.Add(seed)
 	}
-	good := encodeChain(f, &trace.DeltaChain{Game: "g", Deltas: []trace.TableDelta{*d}})
-	f.Add(good)
-	f.Add(good[:len(good)/2])
-	flipped := bytes.Clone(good)
-	flipped[len(flipped)-6] ^= 0x40
-	f.Add(flipped)
-	// Semantically hostile but well-framed seeds: CRC lies, positions far
-	// out of range, removals of entries the base does not hold, duplicate
-	// upserts of one key.
-	warp := *d
-	warp.ToCRC ^= 0xFFFF
-	f.Add(encodeChain(f, &trace.DeltaChain{Game: "g", Deltas: []trace.TableDelta{warp}}))
-	warp = *d
-	warp.Upserts = append([]trace.DeltaEntry(nil), d.Upserts...)
-	for i := range warp.Upserts {
-		warp.Upserts[i].Pos = 1 << 30
-	}
-	f.Add(encodeChain(f, &trace.DeltaChain{Game: "g", Deltas: []trace.TableDelta{warp}}))
-	warp = *d
-	warp.Removed = []trace.DeltaKey{{Type: "ghost", EventKey: 1, StateKey: 2}}
-	f.Add(encodeChain(f, &trace.DeltaChain{Game: "g", Deltas: []trace.TableDelta{warp}}))
-	warp = *d
-	warp.Upserts = append(append([]trace.DeltaEntry(nil), d.Upserts...), d.Upserts...)
-	f.Add(encodeChain(f, &trace.DeltaChain{Game: "g", Deltas: []trace.TableDelta{warp, warp}}))
-	f.Add([]byte{})
-
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := trace.DecodeDeltaChain(bytes.NewReader(data), 1<<22)
 		if err != nil {
@@ -140,6 +112,13 @@ func FuzzApplyDelta(f *testing.F) {
 		want, werr := refApplyDeltaChain(base, c)
 		if diff := sameApplyOutcome(want, werr, got, err); diff != "" {
 			t.Fatal(diff)
+		}
+		// ... and with the bucket-at-a-time apply the splice replaced.
+		if len(c.Deltas) == 1 {
+			bw, berr := bucketApplyDelta(base, &c.Deltas[0])
+			if diff := sameApplyOutcome(bw, berr, got, err); diff != "" {
+				t.Fatal("bucket-at-a-time apply: " + diff)
+			}
 		}
 		if err != nil {
 			return
@@ -156,7 +135,41 @@ func FuzzApplyDelta(f *testing.F) {
 	})
 }
 
-func fuzzDeltaTable(f *testing.F, lo, hi int) *FlatTable {
+// applyDeltaSeeds returns FuzzApplyDelta's base table and seed chains:
+// a good delta, truncated and bit-flipped frames, and well-framed but
+// semantically hostile chains — CRC lies, positions far out of range,
+// removals of entries the base does not hold, duplicate upserts of one
+// key.
+func applyDeltaSeeds(tb testing.TB) (*FlatTable, [][]byte) {
+	base := fuzzDeltaTable(tb, 0, 48)
+	next := fuzzDeltaTable(tb, 0, 64)
+	d, err := DiffFlat("g", 1, 2, base, next)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	good := encodeChain(tb, &trace.DeltaChain{Game: "g", Deltas: []trace.TableDelta{*d}})
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)-6] ^= 0x40
+	seeds := [][]byte{good, good[:len(good)/2], flipped}
+	warp := *d
+	warp.ToCRC ^= 0xFFFF
+	seeds = append(seeds, encodeChain(tb, &trace.DeltaChain{Game: "g", Deltas: []trace.TableDelta{warp}}))
+	warp = *d
+	warp.Upserts = append([]trace.DeltaEntry(nil), d.Upserts...)
+	for i := range warp.Upserts {
+		warp.Upserts[i].Pos = 1 << 30
+	}
+	seeds = append(seeds, encodeChain(tb, &trace.DeltaChain{Game: "g", Deltas: []trace.TableDelta{warp}}))
+	warp = *d
+	warp.Removed = []trace.DeltaKey{{Type: "ghost", EventKey: 1, StateKey: 2}}
+	seeds = append(seeds, encodeChain(tb, &trace.DeltaChain{Game: "g", Deltas: []trace.TableDelta{warp}}))
+	warp = *d
+	warp.Upserts = append(append([]trace.DeltaEntry(nil), d.Upserts...), d.Upserts...)
+	seeds = append(seeds, encodeChain(tb, &trace.DeltaChain{Game: "g", Deltas: []trace.TableDelta{warp, warp}}))
+	return base, append(seeds, []byte{})
+}
+
+func fuzzDeltaTable(f testing.TB, lo, hi int) *FlatTable {
 	f.Helper()
 	ids := make([]int, 0, hi-lo)
 	for i := lo; i < hi; i++ {
@@ -186,7 +199,7 @@ func fuzzDeltaTable(f *testing.F, lo, hi int) *FlatTable {
 	return ft
 }
 
-func encodeChain(f *testing.F, c *trace.DeltaChain) []byte {
+func encodeChain(f testing.TB, c *trace.DeltaChain) []byte {
 	f.Helper()
 	var buf bytes.Buffer
 	if err := trace.EncodeDeltaChain(&buf, c); err != nil {

@@ -236,17 +236,18 @@ func (s LookupStats) HitRate() float64 {
 func BuildSnip(d *trace.Dataset, sel Selection) *SnipTable {
 	t := NewSnipTable(sel)
 	keyers := make([]*rowKeyer, d.NumTypes())
+	byEvent := make([]map[uint64]*Bucket, d.NumTypes())
 	for i := 0; i < d.Len(); i++ {
 		r := d.Row(i)
 		k := keyers[r.Type]
 		if k == nil {
 			et := d.TypeName(r.Type)
 			st := t.types[et]
-			k = newRowKeyer(d, st.fields, st.steps, t.byEvent(et))
-			keyers[r.Type] = k
+			k = newRowKeyer(d, st.fields, st.steps)
+			keyers[r.Type], byEvent[r.Type] = k, t.byEvent(et)
 		}
 		ek, sk := k.keys(r.Inputs)
-		t.insert(k.byEvent, ek, sk, r.Instr, func() []trace.Field { return d.Fields(r.Outputs) },
+		t.insert(byEvent[r.Type], ek, sk, r.Instr, func() []trace.Field { return d.Fields(r.Outputs) },
 			func(out []trace.Field) bool { return sameRowOutputs(d, out, r.Outputs) })
 	}
 	return t
@@ -261,12 +262,11 @@ type rowKeyer struct {
 	// field id, or 0; first[j] is the first selected field named like j.
 	slot, first []int32
 	vals        []uint64
-	byEvent     map[uint64]*Bucket // the type's buckets in the table built
 }
 
-func newRowKeyer(d *trace.Dataset, fields []SelectedField, steps []trace.Step, byEvent map[uint64]*Bucket) *rowKeyer {
+func newRowKeyer(d *trace.Dataset, fields []SelectedField, steps []trace.Step) *rowKeyer {
 	k := &rowKeyer{fields: fields, steps: steps, slot: make([]int32, d.NumFields()),
-		first: make([]int32, len(fields)), vals: make([]uint64, len(fields)), byEvent: byEvent}
+		first: make([]int32, len(fields)), vals: make([]uint64, len(fields))}
 	at := make(map[string]int32, len(fields))
 	for j, f := range fields {
 		if _, ok := at[f.Name]; !ok {

@@ -42,7 +42,10 @@ func synthRow(n, i int) (x, y, mode, level, combo uint64) {
 }
 
 // SynthTable builds a deterministic n-row table under SynthSelection.
-func SynthTable(n int) *SnipTable {
+func SynthTable(n int) *SnipTable { return BuildSnip(synthDataset(n), SynthSelection()) }
+
+// synthDataset is SynthTable's n-row profile.
+func synthDataset(n int) *trace.Dataset {
 	d := &trace.Dataset{Game: "synth"}
 	for i := 0; i < n; i++ {
 		x, y, mode, level, combo := synthRow(n, i)
@@ -56,7 +59,7 @@ func SynthTable(n int) *SnipTable {
 		d.LogOutput("", "frame.tile", trace.OutTemp, 8, x^y)
 		d.EndRow(100, true)
 	}
-	return BuildSnip(d, SynthSelection())
+	return d
 }
 
 // SynthHit returns a resolver matching row i of an n-row SynthTable —
