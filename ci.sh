@@ -59,7 +59,6 @@ echo "== fuzz smoke (ingest decoders must reject arbitrary bytes, never panic; t
 go test -run '^$' -fuzz '^FuzzDecodeBatch$' -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzDecodeEventsOnly$' -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzDecodeTelemetry$' -fuzztime 5s ./internal/trace
-go test -run '^$' -fuzz '^FuzzDecodeUpdate$' -fuzztime 5s ./internal/cloud
 go test -run '^$' -fuzz '^FuzzLoadFlatTable$' -fuzztime 5s ./internal/memo
 go test -run '^$' -fuzz '^FuzzDecodeDelta$' -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzApplyDelta$' -fuzztime 5s ./internal/memo
@@ -205,13 +204,35 @@ if [ -z "$ratio" ] || awk -v r="$ratio" 'BEGIN { exit !(r > 0.5) }'; then
 fi
 echo "key fold ns/op(kernel, 1B) / ns/op(oracle, 1B) = $ratio"
 
-echo "== lookup regression gate (flat backend must stay within 10% of map, both measured now)"
+echo "== lookup regression gate (BenchmarkFlatLookupSweep: the fastest of five runs must stay within 1.10x of the map table's fastest at n=32768 and n=262144, both measured now)"
 # Gated at sizes past cache capacity, where the flat layout's advantage
-# is structural; at 1k rows both backends are cache-resident and the
-# winner flips with machine noise, so a threshold there only flaps.
-go run ./cmd/fleetbench -lookup-sweep 32k,256k -sweep-ops 100000 -sweep-gate 1.10 \
-	-out /tmp/snip_bench_lookup_gate.json
-go run ./cmd/fleetbench -validate /tmp/snip_bench_lookup_gate.json
-rm -f /tmp/snip_bench_lookup_gate.json
+# is structural; at 1k rows both tables are cache-resident and the
+# winner flips with machine noise, so a threshold there only flaps. The
+# map table is only the reference here. Single runs on a shared 2-vCPU
+# VM spread widely (125-411 ns flat and 232-957 ns map at 32k rows), so
+# the gate takes each table's fastest of five runs, made in one process
+# so machine speed cancels out. Eight such gates measured flat/map at
+# 0.34-0.74 at 32k rows and 0.20-0.53 at 256k. A fixed -benchtime
+# builds each table once per run instead of once per calibration step.
+lookup_out=$(go test -run '^$' -bench 'LookupSweep$/^n=(32768|262144)$' -benchtime 1000000x -count 5 ./internal/memo)
+echo "$lookup_out"
+echo "$lookup_out" | awk '
+/^Benchmark(Flat|Map)LookupSweep\/n=/ {
+	split($1, name, "/"); n = name[2]; sub(/-[0-9]+$/, "", n)
+	kind = $1 ~ /^BenchmarkFlat/ ? "flat" : "map"
+	v = ""
+	for (i = 2; i < NF; i++) if ($(i + 1) == "ns/op") v = $i + 0
+	if (v != "" && (!((kind, n) in best) || v < best[kind, n])) best[kind, n] = v
+}
+END {
+	split("n=32768 n=262144", sizes, " ")
+	for (k = 1; k <= 2; k++) {
+		n = sizes[k]
+		if (!(("flat", n) in best) || !(("map", n) in best)) { printf "lookup gate: %s not measured\n", n > "/dev/stderr"; bad = 1; continue }
+		printf "%s: fastest ns/op(flat) / fastest ns/op(map) = %.2f\n", n, best["flat", n] / best["map", n]
+		if (best["flat", n] > 1.10 * best["map", n]) { printf "lookup gate: flat %.1f ns/op > 1.10 x map %.1f ns/op at %s\n", best["flat", n], best["map", n], n > "/dev/stderr"; bad = 1 }
+	}
+	exit bad
+}'
 
 echo "ci: all green"

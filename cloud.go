@@ -83,11 +83,6 @@ func (s *CloudService) Handler() http.Handler { return s.svc.Handler() }
 // events; nil disables logging.
 func (s *CloudService) SetLogger(l *slog.Logger) { s.svc.SetLogger(l) }
 
-// SetLegacyTables switches the service back to map-backed tables served
-// as gob (the pre-flat wire format) — the A/B knob for comparing the
-// flat image path against the legacy one.
-func (s *CloudService) SetLegacyTables(v bool) { s.svc.SetLegacyTables(v) }
-
 // WriteMetricsText writes the service's metrics in Prometheus text
 // exposition format (the same content GET /v1/metrics serves).
 func (s *CloudService) WriteMetricsText(w io.Writer) error {

@@ -62,12 +62,7 @@ func main() {
 				profile.Merge(p.Dataset)
 			}
 			pfiCfg := pfi.DefaultConfig()
-			if g, gerr := games.New(n); gerr == nil && len(g.Overrides()) > 0 {
-				pfiCfg.ForceInclude = map[string]bool{}
-				for _, f := range g.Overrides() {
-					pfiCfg.ForceInclude[f] = true
-				}
-			}
+			pfiCfg.ForceInclude = games.ForceInclude(n, pfiCfg.ForceInclude)
 			pr, err := pfi.Run(profile, pfiCfg)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "pfi:", err)

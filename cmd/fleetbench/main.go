@@ -57,8 +57,8 @@ type benchFile struct {
 	// (after any -gomaxprocs override), so bench files are comparable
 	// across machines and pinned runs.
 	GoMaxProcs int `json:"gomaxprocs"`
-	// Backend names the table backend the sweep served from: "flat"
-	// (zero-copy image, the default) or "map" (legacy pointer-based).
+	// Backend names the table backend the sweep served from: always
+	// "flat", the zero-copy image.
 	Backend string `json:"backend,omitempty"`
 	// Shards is the cloud-side shard count each run's service was built
 	// with; DeltaCap the longest delta chain /v1/update ships before
@@ -219,12 +219,10 @@ func main() {
 	fleetWorkers := flag.Int("fleet-workers", 0, "fleet scheduler worker-pool size (0 = 2x GOMAXPROCS)")
 	workers := flag.Int("workers", 0, "worker-pool size for profiling and PFI; 0 = GOMAXPROCS")
 	gmp := flag.Int("gomaxprocs", 0, "set GOMAXPROCS for the run (0 = leave the runtime default)")
-	backend := flag.String("backend", "flat", `table backend to serve: "flat" (zero-copy image) or "map" (legacy)`)
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
 	sweep := flag.String("lookup-sweep", "", `run the lookup-only map-vs-flat microbench instead of the fleet: comma-separated row counts (k/m suffixes ok) or "default" for 1k,10k,100k,1m,10m`)
 	sweepOps := flag.Int("sweep-ops", 200000, "lookups measured per sweep point and backend")
-	sweepGate := flag.Float64("sweep-gate", 0, "fail the sweep if flat ns/op exceeds map ns/op by this factor at any point (e.g. 1.10; 0 = no gate)")
 	out := flag.String("out", "BENCH_fleet.json", "bench file to write")
 	metricsMode := flag.String("metrics", "", `dump the fleet-side metrics after the sweep: "text" (Prometheus exposition) or "json" (snapshot)`)
 	validate := flag.String("validate", "", "validate an existing bench file and exit")
@@ -232,10 +230,6 @@ func main() {
 
 	if *metricsMode != "" && *metricsMode != "text" && *metricsMode != "json" {
 		fmt.Fprintf(os.Stderr, "fleetbench: -metrics %q: want text or json\n", *metricsMode)
-		os.Exit(2)
-	}
-	if *backend != "flat" && *backend != "map" {
-		fmt.Fprintf(os.Stderr, "fleetbench: -backend %q: want flat or map\n", *backend)
 		os.Exit(2)
 	}
 
@@ -263,7 +257,7 @@ func main() {
 	defer writeMemProfile(*memprofile)
 
 	if *sweep != "" {
-		fatalIf(runSweep(*sweep, *sweepOps, *sweepGate, *out))
+		fatalIf(runSweep(*sweep, *sweepOps, *out))
 		return
 	}
 	if *shardSweep != "" {
@@ -284,14 +278,9 @@ func main() {
 	pfiOpts.Workers = *workers
 	table, _, err := snip.BuildTable(profile, pfiOpts)
 	fatalIf(err)
-	if *backend == "flat" {
-		fatalIf(table.Flatten())
-		fmt.Fprintf(os.Stderr, "table: %d rows, %d bytes (flat image %d bytes)\n",
-			table.Rows(), table.SizeBytes(), table.ImageBytes())
-	} else {
-		fmt.Fprintf(os.Stderr, "table: %d rows, %d bytes (legacy map backend)\n",
-			table.Rows(), table.SizeBytes())
-	}
+	fatalIf(table.Flatten())
+	fmt.Fprintf(os.Stderr, "table: %d rows, %d bytes (flat image %d bytes)\n",
+		table.Rows(), table.SizeBytes(), table.ImageBytes())
 
 	gradeCycle, err := parseGrades(*grades)
 	fatalIf(err)
@@ -299,7 +288,7 @@ func main() {
 	file := &benchFile{
 		Bench: "fleet", Game: *game,
 		SessionsPerDevice: *sessions, SessionSecs: *secs, BatchSize: *batch,
-		GoMaxProcs: runtime.GOMAXPROCS(0), Backend: *backend,
+		GoMaxProcs: runtime.GOMAXPROCS(0), Backend: "flat",
 		Shards: *shards, DeltaCap: *deltaCap, Refreshes: *refreshes,
 		Chaos: *chaosProf, ChaosSeed: *chaosSeed, ShadowRate: *shadowRate,
 		Telemetry: *telemetry, Energy: *energy,
@@ -310,7 +299,7 @@ func main() {
 	set := runSettings{
 		game: *game, table: table, sessions: *sessions, dur: dur, batch: *batch,
 		ota: *ota, refreshAfter: *refreshAfter, refreshes: *refreshes,
-		shards: *shards, deltaCap: *deltaCap, backend: *backend,
+		shards: *shards, deltaCap: *deltaCap,
 		chaosProf: *chaosProf, chaosSeed: *chaosSeed, shadowRate: *shadowRate,
 		telemetry: *telemetry, energy: *energy,
 		workload: *workloadPreset, overload: *overload,
@@ -438,7 +427,6 @@ type runSettings struct {
 	batch                                     int
 	ota                                       bool
 	refreshAfter, refreshes, shards, deltaCap int
-	backend                                   string
 	chaosProf                                 string
 	chaosSeed                                 uint64
 	shadowRate                                float64
@@ -466,7 +454,6 @@ func runOnce(set runSettings, devices int, met *snip.Metrics) (*fleetRun, *fleet
 		QuotaBurst:      set.quotaBurst,
 	})
 	defer svc.Close()
-	svc.SetLegacyTables(set.backend == "map")
 	if set.deltaCap > 0 {
 		svc.SetDeltaCap(set.deltaCap)
 	}
@@ -681,8 +668,8 @@ func validateFile(path string) error {
 	if f.Bench != "fleet" {
 		return fmt.Errorf("bench %q, want \"fleet\" or \"lookup\"", f.Bench)
 	}
-	if f.Backend != "" && f.Backend != "flat" && f.Backend != "map" {
-		return fmt.Errorf("backend %q, want flat or map", f.Backend)
+	if f.Backend != "" && f.Backend != "flat" {
+		return fmt.Errorf("backend %q, want flat", f.Backend)
 	}
 	if f.Game == "" || f.SessionsPerDevice < 1 || f.SessionSecs < 1 {
 		return fmt.Errorf("missing run settings")

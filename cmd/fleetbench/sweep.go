@@ -43,7 +43,7 @@ type sweepFile struct {
 // defaultSweepSizes is the published 1k–10M ladder.
 var defaultSweepSizes = []int{1_000, 10_000, 100_000, 1_000_000, 10_000_000}
 
-func runSweep(spec string, ops int, gate float64, out string) error {
+func runSweep(spec string, ops int, out string) error {
 	sizes, err := parseSweepSizes(spec)
 	if err != nil {
 		return err
@@ -75,15 +75,6 @@ func runSweep(spec string, ops int, gate float64, out string) error {
 		return err
 	}
 	fmt.Printf("wrote %s (%d points)\n", out, len(file.Points))
-
-	if gate > 0 {
-		for _, p := range file.Points {
-			if p.FlatNSOp > gate*p.MapNSOp {
-				return fmt.Errorf("regression at rows=%d: flat %.1fns > %.2f x map %.1fns",
-					p.Rows, p.FlatNSOp, gate, p.MapNSOp)
-			}
-		}
-	}
 	return nil
 }
 
@@ -115,8 +106,7 @@ func sweepOne(n, ops int) (sweepPoint, error) {
 
 // timeLookups runs a short warmup, then times ops hit-path lookups.
 // Best-of-three passes: the minimum is the least noise-contaminated
-// estimate of the true cost, which matters for the regression gate on
-// shared or single-core machines.
+// estimate of the true cost on shared or single-core machines.
 func timeLookups(t memo.Table, res []memo.Resolver, ops int) (float64, error) {
 	warm := ops / 10
 	if warm > 10_000 {

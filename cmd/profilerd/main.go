@@ -15,8 +15,7 @@
 //
 //	POST /v1/upload?game=G&seed=S    (body: events-only log)
 //	POST /v1/rebuild?game=G
-//	GET  /v1/table?game=G            (zero-copy flat image; -legacy-tables serves gob)
-//	GET  /v1/update?game=G&gen=N     (CRC-guarded delta chain from gen N, or full image)
+//	GET  /v1/update?game=G&gen=N     (CRC-guarded delta chain from gen N, or the full flat image; gen=0 always gets the image)
 //	GET  /v1/status?game=G
 //	GET  /v1/shardz                  (per-shard ingest/queue/OTA rollup)
 //	GET  /v1/overloadz               (admission controller: classes, quotas, autoscale signal)
@@ -45,7 +44,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8370", "listen address")
 	metricsMode := flag.String("metrics", "", "dump collected metrics to stderr at exit: text (Prometheus) | json")
 	drain := flag.Duration("drain", 5*time.Second, "how long to let in-flight uploads finish on SIGINT/SIGTERM")
-	legacyTables := flag.Bool("legacy-tables", false, "serve map-backed tables as gob instead of the zero-copy flat image")
 	shards := flag.Int("shards", 1, "in-process profiler shard replicas behind the rendezvous router")
 	deltaCap := flag.Int("delta-cap", 0, "longest delta chain /v1/update ships before falling back to a full image (0 = default)")
 	queueCap := flag.Int("shard-queue-cap", 0, "bound on each shard's ingest queue; a full queue sheds with 429 + Retry-After (0 = default 64)")
@@ -75,7 +73,6 @@ func main() {
 	})
 	defer svc.Close()
 	svc.SetLogger(logger)
-	svc.SetLegacyTables(*legacyTables)
 	if *deltaCap > 0 {
 		svc.SetDeltaCap(*deltaCap)
 	}

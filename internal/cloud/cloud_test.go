@@ -1,7 +1,6 @@
 package cloud
 
 import (
-	"bytes"
 	"net/http/httptest"
 	"testing"
 
@@ -162,32 +161,6 @@ func TestLearnerTruncatesFirstEpoch(t *testing.T) {
 	}
 	if l.Epochs() != 2 {
 		t.Fatalf("epochs %d", l.Epochs())
-	}
-}
-
-func TestUpdateEncodeDecode(t *testing.T) {
-	p := NewProfiler("MemoryGame", pfi.DefaultConfig())
-	p.IngestDataset(record(t, "MemoryGame", 9).Dataset)
-	up, err := p.Rebuild()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := EncodeUpdate(&buf, up); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeUpdate(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Game != up.Game || got.Version != up.Version {
-		t.Fatal("metadata lost")
-	}
-	if got.Table.Rows() != up.Table.Rows() {
-		t.Fatalf("rows %d vs %d", got.Table.Rows(), up.Table.Rows())
-	}
-	if _, err := DecodeUpdate(bytes.NewBufferString("garbage")); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }
 

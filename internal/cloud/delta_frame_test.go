@@ -149,17 +149,6 @@ func TestDeltaFrameNeverStale(t *testing.T) {
 		growChain(t, p, 4)
 		servesOnly(t, p, 3)
 	})
-	t.Run("legacy tables", func(t *testing.T) {
-		p, _ := newChain(t)
-		p.SetLegacyTables(true)
-		servesOnly(t, p)
-		growChain(t, p, 4)
-		p.SetLegacyTables(false)
-		growChain(t, p, 5) // first flat build after legacy: nothing to diff from
-		servesOnly(t, p)
-		growChain(t, p, 6)
-		servesOnly(t, p, 5)
-	})
 	t.Run("chain break", func(t *testing.T) {
 		p, _ := newChain(t)
 		// A previous generation so much larger than the next that the
@@ -169,7 +158,7 @@ func TestDeltaFrameNeverStale(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.mu.Lock()
-		p.prevFlat = big
+		p.flat = big
 		p.mu.Unlock()
 		growChain(t, p, 4)
 		servesOnly(t, p)

@@ -3,7 +3,6 @@ package cloud
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -32,7 +31,7 @@ import (
 //	POST /v1/upload?game=G&seed=S   body: events-only log (trace gob)
 //	POST /v1/upload-batch?game=G    body: gzip'd multi-session batch
 //	POST /v1/rebuild?game=G         retrain PFI, build a new table
-//	GET  /v1/table?game=G           latest OTA table (gob)
+//	GET  /v1/update?game=G&gen=N    OTA table: delta chain from gen N, or the full flat image
 //	GET  /v1/status?game=G          text status
 //	GET  /v1/metrics                Prometheus text exposition
 //	GET  /v1/healthz                JSON health/SLO verdict
@@ -62,7 +61,6 @@ type Service struct {
 	spans   *obs.SpanBuffer
 	started time.Time
 	log     *slog.Logger
-	legacy  bool
 
 	// deltaCap bounds each game's retained delta chain; shardWorkers is
 	// the replay fan-out each shard's ingest jobs get (the worker budget
@@ -119,11 +117,11 @@ type serviceMetrics struct {
 
 // endpoints the middleware tracks; fixed so every series exists from
 // the first scrape rather than appearing after first use.
-var endpointNames = []string{"upload", "upload-batch", "rebuild", "table", "update", "status", "metrics", "healthz", "tracez", "guard", "telemetry", "fleetz", "shardz", "energyz", "overloadz"}
+var endpointNames = []string{"upload", "upload-batch", "rebuild", "update", "status", "metrics", "healthz", "tracez", "guard", "telemetry", "fleetz", "shardz", "energyz", "overloadz"}
 
 // ingestEndpoints are the ones whose error rate feeds the /v1/healthz
 // verdict — the data-path endpoints, not the introspection ones.
-var ingestEndpoints = []string{"upload", "upload-batch", "rebuild", "table", "update", "telemetry"}
+var ingestEndpoints = []string{"upload", "upload-batch", "rebuild", "update", "telemetry"}
 
 func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 	m := &serviceMetrics{
@@ -227,7 +225,11 @@ func NewServiceWithOptions(cfg pfi.Config, opt ServiceOptions) *Service {
 		s.wg.Add(1)
 		go sh.run(&s.wg)
 	}
-	s.setBuildInfo()
+	// A constant-1 series whose labels carry the build facts scrapers
+	// key dashboards on: the flat image layout version the service
+	// builds and serves.
+	reg.Gauge(`snip_build_info{layout_version="`+strconv.Itoa(memo.FlatLayoutVersion)+`",tables="flat"}`,
+		"build facts as labels; always 1").Set(1)
 	return s
 }
 
@@ -275,22 +277,6 @@ func (s *Service) shardFor(game string) *shard {
 	return s.shards[ShardFor(game, len(s.shards))]
 }
 
-// setBuildInfo refreshes the snip_build_info gauge: a constant-1 series
-// whose labels carry the build facts scrapers key dashboards on (flat
-// image layout version and the active table backend). The inactive
-// backend's series reads 0, so a backend flip is visible as a series
-// crossover rather than a label mutation.
-func (s *Service) setBuildInfo() {
-	help := "build/runtime facts as labels; the active configuration reads 1"
-	flat, gob := int64(1), int64(0)
-	if s.legacy {
-		flat, gob = 0, 1
-	}
-	layout := strconv.Itoa(memo.FlatLayoutVersion)
-	s.reg.Gauge(`snip_build_info{layout_version="`+layout+`",tables="flat"}`, help).Set(flat)
-	s.reg.Gauge(`snip_build_info{layout_version="`+layout+`",tables="gob"}`, help).Set(gob)
-}
-
 // Metrics returns the service's registry, for embedding its series into
 // a larger exposition or snapshotting in tests.
 func (s *Service) Metrics() *obs.Registry { return s.reg }
@@ -303,33 +289,11 @@ func (s *Service) Spans() *obs.SpanBuffer { return s.spans }
 // events. Nil (the default) disables logging.
 func (s *Service) SetLogger(l *slog.Logger) { s.log = l }
 
-// SetLegacyTables switches every profiler (existing and future) to the
-// map-backed table path: rebuilds produce SnipTables and /v1/table
-// serves the gob wire form. The default (false) builds flat tables and
-// serves their images raw — the zero-copy OTA path.
-func (s *Service) SetLegacyTables(v bool) {
-	s.mu.Lock()
-	s.legacy = v
-	s.setBuildInfo()
-	s.mu.Unlock()
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		ps := make([]*Profiler, 0, len(sh.profilers))
-		for _, p := range sh.profilers {
-			ps = append(ps, p)
-		}
-		sh.mu.Unlock()
-		for _, p := range ps {
-			p.SetLegacyTables(v)
-		}
-	}
-}
-
 func (s *Service) profiler(game string) *Profiler {
 	s.mu.Lock()
-	legacy, deltaCap := s.legacy, s.deltaCap
+	deltaCap := s.deltaCap
 	s.mu.Unlock()
-	return s.shardFor(game).profiler(game, s.cfg, legacy, deltaCap)
+	return s.shardFor(game).profiler(game, s.cfg, deltaCap)
 }
 
 // gameCount sums the games owned across shards.
@@ -402,7 +366,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/upload", s.instrument("upload", s.handleUpload))
 	mux.HandleFunc("POST /v1/upload-batch", s.instrument("upload-batch", s.handleUploadBatch))
 	mux.HandleFunc("POST /v1/rebuild", s.instrument("rebuild", s.handleRebuild))
-	mux.HandleFunc("GET /v1/table", s.instrument("table", s.handleTable))
 	mux.HandleFunc("GET /v1/update", s.instrument("update", s.handleUpdate))
 	mux.HandleFunc("GET /v1/shardz", s.instrument("shardz", s.handleShardz))
 	mux.HandleFunc("GET /v1/status", s.instrument("status", s.handleStatus))
@@ -768,58 +731,6 @@ func (s *Service) handleRebuild(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "ok version=%d rows=%d size=%v\n", up.Version, up.Table.Rows(), up.Table.Size())
 }
 
-func (s *Service) handleTable(w http.ResponseWriter, r *http.Request) {
-	game, ok := gameParam(w, r)
-	if !ok {
-		return
-	}
-	up := s.profiler(game).Latest()
-	if up == nil {
-		http.Error(w, "no table built yet", http.StatusNotFound)
-		return
-	}
-	s.serveFullTable(w, up, s.shardFor(game))
-}
-
-// serveFullTable writes a full OTA payload — shared by /v1/table and the
-// /v1/update full-image fallback, so both paths serve identical bytes
-// and headers and both land in the owning shard's full-serve accounting.
-func (s *Service) serveFullTable(w http.ResponseWriter, up *TableUpdate, sh *shard) {
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Snip-Version", strconv.Itoa(up.Version))
-	// A flat table ships as its raw image: the bytes on the wire ARE the
-	// serving structure, so the device validates the header + CRC and
-	// probes straight out of the buffer — no gob decode anywhere on the
-	// device path. The build metadata gob used to carry rides response
-	// headers instead.
-	if flat, ok := up.Table.(*memo.FlatTable); ok {
-		pm, err := json.Marshal(up.Metrics)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("X-Snip-Format", "flat")
-		w.Header().Set("X-Snip-Game", up.Game)
-		w.Header().Set("X-Snip-Records", strconv.Itoa(up.ProfileRecords))
-		w.Header().Set("X-Snip-Pfi", string(pm))
-		_, _ = w.Write(flat.Image())
-		s.met.tablesServed.Inc()
-		sh.met.otaFull.Inc()
-		sh.met.fullBytes.Add(int64(len(flat.Image())))
-		return
-	}
-	var buf bytes.Buffer
-	if err := EncodeUpdate(&buf, up); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("X-Snip-Format", "gob")
-	_, _ = w.Write(buf.Bytes())
-	s.met.tablesServed.Inc()
-	sh.met.otaFull.Inc()
-	sh.met.fullBytes.Add(int64(buf.Len()))
-}
-
 func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 	game, ok := gameParam(w, r)
 	if !ok {
@@ -837,39 +748,6 @@ func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.reg.WritePrometheus(w)
-}
-
-// wireUpdate mirrors TableUpdate with the table in wire form.
-type wireUpdate struct {
-	Game           string
-	Version        int
-	Table          *memo.Wire
-	Metrics        pfi.Metrics
-	ProfileRecords int
-}
-
-// EncodeUpdate writes a TableUpdate as a gob stream.
-func EncodeUpdate(w io.Writer, up *TableUpdate) error {
-	return gob.NewEncoder(w).Encode(wireUpdate{
-		Game: up.Game, Version: up.Version, Table: up.Table.Export(),
-		Metrics: up.Metrics, ProfileRecords: up.ProfileRecords,
-	})
-}
-
-// DecodeUpdate reads a TableUpdate written by EncodeUpdate.
-func DecodeUpdate(r io.Reader) (*TableUpdate, error) {
-	var wu wireUpdate
-	if err := gob.NewDecoder(r).Decode(&wu); err != nil {
-		return nil, fmt.Errorf("cloud: decode update: %w", err)
-	}
-	if wu.Table == nil {
-		return nil, fmt.Errorf("cloud: decode update: missing table")
-	}
-	t := memo.FromWire(wu.Table)
-	return &TableUpdate{
-		Game: wu.Game, Version: wu.Version, Selection: t.Selection(), Table: t,
-		Metrics: wu.Metrics, ProfileRecords: wu.ProfileRecords,
-	}, nil
 }
 
 // DefaultClientTimeout is the default per-attempt bound installed by
@@ -1227,49 +1105,6 @@ func (c *Client) Rebuild(game string) error {
 	}
 	defer resp.Body.Close()
 	return errFromResponse(resp)
-}
-
-// FetchTable downloads the latest OTA table. A flat-image payload
-// (sniffed by its magic) is validated and served out of the downloaded
-// buffer directly — the device path runs no gob decode; a gob payload
-// takes the legacy DecodeUpdate path.
-func (c *Client) FetchTable(game string) (*TableUpdate, error) {
-	u := c.endpoint("/v1/table", url.Values{"game": {game}})
-	resp, _, err := c.do(http.MethodGet, u, "", nil, obs.SpanContext{})
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if err := errFromResponse(resp); err != nil {
-		return nil, err
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("cloud: read table: %w", err)
-	}
-	if !memo.IsFlatImage(body) {
-		return DecodeUpdate(bytes.NewReader(body))
-	}
-	t, err := memo.LoadFlatTable(body)
-	if err != nil {
-		return nil, fmt.Errorf("cloud: flat table payload: %w", err)
-	}
-	up := &TableUpdate{Game: resp.Header.Get("X-Snip-Game"), Selection: t.Selection(), Table: t}
-	if up.Game == "" {
-		up.Game = game
-	}
-	if v, err := strconv.Atoi(resp.Header.Get("X-Snip-Version")); err == nil {
-		up.Version = v
-	}
-	if n, err := strconv.Atoi(resp.Header.Get("X-Snip-Records")); err == nil {
-		up.ProfileRecords = n
-	}
-	if pm := resp.Header.Get("X-Snip-Pfi"); pm != "" {
-		if err := json.Unmarshal([]byte(pm), &up.Metrics); err != nil {
-			return nil, fmt.Errorf("cloud: bad X-Snip-Pfi header: %w", err)
-		}
-	}
-	return up, nil
 }
 
 func errFromResponse(resp *http.Response) error {

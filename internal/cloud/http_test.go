@@ -54,7 +54,7 @@ func TestMissingGameParam(t *testing.T) {
 	cases := []struct{ method, path string }{
 		{"POST", "/v1/upload"},
 		{"POST", "/v1/rebuild"},
-		{"GET", "/v1/table"},
+		{"GET", "/v1/update"},
 		{"GET", "/v1/status"},
 	}
 	for _, c := range cases {
@@ -99,12 +99,16 @@ func TestUploadCorruptBody(t *testing.T) {
 
 func TestTableBeforeRebuild(t *testing.T) {
 	_, srv := testServer(t)
-	resp, body := get(t, srv.URL+"/v1/table?game=Colorphun")
+	resp, body := get(t, srv.URL+"/v1/update?game=Colorphun&gen=0")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status %d, want 404", resp.StatusCode)
 	}
 	if !strings.Contains(body, "no table") {
 		t.Fatalf("body %q, want a no-table message", body)
+	}
+	_, err := NewClient(srv.URL).FetchTable("Colorphun")
+	if err == nil || !strings.Contains(err.Error(), "404") || !strings.Contains(err.Error(), "no table") {
+		t.Fatalf("FetchTable before any rebuild: %v, want the 404 no-table error", err)
 	}
 }
 
@@ -140,7 +144,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		`snip_cloud_requests_total{endpoint="upload"} 1`,
 		`snip_cloud_requests_total{endpoint="rebuild"} 1`,
-		`snip_cloud_requests_total{endpoint="table"} 1`,
+		`snip_cloud_requests_total{endpoint="update"} 1`,
 		`snip_cloud_request_errors_total{endpoint="status"} 1`,
 		"snip_cloud_uploads_total 1",
 		"snip_cloud_rebuilds_total 1",

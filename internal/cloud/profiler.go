@@ -106,9 +106,9 @@ func ReplayBatch(gameName string, workers int, logs []SessionLog) ([]*trace.Data
 
 // TableUpdate is the OTA payload the cloud sends back to devices: the
 // necessary-input selection and the populated lookup table. The table
-// is a *memo.FlatTable by default (the image-serving path, built
-// straight from the profile's columns by memo.BuildFlat) or a
-// *memo.SnipTable when legacy tables are selected.
+// the cloud builds and the client loads is always a *memo.FlatTable:
+// Rebuild writes it straight from the profile's columns with
+// memo.BuildFlat, and its image is what /v1/update serves.
 type TableUpdate struct {
 	Game      string
 	Version   int
@@ -136,46 +136,25 @@ type Profiler struct {
 	profile *trace.Dataset
 	version int
 	latest  *TableUpdate
-	legacy  bool
 
-	// Delta OTA state (flat builds only): the previous generation's flat
-	// table and the verified chain of consecutive deltas ending at the
-	// latest version, oldest first, at most deltaCap long. frame is the
-	// encoded one-link chain of the newest delta — what a device one
-	// generation behind fetches — and is nil exactly when deltas is.
-	prevFlat *memo.FlatTable
+	// Delta OTA state: the latest generation's table, which the next
+	// rebuild diffs against, and the verified chain of consecutive
+	// deltas ending at the latest version, oldest first, at most
+	// deltaCap long. frame is the encoded one-link chain of the newest
+	// delta — what a device one generation behind fetches — and is nil
+	// exactly when deltas is.
+	flat     *memo.FlatTable
 	deltas   []*trace.TableDelta
 	frame    []byte
 	deltaCap int
 }
 
-// NewProfiler creates a profiler for one game. Rebuilds produce flat
-// tables unless SetLegacyTables switches the profiler to the map-backed
-// path. Unless cfg names its own ForceInclude set, PFI keeps the fields
-// the game's developer marked as necessary (games.Game.Overrides).
+// NewProfiler creates a profiler for one game. PFI keeps the fields the
+// game's developer marked as necessary (games.Game.Overrides) on top of
+// any cfg.ForceInclude names.
 func NewProfiler(game string, cfg pfi.Config) *Profiler {
-	if g, err := games.New(game); err == nil && cfg.ForceInclude == nil {
-		if ov := g.Overrides(); len(ov) > 0 {
-			cfg.ForceInclude = make(map[string]bool, len(ov))
-			for _, f := range ov {
-				cfg.ForceInclude[f] = true
-			}
-		}
-	}
+	cfg.ForceInclude = games.ForceInclude(game, cfg.ForceInclude)
 	return &Profiler{game: game, cfg: cfg, profile: &trace.Dataset{Game: game}, deltaCap: DefaultMaxDeltaChain}
-}
-
-// SetLegacyTables selects the map-backed SnipTable for future rebuilds
-// (the A/B flag for the flat table core); false restores the default
-// flat builds. Legacy tables have no delta form, so enabling drops any
-// retained chain.
-func (p *Profiler) SetLegacyTables(v bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.legacy = v
-	if v {
-		p.prevFlat, p.deltas, p.frame = nil, nil, nil
-	}
 }
 
 // SetDeltaCap bounds the retained delta chain (values < 1 restore
@@ -251,53 +230,47 @@ func (p *Profiler) Rebuild() (*TableUpdate, error) {
 	if err != nil {
 		return nil, err
 	}
-	var table memo.Table
-	if p.legacy {
-		table = memo.BuildSnip(p.profile, res.Selection)
-	} else {
-		flat, err := memo.BuildFlat(p.profile, res.Selection)
-		if err != nil {
-			return nil, fmt.Errorf("cloud: flat table build for %s: %w", p.game, err)
-		}
-		table = flat
-		// Grow the delta chain: diff the previous image against this one
-		// and SELF-VERIFY by applying the delta back onto the previous
-		// table — only a delta proven to reproduce the new image
-		// byte-exactly may ever be served. A diff or verify failure (or a
-		// delta no smaller than the image it replaces, e.g. after a
-		// selection change rewrote every key) breaks the chain instead:
-		// devices behind that point get the full image. The size check's
-		// encoding is kept as the newest link's frame.
-		if p.prevFlat != nil {
-			d, err := memo.DiffFlat(p.game, p.version, p.version+1, p.prevFlat, flat)
-			ok := err == nil
-			if ok {
-				_, verr := memo.ApplyDelta(p.prevFlat, d)
-				ok = verr == nil
-			}
-			var frame bytes.Buffer
-			if ok {
-				err := trace.EncodeDeltaChain(&frame, &trace.DeltaChain{Game: p.game, Deltas: []trace.TableDelta{*d}})
-				ok = err == nil && frame.Len() < len(flat.Image())
-			}
-			if ok {
-				p.deltas = append(p.deltas, d)
-				if len(p.deltas) > p.deltaCap {
-					p.deltas = append([]*trace.TableDelta(nil), p.deltas[len(p.deltas)-p.deltaCap:]...)
-				}
-				p.frame = frame.Bytes()
-			} else {
-				p.deltas, p.frame = nil, nil
-			}
-		}
-		p.prevFlat = flat
+	flat, err := memo.BuildFlat(p.profile, res.Selection)
+	if err != nil {
+		return nil, fmt.Errorf("cloud: flat table build for %s: %w", p.game, err)
 	}
+	// Grow the delta chain: diff the previous image against this one and
+	// SELF-VERIFY by applying the delta back onto the previous table —
+	// only a delta proven to reproduce the new image byte-exactly may
+	// ever be served. A diff or verify failure (or a delta no smaller
+	// than the image it replaces, e.g. after a selection change rewrote
+	// every key) breaks the chain instead: devices behind that point get
+	// the full image. The size check's encoding is kept as the newest
+	// link's frame.
+	if p.flat != nil {
+		d, err := memo.DiffFlat(p.game, p.version, p.version+1, p.flat, flat)
+		ok := err == nil
+		if ok {
+			_, verr := memo.ApplyDelta(p.flat, d)
+			ok = verr == nil
+		}
+		var frame bytes.Buffer
+		if ok {
+			err := trace.EncodeDeltaChain(&frame, &trace.DeltaChain{Game: p.game, Deltas: []trace.TableDelta{*d}})
+			ok = err == nil && frame.Len() < len(flat.Image())
+		}
+		if ok {
+			p.deltas = append(p.deltas, d)
+			if len(p.deltas) > p.deltaCap {
+				p.deltas = append([]*trace.TableDelta(nil), p.deltas[len(p.deltas)-p.deltaCap:]...)
+			}
+			p.frame = frame.Bytes()
+		} else {
+			p.deltas, p.frame = nil, nil
+		}
+	}
+	p.flat = flat
 	p.version++
 	p.latest = &TableUpdate{
 		Game:           p.game,
 		Version:        p.version,
 		Selection:      res.Selection,
-		Table:          table,
+		Table:          flat,
 		Metrics:        res.Final,
 		ProfileRecords: p.profile.Len(),
 	}

@@ -143,13 +143,12 @@ func (sh *shard) enqueue(run func() error) (err error, shed bool) {
 }
 
 // profiler returns (creating if needed) the shard's profiler for game.
-func (sh *shard) profiler(game string, cfg pfi.Config, legacy bool, deltaCap int) *Profiler {
+func (sh *shard) profiler(game string, cfg pfi.Config, deltaCap int) *Profiler {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	p, ok := sh.profilers[game]
 	if !ok {
 		p = NewProfiler(game, cfg)
-		p.SetLegacyTables(legacy)
 		p.SetDeltaCap(deltaCap)
 		sh.profilers[game] = p
 	}
@@ -232,17 +231,18 @@ func (s *Service) handleShardz(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(s.Shardz())
 }
 
-// handleUpdate is the generation-negotiated OTA endpoint:
+// handleUpdate is the generation-negotiated OTA endpoint, and the only
+// one that serves tables:
 //
 //	GET /v1/update?game=G&gen=N
 //
 // gen is the table version the device currently serves (0 or absent:
 // none). Responses: 404 no table built; 304 the device is current; else
 // a delta chain (X-Snip-Format: delta) when the retained chain covers
-// gen and is smaller than the image, otherwise the full table exactly
-// as /v1/table would serve it. A device ahead of the service (its table
-// came from a service instance that has since lost its state) gets the
-// full table too.
+// gen and is smaller than the image, otherwise the full flat image
+// (X-Snip-Format: flat). A device ahead of the service (its table came
+// from a service instance that has since lost its state) gets the full
+// image too.
 func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	game, ok := gameParam(w, r)
 	if !ok {
@@ -268,41 +268,56 @@ func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sh := s.shardFor(game)
-	if flat, isFlat := up.Table.(*memo.FlatTable); isFlat {
-		frame, err := p.DeltaChainFrom(gen)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		// Serving a chain larger than the image it reconstructs would be
-		// delta theater; prefer the full image.
-		if frame != nil && len(frame) < len(flat.Image()) {
-			pm, err := json.Marshal(up.Metrics)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.Header().Set("X-Snip-Format", "delta")
-			w.Header().Set("X-Snip-Game", up.Game)
-			w.Header().Set("X-Snip-Version", strconv.Itoa(up.Version))
-			w.Header().Set("X-Snip-Records", strconv.Itoa(up.ProfileRecords))
-			w.Header().Set("X-Snip-Pfi", string(pm))
-			_, _ = w.Write(frame)
-			sh.met.otaDelta.Inc()
-			sh.met.deltaBytes.Add(int64(len(frame)))
-			return
-		}
+	img := up.Table.(*memo.FlatTable).Image()
+	frame, err := p.DeltaChainFrom(gen)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
-	s.serveFullTable(w, up, sh)
+	// Serving a chain larger than the image it reconstructs would be
+	// delta theater; prefer the full image.
+	if frame == nil || len(frame) >= len(img) {
+		if writeTable(w, up, "flat", img) {
+			s.met.tablesServed.Inc()
+			sh.met.otaFull.Inc()
+			sh.met.fullBytes.Add(int64(len(img)))
+		}
+		return
+	}
+	if writeTable(w, up, "delta", frame) {
+		sh.met.otaDelta.Inc()
+		sh.met.deltaBytes.Add(int64(len(frame)))
+	}
+}
+
+// writeTable answers a table request with payload in the given
+// X-Snip-Format. A flat image's bytes ARE the serving structure, so the
+// device validates the header + CRC and probes straight out of the
+// buffer; the update's metadata rides the X-Snip-* headers. It reports
+// whether the reply was written.
+func writeTable(w http.ResponseWriter, up *TableUpdate, format string, payload []byte) bool {
+	pm, err := json.Marshal(up.Metrics)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return false
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("X-Snip-Format", format)
+	w.Header().Set("X-Snip-Game", up.Game)
+	w.Header().Set("X-Snip-Version", strconv.Itoa(up.Version))
+	w.Header().Set("X-Snip-Records", strconv.Itoa(up.ProfileRecords))
+	w.Header().Set("X-Snip-Pfi", string(pm))
+	_, _ = w.Write(payload)
+	return true
 }
 
 // UpdateResult describes how FetchUpdate brought the device current.
 type UpdateResult struct {
 	// Update is the freshly applicable table, nil when NotModified.
 	Update *TableUpdate
-	// Format is how the final table arrived: "delta", "flat" or "gob".
-	// Empty when NotModified.
+	// Format is how the final table arrived: "delta" (a chain patched
+	// onto the device's table) or "flat" (the full image). Empty when
+	// NotModified.
 	Format string
 	// NotModified reports the device was already current.
 	NotModified bool
@@ -320,97 +335,125 @@ type UpdateResult struct {
 	FullFallback bool
 }
 
+// FetchTable downloads the latest full table: GET /v1/update with
+// gen=0, which the service always answers with the full flat image. The
+// image is validated and served out of the downloaded buffer directly.
+func (c *Client) FetchTable(game string) (*TableUpdate, error) {
+	resp, body, err := c.getUpdate(game, 0)
+	if err != nil {
+		return nil, err
+	}
+	return fullUpdate(resp, game, body)
+}
+
 // FetchUpdate negotiates an OTA update: it reports the generation the
 // device serves (haveVersion, with have as the local flat table) and
 // applies whatever comes back — a delta chain patched onto have with
-// full LoadFlatTable validation (ApplyDeltaChain), a raw flat image, or
-// a legacy gob update. A delta chain that fails to decode or apply is
-// not an error: the client falls back to the full table and reports it
-// in the result, so a device whose real generation drifted from what it
-// reported (e.g. after a guard rollback) self-heals at the next fetch.
+// full LoadFlatTable validation (ApplyDeltaChain), or the full flat
+// image. A delta chain that fails to decode or apply is not an error:
+// the client makes one gen=0 request for the full image and reports the
+// fallback in the result, so a device whose real generation drifted
+// from what it reported (e.g. after a guard rollback) self-heals at the
+// next fetch.
 func (c *Client) FetchUpdate(game string, haveVersion int, have *memo.FlatTable) (*UpdateResult, error) {
 	if have == nil {
 		haveVersion = 0
 	}
-	u := c.endpoint("/v1/update", url.Values{
-		"game": {game}, "gen": {strconv.Itoa(haveVersion)},
-	})
-	resp, _, err := c.do(http.MethodGet, u, "", nil, obs.SpanContext{})
+	resp, body, err := c.getUpdate(game, haveVersion)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusNotModified {
 		return &UpdateResult{NotModified: true}, nil
 	}
-	if err := errFromResponse(resp); err != nil {
-		return nil, err
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("cloud: read update: %w", err)
-	}
 	res := &UpdateResult{WireBytes: units.Size(len(body))}
-	if resp.Header.Get("X-Snip-Format") == "delta" {
-		res.DeltaBytes = units.Size(len(body))
-		chain, derr := trace.DecodeDeltaChain(bytes.NewReader(body), trace.DefaultMaxDecodedDelta)
-		var patched *memo.FlatTable
-		if derr == nil {
-			patched, derr = memo.ApplyDeltaChain(have, chain)
-		}
-		if derr == nil {
-			up, herr := updateFromFlatHeaders(resp, game, patched)
-			if herr != nil {
-				return nil, herr
-			}
-			if want, err := strconv.Atoi(resp.Header.Get("X-Snip-Version")); err == nil && chain.Deltas[len(chain.Deltas)-1].ToVersion != want {
-				derr = fmt.Errorf("cloud: delta chain ends at version %d, header says %d", chain.Deltas[len(chain.Deltas)-1].ToVersion, want)
-			} else {
-				res.Update = up
-				res.Format = "delta"
-				res.DeltaLinks = len(chain.Deltas)
-				return res, nil
-			}
-		}
-		// The chain is unusable on this base. Fetch the full table; the
-		// wasted chain bytes stay counted.
-		res.FullFallback = true
-		up, err := c.FetchTable(game)
-		if err != nil {
-			return nil, fmt.Errorf("cloud: full-image fallback after delta failure (%v): %w", derr, err)
-		}
-		res.Update = up
-		res.Format = "flat"
-		if _, ok := up.Table.(*memo.FlatTable); !ok {
-			res.Format = "gob"
-		}
-		full := tableWireSize(up)
-		res.FullBytes = full
-		res.WireBytes += full
-		return res, nil
-	}
-	// Full payload straight off /v1/update: flat image or legacy gob.
-	res.FullBytes = res.WireBytes
-	if !memo.IsFlatImage(body) {
-		up, err := DecodeUpdate(bytes.NewReader(body))
+	if resp.Header.Get("X-Snip-Format") != "delta" {
+		up, err := fullUpdate(resp, game, body)
 		if err != nil {
 			return nil, err
 		}
-		res.Update = up
-		res.Format = "gob"
+		res.Update, res.Format, res.FullBytes = up, "flat", res.WireBytes
 		return res, nil
+	}
+	res.DeltaBytes = res.WireBytes
+	up, links, derr := deltaUpdate(resp, game, body, have)
+	if derr == nil {
+		res.Update, res.Format, res.DeltaLinks = up, "delta", links
+		return res, nil
+	}
+	// The chain is unusable on this base. Fetch the full table; the
+	// wasted chain bytes stay counted.
+	resp, body, err = c.getUpdate(game, 0)
+	if err == nil {
+		up, err = fullUpdate(resp, game, body)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("cloud: full-image fallback after delta failure (%v): %w", derr, err)
+	}
+	res.Update, res.Format, res.FullFallback = up, "flat", true
+	res.FullBytes = units.Size(len(body))
+	res.WireBytes += res.FullBytes
+	return res, nil
+}
+
+// getUpdate issues GET /v1/update for a game and generation and reads
+// the reply. A 304 comes back with a nil body; any other status but 200
+// is an error.
+func (c *Client) getUpdate(game string, gen int) (*http.Response, []byte, error) {
+	u := c.endpoint("/v1/update", url.Values{
+		"game": {game}, "gen": {strconv.Itoa(gen)},
+	})
+	resp, _, err := c.do(http.MethodGet, u, "", nil, obs.SpanContext{})
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotModified {
+		return resp, nil, nil
+	}
+	if err := errFromResponse(resp); err != nil {
+		return nil, nil, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, nil, fmt.Errorf("cloud: read update: %w", err)
+	}
+	return resp, body, nil
+}
+
+// fullUpdate loads a full-table reply: a flat image, validated by
+// LoadFlatTable. Any other reply — a 304, a delta chain, another
+// format — is an error.
+func fullUpdate(resp *http.Response, game string, body []byte) (*TableUpdate, error) {
+	if f := resp.Header.Get("X-Snip-Format"); resp.StatusCode != http.StatusOK || f != "flat" {
+		return nil, fmt.Errorf("cloud: full table reply is %q with status %d, want a flat image", f, resp.StatusCode)
 	}
 	t, err := memo.LoadFlatTable(body)
 	if err != nil {
 		return nil, fmt.Errorf("cloud: flat table payload: %w", err)
 	}
-	up, err := updateFromFlatHeaders(resp, game, t)
+	return updateFromFlatHeaders(resp, game, t)
+}
+
+// deltaUpdate decodes a delta-chain reply and patches it onto have,
+// returning the patched table and how many links it applied.
+func deltaUpdate(resp *http.Response, game string, body []byte, have *memo.FlatTable) (*TableUpdate, int, error) {
+	chain, err := trace.DecodeDeltaChain(bytes.NewReader(body), trace.DefaultMaxDecodedDelta)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	res.Update = up
-	res.Format = "flat"
-	return res, nil
+	patched, err := memo.ApplyDeltaChain(have, chain)
+	if err != nil {
+		return nil, 0, err
+	}
+	up, err := updateFromFlatHeaders(resp, game, patched)
+	if err != nil {
+		return nil, 0, err
+	}
+	if last := chain.Deltas[len(chain.Deltas)-1].ToVersion; last != up.Version {
+		return nil, 0, fmt.Errorf("cloud: delta chain ends at version %d, header says %d", last, up.Version)
+	}
+	return up, len(chain.Deltas), nil
 }
 
 // updateFromFlatHeaders assembles a TableUpdate around a flat table from
@@ -434,21 +477,3 @@ func updateFromFlatHeaders(resp *http.Response, game string, t *memo.FlatTable) 
 	}
 	return up, nil
 }
-
-// tableWireSize is what serving up as a full OTA payload puts on the
-// wire: the raw image for a flat table, the gob encoding otherwise.
-func tableWireSize(up *TableUpdate) units.Size {
-	if flat, ok := up.Table.(*memo.FlatTable); ok {
-		return units.Size(len(flat.Image()))
-	}
-	var cw countingWriter
-	if err := EncodeUpdate(&cw, up); err != nil {
-		return 0
-	}
-	return units.Size(cw.n)
-}
-
-// countingWriter measures encoded size without buffering.
-type countingWriter struct{ n int64 }
-
-func (c *countingWriter) Write(p []byte) (int, error) { c.n += int64(len(p)); return len(p), nil }

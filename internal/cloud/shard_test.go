@@ -179,9 +179,12 @@ func TestUpdateEndpointNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantImg := full.Table.(*memo.FlatTable).Image()
+	if built := svc.profiler(game).Latest().Table.(*memo.FlatTable).Image(); !bytes.Equal(wantImg, built) {
+		t.Fatal("full image differs from the table the service built")
+	}
 	gotImg := res2.Update.Table.(*memo.FlatTable).Image()
 	if !bytes.Equal(gotImg, wantImg) {
-		t.Fatalf("update path image (%d bytes, format %s) differs from /v1/table image (%d bytes)",
+		t.Fatalf("update path image (%d bytes, format %s) differs from the full image (%d bytes)",
 			len(gotImg), res2.Format, len(wantImg))
 	}
 	if res2.Format == "delta" {
@@ -242,7 +245,7 @@ func TestFetchUpdateFallsBackOnBaseMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(res.Update.Table.(*memo.FlatTable).Image(), full.Table.(*memo.FlatTable).Image()) {
-		t.Fatal("fallback table differs from /v1/table")
+		t.Fatal("fallback table differs from the full image")
 	}
 }
 

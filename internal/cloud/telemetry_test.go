@@ -145,19 +145,13 @@ func TestTelemetryAggregatorBounds(t *testing.T) {
 }
 
 func TestBuildInfoGauge(t *testing.T) {
-	svc, srv := testServer(t)
+	_, srv := testServer(t)
 	_, body := get(t, srv.URL+"/v1/metrics")
 	if !strings.Contains(body, "# TYPE snip_build_info gauge") {
 		t.Fatal("snip_build_info missing TYPE line")
 	}
 	if !strings.Contains(body, `snip_build_info{layout_version="1",tables="flat"} 1`) {
-		t.Fatalf("flat backend not reported active:\n%s", body)
-	}
-	svc.SetLegacyTables(true)
-	_, body = get(t, srv.URL+"/v1/metrics")
-	if !strings.Contains(body, `snip_build_info{layout_version="1",tables="gob"} 1`) ||
-		!strings.Contains(body, `snip_build_info{layout_version="1",tables="flat"} 0`) {
-		t.Fatalf("backend flip not reflected:\n%s", body)
+		t.Fatalf("flat tables not reported:\n%s", body)
 	}
 }
 

@@ -103,20 +103,7 @@ func (c Config) buildTable(game string) (*memo.SnipTable, *pfi.Result, *trace.Da
 	if pfiCfg.Obs == nil {
 		pfiCfg.Obs = c.Obs
 	}
-	g, err := games.New(game)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if ov := g.Overrides(); len(ov) > 0 {
-		merged := make(map[string]bool, len(ov))
-		for k, v := range pfiCfg.ForceInclude {
-			merged[k] = v
-		}
-		for _, f := range ov {
-			merged[f] = true
-		}
-		pfiCfg.ForceInclude = merged
-	}
+	pfiCfg.ForceInclude = games.ForceInclude(game, pfiCfg.ForceInclude)
 	res, err := pfi.Run(prof, pfiCfg)
 	if err != nil {
 		return nil, nil, nil, err

@@ -64,3 +64,22 @@ func All() []Game {
 	}
 	return out
 }
+
+// ForceInclude returns the PFI ForceInclude set for a named game: the
+// fields in base plus the fields the game's developer marked as
+// necessary (Game.Overrides). base is never modified; it comes back
+// unchanged when the game is unknown or marks no fields.
+func ForceInclude(name string, base map[string]bool) map[string]bool {
+	g, err := New(name)
+	if err != nil || len(g.Overrides()) == 0 {
+		return base
+	}
+	merged := make(map[string]bool, len(base)+len(g.Overrides()))
+	for k, v := range base {
+		merged[k] = v
+	}
+	for _, f := range g.Overrides() {
+		merged[f] = true
+	}
+	return merged
+}

@@ -62,8 +62,7 @@ import (
 // bytes are a deterministic function of the table contents, and a flat
 // table's Fingerprint equals its map-backed source's.
 
-// flatMagic identifies a flat table image; it doubles as the format
-// sniff for OTA payloads (a gob stream can never start with it).
+// flatMagic identifies a flat table image.
 const flatMagic = "SNIPFLT1"
 
 // FlatLayoutVersion is the current image layout version.
@@ -95,12 +94,6 @@ const (
 // or oversized images, bad magic/version, CRC mismatches, and structural
 // inconsistencies between the index and the entry data.
 var ErrFlatCorrupt = errors.New("memo: corrupt flat table image")
-
-// IsFlatImage reports whether b starts like a flat table image — the
-// cheap format sniff the OTA client uses to pick a decode path.
-func IsFlatImage(b []byte) bool {
-	return len(b) >= len(flatMagic) && string(b[:len(flatMagic)]) == flatMagic
-}
 
 // flatWriter accumulates one arena section.
 type flatWriter struct{ b []byte }
@@ -336,8 +329,8 @@ func (t *SnipTable) FlatImage() ([]byte, error) {
 // SnipTable compiled and reloaded through its image (so the result is
 // exactly what a device would serve after an OTA fetch). Those are the
 // only two Tables. The cloud builds its flat tables with BuildFlat
-// instead; Flatten serves the map table's callers (the legacy backend,
-// the figures and the benchmark's staged build).
+// instead; Flatten serves the map table's callers (the figures, the
+// lookup sweep and the benchmark's staged build).
 func Flatten(t Table) (*FlatTable, error) {
 	if ft, ok := t.(*FlatTable); ok {
 		return ft, nil
@@ -439,7 +432,7 @@ func LoadFlatTable(img []byte) (*FlatTable, error) {
 	if len(img) < flatHeaderLen {
 		return nil, corrupt("image %d bytes, header needs %d", len(img), flatHeaderLen)
 	}
-	if !IsFlatImage(img) {
+	if string(img[:len(flatMagic)]) != flatMagic {
 		return nil, corrupt("bad magic %q", img[:len(flatMagic)])
 	}
 	if got := binary.LittleEndian.Uint32(img[52:]); got != crc32.ChecksumIEEE(img[0:52]) {
@@ -811,9 +804,9 @@ func (t *FlatTable) Fingerprint() uint64 { return t.fp }
 // Attach before the table is shared.
 func (t *FlatTable) SetMetrics(m *TableMetrics) { t.metrics = m }
 
-// Export rebuilds the gob-friendly wire form from the flat data. It
-// exists for the legacy OTA path and the chaos injector's deep copies;
-// the serving path never calls it.
+// Export rebuilds the map-shaped Wire form from the flat data. It exists
+// for the chaos injector's deep copies; the serving path never calls
+// it.
 func (t *FlatTable) Export() *Wire {
 	buckets := make(map[string]map[uint64]*Bucket, len(t.types))
 	for c := t.cursor(); c.next(); {

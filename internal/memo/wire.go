@@ -6,8 +6,8 @@ import (
 	"snip/internal/trace"
 )
 
-// Wire is the serializable form of a SnipTable for OTA delivery
-// (encoding/gob-friendly: only exported fields).
+// Wire is the map-shaped snapshot of a table's contents: its selection
+// and buckets, all exported fields.
 type Wire struct {
 	Selection Selection
 	Buckets   map[string]map[uint64]*Bucket

@@ -184,3 +184,44 @@ func TestLearnerConverges(t *testing.T) {
 		t.Fatalf("error rate %v after 4 epochs", lastErr)
 	}
 }
+
+// The cloud profiler merges PFIOptions.ForceInclude with the game's
+// developer-marked fields exactly as BuildTable does, so a table the
+// cloud serves selects the same inputs as one built in-process from the
+// same sessions.
+func TestCloudForceIncludeKeepsOverrides(t *testing.T) {
+	const game = "RaceKings" // marks state.speed and state.rivalGap
+	const dur = 10 * time.Second
+	opts := snip.DefaultPFIOptions()
+	opts.ForceInclude = []string{"state.standing"}
+
+	prof, err := snip.Profile(game, snip.ProfileOptions{Sessions: 2, SeedBase: 0xA1, Duration: dur})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := snip.BuildTable(prof, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	svc := snip.NewCloudService(opts)
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	client := snip.NewCloudClient(srv.URL)
+	for seed := uint64(0xA1); seed <= 0xA2; seed++ {
+		if err := client.RecordAndUpload(game, seed, dur); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := client.Rebuild(game); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := client.FetchTable(game)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.SelectionSummary() != want.SelectionSummary() {
+		t.Fatalf("cloud selection:\n%s\nBuildTable selection:\n%s", got.SelectionSummary(), want.SelectionSummary())
+	}
+}
