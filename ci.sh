@@ -49,6 +49,11 @@ go run ./cmd/fleetbench -devices 2,4 -sessions 2 -secs 5 -profile-sessions 2 \
 go run ./cmd/fleetbench -validate /tmp/snip_bench_fleet_smoke.json
 rm -f /tmp/snip_bench_fleet_smoke.json
 
+echo "== committed bench files (every published BENCH_*.json must pass the schema its writer checks)"
+for f in BENCH_*.json; do
+	go run ./cmd/fleetbench -validate "$f"
+done
+
 echo "== shard sweep smoke (figures must be byte-identical at every shard count)"
 go run ./cmd/fleetbench -shard-sweep 1,2,4 -shard-games 3 -shard-sessions 2 -secs 5 \
 	-out /tmp/snip_bench_shards_smoke.json
@@ -57,7 +62,6 @@ rm -f /tmp/snip_bench_shards_smoke.json
 
 echo "== fuzz smoke (ingest decoders must reject arbitrary bytes, never panic; the game state store must match its map-backed reference; the key-hash kernel must match its byte-loop oracle)"
 go test -run '^$' -fuzz '^FuzzDecodeBatch$' -fuzztime 5s ./internal/trace
-go test -run '^$' -fuzz '^FuzzDecodeEventsOnly$' -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzDecodeTelemetry$' -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzLoadFlatTable$' -fuzztime 5s ./internal/memo
 go test -run '^$' -fuzz '^FuzzDecodeDelta$' -fuzztime 5s ./internal/trace
@@ -82,7 +86,7 @@ rm -f /tmp/snip_bench_overload_smoke.json
 echo "== allocation gate (memo lookup + metrics + span + telemetry-window + energy-ledger + post-delta-swap lookup + admission token-bucket + scheduler-claim hot paths must stay 0 allocs/op)"
 # DeltaAppliedLookupHit serves from a table rebuilt via ApplyDelta: the
 # patch step may allocate, the table it publishes must look up alloc-free.
-alloc_out=$(go test -run '^$' -bench 'SnipTableLookupHit|SnipTableLookupMiss|FlatLookupHit|FlatLookupMiss|FlatLookupSweep|SharedLookupParallel|SharedLookupSpan|DeltaAppliedLookupHit|CounterInc|GaugeSet|HistogramObserve|HistogramObserveExemplar|SpanStartFinish|TracerRecord|WindowAdd|WindowObserveNil|LedgerEventCharge|LedgerAttribute|TokenBucketTake|SchedulerClaim' \
+alloc_out=$(go test -run '^$' -bench 'SnipTableLookupHit|SnipTableLookupMiss|FlatLookupHit|FlatLookupMiss|FlatLookupSweep|SharedLookupParallel|SharedLookupSpan|DeltaAppliedLookupHit|CounterInc|GaugeSet|HistogramObserve|HistogramObserveExemplar|SpanStartFinish|WindowAdd|WindowObserveNil|LedgerEventCharge|LedgerAttribute|TokenBucketTake|SchedulerClaim' \
 	-benchmem -benchtime 1000x ./internal/memo ./internal/obs ./internal/energy ./internal/cloud ./internal/fleet)
 echo "$alloc_out"
 bad=$(echo "$alloc_out" | awk '/allocs\/op/ && $(NF-1) + 0 > 0')

@@ -8,34 +8,27 @@ import (
 
 	"snip/internal/cloud"
 	"snip/internal/schemes"
+	"snip/internal/trace"
 	"snip/internal/units"
 )
 
 // CloudService is the cloud-side profiler of Fig. 10, exposed over HTTP:
-// devices upload events-only logs, the service replays them in the
-// emulator, runs PFI and serves OTA lookup tables.
+// devices upload events-only logs in session batches, the service
+// replays them in the emulator, runs PFI and serves OTA lookup tables
+// (the full flat image, or a delta chain to a device a few generations
+// behind). Games are partitioned across in-process shard replicas
+// behind a deterministic rendezvous router; each shard owns its games'
+// profiles and drains its own bounded ingest queue. Figures are
+// byte-identical at every shard count; sharding only moves work. Every
+// ingest endpoint runs behind the admission controller, whose live view
+// is served at GET /v1/overloadz.
 type CloudService struct {
 	svc *cloud.Service
 }
 
-// NewCloudService builds a single-shard profiler service with the given
-// PFI options.
-func NewCloudService(o PFIOptions) *CloudService {
-	return &CloudService{svc: cloud.NewService(o.config())}
-}
-
-// NewCloudServiceSharded builds a profiler service whose games are
-// partitioned across N in-process shard replicas behind a deterministic
-// rendezvous router: each shard owns its games' profiles and drains its
-// own bounded ingest queue. Figures are byte-identical at every shard
-// count; sharding only moves work. Call Close when done.
-func NewCloudServiceSharded(o PFIOptions, shards int) *CloudService {
-	return &CloudService{svc: cloud.NewShardedService(o.config(), shards)}
-}
-
-// CloudServiceOptions configures the service's overload-survival knobs
-// on top of the shard count. The zero value matches
-// NewCloudServiceSharded's defaults.
+// CloudServiceOptions configures the service on top of its PFI options.
+// The zero value is one shard, the default queue capacity and delta
+// chain bound, and no ingest quota.
 type CloudServiceOptions struct {
 	// Shards is the profiler replica count (default 1).
 	Shards int
@@ -47,18 +40,20 @@ type CloudServiceOptions struct {
 	QuotaRatePerSec float64
 	// QuotaBurst is the bucket capacity (defaults to QuotaRatePerSec).
 	QuotaBurst float64
+	// DeltaCap bounds every game's retained delta chain — the longest
+	// chain GET /v1/update ships before falling back to the full image
+	// (default 4).
+	DeltaCap int
 }
 
-// NewCloudServiceWithOptions builds the sharded profiler service with
-// explicit admission-control knobs: shard queue capacity and per-game
-// ingest quotas. Every ingest endpoint then runs behind the admission
-// controller, whose live view is served at GET /v1/overloadz. Call
-// Close when done.
-func NewCloudServiceWithOptions(o PFIOptions, co CloudServiceOptions) *CloudService {
+// NewCloudService builds the profiler service. The options are fixed
+// for its lifetime. Call Close when done.
+func NewCloudService(o PFIOptions, co CloudServiceOptions) *CloudService {
 	return &CloudService{svc: cloud.NewServiceWithOptions(o.config(), cloud.ServiceOptions{
 		Shards:   co.Shards,
 		QueueCap: co.QueueCap,
 		Quota:    cloud.QuotaConfig{RatePerSec: co.QuotaRatePerSec, Burst: co.QuotaBurst},
+		DeltaCap: co.DeltaCap,
 	})}
 }
 
@@ -68,11 +63,6 @@ func (s *CloudService) Close() { s.svc.Close() }
 
 // Shards returns the shard count behind the router.
 func (s *CloudService) Shards() int { return s.svc.Shards() }
-
-// SetDeltaCap bounds every game's retained delta chain — the longest
-// chain GET /v1/update ships before falling back to the full image.
-// Values < 1 restore the default.
-func (s *CloudService) SetDeltaCap(n int) { s.svc.SetDeltaCap(n) }
 
 // Handler returns the HTTP handler to mount. Besides the profiler
 // endpoints it serves GET /v1/metrics: a Prometheus-text exposition of
@@ -106,7 +96,8 @@ func NewCloudClient(baseURL string) *CloudClient {
 }
 
 // RecordAndUpload plays one session (baseline, recording only the event
-// log — the device's lightweight instrumentation) and uploads it.
+// log — the device's lightweight instrumentation) and uploads it as a
+// one-session batch.
 func (c *CloudClient) RecordAndUpload(game string, seed uint64, duration time.Duration) error {
 	r, err := schemes.Run(schemes.Config{
 		Game: game, Seed: seed, Duration: units.Time(duration / time.Microsecond),
@@ -115,7 +106,8 @@ func (c *CloudClient) RecordAndUpload(game string, seed uint64, duration time.Du
 	if err != nil {
 		return err
 	}
-	return c.c.Upload(game, seed, r.EventLog)
+	_, err = c.c.UploadBatch(game, []trace.SessionEvents{{Seed: seed, Log: r.EventLog}})
+	return err
 }
 
 // Rebuild asks the cloud to retrain PFI and rebuild the table.

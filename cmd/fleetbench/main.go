@@ -447,16 +447,14 @@ type runSettings struct {
 // admission controller's conservation ledger — and, in overload runs,
 // probes /v1/healthz to prove guard-class traffic is never shed.
 func runOnce(set runSettings, devices int, met *snip.Metrics) (*fleetRun, *fleetzReply, *energyzReply, error) {
-	svc := snip.NewCloudServiceWithOptions(snip.DefaultPFIOptions(), snip.CloudServiceOptions{
+	svc := snip.NewCloudService(snip.DefaultPFIOptions(), snip.CloudServiceOptions{
 		Shards:          set.shards,
 		QueueCap:        set.queueCap,
 		QuotaRatePerSec: set.quotaRate,
 		QuotaBurst:      set.quotaBurst,
+		DeltaCap:        set.deltaCap,
 	})
 	defer svc.Close()
-	if set.deltaCap > 0 {
-		svc.SetDeltaCap(set.deltaCap)
-	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, nil, nil, err

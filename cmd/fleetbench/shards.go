@@ -137,11 +137,8 @@ func runShardSweep(spec string, gamesN, sessionsPerGame, secs, deltaCap int, out
 // fingerprints the resulting tables.
 func shardPointOnce(shards int, games []string, corpus map[string][]trace.SessionEvents, deltaCap int) (shardPoint, error) {
 	pt := shardPoint{Shards: shards}
-	svc := cloud.NewShardedService(pfi.DefaultConfig(), shards)
+	svc := cloud.NewServiceWithOptions(pfi.DefaultConfig(), cloud.ServiceOptions{Shards: shards, DeltaCap: deltaCap})
 	defer svc.Close()
-	if deltaCap > 0 {
-		svc.SetDeltaCap(deltaCap)
-	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return pt, err

@@ -1,5 +1,5 @@
 // Command profilerd runs SNIP's cloud profiler as an HTTP daemon: devices
-// POST events-only session logs, the daemon replays them against the
+// POST batches of events-only session logs, the daemon replays them against the
 // emulator (the deterministic game engine), runs PFI, and serves OTA
 // lookup tables.
 //
@@ -9,11 +9,14 @@
 //
 // Usage:
 //
-//	profilerd -addr 127.0.0.1:8370 -shards 4
+//	profilerd -addr 127.0.0.1:8370 -shards 4 -delta-cap 4 \
+//		-shard-queue-cap 64 -quota-rate 50 -quota-burst 100
 //
-// Endpoints:
+// Every flag is optional; zero values take the service defaults.
 //
-//	POST /v1/upload?game=G&seed=S    (body: events-only log)
+// Endpoints (the full list is in internal/cloud/http.go):
+//
+//	POST /v1/upload-batch?game=G     (body: SNIPBTCH2 session batch)
 //	POST /v1/rebuild?game=G
 //	GET  /v1/update?game=G&gen=N     (CRC-guarded delta chain from gen N, or the full flat image; gen=0 always gets the image)
 //	GET  /v1/status?game=G
@@ -65,17 +68,15 @@ func main() {
 		logger.Error("bad overload knob", "shard-queue-cap", *queueCap, "quota-rate", *quotaRate, "quota-burst", *quotaBurst)
 		os.Exit(2)
 	}
-	svc := snip.NewCloudServiceWithOptions(snip.DefaultPFIOptions(), snip.CloudServiceOptions{
+	svc := snip.NewCloudService(snip.DefaultPFIOptions(), snip.CloudServiceOptions{
 		Shards:          *shards,
 		QueueCap:        *queueCap,
 		QuotaRatePerSec: *quotaRate,
 		QuotaBurst:      *quotaBurst,
+		DeltaCap:        *deltaCap,
 	})
 	defer svc.Close()
 	svc.SetLogger(logger)
-	if *deltaCap > 0 {
-		svc.SetDeltaCap(*deltaCap)
-	}
 
 	srv := &http.Server{Addr: *addr, Handler: svc.Handler()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -16,7 +16,8 @@ import (
 
 func main() {
 	// Start the cloud profiler on an ephemeral localhost port.
-	svc := snip.NewCloudService(snip.DefaultPFIOptions())
+	svc := snip.NewCloudService(snip.DefaultPFIOptions(), snip.CloudServiceOptions{})
+	defer svc.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -38,7 +38,7 @@ const (
 	// PriorityTelemetry covers device telemetry: shed only when the
 	// owning shard's queue is nearly saturated.
 	PriorityTelemetry
-	// PriorityBulk covers upload, upload-batch and rebuild — the paths
+	// PriorityBulk covers upload-batch and rebuild — the paths
 	// that create the load. Quota-gated and shed first.
 	PriorityBulk
 	numPriorities
@@ -399,7 +399,6 @@ func (s *Service) handleOverloadz(w http.ResponseWriter, r *http.Request) {
 // endpointClass maps tracked ingest endpoints to their priority class;
 // the instrument middleware feeds the per-class ledger from it.
 var endpointClass = map[string]Priority{
-	"upload":       PriorityBulk,
 	"upload-batch": PriorityBulk,
 	"rebuild":      PriorityBulk,
 	"telemetry":    PriorityTelemetry,

@@ -29,7 +29,7 @@ func TestBatchUploadMatchesSequential(t *testing.T) {
 	_, seqSrv := testServer(t)
 	seq := NewClient(seqSrv.URL)
 	for i, s := range seeds {
-		if err := seq.Upload("Colorphun", s, sessions[i].Log); err != nil {
+		if err := uploadSession(seq, "Colorphun", s, sessions[i].Log); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,7 +151,7 @@ func fastRetry(attempts int) RetryPolicy {
 // TestClientRetriesTransient5xx: the client must ride out a transient
 // outage within its retry budget and count every retry attempt.
 func TestClientRetriesTransient5xx(t *testing.T) {
-	svc := NewService(pfi.DefaultConfig())
+	svc := NewServiceWithOptions(pfi.DefaultConfig(), ServiceOptions{})
 	flaky := &flakyHandler{next: svc.Handler()}
 	flaky.remaining.Store(2)
 	srv := httptest.NewServer(flaky)
@@ -162,7 +162,7 @@ func TestClientRetriesTransient5xx(t *testing.T) {
 	c.Retry = fastRetry(3)
 	c.SetMetrics(reg)
 
-	if err := c.Upload("Colorphun", 0xA1, record(t, "Colorphun", 0xA1).EventLog); err != nil {
+	if err := uploadSession(c, "Colorphun", 0xA1, record(t, "Colorphun", 0xA1).EventLog); err != nil {
 		t.Fatalf("upload did not survive 2 transient 503s: %v", err)
 	}
 	if got := reg.Snapshot().Counters["snip_cloud_client_retries_total"]; got != 2 {

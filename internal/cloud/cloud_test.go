@@ -24,6 +24,13 @@ func record(t *testing.T, game string, seed uint64) *schemes.Result {
 	return r
 }
 
+// uploadSession sends one session's events-only log as a one-session
+// batch.
+func uploadSession(c *Client, game string, seed uint64, log *trace.EventLog) error {
+	_, err := c.UploadBatch(game, []trace.SessionEvents{{Seed: seed, Log: log}})
+	return err
+}
+
 // TestReplayReconstructsProfile is the keystone of the cloud design: the
 // emulator replay of an events-only log must reproduce EXACTLY the full
 // profile the device would have recorded — that is why uploading only
@@ -93,7 +100,7 @@ func TestReplayBatchMatchesSerial(t *testing.T) {
 	// IngestLogs must equal ingesting the same logs one by one.
 	serial := NewProfiler(game, pfi.DefaultConfig())
 	for _, l := range logs {
-		if err := serial.IngestLog(l.Seed, l.Log); err != nil {
+		if err := serial.IngestLogs(1, []SessionLog{{Seed: l.Seed, Log: l.Log}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -117,7 +124,7 @@ func TestProfilerRebuild(t *testing.T) {
 		t.Fatal("rebuild on empty profile accepted")
 	}
 	dev := record(t, "Greenwall", 7)
-	if err := p.IngestLog(7, dev.EventLog); err != nil {
+	if err := p.IngestLogs(1, []SessionLog{{Seed: 7, Log: dev.EventLog}}); err != nil {
 		t.Fatal(err)
 	}
 	if p.ProfileLen() != dev.Dataset.Len() {
@@ -165,7 +172,7 @@ func TestLearnerTruncatesFirstEpoch(t *testing.T) {
 }
 
 func TestHTTPServiceEndToEnd(t *testing.T) {
-	svc := NewService(pfi.DefaultConfig())
+	svc := NewServiceWithOptions(pfi.DefaultConfig(), ServiceOptions{})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 	client := NewClient(srv.URL)
@@ -177,7 +184,7 @@ func TestHTTPServiceEndToEnd(t *testing.T) {
 
 	for seed := uint64(0xA1); seed <= 0xA3; seed++ {
 		dev := record(t, "Colorphun", seed)
-		if err := client.Upload("Colorphun", seed, dev.EventLog); err != nil {
+		if err := uploadSession(client, "Colorphun", seed, dev.EventLog); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,7 +213,7 @@ func TestHTTPServiceEndToEnd(t *testing.T) {
 }
 
 func TestHTTPValidation(t *testing.T) {
-	svc := NewService(pfi.DefaultConfig())
+	svc := NewServiceWithOptions(pfi.DefaultConfig(), ServiceOptions{})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 	client := NewClient(srv.URL)

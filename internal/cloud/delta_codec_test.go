@@ -27,7 +27,7 @@ func learnDeltaRounds(tb testing.TB, game string) (*Profiler, *memo.FlatTable) {
 	seed := uint64(replayGoldenSeed)
 	for round := 0; round < 2; round++ {
 		for i := 0; i < codecDeltaSessions; i++ {
-			if err := p.IngestLog(seed, recordLog(tb, game, seed)); err != nil {
+			if err := p.IngestLogs(1, []SessionLog{{Seed: seed, Log: recordLog(tb, game, seed)}}); err != nil {
 				tb.Fatal(err)
 			}
 			seed++

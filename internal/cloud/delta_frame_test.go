@@ -23,7 +23,7 @@ func growChain(t *testing.T, p *Profiler, seeds ...uint64) map[int]*memo.FlatTab
 	t.Helper()
 	tables := make(map[int]*memo.FlatTable)
 	for _, seed := range seeds {
-		if err := p.IngestLog(seed, recordLog(t, p.Game(), seed)); err != nil {
+		if err := p.IngestLogs(1, []SessionLog{{Seed: seed, Log: recordLog(t, p.Game(), seed)}}); err != nil {
 			t.Fatal(err)
 		}
 		up, err := p.Rebuild()
@@ -74,7 +74,7 @@ func applyFrame(t *testing.T, base *memo.FlatTable, frame []byte) (*memo.FlatTab
 // A device two behind gets a freshly encoded two-link chain that
 // applies onto its table.
 func TestDeltaFrameReuse(t *testing.T) {
-	svc := NewService(pfi.DefaultConfig())
+	svc := NewServiceWithOptions(pfi.DefaultConfig(), ServiceOptions{})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 	defer svc.Close()
@@ -167,11 +167,52 @@ func TestDeltaFrameNeverStale(t *testing.T) {
 	})
 }
 
+// TestServiceDeltaCapOption: ServiceOptions.DeltaCap bounds every
+// game's retained chain from construction on, as Profiler.SetDeltaCap
+// does in TestDeltaFrameNeverStale's delta-cap case. After three
+// rebuilds a device one generation behind is served the one-link delta
+// and a device two behind the full image; under the default cap the
+// same service serves the two-link chain.
+func TestServiceDeltaCapOption(t *testing.T) {
+	formats := func(t *testing.T, opt ServiceOptions) (chainCap int, gen1, gen2 string) {
+		t.Helper()
+		svc := NewServiceWithOptions(pfi.DefaultConfig(), opt)
+		t.Cleanup(svc.Close)
+		srv := httptest.NewServer(svc.Handler())
+		t.Cleanup(srv.Close)
+		client := NewClient(srv.URL)
+		for seed := uint64(1); seed <= 3; seed++ {
+			if err := uploadSession(client, frameGame, seed, recordLog(t, frameGame, seed)); err != nil {
+				t.Fatal(err)
+			}
+			if err := client.Rebuild(frameGame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		format := func(gen int) string {
+			resp, body := get(t, srv.URL+"/v1/update?game="+frameGame+"&gen="+strconv.Itoa(gen))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("gen %d: status %d body %q", gen, resp.StatusCode, body)
+			}
+			return resp.Header.Get("X-Snip-Format")
+		}
+		return svc.Shardz().DeltaCap, format(1), format(2)
+	}
+
+	if n, gen1, gen2 := formats(t, ServiceOptions{DeltaCap: 1}); n != 1 || gen1 != "flat" || gen2 != "delta" {
+		t.Fatalf("DeltaCap 1: cap %d, gen 1 served %q, gen 2 served %q; want 1, flat, delta", n, gen1, gen2)
+	}
+	if n, gen1, gen2 := formats(t, ServiceOptions{}); n != DefaultMaxDeltaChain || gen1 != "delta" || gen2 != "delta" {
+		t.Fatalf("default cap: cap %d, gen 1 served %q, gen 2 served %q; want %d, delta, delta",
+			n, gen1, gen2, DefaultMaxDeltaChain)
+	}
+}
+
 // A Rebuild racing /v1/update: every fetch either applies a chain that
 // lands on the cloud's table for the version it reports or falls back
 // to the full image, and never errors.
 func TestDeltaFrameRebuildRacesUpdate(t *testing.T) {
-	svc := NewService(pfi.DefaultConfig())
+	svc := NewServiceWithOptions(pfi.DefaultConfig(), ServiceOptions{})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 	defer svc.Close()
@@ -242,7 +283,7 @@ func TestDeltaFrameRebuildRacesUpdate(t *testing.T) {
 // gets the full image, while a device on the current generation still
 // gets 304.
 func TestUpdateDeviceAheadGetsFullImage(t *testing.T) {
-	svc := NewService(pfi.DefaultConfig())
+	svc := NewServiceWithOptions(pfi.DefaultConfig(), ServiceOptions{})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 	defer svc.Close()

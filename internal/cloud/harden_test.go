@@ -14,30 +14,6 @@ import (
 	"snip/internal/trace"
 )
 
-// TestUploadOversizedRejected: a body past MaxUploadBytes answers 413
-// and bumps the oversize counter, not the corrupt one.
-func TestUploadOversizedRejected(t *testing.T) {
-	svc, srv := testServer(t)
-	// Valid magic plus a gob length prefix declaring a 16 MiB message,
-	// backed by real bytes: the decoder reads through the size limiter
-	// until it trips. (Junk bytes would fail the magic check first and
-	// count as corrupt, not oversize.)
-	big := []byte("SNIPEVTS1")
-	big = append(big, 0xFC, 0x01, 0x00, 0x00, 0x00) // gob uint 16 MiB
-	big = append(big, bytes.Repeat([]byte{0}, MaxUploadBytes+(1<<20))...)
-	resp, _ := post(t, srv.URL+"/v1/upload?game=Colorphun&seed=1", bytes.NewReader(big))
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d, want 413", resp.StatusCode)
-	}
-	snap := svc.Metrics().Snapshot()
-	if snap.Counters["snip_cloud_uploads_rejected_oversize_total"] != 1 {
-		t.Fatal("oversize rejection not counted")
-	}
-	if snap.Counters["snip_cloud_uploads_rejected_corrupt_total"] != 0 {
-		t.Fatal("oversize rejection miscounted as corrupt")
-	}
-}
-
 // TestBatchOversizedCompressedRejected: a compressed body past
 // MaxBatchBytes answers 413 before any decoding happens.
 func TestBatchOversizedCompressedRejected(t *testing.T) {
@@ -130,10 +106,10 @@ func TestBatchCorruptCounted(t *testing.T) {
 	}
 }
 
-// TestBatchTrailerlessCounted: the previous release's framing — magic +
-// gzip(gob), no CRC trailer — answers 400 and lands in the trailerless
-// counter, not the corrupt one, so an incomplete fleet upgrade is
-// distinguishable from wire corruption during rollout.
+// TestBatchTrailerlessCounted: a batch cut short by its 8-byte trailer
+// — a truncated body; no writer of a trailerless SNIPBTCH2 frame ever
+// existed — answers 400 and counts as corrupt, like any other body
+// that is not the one that was sent.
 func TestBatchTrailerlessCounted(t *testing.T) {
 	svc, srv := testServer(t)
 	log := &trace.EventLog{Game: "Colorphun", Events: []trace.LoggedEvent{
@@ -151,12 +127,12 @@ func TestBatchTrailerlessCounted(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d body %q, want 400", resp.StatusCode, body)
 	}
-	snap := svc.Metrics().Snapshot()
-	if snap.Counters["snip_cloud_uploads_rejected_trailerless_total"] != 1 {
-		t.Fatal("trailerless rejection not counted")
+	if !strings.Contains(body, "missing integrity trailer") {
+		t.Fatalf("body %q, want a missing-trailer message", body)
 	}
-	if snap.Counters["snip_cloud_uploads_rejected_corrupt_total"] != 0 {
-		t.Fatal("trailerless rejection miscounted as corrupt")
+	snap := svc.Metrics().Snapshot()
+	if snap.Counters["snip_cloud_uploads_rejected_corrupt_total"] != 1 {
+		t.Fatal("truncated batch not counted as corrupt")
 	}
 }
 

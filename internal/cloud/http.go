@@ -28,8 +28,7 @@ import (
 // Service exposes the profiler fleet over HTTP — the device/cloud split
 // of Fig. 10. Endpoints:
 //
-//	POST /v1/upload?game=G&seed=S   body: events-only log (trace gob)
-//	POST /v1/upload-batch?game=G    body: gzip'd multi-session batch
+//	POST /v1/upload-batch?game=G    body: SNIPBTCH2 session batch (events-only logs)
 //	POST /v1/rebuild?game=G         retrain PFI, build a new table
 //	GET  /v1/update?game=G&gen=N    OTA table: delta chain from gen N, or the full flat image
 //	GET  /v1/status?game=G          text status
@@ -62,9 +61,9 @@ type Service struct {
 	started time.Time
 	log     *slog.Logger
 
-	// deltaCap bounds each game's retained delta chain; shardWorkers is
-	// the replay fan-out each shard's ingest jobs get (the worker budget
-	// divided across shards).
+	// deltaCap bounds each game's retained delta chain, fixed at
+	// construction; shardWorkers is the replay fan-out each shard's
+	// ingest jobs get (the worker budget divided across shards).
 	deltaCap     int
 	shardWorkers int
 	wg           sync.WaitGroup
@@ -75,10 +74,8 @@ type Service struct {
 // hostile or corrupted upload costs a bounded read, never an unbounded
 // allocation. The decoded cap is what stops a gzip bomb — a few-KiB
 // compressed body that inflates to tens of MiB dies at the cap with a
-// 413, not in the gob decoder's allocator.
+// 413, not in the payload decoder's allocator.
 const (
-	// MaxUploadBytes bounds a single-session events-only upload.
-	MaxUploadBytes = 4 << 20
 	// MaxBatchBytes bounds a batch upload's compressed body.
 	MaxBatchBytes = 8 << 20
 	// MaxBatchDecodedBytes bounds the batch's decompressed size.
@@ -95,14 +92,10 @@ type serviceMetrics struct {
 	rebuilds     *obs.Counter
 	rebuildFails *obs.Counter
 	tablesServed *obs.Counter
-	// Deterministic ingest rejections: corrupt bodies (checksum/parse),
-	// oversized ones (body or decoded-size cap), and trailerless batches
-	// (the previous wire release's framing — counted apart from genuine
-	// corruption so a not-fully-upgraded fleet shows up in rollout
-	// dashboards instead of hiding inside the corrupt series).
-	rejectedCorrupt     *obs.Counter
-	rejectedOversize    *obs.Counter
-	rejectedTrailerless *obs.Counter
+	// Deterministic ingest rejections: corrupt bodies (truncated,
+	// checksum or parse) and oversized ones (body or decoded-size cap).
+	rejectedCorrupt  *obs.Counter
+	rejectedOversize *obs.Counter
 	// Telemetry ingest accounting; dropped counts records rejected by
 	// the aggregator's game cap.
 	telemetryBatches *obs.Counter
@@ -117,11 +110,11 @@ type serviceMetrics struct {
 
 // endpoints the middleware tracks; fixed so every series exists from
 // the first scrape rather than appearing after first use.
-var endpointNames = []string{"upload", "upload-batch", "rebuild", "update", "status", "metrics", "healthz", "tracez", "guard", "telemetry", "fleetz", "shardz", "energyz", "overloadz"}
+var endpointNames = []string{"upload-batch", "rebuild", "update", "status", "metrics", "healthz", "tracez", "guard", "telemetry", "fleetz", "shardz", "energyz", "overloadz"}
 
 // ingestEndpoints are the ones whose error rate feeds the /v1/healthz
 // verdict — the data-path endpoints, not the introspection ones.
-var ingestEndpoints = []string{"upload", "upload-batch", "rebuild", "update", "telemetry"}
+var ingestEndpoints = []string{"upload-batch", "rebuild", "update", "telemetry"}
 
 func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 	m := &serviceMetrics{
@@ -136,8 +129,6 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 			"uploads rejected for failing the checksum or parse"),
 		rejectedOversize: reg.Counter("snip_cloud_uploads_rejected_oversize_total",
 			"uploads rejected for exceeding a body or decoded-size cap"),
-		rejectedTrailerless: reg.Counter("snip_cloud_uploads_rejected_trailerless_total",
-			"batch uploads rejected for the retired pre-trailer wire framing (prior-release writers)"),
 		telemetryBatches: reg.Counter("snip_cloud_telemetry_batches_total",
 			"device telemetry batches ingested"),
 		telemetryRecords: reg.Counter("snip_cloud_telemetry_records_total",
@@ -161,27 +152,11 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 	return m
 }
 
-// NewService builds an empty single-shard service; profilers are
-// created per game on first upload. Every service owns a metrics
-// registry (see Metrics) exposed at GET /v1/metrics.
-func NewService(cfg pfi.Config) *Service {
-	return NewShardedService(cfg, 1)
-}
-
-// NewShardedService builds a service whose games are partitioned across
-// shards in-process profiler replicas behind the rendezvous router (see
-// ShardFor). Each shard owns its games' profilers and drains its own
-// bounded ingest queue on a dedicated worker; the replay worker budget
-// (GOMAXPROCS) is divided across shards. Shard count is fixed for the
-// service's lifetime. Call Close when done to stop the shard workers.
-func NewShardedService(cfg pfi.Config, shards int) *Service {
-	return NewServiceWithOptions(cfg, ServiceOptions{Shards: shards})
-}
-
 // ServiceOptions configures the serving stack beyond the PFI config:
-// the shard fan-out, each shard's ingest queue bound, and the per-game
-// bulk admission quota. Zero values take the defaults (1 shard,
-// DefaultShardQueueCap, unlimited quota).
+// the shard fan-out, each shard's ingest queue bound, the per-game bulk
+// admission quota and the delta chain bound. Zero values take the
+// defaults (1 shard, DefaultShardQueueCap, unlimited quota,
+// DefaultMaxDeltaChain).
 type ServiceOptions struct {
 	// Shards is the profiler replica count behind the rendezvous router.
 	Shards int
@@ -191,10 +166,20 @@ type ServiceOptions struct {
 	// Quota gates bulk ingest per game with a token bucket (see
 	// QuotaConfig). The zero value admits everything.
 	Quota QuotaConfig
+	// DeltaCap bounds every game's retained delta chain — the longest
+	// chain /v1/update ships before falling back to the full image.
+	DeltaCap int
 }
 
-// NewServiceWithOptions builds the sharded service with explicit
-// overload-survival knobs. Call Close when done to stop the workers.
+// NewServiceWithOptions builds an empty service; profilers are created
+// per game on first upload. Games are partitioned across opt.Shards
+// in-process profiler replicas behind the rendezvous router (see
+// ShardFor). Each shard owns its games' profilers and drains its own
+// bounded ingest queue on a dedicated worker; the replay worker budget
+// (GOMAXPROCS) is divided across shards. Every service owns a metrics
+// registry (see Metrics) exposed at GET /v1/metrics. The options are
+// fixed for the service's lifetime. Call Close when done to stop the
+// shard workers.
 func NewServiceWithOptions(cfg pfi.Config, opt ServiceOptions) *Service {
 	shards := opt.Shards
 	if shards < 1 {
@@ -203,6 +188,10 @@ func NewServiceWithOptions(cfg pfi.Config, opt ServiceOptions) *Service {
 	queueCap := opt.QueueCap
 	if queueCap < 1 {
 		queueCap = DefaultShardQueueCap
+	}
+	deltaCap := opt.DeltaCap
+	if deltaCap < 1 {
+		deltaCap = DefaultMaxDeltaChain
 	}
 	reg := obs.NewRegistry()
 	cfg.Obs = reg // rebuild-time PFI searches surface in /v1/metrics
@@ -213,9 +202,9 @@ func NewServiceWithOptions(cfg pfi.Config, opt ServiceOptions) *Service {
 		met:          newServiceMetrics(reg),
 		tel:          newTelemetryAggregator(),
 		adm:          newAdmission(queueCap, opt.Quota, reg),
-		spans:        obs.NewSpanBuffer(obs.DefaultTracerCapacity),
+		spans:        obs.NewSpanBuffer(obs.DefaultSpanCapacity),
 		started:      time.Now(),
-		deltaCap:     DefaultMaxDeltaChain,
+		deltaCap:     deltaCap,
 		shardWorkers: max(1, runtime.GOMAXPROCS(0)/shards),
 	}
 	reg.Gauge("snip_cloud_shards", "shard replicas behind the router").Set(int64(shards))
@@ -248,30 +237,6 @@ func (s *Service) Close() {
 // Shards returns the shard count behind the router.
 func (s *Service) Shards() int { return len(s.shards) }
 
-// SetDeltaCap bounds every game's retained delta chain — the longest
-// chain /v1/update ships before falling back to the full image. Values
-// < 1 restore DefaultMaxDeltaChain. Applies to existing and future
-// profilers.
-func (s *Service) SetDeltaCap(n int) {
-	if n < 1 {
-		n = DefaultMaxDeltaChain
-	}
-	s.mu.Lock()
-	s.deltaCap = n
-	s.mu.Unlock()
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		ps := make([]*Profiler, 0, len(sh.profilers))
-		for _, p := range sh.profilers {
-			ps = append(ps, p)
-		}
-		sh.mu.Unlock()
-		for _, p := range ps {
-			p.SetDeltaCap(n)
-		}
-	}
-}
-
 // shardFor returns the shard owning a game.
 func (s *Service) shardFor(game string) *shard {
 	return s.shards[ShardFor(game, len(s.shards))]
@@ -290,10 +255,7 @@ func (s *Service) Spans() *obs.SpanBuffer { return s.spans }
 func (s *Service) SetLogger(l *slog.Logger) { s.log = l }
 
 func (s *Service) profiler(game string) *Profiler {
-	s.mu.Lock()
-	deltaCap := s.deltaCap
-	s.mu.Unlock()
-	return s.shardFor(game).profiler(game, s.cfg, deltaCap)
+	return s.shardFor(game).profiler(game, s.cfg, s.deltaCap)
 }
 
 // gameCount sums the games owned across shards.
@@ -363,7 +325,6 @@ func (s *Service) instrument(endpoint string, h http.HandlerFunc) http.HandlerFu
 // Handler returns the HTTP handler.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/upload", s.instrument("upload", s.handleUpload))
 	mux.HandleFunc("POST /v1/upload-batch", s.instrument("upload-batch", s.handleUploadBatch))
 	mux.HandleFunc("POST /v1/rebuild", s.instrument("rebuild", s.handleRebuild))
 	mux.HandleFunc("GET /v1/update", s.instrument("update", s.handleUpdate))
@@ -546,57 +507,6 @@ func gameParam(w http.ResponseWriter, r *http.Request) (string, bool) {
 	return game, true
 }
 
-func (s *Service) handleUpload(w http.ResponseWriter, r *http.Request) {
-	game, ok := gameParam(w, r)
-	if !ok {
-		return
-	}
-	if !s.admit(w, PriorityBulk, game) {
-		return
-	}
-	seed, err := strconv.ParseUint(r.URL.Query().Get("seed"), 10, 64)
-	if err != nil {
-		http.Error(w, "bad seed: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	log, err := trace.DecodeEventsOnly(http.MaxBytesReader(w, r.Body, MaxUploadBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.met.rejectedOversize.Inc()
-			http.Error(w, "log too large", http.StatusRequestEntityTooLarge)
-			return
-		}
-		s.met.rejectedCorrupt.Inc()
-		http.Error(w, "bad log: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	p := s.profiler(game)
-	sh := s.shardFor(game)
-	var before, after int
-	err, shed := sh.enqueue(func() error {
-		before = p.ProfileLen()
-		if err := p.IngestLog(seed, log); err != nil {
-			return err
-		}
-		after = p.ProfileLen()
-		return nil
-	})
-	if shed {
-		writeShed(w, "shard ingest queue full", time.Second)
-		return
-	}
-	if err != nil {
-		s.replayFailed(w, err)
-		return
-	}
-	s.met.uploads.Inc()
-	s.met.records.Add(int64(after - before))
-	sh.met.sessions.Inc()
-	sh.met.records.Add(int64(after - before))
-	fmt.Fprintf(w, "ok records=%d\n", after)
-}
-
 // replayFailed answers an ingest whose replay failed: 400, counted as
 // corrupt, for a log the emulator cannot replay, and 500 otherwise.
 func (s *Service) replayFailed(w http.ResponseWriter, err error) {
@@ -640,16 +550,9 @@ func (s *Service) handleUploadBatch(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "batch decoded size exceeds limit", http.StatusRequestEntityTooLarge)
 			return
 		}
-		if errors.Is(err, trace.ErrBatchTrailerless) {
-			// Not corruption: a prior-release writer that predates the
-			// mandatory trailer is still uploading. Counted separately so
-			// an incomplete fleet upgrade is visible during rollout.
-			s.met.rejectedTrailerless.Inc()
-			http.Error(w, "bad batch: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		// Checksum mismatches and parse failures are one deterministic
-		// family: the body that arrived is not the body that was sent.
+		// Truncations, checksum mismatches and parse failures are one
+		// deterministic family: the body that arrived is not the body
+		// that was sent.
 		s.met.rejectedCorrupt.Inc()
 		http.Error(w, "bad batch: "+err.Error(), http.StatusBadRequest)
 		return
@@ -817,11 +720,11 @@ func (p RetryPolicy) backoffWith(attempt int, jitter func(int64) int64) time.Dur
 	return time.Duration(jitter(int64(d))) + 1
 }
 
-// Client is the device-side counterpart: upload logs (singly or in
-// gzip'd batches), request rebuilds, fetch tables. The underlying
-// transport keeps connections alive and pools them per host, so a fleet
-// of devices sharing one Client multiplexes over a handful of sockets
-// instead of handshaking per request. Safe for concurrent use.
+// Client is the device-side counterpart: upload session batches,
+// request rebuilds, fetch tables. The underlying transport keeps
+// connections alive and pools them per host, so a fleet of devices
+// sharing one Client multiplexes over a handful of sockets instead of
+// handshaking per request. Safe for concurrent use.
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client
@@ -1016,31 +919,6 @@ func (c *Client) doCtl(method, u, contentType string, body []byte, sc obs.SpanCo
 			"trace_id", sc.Trace.String(), "err", lastErr)
 	}
 	return nil, retries, shed, err
-}
-
-// Upload sends an events-only log for a session seed.
-func (c *Client) Upload(game string, seed uint64, log *trace.EventLog) error {
-	return c.UploadTraced(game, seed, log, obs.SpanContext{})
-}
-
-// UploadTraced is Upload with distributed-trace propagation: the span
-// context (typically the session's root, see obs.Root) rides the
-// X-Snip-Trace header so the cloud's ingest span joins the session's
-// trace.
-func (c *Client) UploadTraced(game string, seed uint64, log *trace.EventLog, sc obs.SpanContext) error {
-	var buf bytes.Buffer
-	if err := trace.EncodeEventsOnly(&buf, log); err != nil {
-		return err
-	}
-	u := c.endpoint("/v1/upload", url.Values{
-		"game": {game}, "seed": {strconv.FormatUint(seed, 10)},
-	})
-	resp, _, err := c.do(http.MethodPost, u, "application/octet-stream", buf.Bytes(), sc)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return errFromResponse(resp)
 }
 
 // BatchResult describes one batched upload's transport outcome.

@@ -19,7 +19,7 @@ import (
 
 func testServer(t *testing.T) (*Service, *httptest.Server) {
 	t.Helper()
-	svc := NewService(pfi.DefaultConfig())
+	svc := NewServiceWithOptions(pfi.DefaultConfig(), ServiceOptions{})
 	srv := httptest.NewServer(svc.Handler())
 	t.Cleanup(srv.Close)
 	return svc, srv
@@ -52,7 +52,7 @@ func post(t *testing.T, url string, body io.Reader) (*http.Response, string) {
 func TestMissingGameParam(t *testing.T) {
 	_, srv := testServer(t)
 	cases := []struct{ method, path string }{
-		{"POST", "/v1/upload"},
+		{"POST", "/v1/upload-batch"},
 		{"POST", "/v1/rebuild"},
 		{"GET", "/v1/update"},
 		{"GET", "/v1/status"},
@@ -71,29 +71,6 @@ func TestMissingGameParam(t *testing.T) {
 		if !strings.Contains(body, "missing game") {
 			t.Errorf("%s %s: body %q, want the shared missing-game message", c.method, c.path, body)
 		}
-	}
-}
-
-func TestUploadBadSeed(t *testing.T) {
-	_, srv := testServer(t)
-	resp, body := post(t, srv.URL+"/v1/upload?game=Colorphun&seed=banana", nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
-	}
-	if !strings.Contains(body, "bad seed") {
-		t.Fatalf("body %q, want a bad-seed message", body)
-	}
-}
-
-func TestUploadCorruptBody(t *testing.T) {
-	_, srv := testServer(t)
-	resp, body := post(t, srv.URL+"/v1/upload?game=Colorphun&seed=1",
-		bytes.NewReader([]byte("this is not a gob stream")))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
-	}
-	if !strings.Contains(body, "bad log") {
-		t.Fatalf("body %q, want a bad-log message", body)
 	}
 }
 
@@ -120,7 +97,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	client := NewClient(srv.URL)
 
 	dev := record(t, "Colorphun", 0xA1)
-	if err := client.Upload("Colorphun", 0xA1, dev.EventLog); err != nil {
+	if err := uploadSession(client, "Colorphun", 0xA1, dev.EventLog); err != nil {
 		t.Fatal(err)
 	}
 	if err := client.Rebuild("Colorphun"); err != nil {
@@ -142,17 +119,18 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("metrics content type %q", ct)
 	}
 	for _, want := range []string{
-		`snip_cloud_requests_total{endpoint="upload"} 1`,
+		`snip_cloud_requests_total{endpoint="upload-batch"} 1`,
 		`snip_cloud_requests_total{endpoint="rebuild"} 1`,
 		`snip_cloud_requests_total{endpoint="update"} 1`,
 		`snip_cloud_request_errors_total{endpoint="status"} 1`,
 		"snip_cloud_uploads_total 1",
+		"snip_cloud_upload_batches_total 1",
 		"snip_cloud_rebuilds_total 1",
 		"snip_cloud_tables_served_total 1",
 		`snip_cloud_table_version{game="Colorphun"} 1`,
 		// Rebuild-time PFI search surfaces in the same exposition.
 		"snip_pfi_types_total",
-		`snip_cloud_request_ns_count{endpoint="upload"} 1`,
+		`snip_cloud_request_ns_count{endpoint="upload-batch"} 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
@@ -254,7 +232,7 @@ func TestHealthzEndpoint(t *testing.T) {
 	// 25 corrupt uploads: error ratio 1.0 on an ingest endpoint, well
 	// past the 10% budget and the 20-request judgment floor.
 	for i := 0; i < 25; i++ {
-		post(t, srv.URL+"/v1/upload?game=Colorphun&seed=1",
+		post(t, srv.URL+"/v1/upload-batch?game=Colorphun",
 			bytes.NewReader([]byte("corrupt")))
 	}
 	resp, body = get(t, srv.URL+"/v1/healthz")
@@ -288,7 +266,8 @@ func TestTracePropagation(t *testing.T) {
 
 	dev := record(t, "Colorphun", 0xBEEF)
 	sc := obs.Root(obs.NewTraceID(0xBEEF, obs.HashName("Colorphun/test")))
-	if err := client.UploadTraced("Colorphun", 0xBEEF, dev.EventLog, sc); err != nil {
+	if _, err := client.UploadBatchTraced("Colorphun",
+		[]trace.SessionEvents{{Seed: 0xBEEF, Log: dev.EventLog}}, sc); err != nil {
 		t.Fatal(err)
 	}
 
@@ -308,8 +287,8 @@ func TestTracePropagation(t *testing.T) {
 	if ingest.Parent != sc.Span {
 		t.Errorf("ingest span parent %s, want device span %s", ingest.Parent, sc.Span)
 	}
-	if ingest.Name != "cloud.upload" {
-		t.Errorf("ingest span name %q, want cloud.upload", ingest.Name)
+	if ingest.Name != "cloud.upload-batch" {
+		t.Errorf("ingest span name %q, want cloud.upload-batch", ingest.Name)
 	}
 
 	// The same span is queryable over the wire, filtered by trace ID.
@@ -334,7 +313,7 @@ func TestUntracedRequestsRecordNoSpans(t *testing.T) {
 	svc, srv := testServer(t)
 	client := NewClient(srv.URL)
 	dev := record(t, "Colorphun", 7)
-	if err := client.Upload("Colorphun", 7, dev.EventLog); err != nil {
+	if err := uploadSession(client, "Colorphun", 7, dev.EventLog); err != nil {
 		t.Fatal(err)
 	}
 	if n := svc.Spans().Len(); n != 0 {

@@ -28,7 +28,7 @@ func TestMeasureOTA(t *testing.T) {
 	const boot = 3
 	const rounds = 4
 	for _, game := range games.Names() {
-		svc := NewShardedService(pfi.DefaultConfig(), 2)
+		svc := NewServiceWithOptions(pfi.DefaultConfig(), ServiceOptions{Shards: 2})
 		srv := httptest.NewServer(svc.Handler())
 		client := NewClient(srv.URL)
 		upload := func(seed uint64) {
@@ -39,7 +39,7 @@ func TestMeasureOTA(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := client.Upload(game, seed, r.EventLog); err != nil {
+			if err := uploadSession(client, game, seed, r.EventLog); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -181,19 +181,6 @@ func (p *Profiler) ProfileLen() int {
 	return p.profile.Len()
 }
 
-// IngestLog replays an events-only log (with its session seed) and adds
-// the reconstructed records to the profile.
-func (p *Profiler) IngestLog(seed uint64, log *trace.EventLog) error {
-	ds, err := Replay(p.game, seed, log)
-	if err != nil {
-		return err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.profile.Merge(ds)
-	return nil
-}
-
 // IngestLogs replays a batch of events-only logs in parallel and merges
 // the reconstructed records into the profile in upload order. workers
 // <= 0 selects parallel.DefaultWorkers().

@@ -3,7 +3,6 @@ package cloud
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"net/http"
 	"testing"
 
@@ -44,8 +43,8 @@ func TestBatchWrongValueCountAnswered(t *testing.T) {
 }
 
 // TestBadLogAnswered400: a log the emulator cannot replay (a wrong value
-// count, an unknown event type) is the uploader's fault. Both upload
-// endpoints answer 400 and count it as corrupt, the client does not
+// count, an unknown event type) is the uploader's fault. The upload
+// endpoint answers 400 and counts it as corrupt, the client does not
 // retry it, and the service still accepts a valid batch afterwards.
 func TestBadLogAnswered400(t *testing.T) {
 	svc, srv := testServer(t)
@@ -62,19 +61,6 @@ func TestBadLogAnswered400(t *testing.T) {
 
 		before := corrupt()
 		var buf bytes.Buffer
-		if err := trace.EncodeEventsOnly(&buf, bad); err != nil {
-			t.Fatal(err)
-		}
-		url := fmt.Sprintf("%s/v1/upload?game=Colorphun&seed=%d", srv.URL, replayGoldenSeed)
-		if resp, body := post(t, url, &buf); resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("/v1/upload: status %d body %q, want 400", resp.StatusCode, body)
-		}
-		if got := corrupt() - before; got != 1 {
-			t.Fatalf("/v1/upload: %d corrupt rejections counted, want 1", got)
-		}
-
-		before = corrupt()
-		buf.Reset()
 		err := trace.EncodeBatch(&buf, &trace.SessionBatch{
 			Game: "Colorphun", Sessions: []trace.SessionEvents{{Seed: replayGoldenSeed, Log: bad}},
 		})

@@ -68,13 +68,13 @@ func TestShardedRebuildDeterminism(t *testing.T) {
 
 	var baseline map[string][]byte
 	for _, shards := range []int{1, 2, 4, 8} {
-		svc := NewShardedService(pfi.DefaultConfig(), shards)
+		svc := NewServiceWithOptions(pfi.DefaultConfig(), ServiceOptions{Shards: shards})
 		srv := httptest.NewServer(svc.Handler())
 		client := NewClient(srv.URL)
 		imgs := make(map[string][]byte)
 		for _, g := range gameNames {
 			for _, sl := range logs[g] {
-				if err := client.Upload(g, sl.seed, sl.log); err != nil {
+				if err := uploadSession(client, g, sl.seed, sl.log); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -110,7 +110,7 @@ func TestShardedRebuildDeterminism(t *testing.T) {
 // HTTP: 404 before any build, full image at gen 0, a delta chain once
 // the device holds the previous generation, and 304 when current.
 func TestUpdateEndpointNegotiation(t *testing.T) {
-	svc := NewShardedService(pfi.DefaultConfig(), 2)
+	svc := NewServiceWithOptions(pfi.DefaultConfig(), ServiceOptions{Shards: 2})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 	defer svc.Close()
@@ -126,7 +126,7 @@ func TestUpdateEndpointNegotiation(t *testing.T) {
 	}
 
 	dev := record(t, game, 0xC1)
-	if err := client.Upload(game, 0xC1, dev.EventLog); err != nil {
+	if err := uploadSession(client, game, 0xC1, dev.EventLog); err != nil {
 		t.Fatal(err)
 	}
 	if err := client.Rebuild(game); err != nil {
@@ -149,7 +149,7 @@ func TestUpdateEndpointNegotiation(t *testing.T) {
 	// Grow the profile a little and rebuild: version 2, and the cloud
 	// retains a v1->v2 delta.
 	dev2 := record(t, game, 0xC2)
-	if err := client.Upload(game, 0xC2, dev2.EventLog); err != nil {
+	if err := uploadSession(client, game, 0xC2, dev2.EventLog); err != nil {
 		t.Fatal(err)
 	}
 	if err := client.Rebuild(game); err != nil {
@@ -202,7 +202,7 @@ func TestUpdateEndpointNegotiation(t *testing.T) {
 // holds (the post-rollback drift case) gets the full image, not an error,
 // with both the wasted delta bytes and the full bytes accounted.
 func TestFetchUpdateFallsBackOnBaseMismatch(t *testing.T) {
-	svc := NewShardedService(pfi.DefaultConfig(), 2)
+	svc := NewServiceWithOptions(pfi.DefaultConfig(), ServiceOptions{Shards: 2})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 	defer svc.Close()
@@ -211,7 +211,7 @@ func TestFetchUpdateFallsBackOnBaseMismatch(t *testing.T) {
 
 	for seed := uint64(1); seed <= 2; seed++ {
 		dev := record(t, game, seed)
-		if err := client.Upload(game, seed, dev.EventLog); err != nil {
+		if err := uploadSession(client, game, seed, dev.EventLog); err != nil {
 			t.Fatal(err)
 		}
 		if err := client.Rebuild(game); err != nil {
@@ -269,7 +269,7 @@ func TestShardQueueSheds(t *testing.T) {
 // feeds on: a row per shard, games attributed to their owners, ingest
 // and OTA tallies where the traffic went.
 func TestShardzEndpoint(t *testing.T) {
-	svc := NewShardedService(pfi.DefaultConfig(), 4)
+	svc := NewServiceWithOptions(pfi.DefaultConfig(), ServiceOptions{Shards: 4})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 	defer svc.Close()
@@ -278,7 +278,7 @@ func TestShardzEndpoint(t *testing.T) {
 	gameNames := []string{"Colorphun", "CandyCrush", "MemoryGame"}
 	for _, g := range gameNames {
 		dev := record(t, g, 3)
-		if err := client.Upload(g, 3, dev.EventLog); err != nil {
+		if err := uploadSession(client, g, 3, dev.EventLog); err != nil {
 			t.Fatal(err)
 		}
 		if err := client.Rebuild(g); err != nil {
@@ -344,7 +344,7 @@ func TestShardzEndpoint(t *testing.T) {
 // TestServiceCloseIdempotent: Close drains the workers and is safe to
 // call twice.
 func TestServiceCloseIdempotent(t *testing.T) {
-	svc := NewShardedService(pfi.DefaultConfig(), 3)
+	svc := NewServiceWithOptions(pfi.DefaultConfig(), ServiceOptions{Shards: 3})
 	svc.Close()
 	svc.Close()
 }

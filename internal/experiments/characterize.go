@@ -23,7 +23,7 @@ func Fig2EnergyBreakdown(cfg Config) (*Fig2Result, error) {
 	runs, err := parallel.Map(cfg.Workers, len(games), func(i int) (*schemes.Result, error) {
 		return schemes.Run(schemes.Config{
 			Game: games[i], Seed: cfg.DeploySeed, Duration: cfg.Duration(), Scheme: schemes.Baseline,
-			Obs: cfg.Obs, Tracer: cfg.Tracer, Spans: cfg.Spans,
+			Obs: cfg.Obs, Spans: cfg.Spans,
 		})
 	})
 	if err != nil {
@@ -117,7 +117,7 @@ func Fig4UselessEvents(cfg Config) (*Fig4Result, error) {
 		return schemes.Run(schemes.Config{
 			Game: games[i], Seed: cfg.DeploySeed, Duration: cfg.Duration(),
 			Scheme: schemes.Baseline, CollectTrace: true, CollectEventLog: true,
-			Obs: cfg.Obs, Tracer: cfg.Tracer, Spans: cfg.Spans,
+			Obs: cfg.Obs, Spans: cfg.Spans,
 		})
 	})
 	if err != nil {

@@ -39,11 +39,10 @@ type Config struct {
 	// searches. Write-only: every figure is byte-identical with Obs set
 	// or nil (pinned by the determinism regression test).
 	Obs *obs.Registry
-	// Tracer and Spans, when non-nil, additionally record per-event
-	// chains and distributed-tracing spans from the runners' sessions.
-	// Write-only under the same byte-identical contract as Obs.
-	Tracer *obs.Tracer
-	Spans  *obs.SpanBuffer
+	// Spans, when non-nil, additionally records distributed-tracing
+	// spans from the runners' sessions. Write-only under the same
+	// byte-identical contract as Obs.
+	Spans *obs.SpanBuffer
 }
 
 // DefaultConfig returns the scale used throughout the repository: 45 s

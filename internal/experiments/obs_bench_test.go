@@ -38,14 +38,12 @@ func BenchmarkFig4Instrumented(b *testing.B) {
 }
 
 // BenchmarkFig4Traced adds the full tracing stack on top of the
-// instrumented run: event-chain tracer, span ring and histogram
-// exemplars all live. EXPERIMENTS.md records the delta vs Bare; the
+// instrumented run: span ring and histogram exemplars both live. EXPERIMENTS.md records the delta vs Bare; the
 // whole observability stack shares the <3% budget.
 func BenchmarkFig4Traced(b *testing.B) {
 	cfg := benchFig4Config()
 	cfg.Obs = obs.NewRegistry()
-	cfg.Tracer = obs.NewTracer(obs.DefaultTracerCapacity)
-	cfg.Spans = obs.NewSpanBuffer(obs.DefaultTracerCapacity)
+	cfg.Spans = obs.NewSpanBuffer(obs.DefaultSpanCapacity)
 	for i := 0; i < b.N; i++ {
 		if _, err := Fig4UselessEvents(cfg); err != nil {
 			b.Fatal(err)

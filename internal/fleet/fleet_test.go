@@ -9,6 +9,7 @@ import (
 	"snip/internal/obs"
 	"snip/internal/pfi"
 	"snip/internal/schemes"
+	"snip/internal/trace"
 	"snip/internal/units"
 )
 
@@ -17,14 +18,16 @@ const (
 	testDur  = 10 * units.Second
 )
 
-// bootCloud starts a profiler service, seeds it with a few recorded
-// sessions and builds the first table — the state a fleet joins.
+// bootCloud starts a profiler service, seeds it with one batch of a
+// few recorded sessions and builds the first table — the state a fleet
+// joins.
 func bootCloud(t *testing.T) (*cloud.Service, *httptest.Server, *cloud.Client, memo.Table) {
 	t.Helper()
-	svc := cloud.NewService(pfi.DefaultConfig())
+	svc := cloud.NewServiceWithOptions(pfi.DefaultConfig(), cloud.ServiceOptions{})
 	srv := httptest.NewServer(svc.Handler())
 	t.Cleanup(srv.Close)
 	client := cloud.NewClient(srv.URL)
+	var boot []trace.SessionEvents
 	for seed := uint64(900); seed < 903; seed++ {
 		r, err := schemes.Run(schemes.Config{
 			Game: testGame, Seed: seed, Duration: testDur,
@@ -33,9 +36,10 @@ func bootCloud(t *testing.T) (*cloud.Service, *httptest.Server, *cloud.Client, m
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := client.Upload(testGame, seed, r.EventLog); err != nil {
-			t.Fatal(err)
-		}
+		boot = append(boot, trace.SessionEvents{Seed: seed, Log: r.EventLog})
+	}
+	if _, err := client.UploadBatch(testGame, boot); err != nil {
+		t.Fatal(err)
 	}
 	if err := client.Rebuild(testGame); err != nil {
 		t.Fatal(err)
@@ -109,13 +113,13 @@ func TestFleetEndToEnd(t *testing.T) {
 	}
 
 	// The cloud saw every session, individually counted, via the batch
-	// endpoint (plus the 3 boot uploads).
+	// endpoint (plus the boot batch's 3 sessions).
 	snap := svc.Metrics().Snapshot()
 	if got := snap.Counters["snip_cloud_uploads_total"]; got != int64(devices*sessions+3) {
 		t.Errorf("cloud uploads %d, want %d", got, devices*sessions+3)
 	}
-	if got := snap.Counters["snip_cloud_upload_batches_total"]; got != int64(devices) {
-		t.Errorf("cloud batches %d, want %d", got, devices)
+	if got := snap.Counters["snip_cloud_upload_batches_total"]; got != int64(devices+1) {
+		t.Errorf("cloud batches %d, want %d", got, devices+1)
 	}
 
 	// Fleet-side metrics mirror the result.

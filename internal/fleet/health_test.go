@@ -70,7 +70,7 @@ func TestSLOVerdicts(t *testing.T) {
 func TestFleetTracePropagation(t *testing.T) {
 	svc, _, client, table := bootCloud(t)
 
-	spans := obs.NewSpanBuffer(obs.DefaultTracerCapacity)
+	spans := obs.NewSpanBuffer(obs.DefaultSpanCapacity)
 	res, err := Run(Config{
 		Game: testGame, Devices: 2, SessionsPerDevice: 2,
 		SessionDuration: testDur, SeedBase: 4000,

@@ -111,14 +111,3 @@ func BenchmarkWindowObserveNil(b *testing.B) {
 		w.Observe(int64(i), 1)
 	}
 }
-
-func BenchmarkTracerRecord(b *testing.B) {
-	tr := NewTracer(1024)
-	c := Chain{Game: "Colorphun", EventType: "tap", Probed: true, Hit: true}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Seq = int64(i)
-		tr.Record(c)
-	}
-}

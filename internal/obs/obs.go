@@ -1,8 +1,8 @@
 // Package obs is the repository's zero-dependency observability core:
 // atomic counters, gauges and fixed-bucket histograms behind a registry
 // that exposes everything in the Prometheus text format and as a JSON
-// snapshot, plus an event-chain tracer (tracer.go) that records the
-// span-like life of individual events.
+// snapshot, plus distributed-tracing spans (span.go) that record the
+// life of individual events and requests.
 //
 // Two properties drive the design:
 //

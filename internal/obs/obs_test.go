@@ -30,11 +30,6 @@ func TestNilSafety(t *testing.T) {
 	if err := r.WritePrometheus(&buf); err != nil || buf.Len() != 0 {
 		t.Fatal("nil registry wrote output")
 	}
-	var tr *Tracer
-	tr.Record(Chain{})
-	if tr.Len() != 0 || tr.Total() != 0 || tr.Chains() != nil {
-		t.Fatal("nil tracer retained chains")
-	}
 }
 
 func TestCounterGaugeHistogram(t *testing.T) {
@@ -168,54 +163,5 @@ func TestConcurrentIncrements(t *testing.T) {
 	wg.Wait()
 	if c.Value() != 8000 || h.Count() != 8000 {
 		t.Fatalf("lost updates: counter=%d histogram=%d", c.Value(), h.Count())
-	}
-}
-
-func TestTracerRing(t *testing.T) {
-	tr := NewTracer(4)
-	for i := 0; i < 6; i++ {
-		tr.Record(Chain{Seq: int64(i)})
-	}
-	if tr.Len() != 4 || tr.Total() != 6 || tr.Cap() != 4 {
-		t.Fatalf("len=%d total=%d cap=%d", tr.Len(), tr.Total(), tr.Cap())
-	}
-	chains := tr.Chains()
-	for i, c := range chains {
-		if c.Seq != int64(i+2) { // 0 and 1 were overwritten
-			t.Fatalf("chain %d has seq %d: %+v", i, c.Seq, chains)
-		}
-	}
-}
-
-func TestTracerExport(t *testing.T) {
-	tr := NewTracer(8)
-	tr.Record(Chain{Game: "Colorphun", EventType: "tap", Seq: 1, Probed: true, Hit: true, ShortCircuited: true})
-	tr.Record(Chain{Game: "Colorphun", EventType: "vsync", Seq: 2, Executed: true, HandlerInstr: 1234})
-
-	var gobBuf bytes.Buffer
-	if err := tr.EncodeGob(&gobBuf); err != nil {
-		t.Fatal(err)
-	}
-	chains, err := DecodeGobChains(&gobBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chains) != 2 || chains[0].EventType != "tap" || chains[1].HandlerInstr != 1234 {
-		t.Fatalf("gob round trip lost data: %+v", chains)
-	}
-	if _, err := DecodeGobChains(bytes.NewBufferString("junk")); err == nil {
-		t.Fatal("garbage gob accepted")
-	}
-
-	var jsonBuf bytes.Buffer
-	if err := tr.WriteJSON(&jsonBuf); err != nil {
-		t.Fatal(err)
-	}
-	var decoded []Chain
-	if err := json.Unmarshal(jsonBuf.Bytes(), &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if len(decoded) != 2 || !decoded[0].ShortCircuited {
-		t.Fatalf("json round trip lost data: %+v", decoded)
 	}
 }

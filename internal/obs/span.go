@@ -190,9 +190,29 @@ type Span struct {
 	DurationUS int64 `json:"duration_us,omitempty"`
 	WallNS     int64 `json:"wall_ns,omitempty"`
 
-	// Hit and Err carry the two outcomes dashboards filter on.
+	// Hit and Err carry the two outcomes dashboards filter on. On a
+	// device "event.deliver" span Hit means the event was
+	// short-circuited.
 	Hit bool `json:"hit,omitempty"`
 	Err bool `json:"err,omitempty"`
+
+	// What one delivered event did, set only on "event.deliver" spans
+	// (zero, and so absent from the JSON, on every other span). All are
+	// simulated and deterministic; the probe's wall time is the
+	// memo.lookup child's WallNS.
+	EventType     string `json:"event_type,omitempty"`
+	Seq           int64  `json:"seq,omitempty"`
+	Probes        int64  `json:"probes,omitempty"`
+	ComparedBytes int64  `json:"compared_bytes,omitempty"`
+	// Instr is the handler instructions executed, or on a hit the
+	// instructions the table snipped.
+	Instr           int64 `json:"instr,omitempty"`
+	IPCalls         int   `json:"ip_calls,omitempty"`
+	ShadowChecked   bool  `json:"shadow_checked,omitempty"`
+	ShadowErrFields int64 `json:"shadow_err_fields,omitempty"`
+	// Energy is what the meter was charged while the event was
+	// delivered and handled, in the meter's native units.
+	Energy int64 `json:"energy,omitempty"`
 }
 
 // StartSpan begins a span at the given context under the given parent.
@@ -206,9 +226,9 @@ func StartSpan(ctx SpanContext, parent ID, name string, startUS int64) Span {
 	return Span{Trace: ctx.Trace, ID: ctx.Span, Parent: parent, Name: name, StartUS: startUS}
 }
 
-// SpanBuffer retains the most recent spans in a fixed-capacity ring,
-// exactly like Tracer retains chains. A nil *SpanBuffer is a valid
-// no-op.
+// SpanBuffer retains the most recent spans in a fixed-capacity ring;
+// once the ring wraps, the oldest span is overwritten. A nil
+// *SpanBuffer is a valid no-op.
 type SpanBuffer struct {
 	mu    sync.Mutex
 	ring  []Span
@@ -217,11 +237,15 @@ type SpanBuffer struct {
 	total int64
 }
 
+// DefaultSpanCapacity is the ring size used when NewSpanBuffer is
+// given a non-positive capacity.
+const DefaultSpanCapacity = 4096
+
 // NewSpanBuffer returns a buffer retaining up to capacity spans
-// (DefaultTracerCapacity if capacity <= 0).
+// (DefaultSpanCapacity if capacity <= 0).
 func NewSpanBuffer(capacity int) *SpanBuffer {
 	if capacity <= 0 {
-		capacity = DefaultTracerCapacity
+		capacity = DefaultSpanCapacity
 	}
 	return &SpanBuffer{ring: make([]Span, capacity)}
 }

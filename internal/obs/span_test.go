@@ -150,7 +150,7 @@ func TestSpanBufferNilAndInvalid(t *testing.T) {
 	}
 }
 
-// TestSpanBufferConcurrent is the tracer-export race gate: many writers
+// TestSpanBufferConcurrent is the span-export race gate: many writers
 // record while a reader drains, under -race via ci.sh.
 func TestSpanBufferConcurrent(t *testing.T) {
 	b := NewSpanBuffer(128)
@@ -222,4 +222,38 @@ func TestHistogramExemplar(t *testing.T) {
 
 	var nilH *Histogram
 	nilH.ObserveExemplar(1, ID(1)) // must not panic
+}
+
+// TestSpanJSONShape pins the /v1/tracez wire form: a cloud span, which
+// sets none of the event-delivery fields, marshals to exactly the bytes
+// it did before those fields existed, and a device event.deliver span
+// carries them through a JSON round trip.
+func TestSpanJSONShape(t *testing.T) {
+	cloud := Span{Trace: 0x1f, ID: 0x2e, Parent: 0x3d, Name: "cloud.upload-batch",
+		Service: "cloud", WallNS: 1234, Err: true}
+	got, err := json.Marshal(cloud)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"trace_id":"000000000000001f","span_id":"000000000000002e","parent_id":"000000000000003d",` +
+		`"name":"cloud.upload-batch","service":"cloud","wall_ns":1234,"err":true}`
+	if string(got) != want {
+		t.Fatalf("cloud span JSON changed:\n got %s\nwant %s", got, want)
+	}
+
+	ev := Span{Trace: 1, ID: 2, Parent: 3, Name: "event.deliver", Service: "device",
+		StartUS: 10, DurationUS: 5, Hit: true, EventType: "tap", Seq: 7, Probes: 2,
+		ComparedBytes: 48, Instr: 900, IPCalls: 1, ShadowChecked: true,
+		ShadowErrFields: 3, Energy: 4200}
+	b, err := json.Marshal(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Span
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back != ev {
+		t.Fatalf("event span JSON round trip:\n got %+v\nwant %+v", back, ev)
+	}
 }

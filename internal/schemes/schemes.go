@@ -107,14 +107,13 @@ type Config struct {
 	// write-only — a Result is byte-identical with Obs set or nil
 	// (pinned by the determinism regression tests).
 	Obs *obs.Registry
-	// Tracer, when non-nil, records one obs.Chain per delivered event:
-	// dispatch → memo probe → handler execution → energy charged.
-	Tracer *obs.Tracer
 	// Spans, when non-nil, records distributed-tracing spans: a session
-	// root span plus, per delivered event, an event span and (for SNIP
-	// probes) a memo.lookup child. Span IDs are deterministic functions
-	// of (game, scheme, seed, seq), so the same session always produces
-	// the same trace — see obs.NewTraceID.
+	// root span plus, per delivered event, an event.deliver span (what
+	// the event cost: probe, handler or snipped instructions, IP calls,
+	// shadow check, energy charged) and, for SNIP probes, a memo.lookup
+	// child carrying the probe's wall time. Span IDs are deterministic
+	// functions of (game, scheme, seed, seq), so the same session always
+	// produces the same trace — see obs.NewTraceID.
 	Spans *obs.SpanBuffer
 }
 
@@ -329,7 +328,7 @@ func Run(cfg Config) (*Result, error) {
 	dispatcher.Sort()
 
 	met := newSessionMetrics(cfg.Obs)
-	tracing := cfg.Tracer != nil || cfg.Spans != nil
+	tracing := cfg.Spans != nil
 
 	// The guard's sampling stream is split off the session seed, so it
 	// perturbs no other stream: enabling the guard changes which hits are
@@ -345,21 +344,19 @@ func Run(cfg Config) (*Result, error) {
 	// unconditionally keeps traced and bare results identical.
 	root := obs.Root(obs.NewTraceID(cfg.Seed, obs.HashName(cfg.Game+"/"+cfg.Scheme.String())))
 	res.TraceID = root.Trace
-	gameName, schemeName := cfg.Game, cfg.Scheme.String()
 
 	deliver := func(e *events.Event) {
 		chip.AdvanceTo(e.Time)
-		var chain obs.Chain
-		var chainBefore units.Energy
 		var eventCtx obs.SpanContext
+		var ev obs.Span
+		var evBefore units.Energy
 		if tracing {
 			eventCtx = root.Child(uint64(e.Seq))
-			chain = obs.Chain{
-				TraceID: eventCtx.Trace, SpanID: eventCtx.Span,
-				Game: gameName, Scheme: schemeName,
-				EventType: e.Type.String(), Seq: e.Seq, TimeUS: int64(e.Time),
-			}
-			chainBefore = meter.Total()
+			ev = obs.StartSpan(eventCtx, root.Span, "event.deliver", int64(e.Time))
+			ev.Service = "device"
+			ev.EventType = e.Type.String()
+			ev.Seq = e.Seq
+			evBefore = meter.Total()
 		}
 		// The OS delivery path runs for every event under every scheme.
 		chip.Execute(events.DeliveryCost(e))
@@ -393,9 +390,8 @@ func Run(cfg Config) (*Result, error) {
 				met.executed++
 			}
 			if tracing {
-				chain.Executed = true
-				chain.HandlerInstr = exec.Record.Instr
-				chain.IPCalls = len(exec.IPCalls)
+				ev.Instr = exec.Record.Instr
+				ev.IPCalls = len(exec.IPCalls)
 			}
 
 		case MaxCPU:
@@ -412,9 +408,8 @@ func Run(cfg Config) (*Result, error) {
 				met.executed++
 			}
 			if tracing {
-				chain.Executed = true
-				chain.HandlerInstr = exec.Record.Instr
-				chain.IPCalls = len(exec.IPCalls)
+				ev.Instr = exec.Record.Instr
+				ev.IPCalls = len(exec.IPCalls)
 			}
 
 		case MaxIP:
@@ -442,9 +437,8 @@ func Run(cfg Config) (*Result, error) {
 				met.executed++
 			}
 			if tracing {
-				chain.Executed = true
-				chain.HandlerInstr = exec.Record.Instr
-				chain.IPCalls = len(w.IPCalls)
+				ev.Instr = exec.Record.Instr
+				ev.IPCalls = len(w.IPCalls)
 			}
 
 		case SNIP, NoOverheads:
@@ -461,16 +455,12 @@ func Run(cfg Config) (*Result, error) {
 			entry, probes, cmpBytes, hit := cfg.Table.Lookup(e.Type.String(), resolver)
 			res.Lookup.Observe(probes, cmpBytes, hit)
 			if tracing {
-				chain.Probed = true
-				chain.Hit = hit
-				chain.Probes = probes
-				chain.ComparedBytes = int64(cmpBytes)
-				chain.LookupNS = time.Since(probeStart).Nanoseconds()
-				lkCtx := eventCtx.Child(1)
-				lk := obs.StartSpan(lkCtx, eventCtx.Span, "memo.lookup", int64(e.Time))
+				ev.Probes = probes
+				ev.ComparedBytes = int64(cmpBytes)
+				lk := obs.StartSpan(eventCtx.Child(1), eventCtx.Span, "memo.lookup", int64(e.Time))
 				lk.Service = "device"
 				lk.Hit = hit
-				cfg.Spans.FinishWall(&lk, chain.LookupNS)
+				cfg.Spans.FinishWall(&lk, time.Since(probeStart).Nanoseconds())
 			}
 			if cfg.Scheme == SNIP {
 				res.LookupEnergy += chip.LookupOverhead(probes, cmpBytes)
@@ -494,8 +484,8 @@ func Run(cfg Config) (*Result, error) {
 						met.shadowErrors += res.Errors.ErrFields() - errBefore
 					}
 					if tracing {
-						chain.ShadowChecked = true
-						chain.ShadowErrFields = res.Errors.ErrFields() - errBefore
+						ev.ShadowChecked = true
+						ev.ShadowErrFields = res.Errors.ErrFields() - errBefore
 					}
 				} else if shadowSrc != nil && shadowSrc.Bool(cfg.ShadowSampleRate) {
 					// Sampled production guard: run the real handler on a
@@ -514,15 +504,15 @@ func Run(cfg Config) (*Result, error) {
 						}
 					}
 					if tracing {
-						chain.ShadowChecked = true
+						ev.ShadowChecked = true
 					}
 				}
 				res.SnippedWeight += weight
 				res.TotalWeight += weight
 				game.ApplyOutputs(entry.Outputs)
 				if tracing {
-					chain.ShortCircuited = true
-					chain.HandlerInstr = weight
+					ev.Hit = true
+					ev.Instr = weight
 				}
 			} else {
 				exec := game.Process(e, nil)
@@ -532,19 +522,14 @@ func Run(cfg Config) (*Result, error) {
 					met.executed++
 				}
 				if tracing {
-					chain.Executed = true
-					chain.HandlerInstr = exec.Record.Instr
-					chain.IPCalls = len(exec.IPCalls)
+					ev.Instr = exec.Record.Instr
+					ev.IPCalls = len(exec.IPCalls)
 				}
 			}
 		}
 
 		if tracing {
-			chain.Energy = int64(meter.Total() - chainBefore)
-			cfg.Tracer.Record(chain)
-			ev := obs.StartSpan(eventCtx, root.Span, "event.deliver", int64(e.Time))
-			ev.Service = "device"
-			ev.Hit = chain.ShortCircuited
+			ev.Energy = int64(meter.Total() - evBefore)
 			cfg.Spans.Finish(&ev, int64(chip.Now()))
 		}
 	}

@@ -72,9 +72,8 @@ func DecodeBatch(r io.Reader) (*SessionBatch, error) {
 
 // DecodeBatchLimit reads a session batch, verifying the mandatory CRC32
 // trailer and refusing to decompress more than maxDecoded bytes.
-// Trailerless frames are rejected with ErrBatchTrailerless. Corrupt
-// input — a bad checksum, a malformed payload, bytes past its end —
-// returns an error wrapping ErrBatchChecksum or describing the fault;
+// Corrupt input — a missing trailer, a bad checksum, a malformed
+// payload, bytes past its end — returns an error wrapping ErrBatchChecksum or describing the fault;
 // oversized input one wrapping ErrBatchTooLarge. It never panics,
 // whatever the input (pinned by FuzzDecodeBatch).
 func DecodeBatchLimit(r io.Reader, maxDecoded int64) (*SessionBatch, error) {

@@ -16,12 +16,13 @@ import (
 	"snip/internal/units"
 )
 
-// The wire formats for shipping profiles to the cloud profiler: gob
-// streams for single profiles, a columnar batch payload for the fleet's
-// bulk upload (batch.go) and JSON for debugging/inspection. The paper
-// notes that SNIP records "only the event inputs" on-device to keep the
-// client overhead negligible; EncodeEventsOnly implements that reduced
-// form.
+// The wire formats for shipping profiles to the cloud profiler: a
+// columnar batch payload for the fleet's upload (batch.go) and JSON for
+// debugging/inspection. The gob streams Encode and EncodeEventsOnly
+// write are never sent: they are the §VII-C size model behind
+// TransferSize and EventsOnlyTransferSize. The paper notes that SNIP
+// records "only the event inputs" on-device to keep the client overhead
+// negligible; the events-only form models that reduced upload.
 
 // magic distinguishes full profiles, events-only profiles, gzip'd
 // session batches and telemetry batches on the wire.
@@ -55,28 +56,6 @@ func Encode(w io.Writer, d *Dataset) error {
 	return bw.Flush()
 }
 
-// Decode reads a dataset written by Encode.
-func Decode(r io.Reader) (*Dataset, error) {
-	br := bufio.NewReader(r)
-	var magic [9]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: decode header: %w", err)
-	}
-	if string(magic[:]) != magicFull {
-		return nil, fmt.Errorf("trace: bad magic %q", magic)
-	}
-	var w struct {
-		Game    string
-		Records []*Record
-	}
-	if err := gob.NewDecoder(br).Decode(&w); err != nil {
-		return nil, fmt.Errorf("trace: decode: %w", err)
-	}
-	d := &Dataset{Game: w.Game}
-	d.Append(w.Records...)
-	return d, nil
-}
-
 // EventLog is the reduced on-device recording: just the events (In.Event
 // fields), to be replayed against the emulator in the cloud, where the
 // full input/output profile is regenerated.
@@ -105,23 +84,6 @@ func EncodeEventsOnly(w io.Writer, l *EventLog) error {
 	return bw.Flush()
 }
 
-// DecodeEventsOnly reads an events-only log.
-func DecodeEventsOnly(r io.Reader) (*EventLog, error) {
-	br := bufio.NewReader(r)
-	var magic [9]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: decode header: %w", err)
-	}
-	if string(magic[:]) != magicEventsOnly {
-		return nil, fmt.Errorf("trace: bad magic %q", magic)
-	}
-	var l EventLog
-	if err := gob.NewDecoder(br).Decode(&l); err != nil {
-		return nil, fmt.Errorf("trace: decode events: %w", err)
-	}
-	return &l, nil
-}
-
 // The trailer-guarded frame shared by the SNIPBTCH2 session-batch,
 // SNIPTEL1 telemetry and SNIPDLT2 delta codecs: magic, gzip(body), then
 // an integrity trailer of 4 marker bytes plus the big-endian CRC32
@@ -142,19 +104,13 @@ const DefaultMaxDecodedBatch = 1 << 30
 // Deterministic batch-rejection causes, counted by the cloud ingest
 // metrics. Wrapped in the returned errors; test with errors.Is.
 var (
-	// ErrBatchChecksum marks a batch whose CRC32 trailer does not match
-	// its payload, or whose payload carries bytes past its end — a
-	// corrupted body.
+	// ErrBatchChecksum marks a batch whose CRC32 trailer is missing or
+	// does not match its payload, or whose payload carries bytes past its
+	// end — a truncated or corrupted body.
 	ErrBatchChecksum = errors.New("trace: batch checksum mismatch")
 	// ErrBatchTooLarge marks a batch whose decompressed size exceeds the
 	// decoder's cap — a gzip bomb or a runaway client.
 	ErrBatchTooLarge = errors.New("trace: batch decoded size exceeds limit")
-	// ErrBatchTrailerless marks a batch with no integrity trailer at all —
-	// the previous wire release's framing, outside its compatibility
-	// window. It wraps ErrBatchChecksum, so corrupt-handling catches it
-	// unchanged; the distinct sentinel lets rollout dashboards tell "a
-	// prior-release writer is still uploading" from genuine corruption.
-	ErrBatchTrailerless = fmt.Errorf("%w: missing integrity trailer", ErrBatchChecksum)
 )
 
 // A deflate compressor is most of a MiB of state, far more than a
@@ -205,9 +161,8 @@ func writeFrame(w io.Writer, magic, label string, level int, body func(io.Writer
 // readFrame reads a frame written by writeFrame, verifying the
 // mandatory CRC32 trailer, and hands body the decompressed payload
 // behind a reader that refuses to yield more than maxDecoded bytes.
-// Trailerless frames are rejected with ErrBatchTrailerless; corrupt
-// input returns an error wrapping ErrBatchChecksum; oversized input one
-// wrapping ErrBatchTooLarge. It never panics, whatever the input
+// Truncated or corrupt input returns an error wrapping ErrBatchChecksum;
+// oversized input one wrapping ErrBatchTooLarge. It never panics, whatever the input
 // (pinned by the fuzz targets).
 func readFrame(r io.Reader, magic, label string, maxDecoded int64, body func(io.Reader) error) error {
 	br := bufio.NewReader(r)
@@ -225,7 +180,7 @@ func readFrame(r io.Reader, magic, label string, maxDecoded int64, body func(io.
 	n := len(payload)
 	if n < batchTrailerLen ||
 		string(payload[n-batchTrailerLen:n-crc32.Size]) != batchTrailerMagic {
-		return ErrBatchTrailerless
+		return fmt.Errorf("%w: missing integrity trailer", ErrBatchChecksum)
 	}
 	want := binary.BigEndian.Uint32(payload[n-crc32.Size:])
 	payload = payload[:n-batchTrailerLen]

@@ -76,9 +76,8 @@ func TestBatchTruncationRejected(t *testing.T) {
 	}
 }
 
-// TestBatchLegacyTrailerlessRejected: a payload framed the pre-trailer
-// way — magic + gzip(payload), no trailer — is rejected as corrupt now
-// that the one-release compatibility window has closed.
+// TestBatchLegacyTrailerlessRejected: a payload framed without the
+// trailer — magic + gzip(payload) — is rejected as corrupt.
 func TestBatchLegacyTrailerlessRejected(t *testing.T) {
 	payload, err := appendBatch(nil, sampleBatch())
 	if err != nil {
@@ -102,11 +101,6 @@ func TestBatchLegacyTrailerlessRejected(t *testing.T) {
 	_, err = DecodeBatch(bytes.NewReader(buf.Bytes()))
 	if !errors.Is(err, ErrBatchChecksum) {
 		t.Fatalf("trailerless payload: got %v, want ErrBatchChecksum", err)
-	}
-	// The distinct sentinel is what lets ingest metrics separate "old
-	// writer still deployed" from genuine corruption.
-	if !errors.Is(err, ErrBatchTrailerless) {
-		t.Fatalf("trailerless payload: got %v, want ErrBatchTrailerless", err)
 	}
 }
 

@@ -111,30 +111,3 @@ func FuzzDecodeDelta(f *testing.F) {
 		}
 	})
 }
-
-func FuzzDecodeEventsOnly(f *testing.F) {
-	var buf bytes.Buffer
-	log := &EventLog{Game: "Colorphun", Events: []LoggedEvent{
-		{Type: "touch", Seq: 1, Time: 1000, Values: []int64{3, 7}},
-		{Type: "tick", Seq: 2, Time: 2000, Values: []int64{1}},
-	}}
-	if err := EncodeEventsOnly(&buf, log); err != nil {
-		f.Fatal(err)
-	}
-	wire := buf.Bytes()
-	f.Add(wire)
-	f.Add(wire[:len(wire)/2])
-	flipped := bytes.Clone(wire)
-	flipped[len(flipped)-1] ^= 0x80
-	f.Add(flipped)
-	f.Add([]byte("SNIPEVTS1"))
-	f.Add([]byte("SNIPPROF1junk"))
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		l, err := DecodeEventsOnly(bytes.NewReader(data))
-		if err == nil && l == nil {
-			t.Fatal("nil log with nil error")
-		}
-	})
-}

@@ -8,7 +8,7 @@ import "io"
 // magic + gzip + CRC32 framing as SNIPBTCH2 session batches, with a gob
 // body, so the telemetry path inherits the batch codec's corruption and
 // gzip-bomb defenses (and its error sentinels: ErrBatchChecksum,
-// ErrBatchTooLarge, ErrBatchTrailerless).
+// ErrBatchTooLarge).
 //
 // The record lives here rather than in internal/fleet so both ends of
 // the wire (fleet devices encode, cloud decodes) can share it without
@@ -111,9 +111,9 @@ func DecodeTelemetry(r io.Reader) (*TelemetryBatch, error) {
 
 // DecodeTelemetryLimit reads a telemetry batch, verifying the
 // mandatory CRC32 trailer and refusing to decompress more than
-// maxDecoded bytes. Error semantics match DecodeBatchLimit: corrupt
-// input wraps ErrBatchChecksum, oversized input ErrBatchTooLarge,
-// trailerless payloads return ErrBatchTrailerless. It never panics,
+// maxDecoded bytes. Error semantics match DecodeBatchLimit: truncated
+// or corrupt input wraps ErrBatchChecksum, oversized input
+// ErrBatchTooLarge. It never panics,
 // whatever the input (pinned by FuzzDecodeTelemetry).
 func DecodeTelemetryLimit(r io.Reader, maxDecoded int64) (*TelemetryBatch, error) {
 	if maxDecoded <= 0 {

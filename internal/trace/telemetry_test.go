@@ -78,8 +78,8 @@ func TestTelemetryTrailerlessRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	wire := buf.Bytes()
-	if _, err := DecodeTelemetry(bytes.NewReader(wire[:len(wire)-batchTrailerLen])); !errors.Is(err, ErrBatchTrailerless) {
-		t.Fatalf("trailerless err = %v, want ErrBatchTrailerless", err)
+	if _, err := DecodeTelemetry(bytes.NewReader(wire[:len(wire)-batchTrailerLen])); !errors.Is(err, ErrBatchChecksum) {
+		t.Fatalf("trailerless err = %v, want ErrBatchChecksum", err)
 	}
 }
 

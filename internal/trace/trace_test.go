@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/gob"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -214,16 +216,41 @@ func TestSplitTruncateFilter(t *testing.T) {
 	}
 }
 
+// decodeSizeModel reads back a stream Encode or EncodeEventsOnly wrote.
+// No program reads these streams — they exist to be measured by
+// TransferSize and EventsOnlyTransferSize — so the tests decode them
+// here, to check that the bytes the size model counts carry the whole
+// profile or log.
+func decodeSizeModel(t *testing.T, wire []byte, magic string, v any) {
+	t.Helper()
+	if !bytes.HasPrefix(wire, []byte(magic)) {
+		t.Fatalf("stream does not start with magic %q", magic)
+	}
+	if err := gob.NewDecoder(bytes.NewReader(wire[len(magic):])).Decode(v); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// decodeDataset reads back a dataset written by Encode.
+func decodeDataset(t *testing.T, wire []byte) *Dataset {
+	t.Helper()
+	var w struct {
+		Game    string
+		Records []*Record
+	}
+	decodeSizeModel(t, wire, magicFull, &w)
+	d := &Dataset{Game: w.Game}
+	d.Append(w.Records...)
+	return d
+}
+
 func TestCodecRoundtrip(t *testing.T) {
 	d := mkDataset()
 	var buf bytes.Buffer
 	if err := Encode(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := decodeDataset(t, buf.Bytes())
 	if got.Len() != d.Len() || got.Game != d.Game {
 		t.Fatalf("roundtrip lost data: %d records", got.Len())
 	}
@@ -237,17 +264,25 @@ func TestCodecRoundtrip(t *testing.T) {
 	}
 }
 
+// TestCodecRejectsBadMagic: the session-batch decoder, the one upload
+// reader left, refuses at the magic both junk and the gob streams of
+// the size model, which is also the body the retired per-session
+// upload endpoint took.
 func TestCodecRejectsBadMagic(t *testing.T) {
-	if _, err := Decode(bytes.NewBufferString("NOTSNIP11xxxx")); err == nil {
+	if _, err := DecodeBatch(bytes.NewBufferString("NOTSNIP11xxxx")); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	var buf bytes.Buffer
-	l := &EventLog{Game: "g"}
-	if err := EncodeEventsOnly(&buf, l); err != nil {
+	var events, full bytes.Buffer
+	if err := EncodeEventsOnly(&events, &EventLog{Game: "g"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(&buf); err == nil {
-		t.Fatal("events-only log accepted as full profile")
+	if err := Encode(&full, mkDataset()); err != nil {
+		t.Fatal(err)
+	}
+	for name, wire := range map[string][]byte{"events-only log": events.Bytes(), "full profile": full.Bytes()} {
+		if _, err := DecodeBatch(bytes.NewReader(wire)); err == nil || !strings.Contains(err.Error(), "magic") {
+			t.Fatalf("%s decoded as a session batch: %v", name, err)
+		}
 	}
 }
 
@@ -260,10 +295,8 @@ func TestEventsOnlyRoundtrip(t *testing.T) {
 	if err := EncodeEventsOnly(&buf, l); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeEventsOnly(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var got EventLog
+	decodeSizeModel(t, buf.Bytes(), magicEventsOnly, &got)
 	if len(got.Events) != 2 || got.Events[0].Values[2] != 3 {
 		t.Fatalf("roundtrip %+v", got)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // Metrics is the public handle on the observability layer: a metrics
-// registry plus an event-chain tracer. Attach one to Options, a Table,
+// registry plus a span ring. Attach one to Options, a Table,
 // or PFIOptions and every instrumented layer (dispatch, memo lookups,
 // PFI search, the parallel pool) feeds it.
 //
@@ -18,22 +18,17 @@ import (
 // determinism regression tests), and the memo hot path stays
 // allocation-free.
 type Metrics struct {
-	reg    *obs.Registry
-	tracer *obs.Tracer
-	spans  *obs.SpanBuffer
+	reg   *obs.Registry
+	spans *obs.SpanBuffer
 }
 
-// NewMetrics creates a registry, an event-chain tracer and a span
-// buffer (rings of obs.DefaultTracerCapacity entries) and instruments
-// the process-wide parallel fan-out pool.
+// NewMetrics creates a registry and a span buffer (a ring of
+// obs.DefaultSpanCapacity spans) and instruments the process-wide
+// parallel fan-out pool.
 func NewMetrics() *Metrics {
 	reg := obs.NewRegistry()
 	parallel.Instrument(reg)
-	return &Metrics{
-		reg:    reg,
-		tracer: obs.NewTracer(obs.DefaultTracerCapacity),
-		spans:  obs.NewSpanBuffer(obs.DefaultTracerCapacity),
-	}
+	return &Metrics{reg: reg, spans: obs.NewSpanBuffer(obs.DefaultSpanCapacity)}
 }
 
 // Registry exposes the underlying registry for advanced callers.
@@ -44,24 +39,11 @@ func (m *Metrics) Registry() *obs.Registry {
 	return m.reg
 }
 
-// Tracer exposes the underlying event-chain tracer.
-func (m *Metrics) Tracer() *obs.Tracer {
-	if m == nil {
-		return nil
-	}
-	return m.tracer
-}
-
-// Chains returns the retained event chains, oldest first.
-func (m *Metrics) Chains() []obs.Chain {
-	if m == nil {
-		return nil
-	}
-	return m.tracer.Chains()
-}
-
 // SpanBuffer exposes the distributed-tracing span ring. Instrumented
-// layers record session/event/lookup/upload spans into it; the same
+// layers record session/event/lookup/upload spans into it: each
+// delivered event's "event.deliver" span says what it cost (probe,
+// handler or snipped instructions, IP calls, shadow check, energy),
+// and its "memo.lookup" child how long the probe took. The same
 // trace IDs reappear in the cloud service's /v1/tracez after an upload
 // propagates them.
 func (m *Metrics) SpanBuffer() *obs.SpanBuffer {
@@ -87,9 +69,6 @@ func (m *Metrics) WriteText(w io.Writer) error { return m.reg.WritePrometheus(w)
 
 // WriteJSON writes a JSON snapshot of every series.
 func (m *Metrics) WriteJSON(w io.Writer) error { return m.reg.WriteJSON(w) }
-
-// WriteTraceJSON writes the retained event chains as a JSON array.
-func (m *Metrics) WriteTraceJSON(w io.Writer) error { return m.tracer.WriteJSON(w) }
 
 // Instrument attaches lookup/insert counters and the lookup-latency
 // histogram to a deployed table. The instrumented lookup path adds no

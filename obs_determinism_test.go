@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"snip"
 	"snip/internal/experiments"
@@ -11,7 +12,7 @@ import (
 )
 
 // TestMetricsDoNotPerturbSessions is the tentpole's determinism
-// contract: attaching a Metrics (registry + tracer) to a session must
+// contract: attaching a Metrics (registry + span ring) to a session must
 // leave the Report byte-identical, for every scheme. Instrumentation is
 // write-only from the simulation's point of view.
 func TestMetricsDoNotPerturbSessions(t *testing.T) {
@@ -51,11 +52,14 @@ func TestMetricsDoNotPerturbSessions(t *testing.T) {
 			t.Errorf("%s: instrumented report differs\n bare:         %+v\n instrumented: %+v",
 				scheme, bare, instrumented)
 		}
-		if len(met.Chains()) == 0 {
-			t.Errorf("%s: tracer recorded no chains", scheme)
+		delivered := 0
+		for _, sp := range met.Spans() {
+			if sp.Name == "event.deliver" {
+				delivered++
+			}
 		}
-		if len(met.Spans()) == 0 {
-			t.Errorf("%s: span buffer recorded no spans", scheme)
+		if delivered == 0 {
+			t.Errorf("%s: span buffer recorded no event.deliver spans", scheme)
 		}
 		// Trace IDs are pure arithmetic on (game, scheme, seed): the
 		// bare and instrumented runs agree, and every recorded span
@@ -82,8 +86,7 @@ func TestMetricsDoNotPerturbFigures(t *testing.T) {
 
 	bareCfg, obsCfg := base, base
 	obsCfg.Obs = obs.NewRegistry()
-	obsCfg.Tracer = obs.NewTracer(obs.DefaultTracerCapacity)
-	obsCfg.Spans = obs.NewSpanBuffer(obs.DefaultTracerCapacity)
+	obsCfg.Spans = obs.NewSpanBuffer(obs.DefaultSpanCapacity)
 
 	f2bare, err := experiments.Fig2EnergyBreakdown(bareCfg)
 	if err != nil {
@@ -110,9 +113,6 @@ func TestMetricsDoNotPerturbFigures(t *testing.T) {
 	}
 	if obsCfg.Spans.Total() == 0 {
 		t.Error("figure runs recorded no spans despite Spans attached")
-	}
-	if obsCfg.Tracer.Total() == 0 {
-		t.Error("figure runs recorded no chains despite Tracer attached")
 	}
 
 	var sb strings.Builder
@@ -183,24 +183,67 @@ func TestMetricsAgreeWithReport(t *testing.T) {
 		t.Errorf("executed (%d) + short-circuited (%d) != delivered (%d)",
 			executed, rep.ShortCircuited, rep.Events)
 	}
+}
 
-	chains := met.Chains()
-	if len(chains) == 0 {
-		t.Fatal("no chains recorded")
+// TestEventSpansAgreeWithReport checks the per-event trace record
+// against the Report of a traced SNIP session whose span ring does not
+// wrap: one event.deliver span per delivered event, each probed by
+// exactly one memo.lookup child, and the spans marked short-circuited
+// are exactly the Report's short-circuits, each one shadow-checked.
+func TestEventSpansAgreeWithReport(t *testing.T) {
+	const dur = 5 * time.Second
+	profile, err := snip.Profile("Greenwall", snip.ProfileOptions{Sessions: 2, Duration: dur})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var snipped int
-	for _, c := range chains {
-		if !c.Probed {
-			t.Fatalf("SNIP chain without a probe: %+v", c)
+	table, _, err := snip.BuildTable(profile, snip.DefaultPFIOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	met := snip.NewMetrics()
+	rep, err := snip.Play(snip.Options{
+		Game: "Greenwall", Duration: dur, Scheme: snip.SchemeSNIP,
+		Table: table, CheckCorrectness: true, Metrics: met,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if buf := met.SpanBuffer(); buf.Total() > int64(buf.Cap()) {
+		t.Fatalf("span ring wrapped (%d spans, capacity %d): shorten the session", buf.Total(), buf.Cap())
+	}
+
+	lookups := map[obs.ID]int{}
+	var deliver []obs.Span
+	for _, sp := range met.Spans() {
+		switch sp.Name {
+		case "event.deliver":
+			deliver = append(deliver, sp)
+		case "memo.lookup":
+			lookups[sp.Parent]++
 		}
-		if c.ShortCircuited {
+	}
+	if len(deliver) != rep.Events {
+		t.Fatalf("%d event.deliver spans, report says %d events", len(deliver), rep.Events)
+	}
+	snipped := 0
+	for _, sp := range deliver {
+		if n := lookups[sp.ID]; n != 1 {
+			t.Fatalf("event %d (%s) has %d memo.lookup children, want 1", sp.Seq, sp.EventType, n)
+		}
+		if sp.EventType == "" || sp.Instr <= 0 {
+			t.Fatalf("event.deliver span lacks its event facts: %+v", sp)
+		}
+		if sp.Hit {
 			snipped++
-			if !c.ShadowChecked {
-				t.Fatalf("short-circuited chain missing shadow check: %+v", c)
+			if !sp.ShadowChecked {
+				t.Fatalf("short-circuited event %d missing its shadow check: %+v", sp.Seq, sp)
 			}
 		}
 	}
-	if met.Tracer().Total() == int64(len(chains)) && snipped != rep.ShortCircuited {
-		t.Errorf("chains record %d short-circuits, report says %d", snipped, rep.ShortCircuited)
+	if snipped != rep.ShortCircuited {
+		t.Errorf("event.deliver spans record %d short-circuits, report says %d", snipped, rep.ShortCircuited)
+	}
+	if rep.ShortCircuited == 0 {
+		t.Error("session short-circuited nothing: the span checks above are vacuous")
 	}
 }

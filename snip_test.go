@@ -2,6 +2,7 @@ package snip_test
 
 import (
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -133,7 +134,7 @@ func TestIdlePhoneHours(t *testing.T) {
 }
 
 func TestCloudRoundtrip(t *testing.T) {
-	svc := snip.NewCloudService(snip.DefaultPFIOptions())
+	svc := snip.NewCloudService(snip.DefaultPFIOptions(), snip.CloudServiceOptions{})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 	client := snip.NewCloudClient(srv.URL)
@@ -161,6 +162,43 @@ func TestCloudRoundtrip(t *testing.T) {
 	}
 	if rep.ShortCircuited == 0 {
 		t.Fatal("OTA table snipped nothing")
+	}
+}
+
+// TestRecordAndUploadSendsOneBatch: each RecordAndUpload reaches the
+// cloud as exactly one session batch on the batch endpoint.
+func TestRecordAndUploadSendsOneBatch(t *testing.T) {
+	svc := snip.NewCloudService(snip.DefaultPFIOptions(), snip.CloudServiceOptions{})
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	client := snip.NewCloudClient(srv.URL)
+
+	counter := func(name string) string {
+		t.Helper()
+		var sb strings.Builder
+		if err := svc.WriteMetricsText(&sb); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				return v
+			}
+		}
+		t.Fatalf("exposition has no %s", name)
+		return ""
+	}
+	for i, seed := range []uint64{0xC1, 0xC2} {
+		if err := client.RecordAndUpload("Colorphun", seed, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		want := strconv.Itoa(i + 1)
+		if got := counter("snip_cloud_upload_batches_total"); got != want {
+			t.Fatalf("after upload %d: %s batches, want %s", i+1, got, want)
+		}
+		if got := counter("snip_cloud_uploads_total"); got != want {
+			t.Fatalf("after upload %d: %s sessions, want %s", i+1, got, want)
+		}
 	}
 }
 
@@ -204,7 +242,7 @@ func TestCloudForceIncludeKeepsOverrides(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	svc := snip.NewCloudService(opts)
+	svc := snip.NewCloudService(opts, snip.CloudServiceOptions{})
 	defer svc.Close()
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
