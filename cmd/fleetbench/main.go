@@ -2,8 +2,8 @@
 // trains a SNIP table, spins up an in-process cloud profiler, then runs
 // the device fleet at each requested concurrency, measuring fleet-wide
 // lookups/sec, p50/p99 probe latency, batched-upload wire bytes and the
-// live OTA swap. Results go to a JSON bench file. With telemetry on (the
-// default) each sweep point also ships per-generation device telemetry
+// live OTA swap. Results go to a JSON bench file. Each sweep point also
+// runs the device energy ledger, ships per-generation device telemetry
 // and prints the cloud's drift / ingest-pressure verdicts from
 // GET /v1/fleetz.
 //
@@ -75,16 +75,16 @@ type benchFile struct {
 	Chaos      string  `json:"chaos,omitempty"`
 	ChaosSeed  uint64  `json:"chaos_seed,omitempty"`
 	ShadowRate float64 `json:"shadow_rate,omitempty"`
-	// Telemetry records whether the fleet shipped per-generation
-	// telemetry to the cloud's /v1/telemetry during the sweep; when set,
+	// Telemetry records that the fleet shipped per-generation telemetry
+	// to the cloud's /v1/telemetry during the sweep; when set,
 	// validation requires every run to carry a consistent telemetry
-	// section.
+	// section. Energy records that the device-side energy ledger ran;
+	// when set, validation enforces the ledger's conservation identities
+	// on every run (group sums equal the total, per-event and
+	// battery-hours figures consistent). Every sweep runs both, so both
+	// are written true.
 	Telemetry bool `json:"telemetry,omitempty"`
-	// Energy records whether the device-side energy ledger ran; when
-	// set, validation enforces the ledger's conservation identities on
-	// every run (group sums equal the total, per-event and battery-hours
-	// figures consistent).
-	Energy bool `json:"energy,omitempty"`
+	Energy    bool `json:"energy,omitempty"`
 	// Workload names the behaviour-model preset the sweep ran under
 	// ("" = default human play, "eventcam" = high-rate sensor overlay).
 	Workload string `json:"workload,omitempty"`
@@ -208,8 +208,6 @@ func main() {
 	chaosProf := flag.String("chaos", "", "fault-injection profile: off|sensors|devices|wire|table|all")
 	chaosSeed := flag.Uint64("chaos-seed", 0, "chaos RNG seed (0 = fixed default)")
 	shadowRate := flag.Float64("shadow-rate", 0, "mispredict-guard shadow-verification sample rate (0 = guard off)")
-	telemetry := flag.Bool("telemetry", true, "fold per-generation device telemetry and ship it to the cloud's /v1/telemetry")
-	energy := flag.Bool("energy", true, "run the device-side energy attribution ledger (modeled µJ per table generation)")
 	workloadPreset := flag.String("workload", "", `behaviour-model preset: "" or "default" (human play), "eventcam" (high-rate sensor overlay, 10-100x event rate)`)
 	overload := flag.Bool("overload", false, "run the overload contract: 429-aware client backpressure with retry budgets; pair with -shard-queue-cap/-quota-rate to make the cloud shed")
 	queueCap := flag.Int("shard-queue-cap", 0, "per-shard ingest queue bound on the cloud (0 = service default, 64)")
@@ -291,7 +289,7 @@ func main() {
 		GoMaxProcs: runtime.GOMAXPROCS(0), Backend: "flat",
 		Shards: *shards, DeltaCap: *deltaCap, Refreshes: *refreshes,
 		Chaos: *chaosProf, ChaosSeed: *chaosSeed, ShadowRate: *shadowRate,
-		Telemetry: *telemetry, Energy: *energy,
+		Telemetry: true, Energy: true,
 		Workload: *workloadPreset, Overload: *overload,
 		ShardQueueCap: *queueCap, QuotaRate: *quotaRate, QuotaBurst: *quotaBurst,
 		Grades: *grades,
@@ -301,7 +299,6 @@ func main() {
 		ota: *ota, refreshAfter: *refreshAfter, refreshes: *refreshes,
 		shards: *shards, deltaCap: *deltaCap,
 		chaosProf: *chaosProf, chaosSeed: *chaosSeed, shadowRate: *shadowRate,
-		telemetry: *telemetry, energy: *energy,
 		workload: *workloadPreset, overload: *overload,
 		queueCap: *queueCap, quotaRate: *quotaRate, quotaBurst: *quotaBurst,
 		grades: gradeCycle, fleetWorkers: *fleetWorkers,
@@ -369,34 +366,30 @@ func main() {
 				100*e.SensorsUJ/e.TotalUJ, 100*e.MemoryUJ/e.TotalUJ,
 				100*e.CPUUJ/e.TotalUJ, 100*e.IPsUJ/e.TotalUJ)
 		}
-		if fz != nil {
-			for _, g := range fz.Games {
+		for _, g := range fz.Games {
+			fmt.Fprintf(os.Stderr,
+				"          fleetz: live_gen=%d prev=%d  drift=%+.3f (%s)  pressure=%.2f (%s)\n",
+				g.LiveGeneration, g.PrevGeneration, g.Drift, g.DriftVerdict,
+				g.Pressure, g.PressureVerdict)
+			for _, gen := range g.Generations {
 				fmt.Fprintf(os.Stderr,
-					"          fleetz: live_gen=%d prev=%d  drift=%+.3f (%s)  pressure=%.2f (%s)\n",
-					g.LiveGeneration, g.PrevGeneration, g.Drift, g.DriftVerdict,
-					g.Pressure, g.PressureVerdict)
-				for _, gen := range g.Generations {
-					fmt.Fprintf(os.Stderr,
-						"            gen %-2d  %3d records / %d devices  hit=%5.1f%%  mispredict=%4.1f%%  eff=%5.1f%%\n",
-						gen.Generation, gen.Records, gen.Devices, 100*gen.WindowedHitRate,
-						100*gen.Mispredict, 100*gen.EffectiveHitRate)
-				}
+					"            gen %-2d  %3d records / %d devices  hit=%5.1f%%  mispredict=%4.1f%%  eff=%5.1f%%\n",
+					gen.Generation, gen.Records, gen.Devices, 100*gen.WindowedHitRate,
+					100*gen.Mispredict, 100*gen.EffectiveHitRate)
 			}
 		}
-		if ez != nil {
-			for _, g := range ez.Games {
-				if g.MonotoneViolations != 0 {
-					fatalIf(fmt.Errorf("cloud counted %d energy monotone violations for %s (device ledger totals must only grow)",
-						g.MonotoneViolations, g.Game))
-				}
+		for _, g := range ez.Games {
+			if g.MonotoneViolations != 0 {
+				fatalIf(fmt.Errorf("cloud counted %d energy monotone violations for %s (device ledger totals must only grow)",
+					g.MonotoneViolations, g.Game))
+			}
+			fmt.Fprintf(os.Stderr,
+				"          energyz: regression=%+.3f (%s)  monotone_violations=%d\n",
+				g.Regression, g.RegressionVerdict, g.MonotoneViolations)
+			for _, gen := range g.Generations {
 				fmt.Fprintf(os.Stderr,
-					"          energyz: regression=%+.3f (%s)  monotone_violations=%d\n",
-					g.Regression, g.RegressionVerdict, g.MonotoneViolations)
-				for _, gen := range g.Generations {
-					fmt.Fprintf(os.Stderr,
-						"            gen %-2d  %6.2fµJ/event (net %6.2f)  battery=%.1fh\n",
-						gen.Generation, gen.EnergyPerEventUJ, gen.NetPerEventUJ, gen.BatteryHours)
-				}
+					"            gen %-2d  %6.2fµJ/event (net %6.2f)  battery=%.1fh\n",
+					gen.Generation, gen.EnergyPerEventUJ, gen.NetPerEventUJ, gen.BatteryHours)
 			}
 		}
 	}
@@ -430,7 +423,6 @@ type runSettings struct {
 	chaosProf                                 string
 	chaosSeed                                 uint64
 	shadowRate                                float64
-	telemetry, energy                         bool
 	workload                                  string
 	overload                                  bool
 	queueCap                                  int
@@ -440,8 +432,8 @@ type runSettings struct {
 }
 
 // runOnce measures one device count against a fresh in-process cloud, so
-// sweep points don't feed each other's profiles. When telemetry is on it
-// also reads the cloud's /v1/fleetz rollup before the service goes away,
+// sweep points don't feed each other's profiles. It also reads the
+// cloud's /v1/fleetz and /v1/energyz rollups before the service goes away,
 // so the drift and ingest-pressure verdicts the run produced are visible
 // in the sweep output. Every run also captures /v1/overloadz — the
 // admission controller's conservation ledger — and, in overload runs,
@@ -472,8 +464,8 @@ func runOnce(set runSettings, devices int, met *snip.Metrics) (*fleetRun, *fleet
 		CloudURL:    cloudURL,
 		BatchSize:   set.batch,
 		Metrics:     met,
-		Telemetry:   set.telemetry,
-		Energy:      set.energy,
+		Telemetry:   true,
+		Energy:      true,
 		Workers:     set.fleetWorkers,
 		SpeedGrades: set.grades,
 	}
@@ -520,18 +512,13 @@ func runOnce(set runSettings, devices int, met *snip.Metrics) (*fleetRun, *fleet
 	if run.Overloadz, err = fetchOverloadz(cloudURL); err != nil {
 		return nil, nil, nil, fmt.Errorf("overloadz after run: %w", err)
 	}
-	if !set.telemetry {
-		return run, nil, nil, nil
-	}
 	fz, err := fetchFleetz(cloudURL)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("fleetz after run: %w", err)
 	}
-	var ez *energyzReply
-	if set.energy {
-		if ez, err = fetchEnergyz(cloudURL); err != nil {
-			return nil, nil, nil, fmt.Errorf("energyz after run: %w", err)
-		}
+	ez, err := fetchEnergyz(cloudURL)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("energyz after run: %w", err)
 	}
 	return run, fz, ez, nil
 }

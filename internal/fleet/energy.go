@@ -5,7 +5,6 @@ import (
 	"snip/internal/events"
 	"snip/internal/games"
 	"snip/internal/soc"
-	"snip/internal/trace"
 	"snip/internal/units"
 )
 
@@ -15,7 +14,7 @@ import (
 // energy.Ledgers, split by the paper's Fig. 2 groups (Sensors, Memory,
 // CPU, IPs) and tagged with cause buckets. At session boundaries the
 // tally folds into the device's result and, when telemetry is enabled,
-// onto the outgoing TelemetryRecords, making energy the fleet's
+// onto the outgoing TelemetryRecords (see deviceTally), making energy the fleet's
 // first-class observable rather than a post-hoc report figure.
 //
 // The ledger follows the telemetry pipeline's discipline exactly: it
@@ -92,76 +91,33 @@ func speedRates(grade float64) energy.Rates {
 	return energy.NewRates(c.CPUFreqMHz*grade, c.IPC, c.MemBytesPerMicro, nil)
 }
 
-// intervalEnergy is one generation's folded energy slice for the session
-// interval just closed — what the telemetry fold stamps onto the
-// generation's TelemetryRecord.
-type intervalEnergy struct {
-	total         float64
-	groups        [energy.NumGroups]float64
-	lookup        float64
-	shadow        float64
-	saved         float64
-	wasted        float64
-	elapsedUS     int64
-	deviceTotalUJ float64 // device cumulative at fold time (monotone)
-}
-
-// energyTally is one device's ledger state. All methods are nil-safe
-// no-ops, mirroring deviceTelemetry, so the session loop carries no
-// ledger-enabled branches.
-type energyTally struct {
-	co    *coordinator
-	rates energy.Rates
-	// gens accumulates the current session's charges per table
-	// generation in first-touch order (deterministic — the event stream
-	// is), exactly like the telemetry accums.
-	gens  map[int64]*energy.Ledger
-	order []int64
-	// last caches the most recent (gen, ledger) pair: consecutive events
-	// almost always hit the same generation.
-	lastGen int64
-	lastLed *energy.Ledger
-	// interval holds the per-generation slices of the last fold for the
-	// telemetry records of the same session; devTotalUJ is the device's
-	// cumulative charged total, monotone by construction.
-	interval   map[int64]intervalEnergy
-	devTotalUJ float64
-}
-
-func newEnergyTally(co *coordinator, grade float64) *energyTally {
-	if co.cfg.Energy == nil {
-		return nil
-	}
-	return &energyTally{
-		co:       co,
-		rates:    speedRates(grade),
-		gens:     make(map[int64]*energy.Ledger),
-		interval: make(map[int64]intervalEnergy),
+// ledgerBreakdown reads a generation's ledger as a breakdown: the
+// slice its TelemetryRecord carries and the device result sums.
+func ledgerBreakdown(led *energy.Ledger) EnergyBreakdown {
+	groups := led.Groups()
+	return EnergyBreakdown{
+		TotalUJ:          float64(led.Total()),
+		SensorsUJ:        float64(groups[energy.GroupSensors]),
+		MemoryUJ:         float64(groups[energy.GroupMemory]),
+		CPUUJ:            float64(groups[energy.GroupCPU]),
+		IPsUJ:            float64(groups[energy.GroupIPs]),
+		LookupOverheadUJ: float64(led.CauseTotal(energy.CauseLookupOverhead)),
+		ShadowVerifyUJ:   float64(led.CauseTotal(energy.CauseShadowVerify)),
+		SavedUJ:          float64(led.CauseTotal(energy.CauseShortCircuitSaved)),
+		WastedUJ:         float64(led.CauseTotal(energy.CauseWastedRedundant)),
 	}
 }
 
-func (en *energyTally) gen(g int64) *energy.Ledger {
-	if en.lastLed != nil && en.lastGen == g {
-		return en.lastLed
-	}
-	l, ok := en.gens[g]
-	if !ok {
-		l = energy.NewLedger(en.rates)
-		en.gens[g] = l
-		en.order = append(en.order, g)
-	}
-	en.lastGen, en.lastLed = g, l
-	return l
-}
+// The charge functions below book one event's work into a generation's
+// ledger. Each is a no-op on a nil ledger (the ledger is off).
 
 // chargeDelivery charges the OS-side cost of delivering one event —
 // Binder copies on the CPU, the hub-processing IP call, and the sensor
 // sampling that produced the reading — and counts the event.
-func (en *energyTally) chargeDelivery(gen int64, e *events.Event) {
-	if en == nil {
+func chargeDelivery(led *energy.Ledger, e *events.Event) {
+	if led == nil {
 		return
 	}
-	led := en.gen(gen)
 	led.NoteEvent()
 	cpu, mem, hub := events.DeliveryCostParts(e)
 	led.ChargeInstr(cpu)
@@ -173,11 +129,10 @@ func (en *energyTally) chargeDelivery(gen int64, e *events.Event) {
 
 // chargeLookup charges the table-probe overhead — the same instruction
 // and traffic formula as soc.SoC.LookupOverhead (Fig. 11c) — and tags it.
-func (en *energyTally) chargeLookup(gen int64, probes int64, cmpBytes units.Size) {
-	if en == nil {
+func chargeLookup(led *energy.Ledger, probes int64, cmpBytes units.Size) {
+	if led == nil {
 		return
 	}
-	led := en.gen(gen)
 	e := led.ChargeInstr(6*int64(cmpBytes) + 40*probes + 2000)
 	e += led.ChargeMemBytes(int64(cmpBytes) + probes*32)
 	led.Attribute(energy.CauseLookupOverhead, e)
@@ -187,7 +142,7 @@ func (en *energyTally) chargeLookup(gen int64, probes int64, cmpBytes units.Size
 // memory traffic, IP calls) and returns the energy. The CPUFuncs and
 // IPCalls are iterated directly rather than through Execution.Work,
 // which would allocate the assembled slice per event.
-func (en *energyTally) chargeExecution(led *energy.Ledger, exec *games.Execution) units.Energy {
+func chargeExecution(led *energy.Ledger, exec *games.Execution) units.Energy {
 	var instr int64
 	var mem units.Size
 	for _, f := range exec.CPUFuncs {
@@ -206,12 +161,11 @@ func (en *energyTally) chargeExecution(led *energy.Ledger, exec *games.Execution
 // chargeExec charges a live handler execution (table miss or fail-safe
 // full execution); work that changed no state is tagged wasted — the
 // paper's redundant/useless events the table exists to short-circuit.
-func (en *energyTally) chargeExec(gen int64, exec *games.Execution) {
-	if en == nil {
+func chargeExec(led *energy.Ledger, exec *games.Execution) {
+	if led == nil {
 		return
 	}
-	led := en.gen(gen)
-	e := en.chargeExecution(led, exec)
+	e := chargeExecution(led, exec)
 	if !exec.Record.StateChanged {
 		led.Attribute(energy.CauseWastedRedundant, e)
 	}
@@ -220,104 +174,16 @@ func (en *energyTally) chargeExec(gen int64, exec *games.Execution) {
 // chargeShadow charges a sampled shadow verification: the guard really
 // ran the handler on a clone, so its work is spent energy, attributed to
 // the shadow-verify bucket.
-func (en *energyTally) chargeShadow(gen int64, exec *games.Execution) {
-	if en == nil {
+func chargeShadow(led *energy.Ledger, exec *games.Execution) {
+	if led == nil {
 		return
 	}
-	led := en.gen(gen)
-	led.Attribute(energy.CauseShadowVerify, en.chargeExecution(led, exec))
+	led.Attribute(energy.CauseShadowVerify, chargeExecution(led, exec))
 }
 
 // creditSaved books the short-circuit credit for a verified hit: the
 // CPU-side estimate of the handler work the table avoided, from the
 // entry's saved-instruction count. A credit, never a charge.
-func (en *energyTally) creditSaved(gen int64, instr int64) {
-	if en == nil {
-		return
-	}
-	led := en.gen(gen)
+func creditSaved(led *energy.Ledger, instr int64) {
 	led.Attribute(energy.CauseShortCircuitSaved, led.InstrEnergy(instr))
-}
-
-// fold closes the session's interval: per-generation slices move into
-// en.interval for the telemetry fold that follows, and into the device's
-// running breakdown. Session time is attributed to generations by event
-// share, with the remainder on the last generation so interval elapsed
-// sums exactly to the session duration.
-func (en *energyTally) fold(res *DeviceResult) {
-	if en == nil {
-		return
-	}
-	clear(en.interval)
-	if len(en.order) == 0 {
-		return
-	}
-	if res.Energy == nil {
-		res.Energy = &EnergyBreakdown{}
-	}
-	var totalEvents int64
-	for _, g := range en.order {
-		totalEvents += en.gens[g].Events()
-	}
-	dur := int64(en.co.cfg.SessionDuration)
-	var assigned int64
-	for i, g := range en.order {
-		led := en.gens[g]
-		elapsed := dur - assigned
-		if i < len(en.order)-1 && totalEvents > 0 {
-			elapsed = dur * led.Events() / totalEvents
-			assigned += elapsed
-		}
-		groups := led.Groups()
-		iv := intervalEnergy{
-			total:     float64(led.Total()),
-			lookup:    float64(led.CauseTotal(energy.CauseLookupOverhead)),
-			shadow:    float64(led.CauseTotal(energy.CauseShadowVerify)),
-			saved:     float64(led.CauseTotal(energy.CauseShortCircuitSaved)),
-			wasted:    float64(led.CauseTotal(energy.CauseWastedRedundant)),
-			elapsedUS: elapsed,
-		}
-		for j := range groups {
-			iv.groups[j] = float64(groups[j])
-		}
-		en.devTotalUJ += iv.total
-		iv.deviceTotalUJ = en.devTotalUJ
-		en.interval[g] = iv
-
-		res.Energy.TotalUJ += iv.total
-		res.Energy.SensorsUJ += iv.groups[energy.GroupSensors]
-		res.Energy.MemoryUJ += iv.groups[energy.GroupMemory]
-		res.Energy.CPUUJ += iv.groups[energy.GroupCPU]
-		res.Energy.IPsUJ += iv.groups[energy.GroupIPs]
-		res.Energy.LookupOverheadUJ += iv.lookup
-		res.Energy.ShadowVerifyUJ += iv.shadow
-		res.Energy.SavedUJ += iv.saved
-		res.Energy.WastedUJ += iv.wasted
-		delete(en.gens, g)
-	}
-	en.order = en.order[:0]
-	en.lastLed = nil
-}
-
-// stamp copies the generation's folded interval slice onto its outgoing
-// telemetry record; a no-op when the ledger is off.
-func (en *energyTally) stamp(gen int64, rec *trace.TelemetryRecord) {
-	if en == nil {
-		return
-	}
-	iv, ok := en.interval[gen]
-	if !ok {
-		return
-	}
-	rec.EnergyUJ = iv.total
-	rec.SensorsUJ = iv.groups[energy.GroupSensors]
-	rec.MemoryUJ = iv.groups[energy.GroupMemory]
-	rec.CPUUJ = iv.groups[energy.GroupCPU]
-	rec.IPsUJ = iv.groups[energy.GroupIPs]
-	rec.LookupOverheadUJ = iv.lookup
-	rec.ShadowVerifyUJ = iv.shadow
-	rec.SavedUJ = iv.saved
-	rec.WastedUJ = iv.wasted
-	rec.ElapsedUS = iv.elapsedUS
-	rec.DeviceTotalUJ = iv.deviceTotalUJ
 }

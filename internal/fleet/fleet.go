@@ -13,9 +13,10 @@
 //
 // Three properties make the fleet safe and measurable:
 //
-//   - The table is immutable. Devices call Lookup on a frozen SnipTable
-//     loaded from a memo.Shared; all per-probe cost tallies accumulate in
-//     each device's own memo.LookupStats. No lookup mutates anything.
+//   - The table is immutable. Devices call Lookup on the frozen table
+//     (the flat image the cloud serves) loaded from a memo.Shared; all
+//     per-probe cost tallies accumulate in each device's own
+//     memo.LookupStats. No lookup mutates anything.
 //   - OTA refresh is RCU-style. One device triggers rebuild+fetch+swap
 //     mid-run; every other device picks up the new table on its next
 //     Shared.Load with no locks and no pause.
@@ -28,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,10 +36,9 @@ import (
 	"snip/internal/chaos"
 	"snip/internal/cloud"
 	"snip/internal/energy"
-	"snip/internal/events"
+	"snip/internal/games"
 	"snip/internal/memo"
 	"snip/internal/obs"
-	"snip/internal/rng"
 	"snip/internal/schemes"
 	"snip/internal/trace"
 	"snip/internal/units"
@@ -376,6 +375,8 @@ type fleetMetrics struct {
 	swaps    *obs.Counter
 	failures *obs.Counter
 	lookupNS *obs.Histogram
+	// unhandled keeps the runtime's dispatch series, as schemes.Run does.
+	unhandled *obs.Counter
 
 	telRecords *obs.Counter
 	telBatches *obs.Counter
@@ -394,6 +395,8 @@ func newFleetMetrics(reg *obs.Registry) fleetMetrics {
 		swaps:    reg.Counter("snip_fleet_table_swaps_total", "live OTA table swaps observed by the fleet"),
 		failures: reg.Counter("snip_fleet_device_failures_total", "devices that died mid-run and were isolated"),
 		lookupNS: reg.Histogram("snip_fleet_lookup_ns", "shared-table probe wall time in nanoseconds", obs.NanoBuckets()),
+
+		unhandled: reg.Counter("snip_dispatch_unhandled_total", "events with no registered handler"),
 
 		telRecords: reg.Counter("snip_fleet_telemetry_records_total", "telemetry records folded by the fleet's devices"),
 		telBatches: reg.Counter("snip_fleet_telemetry_batches_total", "telemetry batches shipped to the cloud"),
@@ -527,17 +530,16 @@ func (co *coordinator) maybeRefresh() error {
 
 // device plays one device's sessions into res and hist (supplied by the
 // scheduler: a fresh pair in detail mode, the worker's shared hist for
-// compact mega-fleets) using the worker's pooled game instance.
-func (co *coordinator) device(id int, gen workload.Generator, ws *workerState, hist *latHist) (DeviceResult, error) {
+// compact mega-fleets) on the worker's pooled runtime, whose game is
+// Reset per session.
+func (co *coordinator) device(id int, gen workload.Generator, dev *schemes.Device, hist *latHist) (DeviceResult, error) {
 	cfg := co.cfg
 	res := DeviceResult{Device: id}
 
-	grade := cfg.speedGrade(id)
 	if len(cfg.SpeedGrades) > 0 {
-		res.SpeedGrade = grade
+		res.SpeedGrade = cfg.speedGrade(id)
 	}
-	en := newEnergyTally(co, grade)
-	tel := newDeviceTelemetry(co, id, en)
+	tally := newDeviceTally(co, id, &res, hist)
 	ctl := co.callControl(id)
 
 	var pending []trace.SessionEvents
@@ -572,7 +574,7 @@ func (co *coordinator) device(id int, gen workload.Generator, ws *workerState, h
 					res.BatchesDropped++
 				}
 				pending = pending[:0]
-				tel.flush(&res, false)
+				tally.flush(false)
 				return nil
 			}
 			res.BatchesDropped++
@@ -593,7 +595,7 @@ func (co *coordinator) device(id int, gen workload.Generator, ws *workerState, h
 		pending = pending[:0]
 		// Piggyback: telemetry rides the upload cadence, shipping its own
 		// batch only when enough records have accumulated.
-		tel.flush(&res, false)
+		tally.flush(false)
 		return co.maybeRefresh()
 	}
 
@@ -612,19 +614,13 @@ func (co *coordinator) device(id int, gen workload.Generator, ws *workerState, h
 			return res, fmt.Errorf("fleet: device %d session %d: %w", id, s, chaos.ErrDeviceCrash)
 		}
 		seed := cfg.SeedBase + uint64(id*cfg.SessionsPerDevice+s)
-		log, err := co.session(ws, gen, seed, &res, hist, tel, en)
-		if err != nil {
-			return res, err
-		}
+		log := co.session(dev, gen, seed, tally)
 		res.Sessions++
 		co.met.sessions.Inc()
 		if cfg.Client != nil {
 			pending = append(pending, trace.SessionEvents{Seed: seed, Log: log})
 		}
-		// The energy fold runs first: the telemetry fold that follows
-		// stamps its per-generation slices onto the outgoing records.
-		en.fold(&res)
-		tel.fold(s, &res, len(pending), batch)
+		tally.fold(s, len(pending), batch)
 		if len(pending) >= batch {
 			if err := flush(); err != nil {
 				return res, err
@@ -634,128 +630,46 @@ func (co *coordinator) device(id int, gen workload.Generator, ws *workerState, h
 	err := flush()
 	// Forced final flush: ship whatever telemetry remains even when the
 	// last upload failed — drops are counted, never silent.
-	tel.flush(&res, true)
+	tally.flush(true)
 	return res, err
 }
 
-// session plays one seed on the device's game instance: every delivered
-// event loads the current shared-table snapshot, probes it, and either
-// short-circuits (ApplyOutputs) or executes the handler — the same
-// decision the SNIP scheme makes, minus the energy simulation.
-func (co *coordinator) session(ws *workerState, gen workload.Generator, seed uint64,
-	res *DeviceResult, hist *latHist, tel *deviceTelemetry, en *energyTally) (*trace.EventLog, error) {
+// session plays one seed on the device through the SNIP runtime: every
+// delivered event loads the current shared-table snapshot, probes it,
+// and either short-circuits or executes the handler — the decision
+// schemes.Run makes for the SNIP scheme, booked into the device's tally
+// instead of a simulated SoC.
+func (co *coordinator) session(dev *schemes.Device, gen workload.Generator, seed uint64, tally *deviceTally) *trace.EventLog {
 	cfg := co.cfg
-	game, handled := ws.game, ws.handled
 	sc := co.sessionCtx(seed)
 	sessionStart := time.Now()
-	game.Reset(seed)
-	stream := gen.Generate(seed, cfg.SessionDuration)
-	// Sensor chaos perturbs the generated stream (drop/dup/stuck readings,
-	// recovered out-of-order injections) before event synthesis — exactly
-	// where a flaky sensor hub would corrupt a real device's input.
-	stream = cfg.Chaos.PerturbStream(seed, stream)
-	synthCfg := events.DefaultSynthesizerConfig()
-	// Same per-session frame-counter base as schemes.Run, so a fleet
-	// session's events match a schemes session's for the same seed.
-	synthCfg.FrameBase = int64(seed%1_000_000) * 10_000_000
-	evs := events.NewSynthesizer(synthCfg).SynthesizeAll(stream)
-	sort.SliceStable(evs, func(i, j int) bool {
-		if evs[i].Time != evs[j].Time {
-			return evs[i].Time < evs[j].Time
-		}
-		return evs[i].Seq < evs[j].Seq
-	})
-
-	var log *trace.EventLog
+	s := schemes.Session{Gen: gen, Seed: seed, Duration: cfg.SessionDuration}
+	if cfg.Chaos != nil {
+		// Sensor chaos perturbs the generated stream (drop/dup/stuck
+		// readings, recovered out-of-order injections) before event
+		// synthesis.
+		s.Perturb = cfg.Chaos.PerturbStream
+	}
 	if cfg.Client != nil {
-		log = &trace.EventLog{Game: cfg.Game}
+		s.Log = &trace.EventLog{Game: cfg.Game}
 	}
-	// The guard's sampling stream is split off the session seed — private
-	// to this session, deterministic, and never created when the guard is
-	// off (zero perturbation of unguarded runs).
-	var shadowSrc *rng.Source
 	if co.guard != nil {
-		shadowSrc = rng.New(seed ^ 0x5348414457475244) // "SHADWGRD"
+		s.ShadowRate = co.guard.cfg.ShadowSampleRate
 	}
-	var st memo.LookupStats
-	for _, e := range evs {
-		if !handled[e.Type] {
-			continue
-		}
-		res.Events++
-		if log != nil {
-			log.Events = append(log.Events, trace.LoggedEvent{
-				Type: e.Type.String(), Seq: e.Seq, Time: e.Time,
-				Values: append([]int64(nil), e.Values...),
-			})
-		}
-		tab, tabGen := cfg.Table.LoadGen()
-		tel.noteEvent(tabGen)
-		en.chargeDelivery(tabGen, e)
-		if tab == nil || co.guard.isOpen() {
-			// No table yet, or the breaker judged the current one unsafe:
-			// execute the handler in full. Always correct, never efficient
-			// — the fail-safe side of the trade.
-			en.chargeExec(tabGen, game.Process(e, nil))
-			continue
-		}
-		ev := e
-		resolver := func(name string) (uint64, bool) {
-			if v, ok := game.PeekField(name); ok {
-				return v, true
-			}
-			return schemes.ResolveEventField(ev, name)
-		}
-		start := time.Now()
-		entry, probes, cmpBytes, hit := tab.Lookup(e.Type.String(), resolver)
-		ns := time.Since(start).Nanoseconds()
-		hist.observe(ns)
-		// Exemplar, not a span: two atomic adds plus one atomic store
-		// keep the probe loop lock-free while still linking the latency
-		// histogram back to a concrete trace ID.
-		co.met.lookupNS.ObserveExemplar(ns, sc.Trace)
-		st.Observe(probes, cmpBytes, hit)
-		tel.noteLookup(tabGen, ns, hit)
-		en.chargeLookup(tabGen, probes, cmpBytes)
-		if hit {
-			if shadowSrc != nil && shadowSrc.Bool(co.guard.cfg.ShadowSampleRate) {
-				// Sampled shadow verification: run the real handler on a
-				// clone (before ApplyOutputs mutates the live game) and
-				// tell the guard whether the table's outputs were truth.
-				texec := game.Clone().Process(e, nil)
-				truth := texec.Record
-				en.chargeShadow(tabGen, texec)
-				mispredict := !trace.OutputsMatch(entry.Outputs, truth.Outputs)
-				co.guard.observe(tabGen, mispredict)
-				tel.noteShadow(tabGen, mispredict)
-				if mispredict {
-					// The shadow clone already computed the correct
-					// outputs; applying the table's wrong ones anyway
-					// would corrupt the device's state — and every later
-					// lookup keyed on it — for the price of nothing. No
-					// SavedInstr credit either: the handler ran in full,
-					// and the ledger books no short-circuit credit.
-					game.ApplyOutputs(truth.Outputs)
-					continue
-				}
-			}
-			res.SavedInstr += entry.Instr
-			tel.noteSaved(tabGen, entry.Instr)
-			en.creditSaved(tabGen, entry.Instr)
-			game.ApplyOutputs(entry.Outputs)
-		} else {
-			en.chargeExec(tabGen, game.Process(e, nil))
-		}
-	}
-	res.Lookup.Merge(st)
-	co.met.events.Add(res.Events)
-	co.met.lookups.Add(st.Lookups)
-	co.met.hits.Add(st.Hits)
+	tally.trace = sc.Trace
+	p := dev.Play(s, tally)
+	res := tally.res
+	res.Events += p.Events
+	res.Lookup.Merge(p.Lookup)
+	co.met.events.Add(p.Events)
+	co.met.unhandled.Add(p.Unhandled)
+	co.met.lookups.Add(p.Lookup.Lookups)
+	co.met.hits.Add(p.Lookup.Hits)
 	sp := obs.StartSpan(sc, 0, "fleet.session", 0)
 	sp.Service = "device"
-	sp.Hit = st.Hits > 0
+	sp.Hit = p.Lookup.Hits > 0
 	cfg.Spans.FinishWall(&sp, time.Since(sessionStart).Nanoseconds())
-	return log, nil
+	return s.Log
 }
 
 // Run executes a fleet run: a shared scheduler (see scheduler.go) plays
@@ -786,11 +700,13 @@ func Run(cfg Config) (*Result, error) {
 	cfg.Chaos.SetMetrics(cfg.Obs)
 
 	workers := workerCount(cfg)
-	states := make([]*workerState, workers)
-	for w := range states {
-		if states[w], err = newWorkerState(cfg.Game); err != nil {
+	devs := make([]*schemes.Device, workers)
+	for w := range devs {
+		g, err := games.New(cfg.Game)
+		if err != nil {
 			return nil, err
 		}
+		devs[w] = schemes.NewDevice(g)
 	}
 	detail := cfg.Devices <= PerDeviceDetailMax
 	results := make([]DeviceResult, cfg.Devices)
@@ -810,7 +726,7 @@ func Run(cfg Config) (*Result, error) {
 		wh := &latHist{}
 		workerHists[w] = wh
 		wg.Add(1)
-		go func(ws *workerState) {
+		go func(dev *schemes.Device) {
 			defer wg.Done()
 			for {
 				d := int(next.Add(1)) - 1
@@ -822,9 +738,9 @@ func Run(cfg Config) (*Result, error) {
 					hist = &latHist{}
 					hists[d] = hist
 				}
-				results[d], errs[d] = co.device(d, gen, ws, hist)
+				results[d], errs[d] = co.device(d, gen, dev, hist)
 			}
-		}(states[w])
+		}(devs[w])
 	}
 	wg.Wait()
 	wall := time.Since(start)

@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"snip/internal/cloud"
-	"snip/internal/events"
-	"snip/internal/games"
 	"snip/internal/rng"
 )
 
@@ -51,26 +49,6 @@ type OverloadConfig struct {
 // XORed with SeedBase+device so streams never collide with session or
 // shadow-guard RNG.
 const overloadJitterSalt = 0x4F564C4444455649 // "OVLDDEVI"
-
-// workerState is one scheduler worker's pooled device state: the game
-// instance (Reset per session) and the handled-event-type set, which
-// depends only on the game. Never shared across workers.
-type workerState struct {
-	game    games.Game
-	handled map[events.Type]bool
-}
-
-func newWorkerState(gameName string) (*workerState, error) {
-	g, err := games.New(gameName)
-	if err != nil {
-		return nil, err
-	}
-	handled := make(map[events.Type]bool, 8)
-	for _, t := range g.Types() {
-		handled[t] = true
-	}
-	return &workerState{game: g, handled: handled}, nil
-}
 
 // workerCount sizes the pool: explicit Config.Workers, else twice
 // GOMAXPROCS (the devices block on in-process HTTP, so modest

@@ -2,15 +2,14 @@ package fleet
 
 import (
 	"snip/internal/obs"
-	"snip/internal/trace"
 	"snip/internal/units"
 )
 
 // Device-side telemetry: each device folds its per-table-generation
-// tallies into compact trace.TelemetryRecords at session boundaries and
-// ships them to the cloud over POST /v1/telemetry, piggyback-flushed
-// alongside the upload batches so telemetry adds no extra connection
-// churn. The pipeline is deliberately decoupled from correctness:
+// tallies (see deviceTally) into compact trace.TelemetryRecords at
+// session boundaries and ships them to the cloud over POST
+// /v1/telemetry, piggyback-flushed alongside the upload batches so
+// telemetry adds no extra connection churn. The pipeline is deliberately decoupled from correctness:
 //
 //   - It consumes no randomness and reads no wall-clock — record
 //     timestamps are the deterministic simulated session clock — so a
@@ -52,151 +51,14 @@ type TelemetryReport struct {
 	Dropped int64 `json:"dropped"`
 }
 
-// telemetryAccum is one device's in-progress tally for one table
-// generation over the current fold interval (one session).
-type telemetryAccum struct {
-	sessions   int64
-	events     int64
-	lookups    int64
-	hits       int64
-	shadow     int64
-	mispredict int64
-	savedInstr int64
-	hist       latHist
-}
-
-// deviceTelemetry is one device's folding + shipping state. All methods
-// are nil-safe no-ops so the session loop stays branch-light when
-// telemetry is disabled.
-type deviceTelemetry struct {
-	co      *coordinator
-	device  int
-	flushAt int
-	// en is the device's energy tally (nil when the ledger is off); the
-	// fold stamps its per-generation interval slices onto the records.
-	en *energyTally
-	// gens accumulates the current session's tallies per generation;
-	// order remembers first-touch order, which is deterministic because
-	// the event stream is — records emit in it, so fold output never
-	// depends on map iteration.
-	gens    map[int64]*telemetryAccum
-	order   []int64
-	pending []trace.TelemetryRecord
-	// lastRetries tracks the device's retry counter so each fold ships
-	// only the interval's delta.
-	lastRetries int
-}
-
-func newDeviceTelemetry(co *coordinator, device int, en *energyTally) *deviceTelemetry {
-	if co.cfg.Telemetry == nil || co.cfg.Client == nil {
-		return nil
-	}
-	return &deviceTelemetry{
-		co:      co,
-		device:  device,
-		flushAt: co.cfg.Telemetry.flushRecords(),
-		en:      en,
-		gens:    make(map[int64]*telemetryAccum),
-	}
-}
-
-func (t *deviceTelemetry) accum(gen int64) *telemetryAccum {
-	a, ok := t.gens[gen]
-	if !ok {
-		a = &telemetryAccum{}
-		t.gens[gen] = a
-		t.order = append(t.order, gen)
-	}
-	return a
-}
-
-// noteEvent attributes one delivered event to the generation whose
-// table snapshot served it (0 while no table is published).
-func (t *deviceTelemetry) noteEvent(gen int64) {
-	if t == nil {
-		return
-	}
-	t.accum(gen).events++
-}
-
-func (t *deviceTelemetry) noteLookup(gen int64, ns int64, hit bool) {
-	if t == nil {
-		return
-	}
-	a := t.accum(gen)
-	a.lookups++
-	if hit {
-		a.hits++
-	}
-	a.hist.observe(ns)
-}
-
-func (t *deviceTelemetry) noteShadow(gen int64, mispredict bool) {
-	if t == nil {
-		return
-	}
-	a := t.accum(gen)
-	a.shadow++
-	if mispredict {
-		a.mispredict++
-	}
-}
-
-func (t *deviceTelemetry) noteSaved(gen int64, instr int64) {
-	if t == nil {
-		return
-	}
-	t.accum(gen).savedInstr += instr
-}
-
-// fold closes the session's interval: one TelemetryRecord per touched
-// generation, stamped with the session's deterministic simulated end
-// time, queued for the next flush. queueDepth is the device's pending
-// upload-batch occupancy at fold time.
-func (t *deviceTelemetry) fold(session int, res *DeviceResult, queueDepth, queueCap int) {
-	if t == nil || len(t.order) == 0 {
-		return
-	}
-	simTimeUS := int64(session+1) * int64(t.co.cfg.SessionDuration)
-	retries := int64(res.Retries - t.lastRetries)
-	t.lastRetries = res.Retries
-	for _, gen := range t.order {
-		a := t.gens[gen]
-		rec := trace.TelemetryRecord{
-			Device:           t.device,
-			SimTimeUS:        simTimeUS,
-			Generation:       gen,
-			Sessions:         1,
-			Events:           a.events,
-			Lookups:          a.lookups,
-			Hits:             a.hits,
-			ShadowChecks:     a.shadow,
-			Mispredicts:      a.mispredict,
-			SavedInstr:       a.savedInstr,
-			P99LookupNS:      a.hist.quantile(0.99),
-			Retries:          retries,
-			QueueDepth:       int64(queueDepth),
-			QueueCap:         int64(queueCap),
-			TelemetryPending: int64(len(t.pending)),
-			TelemetryCap:     int64(t.flushAt),
-		}
-		t.en.stamp(gen, &rec)
-		retries = 0 // the interval's delta rides the first record only
-		t.pending = append(t.pending, rec)
-		res.TelemetryRecords++
-		t.co.met.telRecords.Inc()
-		delete(t.gens, gen)
-	}
-	t.order = t.order[:0]
-}
-
 // flush ships the pending records if the buffer is full (or force).
 // Best-effort: a failed upload drops the records and the device plays
 // on — serving health must not depend on telemetry health.
-func (t *deviceTelemetry) flush(res *DeviceResult, force bool) {
-	if t == nil || len(t.pending) == 0 || (!force && len(t.pending) < t.flushAt) {
+func (t *deviceTally) flush(force bool) {
+	if len(t.pending) == 0 || (!force && len(t.pending) < t.flushAt) {
 		return
 	}
+	res := t.res
 	// The batch gets its own deterministic trace root, salted off the
 	// device index so the cloud-side ingest spans of different devices
 	// land in different traces.

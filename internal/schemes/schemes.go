@@ -19,14 +19,12 @@ package schemes
 
 import (
 	"fmt"
-	"time"
 
 	"snip/internal/energy"
 	"snip/internal/events"
 	"snip/internal/games"
 	"snip/internal/memo"
 	"snip/internal/obs"
-	"snip/internal/rng"
 	"snip/internal/soc"
 	"snip/internal/trace"
 	"snip/internal/units"
@@ -75,9 +73,10 @@ type Config struct {
 	Seed     uint64
 	Duration units.Time
 	Scheme   Kind
-	// Table is the deployed SNIP lookup table, either backend (required
-	// for SNIP and NoOverheads). Both backends return bit-identical
-	// results and costs, so the choice never shows up in a Result.
+	// Table is the deployed SNIP lookup table (required for SNIP and
+	// NoOverheads): the flat image the cloud serves, or the map table
+	// the figures build. Both return bit-identical results and costs, so
+	// the choice never shows up in a Result.
 	Table memo.Table
 	// CollectTrace captures the full per-event profile, inputs included
 	// (the cloud-side instrumentation; adds memory, not simulated
@@ -141,7 +140,9 @@ func newSessionMetrics(reg *obs.Registry) *sessionMetrics {
 	return &sessionMetrics{reg: reg}
 }
 
-func (m *sessionMetrics) flush() {
+// flush publishes the session's counts, with the events the runtime
+// dropped for want of a handler.
+func (m *sessionMetrics) flush(unhandled int64) {
 	if m == nil {
 		return
 	}
@@ -159,6 +160,7 @@ func (m *sessionMetrics) flush() {
 	reg.Counter("snip_shadow_error_fields_total", "erroneous output fields caught by shadow execution").Add(m.shadowErrors)
 	reg.Counter("snip_guard_shadow_checks_total", "sampled memo hits verified by the mispredict guard").Add(m.guardChecks)
 	reg.Counter("snip_guard_mispredicts_total", "sampled memo hits whose outputs mismatched ground truth").Add(m.guardMisses)
+	reg.Counter("snip_dispatch_unhandled_total", "events with no registered handler").Add(unhandled)
 }
 
 // GuardStats tallies the sampled mispredict guard for one session.
@@ -287,17 +289,10 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	game.Reset(cfg.Seed)
 	gen, err := workload.ForGame(cfg.Game)
 	if err != nil {
 		return nil, err
 	}
-	stream := gen.Generate(cfg.Seed, cfg.Duration)
-	synthCfg := events.DefaultSynthesizerConfig()
-	// Frame counters count from device boot: no two sessions share them.
-	synthCfg.FrameBase = int64(cfg.Seed%1_000_000) * 10_000_000
-	synth := events.NewSynthesizer(synthCfg)
-	evs := synth.SynthesizeAll(stream)
 
 	meter := energy.NewMeter(cfg.PowerModel)
 	socCfg := cfg.SoC
@@ -311,237 +306,37 @@ func Run(cfg Config) (*Result, error) {
 	chip := soc.New(socCfg, meter, policy)
 
 	res := &Result{Game: cfg.Game, Scheme: cfg.Scheme, Meter: meter}
+	s := Session{Gen: gen, Seed: cfg.Seed, Duration: cfg.Duration,
+		ShadowRate: cfg.ShadowSampleRate, VerifyAll: cfg.EvalCorrectness}
 	if cfg.CollectTrace {
 		res.Dataset = &trace.Dataset{Game: cfg.Game}
+		if cfg.Scheme == Baseline {
+			s.Profile = res.Dataset
+		}
 	}
 	if cfg.CollectEventLog {
 		res.EventLog = &trace.EventLog{Game: cfg.Game}
+		s.Log = res.EventLog
 	}
-
-	// Per-scheme memo state.
-	cpuSeen := make(map[string]map[uint64]bool) // Max CPU: func -> input hashes
-	ipLast := make(map[energy.Component]uint64) // Max IP: last invocation latch per IP
-
-	dispatcher := events.NewDispatcher()
-	dispatcher.Instrument(events.NewDispatchMetrics(cfg.Obs))
-	dispatcher.Enqueue(evs...)
-	dispatcher.Sort()
-
-	met := newSessionMetrics(cfg.Obs)
-	tracing := cfg.Spans != nil
-
-	// The guard's sampling stream is split off the session seed, so it
-	// perturbs no other stream: enabling the guard changes which hits are
-	// verified, never what any handler computes. With the rate at zero no
-	// source is created and no randomness is drawn at all.
-	var shadowSrc *rng.Source
-	if cfg.ShadowSampleRate > 0 && (cfg.Scheme == SNIP || cfg.Scheme == NoOverheads) {
-		shadowSrc = rng.New(cfg.Seed ^ 0x5348414457475244) // "SHADWGRD"
+	sink := &runSink{
+		cfg: cfg, res: res, chip: chip, meter: meter,
+		met:     newSessionMetrics(cfg.Obs),
+		cpuSeen: make(map[string]map[uint64]bool),
+		ipLast:  make(map[energy.Component]uint64),
+		// The session's trace root is a pure function of (game, scheme,
+		// seed): rerunning the session reproduces every ID, and computing
+		// it unconditionally keeps traced and bare results identical.
+		root: obs.Root(obs.NewTraceID(cfg.Seed, obs.HashName(cfg.Game+"/"+cfg.Scheme.String()))),
 	}
+	res.TraceID = sink.root.Trace
 
-	// The session's trace root is a pure function of (game, scheme,
-	// seed): rerunning the session reproduces every ID, and computing it
-	// unconditionally keeps traced and bare results identical.
-	root := obs.Root(obs.NewTraceID(cfg.Seed, obs.HashName(cfg.Game+"/"+cfg.Scheme.String())))
-	res.TraceID = root.Trace
-
-	deliver := func(e *events.Event) {
-		chip.AdvanceTo(e.Time)
-		var eventCtx obs.SpanContext
-		var ev obs.Span
-		var evBefore units.Energy
-		if tracing {
-			eventCtx = root.Child(uint64(e.Seq))
-			ev = obs.StartSpan(eventCtx, root.Span, "event.deliver", int64(e.Time))
-			ev.Service = "device"
-			ev.EventType = e.Type.String()
-			ev.Seq = e.Seq
-			evBefore = meter.Total()
-		}
-		// The OS delivery path runs for every event under every scheme.
-		chip.Execute(events.DeliveryCost(e))
-		if cfg.CollectEventLog {
-			res.EventLog.Events = append(res.EventLog.Events, trace.LoggedEvent{
-				Type: e.Type.String(), Seq: e.Seq, Time: e.Time,
-				Values: append([]int64(nil), e.Values...),
-			})
-		}
-		res.Events++
-		if met != nil {
-			met.delivered[e.Type]++
-		}
-
-		switch cfg.Scheme {
-		case Baseline:
-			before := meter.Total()
-			exec := game.Process(e, res.Dataset)
-			chip.Execute(exec.Work())
-			delta := meter.Total() - before
-			res.TotalWeight += exec.Record.Instr
-			if !exec.Record.StateChanged {
-				res.UselessEvents++
-				res.UselessEnergy += delta
-				meter.Tag("useless", delta)
-				if met != nil {
-					met.useless++
-				}
-			}
-			if met != nil {
-				met.executed++
-			}
-			if tracing {
-				ev.Instr = exec.Record.Instr
-				ev.IPCalls = len(exec.IPCalls)
-			}
-
-		case MaxCPU:
-			exec := game.Process(e, nil)
-			w, skipped := exec.CPUWork(cpuSeen)
-			w.IPCalls = exec.IPCalls
-			chip.Execute(w)
-			res.TotalWeight += exec.Record.Instr
-			res.SnippedWeight += skipped
-			if skipped > 0 {
-				res.SnippedEvents++
-			}
-			if met != nil {
-				met.executed++
-			}
-			if tracing {
-				ev.Instr = exec.Record.Instr
-				ev.IPCalls = len(exec.IPCalls)
-			}
-
-		case MaxIP:
-			exec := game.Process(e, nil)
-			w := soc.Work{}
-			cw, _ := exec.CPUWork(nil)
-			w.CPUInstr, w.MemBytes = cw.CPUInstr, cw.MemBytes
-			for _, call := range exec.IPCalls {
-				digest := trace.Combine(trace.HashString(call.Op), call.InputHash)
-				if ipLast[call.IP] == digest {
-					// The IP would recompute exactly its previous
-					// invocation: serve the latched result ([43]-style).
-					res.SnippedWeight += int64(call.Duration) * 1200
-					continue
-				}
-				ipLast[call.IP] = digest
-				w.IPCalls = append(w.IPCalls, call)
-			}
-			if len(w.IPCalls) < len(exec.IPCalls) {
-				res.SnippedEvents++
-			}
-			chip.Execute(w)
-			res.TotalWeight += exec.Record.Instr
-			if met != nil {
-				met.executed++
-			}
-			if tracing {
-				ev.Instr = exec.Record.Instr
-				ev.IPCalls = len(w.IPCalls)
-			}
-
-		case SNIP, NoOverheads:
-			resolver := func(name string) (uint64, bool) {
-				if v, ok := game.PeekField(name); ok {
-					return v, true
-				}
-				return resolveEventField(e, name)
-			}
-			var probeStart time.Time
-			if tracing {
-				probeStart = time.Now()
-			}
-			entry, probes, cmpBytes, hit := cfg.Table.Lookup(e.Type.String(), resolver)
-			res.Lookup.Observe(probes, cmpBytes, hit)
-			if tracing {
-				ev.Probes = probes
-				ev.ComparedBytes = int64(cmpBytes)
-				lk := obs.StartSpan(eventCtx.Child(1), eventCtx.Span, "memo.lookup", int64(e.Time))
-				lk.Service = "device"
-				lk.Hit = hit
-				cfg.Spans.FinishWall(&lk, time.Since(probeStart).Nanoseconds())
-			}
-			if cfg.Scheme == SNIP {
-				res.LookupEnergy += chip.LookupOverhead(probes, cmpBytes)
-				res.ComparedBytes += int64(cmpBytes)
-			}
-			if hit {
-				res.SnippedEvents++
-				if met != nil {
-					met.shortCircuited++
-				}
-				weight := entry.Instr
-				if cfg.EvalCorrectness {
-					shadow := game.Clone()
-					truth := shadow.Process(e, nil).Record
-					weight = truth.Instr
-					res.Errors.ShadowedEvents++
-					errBefore := res.Errors.ErrFields()
-					countErrors(&res.Errors, entry.Outputs, truth.Outputs)
-					if met != nil {
-						met.shadowChecks++
-						met.shadowErrors += res.Errors.ErrFields() - errBefore
-					}
-					if tracing {
-						ev.ShadowChecked = true
-						ev.ShadowErrFields = res.Errors.ErrFields() - errBefore
-					}
-				} else if shadowSrc != nil && shadowSrc.Bool(cfg.ShadowSampleRate) {
-					// Sampled production guard: run the real handler on a
-					// clone (before ApplyOutputs mutates the live game) and
-					// compare what the table served against ground truth.
-					truth := game.Clone().Process(e, nil).Record
-					match := trace.OutputsMatch(entry.Outputs, truth.Outputs)
-					res.Guard.ShadowChecks++
-					if !match {
-						res.Guard.Mispredicts++
-					}
-					if met != nil {
-						met.guardChecks++
-						if !match {
-							met.guardMisses++
-						}
-					}
-					if tracing {
-						ev.ShadowChecked = true
-					}
-				}
-				res.SnippedWeight += weight
-				res.TotalWeight += weight
-				game.ApplyOutputs(entry.Outputs)
-				if tracing {
-					ev.Hit = true
-					ev.Instr = weight
-				}
-			} else {
-				exec := game.Process(e, nil)
-				chip.Execute(exec.Work())
-				res.TotalWeight += exec.Record.Instr
-				if met != nil {
-					met.executed++
-				}
-				if tracing {
-					ev.Instr = exec.Record.Instr
-					ev.IPCalls = len(exec.IPCalls)
-				}
-			}
-		}
-
-		if tracing {
-			ev.Energy = int64(meter.Total() - evBefore)
-			cfg.Spans.Finish(&ev, int64(chip.Now()))
-		}
-	}
-
-	for _, t := range game.Types() {
-		dispatcher.Register(t, events.HandlerFunc(deliver))
-	}
-	dispatcher.Drain()
-	chip.AdvanceTo(stream.End())
-	met.flush()
+	p := NewDevice(game).Play(s, sink)
+	chip.AdvanceTo(p.End)
+	res.Events = int(p.Events)
+	res.Lookup = p.Lookup
+	sink.met.flush(p.Unhandled)
 	if cfg.Spans != nil {
-		session := obs.StartSpan(root, 0, "session", 0)
+		session := obs.StartSpan(sink.root, 0, "session", 0)
 		session.Service = "device"
 		cfg.Spans.Finish(&session, int64(chip.Now()))
 	}
@@ -553,26 +348,171 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// ResolveEventField reads "event.<type>.<field>" names from the pending
-// event object — the event half of the SNIP runtime resolver (the state
-// half is Game.PeekField). Exported for the fleet serving layer, whose
-// device loop builds the same resolver.
-func ResolveEventField(e *events.Event, name string) (uint64, bool) {
-	return resolveEventField(e, name)
+// runSink books a Run session on the simulated SoC: every component's
+// energy, the scheme's own memo state, the Report's tallies and, when
+// tracing, one event.deliver span per event.
+type runSink struct {
+	cfg   Config
+	res   *Result
+	chip  *soc.SoC
+	meter *energy.Meter
+	met   *sessionMetrics
+	root  obs.SpanContext
+
+	cpuSeen map[string]map[uint64]bool  // Max CPU: func -> input hashes
+	ipLast  map[energy.Component]uint64 // Max IP: last invocation latch per IP
+
+	// The event being delivered and, when tracing, its span.
+	e        *events.Event
+	eventCtx obs.SpanContext
+	ev       obs.Span
+	evBefore units.Energy
 }
 
-// resolveEventField reads "event.<type>.<field>" names from the pending
-// event object.
-func resolveEventField(e *events.Event, name string) (uint64, bool) {
-	prefix := "event." + e.Type.String() + "."
-	if len(name) <= len(prefix) || name[:len(prefix)] != prefix {
-		return 0, false
+func (k *runSink) Deliver(e *events.Event) memo.Table {
+	k.e = e
+	k.chip.AdvanceTo(e.Time)
+	if k.cfg.Spans != nil {
+		k.eventCtx = k.root.Child(uint64(e.Seq))
+		k.ev = obs.StartSpan(k.eventCtx, k.root.Span, "event.deliver", int64(e.Time))
+		k.ev.Service = "device"
+		k.ev.EventType = e.Type.String()
+		k.ev.Seq = e.Seq
+		k.evBefore = k.meter.Total()
 	}
-	v, ok := e.Field(name[len(prefix):])
-	if !ok {
-		return 0, false
+	// The OS delivery path runs for every event under every scheme.
+	k.chip.Execute(events.DeliveryCost(e))
+	if k.met != nil {
+		k.met.delivered[e.Type]++
 	}
-	return uint64(v), true
+	if k.cfg.Scheme == SNIP || k.cfg.Scheme == NoOverheads {
+		return k.cfg.Table
+	}
+	return nil
+}
+
+func (k *runSink) Probed(probes int64, cmpBytes units.Size, hit bool, wallNS int64) {
+	if k.cfg.Spans != nil {
+		k.ev.Probes = probes
+		k.ev.ComparedBytes = int64(cmpBytes)
+		lk := obs.StartSpan(k.eventCtx.Child(1), k.eventCtx.Span, "memo.lookup", int64(k.e.Time))
+		lk.Service = "device"
+		lk.Hit = hit
+		k.cfg.Spans.FinishWall(&lk, wallNS)
+	}
+	if k.cfg.Scheme == SNIP {
+		k.res.LookupEnergy += k.chip.LookupOverhead(probes, cmpBytes)
+		k.res.ComparedBytes += int64(cmpBytes)
+	}
+}
+
+func (k *runSink) Hit(entry *memo.SnipEntry, truth *games.Execution) []trace.Field {
+	res, met := k.res, k.met
+	res.SnippedEvents++
+	if met != nil {
+		met.shortCircuited++
+	}
+	weight := entry.Instr
+	switch {
+	case truth == nil:
+	case k.cfg.EvalCorrectness:
+		weight = truth.Record.Instr
+		res.Errors.ShadowedEvents++
+		errBefore := res.Errors.ErrFields()
+		countErrors(&res.Errors, entry.Outputs, truth.Record.Outputs)
+		if met != nil {
+			met.shadowChecks++
+			met.shadowErrors += res.Errors.ErrFields() - errBefore
+		}
+		k.ev.ShadowChecked = true
+		k.ev.ShadowErrFields = res.Errors.ErrFields() - errBefore
+	default:
+		// Sampled production guard: compare what the table served
+		// against ground truth. It only observes; the served outputs
+		// are applied either way.
+		match := trace.OutputsMatch(entry.Outputs, truth.Record.Outputs)
+		res.Guard.ShadowChecks++
+		if !match {
+			res.Guard.Mispredicts++
+		}
+		if met != nil {
+			met.guardChecks++
+			if !match {
+				met.guardMisses++
+			}
+		}
+		k.ev.ShadowChecked = true
+	}
+	res.SnippedWeight += weight
+	res.TotalWeight += weight
+	k.ev.Hit = true
+	k.ev.Instr = weight
+	k.finish()
+	return entry.Outputs
+}
+
+func (k *runSink) Executed(exec *games.Execution) {
+	res := k.res
+	res.TotalWeight += exec.Record.Instr
+	k.ev.Instr = exec.Record.Instr
+	k.ev.IPCalls = len(exec.IPCalls)
+	switch k.cfg.Scheme {
+	case MaxCPU:
+		w, skipped := exec.CPUWork(k.cpuSeen)
+		w.IPCalls = exec.IPCalls
+		k.chip.Execute(w)
+		res.SnippedWeight += skipped
+		if skipped > 0 {
+			res.SnippedEvents++
+		}
+
+	case MaxIP:
+		w := soc.Work{}
+		cw, _ := exec.CPUWork(nil)
+		w.CPUInstr, w.MemBytes = cw.CPUInstr, cw.MemBytes
+		for _, call := range exec.IPCalls {
+			digest := trace.Combine(trace.HashString(call.Op), call.InputHash)
+			if k.ipLast[call.IP] == digest {
+				// The IP would recompute exactly its previous
+				// invocation: serve the latched result ([43]-style).
+				res.SnippedWeight += int64(call.Duration) * 1200
+				continue
+			}
+			k.ipLast[call.IP] = digest
+			w.IPCalls = append(w.IPCalls, call)
+		}
+		if len(w.IPCalls) < len(exec.IPCalls) {
+			res.SnippedEvents++
+		}
+		k.chip.Execute(w)
+		k.ev.IPCalls = len(w.IPCalls)
+
+	default: // Baseline, and SNIP's misses
+		before := k.meter.Total()
+		k.chip.Execute(exec.Work())
+		if k.cfg.Scheme == Baseline && !exec.Record.StateChanged {
+			delta := k.meter.Total() - before
+			res.UselessEvents++
+			res.UselessEnergy += delta
+			k.meter.Tag("useless", delta)
+			if k.met != nil {
+				k.met.useless++
+			}
+		}
+	}
+	if k.met != nil {
+		k.met.executed++
+	}
+	k.finish()
+}
+
+// finish closes the event's span, when tracing.
+func (k *runSink) finish() {
+	if k.cfg.Spans == nil {
+		return
+	}
+	k.ev.Energy = int64(k.meter.Total() - k.evBefore)
+	k.cfg.Spans.Finish(&k.ev, int64(k.chip.Now()))
 }
 
 // countErrors compares served outputs against ground truth field-wise.

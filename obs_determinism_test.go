@@ -121,7 +121,7 @@ func TestMetricsDoNotPerturbFigures(t *testing.T) {
 	}
 	for _, want := range []string{
 		"snip_events_delivered_total", "snip_events_executed_total",
-		"snip_dispatch_events_total", "snip_events_useless_total",
+		"snip_dispatch_unhandled_total", "snip_events_useless_total",
 	} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("figure-run exposition missing %s", want)
