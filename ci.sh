@@ -42,6 +42,11 @@ go test -race -run 'Shard|Delta|Update|OTA' ./internal/cloud ./internal/memo ./i
 echo "== go test -race (overload survival: admission control, quotas, 429 backpressure, shared scheduler)"
 go test -race -run 'Overload|Shed|Quota|Backpressure' ./internal/cloud ./internal/fleet
 
+echo "== examples smoke (every examples/ program, each a client of the root API, must exit zero)"
+for ex in examples/*/; do
+	go run "./$ex" >/dev/null
+done
+
 echo "== fleet bench smoke (sharded cloud, multi-round delta OTA, then schema validation incl. health/SLO and delta accounting)"
 go run ./cmd/fleetbench -devices 2,4 -sessions 2 -secs 5 -profile-sessions 2 \
 	-shards 2 -refreshes 2 -delta-cap 4 \

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"snip/internal/cloud"
+	"snip/internal/memo"
 	"snip/internal/schemes"
 	"snip/internal/trace"
 	"snip/internal/units"
@@ -119,7 +120,7 @@ func (c *CloudClient) FetchTable(game string) (*Table, *Selection, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Table{t: up.Table}, &Selection{
+	return &Table{t: up.Table.(*memo.FlatTable)}, &Selection{
 		SelectedBytes:   up.Selection.TotalWidth().Bytes(),
 		Coverage:        up.Metrics.Coverage,
 		PersistentError: up.Metrics.NonTempError,
@@ -144,14 +145,10 @@ func NewLearner(game string, o PFIOptions, initialRecords int) *Learner {
 // and coverage, then uploads the session and retrains.
 func (l *Learner) Epoch(seed uint64, duration time.Duration) (errorRate, coverage float64, err error) {
 	d := units.Time(duration / time.Microsecond)
-	var table *Table
 	if up := l.l.Profiler.Latest(); up != nil {
-		table = &Table{t: up.Table}
-	}
-	if table != nil {
 		r, err := schemes.Run(schemes.Config{
 			Game: l.game, Seed: seed, Duration: d,
-			Scheme: schemes.SNIP, Table: table.t, EvalCorrectness: true,
+			Scheme: schemes.SNIP, Table: up.Table, EvalCorrectness: true,
 		})
 		if err != nil {
 			return 0, 0, err

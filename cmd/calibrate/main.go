@@ -68,7 +68,11 @@ func main() {
 				fmt.Fprintln(os.Stderr, "pfi:", err)
 				os.Exit(1)
 			}
-			table := memo.BuildSnip(profile, pr.Selection)
+			table, err := memo.BuildFlat(profile, pr.Selection)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "table:", err)
+				os.Exit(1)
+			}
 			snip, err := schemes.Run(schemes.Config{
 				Game: n, Seed: *seed, Duration: dur, Scheme: schemes.SNIP,
 				Table: table, EvalCorrectness: true,

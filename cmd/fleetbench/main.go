@@ -276,7 +276,6 @@ func main() {
 	pfiOpts.Workers = *workers
 	table, _, err := snip.BuildTable(profile, pfiOpts)
 	fatalIf(err)
-	fatalIf(table.Flatten())
 	fmt.Fprintf(os.Stderr, "table: %d rows, %d bytes (flat image %d bytes)\n",
 		table.Rows(), table.SizeBytes(), table.ImageBytes())
 
@@ -567,7 +566,7 @@ func parseGrades(s string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		g, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || g <= 0 {
+		if err != nil || !(g > 0) || math.IsInf(g, 1) {
 			return nil, fmt.Errorf("bad speed grade %q", part)
 		}
 		out = append(out, g)

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -150,7 +151,7 @@ func parseSweepSizes(spec string) ([]int, error) {
 			mult, s = 1_000_000, s[:len(s)-1]
 		}
 		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 {
+		if err != nil || n < 1 || n > math.MaxInt/mult {
 			return nil, fmt.Errorf("bad sweep size %q", part)
 		}
 		sizes = append(sizes, n*mult)

@@ -135,10 +135,6 @@ type Counts struct {
 	WireSlowed       int64 `json:"wire_slowed,omitempty"`
 	TablesPoisoned   int64 `json:"tables_poisoned,omitempty"`
 	EntriesPoisoned  int64 `json:"entries_poisoned,omitempty"`
-	// FlattenFallbacks counts poisoned flat fetches that could not be
-	// re-flattened and fell back to the map-backed serving path — a
-	// chaos-run fidelity loss, not an injected fault.
-	FlattenFallbacks int64 `json:"table_flatten_fallbacks,omitempty"`
 }
 
 // Map returns the non-zero tallies keyed by fault kind — the
@@ -162,7 +158,6 @@ func (c Counts) Map() map[string]int64 {
 		{"wire_slowed", c.WireSlowed},
 		{"tables_poisoned", c.TablesPoisoned},
 		{"entries_poisoned", c.EntriesPoisoned},
-		{"table_flatten_fallbacks", c.FlattenFallbacks},
 	} {
 		if kv.v != 0 {
 			m[kv.k] = kv.v
@@ -200,7 +195,6 @@ type Injector struct {
 	wireSlowed       atomic.Int64
 	tablesPoisoned   atomic.Int64
 	entriesPoisoned  atomic.Int64
-	flattenFallbacks atomic.Int64
 
 	// faults, when metrics are attached, mirrors the per-kind tallies
 	// into snip_chaos_faults_total{kind="..."} counters. Nil-safe.
@@ -236,7 +230,7 @@ func (i *Injector) SetMetrics(reg *obs.Registry) {
 		"sensor_dropped", "sensor_duplicated", "sensor_stuck", "sensor_out_of_order",
 		"device_crash", "device_stall",
 		"wire_truncated", "wire_bit_flipped", "wire_bomb", "wire_5xx", "wire_slow",
-		"table_poisoned", "table_flatten_fallback",
+		"table_poisoned",
 	} {
 		i.faults[kind] = reg.Counter(
 			`snip_chaos_faults_total{kind="`+kind+`"}`, "faults injected by the chaos subsystem")
@@ -269,7 +263,6 @@ func (i *Injector) Counts() Counts {
 		WireSlowed:       i.wireSlowed.Load(),
 		TablesPoisoned:   i.tablesPoisoned.Load(),
 		EntriesPoisoned:  i.entriesPoisoned.Load(),
-		FlattenFallbacks: i.flattenFallbacks.Load(),
 	}
 }
 

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"hash/crc32"
 	"reflect"
 	"testing"
 	"time"
@@ -26,7 +27,9 @@ func testStream(t *testing.T, n int) *sensors.Stream {
 	return s
 }
 
-func testTable(t *testing.T) *memo.SnipTable {
+// testTable is a 20-row table, one output per row, in the flat form
+// the fleet serves and MaybePoisonTable takes.
+func testTable(t *testing.T) *memo.FlatTable {
 	t.Helper()
 	// One selected input field, so distinct input values hash to distinct
 	// rows (an empty selection would collapse every insert into one row).
@@ -40,11 +43,14 @@ func testTable(t *testing.T) *memo.SnipTable {
 			Outputs: []trace.Field{{Name: "x", Category: trace.OutHistory, Size: 8, Value: i * 100}},
 		})
 	}
-	tab.Freeze()
-	if tab.Rows() != 20 {
-		t.Fatalf("test table has %d rows, want 20", tab.Rows())
+	flat, err := memo.Flatten(tab)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return tab
+	if flat.Rows() != 20 {
+		t.Fatalf("test table has %d rows, want 20", flat.Rows())
+	}
+	return flat
 }
 
 func TestNamedProfiles(t *testing.T) {
@@ -202,6 +208,35 @@ func TestMaybePoisonTableDeterministic(t *testing.T) {
 
 	if same, n := New(Profile{Seed: 42}).MaybePoisonTable(tab); same != tab || n != 0 {
 		t.Fatal("zero rate still copied or poisoned the table")
+	}
+}
+
+// TestPoisonedImageBytes pins the poisoned images of testTable. The
+// values were recorded when poisoning still rebuilt the table through
+// its map form and re-flattened it; poisoning the image itself must
+// give the same bytes.
+func TestPoisonedImageBytes(t *testing.T) {
+	tab := testTable(t)
+	const srcCRC = 0x64cbeeda
+	for _, tc := range []struct {
+		rate float64
+		n    int
+		crc  uint32
+		fp   uint64
+	}{
+		{0.5, 9, 0x2e394340, 799219740709015910},
+		{1.0, 20, 0x5a71d46e, 11238232901032824199},
+	} {
+		got, n := New(Profile{Seed: 42, TablePoisonRate: tc.rate}).MaybePoisonTable(tab)
+		if n != tc.n || got.ArenaCRC() != tc.crc {
+			t.Errorf("rate %v: %d entries, arena CRC %#08x; want %d, %#08x", tc.rate, n, got.ArenaCRC(), tc.n, tc.crc)
+		}
+		if got.Fingerprint() != tc.fp {
+			t.Errorf("rate %v: fingerprint %d, want %d", tc.rate, got.Fingerprint(), tc.fp)
+		}
+	}
+	if tab.ArenaCRC() != srcCRC || crc32.ChecksumIEEE(tab.Image()[64:]) != srcCRC {
+		t.Fatalf("source image changed: arena CRC %#08x, want %#08x", crc32.ChecksumIEEE(tab.Image()[64:]), srcCRC)
 	}
 }
 

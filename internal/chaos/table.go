@@ -1,11 +1,6 @@
 package chaos
 
-import (
-	"sort"
-
-	"snip/internal/memo"
-	"snip/internal/trace"
-)
+import "snip/internal/memo"
 
 // poisonMask is XORed into output values of poisoned entries. Any
 // non-zero constant works: the point is that a poisoned entry replays
@@ -13,78 +8,28 @@ import (
 // shadow verification exists to catch.
 const poisonMask = 0xBAD5EED0DEADBEEF
 
-// MaybePoisonTable returns a corrupted deep copy of an OTA-fetched table
-// when TablePoisonRate > 0: a fraction of entries have their output
-// values XORed with a constant, so memo hits on those entries replay
-// wrong outputs (the paper's mispredict failure mode, induced on
-// purpose). The input table is never modified — devices already holding
-// it keep a clean snapshot, which is what makes Rollback meaningful.
-// With the rate at zero (or a nil injector) the original table is
-// returned untouched. Which entries are poisoned is deterministic: the
-// decision stream is derived from the profile seed and the table's
-// content fingerprint, and entries are visited in canonical order —
-// and both of those are backend-independent (a flat table fingerprints
-// and exports identically to its map-backed source), so the same
-// entries are poisoned whichever backend the OTA fetch produced.
-func (i *Injector) MaybePoisonTable(t memo.Table) (memo.Table, int) {
+// MaybePoisonTable returns a corrupted copy of an OTA-fetched table when
+// TablePoisonRate > 0: a fraction of entries have their output values
+// XORed with a constant, so memo hits on those entries replay wrong
+// outputs (the paper's mispredict failure mode, induced on purpose).
+// The copy is the table's own image with those values changed and its
+// CRCs re-stamped, reloaded like any OTA image, so the guard exercises
+// the serving path the fleet runs. The input table is never modified —
+// devices already holding it keep a clean snapshot, which is what makes
+// Rollback meaningful. With the rate at zero (or a nil injector) the
+// original table is returned untouched. Which entries are poisoned is
+// deterministic: the decision stream is derived from the profile seed
+// and the table's content fingerprint, and entries are visited in image
+// order.
+func (i *Injector) MaybePoisonTable(t *memo.FlatTable) (*memo.FlatTable, int) {
 	if i == nil || i.prof.TablePoisonRate <= 0 || t == nil {
 		return t, 0
 	}
 	src := i.source(tagTable, t.Fingerprint())
-	w := t.Export()
-	cp := &memo.Wire{Selection: w.Selection, Buckets: make(map[string]map[uint64]*memo.Bucket, len(w.Buckets))}
-	poisoned := 0
-
-	types := make([]string, 0, len(w.Buckets))
-	for et := range w.Buckets {
-		types = append(types, et)
-	}
-	sort.Strings(types)
-	for _, et := range types {
-		byEvent := w.Buckets[et]
-		cpByEvent := make(map[uint64]*memo.Bucket, len(byEvent))
-		cp.Buckets[et] = cpByEvent
-		eks := make([]uint64, 0, len(byEvent))
-		for ek := range byEvent {
-			eks = append(eks, ek)
-		}
-		sort.Slice(eks, func(a, b int) bool { return eks[a] < eks[b] })
-		for _, ek := range eks {
-			b := byEvent[ek]
-			nb := &memo.Bucket{Order: make([]*memo.SnipEntry, 0, len(b.Order))}
-			for _, e := range b.Order {
-				ne := &memo.SnipEntry{StateKey: e.StateKey, Instr: e.Instr}
-				if len(e.Outputs) > 0 {
-					ne.Outputs = make([]trace.Field, len(e.Outputs))
-					copy(ne.Outputs, e.Outputs)
-					if src.Bool(i.prof.TablePoisonRate) {
-						for fi := range ne.Outputs {
-							ne.Outputs[fi].Value ^= poisonMask
-						}
-						poisoned++
-					}
-				}
-				nb.Order = append(nb.Order, ne)
-			}
-			cpByEvent[ek] = nb
-		}
-	}
-	if poisoned == 0 {
-		return t, 0
-	}
-	i.count(&i.entriesPoisoned, "", int64(poisoned))
-	i.count(&i.tablesPoisoned, "table_poisoned", 1)
-	bad := memo.FromWire(cp)
-	// Keep the victim's backend: a poisoned flat fetch publishes a
-	// poisoned flat table, so the guard exercises the same serving path
-	// the fleet actually runs. A failed re-flatten falls back to the
-	// map-backed table — counted, because the run then exercises the
-	// wrong serving path and that fidelity loss must be observable.
-	if _, isFlat := t.(*memo.FlatTable); isFlat {
-		if ft, err := memo.Flatten(bad); err == nil {
-			return ft, poisoned
-		}
-		i.count(&i.flattenFallbacks, "table_flatten_fallback", 1)
+	bad, poisoned := t.XorOutputs(poisonMask, func() bool { return src.Bool(i.prof.TablePoisonRate) })
+	if poisoned > 0 {
+		i.count(&i.entriesPoisoned, "", int64(poisoned))
+		i.count(&i.tablesPoisoned, "table_poisoned", 1)
 	}
 	return bad, poisoned
 }

@@ -88,12 +88,12 @@ func (c Config) profile(game string) (*trace.Dataset, error) {
 }
 
 // buildTable profiles a game, runs PFI with the game's developer
-// overrides (§V-B Option 1) and returns the deployable table plus the
-// PFI result.
-func (c Config) buildTable(game string) (*memo.SnipTable, *pfi.Result, *trace.Dataset, error) {
+// overrides (§V-B Option 1) and returns the deployable flat table, built
+// as the cloud builds it, plus the profile.
+func (c Config) buildTable(game string) (*memo.FlatTable, *trace.Dataset, error) {
 	prof, err := c.profile(game)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	pfiCfg := c.PFI
 	if pfiCfg.Workers == 0 {
@@ -105,7 +105,11 @@ func (c Config) buildTable(game string) (*memo.SnipTable, *pfi.Result, *trace.Da
 	pfiCfg.ForceInclude = games.ForceInclude(game, pfiCfg.ForceInclude)
 	res, err := pfi.Run(prof, pfiCfg)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return memo.BuildSnip(prof, res.Selection), res, prof, nil
+	table, err := memo.BuildFlat(prof, res.Selection)
+	if err != nil {
+		return nil, nil, err
+	}
+	return table, prof, nil
 }

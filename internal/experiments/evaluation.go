@@ -65,7 +65,7 @@ func Fig11Schemes(cfg Config) (*Fig11Result, error) {
 }
 
 func fig11Game(cfg Config, game string) (*Fig11Row, error) {
-	table, _, _, err := cfg.buildTable(game)
+	table, _, err := cfg.buildTable(game)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +185,7 @@ type Table1Result struct {
 // register-level CPUFunc_i bodies, Max IP only repeated IP_i invocations,
 // SNIP the whole chain.
 func Table1OptimizationScope(cfg Config, game string) (*Table1Result, error) {
-	table, _, _, err := cfg.buildTable(game)
+	table, _, err := cfg.buildTable(game)
 	if err != nil {
 		return nil, err
 	}

@@ -94,13 +94,12 @@ func BackendProfiling(cfg Config, game string) (*BackendResult, error) {
 		return nil, err
 	}
 	// The accumulated multi-session profile and its table.
-	table, pfiRes, prof, err := cfg.buildTable(game)
+	table, prof, err := cfg.buildTable(game)
 	if err != nil {
 		return nil, err
 	}
 	fields := len(prof.InputFieldUniverse())
 	naive := memo.BuildNaive(prof)
-	_ = pfiRes
 	return &BackendResult{
 		Game:              game,
 		EventLogSize:      logSize,

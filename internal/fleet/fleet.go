@@ -28,6 +28,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -136,7 +137,8 @@ type Config struct {
 	// at SpeedGrades[d % len], scaling its energy ledger's CPU rates (a
 	// 0.5-grade part spends twice the µJ per instruction). Nil or empty
 	// is the homogeneous fleet — byte-identical to builds without the
-	// knob.
+	// knob. A non-positive grade counts as 1; a NaN or infinite one is
+	// rejected.
 	SpeedGrades []float64
 	// Overload, when non-nil, opts the fleet into the client-side
 	// overload contract (429 retry with Retry-After, per-device retry
@@ -167,6 +169,11 @@ func (c Config) validate() error {
 	}
 	if c.Telemetry != nil && c.Client == nil {
 		return fmt.Errorf("fleet: telemetry needs a cloud client")
+	}
+	for _, g := range c.SpeedGrades {
+		if math.IsNaN(g) || math.IsInf(g, 0) {
+			return fmt.Errorf("fleet: speed grade %v is not finite", g)
+		}
 	}
 	return nil
 }
@@ -511,15 +518,16 @@ func (co *coordinator) maybeRefresh() error {
 	if ur.FullFallback {
 		co.ota.fullFallbacks++
 	}
+	flat, _ := up.Table.(*memo.FlatTable)
 	co.otaVersion = up.Version
-	co.otaBase, _ = up.Table.(*memo.FlatTable)
+	co.otaBase = flat
 	co.otaMu.Unlock()
 	tab := up.Table
 	// Table chaos corrupts the fetched copy before it is published — the
 	// "bad OTA push" the guard loop exists to catch and roll back. The
 	// clean copy stays the delta base: its generation is what the cloud
 	// serves, whatever the guard later does to the published one.
-	if poisoned, n := cfg.Chaos.MaybePoisonTable(tab); n > 0 {
+	if poisoned, n := cfg.Chaos.MaybePoisonTable(flat); n > 0 {
 		tab = poisoned
 	}
 	cfg.Table.Swap(tab)

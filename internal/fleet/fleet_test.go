@@ -21,7 +21,7 @@ const (
 // bootCloud starts a profiler service, seeds it with one batch of a
 // few recorded sessions and builds the first table — the state a fleet
 // joins.
-func bootCloud(t *testing.T) (*cloud.Service, *httptest.Server, *cloud.Client, memo.Table) {
+func bootCloud(t *testing.T) (*cloud.Service, *httptest.Server, *cloud.Client, *memo.FlatTable) {
 	t.Helper()
 	svc := cloud.NewServiceWithOptions(pfi.DefaultConfig(), cloud.ServiceOptions{})
 	srv := httptest.NewServer(svc.Handler())
@@ -48,7 +48,7 @@ func bootCloud(t *testing.T) (*cloud.Service, *httptest.Server, *cloud.Client, m
 	if err != nil {
 		t.Fatal(err)
 	}
-	return svc, srv, client, up.Table
+	return svc, srv, client, up.Table.(*memo.FlatTable)
 }
 
 // TestFleetEndToEnd is the integration gate: 8 devices serve from one

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
@@ -57,6 +58,18 @@ func TestOverloadSpeedGrades(t *testing.T) {
 	}
 	if got := (Config{SpeedGrades: []float64{-2}}).speedGrade(0); got != 1 {
 		t.Errorf("non-positive grade not defaulted: %v", got)
+	}
+	valid := Config{Game: testGame, Devices: 1, SessionsPerDevice: 1, SessionDuration: testDur,
+		Table: memo.NewShared(nil), SpeedGrades: []float64{1, -2, 0.5}}
+	if err := valid.validate(); err != nil {
+		t.Fatalf("finite grades rejected: %v", err)
+	}
+	for _, g := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := valid
+		bad.SpeedGrades = []float64{1, g}
+		if err := bad.validate(); err == nil {
+			t.Errorf("grade %v accepted", g)
+		}
 	}
 	base := speedRates(1)
 	slow := speedRates(0.5)

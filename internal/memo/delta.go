@@ -108,10 +108,10 @@ func compareBuckets(et1 string, ek1 uint64, et2 string, ek2 uint64) int {
 	return cmp.Or(strings.Compare(et1, et2), cmp.Compare(ek1, ek2))
 }
 
-// selectionToWire converts a Selection into the trace-level form a
+// selectionToDelta converts a Selection into the trace-level form a
 // delta carries, sorted by event type (NameHash is derived, not
 // shipped).
-func selectionToWire(sel Selection) []trace.SelectionType {
+func selectionToDelta(sel Selection) []trace.SelectionType {
 	w := make([]trace.SelectionType, 0, len(sel))
 	for et, fs := range sel {
 		out := make([]trace.SelectionField, len(fs))
@@ -124,8 +124,8 @@ func selectionToWire(sel Selection) []trace.SelectionType {
 	return w
 }
 
-// selectionFromWire rebuilds a canonical Selection from its delta form.
-func selectionFromWire(w []trace.SelectionType) Selection {
+// selectionFromDelta rebuilds a canonical Selection from its delta form.
+func selectionFromDelta(w []trace.SelectionType) Selection {
 	sel := make(Selection, len(w))
 	for _, st := range w {
 		out := make([]SelectedField, len(st.Fields))
@@ -167,7 +167,7 @@ func DiffFlat(game string, fromVersion, toVersion int, old, new *FlatTable) (*tr
 		ToVersion:   toVersion,
 		FromCRC:     old.ArenaCRC(),
 		ToCRC:       new.ArenaCRC(),
-		Selection:   selectionToWire(new.sel),
+		Selection:   selectionToDelta(new.sel),
 	}
 	upsert := func(et string, ek uint64, pos int, e *SnipEntry) {
 		d.Upserts = append(d.Upserts, trace.DeltaEntry{
@@ -235,7 +235,7 @@ func ApplyDelta(old *FlatTable, d *trace.TableDelta) (*FlatTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	img, err := s.write(selectionFromWire(d.Selection))
+	img, err := s.write(selectionFromDelta(d.Selection))
 	if err != nil {
 		return nil, fmt.Errorf("memo: apply: %w", err)
 	}

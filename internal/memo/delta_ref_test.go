@@ -112,7 +112,7 @@ func refApplyDelta(old *FlatTable, d *trace.TableDelta) (*FlatTable, error) {
 		}
 		byEvent[bk.ek] = b
 	}
-	img, err := FromWire(&Wire{Selection: selectionFromWire(d.Selection), Buckets: buckets}).FlatImage()
+	img, err := FromWire(&Wire{Selection: selectionFromDelta(d.Selection), Buckets: buckets}).FlatImage()
 	if err != nil {
 		return nil, fmt.Errorf("memo: apply: %w", err)
 	}
@@ -124,6 +124,22 @@ func refApplyDelta(old *FlatTable, d *trace.TableDelta) (*FlatTable, error) {
 		return nil, fmt.Errorf("%w: patched arena CRC %08x, delta promises %08x", ErrDeltaMismatch, got, d.ToCRC)
 	}
 	return t, nil
+}
+
+// Wire is the map-shaped form the two apply oracles assemble their
+// result in: a selection and its buckets, each with its ByKey index.
+type Wire struct {
+	Selection Selection
+	Buckets   map[string]map[uint64]*Bucket
+}
+
+// FromWire wraps a Wire's buckets in a map table, the input the oracles
+// compile their image from.
+func FromWire(w *Wire) *SnipTable {
+	w.Selection.Canonicalize()
+	t := &SnipTable{sel: w.Selection, buckets: w.Buckets}
+	t.cacheTypes()
+	return t
 }
 
 // walkFlat visits every bucket in stored (canonical) order with its
@@ -164,7 +180,7 @@ func refDiffFlat(game string, fromVersion, toVersion int, old, new *FlatTable) (
 		ToVersion:   toVersion,
 		FromCRC:     old.ArenaCRC(),
 		ToCRC:       new.ArenaCRC(),
-		Selection:   selectionToWire(new.sel),
+		Selection:   selectionToDelta(new.sel),
 	}
 	seen := make(map[trace.DeltaKey]bool, old.Rows())
 	new.walkFlat(func(et string, ek uint64, entries []SnipEntry) {
@@ -286,7 +302,7 @@ func bucketApplyDelta(old *FlatTable, d *trace.TableDelta) (*FlatTable, error) {
 		}
 		byEvent[bk.ek] = b
 	}
-	img, err := FromWire(&Wire{Selection: selectionFromWire(d.Selection), Buckets: buckets}).FlatImage()
+	img, err := FromWire(&Wire{Selection: selectionFromDelta(d.Selection), Buckets: buckets}).FlatImage()
 	if err != nil {
 		return nil, fmt.Errorf("memo: apply: %w", err)
 	}

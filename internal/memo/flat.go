@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -60,7 +61,8 @@ import (
 // delta.go) writes through imageWriter in canonical order (sorted types,
 // sorted event keys, first-profiled order within a bucket), so the image
 // bytes are a deterministic function of the table contents, and a flat
-// table's Fingerprint equals its map-backed source's.
+// table's Fingerprint equals its map-backed source's. XorOutputs alone
+// edits image bytes directly: output values in a copy, then both CRCs.
 
 // flatMagic identifies a flat table image.
 const flatMagic = "SNIPFLT1"
@@ -325,17 +327,13 @@ func (t *SnipTable) FlatImage() ([]byte, error) {
 	return w.image()
 }
 
-// Flatten returns the flat form of a table: a FlatTable as-is, a
-// SnipTable compiled and reloaded through its image (so the result is
-// exactly what a device would serve after an OTA fetch). Those are the
-// only two Tables. The cloud builds its flat tables with BuildFlat
-// instead; Flatten serves the map table's callers (the figures, the
-// lookup sweep and the benchmark's staged build).
-func Flatten(t Table) (*FlatTable, error) {
-	if ft, ok := t.(*FlatTable); ok {
-		return ft, nil
-	}
-	img, err := t.(*SnipTable).FlatImage()
+// Flatten compiles a map table into its image and reloads it, so the
+// result is exactly what a device would serve after an OTA fetch. The
+// program builds its flat tables with BuildFlat; Flatten serves the map
+// table's remaining callers: the oracle tests, the benchmark's staged
+// build and the lookup sweep.
+func Flatten(t *SnipTable) (*FlatTable, error) {
+	img, err := t.FlatImage()
 	if err != nil {
 		return nil, err
 	}
@@ -804,23 +802,42 @@ func (t *FlatTable) Fingerprint() uint64 { return t.fp }
 // Attach before the table is shared.
 func (t *FlatTable) SetMetrics(m *TableMetrics) { t.metrics = m }
 
-// Export rebuilds the map-shaped Wire form from the flat data. It exists
-// for the chaos injector's deep copies; the serving path never calls
-// it.
-func (t *FlatTable) Export() *Wire {
-	buckets := make(map[string]map[uint64]*Bucket, len(t.types))
-	for c := t.cursor(); c.next(); {
-		if buckets[c.et] == nil {
-			buckets[c.et] = make(map[uint64]*Bucket)
+// XorOutputs returns a copy of the table in which mask is XORed into
+// every output value of each entry pick chooses, and the number of
+// entries changed. pick is asked once per entry that has outputs, in
+// image order (sorted types, sorted event keys, bucket order), so a
+// seeded pick changes the same entries on every run. The copy's image
+// differs from t's only in those values and its two CRCs, and it is
+// reloaded through LoadFlatTable like any image off the wire. With
+// nothing picked it returns t; t itself is never modified.
+func (t *FlatTable) XorOutputs(mask uint64, pick func() bool) (*FlatTable, int) {
+	img := bytes.Clone(t.img)
+	meta := t.section(secMeta)
+	fields := img[flatHeaderLen+binary.LittleEndian.Uint64(t.arena[8*secFields:]):]
+	changed := 0
+	for i := range t.entries {
+		rec := meta[flatMetaRecLen*i:]
+		first, count := binary.LittleEndian.Uint32(rec[8:]), binary.LittleEndian.Uint32(rec[12:])
+		if count == 0 || !pick() {
+			continue
 		}
-		b := &Bucket{Order: make([]*SnipEntry, c.count), ByKey: make(map[uint64]*SnipEntry, c.count)}
-		for i := range b.Order {
-			e := &t.entries[c.first+uint32(i)]
-			b.Order[i], b.ByKey[e.StateKey] = e, e
+		for f := uint64(first); f < uint64(first)+uint64(count); f++ {
+			v := fields[flatFieldRecLen*f+16:]
+			binary.LittleEndian.PutUint64(v, binary.LittleEndian.Uint64(v)^mask)
 		}
-		buckets[c.et][c.ek] = b
+		changed++
 	}
-	return &Wire{Selection: t.sel, Buckets: buckets}
+	if changed == 0 {
+		return t, 0
+	}
+	binary.LittleEndian.PutUint32(img[48:], crc32.ChecksumIEEE(img[flatHeaderLen:]))
+	binary.LittleEndian.PutUint32(img[52:], crc32.ChecksumIEEE(img[0:52]))
+	ft, err := LoadFlatTable(img)
+	if err != nil {
+		// LoadFlatTable checks no output value, and t's image passed it.
+		panic("memo: XorOutputs: " + err.Error())
+	}
+	return ft, changed
 }
 
 // Lookup probes the flat table; same contract, costs and instrumentation

@@ -55,11 +55,6 @@ func TestFlatRoundTrip(t *testing.T) {
 	if !ft.Frozen() {
 		t.Fatal("flat table not frozen")
 	}
-	// Export must reconstruct a table with the identical fingerprint
-	// (the chaos injector's deep-copy path depends on this).
-	if fp := FromWire(ft.Export()).Fingerprint(); fp != src.Fingerprint() {
-		t.Fatalf("export fingerprint %#x != %#x", fp, src.Fingerprint())
-	}
 	// And the image is the unit of storage: reloading serves again.
 	ft2, err := LoadFlatTable(ft.Image())
 	if err != nil {
@@ -359,17 +354,56 @@ func TestFlatMetrics(t *testing.T) {
 	}
 }
 
-// TestFlattenIdempotent: Flatten of a FlatTable is the same object.
-func TestFlattenIdempotent(t *testing.T) {
-	ft, err := Flatten(SynthTable(10))
+// poisonTestMask is the XorOutputs mask of the memo tests.
+const poisonTestMask = 0xBAD5EED0DEADBEEF
+
+// TestXorOutputs: XorOutputs flips the output values of exactly the
+// entries pick chooses, leaves its input and every other byte of the
+// table alone, and undoes itself under the same picks.
+func TestXorOutputs(t *testing.T) {
+	src, err := Flatten(SynthTable(200))
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := Flatten(ft)
-	if err != nil {
-		t.Fatal(err)
+	before := bytes.Clone(src.Image())
+	everyThird := func() func() bool {
+		i := 0
+		return func() bool { i++; return i%3 == 0 }
 	}
-	if again != ft {
-		t.Fatal("Flatten re-built an already-flat table")
+	bad, n := src.XorOutputs(poisonTestMask, everyThird())
+	if !bytes.Equal(src.Image(), before) {
+		t.Fatal("XorOutputs modified its input")
+	}
+	if len(bad.Image()) != len(before) || bad.Rows() != src.Rows() || bad.Size() != src.Size() {
+		t.Fatal("XorOutputs changed the table's shape")
+	}
+	flipped := 0
+	for i := range src.entries {
+		a, b := src.entries[i], bad.entries[i]
+		if a.StateKey != b.StateKey || a.Instr != b.Instr || len(a.Outputs) != len(b.Outputs) {
+			t.Fatalf("entry %d: key, weight or output count changed", i)
+		}
+		hit := len(a.Outputs) > 0 && a.Outputs[0].Value != b.Outputs[0].Value
+		for f := range a.Outputs {
+			want := a.Outputs[f]
+			if hit {
+				want.Value ^= poisonTestMask
+			}
+			if b.Outputs[f] != want {
+				t.Fatalf("entry %d output %d: %+v, want %+v", i, f, b.Outputs[f], want)
+			}
+		}
+		if hit {
+			flipped++
+		}
+	}
+	if n == 0 || flipped != n {
+		t.Fatalf("XorOutputs reported %d entries, flipped %d", n, flipped)
+	}
+	if back, m := bad.XorOutputs(poisonTestMask, everyThird()); m != n || !bytes.Equal(back.Image(), before) {
+		t.Fatal("the same picks did not undo XorOutputs")
+	}
+	if same, m := src.XorOutputs(poisonTestMask, func() bool { return false }); same != src || m != 0 {
+		t.Fatal("XorOutputs with nothing picked did not return its input")
 	}
 }

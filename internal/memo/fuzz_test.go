@@ -85,7 +85,14 @@ func FuzzLoadFlatTable(f *testing.F) {
 				t.Fatalf("negative costs %d %d", probes, cb)
 			}
 		}
-		_ = ft.Export()
+		// Poisoning every entry of a table that loaded must give a
+		// table that loads again (XorOutputs panics otherwise), and
+		// doing it twice must give back the loaded image.
+		all := func() bool { return true }
+		bad, n := ft.XorOutputs(poisonTestMask, all)
+		if back, m := bad.XorOutputs(poisonTestMask, all); m != n || !bytes.Equal(back.Image(), ft.Image()) {
+			t.Fatalf("poisoning twice changed the image (%d then %d entries)", n, m)
+		}
 	})
 }
 

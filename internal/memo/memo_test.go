@@ -298,43 +298,6 @@ func TestSnipTableSizePositive(t *testing.T) {
 	}
 }
 
-func TestWireRoundtrip(t *testing.T) {
-	table := BuildSnip(synthProfile(64), selection())
-	w := table.Export()
-	back := FromWire(w)
-	if back.Rows() != table.Rows() {
-		t.Fatalf("rows %d vs %d", back.Rows(), table.Rows())
-	}
-	// Lookups behave identically.
-	resolve := func(name string) (uint64, bool) {
-		switch name {
-		case "event.tap.x":
-			return 3, true
-		case "state.mode":
-			return 1, true
-		}
-		return 0, false
-	}
-	e1, _, _, ok1 := table.Lookup("tap", resolve)
-	e2, _, _, ok2 := back.Lookup("tap", resolve)
-	if ok1 != ok2 {
-		t.Fatal("wire roundtrip changed hit behaviour")
-	}
-	if ok1 && !sameOutputs(e1.Outputs, e2.Outputs) {
-		t.Fatal("wire roundtrip changed outputs")
-	}
-	// FromWire with a nil ByKey map rebuilds the index.
-	for _, byEvent := range w.Buckets {
-		for _, b := range byEvent {
-			b.ByKey = nil
-		}
-	}
-	rebuilt := FromWire(w)
-	if _, _, _, ok := rebuilt.Lookup("tap", resolve); ok != ok1 {
-		t.Fatal("index rebuild failed")
-	}
-}
-
 // Property: a record inserted into the table is always found again when
 // its selected inputs resolve to the recorded values.
 func TestInsertLookupProperty(t *testing.T) {

@@ -2,6 +2,7 @@ package memo
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,7 +14,12 @@ import (
 // one table serve a whole fleet.
 func TestLookupDoesNotMutate(t *testing.T) {
 	table := BuildSnip(synthProfile(64), selection())
-	before := table.Export()
+	before := make(map[*Bucket][]*SnipEntry)
+	for _, byEvent := range table.buckets {
+		for _, b := range byEvent {
+			before[b] = slices.Clone(b.Order)
+		}
+	}
 	rowsBefore, sizeBefore := table.Rows(), table.Size()
 
 	resolvers := []Resolver{
@@ -30,15 +36,14 @@ func TestLookupDoesNotMutate(t *testing.T) {
 	if table.Rows() != rowsBefore || table.Size() != sizeBefore {
 		t.Fatal("lookup changed table shape")
 	}
-	after := table.Export()
-	for et, byEvent := range before.Buckets {
+	for et, byEvent := range table.buckets {
 		for ek, b := range byEvent {
-			b2 := after.Buckets[et][ek]
-			if len(b.Order) != len(b2.Order) {
+			order, ok := before[b]
+			if !ok || len(order) != len(b.Order) {
 				t.Fatalf("bucket %s/%d changed", et, ek)
 			}
-			for i := range b.Order {
-				if b.Order[i] != b2.Order[i] {
+			for i := range order {
+				if order[i] != b.Order[i] {
 					t.Fatalf("bucket %s/%d entry %d replaced", et, ek, i)
 				}
 			}

@@ -155,10 +155,14 @@ type Bucket struct {
 	ByKey map[uint64]*SnipEntry
 }
 
-// SnipTable is the deployed lookup table: first indexed by event type and
-// the hash of the selected In.Event fields (the "event hash-code"), then
-// resolved by comparing the necessary state inputs against each candidate
-// entry in the bucket.
+// SnipTable is the map-of-structs lookup table: first indexed by event
+// type and the hash of the selected In.Event fields (the "event
+// hash-code"), then resolved by comparing the necessary state inputs
+// against each candidate entry in the bucket. Nothing deploys it any
+// more: every table the program builds or serves is a FlatTable (see
+// BuildFlat). It stays as the oracle the flat table's tests compare
+// against, as the benchmark's staged build (BuildSnip, then Flatten) and
+// as the map baseline of the lookup sweeps.
 //
 // Lookup is strictly read-only: probing never mutates the table, so one
 // built table can serve any number of concurrent device sessions (the
@@ -535,6 +539,42 @@ func (t *SnipTable) Size() units.Size {
 		}
 	}
 	return total
+}
+
+// Fingerprint returns a deterministic digest of the table's contents:
+// every entry's event type, keys, instruction weight and output fields,
+// folded in a canonical order. Two tables with identical rows produce
+// identical fingerprints regardless of map iteration order — the cheap
+// way to verify a rollback restored exactly the table that was displaced,
+// or that a poisoned copy really differs from its source.
+func (t *SnipTable) Fingerprint() uint64 {
+	h := trace.HashString("snip-table-v1")
+	types := make([]string, 0, len(t.buckets))
+	for et := range t.buckets {
+		types = append(types, et)
+	}
+	sort.Strings(types)
+	for _, et := range types {
+		byEvent := t.buckets[et]
+		eks := make([]uint64, 0, len(byEvent))
+		for ek := range byEvent {
+			eks = append(eks, ek)
+		}
+		sort.Slice(eks, func(i, j int) bool { return eks[i] < eks[j] })
+		h = trace.Combine(h, trace.HashString(et))
+		for _, ek := range eks {
+			h = trace.Combine(h, ek)
+			for _, e := range byEvent[ek].Order {
+				h = trace.Combine(h, e.StateKey)
+				h = trace.Combine(h, uint64(e.Instr))
+				for _, f := range e.Outputs {
+					h = trace.Combine(h, trace.HashString(f.Name))
+					h = trace.Combine(h, f.Value)
+				}
+			}
+		}
+	}
+	return h
 }
 
 // Conflicts returns how many profile rows disagreed with an existing

@@ -2,14 +2,13 @@ package memo
 
 import "snip/internal/units"
 
-// Table is the read side shared by both table backends: the
-// map-of-structs SnipTable (the build shape the figures, the chaos
-// injector and the lookup sweep start from) and the FlatTable (the
-// serving shape, and the only table the cloud builds and ships: one
-// contiguous arena plus an open-addressing index, see flat.go).
-// Everything that serves lookups — schemes, the fleet layer, Shared
-// snapshots, the OTA client — talks to this interface, so a backend
-// swap never touches a call site.
+// Table is the read side shared by both table backends: the FlatTable
+// (one contiguous arena plus an open-addressing index, see flat.go),
+// which is the only table the program builds, ships and serves, and the
+// map-of-structs SnipTable, kept as the flat table's test oracle and
+// the lookup sweeps' baseline. Everything that serves lookups — schemes,
+// the fleet layer, Shared snapshots, the OTA client — talks to this
+// interface, so the oracle runs through the same call sites.
 //
 // Both backends return bit-identical results AND bit-identical lookup
 // costs (probes, compared bytes) for every probe; the property tests in
@@ -36,9 +35,6 @@ type Table interface {
 	// Fingerprint digests the table contents in canonical order; equal
 	// rows give equal fingerprints across backends.
 	Fingerprint() uint64
-	// Export snapshots the table into its map-shaped Wire form (the
-	// chaos injector's deep-copy source).
-	Export() *Wire
 	// SetMetrics attaches (nil detaches) observability counters. Attach
 	// before the table is shared.
 	SetMetrics(*TableMetrics)

@@ -11,7 +11,7 @@ import (
 // TestPoisonSweep prints the EXPERIMENTS.md device-level degradation row
 // data. Run manually: go test -run TestPoisonSweep -v ./internal/schemes
 func TestPoisonSweep(t *testing.T) {
-	table := buildTable(t, "Greenwall", 2)
+	table := buildFlatTable(t, "Greenwall", 2)
 	base, err := Run(Config{Game: "Greenwall", Seed: 0xA1, Duration: testDur, Scheme: Baseline})
 	if err != nil {
 		t.Fatal(err)

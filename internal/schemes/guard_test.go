@@ -52,13 +52,25 @@ func TestShadowGuardSamplesHits(t *testing.T) {
 
 // TestShadowGuardCatchesPoisonedTable: with the deployed table's outputs
 // corrupted, sampled shadow verification must report mispredicts — the
-// signal the fleet's circuit breaker trips on.
+// signal the fleet's circuit breaker trips on. It also pins the poisoned
+// images' entry counts and arena CRCs, recorded when poisoning still
+// rebuilt the table through its map form and re-flattened it.
 func TestShadowGuardCatchesPoisonedTable(t *testing.T) {
-	table := buildTable(t, "Greenwall", 2)
+	table := buildFlatTable(t, "Greenwall", 2)
 	inj := chaos.New(chaos.Profile{Name: "table", Seed: 5, TablePoisonRate: 1.0})
 	poisoned, n := inj.MaybePoisonTable(table)
 	if n == 0 {
 		t.Fatal("nothing poisoned")
+	}
+	if table.ArenaCRC() != 0x22a41048 {
+		t.Fatalf("Greenwall table arena CRC %#08x, want 0x22a41048", table.ArenaCRC())
+	}
+	if n != 1687 || poisoned.ArenaCRC() != 0xac908e3f {
+		t.Fatalf("rate 1.0 poisoned %d entries, arena CRC %#08x; want 1687, 0xac908e3f", n, poisoned.ArenaCRC())
+	}
+	some, n := chaos.New(chaos.Profile{Name: "table", Seed: 7, TablePoisonRate: 0.25}).MaybePoisonTable(table)
+	if n != 398 || some.ArenaCRC() != 0x5dcb71f6 {
+		t.Fatalf("rate 0.25 poisoned %d entries, arena CRC %#08x; want 398, 0x5dcb71f6", n, some.ArenaCRC())
 	}
 	r, err := Run(Config{Game: "Greenwall", Seed: 0xA1, Duration: testDur,
 		Scheme: SNIP, Table: poisoned, ShadowSampleRate: 1.0})

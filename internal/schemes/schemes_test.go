@@ -126,6 +126,17 @@ func buildTable(t *testing.T, game string, sessions int) *memo.SnipTable {
 	return memo.BuildSnip(prof, res.Selection)
 }
 
+// buildFlatTable is buildTable's table in the flat form the fleet
+// serves and the chaos injector poisons.
+func buildFlatTable(t *testing.T, game string, sessions int) *memo.FlatTable {
+	t.Helper()
+	ft, err := memo.Flatten(buildTable(t, game, sessions))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ft
+}
+
 func TestSNIPEndToEnd(t *testing.T) {
 	table := buildTable(t, "CandyCrush", 4)
 	base, err := Run(Config{Game: "CandyCrush", Seed: 1, Duration: testDur, Scheme: Baseline})

@@ -104,6 +104,28 @@ func TestFullPipeline(t *testing.T) {
 	}
 }
 
+// TestBuildTableServesFlatImage pins the root API's table: BuildTable
+// returns the flat image itself, with no further call, and for a fixed
+// Colorphun profile its bytes are the ones BuildTable then Table.Flatten
+// gave when BuildTable still built the map table (values recorded then).
+func TestBuildTableServesFlatImage(t *testing.T) {
+	profile, err := snip.Profile("Colorphun", snip.ProfileOptions{Sessions: 2, Duration: testDur})
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, _, err := snip.BuildTable(profile, snip.DefaultPFIOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if table.ImageBytes() == 0 {
+		t.Fatal("BuildTable's table has no image")
+	}
+	if crc := snip.ArenaCRC(table); crc != 0xb5324919 || table.ImageBytes() != 169350 || table.Rows() != 1544 {
+		t.Fatalf("arena CRC %#08x, %d image bytes, %d rows; want 0xb5324919, 169350, 1544",
+			crc, table.ImageBytes(), table.Rows())
+	}
+}
+
 func TestForcedIncludeGrowsSelection(t *testing.T) {
 	profile, err := snip.Profile("Colorphun", snip.ProfileOptions{Sessions: 2, Duration: testDur})
 	if err != nil {
