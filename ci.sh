@@ -188,6 +188,28 @@ END {
 	exit bad
 }'
 
+echo "== flat load allocation gate (BenchmarkFlatLoad: B/op at 4k and 32k rows must stay within its committed bound, far below the image, and must not grow with the row count)"
+# A loaded table keeps O(types + names) state beside its image; entries
+# are views read from the image, so the bytes a load allocates do not
+# depend on the row count. The bytes a load allocates repeat to within
+# a few bytes, so the bound is hard: it sits at about 1.2x the 1,928
+# B/op both sizes measure (the images are ~0.37 and ~2.95 MB). Materializing the
+# entries took 3,934,040 B/op at 32k rows, and would take 8x more at
+# 32k than at 4k, where the growth check allows 1.1x.
+load_out=$(go test -run '^$' -bench '^BenchmarkFlatLoad$' -benchmem -benchtime 100x ./internal/memo)
+echo "$load_out"
+echo "$load_out" | awk '
+function field(unit,   i) { for (i = 2; i < NF; i++) if ($(i + 1) == unit) return $i; return "" }
+/FlatLoad\/rows=4096/ { small = field("B/op") }
+/FlatLoad\/rows=32768/ { large = field("B/op") }
+END {
+	if (small == "" || large == "") { print "flat load allocation gate: BenchmarkFlatLoad did not report B/op at both sizes" > "/dev/stderr"; exit 1 }
+	if (small + 0 > 2300 || large + 0 > 2300) { printf "flat load allocation gate: LoadFlatTable allocates %s B/op at 4k rows and %s at 32k, bound 2300\n", small, large > "/dev/stderr"; bad = 1 }
+	if (large + 0 > 1.1 * small) { printf "flat load allocation gate: B/op grows with the row count: %s at 4k rows, %s at 32k\n", small, large > "/dev/stderr"; bad = 1 }
+	printf "LoadFlatTable B/op: %s at 4k rows, %s at 32k rows\n", small, large
+	exit bad
+}'
+
 echo "== delta apply complexity gate (rewrite shape: every key of one bucket removed and upserted; ns/op at 8k rows must stay within 8x of 2k rows, both measured now)"
 # Linear apply gives a ratio of about 4, a quadratic one about 16. Both
 # sizes run in one process, so machine speed cancels out of the ratio.

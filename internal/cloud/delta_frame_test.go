@@ -116,8 +116,8 @@ func TestDeltaFrameReuse(t *testing.T) {
 // Every event that changes or drops the chain drops the kept frame: no
 // device is ever served a frame for a link the chain no longer ends in.
 func TestDeltaFrameNeverStale(t *testing.T) {
-	newChain := func(t *testing.T) (*Profiler, map[int]*memo.FlatTable) {
-		p := NewProfiler(frameGame, pfi.DefaultConfig())
+	newChain := func(t *testing.T, deltaCap int) (*Profiler, map[int]*memo.FlatTable) {
+		p := newProfiler(frameGame, pfi.DefaultConfig(), deltaCap)
 		return p, growChain(t, p, 1, 2, 3)
 	}
 	// servesOnly checks which generations a frame is served for, and
@@ -143,14 +143,13 @@ func TestDeltaFrameNeverStale(t *testing.T) {
 	}
 
 	t.Run("delta cap", func(t *testing.T) {
-		p, _ := newChain(t)
-		p.SetDeltaCap(1)
+		p, _ := newChain(t, 1)
 		servesOnly(t, p, 2)
 		growChain(t, p, 4)
 		servesOnly(t, p, 3)
 	})
 	t.Run("chain break", func(t *testing.T) {
-		p, _ := newChain(t)
+		p, _ := newChain(t, DefaultMaxDeltaChain)
 		// A previous generation so much larger than the next that the
 		// delta outweighs the image: the size check breaks the chain.
 		big, err := memo.Flatten(memo.SynthTable(1 << 17))
@@ -168,7 +167,7 @@ func TestDeltaFrameNeverStale(t *testing.T) {
 }
 
 // TestServiceDeltaCapOption: ServiceOptions.DeltaCap bounds every
-// game's retained chain from construction on, as Profiler.SetDeltaCap
+// game's retained chain from construction on, as newProfiler's cap
 // does in TestDeltaFrameNeverStale's delta-cap case. After three
 // rebuilds a device one generation behind is served the one-link delta
 // and a device two behind the full image; under the default cap the
@@ -310,5 +309,59 @@ func TestUpdateDeviceAheadGetsFullImage(t *testing.T) {
 	resp, _ := get(t, srv.URL+"/v1/update?game="+frameGame+"&gen="+strconv.Itoa(1))
 	if resp.StatusCode != http.StatusNotModified {
 		t.Fatalf("gen == version: status %d, want 304", resp.StatusCode)
+	}
+}
+
+// TestRebuildRejectsTamperedDelta: the self-verify breaks the chain for
+// a delta that does not reproduce the new image, even when every edit
+// still fits the base and the delta still promises the new image's CRC.
+// Each case alters the fresh delta before the verify: one upsert's
+// output value, or one removal dropped. Only the byte comparison can
+// catch either, so the table is served as a full image; untouched, the
+// same rebuilds keep a one-link chain.
+func TestRebuildRejectsTamperedDelta(t *testing.T) {
+	cases := []struct {
+		name   string
+		tamper func(t *testing.T, d *trace.TableDelta)
+	}{
+		{"untouched", func(*testing.T, *trace.TableDelta) {}},
+		{"upsert output value", func(t *testing.T, d *trace.TableDelta) {
+			for i := range d.Upserts {
+				if u := &d.Upserts[i]; len(u.Outputs) > 0 {
+					u.Outputs = append([]trace.Field(nil), u.Outputs...)
+					u.Outputs[0].Value ^= 1
+					return
+				}
+			}
+			t.Fatal("no upsert with outputs to alter")
+		}},
+		{"removal dropped", func(t *testing.T, d *trace.TableDelta) {
+			if len(d.Removed) == 0 {
+				t.Fatal("no removal to drop")
+			}
+			d.Removed = d.Removed[1:]
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewProfiler(frameGame, pfi.DefaultConfig())
+			growChain(t, p, 1, 2)
+			diffFlat = func(game string, from, to int, old, new *memo.FlatTable) (*trace.TableDelta, error) {
+				d, err := memo.DiffFlat(game, from, to, old, new)
+				if err == nil {
+					tc.tamper(t, d)
+				}
+				return d, err
+			}
+			t.Cleanup(func() { diffFlat = memo.DiffFlat })
+			growChain(t, p, 3)
+			frame, err := p.DeltaChainFrom(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kept := frame != nil; kept != (tc.name == "untouched") {
+				t.Fatalf("served a delta frame: %v (chain of %d)", kept, p.DeltaChainLen())
+			}
+		})
 	}
 }

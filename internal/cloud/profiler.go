@@ -153,22 +153,17 @@ type Profiler struct {
 // game's developer marked as necessary (games.Game.Overrides) on top of
 // any cfg.ForceInclude names.
 func NewProfiler(game string, cfg pfi.Config) *Profiler {
-	cfg.ForceInclude = games.ForceInclude(game, cfg.ForceInclude)
-	return &Profiler{game: game, cfg: cfg, profile: &trace.Dataset{Game: game}, deltaCap: DefaultMaxDeltaChain}
+	return newProfiler(game, cfg, DefaultMaxDeltaChain)
 }
 
-// SetDeltaCap bounds the retained delta chain (values < 1 restore
-// DefaultMaxDeltaChain).
-func (p *Profiler) SetDeltaCap(n int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n < 1 {
-		n = DefaultMaxDeltaChain
+// newProfiler is NewProfiler with the retained delta chain bounded at
+// deltaCap links (values < 1 mean DefaultMaxDeltaChain).
+func newProfiler(game string, cfg pfi.Config, deltaCap int) *Profiler {
+	if deltaCap < 1 {
+		deltaCap = DefaultMaxDeltaChain
 	}
-	p.deltaCap = n
-	if len(p.deltas) > n {
-		p.deltas = append([]*trace.TableDelta(nil), p.deltas[len(p.deltas)-n:]...)
-	}
+	cfg.ForceInclude = games.ForceInclude(game, cfg.ForceInclude)
+	return &Profiler{game: game, cfg: cfg, profile: &trace.Dataset{Game: game}, deltaCap: deltaCap}
 }
 
 // Game returns the game this profiler serves.
@@ -222,19 +217,18 @@ func (p *Profiler) Rebuild() (*TableUpdate, error) {
 		return nil, fmt.Errorf("cloud: flat table build for %s: %w", p.game, err)
 	}
 	// Grow the delta chain: diff the previous image against this one and
-	// SELF-VERIFY by applying the delta back onto the previous table —
-	// only a delta proven to reproduce the new image byte-exactly may
-	// ever be served. A diff or verify failure (or a delta no smaller
-	// than the image it replaces, e.g. after a selection change rewrote
-	// every key) breaks the chain instead: devices behind that point get
-	// the full image. The size check's encoding is kept as the newest
-	// link's frame.
+	// SELF-VERIFY by splicing the delta into the previous image — only a
+	// delta proven to reproduce the new image byte for byte may ever be
+	// served. A diff or verify failure (or a delta no smaller than the
+	// image it replaces, e.g. after a selection change rewrote every key)
+	// breaks the chain instead: devices behind that point get the full
+	// image. The size check's encoding is kept as the newest link's
+	// frame.
 	if p.flat != nil {
-		d, err := memo.DiffFlat(p.game, p.version, p.version+1, p.flat, flat)
+		d, err := diffFlat(p.game, p.version, p.version+1, p.flat, flat)
 		ok := err == nil
 		if ok {
-			_, verr := memo.ApplyDelta(p.flat, d)
-			ok = verr == nil
+			ok = memo.VerifyDelta(p.flat, flat, d) == nil
 		}
 		var frame bytes.Buffer
 		if ok {
@@ -263,6 +257,10 @@ func (p *Profiler) Rebuild() (*TableUpdate, error) {
 	}
 	return p.latest, nil
 }
+
+// diffFlat is the diff Rebuild verifies and serves; a test wraps it to
+// tamper with a delta before the verify.
+var diffFlat = memo.DiffFlat
 
 // Latest returns the most recent update, or nil if none was built.
 func (p *Profiler) Latest() *TableUpdate {

@@ -148,8 +148,7 @@ func (sh *shard) profiler(game string, cfg pfi.Config, deltaCap int) *Profiler {
 	defer sh.mu.Unlock()
 	p, ok := sh.profilers[game]
 	if !ok {
-		p = NewProfiler(game, cfg)
-		p.SetDeltaCap(deltaCap)
+		p = newProfiler(game, cfg, deltaCap)
 		sh.profilers[game] = p
 	}
 	return p

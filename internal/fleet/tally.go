@@ -108,13 +108,13 @@ func (t *deviceTally) Probed(probes int64, cmpBytes units.Size, hit bool, wallNS
 	chargeLookup(a.led, probes, cmpBytes)
 }
 
-func (t *deviceTally) Hit(entry *memo.SnipEntry, truth *games.Execution) []trace.Field {
+func (t *deviceTally) Hit(instr int64, served []trace.Field, truth *games.Execution) []trace.Field {
 	a := t.cur
 	if truth != nil {
 		// A sampled shadow verify: tell the guard whether the table's
 		// outputs were truth.
 		chargeShadow(a.led, truth)
-		mispredict := !trace.OutputsMatch(entry.Outputs, truth.Record.Outputs)
+		mispredict := !trace.OutputsMatch(served, truth.Record.Outputs)
 		t.co.guard.observe(t.gen, mispredict)
 		a.shadow++
 		if mispredict {
@@ -128,10 +128,10 @@ func (t *deviceTally) Hit(entry *memo.SnipEntry, truth *games.Execution) []trace
 			return truth.Record.Outputs
 		}
 	}
-	t.res.SavedInstr += entry.Instr
-	a.savedInstr += entry.Instr
-	creditSaved(a.led, entry.Instr)
-	return entry.Outputs
+	t.res.SavedInstr += instr
+	a.savedInstr += instr
+	creditSaved(a.led, instr)
+	return served
 }
 
 func (t *deviceTally) Executed(exec *games.Execution) {

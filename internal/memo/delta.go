@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"errors"
@@ -138,12 +139,19 @@ func selectionFromDelta(w []trace.SelectionType) Selection {
 	return sel
 }
 
-func deltaEntryEqual(a, b *SnipEntry) bool {
-	if a.Instr != b.Instr || len(a.Outputs) != len(b.Outputs) {
+// sameEntry reports whether entry i of a and entry j of b carry the
+// same instruction weight and output fields. It compares the records in
+// place, each output's name through its table's pool.
+func sameEntry(a *FlatTable, i uint32, b *FlatTable, j uint32) bool {
+	ia, _, _ := a.meta(i)
+	ib, _, _ := b.meta(j)
+	fa, fb := a.outputs(i), b.outputs(j)
+	if ia != ib || len(fa) != len(fb) {
 		return false
 	}
-	for i := range a.Outputs {
-		if a.Outputs[i] != b.Outputs[i] {
+	for f := 0; f < len(fa); f += flatFieldRecLen {
+		if !bytes.Equal(fa[f+4:f+flatFieldRecLen], fb[f+4:f+flatFieldRecLen]) ||
+			a.names[binary.LittleEndian.Uint32(fa[f:])] != b.names[binary.LittleEndian.Uint32(fb[f:])] {
 			return false
 		}
 	}
@@ -154,7 +162,10 @@ func deltaEntryEqual(a, b *SnipEntry) bool {
 // plus one upsert per added-or-changed entry carrying its scan position
 // in the target bucket. It merges the two images' bucket walks, so
 // upserts come in the new image's canonical order and removals in the
-// old image's, and identical inputs produce an identical delta. game and
+// old image's, and identical inputs produce an identical delta. Entries
+// are compared record by record in the two images; only the upserts
+// emitted decode their outputs, after the walk, into one array it
+// sizes. game and
 // the version pair are stamped into the delta for chain bookkeeping; the
 // CRCs come from the two images.
 func DiffFlat(game string, fromVersion, toVersion int, old, new *FlatTable) (*trace.TableDelta, error) {
@@ -169,9 +180,13 @@ func DiffFlat(game string, fromVersion, toVersion int, old, new *FlatTable) (*tr
 		ToCRC:       new.ArenaCRC(),
 		Selection:   selectionToDelta(new.sel),
 	}
-	upsert := func(et string, ek uint64, pos int, e *SnipEntry) {
+	var src []uint32 // src[k]: the new table's entry behind upsert k
+	fields := 0
+	upsert := func(et string, ek uint64, pos int, i uint32) {
+		instr, _, count := new.meta(i)
+		src, fields = append(src, i), fields+int(count)
 		d.Upserts = append(d.Upserts, trace.DeltaEntry{
-			Key: trace.DeltaKey{Type: et, EventKey: ek, StateKey: e.StateKey}, Pos: uint32(pos), Instr: e.Instr, Outputs: e.Outputs,
+			Key: trace.DeltaKey{Type: et, EventKey: ek, StateKey: new.stateKey(i)}, Pos: uint32(pos), Instr: instr,
 		})
 	}
 	var kept []bool // kept[i]: the old bucket's entry i is in the new one
@@ -189,11 +204,12 @@ func DiffFlat(game string, fromVersion, toVersion int, old, new *FlatTable) (*tr
 		if c >= 0 {
 			bh := trace.Combine(n.th, n.ek)
 			for i := range n.count {
-				e := &new.entries[n.first+i]
+				e := n.first + i
 				if c == 0 {
-					if j, ok := old.probeEntry(trace.Combine(bh, e.StateKey), e.StateKey, o.first, o.count); ok {
+					sk := new.stateKey(e)
+					if j, ok := old.probeEntry(trace.Combine(bh, sk), sk, o.first, o.count); ok {
 						kept[j-o.first] = true
-						if deltaEntryEqual(&old.entries[j], e) {
+						if sameEntry(old, j, new, e) {
 							continue
 						}
 					}
@@ -203,13 +219,19 @@ func DiffFlat(game string, fromVersion, toVersion int, old, new *FlatTable) (*tr
 			nOK = n.next()
 		}
 		if c <= 0 {
-			for i, e := range old.entries[o.first : o.first+o.count] {
+			for i := range o.count {
 				if !kept[i] {
-					d.Removed = append(d.Removed, trace.DeltaKey{Type: o.et, EventKey: o.ek, StateKey: e.StateKey})
+					d.Removed = append(d.Removed, trace.DeltaKey{Type: o.et, EventKey: o.ek, StateKey: old.stateKey(o.first + i)})
 				}
 			}
 			oOK = o.next()
 		}
+	}
+	outputs := make([]trace.Field, 0, fields)
+	for k, i := range src {
+		from := len(outputs)
+		outputs = Entry{t: new, i: i}.AppendOutputs(outputs)
+		d.Upserts[k].Outputs = outputs[from:len(outputs):len(outputs)]
 	}
 	return d, nil
 }
@@ -219,12 +241,49 @@ func DiffFlat(game string, fromVersion, toVersion int, old, new *FlatTable) (*tr
 // through full LoadFlatTable validation, and proves the arena CRC
 // equals the delta's ToCRC. A nil error therefore guarantees the result
 // is byte-identical to the table the cloud built AND passed the same
-// validation a full OTA image would. Apply runs twice per OTA round (the
-// cloud's self-verify, then the device), and is O(base + delta): the
-// buckets the delta does not touch are copied as byte ranges, and each
-// touched bucket is rebuilt in one pass. The returned table's lookup
-// path allocates nothing, like any loaded flat table.
+// validation a full OTA image would. It is O(base + delta): the buckets
+// the delta does not touch are copied as byte ranges, and each touched
+// bucket is rebuilt in one pass. The returned table's lookup path
+// allocates nothing, like any loaded flat table.
 func ApplyDelta(old *FlatTable, d *trace.TableDelta) (*FlatTable, error) {
+	img, err := patch(old, d)
+	if err != nil {
+		return nil, err
+	}
+	t, err := LoadFlatTable(img)
+	if err != nil {
+		return nil, fmt.Errorf("memo: apply: %w", err)
+	}
+	if got := t.ArenaCRC(); got != d.ToCRC {
+		return nil, fmt.Errorf("%w: patched arena CRC %08x, delta promises %08x", ErrDeltaMismatch, got, d.ToCRC)
+	}
+	return t, nil
+}
+
+// VerifyDelta is the cloud's self-verify: it proves that d patches old
+// into exactly new, the table the cloud just built, before d may be
+// served. It splices d into old's image as ApplyDelta does, with every
+// ErrDeltaMismatch rejection, then requires the spliced bytes to equal
+// new's image and d's ToCRC to be new's arena CRC. It does not reload
+// the bytes: new passed LoadFlatTable when it was built, and bytes equal
+// to it are a stronger proof than the CRC a device checks.
+func VerifyDelta(old, new *FlatTable, d *trace.TableDelta) error {
+	img, err := patch(old, d)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(img, new.img) {
+		return fmt.Errorf("%w: patched image differs from the built one", ErrDeltaMismatch)
+	}
+	if got := new.ArenaCRC(); got != d.ToCRC {
+		return fmt.Errorf("%w: built arena CRC %08x, delta promises %08x", ErrDeltaMismatch, got, d.ToCRC)
+	}
+	return nil
+}
+
+// patch splices d into old's image: the base-CRC check, then the plan
+// and the write, each with its ErrDeltaMismatch rejections.
+func patch(old *FlatTable, d *trace.TableDelta) ([]byte, error) {
 	if old == nil || d == nil {
 		return nil, fmt.Errorf("memo: apply: nil input")
 	}
@@ -239,14 +298,7 @@ func ApplyDelta(old *FlatTable, d *trace.TableDelta) (*FlatTable, error) {
 	if err != nil {
 		return nil, fmt.Errorf("memo: apply: %w", err)
 	}
-	t, err := LoadFlatTable(img)
-	if err != nil {
-		return nil, fmt.Errorf("memo: apply: %w", err)
-	}
-	if got := t.ArenaCRC(); got != d.ToCRC {
-		return nil, fmt.Errorf("%w: patched arena CRC %08x, delta promises %08x", ErrDeltaMismatch, got, d.ToCRC)
-	}
-	return t, nil
+	return img, nil
 }
 
 // splice is ApplyDelta's plan: the buckets the delta touches, what
@@ -260,7 +312,6 @@ type splice struct {
 	seq     []int32 // touched entries in scan order: i >= 0 base entry i, i < 0 upsert -i-1
 
 	keys, meta, fields []byte
-	names              []string // the base's output-name pool
 	ref                []uint32 // 1 + the new pool index of each base name, 0 until pooled
 	pooled             int
 	same               bool // every pooled base name kept its index
@@ -281,7 +332,7 @@ type touchedBucket struct {
 // base: a removal of an entry the base does not hold or removed twice,
 // an upsert position beyond its bucket, and two inserts of one key.
 func planSplice(old *FlatTable, d *trace.TableDelta) (*splice, error) {
-	s := &splice{old: old, d: d, byBase: make([]int32, old.bucketCnt), fate: make([]int32, len(old.entries))}
+	s := &splice{old: old, d: d, byBase: make([]int32, old.bucketCnt), fate: make([]int32, old.rows)}
 	index := map[trace.DeltaKey]int{}
 	last := -1
 	bucketOf := func(k trace.DeltaKey) *touchedBucket {
@@ -426,12 +477,7 @@ func (s *splice) write(sel Selection) ([]byte, error) {
 	}
 
 	s.keys, s.meta, s.fields = old.section(secKeys), old.section(secMeta), old.section(secFields)
-	nr := flatReader{b: old.section(secNames)}
-	s.names = make([]string, nr.u32())
-	for i := range s.names {
-		s.names[i] = nr.str()
-	}
-	s.ref, s.same = make([]uint32, len(s.names)), true
+	s.ref, s.same = make([]uint32, len(old.names)), true
 	c := old.cursor()
 	for ok := c.next(); ok || len(added) > 0; {
 		if len(added) > 0 && (!ok || compareBuckets(added[0].et, added[0].ek, c.et, c.ek) < 0) {
@@ -508,13 +554,13 @@ func (s *splice) copyEntries(w *imageWriter, first, count uint32) {
 		at += n
 	}
 	w.fields.b = append(w.fields.b, s.fields[flatFieldRecLen*int(lo):flatFieldRecLen*int(hi)]...)
-	if s.same && s.pooled == len(s.names) {
+	if s.same && s.pooled == len(s.old.names) {
 		return
 	}
 	for i := from; i < len(w.fields.b); i += flatFieldRecLen {
 		r := binary.LittleEndian.Uint32(w.fields.b[i:])
 		if s.ref[r] == 0 {
-			s.ref[r] = w.name(s.names[r]) + 1
+			s.ref[r] = w.name(s.old.names[r]) + 1
 			s.pooled++
 			s.same = s.same && s.ref[r] == r+1
 		}

@@ -143,7 +143,7 @@ func FromWire(w *Wire) *SnipTable {
 }
 
 // walkFlat visits every bucket in stored (canonical) order with its
-// owning type name, event key and entry slice.
+// owning type name, event key and entries, decoded from their views.
 func (t *FlatTable) walkFlat(fn func(et string, ek uint64, entries []SnipEntry)) {
 	byHash := make(map[uint64]string, len(t.types))
 	for name, ft := range t.types {
@@ -155,8 +155,26 @@ func (t *FlatTable) walkFlat(fn func(et string, ek uint64, entries []SnipEntry))
 		ek := binary.LittleEndian.Uint64(rec[8:])
 		first := binary.LittleEndian.Uint32(rec[16:])
 		count := binary.LittleEndian.Uint32(rec[20:])
-		fn(byHash[th], ek, t.entries[first:uint64(first)+uint64(count)])
+		entries := make([]SnipEntry, count)
+		for i := range entries {
+			e := Entry{t: t, i: first + uint32(i)}
+			entries[i] = SnipEntry{StateKey: e.StateKey(), Outputs: e.AppendOutputs(nil), Instr: e.Instr()}
+		}
+		fn(byHash[th], ek, entries)
 	}
+}
+
+// deltaEntryEqual is the entry comparison of the map-keyed diff.
+func deltaEntryEqual(a, b *SnipEntry) bool {
+	if a.Instr != b.Instr || len(a.Outputs) != len(b.Outputs) {
+		return false
+	}
+	for i := range a.Outputs {
+		if a.Outputs[i] != b.Outputs[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // refDiffFlat is the map-keyed DiffFlat the merge walk replaced, kept

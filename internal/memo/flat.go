@@ -352,29 +352,52 @@ type flatType struct {
 
 // FlatTable serves lookups straight out of a flat image. It is immutable
 // by construction — there is no insert path — and safe for any number of
-// concurrent readers. The probe path (index slots, bucket records, state
-// keys) reads the arena bytes directly; the output records are
-// materialized once at load into a single backing slice so a hit returns
-// a *SnipEntry without allocating.
+// concurrent readers. Everything a lookup or a hit reads (index slots,
+// bucket records, state keys, entry meta and output records) is read
+// from the arena in place; a hit returns an Entry view of its row. Load
+// keeps only O(types + names) state beside the image: the selection,
+// the per-type lookup context and the output-name pool.
 type FlatTable struct {
 	img   []byte
 	arena []byte
 	sel   Selection
 	types map[string]flatType
+	// names is the output-name pool; field records refer to it by index.
+	names []string
 
 	slotsOff   int
 	slotMask   uint64
 	bucketsOff int
 	keysOff    int
+	metaOff    int
+	fieldsOff  int
 	eSlotsOff  int
 	eSlotMask  uint64
 
-	entries   []SnipEntry
+	rows      int
 	bucketCnt int
 	maxBucket int
 	size      units.Size
 	fp        uint64
 	metrics   *TableMetrics
+}
+
+// stateKey returns entry i's state key.
+func (t *FlatTable) stateKey(i uint32) uint64 {
+	return binary.LittleEndian.Uint64(t.arena[t.keysOff+8*int(i):])
+}
+
+// meta returns entry i's instruction weight and the range of its output
+// records.
+func (t *FlatTable) meta(i uint32) (instr int64, first, count uint32) {
+	rec := t.arena[t.metaOff+flatMetaRecLen*int(i):]
+	return int64(binary.LittleEndian.Uint64(rec)), binary.LittleEndian.Uint32(rec[8:]), binary.LittleEndian.Uint32(rec[12:])
+}
+
+// outputs returns entry i's output records.
+func (t *FlatTable) outputs(i uint32) []byte {
+	_, first, count := t.meta(i)
+	return t.arena[t.fieldsOff+flatFieldRecLen*int(first) : t.fieldsOff+flatFieldRecLen*(int(first)+int(count))]
 }
 
 // flatReader is a bounds-checked cursor over one arena section; any
@@ -529,32 +552,30 @@ func LoadFlatTable(img []byte) (*FlatTable, error) {
 	}
 	fieldCount := len(section(secFields)) / flatFieldRecLen
 
-	// Names pool.
+	// Names pool, and the hash of each name for the fingerprint walk.
 	nr := flatReader{b: section(secNames)}
 	nameCount := int(nr.u32())
 	if nr.fail || nameCount < 0 || nameCount > len(nr.b) {
 		return nil, corrupt("bad name count")
 	}
 	names := make([]string, nameCount)
+	nameHashes := make([]uint64, nameCount)
 	for i := range names {
 		names[i] = nr.str()
+		nameHashes[i] = trace.HashString(names[i])
 	}
 	if nr.fail || nr.off != len(nr.b) {
 		return nil, corrupt("name section malformed")
 	}
 
-	// Output fields, interned against the pool.
-	fields := make([]trace.Field, fieldCount)
-	fr := flatReader{b: section(secFields)}
-	for i := range fields {
-		ref := fr.u32()
-		cat := fr.u32()
-		size := fr.u64()
-		value := fr.u64()
+	// Output field records: each names a pooled name and a category.
+	fieldSec := section(secFields)
+	for i := 0; i < fieldCount; i++ {
+		rec := fieldSec[flatFieldRecLen*i:]
+		ref, cat := binary.LittleEndian.Uint32(rec), binary.LittleEndian.Uint32(rec[4:])
 		if int(ref) >= nameCount || cat >= uint32(trace.NumCategories) {
 			return nil, corrupt("field %d: name ref %d / category %d out of range", i, ref, cat)
 		}
-		fields[i] = trace.Field{Name: names[ref], Category: trace.Category(cat), Size: units.Size(int64(size)), Value: value}
 	}
 
 	// Selection.
@@ -618,42 +639,38 @@ func LoadFlatTable(img []byte) (*FlatTable, error) {
 		return nil, corrupt("type section malformed")
 	}
 
-	// Entries: state keys + meta, outputs as subslices of the shared
-	// field slice.
+	// Entries: every entry's outputs lie inside the field section.
 	t := &FlatTable{
 		img:        img,
 		arena:      arena,
 		sel:        sel,
 		types:      types,
+		names:      names,
 		slotsOff:   int(off[secSlots]),
 		slotMask:   slotCount - 1,
 		bucketsOff: int(off[secBuckets]),
 		keysOff:    int(off[secKeys]),
+		metaOff:    int(off[secMeta]),
+		fieldsOff:  int(off[secFields]),
 		eSlotsOff:  int(off[secEntrySlots]) + 8,
 		eSlotMask:  eSlotCount - 1,
-		entries:    make([]SnipEntry, entryCount),
+		rows:       int(entryCount),
 		bucketCnt:  int(bucketCount),
 	}
-	keySec := section(secKeys)
 	metaSec := section(secMeta)
-	for i := range t.entries {
-		instr := int64(binary.LittleEndian.Uint64(metaSec[flatMetaRecLen*i:]))
+	for i := 0; i < t.rows; i++ {
 		outOff := binary.LittleEndian.Uint32(metaSec[flatMetaRecLen*i+8:])
 		outCount := binary.LittleEndian.Uint32(metaSec[flatMetaRecLen*i+12:])
 		if uint64(outOff)+uint64(outCount) > uint64(fieldCount) {
 			return nil, corrupt("entry %d: outputs [%d,%d) beyond %d fields", i, outOff, uint64(outOff)+uint64(outCount), fieldCount)
-		}
-		t.entries[i] = SnipEntry{
-			StateKey: binary.LittleEndian.Uint64(keySec[8*i:]),
-			Outputs:  fields[outOff : outOff+outCount : outOff+outCount],
-			Instr:    instr,
 		}
 	}
 
 	// Bucket walk: buckets must be grouped by type in type-list order,
 	// strictly sorted by event key within a type, and tile the entry
 	// array exactly. The same walk folds the canonical fingerprint and
-	// the modeled size, entry order being canonical by construction.
+	// the modeled size, entry order being canonical by construction; it
+	// reads keys, meta and field records in place.
 	fp := trace.HashString("snip-table-v1")
 	ti := -1
 	var prevEK uint64
@@ -686,14 +703,16 @@ func LoadFlatTable(img []byte) (*FlatTable, error) {
 			t.maxBucket = int(count)
 		}
 		fp = trace.Combine(fp, ek)
-		for _, e := range t.entries[first : uint64(first)+uint64(count)] {
-			fp = trace.Combine(fp, e.StateKey)
-			fp = trace.Combine(fp, uint64(e.Instr))
+		for i := first; i < first+count; i++ {
+			instr, _, _ := t.meta(i)
+			fp = trace.Combine(fp, t.stateKey(i))
+			fp = trace.Combine(fp, uint64(instr))
 			var rowOut units.Size
-			for _, f := range e.Outputs {
-				fp = trace.Combine(fp, trace.HashString(f.Name))
-				fp = trace.Combine(fp, f.Value)
-				rowOut += f.Size
+			out := t.outputs(i)
+			for f := 0; f < len(out); f += flatFieldRecLen {
+				fp = trace.Combine(fp, nameHashes[binary.LittleEndian.Uint32(out[f:])])
+				fp = trace.Combine(fp, binary.LittleEndian.Uint64(out[f+16:]))
+				rowOut += units.Size(int64(binary.LittleEndian.Uint64(out[f+8:])))
 			}
 			size += width + rowOut + 16 // key hash + bookkeeping, as SnipTable.Size
 		}
@@ -755,7 +774,7 @@ func LoadFlatTable(img []byte) (*FlatTable, error) {
 			return nil, corrupt("bucket %d not reachable through the index", bi)
 		}
 		for i := uint32(0); i < count; i++ {
-			sk := t.entries[first+i].StateKey
+			sk := t.stateKey(first + i)
 			if got, ok := t.probeEntry(trace.Combine(bh, sk), sk, first, count); !ok || got != first+i {
 				return nil, corrupt("bucket %d entry %d not reachable through the entry index", bi, i)
 			}
@@ -772,7 +791,7 @@ func (t *FlatTable) Image() []byte { return t.img }
 func (t *FlatTable) Selection() Selection { return t.sel }
 
 // Rows returns the number of entries.
-func (t *FlatTable) Rows() int { return len(t.entries) }
+func (t *FlatTable) Rows() int { return t.rows }
 
 // Buckets returns the number of first-level (event hash-code) buckets.
 func (t *FlatTable) Buckets() int { return t.bucketCnt }
@@ -812,12 +831,10 @@ func (t *FlatTable) SetMetrics(m *TableMetrics) { t.metrics = m }
 // nothing picked it returns t; t itself is never modified.
 func (t *FlatTable) XorOutputs(mask uint64, pick func() bool) (*FlatTable, int) {
 	img := bytes.Clone(t.img)
-	meta := t.section(secMeta)
-	fields := img[flatHeaderLen+binary.LittleEndian.Uint64(t.arena[8*secFields:]):]
+	fields := img[flatHeaderLen+t.fieldsOff:]
 	changed := 0
-	for i := range t.entries {
-		rec := meta[flatMetaRecLen*i:]
-		first, count := binary.LittleEndian.Uint32(rec[8:]), binary.LittleEndian.Uint32(rec[12:])
+	for i := uint32(0); i < uint32(t.rows); i++ {
+		_, first, count := t.meta(i)
 		if count == 0 || !pick() {
 			continue
 		}
@@ -842,7 +859,7 @@ func (t *FlatTable) XorOutputs(mask uint64, pick func() bool) (*FlatTable, int) 
 
 // Lookup probes the flat table; same contract, costs and instrumentation
 // as SnipTable.Lookup, with the probe running against the arena bytes.
-func (t *FlatTable) Lookup(eventType string, resolve Resolver) (entry *SnipEntry, probes int64, comparedBytes units.Size, ok bool) {
+func (t *FlatTable) Lookup(eventType string, resolve Resolver) (entry Entry, probes int64, comparedBytes units.Size, ok bool) {
 	if t.metrics == nil {
 		return t.lookup(eventType, resolve)
 	}

@@ -92,16 +92,25 @@ func BenchmarkMapLookupSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkFlatLoad validates a synthetic image at two sizes. ci.sh
+// gates its B/op: a loaded table keeps O(types + names) state beside the
+// image, so what a load allocates must stay far below the image size
+// and must not grow with the row count.
 func BenchmarkFlatLoad(b *testing.B) {
-	img, err := SynthTable(1 << 15).FlatImage()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(img)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := LoadFlatTable(img); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{1 << 12, 1 << 15} {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			img, err := SynthTable(n).FlatImage()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(img)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := LoadFlatTable(img); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

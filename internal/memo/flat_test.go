@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"slices"
 	"testing"
 
 	"snip/internal/obs"
+	"snip/internal/trace"
 )
 
 // ---------------------------------------------------------------------------
@@ -78,11 +81,61 @@ func TestFlatEmptyTable(t *testing.T) {
 		t.Fatalf("empty table reports %d rows %d buckets", ft.Rows(), ft.Buckets())
 	}
 	e, probes, cb, ok := ft.Lookup("tap", func(string) (uint64, bool) { return 0, false })
-	if e != nil || probes != 0 || cb != 0 || ok {
+	if e != (Entry{}) || probes != 0 || cb != 0 || ok {
 		t.Fatalf("lookup on empty: %v %d %d %v", e, probes, cb, ok)
 	}
 	if ft.Fingerprint() != NewSnipTable(Selection{}).Fingerprint() {
 		t.Fatal("empty fingerprints differ")
+	}
+}
+
+// TestEntryViewsMatchMapOracle: every entry view of a loaded image
+// decodes to the map oracle's row (state key, instruction weight,
+// outputs), in the oracle's canonical order, over seeded random profiles
+// and the synthetic tables.
+func TestEntryViewsMatchMapOracle(t *testing.T) {
+	check := func(t *testing.T, what string, d *trace.Dataset, sel Selection) {
+		t.Helper()
+		mt := BuildSnip(d, sel)
+		ft, err := BuildFlat(d, sel)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		var want []*SnipEntry
+		types := make([]string, 0, len(mt.buckets))
+		for et := range mt.buckets {
+			types = append(types, et)
+		}
+		slices.Sort(types)
+		for _, et := range types {
+			eks := make([]uint64, 0, len(mt.buckets[et]))
+			for ek := range mt.buckets[et] {
+				eks = append(eks, ek)
+			}
+			slices.Sort(eks)
+			for _, ek := range eks {
+				want = append(want, mt.buckets[et][ek].Order...)
+			}
+		}
+		if ft.Rows() != len(want) {
+			t.Fatalf("%s: %d views, oracle has %d rows", what, ft.Rows(), len(want))
+		}
+		var outs []trace.Field
+		for i, w := range want {
+			e := Entry{t: ft, i: uint32(i)}
+			outs = e.AppendOutputs(outs[:0])
+			if e.StateKey() != w.StateKey || e.Instr() != w.Instr || !slices.Equal(outs, w.Outputs) {
+				t.Fatalf("%s: entry %d decodes to (%#x, %d, %v), oracle (%#x, %d, %v)",
+					what, i, e.StateKey(), e.Instr(), outs, w.StateKey, w.Instr, w.Outputs)
+			}
+		}
+	}
+	for seed := uint64(0); seed < 50; seed++ {
+		d, sel := randProfile(seed)
+		check(t, fmt.Sprintf("randProfile(%d)", seed), d, sel)
+	}
+	for _, n := range []int{1, 7, 100, 2048, 4096} {
+		check(t, fmt.Sprintf("SynthTable(%d)", n), synthDataset(n), SynthSelection())
 	}
 }
 
@@ -107,12 +160,13 @@ func checkSame(t *testing.T, mt *SnipTable, ft *FlatTable, eventType string, r R
 		t.Fatalf("%s: LookupStats diverge: %+v != %+v", what, ms, fs)
 	}
 	if mok {
-		if me.StateKey != fe.StateKey || me.Instr != fe.Instr || len(me.Outputs) != len(fe.Outputs) {
+		mo, fo := me.AppendOutputs(nil), fe.AppendOutputs(nil)
+		if me.StateKey() != fe.StateKey() || me.Instr() != fe.Instr() || len(mo) != len(fo) {
 			t.Fatalf("%s: entries diverge: %+v != %+v", what, me, fe)
 		}
-		for i := range me.Outputs {
-			if me.Outputs[i] != fe.Outputs[i] {
-				t.Fatalf("%s: output %d diverges: %+v != %+v", what, i, me.Outputs[i], fe.Outputs[i])
+		for i := range mo {
+			if mo[i] != fo[i] {
+				t.Fatalf("%s: output %d diverges: %+v != %+v", what, i, mo[i], fo[i])
 			}
 		}
 	}
@@ -346,6 +400,7 @@ func TestFlatMetrics(t *testing.T) {
 	m := NewTableMetrics(obs.NewRegistry(), "snip")
 	ft.SetMetrics(m)
 	inst, ip, ic, iok := ft.Lookup("tap", SynthHit(100, 3))
+	// Entry views compare by value: the same table and row.
 	if bok != iok || bp != ip || bc != ic || bare != inst {
 		t.Fatal("metrics changed lookup results")
 	}
@@ -378,19 +433,20 @@ func TestXorOutputs(t *testing.T) {
 		t.Fatal("XorOutputs changed the table's shape")
 	}
 	flipped := 0
-	for i := range src.entries {
-		a, b := src.entries[i], bad.entries[i]
-		if a.StateKey != b.StateKey || a.Instr != b.Instr || len(a.Outputs) != len(b.Outputs) {
+	for i := range uint32(src.Rows()) {
+		a, b := Entry{t: src, i: i}, Entry{t: bad, i: i}
+		ao, bo := a.AppendOutputs(nil), b.AppendOutputs(nil)
+		if a.StateKey() != b.StateKey() || a.Instr() != b.Instr() || len(ao) != len(bo) {
 			t.Fatalf("entry %d: key, weight or output count changed", i)
 		}
-		hit := len(a.Outputs) > 0 && a.Outputs[0].Value != b.Outputs[0].Value
-		for f := range a.Outputs {
-			want := a.Outputs[f]
+		hit := len(ao) > 0 && ao[0].Value != bo[0].Value
+		for f := range ao {
+			want := ao[f]
 			if hit {
 				want.Value ^= poisonTestMask
 			}
-			if b.Outputs[f] != want {
-				t.Fatalf("entry %d output %d: %+v, want %+v", i, f, b.Outputs[f], want)
+			if bo[f] != want {
+				t.Fatalf("entry %d output %d: %+v, want %+v", i, f, bo[f], want)
 			}
 		}
 		if hit {

@@ -20,7 +20,8 @@ import (
 // lengthens a walk — every slot's target is verified against the full
 // key (and, for entries, the bucket's range) before use, so the wrong
 // bucket or entry can never be returned. Every read is against the
-// arena; nothing on this path allocates (gated by ci.sh).
+// arena, and a hit is an Entry view of its row; nothing on this path
+// allocates (gated by ci.sh).
 
 // probeIndex walks the slot array for the bucket keyed by (th, ek),
 // whose probe chain starts at h = Combine(th, ek), and returns its
@@ -65,20 +66,20 @@ func (t *FlatTable) probeEntry(h, sk uint64, first, count uint32) (idx uint32, o
 
 // lookup is the uninstrumented probe Lookup wraps. The branch structure
 // and cost accounting mirror SnipTable.lookup exactly: unknown type →
-// (nil, 0, 0); known type, absent bucket → one charged probe; hit at
+// (no entry, 0, 0); known type, absent bucket → one charged probe; hit at
 // scan position i → i+1 probes; miss in a populated bucket → one probe
 // per candidate. The equivalence property tests compare the two
 // backends call by call.
-func (t *FlatTable) lookup(eventType string, resolve Resolver) (entry *SnipEntry, probes int64, comparedBytes units.Size, ok bool) {
+func (t *FlatTable) lookup(eventType string, resolve Resolver) (entry Entry, probes int64, comparedBytes units.Size, ok bool) {
 	ft, known := t.types[eventType]
 	if !known {
-		return nil, 0, 0, false
+		return Entry{}, 0, 0, false
 	}
 	ek, sk := keys(ft.fields, ft.steps, resolve)
 	bh := trace.Combine(ft.hash, ek)
 	bi, found := t.probeIndex(bh, ft.hash, ek)
 	if !found {
-		return nil, 1, ft.width, false
+		return Entry{}, 1, ft.width, false
 	}
 	rec := t.arena[t.bucketsOff+flatBucketRecLen*int(bi):]
 	first := binary.LittleEndian.Uint32(rec[16:])
@@ -94,7 +95,7 @@ func (t *FlatTable) lookup(eventType string, resolve Resolver) (entry *SnipEntry
 	}
 	comparedBytes = units.Size(probes) * ft.width
 	if !hit {
-		return nil, probes, comparedBytes, false
+		return Entry{}, probes, comparedBytes, false
 	}
-	return &t.entries[idx], probes, comparedBytes, true
+	return Entry{t: t, i: idx}, probes, comparedBytes, true
 }

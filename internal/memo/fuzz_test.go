@@ -78,11 +78,25 @@ func FuzzLoadFlatTable(f *testing.F) {
 		}
 		for _, et := range []string{"tap", "swipe", ""} {
 			e, probes, cb, ok := ft.Lookup(et, func(string) (uint64, bool) { return 1, true })
-			if ok && e == nil {
-				t.Fatal("hit returned nil entry")
+			if ok && e == (Entry{}) {
+				t.Fatal("hit returned no entry")
 			}
 			if probes < 0 || cb < 0 {
 				t.Fatalf("negative costs %d %d", probes, cb)
+			}
+		}
+		// Every entry's view must decode: a loaded image's entries read
+		// their keys, meta and output records in place, so validation
+		// must have bounded all of them.
+		var outs []trace.Field
+		for i := range uint32(ft.Rows()) {
+			e := Entry{t: ft, i: i}
+			_, _ = e.StateKey(), e.Instr()
+			outs = e.AppendOutputs(outs[:0])
+			for _, f := range outs {
+				if int(f.Category) >= trace.NumCategories {
+					t.Fatalf("entry %d decodes category %d", i, f.Category)
+				}
 			}
 		}
 		// Poisoning every entry of a table that loaded must give a

@@ -179,7 +179,7 @@ func TestSnipTableHitAndMiss(t *testing.T) {
 	if probes < 1 || cmp < 1 {
 		t.Fatalf("probes %d cmp %v", probes, cmp)
 	}
-	if got, _ := outVal(e.Outputs, "state.out"); got != 21 {
+	if got, _ := outVal(e.AppendOutputs(nil), "state.out"); got != 21 {
 		t.Fatalf("served output %d, want 21", got)
 	}
 	// Unseen mode misses.

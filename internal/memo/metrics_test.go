@@ -26,7 +26,7 @@ func TestSnipTableMetrics(t *testing.T) {
 		if ok1 != ok2 || p1 != p2 || c1 != c2 {
 			t.Fatalf("i=%d: instrumented lookup diverged: (%v %d %d) vs (%v %d %d)", i, ok1, p1, c1, ok2, p2, c2)
 		}
-		if ok1 && (e1.StateKey != e2.StateKey) {
+		if ok1 && (e1.StateKey() != e2.StateKey()) {
 			t.Fatalf("i=%d: different entries", i)
 		}
 		st.Observe(p1, c1, ok1)

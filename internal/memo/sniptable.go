@@ -137,9 +137,10 @@ func keys(fields []SelectedField, steps []trace.Step, value func(name string) (u
 	return eventKey, stateKey
 }
 
-// SnipEntry is one row of the deployed table: the outputs to apply when
-// the necessary inputs match. Entries are immutable after the build so a
-// deployed table can be probed from any number of goroutines at once.
+// SnipEntry is one row of the map table: the outputs to apply when the
+// necessary inputs match. Entries are immutable after the build so a
+// table can be probed from any number of goroutines at once. A lookup
+// hands out an Entry view of it; a flat table keeps no SnipEntry at all.
 type SnipEntry struct {
 	StateKey uint64
 	Outputs  []trace.Field
@@ -433,15 +434,15 @@ func sameOutputs(a, b []trace.Field) bool {
 	return true
 }
 
-// Lookup probes the table for a pending event. On a hit it returns the
-// entry; either way it returns the lookup cost: how many candidate
+// Lookup probes the table for a pending event. On a hit it returns a
+// view of the entry; either way it returns the lookup cost: how many candidate
 // entries were compared (probes) and the total necessary-input bytes
 // loaded and compared (probes × per-entry state width).
 //
 // Lookup never mutates the table (data-race-free on a shared table;
 // pinned by the -race tests in shared_test.go). Callers that want
 // aggregate counts fold the return values into a LookupStats.
-func (t *SnipTable) Lookup(eventType string, resolve Resolver) (entry *SnipEntry, probes int64, comparedBytes units.Size, ok bool) {
+func (t *SnipTable) Lookup(eventType string, resolve Resolver) (entry Entry, probes int64, comparedBytes units.Size, ok bool) {
 	if t.metrics == nil {
 		return t.lookup(eventType, resolve)
 	}
@@ -452,17 +453,17 @@ func (t *SnipTable) Lookup(eventType string, resolve Resolver) (entry *SnipEntry
 }
 
 // lookup is the uninstrumented probe Lookup wraps.
-func (t *SnipTable) lookup(eventType string, resolve Resolver) (entry *SnipEntry, probes int64, comparedBytes units.Size, ok bool) {
+func (t *SnipTable) lookup(eventType string, resolve Resolver) (entry Entry, probes int64, comparedBytes units.Size, ok bool) {
 	byEvent := t.buckets[eventType]
 	st := t.types[eventType]
 	width := st.width
 	if byEvent == nil {
-		return nil, 0, 0, false
+		return Entry{}, 0, 0, false
 	}
 	ek, sk := keys(st.fields, st.steps, resolve)
 	b := byEvent[ek]
 	if b == nil {
-		return nil, 1, width, false
+		return Entry{}, 1, width, false
 	}
 	// The real implementation scans the bucket comparing necessary
 	// inputs entry by entry; the map gives us the answer, the Order
@@ -483,9 +484,9 @@ func (t *SnipTable) lookup(eventType string, resolve Resolver) (entry *SnipEntry
 	}
 	comparedBytes = units.Size(probes) * width
 	if !hit {
-		return nil, probes, comparedBytes, false
+		return Entry{}, probes, comparedBytes, false
 	}
-	return e, probes, comparedBytes, true
+	return Entry{row: e}, probes, comparedBytes, true
 }
 
 // Rows returns the total number of entries.

@@ -1,6 +1,11 @@
 package memo
 
-import "snip/internal/units"
+import (
+	"encoding/binary"
+
+	"snip/internal/trace"
+	"snip/internal/units"
+)
 
 // Table is the read side shared by both table backends: the FlatTable
 // (one contiguous arena plus an open-addressing index, see flat.go),
@@ -18,7 +23,7 @@ import "snip/internal/units"
 type Table interface {
 	// Lookup probes for a pending event; see SnipTable.Lookup for the
 	// exact contract both backends honor.
-	Lookup(eventType string, resolve Resolver) (entry *SnipEntry, probes int64, comparedBytes units.Size, ok bool)
+	Lookup(eventType string, resolve Resolver) (entry Entry, probes int64, comparedBytes units.Size, ok bool)
 	// Selection returns the necessary-input selection the table is
 	// keyed on.
 	Selection() Selection
@@ -45,3 +50,51 @@ var (
 	_ Table = (*SnipTable)(nil)
 	_ Table = (*FlatTable)(nil)
 )
+
+// Entry is a hit's view of one table row. It is a small value, so a
+// lookup returns it without allocating, and it stays valid for as long
+// as the table that returned it: a flat row is read from the image on
+// demand, a map row from its SnipEntry. The zero Entry is a miss's.
+type Entry struct {
+	t   *FlatTable // the flat table holding the row, or nil
+	i   uint32     // the row's index in t
+	row *SnipEntry // the map table's row, when t is nil
+}
+
+// StateKey returns the row's state key.
+func (e Entry) StateKey() uint64 {
+	if e.t == nil {
+		return e.row.StateKey
+	}
+	return e.t.stateKey(e.i)
+}
+
+// Instr returns the dynamic-instruction weight of the profiled
+// execution.
+func (e Entry) Instr() int64 {
+	if e.t == nil {
+		return e.row.Instr
+	}
+	instr, _, _ := e.t.meta(e.i)
+	return instr
+}
+
+// AppendOutputs appends the row's output fields to dst, in stored order,
+// and returns the extended slice. A flat row's names come from the
+// image's name pool, so once dst has room nothing allocates.
+func (e Entry) AppendOutputs(dst []trace.Field) []trace.Field {
+	if e.t == nil {
+		return append(dst, e.row.Outputs...)
+	}
+	out := e.t.outputs(e.i)
+	for f := 0; f < len(out); f += flatFieldRecLen {
+		rec := out[f : f+flatFieldRecLen]
+		dst = append(dst, trace.Field{
+			Name:     e.t.names[binary.LittleEndian.Uint32(rec)],
+			Category: trace.Category(binary.LittleEndian.Uint32(rec[4:])),
+			Size:     units.Size(int64(binary.LittleEndian.Uint64(rec[8:]))),
+			Value:    binary.LittleEndian.Uint64(rec[16:]),
+		})
+	}
+	return dst
+}

@@ -34,10 +34,12 @@ type Sink interface {
 	Deliver(e *events.Event) memo.Table
 	// Probed reports one table probe: its modeled cost and wall time.
 	Probed(probes int64, cmpBytes units.Size, hit bool, wallNS int64)
-	// Hit reports a short-circuit. truth is the handler run on a clone
-	// of the game when this hit was shadow-verified, else nil. Hit
-	// returns the outputs to apply to the live game.
-	Hit(entry *memo.SnipEntry, truth *games.Execution) []trace.Field
+	// Hit reports a short-circuit of a handler whose profiled run
+	// weighed instr instructions. served is the entry's outputs, in a
+	// buffer the runtime reuses on its next hit. truth is the handler run
+	// on a clone of the game when this hit was shadow-verified, else nil.
+	// Hit returns the outputs to apply to the live game.
+	Hit(instr int64, served []trace.Field, truth *games.Execution) []trace.Field
 	// Executed reports a handler run in full: a miss, or no table.
 	Executed(exec *games.Execution)
 }
@@ -82,6 +84,9 @@ type Device struct {
 	// so a probe allocates no closure.
 	cur     *events.Event
 	resolve memo.Resolver
+	// served holds the outputs of the latest hit, decoded from the
+	// table's entry view.
+	served []trace.Field
 }
 
 // NewDevice wraps a game instance.
@@ -152,7 +157,8 @@ func (d *Device) Play(s Session, sink Sink) Played {
 			// the short-circuit mutates the live game.
 			truth = game.Clone().Process(e, nil)
 		}
-		game.ApplyOutputs(sink.Hit(entry, truth))
+		d.served = entry.AppendOutputs(d.served[:0])
+		game.ApplyOutputs(sink.Hit(entry.Instr(), d.served, truth))
 	}
 	d.cur = nil
 	return p

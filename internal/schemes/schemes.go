@@ -406,20 +406,20 @@ func (k *runSink) Probed(probes int64, cmpBytes units.Size, hit bool, wallNS int
 	}
 }
 
-func (k *runSink) Hit(entry *memo.SnipEntry, truth *games.Execution) []trace.Field {
+func (k *runSink) Hit(instr int64, served []trace.Field, truth *games.Execution) []trace.Field {
 	res, met := k.res, k.met
 	res.SnippedEvents++
 	if met != nil {
 		met.shortCircuited++
 	}
-	weight := entry.Instr
+	weight := instr
 	switch {
 	case truth == nil:
 	case k.cfg.EvalCorrectness:
 		weight = truth.Record.Instr
 		res.Errors.ShadowedEvents++
 		errBefore := res.Errors.ErrFields()
-		countErrors(&res.Errors, entry.Outputs, truth.Record.Outputs)
+		countErrors(&res.Errors, served, truth.Record.Outputs)
 		if met != nil {
 			met.shadowChecks++
 			met.shadowErrors += res.Errors.ErrFields() - errBefore
@@ -430,7 +430,7 @@ func (k *runSink) Hit(entry *memo.SnipEntry, truth *games.Execution) []trace.Fie
 		// Sampled production guard: compare what the table served
 		// against ground truth. It only observes; the served outputs
 		// are applied either way.
-		match := trace.OutputsMatch(entry.Outputs, truth.Record.Outputs)
+		match := trace.OutputsMatch(served, truth.Record.Outputs)
 		res.Guard.ShadowChecks++
 		if !match {
 			res.Guard.Mispredicts++
@@ -448,7 +448,7 @@ func (k *runSink) Hit(entry *memo.SnipEntry, truth *games.Execution) []trace.Fie
 	k.ev.Hit = true
 	k.ev.Instr = weight
 	k.finish()
-	return entry.Outputs
+	return served
 }
 
 func (k *runSink) Executed(exec *games.Execution) {
@@ -516,14 +516,17 @@ func (k *runSink) finish() {
 }
 
 // countErrors compares served outputs against ground truth field-wise.
+// A truth field is right when the last served field of its name carries
+// its value: the scan runs from the end, so a repeated name is judged by
+// its last occurrence.
 func countErrors(st *ErrorStats, served, truth []trace.Field) {
-	predicted := make(map[string]uint64, len(served))
-	for _, f := range served {
-		predicted[f.Name] = f.Value
-	}
 	for _, f := range truth {
 		st.PredictedFields++
-		if pv, ok := predicted[f.Name]; ok && pv == f.Value {
+		i := len(served) - 1
+		for i >= 0 && served[i].Name != f.Name {
+			i--
+		}
+		if i >= 0 && served[i].Value == f.Value {
 			continue
 		}
 		if st.ByField == nil {

@@ -242,3 +242,28 @@ func TestBatteryDrainOrdering(t *testing.T) {
 			heavy.BatteryHours(), light.BatteryHours(), idle)
 	}
 }
+
+// TestCountErrorsLastServedWins: a served name that repeats is judged
+// by its last occurrence, the answer a name-keyed map of the served
+// outputs gave; a truth field that was not served is an error.
+func TestCountErrorsLastServedWins(t *testing.T) {
+	served := []trace.Field{
+		{Name: "state.a", Value: 1}, {Name: "state.b", Value: 5}, {Name: "state.a", Value: 2},
+	}
+	truth := []trace.Field{
+		{Name: "state.a", Category: trace.OutHistory, Value: 2},
+		{Name: "state.b", Category: trace.OutHistory, Value: 5},
+		{Name: "state.c", Category: trace.OutTemp, Value: 0},
+	}
+	var st ErrorStats
+	countErrors(&st, served, truth)
+	if st.PredictedFields != 3 || st.ErrHistory != 0 || st.ErrTemp != 1 || st.ByField["state.c"] != 1 || len(st.ByField) != 1 {
+		t.Fatalf("got %+v", st)
+	}
+	truth[0].Value = 1 // the first state.a, which a later one overrides
+	st = ErrorStats{}
+	countErrors(&st, served, truth)
+	if st.ErrHistory != 1 || st.ByField["state.a"] != 1 {
+		t.Fatalf("first occurrence judged: %+v", st)
+	}
+}
