@@ -88,11 +88,14 @@ go run ./cmd/fleetbench -devices 5000 -sessions 1 -secs 2 -profile-sessions 2 \
 go run ./cmd/fleetbench -validate /tmp/snip_bench_overload_smoke.json
 rm -f /tmp/snip_bench_overload_smoke.json
 
-echo "== allocation gate (memo lookup + metrics + span + telemetry-window + energy-ledger + post-delta-swap lookup + admission token-bucket + scheduler-claim hot paths must stay 0 allocs/op)"
+echo "== allocation gate (memo lookup + metrics + span + telemetry-window + energy-ledger + post-delta-swap lookup + admission token-bucket + scheduler-claim + no-log handler hot paths must stay 0 allocs/op)"
 # DeltaAppliedLookupHit serves from a table rebuilt via ApplyDelta: the
 # patch step may allocate, the table it publishes must look up alloc-free.
+# BenchmarkProcess's nolog runs are every game's handler as a device runs
+# it: each game reuses one execution context.
 alloc_out=$(go test -run '^$' -bench 'SnipTableLookupHit|SnipTableLookupMiss|FlatLookupHit|FlatLookupMiss|FlatLookupSweep|SharedLookupParallel|SharedLookupSpan|DeltaAppliedLookupHit|CounterInc|GaugeSet|HistogramObserve|HistogramObserveExemplar|SpanStartFinish|WindowAdd|WindowObserveNil|LedgerEventCharge|LedgerAttribute|TokenBucketTake|SchedulerClaim' \
-	-benchmem -benchtime 1000x ./internal/memo ./internal/obs ./internal/energy ./internal/cloud ./internal/fleet)
+	-benchmem -benchtime 1000x ./internal/memo ./internal/obs ./internal/energy ./internal/cloud ./internal/fleet
+	go test -run '^$' -bench '^BenchmarkProcess$/.*/^nolog$' -benchmem -benchtime 1000x ./internal/games)
 echo "$alloc_out"
 bad=$(echo "$alloc_out" | awk '/allocs\/op/ && $(NF-1) + 0 > 0')
 if [ -n "$bad" ]; then
@@ -109,15 +112,16 @@ go test -run '^$' -bench '^BenchmarkReplay$' -benchtime 1x -benchmem ./internal/
 
 echo "== replay allocation gate (BenchmarkReplay allocs/record per game must stay within its committed bound)"
 # Allocation counts are deterministic, so the bounds are hard. Each sits
-# at about 1.2x what replay into the columnar profile measures (3.19 to
-# 4.16 allocs/record); replay into a record list took 11.2 to 12.4.
+# at about 1.2x what replay with one reused execution context per game
+# measures (0.12 to 0.39 allocs/record); a context per event took 3.19
+# to 4.16, and replay into a record list 11.2 to 12.4.
 replay_out=$(go test -run '^$' -bench '^BenchmarkReplay$' -benchtime 3x ./internal/cloud)
 echo "$replay_out"
 echo "$replay_out" | awk '
 BEGIN {
-	bound["Colorphun"] = 3.8; bound["MemoryGame"] = 4.1; bound["CandyCrush"] = 4.6
-	bound["Greenwall"] = 4.9; bound["ABEvolution"] = 4.6; bound["ChaseWhisply"] = 3.9
-	bound["RaceKings"] = 4.3
+	bound["Colorphun"] = 0.21; bound["MemoryGame"] = 0.38; bound["CandyCrush"] = 0.47
+	bound["Greenwall"] = 0.23; bound["ABEvolution"] = 0.19; bound["ChaseWhisply"] = 0.15
+	bound["RaceKings"] = 0.17
 }
 /^BenchmarkReplay\// {
 	split($1, name, "/"); game = name[2]; sub(/-[0-9]+$/, "", game)

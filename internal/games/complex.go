@@ -109,7 +109,7 @@ func (g *abEvolution) drag(c *Ctx, e *events.Event) {
 	flying := c.Read("flying")
 	if flying != 0 {
 		// Dragging while a shot is in flight does nothing.
-		c.Temp("drag-ignored", 8, uint64(phase))
+		c.Temp("temp.drag-ignored", 8, uint64(phase))
 		return
 	}
 	if phase == 1 { // drag update
@@ -117,18 +117,18 @@ func (g *abEvolution) drag(c *Ctx, e *events.Event) {
 			// Pulling past max stretch (or jittering in place): the
 			// catapult pose is already there. The paper's flagship
 			// useless event.
-			c.Temp("band-pose", 24, trace.HashValues(stretch, dir))
+			c.Temp("temp.band-pose", 24, trace.HashValues(stretch, dir))
 			return
 		}
 		c.Write("stretch", stretch)
 		c.Write("aimDir", dir)
-		c.Temp("band-pose", 24, trace.HashValues(stretch, dir))
+		c.Temp("temp.band-pose", 24, trace.HashValues(stretch, dir))
 		return
 	}
 	// phase 2: release → fire if meaningfully stretched.
 	if cur < 3 {
 		c.Write("stretch", 0)
-		c.Temp("band-relax", 16, uint64(cur))
+		c.Temp("temp.band-relax", 16, uint64(cur))
 		return
 	}
 	c.Write("flying", 1)
@@ -149,7 +149,7 @@ func (g *abEvolution) flick(c *Ctx, e *events.Event) {
 	cur := c.Read("stretch")
 	flying := c.Read("flying")
 	if flying != 0 || cur < 3 {
-		c.Temp("flick-ignored", 8, trace.HashValues(dxv, dyv))
+		c.Temp("temp.flick-ignored", 8, trace.HashValues(dxv, dyv))
 		return
 	}
 	c.Write("flying", 1)
@@ -166,7 +166,7 @@ func (g *abEvolution) tap(c *Ctx, e *events.Event) {
 	y := c.Event(e, "y")
 	c.CPUPure("hit-test", trace.HashValues(x, y), 1_000_000, 8*units.KB)
 	// Taps mid-level only spin the idle birds: Temp eye-candy.
-	c.Temp("bird-poke", 16, trace.HashValues(x, y))
+	c.Temp("temp.bird-poke", 16, trace.HashValues(x, y))
 }
 
 func (g *abEvolution) tilt(c *Ctx, e *events.Event) {
@@ -175,11 +175,11 @@ func (g *abEvolution) tilt(c *Ctx, e *events.Event) {
 	// The camera parallax follows coarse device tilt: 10° buckets.
 	bucket := beta / 100
 	if bucket == c.Read("camTilt") {
-		c.Temp("cam-still", 8, uint64(bucket))
+		c.Temp("temp.cam-still", 8, uint64(bucket))
 		return // minor movement: ignored, useless
 	}
 	c.Write("camTilt", bucket)
-	c.Temp("cam-pan", 16, uint64(bucket))
+	c.Temp("temp.cam-pan", 16, uint64(bucket))
 }
 
 // hitAt returns which target (bit) a shot of (dir,pow) hits at impact for
@@ -216,9 +216,9 @@ func (g *abEvolution) vsync(c *Ctx) {
 	// Screen delta: the projectile in flight or the explosion/celebration
 	// overlay. An idle aiming scene redraws identically.
 	if flying != 0 {
-		c.Temp("overlay.flight", 48, trace.HashValues(phase, shotDir, shotPow, c.Read("shotSpin")))
+		c.Temp("temp.overlay.flight", 48, trace.HashValues(phase, shotDir, shotPow, c.Read("shotSpin")))
 	} else if anim > 0 {
-		c.Temp("overlay.boom", 48, trace.HashValues(anim, mask))
+		c.Temp("temp.overlay.boom", 48, trace.HashValues(anim, mask))
 	}
 
 	if flying != 0 {
@@ -250,7 +250,7 @@ func (g *abEvolution) vsync(c *Ctx) {
 				c.Write("terrainMesh", pack)
 				c.CPU("level-load", trace.HashValues(c.Read("level")), 12_000_000, 2*units.MB)
 				c.IP(energy.Network, "pack-download", uint64(pack), 2500*units.Microsecond, 1*units.MB)
-				c.Send("score-upload", 64, uint64(score+50))
+				c.Send("extern.score-upload", 64, uint64(score+50))
 			}
 		} else {
 			c.Write("anim", 12) // dust puff where it landed
@@ -390,14 +390,14 @@ func (g *chaseWhisply) camera(c *Ctx, e *events.Event) {
 	if scene == curScene && surfaces == curCx {
 		// The user is standing still: the frame reconstructs the same
 		// surfaces. Heavy processing, no change — useless.
-		c.Temp("ar-overlay", 64, trace.HashValues(scene, surfaces))
+		c.Temp("temp.ar-overlay", 64, trace.HashValues(scene, surfaces))
 		return
 	}
 	c.Write("sceneId", scene)
 	c.Write("sceneComplexity", surfaces)
 	c.Write("sceneMesh", int64(trace.HashValues(scene, surfaces)))
 	c.CPU("mesh-rebuild", trace.HashValues(scene, surfaces), 8_000_000, 2*units.MB)
-	c.Temp("ar-overlay", 64, trace.HashValues(scene, surfaces))
+	c.Temp("temp.ar-overlay", 64, trace.HashValues(scene, surfaces))
 }
 
 func (g *chaseWhisply) tilt(c *Ctx, e *events.Event) {
@@ -414,12 +414,12 @@ func (g *chaseWhisply) tilt(c *Ctx, e *events.Event) {
 		ay += cwAimBuckets
 	}
 	if ax == c.Read("aimX") && ay == c.Read("aimY") {
-		c.Temp("reticle", 8, trace.HashValues(ax, ay))
+		c.Temp("temp.reticle", 8, trace.HashValues(ax, ay))
 		return // hand tremor below the aim quantum: useless
 	}
 	c.Write("aimX", ax)
 	c.Write("aimY", ay)
-	c.Temp("reticle", 8, trace.HashValues(ax, ay))
+	c.Temp("temp.reticle", 8, trace.HashValues(ax, ay))
 }
 
 // ghostHome returns the aim bucket a ghost occupies for a placement seed.
@@ -452,20 +452,20 @@ func (g *chaseWhisply) shoot(c *Ctx, e *events.Event) {
 		}
 	}
 	if hit < 0 {
-		c.Temp("miss-flash", 16, trace.HashValues(aimX, aimY))
+		c.Temp("temp.miss-flash", 16, trace.HashValues(aimX, aimY))
 		return // shot into empty air: useless
 	}
 	mask &^= 1 << hit
 	c.Write("ghostMask", mask)
 	c.Write("score", c.Read("score")+25)
-	c.Temp("ghost-pop", 48, trace.HashValues(hit))
+	c.Temp("temp.ghost-pop", 48, trace.HashValues(hit))
 	c.IP(energy.AudioCodec, "ghost-pop", trace.HashValues(hit), 1000*units.Microsecond, 8*units.KB)
 	if mask == 0 {
 		// All ghosts caught: spawn a fresh set and sync the score.
 		c.Write("ghostMask", (1<<cwGhosts)-1)
 		c.Write("ghostSeed", c.Rand(17))
 		c.Write("bobStyle", c.Rand(6))
-		c.Send("score-sync", 48, uint64(c.Read("score")))
+		c.Send("extern.score-sync", 48, uint64(c.Read("score")))
 	}
 }
 
@@ -475,7 +475,7 @@ func (g *chaseWhisply) gps(c *Ctx, e *events.Event) {
 	c.CPUPure("geo-update", trace.HashValues(lat, lng), 600_000, 8*units.KB)
 	zone := (lat/400 + lng/400) % 64
 	if zone == c.Read("zone") {
-		c.Temp("geo-still", 8, uint64(zone))
+		c.Temp("temp.geo-still", 8, uint64(zone))
 		return // GPS jitter within the zone: useless
 	}
 	c.Write("zone", zone)
@@ -503,7 +503,7 @@ func (g *chaseWhisply) vsync(c *Ctx) {
 	// The aim reticle is drawn by the tilt handler's own delta; the
 	// ghost layer depends only on the ghost set and its hover phase.
 	if mask != 0 {
-		c.Temp("overlay.ghosts", 48, trace.HashValues(mask, phase, seedV, c.Read("bobStyle")))
+		c.Temp("temp.overlay.ghosts", 48, trace.HashValues(mask, phase, seedV, c.Read("bobStyle")))
 	}
 	// Ghosts hover continuously while any are alive.
 	if mask != 0 {
@@ -609,11 +609,11 @@ func (g *raceKings) tilt(c *Ctx, e *events.Event) {
 	}
 	if steer == c.Read("steer") {
 		// Hand tremor inside the deadzone / same notch: useless.
-		c.Temp("steer-hud", 8, uint64(steer))
+		c.Temp("temp.steer-hud", 8, uint64(steer))
 		return
 	}
 	c.Write("steer", steer)
-	c.Temp("steer-hud", 8, uint64(steer))
+	c.Temp("temp.steer-hud", 8, uint64(steer))
 }
 
 func (g *raceKings) tap(c *Ctx, e *events.Event) {
@@ -622,16 +622,16 @@ func (g *raceKings) tap(c *Ctx, e *events.Event) {
 	c.CPUPure("hud-hit-test", trace.HashValues(x, y), 1_100_000, 8*units.KB)
 	// Boost button lives bottom-right.
 	if x < screenW-420 || y < screenH-420 {
-		c.Temp("tap-ripple", 8, trace.HashValues(x, y))
+		c.Temp("temp.tap-ripple", 8, trace.HashValues(x, y))
 		return
 	}
 	if c.Read("boost") > 0 {
-		c.Temp("boost-denied", 8, 1)
+		c.Temp("temp.boost-denied", 8, 1)
 		return // hammering the button mid-boost does nothing
 	}
 	c.Write("boost", 45)
 	c.IP(energy.AudioCodec, "boost-roar", 1, 1800*units.Microsecond, 32*units.KB)
-	c.Temp("boost-flame", 32, 1)
+	c.Temp("temp.boost-flame", 32, 1)
 }
 
 func (g *raceKings) vsync(c *Ctx) {
@@ -653,7 +653,7 @@ func (g *raceKings) vsync(c *Ctx) {
 	// Screen delta: the scrolling track view. The circuit geometry is the
 	// same fixed content for every install, so the view is a pure
 	// function of the race state.
-	c.Temp("overlay.track", 56, trace.HashValues(pos, lane, speed, steer, boost, rival))
+	c.Temp("temp.overlay.track", 56, trace.HashValues(pos, lane, speed, steer, boost, rival))
 
 	// Lateral movement follows the steering notch.
 	newLane := lane + steer
@@ -685,7 +685,7 @@ func (g *raceKings) vsync(c *Ctx) {
 		newPos -= rkTrackLen
 		// Position sync to the online race service at each lap line: the
 		// payload carries the standings delta, not an unbounded counter.
-		c.Send("lap-sync", 96, trace.HashValues(rival, lane))
+		c.Send("extern.lap-sync", 96, trace.HashValues(rival, lane))
 	}
 	c.Write("trackPos", newPos)
 	// The rival drifts relative to the player: deterministic rubber-band

@@ -49,21 +49,25 @@ type CPUFunc struct {
 
 // Execution is the result of processing one event: the trace record and
 // the hardware work, split so that schemes can run all, part, or none of
-// it.
+// it. A game reuses one Execution, its Record and their slices for every
+// event it processes (see Game.Process).
 type Execution struct {
 	Record   *trace.Record
 	CPUFuncs []CPUFunc
 	IPCalls  []soc.IPCall
 }
 
-// Work assembles the full work unit (baseline execution).
+// Work assembles the full work unit (baseline execution). Its IPCalls
+// is a view of the execution's, capped at its length, so appending to it
+// copies rather than writes into the game's reused buffer.
 func (x *Execution) Work() soc.Work {
 	var w soc.Work
 	for _, f := range x.CPUFuncs {
 		w.CPUInstr += f.Instr
 		w.MemBytes += f.MemBytes
 	}
-	w.IPCalls = append(w.IPCalls, x.IPCalls...)
+	n := len(x.IPCalls)
+	w.IPCalls = x.IPCalls[:n:n]
 	return w
 }
 
@@ -106,6 +110,11 @@ type Game interface {
 	// and the record carries no outputs. StateChanged, Instr, the work
 	// and every state mutation are the same either way. Only callers
 	// that read inputs pass a profile. Process does not retain e.
+	//
+	// The game reuses one Execution for every event: the one Process
+	// returns, its Record and their slices are valid until the game's
+	// next Process or Reset. A caller that keeps any of it longer copies
+	// it first. A clone has its own.
 	Process(e *events.Event, profile *trace.Dataset) *Execution
 	// Clone returns an independent deep copy (for shadow execution when
 	// checking short-circuit correctness).
@@ -118,12 +127,10 @@ type Game interface {
 	// on, fed to PFI as ForceInclude so rare-but-critical fields survive
 	// elimination even when the profile under-samples them.
 	Overrides() []string
-	// PeekField reads the live value of a traced input field by its
-	// record name ("state.foo", "state.bar.*") WITHOUT executing — what
-	// the SNIP runtime does when comparing necessary inputs before
-	// deciding to short-circuit. Returns ok=false for fields that cannot
-	// be read ahead of execution (e.g. "extern.*" network data).
-	PeekField(name string) (uint64, bool)
+	// Locator returns the game's pre-execution read side: what the SNIP
+	// runtime reads, without executing, when it compares necessary inputs
+	// before deciding to short-circuit. It changes on Reset.
+	Locator() Locator
 	// StateHash digests all persistent state.
 	StateHash() uint64
 }
@@ -153,6 +160,9 @@ type Store struct {
 	// chains[d.off : d.off+d.hi-d.lo].
 	digests []digest
 	chains  []uint64
+	// layout counts the inserts that shifted slots and the size changes
+	// that dropped digests: a Loc stays valid while it is unchanged.
+	layout uint64
 }
 
 // digest is one cached HashPrefix result: the slot range [lo, hi) of a
@@ -179,6 +189,7 @@ func (s *Store) Declare(name string, size units.Size, init int64) {
 		// Digests carry their range's summed size: rebuild them.
 		s.sizes[i] = size
 		s.digests, s.chains = s.digests[:0], s.chains[:0]
+		s.layout++
 	}
 }
 
@@ -273,14 +284,20 @@ func (s *Store) insert(name string, size units.Size, v int64) int32 {
 		s.slot[s.names[j]] = int32(j)
 	}
 	s.digests, s.chains = s.digests[:0], s.chains[:0]
+	s.layout++
 	return int32(i)
 }
 
 // digest returns prefix's cached digest, adding it if absent.
-func (s *Store) digest(prefix string) *digest {
+func (s *Store) digest(prefix string) *digest { return &s.digests[s.digestIndex(prefix)] }
+
+// digestIndex returns the index of prefix's cached digest, adding it if
+// absent. Digests are only appended until a layout change drops them
+// all, so an index stays valid while the layout does.
+func (s *Store) digestIndex(prefix string) int32 {
 	for k := range s.digests {
 		if s.digests[k].prefix == prefix {
-			return &s.digests[k]
+			return int32(k)
 		}
 	}
 	lo, _ := slices.BinarySearch(s.names, prefix)
@@ -290,7 +307,7 @@ func (s *Store) digest(prefix string) *digest {
 	}
 	s.chains = append(s.chains, make([]uint64, d.hi-d.lo)...)
 	s.digests = append(s.digests, d)
-	return &s.digests[len(s.digests)-1]
+	return int32(len(s.digests) - 1)
 }
 
 // fold brings d's chain up to date and returns the digest: trace.KeySeed,
@@ -310,19 +327,29 @@ func (s *Store) fold(d *digest) uint64 {
 }
 
 // Ctx is the execution context a handler records into. It implements the
-// tracer: every state read/write flows through it. The execution and its
-// record live inside it, so a handler call allocates all three at once.
+// tracer: every state read/write flows through it. Each game keeps one,
+// holding the execution and its record, and begins it afresh for every
+// event, so a handler call allocates nothing once the buffers have grown.
 type Ctx struct {
 	store *Store
 	prof  *trace.Dataset // non-nil: the execution is logged as a row of it
 	rec   trace.Record
 	exec  Execution
+	// The buffers behind exec.CPUFuncs, exec.IPCalls and rec.Outputs,
+	// which point at them only once the handler has appended, so an
+	// execution that records none of them keeps them nil.
+	cpu []CPUFunc
+	ips []soc.IPCall
+	out []trace.Field
 }
 
-func newCtx(store *Store, e *events.Event, profile *trace.Dataset) *Ctx {
-	c := &Ctx{store: store, prof: profile}
-	c.rec.EventSeq, c.rec.EventType, c.rec.Time = e.Seq, e.Type.String(), e.Time
-	c.exec.Record = &c.rec
+// begin starts c for one handler call on e, keeping its buffers'
+// capacity.
+func (c *Ctx) begin(store *Store, e *events.Event, profile *trace.Dataset) *Ctx {
+	c.store, c.prof = store, profile
+	c.rec = trace.Record{EventSeq: e.Seq, EventType: e.Type.String(), Time: e.Time}
+	c.exec = Execution{Record: &c.rec}
+	c.cpu, c.ips, c.out = c.cpu[:0], c.ips[:0], c.out[:0]
 	if profile != nil {
 		profile.BeginRow(e.Seq, c.rec.EventType, e.Time, e.Hash(), store.Hash())
 	}
@@ -388,37 +415,41 @@ func (c *Ctx) Extern(name string, size units.Size, value int64) int64 {
 	return value
 }
 
-// output logs an output field named prefix+name: into the profile's row
-// when there is one, else into the record.
-func (c *Ctx) output(prefix, name string, cat trace.Category, size units.Size, value uint64) {
+// output logs an output field by its record name: into the profile's
+// row when there is one, else into the record.
+func (c *Ctx) output(name string, cat trace.Category, size units.Size, value uint64) {
 	if c.prof != nil {
-		c.prof.LogOutput(prefix, name, cat, size, value)
+		c.prof.LogOutput("", name, cat, size, value)
 		return
 	}
-	c.rec.Outputs = append(c.rec.Outputs, trace.Field{Name: prefix + name, Category: cat, Size: size, Value: value})
+	c.out = append(c.out, trace.Field{Name: name, Category: cat, Size: size, Value: value})
+	c.rec.Outputs = c.out
 }
 
 // Write stores a value, logging an Out.History output. It marks the
 // record state-changed iff the value differs from the previous one.
 func (c *Ctx) Write(name string, v int64) {
 	i, changed := c.store.write(name, v)
-	c.output("", c.store.qual[i], trace.OutHistory, c.store.sizes[i], uint64(v))
+	c.output(c.store.qual[i], trace.OutHistory, c.store.sizes[i], uint64(v))
 	if changed {
 		c.rec.StateChanged = true
 	}
 }
 
 // Temp emits a transient user-facing output (frame tile, haptic buzz),
-// logging an Out.Temp output. Temp outputs never mark state changed.
+// logging an Out.Temp output. name is the output's record name, with
+// its "temp." prefix, so no call builds one. Temp outputs never mark
+// state changed.
 func (c *Ctx) Temp(name string, size units.Size, value uint64) {
-	c.output("temp.", name, trace.OutTemp, size, value)
+	c.output(name, trace.OutTemp, size, value)
 }
 
 // Send emits data leaving the device (score upload, multiplayer sync),
-// logging an Out.Extern output. Extern sends always count as a state
-// change: the outside world observed them.
+// logging an Out.Extern output. name is the output's record name, with
+// its "extern." prefix. Extern sends always count as a state change:
+// the outside world observed them.
 func (c *Ctx) Send(name string, size units.Size, value uint64) {
-	c.output("extern.", name, trace.OutExtern, size, value)
+	c.output(name, trace.OutExtern, size, value)
 	c.rec.StateChanged = true
 }
 
@@ -441,24 +472,21 @@ func (c *Ctx) Rand(mod int64) int64 {
 // CPU records a named CPU computation that traverses dynamic memory
 // (not memoizable by prior-work CPU techniques).
 func (c *Ctx) CPU(name string, inputHash uint64, instr int64, mem units.Size) {
-	c.exec.CPUFuncs = append(c.exec.CPUFuncs, CPUFunc{
-		Name: name, InputHash: inputHash, Instr: instr, MemBytes: mem,
-	})
+	c.cpu = append(c.cpu, CPUFunc{Name: name, InputHash: inputHash, Instr: instr, MemBytes: mem})
+	c.exec.CPUFuncs = c.cpu
 }
 
 // CPUPure records a register-level CPU computation with statically
 // locatable inputs — the kind prior-work memoization (Max CPU) can reuse.
 func (c *Ctx) CPUPure(name string, inputHash uint64, instr int64, mem units.Size) {
-	c.exec.CPUFuncs = append(c.exec.CPUFuncs, CPUFunc{
-		Name: name, InputHash: inputHash, Instr: instr, MemBytes: mem, Pure: true,
-	})
+	c.cpu = append(c.cpu, CPUFunc{Name: name, InputHash: inputHash, Instr: instr, MemBytes: mem, Pure: true})
+	c.exec.CPUFuncs = c.cpu
 }
 
 // IP records an accelerator invocation.
 func (c *Ctx) IP(ip energy.Component, op string, inputHash uint64, dur units.Time, mem units.Size) {
-	c.exec.IPCalls = append(c.exec.IPCalls, soc.IPCall{
-		IP: ip, Op: op, InputHash: inputHash, Duration: dur, MemBytes: mem,
-	})
+	c.ips = append(c.ips, soc.IPCall{IP: ip, Op: op, InputHash: inputHash, Duration: dur, MemBytes: mem})
+	c.exec.IPCalls = c.ips
 }
 
 // finish computes the record's instruction weight: CPU instructions plus
@@ -481,12 +509,14 @@ func (c *Ctx) finish() *Execution {
 }
 
 // base provides the shared Game plumbing: the store, deterministic
-// content RNG, and generic Clone/ApplyOutputs/StateHash.
+// content RNG, the reused execution context, and generic
+// Clone/ApplyOutputs/StateHash.
 type base struct {
 	name  string
 	store *Store
 	rnd   *rng.Source
 	types []events.Type
+	cx    Ctx
 }
 
 func newBase(name string, types []events.Type) base {
@@ -517,20 +547,8 @@ func (b *base) ApplyOutputs(fields []trace.Field) {
 	}
 }
 
-// PeekField implements Game: state fields resolve against the store
-// (including "prefix.*" blob digests); everything else is unreadable
-// before execution.
-func (b *base) PeekField(name string) (uint64, bool) {
-	n, ok := strings.CutPrefix(name, "state.")
-	if !ok {
-		return 0, false
-	}
-	if prefix, isBlob := strings.CutSuffix(n, "*"); isBlob {
-		h, _ := b.store.HashPrefix(prefix)
-		return h, true
-	}
-	return uint64(b.store.Get(n)), true
-}
+// Locator implements Game.
+func (b *base) Locator() Locator { return Locator{b.store} }
 
 func (b *base) resetBase(seed uint64) {
 	b.store = NewStore()
@@ -543,10 +561,20 @@ func (b *base) cloneBase() base {
 	// The RNG is part of game state (content generation order matters).
 	rc := *b.rnd
 	c.rnd = &rc
+	// The clone's context shares no buffer with the original's; its
+	// buffers start at the original's capacity, so its first handler
+	// call does not grow them.
+	c.cx = Ctx{
+		cpu: make([]CPUFunc, 0, cap(b.cx.cpu)),
+		ips: make([]soc.IPCall, 0, cap(b.cx.ips)),
+		out: make([]trace.Field, 0, cap(b.cx.out)),
+	}
 	return c
 }
 
-func (b *base) ctx(e *events.Event, profile *trace.Dataset) *Ctx { return newCtx(b.store, e, profile) }
+func (b *base) ctx(e *events.Event, profile *trace.Dataset) *Ctx {
+	return b.cx.begin(b.store, e, profile)
+}
 
 // errUnhandled panics for event types the game did not register.
 func (b *base) errUnhandled(e *events.Event) {

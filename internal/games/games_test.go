@@ -189,20 +189,19 @@ func TestStateChangedGroundTruth(t *testing.T) {
 	}
 }
 
-// TestPeekFieldMatchesRecordedInputs: the SNIP runtime's pre-execution
-// reads must see exactly the values the tracer recorded.
-func TestPeekFieldMatchesRecordedInputs(t *testing.T) {
+// TestLocatorMatchesRecordedInputs: the SNIP runtime's pre-execution
+// reads must see exactly the values the tracer recorded. Every state and
+// event input locates and peeks its recorded value; extern data cannot
+// be read ahead and peeks trace.Absent.
+func TestLocatorMatchesRecordedInputs(t *testing.T) {
 	for _, name := range games.Names() {
 		evs := sessionEvents(t, name, 17, 8)
 		g := games.MustNew(name)
 		g.Reset(17)
 		for i, e := range evs {
-			// Peek every state field BEFORE processing.
-			type peeked struct {
-				name string
-				val  uint64
-			}
+			// Peek every input BEFORE processing.
 			shadow := g.Clone()
+			loc := shadow.Locator()
 			prof := &trace.Dataset{}
 			g.Process(e, prof)
 			// A handler may read the same location repeatedly as it
@@ -211,11 +210,18 @@ func TestPeekFieldMatchesRecordedInputs(t *testing.T) {
 			// the one table keys are built from.
 			seen := map[string]bool{}
 			for _, f := range prof.Record(0).Inputs {
-				if f.Category != trace.InHistory || seen[f.Name] {
+				if seen[f.Name] {
 					continue
 				}
 				seen[f.Name] = true
-				v, ok := shadow.PeekField(f.Name)
+				l, ok := loc.Locate(e.Type, f.Name)
+				v := loc.Peek(l, e)
+				if f.Category == trace.InExtern {
+					if ok || v != trace.Absent {
+						t.Fatalf("%s: event %d: extern %s located (%v), peeks %d", name, i, f.Name, ok, v)
+					}
+					continue
+				}
 				if !ok {
 					t.Fatalf("%s: cannot peek %s", name, f.Name)
 				}
@@ -224,7 +230,6 @@ func TestPeekFieldMatchesRecordedInputs(t *testing.T) {
 						name, i, f.Name, v, f.Value)
 				}
 			}
-			_ = peeked{}
 		}
 	}
 }

@@ -236,7 +236,7 @@ func TestMemoryGameMatchFlow(t *testing.T) {
 	found := false
 	for i := 0; i < memCells && !found; i++ {
 		for j := i + 1; j < memCells; j++ {
-			if g.store.Get(cellKey("pair", i)) == g.store.Get(cellKey("pair", j)) {
+			if g.store.Get(memPair[i]) == g.store.Get(memPair[j]) {
 				first, second, found = i, j, true
 				break
 			}
@@ -252,7 +252,7 @@ func TestMemoryGameMatchFlow(t *testing.T) {
 	}
 	tapCell(first, 1)
 	tapCell(second, 2)
-	if g.store.Get(cellKey("face", first)) != 2 || g.store.Get(cellKey("face", second)) != 2 {
+	if g.store.Get(memFace[first]) != 2 || g.store.Get(memFace[second]) != 2 {
 		t.Fatal("matched cards not locked")
 	}
 	if g.store.Get("score") != 10 {
@@ -431,7 +431,7 @@ func TestCtxReadUndeclared(t *testing.T) {
 	s.Declare("a", 4, 1)
 	h := s.Hash()
 	prof := &trace.Dataset{}
-	c := newCtx(s, events.New(events.VSync, 1, 0, 0), prof)
+	c := new(Ctx).begin(s, events.New(events.VSync, 1, 0, 0), prof)
 	if v := c.Read("missing"); v != 0 {
 		t.Fatalf("Read = %d", v)
 	}
@@ -451,12 +451,62 @@ func TestCtxReadUndeclared(t *testing.T) {
 func TestCtxNoLogSkipsStoreDigest(t *testing.T) {
 	s := NewStore()
 	s.Declare("a", 4, 1)
-	newCtx(s, events.New(events.VSync, 1, 0, 0), nil)
+	new(Ctx).begin(s, events.New(events.VSync, 1, 0, 0), nil)
 	if len(s.digests) != 0 {
 		t.Fatalf("no-log context built %d digests", len(s.digests))
 	}
-	newCtx(s, events.New(events.VSync, 2, 0, 0), &trace.Dataset{})
+	new(Ctx).begin(s, events.New(events.VSync, 2, 0, 0), &trace.Dataset{})
 	if len(s.digests) != 1 || s.digests[0].prefix != "" {
 		t.Fatalf("logging context built digests %+v, want the whole-store one", s.digests)
+	}
+}
+
+// TestLocatorEdges: the names no recorded input shows. An undeclared
+// location reads 0; extern data and another type's event fields cannot
+// be read ahead; a blob reads its prefix's digest. An insert changes the
+// layout, after which locating again finds the shifted slot.
+func TestLocatorEdges(t *testing.T) {
+	s := NewStore()
+	s.Declare("b", 4, 7)
+	s.Declare("c.x", 4, 1)
+	l := Locator{s}
+	tap := events.New(events.Tap, 1, 0, 11, 22, 0, 0, 1)
+	for _, c := range []struct {
+		name string
+		ok   bool
+		want uint64
+	}{
+		{"state.b", true, 7},
+		{"state.nope", true, 0},
+		{"event.tap.y", true, 22},
+		{"event.tap.nope", false, trace.Absent},
+		{"event.swipe.x0", false, trace.Absent},
+		{"extern.levelpack", false, trace.Absent},
+		{"temp.tap-ripple", false, trace.Absent},
+	} {
+		loc, ok := l.Locate(events.Tap, c.name)
+		if got := l.Peek(loc, tap); ok != c.ok || got != c.want {
+			t.Errorf("%s: located %v, peeks %d; want %v, %d", c.name, ok, got, c.ok, c.want)
+		}
+	}
+	blob, _ := l.Locate(events.Tap, "state.c.*")
+	if h, _ := s.HashPrefix("c."); l.Peek(blob, tap) != h {
+		t.Error("blob peek differs from HashPrefix")
+	}
+	b, _ := l.Locate(events.Tap, "state.b")
+	before := l.Layout()
+	s.Set("a", 5) // sorts before "b": shifts its slot
+	if l.Layout() == before {
+		t.Fatal("an insert left the layout unchanged")
+	}
+	if l.Peek(b, tap) == 7 {
+		t.Fatal("the stale Loc still reads b; the test shifts nothing")
+	}
+	if b, _ = l.Locate(events.Tap, "state.b"); l.Peek(b, tap) != 7 {
+		t.Error("relocated b does not read its value")
+	}
+	s.Set("b", 9) // no insert: the layout stays
+	if l.Layout() != before+1 {
+		t.Error("a write to a declared location changed the layout")
 	}
 }

@@ -2,6 +2,7 @@ package games_test
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"snip/internal/events"
@@ -60,23 +61,13 @@ func sameWork(a, b *games.Execution, row *trace.Record) bool {
 		ra.Time == rb.Time && reflect.DeepEqual(a.CPUFuncs, b.CPUFuncs) && reflect.DeepEqual(a.IPCalls, b.IPCalls)
 }
 
-// noLogVSyncAllocs pins the allocations of one no-log VSync Process per
-// game: the context that holds the record and the execution, plus the
-// growth of the output, CPU and IP slices. Logging inputs would add the
-// growth of the Inputs slice. (TestCtxNoLogSkipsStoreDigest covers the
-// pre-state hash, which allocates nothing once its digest is cached.)
-var noLogVSyncAllocs = map[string]float64{
-	"Colorphun":    7,
-	"MemoryGame":   6,
-	"CandyCrush":   6,
-	"Greenwall":    7,
-	"ABEvolution":  7,
-	"ChaseWhisply": 6,
-	"RaceKings":    7,
-}
-
 // TestNoLogVSyncAllocs measures a no-log VSync midway through a session
-// on identical clones, so every run starts from the same state.
+// on identical clones, so every run starts from the same state. A game
+// reuses one execution context, and a clone's starts with buffers the
+// size of its original's, so not even a clone's first handler call
+// allocates. Logging inputs would add the growth of the profile.
+// (TestCtxNoLogSkipsStoreDigest covers the pre-state hash, which
+// allocates nothing once its digest is cached.)
 func TestNoLogVSyncAllocs(t *testing.T) {
 	const runs = 20
 	for _, name := range games.Names() {
@@ -94,19 +85,51 @@ func TestNoLogVSyncAllocs(t *testing.T) {
 		if vsync == nil {
 			t.Fatalf("%s: no VSync in the second half of the session", name)
 		}
-		clones := make([]games.Game, runs+1)
+		clones := make([]games.Game, runs)
 		for i := range clones {
 			clones[i] = g.Clone()
 		}
-		next := 0
-		got := testing.AllocsPerRun(runs, func() {
-			clones[next].Process(vsync, nil)
-			next++
-		})
-		if want := noLogVSyncAllocs[name]; got != want {
-			t.Errorf("%s: no-log VSync Process allocates %v times, pinned at %v", name, got, want)
+		if got := mallocs(func() {
+			for _, c := range clones {
+				c.Process(vsync, nil)
+			}
+		}); got != 0 {
+			t.Errorf("%s: no-log VSync Process on a fresh clone allocates %d times in %d runs, want 0", name, got, runs)
 		}
 	}
+}
+
+// TestWarmProcessAllocs: once a game has played the first half of a
+// session, its no-log Process allocates nothing over the second half,
+// whatever the handler records.
+func TestWarmProcessAllocs(t *testing.T) {
+	for _, name := range games.Names() {
+		evs := sessionEvents(t, name, 7, 10)
+		g := games.MustNew(name)
+		g.Reset(7)
+		half := len(evs) / 2
+		for _, e := range evs[:half] {
+			g.Process(e, nil)
+		}
+		if got := mallocs(func() {
+			for _, e := range evs[half:] {
+				g.Process(e, nil)
+			}
+		}); got != 0 {
+			t.Errorf("%s: warm no-log Process allocates %d times over %d events, want 0", name, got, len(evs)-half)
+		}
+	}
+}
+
+// mallocs returns the exact number of allocations f makes;
+// testing.AllocsPerRun would round an average below one down to 0.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // BenchmarkProcess times one Process call per op for every game, logging

@@ -73,7 +73,7 @@ func (g *colorphun) tap(c *Ctx, e *events.Event) {
 	c.CPUPure("hit-test", trace.HashValues(x, y), 900_000, 8*units.KB)
 	if x < 100 || x > screenW-100 || y < 260 || y > screenH-260 {
 		// Status bar / margins: nothing happens. A classic useless event.
-		c.Temp("tap-ripple", 16, trace.HashValues(x, y))
+		c.Temp("temp.tap-ripple", 16, trace.HashValues(x, y))
 		return
 	}
 	side := int64(0) // top
@@ -103,7 +103,7 @@ func (g *colorphun) tap(c *Ctx, e *events.Event) {
 	c.Write("anim", 56)
 	c.CPUPure("update-round", trace.HashValues(score, top, bot, bright), 2_400_000, 32*units.KB)
 	c.IP(energy.AudioCodec, "blip", trace.HashValues(side, bright), 600*units.Microsecond, 4*units.KB)
-	c.Temp("score-popup", 24, uint64(score))
+	c.Temp("temp.score-popup", 24, uint64(score))
 }
 
 func (g *colorphun) vsync(c *Ctx) {
@@ -124,7 +124,7 @@ func (g *colorphun) vsync(c *Ctx) {
 	// that is exactly why those events are "useless".
 	if anim > 0 {
 		// The fade tints toward the incoming top-panel color.
-		c.Temp("overlay.glow", 40, trace.HashValues(pulse, anim, top))
+		c.Temp("temp.overlay.glow", 40, trace.HashValues(pulse, anim, top))
 		c.Write("anim", anim-1)
 		c.Write("pulse", (pulse+1)%40)
 	}
@@ -169,14 +169,22 @@ func (g *memoryGame) Reset(seed uint64) {
 	for i := 0; i < memCells; i++ {
 		// Pair ids are laid out then shuffled with the traced RNG at
 		// declare time via a fixed derangement from the seed.
-		s.Declare(cellKey("pair", i), 24, int64(i/2))
-		s.Declare(cellKey("face", i), 24, 0) // 0 down, 1 up, 2 matched
+		s.Declare(memPair[i], 24, int64(i/2))
+		s.Declare(memFace[i], 24, 0) // 0 down, 1 up, 2 matched
 	}
 	g.shuffleBoard(seed)
 }
 
-func cellKey(prefix string, i int) string {
-	return prefix + "." + string(rune('a'+i/4)) + string(rune('0'+i%4))
+// memPair and memFace hold each card's location names, "pair.<row><col>"
+// and "face.<row><col>" with rows from 'a' and columns from '0', so no
+// handler builds one.
+var memPair, memFace = memCellNames("pair."), memCellNames("face.")
+
+func memCellNames(prefix string) (names [memCells]string) {
+	for i := range names {
+		names[i] = prefix + string(rune('a'+i/memCols)) + string(rune('0'+i%memCols))
+	}
+	return names
 }
 
 // shuffleBoard permutes pair ids deterministically from the seed (reset
@@ -189,7 +197,7 @@ func (g *memoryGame) shuffleBoard(seed uint64) {
 	}
 	r.Shuffle(memCells, func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 	for i, id := range ids {
-		g.store.Set(cellKey("pair", i), id)
+		g.store.Set(memPair[i], id)
 	}
 	_ = seed
 }
@@ -232,36 +240,36 @@ func (g *memoryGame) tap(c *Ctx, e *events.Event) {
 	c.CPUPure("hit-test", trace.HashValues(x, y), 2_400_000, 8*units.KB)
 	idx := cellAt(x, y)
 	if idx < 0 {
-		c.Temp("tap-ripple", 16, trace.HashValues(x, y))
+		c.Temp("temp.tap-ripple", 16, trace.HashValues(x, y))
 		return // outside the board: useless
 	}
-	face := c.Read(cellKey("face", idx))
+	face := c.Read(memFace[idx])
 	anim := c.Read("anim")
 	c.CPUPure("rule-check", trace.HashValues(int64(idx), face, anim), 700_000, 4*units.KB)
 	if face != 0 || anim > 0 {
 		// Tapping a matched/face-up card, or tapping while the flip-back
 		// animation runs, does nothing — the game's main useless events.
-		c.Temp("tap-ripple", 16, trace.HashValues(x, y))
+		c.Temp("temp.tap-ripple", 16, trace.HashValues(x, y))
 		return
 	}
 	flipped1 := c.Read("flipped1")
-	c.Write(cellKey("face", idx), 1)
+	c.Write(memFace[idx], 1)
 	// Every successful flip restarts the attract "sparkle" animation that
 	// plays while the player thinks about the next move.
 	c.Write("sparkle", 64)
-	c.Temp("flip-anim", 40, trace.HashValues(int64(idx)))
+	c.Temp("temp.flip-anim", 40, trace.HashValues(int64(idx)))
 	if flipped1 < 0 {
 		c.Write("flipped1", int64(idx))
 		return
 	}
 	// Second card: compare pair ids.
-	idA := c.Read(cellKey("pair", int(flipped1)))
-	idB := c.Read(cellKey("pair", idx))
+	idA := c.Read(memPair[int(flipped1)])
+	idB := c.Read(memPair[idx])
 	c.CPUPure("match-check", trace.HashValues(idA, idB), 1_600_000, 16*units.KB)
 	c.Write("flipped1", -1)
 	if idA == idB {
-		c.Write(cellKey("face", int(flipped1)), 2)
-		c.Write(cellKey("face", idx), 2)
+		c.Write(memFace[int(flipped1)], 2)
+		c.Write(memFace[idx], 2)
 		matches := c.Read("matches") + 1
 		c.Write("matches", matches)
 		c.Write("score", c.Read("score")+10)
@@ -271,8 +279,8 @@ func (g *memoryGame) tap(c *Ctx, e *events.Event) {
 			c.Write("matches", 0)
 			c.Write("round", c.Read("round")+1)
 			for i := 0; i < memCells; i++ {
-				c.Write(cellKey("pair", i), c.Rand(memCells/2))
-				c.Write(cellKey("face", i), 0)
+				c.Write(memPair[i], c.Rand(memCells/2))
+				c.Write(memFace[i], 0)
 			}
 			c.CPU("new-round", trace.HashValues(c.Read("round")), 2_000_000, 64*units.KB)
 		}
@@ -296,7 +304,7 @@ func (g *memoryGame) vsync(c *Ctx) {
 	// The screen delta: the sparkle/flip-back tween overlay, present only
 	// while those animations run.
 	if anim > 0 || sparkle > 0 {
-		c.Temp("overlay.tween", 40, trace.HashValues(anim, sparkle, c.Read("pend1"), c.Read("pend2")))
+		c.Temp("temp.overlay.tween", 40, trace.HashValues(anim, sparkle, c.Read("pend1"), c.Read("pend2")))
 	}
 	if sparkle > 0 {
 		c.Write("sparkle", sparkle-1)
@@ -307,8 +315,8 @@ func (g *memoryGame) vsync(c *Ctx) {
 			p1 := c.Read("pend1")
 			p2 := c.Read("pend2")
 			if p1 >= 0 {
-				c.Write(cellKey("face", int(p1)), 0)
-				c.Write(cellKey("face", int(p2)), 0)
+				c.Write(memFace[int(p1)], 0)
+				c.Write(memFace[int(p2)], 0)
 				c.Write("pend1", -1)
 				c.Write("pend2", -1)
 			}

@@ -43,21 +43,26 @@ func (g *candyCrush) Reset(seed uint64) {
 	s.Declare("cascadeRow", 1, 0) // board row of the last cascade
 	s.Declare("cascadeCol", 1, 0) // board column of the last cascade
 	for i := 0; i < ccCols*ccRows; i++ {
-		s.Declare(ccKey(i), 4, 0)
+		s.Declare(ccCell[i], 4, 0)
 	}
 	g.fillBoard()
 }
 
-func ccKey(i int) string {
-	return "cell." + string(rune('a'+i/ccCols)) + string(rune('0'+i%ccCols))
-}
+// ccCell holds each board cell's location name, "cell.<row><col>" with
+// rows from 'a' and columns from '0', so no handler builds one.
+var ccCell = func() (names [ccCols * ccRows]string) {
+	for i := range names {
+		names[i] = "cell." + string(rune('a'+i/ccCols)) + string(rune('0'+i%ccCols))
+	}
+	return names
+}()
 
 // fillBoard seeds the board avoiding pre-made matches (reset time).
 func (g *candyCrush) fillBoard() {
 	for i := 0; i < ccCols*ccRows; i++ {
 		for {
 			col := int64(g.rnd.Intn(ccColors))
-			g.store.Set(ccKey(i), col)
+			g.store.Set(ccCell[i], col)
 			if !g.matchAt(i) {
 				break
 			}
@@ -68,7 +73,7 @@ func (g *candyCrush) fillBoard() {
 // matchAt reports whether cell i participates in a 3-run.
 func (g *candyCrush) matchAt(i int) bool {
 	r, c := i/ccCols, i%ccCols
-	col := g.store.Get(ccKey(i))
+	col := g.store.Get(ccCell[i])
 	run := func(dr, dc int) int {
 		n := 0
 		for k := 1; ; k++ {
@@ -76,7 +81,7 @@ func (g *candyCrush) matchAt(i int) bool {
 			if rr < 0 || rr >= ccRows || cc < 0 || cc >= ccCols {
 				break
 			}
-			if g.store.Get(ccKey(rr*ccCols+cc)) != col {
+			if g.store.Get(ccCell[rr*ccCols+cc]) != col {
 				break
 			}
 			n++
@@ -128,7 +133,7 @@ func (g *candyCrush) swipe(c *Ctx, e *events.Event) {
 	c.CPUPure("gesture-decode", trace.HashValues(x0, y0, x1, y1), 1_800_000, 16*units.KB)
 	a := ccCellAt(x0, y0)
 	if a < 0 {
-		c.Temp("swipe-trail", 24, trace.HashValues(x0, y0, x1, y1))
+		c.Temp("temp.swipe-trail", 24, trace.HashValues(x0, y0, x1, y1))
 		return // swipe outside the board
 	}
 	// Direction from the dominant axis.
@@ -151,34 +156,34 @@ func (g *candyCrush) swipe(c *Ctx, e *events.Event) {
 		}
 	}
 	if b < 0 || b >= ccCols*ccRows {
-		c.Temp("swipe-trail", 24, trace.HashValues(x0, y0, x1, y1))
+		c.Temp("temp.swipe-trail", 24, trace.HashValues(x0, y0, x1, y1))
 		return
 	}
 	// The match test reads the neighborhood of both cells — a sizable
 	// In.History region.
 	boardHash := c.ReadBlob("cell.")
-	colA := c.Read(ccKey(a))
-	colB := c.Read(ccKey(b))
+	colA := c.Read(ccCell[a])
+	colB := c.Read(ccCell[b])
 	c.CPUPure("match-test", trace.Combine(boardHash, trace.HashValues(int64(a), int64(b))), 3_500_000, 64*units.KB)
 	if colA == colB {
 		// Swapping identical candies can never create a new match.
-		c.Temp("wiggle", 32, trace.HashValues(int64(a), int64(b)))
+		c.Temp("temp.wiggle", 32, trace.HashValues(int64(a), int64(b)))
 		return
 	}
 	// Tentatively swap and test.
-	g.store.Set(ccKey(a), colB)
-	g.store.Set(ccKey(b), colA)
+	g.store.Set(ccCell[a], colB)
+	g.store.Set(ccCell[b], colA)
 	legal := g.matchAt(a) || g.matchAt(b)
 	if !legal {
 		// Revert. Nothing changed: the illegal-swap wiggle is Out.Temp.
-		g.store.Set(ccKey(a), colA)
-		g.store.Set(ccKey(b), colB)
-		c.Temp("wiggle", 32, trace.HashValues(int64(a), int64(b)))
+		g.store.Set(ccCell[a], colA)
+		g.store.Set(ccCell[b], colB)
+		c.Temp("temp.wiggle", 32, trace.HashValues(int64(a), int64(b)))
 		return
 	}
 	// Legal move: record the swap as outputs, resolve cascades.
-	c.Write(ccKey(a), colB)
-	c.Write(ccKey(b), colA)
+	c.Write(ccCell[a], colB)
+	c.Write(ccCell[b], colA)
 	removed := g.resolve(c)
 	c.Write("score", c.Read("score")+int64(removed)*20)
 	c.Write("moves", c.Read("moves")-1)
@@ -188,7 +193,7 @@ func (g *candyCrush) swipe(c *Ctx, e *events.Event) {
 	c.Write("cascadeCol", int64(a%ccCols))
 	c.CPU("cascade", trace.Combine(boardHash, uint64(removed)), 9_000_000, 256*units.KB)
 	c.IP(energy.AudioCodec, "crush", trace.HashValues(int64(removed)), 1200*units.Microsecond, 16*units.KB)
-	c.Temp("cascade-anim", 64, trace.HashValues(int64(removed)))
+	c.Temp("temp.cascade-anim", 64, trace.HashValues(int64(removed)))
 	if c.Read("moves") <= 0 {
 		c.Write("level", c.Read("level")+1)
 		c.Write("moves", 30)
@@ -200,8 +205,9 @@ func (g *candyCrush) swipe(c *Ctx, e *events.Event) {
 // board is stable, recording cell writes. Returns candies removed.
 func (g *candyCrush) resolve(c *Ctx) int {
 	removed := 0
+	var buf [ccCols * ccRows]int
 	for pass := 0; pass < 6; pass++ {
-		var dead []int
+		dead := buf[:0]
 		for i := 0; i < ccCols*ccRows; i++ {
 			if g.matchAt(i) {
 				dead = append(dead, i)
@@ -212,7 +218,7 @@ func (g *candyCrush) resolve(c *Ctx) int {
 		}
 		removed += len(dead)
 		for _, i := range dead {
-			c.Write(ccKey(i), c.Rand(ccColors))
+			c.Write(ccCell[i], c.Rand(ccColors))
 		}
 	}
 	return removed
@@ -228,15 +234,15 @@ func CandyHint(g Game) (a, b int, ok bool) {
 		return 0, 0, false
 	}
 	try := func(i, j int) bool {
-		ci, cj := cc.store.Get(ccKey(i)), cc.store.Get(ccKey(j))
+		ci, cj := cc.store.Get(ccCell[i]), cc.store.Get(ccCell[j])
 		if ci == cj {
 			return false
 		}
-		cc.store.Set(ccKey(i), cj)
-		cc.store.Set(ccKey(j), ci)
+		cc.store.Set(ccCell[i], cj)
+		cc.store.Set(ccCell[j], ci)
 		legal := cc.matchAt(i) || cc.matchAt(j)
-		cc.store.Set(ccKey(i), ci)
-		cc.store.Set(ccKey(j), cj)
+		cc.store.Set(ccCell[i], ci)
+		cc.store.Set(ccCell[j], cj)
 		return legal
 	}
 	for i := 0; i < ccCols*ccRows; i++ {
@@ -262,7 +268,7 @@ func (g *candyCrush) tap(c *Ctx, e *events.Event) {
 	x := c.Event(e, "x")
 	y := c.Event(e, "y")
 	c.CPUPure("hit-test", trace.HashValues(x, y), 900_000, 8*units.KB)
-	c.Temp("highlight", 16, trace.HashValues(x, y))
+	c.Temp("temp.highlight", 16, trace.HashValues(x, y))
 }
 
 func (g *candyCrush) vsync(c *Ctx) {
@@ -275,7 +281,7 @@ func (g *candyCrush) vsync(c *Ctx) {
 	// Screen delta: the cascade/celebration overlay while it runs; the
 	// settled board redraws identically.
 	if anim > 0 {
-		c.Temp("overlay.cascade", 40,
+		c.Temp("temp.overlay.cascade", 40,
 			trace.HashValues(anim, c.Read("cascadeRow"), c.Read("cascadeCol")))
 		c.Write("anim", anim-1)
 	}
@@ -364,7 +370,7 @@ func (g *greenwall) swipe(c *Ctx, e *events.Event) {
 	gap := c.Read("gap")
 	sliced := c.Read("sliced")
 	c.CPUPure("slice-test", trace.HashValues(x0, y0, x1, y1, kind, phase, sliced), 5_200_000, 32*units.KB)
-	c.Temp("blade-trail", 40, trace.HashValues(x0, y0, x1, y1))
+	c.Temp("temp.blade-trail", 40, trace.HashValues(x0, y0, x1, y1))
 	if gap > 0 {
 		// "Slice to start": the first swipe after a wave ends launches
 		// the next wave with a traced-RNG kind.
@@ -399,7 +405,7 @@ func (g *greenwall) swipe(c *Ctx, e *events.Event) {
 	c.Write("score", c.Read("score")+int64(hits)*15*max64(combo, 1))
 	c.CPU("splash", trace.HashValues(newMask, int64(hits)), 3_200_000, 128*units.KB)
 	c.IP(energy.AudioCodec, "slice", trace.HashValues(int64(hits)), 800*units.Microsecond, 8*units.KB)
-	c.Temp("splash-anim", 96, trace.HashValues(newMask))
+	c.Temp("temp.splash-anim", 96, trace.HashValues(newMask))
 }
 
 // segNear reports whether point (px,py) is within dist of segment
@@ -436,7 +442,7 @@ func (g *greenwall) vsync(c *Ctx) {
 	// Screen delta: flying fruit. Between waves the "slice to start"
 	// banner is static.
 	if gap == 0 {
-		c.Temp("overlay.fruit", 48, trace.HashValues(kind, phase, sliced, c.Read("fruitSet")))
+		c.Temp("temp.overlay.fruit", 48, trace.HashValues(kind, phase, sliced, c.Read("fruitSet")))
 	}
 	switch {
 	case gap > 0:

@@ -342,7 +342,7 @@ func Flatten(t *SnipTable) (*FlatTable, error) {
 
 // flatType is the per-event-type lookup context: the precomputed type
 // hash feeding the index, the selected fields and the key-chain step of
-// each, and the state width Lookup charges per probe.
+// each, and the state width Probe charges per probe.
 type flatType struct {
 	hash   uint64
 	fields []SelectedField
@@ -857,14 +857,23 @@ func (t *FlatTable) XorOutputs(mask uint64, pick func() bool) (*FlatTable, int) 
 	return ft, changed
 }
 
-// Lookup probes the flat table; same contract, costs and instrumentation
-// as SnipTable.Lookup, with the probe running against the arena bytes.
+// Lookup probes the flat table for a pending event whose selected fields
+// resolve returns by name: keys, then Probe.
 func (t *FlatTable) Lookup(eventType string, resolve Resolver) (entry Entry, probes int64, comparedBytes units.Size, ok bool) {
+	ft := t.types[eventType]
+	ek, sk := keys(ft.fields, ft.steps, resolve)
+	return t.Probe(eventType, ek, sk)
+}
+
+// Probe looks up an event by its keys; same contract, costs and
+// instrumentation as SnipTable.Probe, with the probe running against
+// the arena bytes.
+func (t *FlatTable) Probe(eventType string, eventKey, stateKey uint64) (entry Entry, probes int64, comparedBytes units.Size, ok bool) {
 	if t.metrics == nil {
-		return t.lookup(eventType, resolve)
+		return t.probe(eventType, eventKey, stateKey)
 	}
 	start := time.Now()
-	entry, probes, comparedBytes, ok = t.lookup(eventType, resolve)
+	entry, probes, comparedBytes, ok = t.probe(eventType, eventKey, stateKey)
 	t.metrics.observe(ok, time.Since(start).Nanoseconds())
 	return entry, probes, comparedBytes, ok
 }

@@ -64,18 +64,17 @@ func (t *FlatTable) probeEntry(h, sk uint64, first, count uint32) (idx uint32, o
 	}
 }
 
-// lookup is the uninstrumented probe Lookup wraps. The branch structure
-// and cost accounting mirror SnipTable.lookup exactly: unknown type →
+// probe is the uninstrumented probe Probe wraps. The branch structure
+// and cost accounting mirror SnipTable.probe exactly: unknown type →
 // (no entry, 0, 0); known type, absent bucket → one charged probe; hit at
 // scan position i → i+1 probes; miss in a populated bucket → one probe
 // per candidate. The equivalence property tests compare the two
 // backends call by call.
-func (t *FlatTable) lookup(eventType string, resolve Resolver) (entry Entry, probes int64, comparedBytes units.Size, ok bool) {
+func (t *FlatTable) probe(eventType string, ek, sk uint64) (entry Entry, probes int64, comparedBytes units.Size, ok bool) {
 	ft, known := t.types[eventType]
 	if !known {
 		return Entry{}, 0, 0, false
 	}
-	ek, sk := keys(ft.fields, ft.steps, resolve)
 	bh := trace.Combine(ft.hash, ek)
 	bi, found := t.probeIndex(bh, ft.hash, ek)
 	if !found {

@@ -4,7 +4,7 @@ import "snip/internal/obs"
 
 // TableMetrics is the observability hook shared by all three table
 // designs. Handles are nil-safe, so a table with no metrics attached
-// pays one pointer check per lookup and nothing else — SnipTable.Lookup
+// pays one pointer check per lookup and nothing else — SnipTable.Probe
 // stays 0 allocs/op with metrics on or off (bench_test.go, gated by
 // ci.sh). Counters are write-only from the tables' point of view:
 // attaching metrics never changes lookup results, sizes or figures.

@@ -98,11 +98,12 @@ func (s Selection) String() string {
 	return out
 }
 
-// Resolver supplies live values for selected fields at lookup time:
-// "event.<type>.<field>" names resolve from the pending event object,
-// "state.*" names from the game's memory. It returns ok=false for fields
-// that cannot be read before execution (e.g. In.Extern data not yet
-// fetched).
+// Resolver supplies live values for selected fields by name, for
+// Lookup: "event.<type>.<field>" names resolve from the pending event
+// object, "state.*" names from the game's memory. It returns ok=false
+// for fields that cannot be read before execution (e.g. In.Extern data
+// not yet fetched). The device resolves no names: it compiles the
+// selection once and probes with the keys (see Table.Probe).
 type Resolver func(name string) (uint64, bool)
 
 // fieldSteps returns the key-chain step of each field's NameHash; the
@@ -333,7 +334,7 @@ func NewSnipTable(sel Selection) *SnipTable {
 }
 
 // snipType is the per-event-type lookup context: the selected fields,
-// the key-chain step of each, and the state width Lookup charges per
+// the key-chain step of each, and the state width Probe charges per
 // probe.
 type snipType struct {
 	fields []SelectedField
@@ -434,33 +435,40 @@ func sameOutputs(a, b []trace.Field) bool {
 	return true
 }
 
-// Lookup probes the table for a pending event. On a hit it returns a
-// view of the entry; either way it returns the lookup cost: how many candidate
-// entries were compared (probes) and the total necessary-input bytes
-// loaded and compared (probes × per-entry state width).
+// Lookup probes the table for a pending event whose selected fields
+// resolve returns by name: keys, then Probe.
+func (t *SnipTable) Lookup(eventType string, resolve Resolver) (entry Entry, probes int64, comparedBytes units.Size, ok bool) {
+	st := t.types[eventType]
+	ek, sk := keys(st.fields, st.steps, resolve)
+	return t.Probe(eventType, ek, sk)
+}
+
+// Probe looks up an event of eventType by its event and state keys. On
+// a hit it returns a view of the entry; either way it returns the lookup
+// cost: how many candidate entries were compared (probes) and the total
+// necessary-input bytes loaded and compared (probes × per-entry state
+// width). A type with no rows costs nothing.
 //
-// Lookup never mutates the table (data-race-free on a shared table;
+// Probe never mutates the table (data-race-free on a shared table;
 // pinned by the -race tests in shared_test.go). Callers that want
 // aggregate counts fold the return values into a LookupStats.
-func (t *SnipTable) Lookup(eventType string, resolve Resolver) (entry Entry, probes int64, comparedBytes units.Size, ok bool) {
+func (t *SnipTable) Probe(eventType string, eventKey, stateKey uint64) (entry Entry, probes int64, comparedBytes units.Size, ok bool) {
 	if t.metrics == nil {
-		return t.lookup(eventType, resolve)
+		return t.probe(eventType, eventKey, stateKey)
 	}
 	start := time.Now()
-	entry, probes, comparedBytes, ok = t.lookup(eventType, resolve)
+	entry, probes, comparedBytes, ok = t.probe(eventType, eventKey, stateKey)
 	t.metrics.observe(ok, time.Since(start).Nanoseconds())
 	return entry, probes, comparedBytes, ok
 }
 
-// lookup is the uninstrumented probe Lookup wraps.
-func (t *SnipTable) lookup(eventType string, resolve Resolver) (entry Entry, probes int64, comparedBytes units.Size, ok bool) {
+// probe is the uninstrumented probe Probe wraps.
+func (t *SnipTable) probe(eventType string, ek, sk uint64) (entry Entry, probes int64, comparedBytes units.Size, ok bool) {
 	byEvent := t.buckets[eventType]
-	st := t.types[eventType]
-	width := st.width
 	if byEvent == nil {
 		return Entry{}, 0, 0, false
 	}
-	ek, sk := keys(st.fields, st.steps, resolve)
+	width := t.types[eventType].width
 	b := byEvent[ek]
 	if b == nil {
 		return Entry{}, 1, width, false

@@ -21,8 +21,15 @@ import (
 // pin that equivalence, which is what keeps every paper figure
 // byte-identical regardless of backend.
 type Table interface {
-	// Lookup probes for a pending event; see SnipTable.Lookup for the
-	// exact contract both backends honor.
+	// Probe looks up an event of eventType by its two-level key, which
+	// the caller computed from the event's necessary inputs; see
+	// SnipTable.Probe for the exact contract both backends honor. It is
+	// the one probe path: the device computes the keys from a compiled
+	// plan, and Lookup from a Resolver.
+	Probe(eventType string, eventKey, stateKey uint64) (entry Entry, probes int64, comparedBytes units.Size, ok bool)
+	// Lookup resolves the selected fields of eventType by name, keys
+	// them as the table's rows are keyed, and probes: the path of the
+	// tests, the map oracle and the lookup sweeps.
 	Lookup(eventType string, resolve Resolver) (entry Entry, probes int64, comparedBytes units.Size, ok bool)
 	// Selection returns the necessary-input selection the table is
 	// keyed on.

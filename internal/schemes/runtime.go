@@ -20,10 +20,10 @@ import (
 // probe the deployed table, then either short-circuit — apply the
 // memoized outputs — or run the handler. The runtime owns that decision
 // and everything both callers must do identically: the event stream,
-// its delivery order, the event log, the probe and its resolver, and
-// the sampled shadow verify. What a decision costs — simulated energy
-// on one phone, or a fleet device's ledger, telemetry and guard — is
-// each caller's own, booked through a Sink.
+// its delivery order, the event log, the probe and the key plan behind
+// it, and the sampled shadow verify. What a decision costs — simulated
+// energy on one phone, or a fleet device's ledger, telemetry and guard
+// — is each caller's own, booked through a Sink.
 
 // Sink books one session's per-event decisions. For every handled event
 // the runtime calls Deliver, then Executed when Deliver returned no
@@ -40,7 +40,9 @@ type Sink interface {
 	// on a clone of the game when this hit was shadow-verified, else nil.
 	// Hit returns the outputs to apply to the live game.
 	Hit(instr int64, served []trace.Field, truth *games.Execution) []trace.Field
-	// Executed reports a handler run in full: a miss, or no table.
+	// Executed reports a handler run in full: a miss, or no table. The
+	// game reuses exec for its next event (see games.Game.Process), so
+	// Executed keeps nothing of it.
 	Executed(exec *games.Execution)
 }
 
@@ -80,10 +82,8 @@ type Played struct {
 type Device struct {
 	game    games.Game
 	handled [events.NumTypes]bool
-	// cur is the event being probed; resolve reads it, and is bound once
-	// so a probe allocates no closure.
-	cur     *events.Event
-	resolve memo.Resolver
+	// plan keys every probe of the table it was compiled for.
+	plan keyPlan
 	// served holds the outputs of the latest hit, decoded from the
 	// table's entry view.
 	served []trace.Field
@@ -95,8 +95,70 @@ func NewDevice(game games.Game) *Device {
 	for _, t := range game.Types() {
 		d.handled[t] = true
 	}
-	d.resolve = d.field
 	return d
+}
+
+// keyPlan is a table's selection compiled against the live game: for
+// each event type, where each selected field's value is read
+// and how it folds into the table's two-level key. It is compiled once
+// per table and store layout, so a probe resolves no name: it reads
+// values by index, folds them, and probes the table with the keys.
+type keyPlan struct {
+	tab    memo.Table
+	loc    games.Locator
+	layout uint64
+	types  [events.NumTypes]typePlan
+}
+
+// typePlan is one event type's part of a keyPlan.
+type typePlan struct {
+	name   string // the table's name for the type
+	fields []planField
+}
+
+// planField is one selected field: where its value is read, and the
+// key-chain step that folds it into the event key (an In.Event field)
+// or the state key (any other), as the table keys its rows. A field the
+// game cannot read ahead of execution reads trace.Absent.
+type planField struct {
+	loc   games.Loc
+	step  trace.Step
+	event bool
+}
+
+// stale reports whether the plan was compiled for another table, store
+// or store layout.
+func (p *keyPlan) stale(tab memo.Table, loc games.Locator) bool {
+	return tab != p.tab || loc != p.loc || loc.Layout() != p.layout
+}
+
+// compile compiles tab's selection against loc's current layout,
+// reusing the plan's slices.
+func (p *keyPlan) compile(tab memo.Table, loc games.Locator) {
+	p.tab, p.loc, p.layout = tab, loc, loc.Layout()
+	sel := tab.Selection()
+	for t := range p.types {
+		tp := &p.types[t]
+		tp.name, tp.fields = events.Type(t).String(), tp.fields[:0]
+		for _, f := range sel[tp.name] {
+			l, _ := loc.Locate(events.Type(t), f.Name)
+			tp.fields = append(tp.fields, planField{loc: l, step: trace.StepOf(f.NameHash), event: f.Category == trace.InEvent})
+		}
+	}
+}
+
+// keys computes the pending event's two-level key.
+func (tp *typePlan) keys(loc games.Locator, e *events.Event) (eventKey, stateKey uint64) {
+	eventKey, stateKey = trace.KeySeed, trace.KeySeed
+	for i := range tp.fields {
+		f := &tp.fields[i]
+		if v := loc.Peek(f.loc, e); f.event {
+			eventKey = f.step.Fold(eventKey, v)
+		} else {
+			stateKey = f.step.Fold(stateKey, v)
+		}
+	}
+	return eventKey, stateKey
 }
 
 // Play resets the game to the session seed and delivers the session's
@@ -104,6 +166,7 @@ func NewDevice(game games.Game) *Device {
 func (d *Device) Play(s Session, sink Sink) Played {
 	game := d.game
 	game.Reset(s.Seed)
+	loc := game.Locator()
 	stream := s.Gen.Generate(s.Seed, s.Duration)
 	if s.Perturb != nil {
 		stream = s.Perturb(s.Seed, stream)
@@ -141,9 +204,13 @@ func (d *Device) Play(s Session, sink Sink) Played {
 			sink.Executed(game.Process(e, s.Profile))
 			continue
 		}
-		d.cur = e
+		if d.plan.stale(tab, loc) {
+			d.plan.compile(tab, loc)
+		}
 		start := time.Now()
-		entry, probes, cmpBytes, hit := tab.Lookup(e.Type.String(), d.resolve)
+		tp := &d.plan.types[e.Type]
+		ek, sk := tp.keys(loc, e)
+		entry, probes, cmpBytes, hit := tab.Probe(tp.name, ek, sk)
 		wall := time.Since(start).Nanoseconds()
 		p.Lookup.Observe(probes, cmpBytes, hit)
 		sink.Probed(probes, cmpBytes, hit, wall)
@@ -160,25 +227,5 @@ func (d *Device) Play(s Session, sink Sink) Played {
 		d.served = entry.AppendOutputs(d.served[:0])
 		game.ApplyOutputs(sink.Hit(entry.Instr(), d.served, truth))
 	}
-	d.cur = nil
 	return p
-}
-
-// field is the SNIP runtime resolver: a state field's live value
-// (Game.PeekField), else an "event.<type>.<field>" name read from the
-// pending event object.
-func (d *Device) field(name string) (uint64, bool) {
-	if v, ok := d.game.PeekField(name); ok {
-		return v, true
-	}
-	e := d.cur
-	prefix := "event." + e.Type.String() + "."
-	if len(name) <= len(prefix) || name[:len(prefix)] != prefix {
-		return 0, false
-	}
-	v, ok := e.Field(name[len(prefix):])
-	if !ok {
-		return 0, false
-	}
-	return uint64(v), true
 }
