@@ -113,15 +113,16 @@ go test -run '^$' -bench '^BenchmarkReplay$' -benchtime 1x -benchmem ./internal/
 echo "== replay allocation gate (BenchmarkReplay allocs/record per game must stay within its committed bound)"
 # Allocation counts are deterministic, so the bounds are hard. Each sits
 # at about 1.2x what replay with one reused execution context per game
-# measures (0.12 to 0.39 allocs/record); a context per event took 3.19
+# and a store kept across Reset measures (0.092 to 0.25 allocs/record);
+# a store rebuilt per Reset took 0.12 to 0.39, a context per event 3.19
 # to 4.16, and replay into a record list 11.2 to 12.4.
 replay_out=$(go test -run '^$' -bench '^BenchmarkReplay$' -benchtime 3x ./internal/cloud)
 echo "$replay_out"
 echo "$replay_out" | awk '
 BEGIN {
-	bound["Colorphun"] = 0.21; bound["MemoryGame"] = 0.38; bound["CandyCrush"] = 0.47
-	bound["Greenwall"] = 0.23; bound["ABEvolution"] = 0.19; bound["ChaseWhisply"] = 0.15
-	bound["RaceKings"] = 0.17
+	bound["Colorphun"] = 0.16; bound["MemoryGame"] = 0.26; bound["CandyCrush"] = 0.30
+	bound["Greenwall"] = 0.17; bound["ABEvolution"] = 0.14; bound["ChaseWhisply"] = 0.11
+	bound["RaceKings"] = 0.13
 }
 /^BenchmarkReplay\// {
 	split($1, name, "/"); game = name[2]; sub(/-[0-9]+$/, "", game)
@@ -133,6 +134,38 @@ BEGIN {
 }
 END {
 	for (game in bound) if (!(game in seen)) { printf "replay allocation gate: %s not measured\n", game > "/dev/stderr"; bad = 1 }
+	exit bad
+}'
+
+echo "== device allocation gate (BenchmarkDevicePlay allocs/event per game, with a table and without, must stay within its committed bound)"
+# Allocation counts are deterministic, so the bounds are hard. Each sits
+# at about 1.2x what one 5 s session per op measures with handle-addressed
+# state, events synthesized into reused buffers and a store kept across
+# Reset (0.088 to 0.75 allocs/event, the same with a table and without:
+# what is left is per session, most of it the sensor stream); an event
+# object per synthesized event and a store rebuilt per Reset took 2.3 to
+# 3.7.
+play_out=$(go test -run '^$' -bench '^BenchmarkDevicePlay$' -benchtime 2x ./internal/schemes)
+echo "$play_out"
+echo "$play_out" | awk '
+BEGIN {
+	bound["Colorphun"] = 0.124; bound["MemoryGame"] = 0.106; bound["CandyCrush"] = 0.90
+	bound["Greenwall"] = 0.384; bound["ABEvolution"] = 0.766; bound["ChaseWhisply"] = 0.647
+	bound["RaceKings"] = 0.496
+}
+/^BenchmarkDevicePlay\// {
+	split($1, name, "/"); game = name[2]; mode = name[3]; sub(/-[0-9]+$/, "", mode)
+	v = ""
+	for (i = 2; i < NF; i++) if ($(i + 1) == "allocs/event") v = $i
+	seen[game, mode] = 1
+	if (!(game in bound) || v == "") { printf "device allocation gate: no bound or no allocs/event for %s/%s\n", game, mode > "/dev/stderr"; bad = 1 }
+	else if (v + 0 > bound[game]) { printf "device allocation gate: %s/%s allocates %s per event, bound %s\n", game, mode, v, bound[game] > "/dev/stderr"; bad = 1 }
+}
+END {
+	for (game in bound) for (m = 1; m <= 2; m++) {
+		mode = m == 1 ? "table" : "notable"
+		if (!((game, mode) in seen)) { printf "device allocation gate: %s/%s not measured\n", game, mode > "/dev/stderr"; bad = 1 }
+	}
 	exit bad
 }'
 

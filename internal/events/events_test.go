@@ -1,6 +1,8 @@
 package events
 
 import (
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -100,8 +102,15 @@ func TestCloneIsDeep(t *testing.T) {
 
 func synth() *Synthesizer { return NewSynthesizer(DefaultSynthesizerConfig()) }
 
-func touchSeq(s *Synthesizer, pts [][3]int64) []*Event {
-	var out []*Event
+// feed synthesizes one reading and returns the events it completes.
+func feed(s *Synthesizer, r sensors.Reading) []Event {
+	n := len(s.evs)
+	s.feed(r)
+	return slices.Clone(s.evs[n:])
+}
+
+func touchSeq(s *Synthesizer, pts [][3]int64) []Event {
+	var out []Event
 	for i, p := range pts {
 		phase := sensors.TouchMove
 		if i == 0 {
@@ -109,7 +118,7 @@ func touchSeq(s *Synthesizer, pts [][3]int64) []*Event {
 		} else if i == len(pts)-1 {
 			phase = sensors.TouchUp
 		}
-		out = append(out, s.Feed(sensors.TouchReading(units.Time(p[0]), phase, p[1], p[2], 500, 0))...)
+		out = append(out, feed(s, sensors.TouchReading(units.Time(p[0]), phase, p[1], p[2], 500, 0))...)
 	}
 	return out
 }
@@ -171,17 +180,17 @@ func TestDragClassificationAndUpdates(t *testing.T) {
 
 func TestGyroQuantizationSuppression(t *testing.T) {
 	s := synth()
-	e1 := s.Feed(sensors.GyroReading(0, 100, 200, 300))
+	e1 := feed(s, sensors.GyroReading(0, 100, 200, 300))
 	if len(e1) != 1 || e1[0].Type != Tilt {
 		t.Fatalf("first gyro reading: %v", e1)
 	}
 	// Sub-quantum tremor (±2° grid) produces no event.
-	e2 := s.Feed(sensors.GyroReading(100, 101, 201, 301))
+	e2 := feed(s, sensors.GyroReading(100, 101, 201, 301))
 	if len(e2) != 0 {
 		t.Fatalf("tremor produced events: %v", e2)
 	}
 	// A real turn does.
-	e3 := s.Feed(sensors.GyroReading(200, 160, 200, 300))
+	e3 := feed(s, sensors.GyroReading(200, 160, 200, 300))
 	if len(e3) != 1 {
 		t.Fatalf("turn missed: %v", e3)
 	}
@@ -192,21 +201,21 @@ func TestGyroQuantizationSuppression(t *testing.T) {
 
 func TestShakeThreshold(t *testing.T) {
 	s := synth()
-	if evs := s.Feed(sensors.AccelReading(0, 100, 100, 100)); len(evs) != 0 {
+	if evs := feed(s, sensors.AccelReading(0, 100, 100, 100)); len(evs) != 0 {
 		t.Fatalf("weak accel made events: %v", evs)
 	}
-	if evs := s.Feed(sensors.AccelReading(1, 2000, 100, 100)); len(evs) != 1 || evs[0].Type != Shake {
+	if evs := feed(s, sensors.AccelReading(1, 2000, 100, 100)); len(evs) != 1 || evs[0].Type != Shake {
 		t.Fatalf("strong accel: %v", evs)
 	}
 }
 
 func TestCameraAndGPSEvents(t *testing.T) {
 	s := synth()
-	evs := s.Feed(sensors.CameraReading(0, 101, 4, 120))
+	evs := feed(s, sensors.CameraReading(0, 101, 4, 120))
 	if len(evs) != 1 || evs[0].Type != CameraFrame {
 		t.Fatalf("camera: %v", evs)
 	}
-	evs = s.Feed(sensors.GPSReading(0, 1, 2))
+	evs = feed(s, sensors.GPSReading(0, 1, 2))
 	if len(evs) != 1 || evs[0].Type != GPSFix {
 		t.Fatalf("gps: %v", evs)
 	}
@@ -303,5 +312,72 @@ func TestQuantizationCollapsesNearbyTaps(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// mixedStream returns a time-ordered stream that exercises every
+// sensor: taps, swipes and drags, gyro turns, shakes, GPS fixes and
+// camera frames.
+func mixedStream() *sensors.Stream {
+	var s sensors.Stream
+	at := units.Time(0)
+	for i := int64(0); i < 40; i++ {
+		moves := []int64{0, 8, 30}[i%3]
+		s.Append(sensors.TouchReading(at, sensors.TouchDown, 200+i*10, 900, 500, 0))
+		for k := int64(1); k <= moves; k++ {
+			at += 9_000
+			s.Append(sensors.TouchReading(at, sensors.TouchMove, 200+i*10+k*30, 900-k*20, 500, 0))
+		}
+		at += 9_000
+		s.Append(sensors.TouchReading(at, sensors.TouchUp, 200+i*10+moves*30, 900-moves*20, 500, 0))
+		s.Append(sensors.GyroReading(at, 100*i, 40*i, -30*i))
+		s.Append(sensors.AccelReading(at, 900*(i%3), 100, 100))
+		s.Append(sensors.GPSReading(at, 4000+i, 7000-i))
+		s.Append(sensors.CameraReading(at, 100+i%4, i%5, 120))
+		// A pinch: both pointers down, moving apart.
+		s.Append(sensors.TouchReading(at, sensors.TouchDown, 500, 1000, 500, 0))
+		s.Append(sensors.TouchReading(at, sensors.TouchDown, 600, 1100, 500, 1))
+		for k := int64(1); k <= 4; k++ {
+			at += 9_000
+			s.Append(sensors.TouchReading(at, sensors.TouchMove, 500-k*20, 1000-k*20, 500, 0))
+			s.Append(sensors.TouchReading(at, sensors.TouchMove, 600+k*20, 1100+k*20, 500, 1))
+		}
+		s.Append(sensors.TouchReading(at, sensors.TouchUp, 420, 920, 500, 0))
+		s.Append(sensors.TouchReading(at, sensors.TouchUp, 680, 1180, 500, 1))
+		at += 30_000
+	}
+	return &s
+}
+
+// TestSynthesizeAllReusesOneArray: a session's events share one values
+// array, in event order, and synthesizing again on a reset synthesizer
+// yields the same events without allocating.
+func TestSynthesizeAllReusesOneArray(t *testing.T) {
+	stream := mixedStream()
+	s := synth()
+	evs := s.SynthesizeAll(stream)
+	seen := map[Type]bool{}
+	var want []Event
+	off := 0
+	for i := range evs {
+		seen[evs[i].Type] = true
+		want = append(want, *evs[i].Clone())
+		if &evs[i].Values[0] != &s.vals[off] {
+			t.Fatalf("event %d's values are not at offset %d of the shared array", i, off)
+		}
+		off += len(evs[i].Values)
+	}
+	if len(seen) != NumTypes {
+		t.Fatalf("the stream yields %d of %d event types: %v", len(seen), NumTypes, seen)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		s.Reset(DefaultSynthesizerConfig())
+		evs = s.SynthesizeAll(stream)
+	})
+	if allocs != 0 {
+		t.Errorf("synthesizing again allocated %v times", allocs)
+	}
+	if !reflect.DeepEqual(evs, want) {
+		t.Fatal("synthesizing again yielded different events")
 	}
 }

@@ -22,6 +22,24 @@ const (
 	abTargets    = 6  // targets per layout
 )
 
+// AB Evolution's locations, in declaration order after rngState.
+const (
+	abScore Var = iota + 1
+	abLevel
+	abLayout
+	abTargetMask
+	abStretch
+	abAimDir
+	abFlying
+	abFlightPhase
+	abShotDir
+	abShotPow
+	abShotSpin
+	abAnim
+	abCamTilt
+	abTerrainMesh
+)
+
 type abEvolution struct {
 	base
 }
@@ -37,24 +55,22 @@ func NewABEvolution() Game {
 // Reset implements Game.
 func (g *abEvolution) Reset(seed uint64) {
 	g.resetBase(seed)
-	s := g.store
-	s.Declare("rngstate", 8, int64(seed|1))
-	s.Declare("score", 4, 0)
-	s.Declare("level", 2, 1)
-	s.Declare("layout", 1, int64(seed%abLayouts))
-	s.Declare("targetMask", 1, (1<<abTargets)-1) // alive targets
-	s.Declare("stretch", 1, 0)                   // catapult notches 0..abMaxStretch
-	s.Declare("aimDir", 1, 0)                    // quantized launch direction 0..15
-	s.Declare("flying", 1, 0)
-	s.Declare("flightPhase", 1, 0)
-	s.Declare("shotDir", 1, 0)
-	s.Declare("shotPow", 1, 0)  // quantized power 0..7
-	s.Declare("shotSpin", 1, 0) // bird tumble animation variant
-	s.Declare("anim", 1, 0)     // hit/celebration animation countdown
-	s.Declare("camTilt", 1, 0)  // camera angle from device tilt, coarse
+	g.declare(abScore, "score", 4, 0)
+	g.declare(abLevel, "level", 2, 1)
+	g.declare(abLayout, "layout", 1, int64(seed%abLayouts))
+	g.declare(abTargetMask, "targetMask", 1, (1<<abTargets)-1) // alive targets
+	g.declare(abStretch, "stretch", 1, 0)                      // catapult notches 0..abMaxStretch
+	g.declare(abAimDir, "aimDir", 1, 0)                        // quantized launch direction 0..15
+	g.declare(abFlying, "flying", 1, 0)
+	g.declare(abFlightPhase, "flightPhase", 1, 0)
+	g.declare(abShotDir, "shotDir", 1, 0)
+	g.declare(abShotPow, "shotPow", 1, 0)   // quantized power 0..7
+	g.declare(abShotSpin, "shotSpin", 1, 0) // bird tumble animation variant
+	g.declare(abAnim, "anim", 1, 0)         // hit/celebration animation countdown
+	g.declare(abCamTilt, "camTilt", 1, 0)   // camera angle from device tilt, coarse
 	// The level terrain mesh is a large In.History blob the renderer
 	// reads every frame (the paper's 119 kB History inputs).
-	s.Declare("terrainMesh", 96*units.KB, int64(trace.HashValues(1, int64(seed%abLayouts))))
+	g.declare(abTerrainMesh, "terrainMesh", 96*units.KB, int64(trace.HashValues(1, int64(seed%abLayouts))))
 }
 
 // Clone implements Game.
@@ -104,9 +120,9 @@ func (g *abEvolution) drag(c *Ctx, e *events.Event) {
 		stretch = abMaxStretch
 	}
 	dir := dirOf(dx, dy)
-	cur := c.Read("stretch")
-	curDir := c.Read("aimDir")
-	flying := c.Read("flying")
+	cur := c.Read(abStretch)
+	curDir := c.Read(abAimDir)
+	flying := c.Read(abFlying)
 	if flying != 0 {
 		// Dragging while a shot is in flight does nothing.
 		c.Temp("temp.drag-ignored", 8, uint64(phase))
@@ -120,23 +136,23 @@ func (g *abEvolution) drag(c *Ctx, e *events.Event) {
 			c.Temp("temp.band-pose", 24, trace.HashValues(stretch, dir))
 			return
 		}
-		c.Write("stretch", stretch)
-		c.Write("aimDir", dir)
+		c.Write(abStretch, stretch)
+		c.Write(abAimDir, dir)
 		c.Temp("temp.band-pose", 24, trace.HashValues(stretch, dir))
 		return
 	}
 	// phase 2: release → fire if meaningfully stretched.
 	if cur < 3 {
-		c.Write("stretch", 0)
+		c.Write(abStretch, 0)
 		c.Temp("temp.band-relax", 16, uint64(cur))
 		return
 	}
-	c.Write("flying", 1)
-	c.Write("flightPhase", 0)
-	c.Write("shotDir", curDir)
-	c.Write("shotPow", cur/4) // 0..6 power buckets
-	c.Write("shotSpin", c.Rand(8))
-	c.Write("stretch", 0)
+	c.Write(abFlying, 1)
+	c.Write(abFlightPhase, 0)
+	c.Write(abShotDir, curDir)
+	c.Write(abShotPow, cur/4) // 0..6 power buckets
+	c.Write(abShotSpin, c.Rand(8))
+	c.Write(abStretch, 0)
 	c.CPUPure("launch", trace.HashValues(curDir, cur), 4_500_000, 96*units.KB)
 	c.IP(energy.AudioCodec, "launch-whoosh", trace.HashValues(cur), 900*units.Microsecond, 8*units.KB)
 }
@@ -146,18 +162,18 @@ func (g *abEvolution) flick(c *Ctx, e *events.Event) {
 	dxv := c.Event(e, "x1") - c.Event(e, "x0")
 	dyv := c.Event(e, "y1") - c.Event(e, "y0")
 	c.CPUPure("catapult-math", trace.HashValues(dxv, dyv), 2_800_000, 48*units.KB)
-	cur := c.Read("stretch")
-	flying := c.Read("flying")
+	cur := c.Read(abStretch)
+	flying := c.Read(abFlying)
 	if flying != 0 || cur < 3 {
 		c.Temp("temp.flick-ignored", 8, trace.HashValues(dxv, dyv))
 		return
 	}
-	c.Write("flying", 1)
-	c.Write("flightPhase", 0)
-	c.Write("shotDir", c.Read("aimDir"))
-	c.Write("shotPow", cur/4)
-	c.Write("shotSpin", c.Rand(8))
-	c.Write("stretch", 0)
+	c.Write(abFlying, 1)
+	c.Write(abFlightPhase, 0)
+	c.Write(abShotDir, c.Read(abAimDir))
+	c.Write(abShotPow, cur/4)
+	c.Write(abShotSpin, c.Rand(8))
+	c.Write(abStretch, 0)
 	c.IP(energy.AudioCodec, "launch-whoosh", trace.HashValues(cur), 900*units.Microsecond, 8*units.KB)
 }
 
@@ -174,11 +190,11 @@ func (g *abEvolution) tilt(c *Ctx, e *events.Event) {
 	c.CPUPure("camera-tilt", trace.HashValues(beta), 700_000, 8*units.KB)
 	// The camera parallax follows coarse device tilt: 10° buckets.
 	bucket := beta / 100
-	if bucket == c.Read("camTilt") {
+	if bucket == c.Read(abCamTilt) {
 		c.Temp("temp.cam-still", 8, uint64(bucket))
 		return // minor movement: ignored, useless
 	}
-	c.Write("camTilt", bucket)
+	c.Write(abCamTilt, bucket)
 	c.Temp("temp.cam-pan", 16, uint64(bucket))
 }
 
@@ -196,18 +212,18 @@ func hitAt(layout, dir, pow int64) int64 {
 }
 
 func (g *abEvolution) vsync(c *Ctx) {
-	flying := c.Read("flying")
-	phase := c.Read("flightPhase")
-	stretch := c.Read("stretch")
-	aimDir := c.Read("aimDir")
-	mask := c.Read("targetMask")
-	anim := c.Read("anim")
-	layout := c.Read("layout")
-	camTilt := c.Read("camTilt")
-	score := c.Read("score")
-	terrain := c.Read("terrainMesh") // full mesh streamed to the renderer
-	shotDir := c.Read("shotDir")
-	shotPow := c.Read("shotPow")
+	flying := c.Read(abFlying)
+	phase := c.Read(abFlightPhase)
+	stretch := c.Read(abStretch)
+	aimDir := c.Read(abAimDir)
+	mask := c.Read(abTargetMask)
+	anim := c.Read(abAnim)
+	layout := c.Read(abLayout)
+	camTilt := c.Read(abCamTilt)
+	score := c.Read(abScore)
+	terrain := c.Read(abTerrainMesh) // full mesh streamed to the renderer
+	shotDir := c.Read(abShotDir)
+	shotPow := c.Read(abShotPow)
 
 	frameHash := trace.HashValues(flying, phase, stretch, aimDir, mask, anim, layout, camTilt, score, terrain, shotDir, shotPow)
 	c.CPU("scene-update", frameHash, 9_000_000, 256*units.KB)
@@ -216,7 +232,7 @@ func (g *abEvolution) vsync(c *Ctx) {
 	// Screen delta: the projectile in flight or the explosion/celebration
 	// overlay. An idle aiming scene redraws identically.
 	if flying != 0 {
-		c.Temp("temp.overlay.flight", 48, trace.HashValues(phase, shotDir, shotPow, c.Read("shotSpin")))
+		c.Temp("temp.overlay.flight", 48, trace.HashValues(phase, shotDir, shotPow, c.Read(abShotSpin)))
 	} else if anim > 0 {
 		c.Temp("temp.overlay.boom", 48, trace.HashValues(anim, mask))
 	}
@@ -225,40 +241,40 @@ func (g *abEvolution) vsync(c *Ctx) {
 		// Ballistic physics every frame of flight.
 		c.CPU("physics", trace.HashValues(shotDir, shotPow, phase), 7_500_000, 192*units.KB)
 		if phase < abFlightLen-1 {
-			c.Write("flightPhase", phase+1)
+			c.Write(abFlightPhase, phase+1)
 			return
 		}
 		// Impact.
-		c.Write("flying", 0)
-		c.Write("flightPhase", 0)
+		c.Write(abFlying, 0)
+		c.Write(abFlightPhase, 0)
 		t := hitAt(layout, shotDir, shotPow)
 		if t >= 0 && mask&(1<<t) != 0 {
 			mask &^= 1 << t
-			c.Write("targetMask", mask)
-			c.Write("score", score+50)
-			c.Write("anim", 36)
+			c.Write(abTargetMask, mask)
+			c.Write(abScore, score+50)
+			c.Write(abAnim, 36)
 			c.IP(energy.AudioCodec, "explosion", trace.HashValues(t), 1500*units.Microsecond, 16*units.KB)
 			if mask == 0 {
 				// Level cleared: fetch the next level pack from the CDN
 				// (an In.Extern read — rare, large, and cached into
 				// History thereafter), rebuild terrain, upload the score.
-				c.Write("level", c.Read("level")+1)
-				c.Write("layout", c.Rand(abLayouts))
-				c.Write("targetMask", (1<<abTargets)-1)
+				c.Write(abLevel, c.Read(abLevel)+1)
+				c.Write(abLayout, c.Rand(abLayouts))
+				c.Write(abTargetMask, (1<<abTargets)-1)
 				pack := c.Extern("levelpack", 1*units.MB,
-					int64(trace.HashValues(c.Read("level"), c.Read("layout"))))
-				c.Write("terrainMesh", pack)
-				c.CPU("level-load", trace.HashValues(c.Read("level")), 12_000_000, 2*units.MB)
+					int64(trace.HashValues(c.Read(abLevel), c.Read(abLayout))))
+				c.Write(abTerrainMesh, pack)
+				c.CPU("level-load", trace.HashValues(c.Read(abLevel)), 12_000_000, 2*units.MB)
 				c.IP(energy.Network, "pack-download", uint64(pack), 2500*units.Microsecond, 1*units.MB)
 				c.Send("extern.score-upload", 64, uint64(score+50))
 			}
 		} else {
-			c.Write("anim", 12) // dust puff where it landed
+			c.Write(abAnim, 12) // dust puff where it landed
 		}
 		return
 	}
 	if anim > 0 {
-		c.Write("anim", anim-1)
+		c.Write(abAnim, anim-1)
 	}
 	// flying==0 && anim==0: an idle aiming frame. The full 3D scene is
 	// still re-rendered — useless unless the player is moving the band.
@@ -316,6 +332,21 @@ const (
 	cwAimBuckets = 24 // quantized aim positions per axis
 )
 
+// Chase Whisply's locations, in declaration order after rngState.
+const (
+	cwScore Var = iota + 1
+	cwGhostMask
+	cwGhostPhase
+	cwGhostSeed
+	cwBobStyle
+	cwAimX
+	cwAimY
+	cwSceneId
+	cwSceneComplexity
+	cwZone
+	cwSceneMesh
+)
+
 type chaseWhisply struct {
 	base
 }
@@ -331,22 +362,20 @@ func NewChaseWhisply() Game {
 // Reset implements Game.
 func (g *chaseWhisply) Reset(seed uint64) {
 	g.resetBase(seed)
-	s := g.store
-	s.Declare("rngstate", 8, int64(seed|1))
-	s.Declare("score", 4, 0)
-	s.Declare("ghostMask", 1, (1<<cwGhosts)-1)
-	s.Declare("ghostPhase", 1, 0) // hover animation 0..cwGhostLoop-1
-	s.Declare("ghostSeed", 2, 3)  // placement id for the current ghost set
-	s.Declare("bobStyle", 1, 0)   // hover animation variant of this set
-	s.Declare("aimX", 1, cwAimBuckets/2)
-	s.Declare("aimY", 1, cwAimBuckets/2)
-	s.Declare("sceneId", 4, 100)
-	s.Declare("sceneComplexity", 2, 4)
-	s.Declare("zone", 2, 0) // coarse GPS zone
+	g.declare(cwScore, "score", 4, 0)
+	g.declare(cwGhostMask, "ghostMask", 1, (1<<cwGhosts)-1)
+	g.declare(cwGhostPhase, "ghostPhase", 1, 0) // hover animation 0..cwGhostLoop-1
+	g.declare(cwGhostSeed, "ghostSeed", 2, 3)   // placement id for the current ghost set
+	g.declare(cwBobStyle, "bobStyle", 1, 0)     // hover animation variant of this set
+	g.declare(cwAimX, "aimX", 1, cwAimBuckets/2)
+	g.declare(cwAimY, "aimY", 1, cwAimBuckets/2)
+	g.declare(cwSceneId, "sceneId", 4, 100)
+	g.declare(cwSceneComplexity, "sceneComplexity", 2, 4)
+	g.declare(cwZone, "zone", 2, 0) // coarse GPS zone
 	// The reconstructed AR scene mesh: size tracks scene complexity and
 	// is re-read by the renderer every frame (the 600 B – 119 kB History
 	// spread of Fig. 7a).
-	s.Declare("sceneMesh", 40*units.KB, int64(seed*11400714819323198485+7))
+	g.declare(cwSceneMesh, "sceneMesh", 40*units.KB, int64(seed*11400714819323198485+7))
 }
 
 // Clone implements Game.
@@ -385,17 +414,17 @@ func (g *chaseWhisply) camera(c *Ctx, e *events.Event) {
 	c.IP(energy.ISP, "isp-preprocess", uint64(feat), 7800*units.Microsecond, 4*units.MB)
 	c.IP(energy.DSP, "feature-extract", uint64(feat), 5200*units.Microsecond, 1*units.MB)
 	c.CPU("plane-fit", trace.HashValues(scene, surfaces, feat), 5_500_000, 512*units.KB)
-	curScene := c.Read("sceneId")
-	curCx := c.Read("sceneComplexity")
+	curScene := c.Read(cwSceneId)
+	curCx := c.Read(cwSceneComplexity)
 	if scene == curScene && surfaces == curCx {
 		// The user is standing still: the frame reconstructs the same
 		// surfaces. Heavy processing, no change — useless.
 		c.Temp("temp.ar-overlay", 64, trace.HashValues(scene, surfaces))
 		return
 	}
-	c.Write("sceneId", scene)
-	c.Write("sceneComplexity", surfaces)
-	c.Write("sceneMesh", int64(trace.HashValues(scene, surfaces)))
+	c.Write(cwSceneId, scene)
+	c.Write(cwSceneComplexity, surfaces)
+	c.Write(cwSceneMesh, int64(trace.HashValues(scene, surfaces)))
 	c.CPU("mesh-rebuild", trace.HashValues(scene, surfaces), 8_000_000, 2*units.MB)
 	c.Temp("temp.ar-overlay", 64, trace.HashValues(scene, surfaces))
 }
@@ -413,12 +442,12 @@ func (g *chaseWhisply) tilt(c *Ctx, e *events.Event) {
 	if ay < 0 {
 		ay += cwAimBuckets
 	}
-	if ax == c.Read("aimX") && ay == c.Read("aimY") {
+	if ax == c.Read(cwAimX) && ay == c.Read(cwAimY) {
 		c.Temp("temp.reticle", 8, trace.HashValues(ax, ay))
 		return // hand tremor below the aim quantum: useless
 	}
-	c.Write("aimX", ax)
-	c.Write("aimY", ay)
+	c.Write(cwAimX, ax)
+	c.Write(cwAimY, ay)
 	c.Temp("temp.reticle", 8, trace.HashValues(ax, ay))
 }
 
@@ -434,10 +463,10 @@ func (g *chaseWhisply) shoot(c *Ctx, e *events.Event) {
 	y := c.Event(e, "y")
 	_ = x
 	_ = y
-	mask := c.Read("ghostMask")
-	seedV := c.Read("ghostSeed")
-	aimX := c.Read("aimX")
-	aimY := c.Read("aimY")
+	mask := c.Read(cwGhostMask)
+	seedV := c.Read(cwGhostSeed)
+	aimX := c.Read(cwAimX)
+	aimY := c.Read(cwAimY)
 	c.CPUPure("raycast", trace.HashValues(mask, seedV, aimX, aimY), 3_800_000, 128*units.KB)
 	c.IP(energy.AudioCodec, "pew", trace.HashValues(aimX, aimY), 600*units.Microsecond, 8*units.KB)
 	hit := int64(-1)
@@ -456,16 +485,16 @@ func (g *chaseWhisply) shoot(c *Ctx, e *events.Event) {
 		return // shot into empty air: useless
 	}
 	mask &^= 1 << hit
-	c.Write("ghostMask", mask)
-	c.Write("score", c.Read("score")+25)
+	c.Write(cwGhostMask, mask)
+	c.Write(cwScore, c.Read(cwScore)+25)
 	c.Temp("temp.ghost-pop", 48, trace.HashValues(hit))
 	c.IP(energy.AudioCodec, "ghost-pop", trace.HashValues(hit), 1000*units.Microsecond, 8*units.KB)
 	if mask == 0 {
 		// All ghosts caught: spawn a fresh set and sync the score.
-		c.Write("ghostMask", (1<<cwGhosts)-1)
-		c.Write("ghostSeed", c.Rand(17))
-		c.Write("bobStyle", c.Rand(6))
-		c.Send("extern.score-sync", 48, uint64(c.Read("score")))
+		c.Write(cwGhostMask, (1<<cwGhosts)-1)
+		c.Write(cwGhostSeed, c.Rand(17))
+		c.Write(cwBobStyle, c.Rand(6))
+		c.Send("extern.score-sync", 48, uint64(c.Read(cwScore)))
 	}
 }
 
@@ -474,27 +503,27 @@ func (g *chaseWhisply) gps(c *Ctx, e *events.Event) {
 	lng := c.Event(e, "lng")
 	c.CPUPure("geo-update", trace.HashValues(lat, lng), 600_000, 8*units.KB)
 	zone := (lat/400 + lng/400) % 64
-	if zone == c.Read("zone") {
+	if zone == c.Read(cwZone) {
 		c.Temp("temp.geo-still", 8, uint64(zone))
 		return // GPS jitter within the zone: useless
 	}
-	c.Write("zone", zone)
+	c.Write(cwZone, zone)
 	// Entering a new zone pulls that area's ghost census from the game
 	// service (In.Extern) and relocates the ghosts.
 	area := c.Extern("area-ghosts", 512*units.KB, zone*7+3)
 	c.IP(energy.Network, "area-fetch", uint64(area), 1800*units.Microsecond, 512*units.KB)
-	c.Write("ghostSeed", c.Rand(17))
+	c.Write(cwGhostSeed, c.Rand(17))
 }
 
 func (g *chaseWhisply) vsync(c *Ctx) {
-	mask := c.Read("ghostMask")
-	phase := c.Read("ghostPhase")
-	seedV := c.Read("ghostSeed")
-	aimX := c.Read("aimX")
-	aimY := c.Read("aimY")
-	scene := c.Read("sceneId")
-	mesh := c.Read("sceneMesh")
-	score := c.Read("score")
+	mask := c.Read(cwGhostMask)
+	phase := c.Read(cwGhostPhase)
+	seedV := c.Read(cwGhostSeed)
+	aimX := c.Read(cwAimX)
+	aimY := c.Read(cwAimY)
+	scene := c.Read(cwSceneId)
+	mesh := c.Read(cwSceneMesh)
+	score := c.Read(cwScore)
 	frameHash := trace.HashValues(mask, phase, seedV, aimX, aimY, scene, mesh, score)
 	c.CPU("compose-ar", frameHash, 15_000_000, 640*units.KB)
 	c.IP(energy.GPU, "render", frameHash, 7500*units.Microsecond, 3*units.MB)
@@ -503,11 +532,11 @@ func (g *chaseWhisply) vsync(c *Ctx) {
 	// The aim reticle is drawn by the tilt handler's own delta; the
 	// ghost layer depends only on the ghost set and its hover phase.
 	if mask != 0 {
-		c.Temp("temp.overlay.ghosts", 48, trace.HashValues(mask, phase, seedV, c.Read("bobStyle")))
+		c.Temp("temp.overlay.ghosts", 48, trace.HashValues(mask, phase, seedV, c.Read(cwBobStyle)))
 	}
 	// Ghosts hover continuously while any are alive.
 	if mask != 0 {
-		c.Write("ghostPhase", (phase+1)%cwGhostLoop)
+		c.Write(cwGhostPhase, (phase+1)%cwGhostLoop)
 	}
 }
 
@@ -532,6 +561,18 @@ const (
 	rkRivalStep = 3   // rival advances this many positions per frame at cruise
 )
 
+// Race Kings's locations, in declaration order after rngState.
+const (
+	rkTrackPos Var = iota + 1
+	rkLane
+	rkSpeed
+	rkSteer
+	rkBoost
+	rkRivalGap
+	rkStanding
+	rkTrackMesh
+)
+
 type raceKings struct {
 	base
 }
@@ -547,17 +588,15 @@ func NewRaceKings() Game {
 // Reset implements Game.
 func (g *raceKings) Reset(seed uint64) {
 	g.resetBase(seed)
-	s := g.store
-	s.Declare("rngstate", 8, int64(seed|1))
-	s.Declare("trackPos", 2, 0) // 0..rkTrackLen-1, loops per lap
-	s.Declare("lane", 1, rkLanes/2)
-	s.Declare("speed", 1, 3)    // 0..rkSpeeds-1
-	s.Declare("steer", 1, 0)    // -2..2 from tilt
-	s.Declare("boost", 1, 0)    // boost frames remaining
-	s.Declare("rivalGap", 1, 0) // rival's lead in track positions, -20..20
-	s.Declare("standing", 1, 2)
+	g.declare(rkTrackPos, "trackPos", 2, 0) // 0..rkTrackLen-1, loops per lap
+	g.declare(rkLane, "lane", 1, rkLanes/2)
+	g.declare(rkSpeed, "speed", 1, 3)       // 0..rkSpeeds-1
+	g.declare(rkSteer, "steer", 1, 0)       // -2..2 from tilt
+	g.declare(rkBoost, "boost", 1, 0)       // boost frames remaining
+	g.declare(rkRivalGap, "rivalGap", 1, 0) // rival's lead in track positions, -20..20
+	g.declare(rkStanding, "standing", 1, 2)
 	// Track geometry streamed to the GPU each frame.
-	s.Declare("trackMesh", 64*units.KB, int64(seed*2862933555777941757+3))
+	g.declare(rkTrackMesh, "trackMesh", 64*units.KB, int64(seed*2862933555777941757+3))
 }
 
 // Clone implements Game.
@@ -607,12 +646,12 @@ func (g *raceKings) tilt(c *Ctx, e *events.Event) {
 	case beta < -100:
 		steer = -1
 	}
-	if steer == c.Read("steer") {
+	if steer == c.Read(rkSteer) {
 		// Hand tremor inside the deadzone / same notch: useless.
 		c.Temp("temp.steer-hud", 8, uint64(steer))
 		return
 	}
-	c.Write("steer", steer)
+	c.Write(rkSteer, steer)
 	c.Temp("temp.steer-hud", 8, uint64(steer))
 }
 
@@ -625,23 +664,23 @@ func (g *raceKings) tap(c *Ctx, e *events.Event) {
 		c.Temp("temp.tap-ripple", 8, trace.HashValues(x, y))
 		return
 	}
-	if c.Read("boost") > 0 {
+	if c.Read(rkBoost) > 0 {
 		c.Temp("temp.boost-denied", 8, 1)
 		return // hammering the button mid-boost does nothing
 	}
-	c.Write("boost", 45)
+	c.Write(rkBoost, 45)
 	c.IP(energy.AudioCodec, "boost-roar", 1, 1800*units.Microsecond, 32*units.KB)
 	c.Temp("temp.boost-flame", 32, 1)
 }
 
 func (g *raceKings) vsync(c *Ctx) {
-	pos := c.Read("trackPos")
-	lane := c.Read("lane")
-	speed := c.Read("speed")
-	steer := c.Read("steer")
-	boost := c.Read("boost")
-	rival := c.Read("rivalGap")
-	mesh := c.Read("trackMesh")
+	pos := c.Read(rkTrackPos)
+	lane := c.Read(rkLane)
+	speed := c.Read(rkSpeed)
+	steer := c.Read(rkSteer)
+	boost := c.Read(rkBoost)
+	rival := c.Read(rkRivalGap)
+	mesh := c.Read(rkTrackMesh)
 	// The lap counter and standings live only in the HUD tile; the track
 	// scene repeats every lap of the circuit.
 	frameHash := trace.HashValues(pos, lane, speed, steer, boost, rival, mesh)
@@ -664,19 +703,19 @@ func (g *raceKings) vsync(c *Ctx) {
 		newLane = rkLanes - 1
 	}
 	if newLane != lane {
-		c.Write("lane", newLane)
+		c.Write(rkLane, newLane)
 	}
 	// Speed settles toward cruise (8) or boost max.
 	target := int64(4)
 	if boost > 0 {
 		target = 7
-		c.Write("boost", boost-1)
+		c.Write(rkBoost, boost-1)
 	}
 	if speed < target {
-		c.Write("speed", speed+1)
+		c.Write(rkSpeed, speed+1)
 		speed++
 	} else if speed > target {
-		c.Write("speed", speed-1)
+		c.Write(rkSpeed, speed-1)
 		speed--
 	}
 	// Track position advances by the speed step; laps wrap.
@@ -687,7 +726,7 @@ func (g *raceKings) vsync(c *Ctx) {
 		// payload carries the standings delta, not an unbounded counter.
 		c.Send("extern.lap-sync", 96, trace.HashValues(rival, lane))
 	}
-	c.Write("trackPos", newPos)
+	c.Write(rkTrackPos, newPos)
 	// The rival drifts relative to the player: deterministic rubber-band
 	// AI pulling the gap toward zero.
 	drift := int64(0)
@@ -703,13 +742,13 @@ func (g *raceKings) vsync(c *Ctx) {
 	}
 	if drift != 0 {
 		nr := rival + drift
-		c.Write("rivalGap", nr)
+		c.Write(rkRivalGap, nr)
 		standing := int64(1)
 		if nr > 0 {
 			standing = 2
 		}
-		if standing != c.Read("standing") {
-			c.Write("standing", standing)
+		if standing != c.Read(rkStanding) {
+			c.Write(rkStanding, standing)
 		}
 	}
 }

@@ -129,7 +129,7 @@ type Game interface {
 	Overrides() []string
 	// Locator returns the game's pre-execution read side: what the SNIP
 	// runtime reads, without executing, when it compares necessary inputs
-	// before deciding to short-circuit. It changes on Reset.
+	// before deciding to short-circuit. Take it again after Reset.
 	Locator() Locator
 	// StateHash digests all persistent state.
 	StateHash() uint64
@@ -140,18 +140,26 @@ type Game interface {
 // — what lookup-table records are charged for). Keeping ALL mutable state
 // here makes cloning and short-circuit output application generic.
 //
-// Locations live in slots in sorted-name order, so a prefix's locations
-// are one contiguous slot range. A digest caches the Combine chain state
-// after each slot of its range; a write marks chains stale from its slot
-// on, and the next digest refolds only from there.
+// A location is addressed by its Var, the ordinal of its declaration:
+// handlers read and write by handle, and only declarations, the Locator
+// and ApplyOutputs resolve a name. Digests fold locations in sorted-name
+// order, so a prefix's locations are one contiguous range of that
+// order. A digest caches the Combine chain state after each location of
+// its range; a write marks chains stale from its rank on, and the next
+// digest refolds only from there.
 type Store struct {
-	// The name side: slot by name, and per slot the name, the key-chain
-	// step of its hash and its record name. Clones share it until one
-	// adds a location.
-	slot   map[string]int32
+	// The name side: handle by name, and per handle the name, the
+	// key-chain step of its hash and its record name. order lists the
+	// handles in sorted-name order and rank inverts it; both are built
+	// when a digest first needs them after an insert. Clones share the
+	// name side until one adds a location.
+	index  map[string]Var
 	names  []string
 	step   []trace.Step
 	qual   []string
+	order  []Var
+	rank   []int32
+	sorted bool
 	shared bool
 
 	vals  []int64
@@ -160,14 +168,23 @@ type Store struct {
 	// chains[d.off : d.off+d.hi-d.lo].
 	digests []digest
 	chains  []uint64
-	// layout counts the inserts that shifted slots and the size changes
-	// that dropped digests: a Loc stays valid while it is unchanged.
+	// layout counts the inserts and the size changes that dropped
+	// digests: a Loc stays valid while it is unchanged.
 	layout uint64
 }
 
-// digest is one cached HashPrefix result: the slot range [lo, hi) of a
-// prefix, its summed size, its blob record name, and how many leading
-// chain states are current.
+// Var is a handle to a store location: the ordinal of its declaration.
+// Every game declares its locations in one fixed order on Reset, so a
+// game's handles are constants, the same across Reset, Clone and seeds.
+type Var int32
+
+// rngState is the handle of "rngstate", the traced PRNG state every
+// game declares first.
+const rngState Var = 0
+
+// digest is one cached HashPrefix result: the range [lo, hi) of sorted
+// ranks under a prefix, its summed size, its blob record name, and how
+// many leading chain states are current.
 type digest struct {
 	prefix, blob      string
 	lo, hi, off, done int32
@@ -175,45 +192,55 @@ type digest struct {
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store { return &Store{slot: make(map[string]int32)} }
+func NewStore() *Store { return &Store{index: make(map[string]Var), sorted: true} }
 
-// Declare registers a location with its modeled size and initial value.
-func (s *Store) Declare(name string, size units.Size, init int64) {
-	i, ok := s.slot[name]
+// Declare registers a location with its modeled size and initial value,
+// returning its handle. Redeclaring a location keeps its handle.
+func (s *Store) Declare(name string, size units.Size, init int64) Var {
+	v, ok := s.index[name]
 	if !ok {
-		s.insert(name, size, init)
-		return
+		return s.insert(name, size, init)
 	}
-	s.setSlot(i, init)
-	if s.sizes[i] != size {
+	s.SetAt(v, init)
+	if s.sizes[v] != size {
 		// Digests carry their range's summed size: rebuild them.
-		s.sizes[i] = size
+		s.sizes[v] = size
 		s.digests, s.chains = s.digests[:0], s.chains[:0]
 		s.layout++
 	}
+	return v
 }
 
-// Get returns the value at name (zero if undeclared).
-func (s *Store) Get(name string) int64 {
-	if i, ok := s.slot[name]; ok {
-		return s.vals[i]
+// At returns the value of a declared location.
+func (s *Store) At(v Var) int64 { return s.vals[v] }
+
+// SetAt stores a value at a declared location, reporting whether it
+// changed, and marks the chains covering it stale from its rank on.
+func (s *Store) SetAt(v Var, x int64) bool {
+	if s.vals[v] == x {
+		return false
 	}
-	return 0
-}
-
-// Set stores a value, reporting whether it changed. Setting an undeclared
-// location declares it with size 8.
-func (s *Store) Set(name string, v int64) (changed bool) {
-	_, changed = s.write(name, v)
-	return changed
-}
-
-// Size returns the modeled size of a location.
-func (s *Store) Size(name string) units.Size {
-	if i, ok := s.slot[name]; ok {
-		return s.sizes[i]
+	s.vals[v] = x
+	if len(s.digests) > 0 {
+		// Digests exist only while the order is current.
+		r := s.rank[v]
+		for k := range s.digests {
+			if d := &s.digests[k]; d.lo <= r && r-d.lo < d.done {
+				d.done = r - d.lo
+			}
+		}
 	}
-	return 8
+	return true
+}
+
+// Set stores a value by name, reporting whether it changed. Setting an
+// undeclared location declares it with size 8.
+func (s *Store) Set(name string, x int64) (changed bool) {
+	if v, ok := s.index[name]; ok {
+		return s.SetAt(v, x)
+	}
+	s.insert(name, 8, x)
+	return true
 }
 
 // HashPrefix digests all locations whose name starts with prefix, in
@@ -244,48 +271,46 @@ func (s *Store) Clone() *Store {
 // Len returns the number of declared locations.
 func (s *Store) Len() int { return len(s.vals) }
 
-// write stores a value like Set, returning the location's slot.
-func (s *Store) write(name string, v int64) (int32, bool) {
-	if i, ok := s.slot[name]; ok {
-		return i, s.setSlot(i, v)
-	}
-	return s.insert(name, 8, v), true
-}
-
-// setSlot stores a value and marks the chains covering the slot stale
-// from it on.
-func (s *Store) setSlot(i int32, v int64) bool {
-	if s.vals[i] == v {
-		return false
-	}
-	s.vals[i] = v
-	for k := range s.digests {
-		if d := &s.digests[k]; d.lo <= i && i-d.lo < d.done {
-			d.done = i - d.lo
-		}
-	}
-	return true
-}
-
-// insert adds a location at its sorted slot. Later slots shift, so every
-// digest is dropped.
-func (s *Store) insert(name string, size units.Size, v int64) int32 {
+// insert appends a location as the next handle. Every digest is
+// dropped: its range may now hold the new name.
+func (s *Store) insert(name string, size units.Size, x int64) Var {
 	if s.shared {
-		s.slot, s.shared = maps.Clone(s.slot), false
+		s.index, s.shared = maps.Clone(s.index), false
 		s.names, s.step, s.qual = slices.Clone(s.names), slices.Clone(s.step), slices.Clone(s.qual)
+		s.order, s.rank = nil, nil
 	}
-	i, _ := slices.BinarySearch(s.names, name)
-	s.names = slices.Insert(s.names, i, name)
-	s.step = slices.Insert(s.step, i, trace.StepOf(trace.HashString(name)))
-	s.qual = slices.Insert(s.qual, i, "state."+name)
-	s.vals = slices.Insert(s.vals, i, v)
-	s.sizes = slices.Insert(s.sizes, i, size)
-	for j := i; j < len(s.names); j++ {
-		s.slot[s.names[j]] = int32(j)
-	}
+	v := Var(len(s.names))
+	s.index[name] = v
+	s.names = append(s.names, name)
+	s.step = append(s.step, trace.StepOf(trace.HashString(name)))
+	s.qual = append(s.qual, "state."+name)
+	s.vals = append(s.vals, x)
+	s.sizes = append(s.sizes, size)
+	s.sorted = false
 	s.digests, s.chains = s.digests[:0], s.chains[:0]
 	s.layout++
-	return int32(i)
+	return v
+}
+
+// sortNames brings order and rank up to date with the declared names.
+func (s *Store) sortNames() {
+	if s.sorted {
+		return
+	}
+	if s.shared {
+		// A sharer may be reading them.
+		s.order, s.rank = nil, nil
+	}
+	n := len(s.names)
+	s.order, s.rank = slices.Grow(s.order[:0], n)[:n], slices.Grow(s.rank[:0], n)[:n]
+	for v := range s.order {
+		s.order[v] = Var(v)
+	}
+	slices.SortFunc(s.order, func(a, b Var) int { return strings.Compare(s.names[a], s.names[b]) })
+	for r, v := range s.order {
+		s.rank[v] = int32(r)
+	}
+	s.sorted = true
 }
 
 // digest returns prefix's cached digest, adding it if absent.
@@ -300,10 +325,11 @@ func (s *Store) digestIndex(prefix string) int32 {
 			return int32(k)
 		}
 	}
-	lo, _ := slices.BinarySearch(s.names, prefix)
+	s.sortNames()
+	lo, _ := slices.BinarySearchFunc(s.order, prefix, func(v Var, p string) int { return strings.Compare(s.names[v], p) })
 	d := digest{prefix: prefix, blob: "state." + prefix + "*", lo: int32(lo), hi: int32(lo), off: int32(len(s.chains))}
-	for ; int(d.hi) < len(s.names) && strings.HasPrefix(s.names[d.hi], prefix); d.hi++ {
-		d.size += s.sizes[d.hi]
+	for ; int(d.hi) < len(s.order) && strings.HasPrefix(s.names[s.order[d.hi]], prefix); d.hi++ {
+		d.size += s.sizes[s.order[d.hi]]
 	}
 	s.chains = append(s.chains, make([]uint64, d.hi-d.lo)...)
 	s.digests = append(s.digests, d)
@@ -311,7 +337,8 @@ func (s *Store) digestIndex(prefix string) int32 {
 }
 
 // fold brings d's chain up to date and returns the digest: trace.KeySeed,
-// then each location's name hash and value Combined in slot order.
+// then each location's name hash and value Combined in sorted-name
+// order.
 func (s *Store) fold(d *digest) uint64 {
 	chain := s.chains[d.off : d.off+d.hi-d.lo]
 	h := trace.KeySeed
@@ -319,8 +346,8 @@ func (s *Store) fold(d *digest) uint64 {
 		h = chain[d.done-1]
 	}
 	for ; d.done < d.hi-d.lo; d.done++ {
-		i := d.lo + d.done
-		h = s.step[i].Fold(h, uint64(s.vals[i]))
+		v := s.order[d.lo+d.done]
+		h = s.step[v].Fold(h, uint64(s.vals[v]))
 		chain[d.done] = h
 	}
 	return h
@@ -381,18 +408,12 @@ func (c *Ctx) Event(e *events.Event, name string) int64 {
 }
 
 // Read reads a state location, logging an In.History input.
-func (c *Ctx) Read(name string) int64 {
-	if c.prof == nil {
-		return c.store.Get(name)
+func (c *Ctx) Read(v Var) int64 {
+	x := c.store.vals[v]
+	if c.prof != nil {
+		c.prof.LogInput("", c.store.qual[v], trace.InHistory, c.store.sizes[v], uint64(x))
 	}
-	i, ok := c.store.slot[name]
-	if !ok {
-		c.prof.LogInput("state.", name, trace.InHistory, 8, 0)
-		return 0
-	}
-	v := c.store.vals[i]
-	c.prof.LogInput("", c.store.qual[i], trace.InHistory, c.store.sizes[i], uint64(v))
-	return v
+	return x
 }
 
 // ReadBlob reads a composite state region (all locations under prefix) as
@@ -428,12 +449,11 @@ func (c *Ctx) output(name string, cat trace.Category, size units.Size, value uin
 
 // Write stores a value, logging an Out.History output. It marks the
 // record state-changed iff the value differs from the previous one.
-func (c *Ctx) Write(name string, v int64) {
-	i, changed := c.store.write(name, v)
-	c.output(c.store.qual[i], trace.OutHistory, c.store.sizes[i], uint64(v))
-	if changed {
+func (c *Ctx) Write(v Var, x int64) {
+	if c.store.SetAt(v, x) {
 		c.rec.StateChanged = true
 	}
+	c.output(c.store.qual[v], trace.OutHistory, c.store.sizes[v], uint64(x))
 }
 
 // Temp emits a transient user-facing output (frame tile, haptic buzz),
@@ -459,9 +479,9 @@ func (c *Ctx) Send(name string, size units.Size, value uint64) {
 // only memoizable when the PRNG state itself matches, exactly as in a
 // real game whose RNG lives in memory.
 func (c *Ctx) Rand(mod int64) int64 {
-	s := c.Read("rngstate")
+	s := c.Read(rngState)
 	s = s*6364136223846793005 + 1442695040888963407
-	c.Write("rngstate", s)
+	c.Write(rngState, s)
 	v := (s >> 17) % mod
 	if v < 0 {
 		v += mod
@@ -517,6 +537,8 @@ type base struct {
 	rnd   *rng.Source
 	types []events.Type
 	cx    Ctx
+	// declared counts the locations the latest Reset declared.
+	declared int
 }
 
 func newBase(name string, types []events.Type) base {
@@ -550,9 +572,29 @@ func (b *base) ApplyOutputs(fields []trace.Field) {
 // Locator implements Game.
 func (b *base) Locator() Locator { return Locator{b.store} }
 
+// resetBase readies the store for Reset's declarations and declares the
+// traced PRNG state, the first location every game declares. Reset
+// declares the same locations in the same order every time, so a store
+// that holds exactly the latest Reset's locations is kept: declaring
+// each again sets its initial value and size. A store that gained a
+// location since is replaced.
 func (b *base) resetBase(seed uint64) {
-	b.store = NewStore()
+	if b.store.Len() != b.declared {
+		b.store = NewStore()
+	}
+	b.declared = 0
 	b.rnd = rng.New(seed)
+	b.declare(rngState, "rngstate", 8, int64(seed|1))
+}
+
+// declare declares a location that Reset gives the handle v. Reset
+// declares its game's locations in handle order, so each lands on its
+// constant; declare panics on one that does not.
+func (b *base) declare(v Var, name string, size units.Size, init int64) {
+	if got := b.store.Declare(name, size, init); got != v {
+		panic(fmt.Sprintf("games: %s declares %q as handle %d, want %d", b.name, name, got, v))
+	}
+	b.declared++
 }
 
 func (b *base) cloneBase() base {

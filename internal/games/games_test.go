@@ -28,9 +28,9 @@ func sessionEvents(t testing.TB, game string, seed uint64, secs int) []*events.E
 		handled[ty] = true
 	}
 	var out []*events.Event
-	for _, e := range evs {
-		if handled[e.Type] {
-			out = append(out, e)
+	for i := range evs {
+		if handled[evs[i].Type] {
+			out = append(out, &evs[i])
 		}
 	}
 	if len(out) < 100 {

@@ -15,7 +15,7 @@ import (
 type Locator struct{ s *Store }
 
 // Loc is a compiled input field: an index into the pending event's
-// values, the store's slots or the store's digests, or a constant.
+// values or the store's digests, a location's handle, or a constant.
 type Loc struct {
 	kind locKind
 	i    int32
@@ -27,7 +27,7 @@ type locKind uint8
 const (
 	locConst locKind = iota
 	locEvent
-	locSlot
+	locVar
 	locBlob
 )
 
@@ -38,15 +38,16 @@ const (
 //   - "state.<prefix>*" reads the digest of the locations under prefix.
 //
 // Any other name — extern data, another type's event fields — cannot be
-// read before execution: ok is false and Peek returns trace.Absent. The
-// Loc stays valid for this Locator while Layout returns the same value.
+// read before execution: ok is false and Peek returns trace.Absent. A
+// declared location's Loc holds its handle and stays valid for this
+// Locator; the others stay valid while Layout returns the same value.
 func (l Locator) Locate(t events.Type, name string) (loc Loc, ok bool) {
 	if n, isState := strings.CutPrefix(name, "state."); isState {
 		if prefix, isBlob := strings.CutSuffix(n, "*"); isBlob {
 			return Loc{kind: locBlob, i: l.s.digestIndex(prefix)}, true
 		}
-		if i, declared := l.s.slot[n]; declared {
-			return Loc{kind: locSlot, i: i}, true
+		if v, declared := l.s.index[n]; declared {
+			return Loc{kind: locVar, i: int32(v)}, true
 		}
 		return Loc{kind: locConst}, true
 	}
@@ -64,7 +65,7 @@ func (l Locator) Peek(loc Loc, e *events.Event) uint64 {
 	switch loc.kind {
 	case locEvent:
 		return uint64(e.Values[loc.i])
-	case locSlot:
+	case locVar:
 		return uint64(l.s.vals[loc.i])
 	case locBlob:
 		return l.s.fold(&l.s.digests[loc.i])
@@ -72,6 +73,7 @@ func (l Locator) Peek(loc Loc, e *events.Event) uint64 {
 	return loc.v
 }
 
-// Layout changes whenever a store insert shifts slots or drops digests,
-// which is when every Loc compiled before it goes stale.
+// Layout changes whenever a store insert or a size change drops
+// digests, which is when a blob's Loc, or an undeclared location's,
+// compiled before it may go stale.
 func (l Locator) Layout() uint64 { return l.s.layout }

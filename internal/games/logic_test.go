@@ -236,7 +236,7 @@ func TestMemoryGameMatchFlow(t *testing.T) {
 	found := false
 	for i := 0; i < memCells && !found; i++ {
 		for j := i + 1; j < memCells; j++ {
-			if g.store.Get(memPair[i]) == g.store.Get(memPair[j]) {
+			if g.store.At(memPair(i)) == g.store.At(memPair(j)) {
 				first, second, found = i, j, true
 				break
 			}
@@ -252,7 +252,7 @@ func TestMemoryGameMatchFlow(t *testing.T) {
 	}
 	tapCell(first, 1)
 	tapCell(second, 2)
-	if g.store.Get(memFace[first]) != 2 || g.store.Get(memFace[second]) != 2 {
+	if g.store.At(memFace(first)) != 2 || g.store.At(memFace(second)) != 2 {
 		t.Fatal("matched cards not locked")
 	}
 	if g.store.Get("score") != 10 {
@@ -424,24 +424,36 @@ func TestCloneAddsKeysIndependently(t *testing.T) {
 	}
 }
 
-// TestCtxReadUndeclared checks that reading an undeclared location logs
-// a zero-valued 8-byte input without declaring it.
+// TestCtxReadUndeclared: a handler reads by handle, so it can only reach
+// a location the store declared. Reading a handle the store never
+// declared panics instead of inventing a zero-valued input; a declared
+// one logs its record name, declared size and value, and neither read
+// changes the store.
 func TestCtxReadUndeclared(t *testing.T) {
 	s := NewStore()
 	s.Declare("a", 4, 1)
+	b := s.Declare("b", 2, 7)
 	h := s.Hash()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("reading an undeclared handle did not panic")
+			}
+		}()
+		new(Ctx).begin(s, events.New(events.VSync, 1, 0, 0), &trace.Dataset{}).Read(b + 1)
+	}()
 	prof := &trace.Dataset{}
-	c := new(Ctx).begin(s, events.New(events.VSync, 1, 0, 0), prof)
-	if v := c.Read("missing"); v != 0 {
+	c := new(Ctx).begin(s, events.New(events.VSync, 2, 0, 0), prof)
+	if v := c.Read(b); v != 7 {
 		t.Fatalf("Read = %d", v)
 	}
 	c.finish()
 	in := prof.Record(0).Inputs[0]
-	if in.Name != "state.missing" || in.Size != 8 || in.Value != 0 || in.Category != trace.InHistory {
+	if in.Name != "state.b" || in.Size != 2 || in.Value != 7 || in.Category != trace.InHistory {
 		t.Fatalf("logged %+v", in)
 	}
-	if s.Len() != 1 || s.Hash() != h {
-		t.Fatal("Read declared the location")
+	if s.Len() != 2 || s.Hash() != h {
+		t.Fatal("a read changed the store")
 	}
 }
 
@@ -464,7 +476,8 @@ func TestCtxNoLogSkipsStoreDigest(t *testing.T) {
 // TestLocatorEdges: the names no recorded input shows. An undeclared
 // location reads 0; extern data and another type's event fields cannot
 // be read ahead; a blob reads its prefix's digest. An insert changes the
-// layout, after which locating again finds the shifted slot.
+// layout, but a declared location's Loc holds its handle, so it still
+// reads that location, as locating it again does.
 func TestLocatorEdges(t *testing.T) {
 	s := NewStore()
 	s.Declare("b", 4, 7)
@@ -495,15 +508,19 @@ func TestLocatorEdges(t *testing.T) {
 	}
 	b, _ := l.Locate(events.Tap, "state.b")
 	before := l.Layout()
-	s.Set("a", 5) // sorts before "b": shifts its slot
+	s.Set("a", 5) // sorts before "b": shifts its rank, not its handle
 	if l.Layout() == before {
 		t.Fatal("an insert left the layout unchanged")
 	}
-	if l.Peek(b, tap) == 7 {
-		t.Fatal("the stale Loc still reads b; the test shifts nothing")
+	if l.Peek(b, tap) != 7 {
+		t.Fatal("an insert moved b's Loc off b")
 	}
 	if b, _ = l.Locate(events.Tap, "state.b"); l.Peek(b, tap) != 7 {
 		t.Error("relocated b does not read its value")
+	}
+	blob, _ = l.Locate(events.Tap, "state.c.*")
+	if h, _ := s.HashPrefix("c."); l.Peek(blob, tap) != h {
+		t.Error("relocated blob peek differs from HashPrefix after the insert")
 	}
 	s.Set("b", 9) // no insert: the layout stays
 	if l.Layout() != before+1 {

@@ -101,3 +101,40 @@ func TestWorkIsACappedView(t *testing.T) {
 		t.Fatal("no execution had IP calls and spare buffer capacity")
 	}
 }
+
+// TestHandlesStable: a game's handles are constants. Every seed's Reset
+// declares the same names under the same handles, a clone keeps them,
+// and a session adds no location, logging or not, on the game, on its
+// shadow clones or through ApplyOutputs, so the layout never moves.
+func TestHandlesStable(t *testing.T) {
+	for _, name := range games.Names() {
+		g := games.MustNew(name)
+		want, _ := games.Handles(g)
+		if len(want) == 0 || want[0] != "rngstate" {
+			t.Fatalf("%s: handles %v do not start with rngstate", name, want)
+		}
+		for _, seed := range []uint64{2, 7, 1234} {
+			g.Reset(seed)
+			if got, _ := games.Handles(g); !slices.Equal(got, want) {
+				t.Fatalf("%s seed %d: handles %v, want %v", name, seed, got, want)
+			}
+			_, layout := games.Handles(g)
+			prof := &trace.Dataset{Game: name}
+			twin := g.Clone()
+			for i, e := range sessionEvents(t, name, seed, 6) {
+				c := g.Clone()
+				x := c.Process(e, nil)
+				twin.ApplyOutputs(x.Record.Outputs)
+				if got, _ := games.Handles(c); !slices.Equal(got, want) {
+					t.Fatalf("%s seed %d event %d: clone's handles %v, want %v", name, seed, i, got, want)
+				}
+				g.Process(e, prof)
+			}
+			for _, h := range []games.Game{g, twin} {
+				if got, l := games.Handles(h); !slices.Equal(got, want) || l != layout {
+					t.Fatalf("%s seed %d: after a session handles %v layout %d, want %v layout %d", name, seed, got, l, want, layout)
+				}
+			}
+		}
+	}
+}

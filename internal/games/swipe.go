@@ -18,6 +18,18 @@ const (
 	ccCols   = 8
 	ccRows   = 8
 	ccColors = 5
+	ccCells  = ccCols * ccRows
+)
+
+// Candy Crush's locations, in declaration order after rngState.
+const (
+	ccScore Var = iota + 1
+	ccLevel
+	ccMoves
+	ccAnim
+	ccCascadeRow
+	ccCascadeCol
+	ccCell0 // the ccCells board cells
 )
 
 type candyCrush struct {
@@ -34,23 +46,24 @@ func NewCandyCrush() Game {
 // Reset implements Game.
 func (g *candyCrush) Reset(seed uint64) {
 	g.resetBase(seed)
-	s := g.store
-	s.Declare("rngstate", 8, int64(seed|1))
-	s.Declare("score", 4, 0)
-	s.Declare("level", 2, 1)
-	s.Declare("moves", 2, 30)
-	s.Declare("anim", 1, 0)       // cascade/celebration animation countdown
-	s.Declare("cascadeRow", 1, 0) // board row of the last cascade
-	s.Declare("cascadeCol", 1, 0) // board column of the last cascade
-	for i := 0; i < ccCols*ccRows; i++ {
-		s.Declare(ccCell[i], 4, 0)
+	g.declare(ccScore, "score", 4, 0)
+	g.declare(ccLevel, "level", 2, 1)
+	g.declare(ccMoves, "moves", 2, 30)
+	g.declare(ccAnim, "anim", 1, 0)             // cascade/celebration animation countdown
+	g.declare(ccCascadeRow, "cascadeRow", 1, 0) // board row of the last cascade
+	g.declare(ccCascadeCol, "cascadeCol", 1, 0) // board column of the last cascade
+	for i := 0; i < ccCells; i++ {
+		g.declare(ccCell(i), ccCellName[i], 4, 0)
 	}
 	g.fillBoard()
 }
 
-// ccCell holds each board cell's location name, "cell.<row><col>" with
-// rows from 'a' and columns from '0', so no handler builds one.
-var ccCell = func() (names [ccCols * ccRows]string) {
+// ccCell returns the handle of board cell i.
+func ccCell(i int) Var { return ccCell0 + Var(i) }
+
+// ccCellName holds each board cell's location name, "cell.<row><col>"
+// with rows from 'a' and columns from '0'.
+var ccCellName = func() (names [ccCells]string) {
 	for i := range names {
 		names[i] = "cell." + string(rune('a'+i/ccCols)) + string(rune('0'+i%ccCols))
 	}
@@ -59,10 +72,10 @@ var ccCell = func() (names [ccCols * ccRows]string) {
 
 // fillBoard seeds the board avoiding pre-made matches (reset time).
 func (g *candyCrush) fillBoard() {
-	for i := 0; i < ccCols*ccRows; i++ {
+	for i := 0; i < ccCells; i++ {
 		for {
 			col := int64(g.rnd.Intn(ccColors))
-			g.store.Set(ccCell[i], col)
+			g.store.SetAt(ccCell(i), col)
 			if !g.matchAt(i) {
 				break
 			}
@@ -73,7 +86,7 @@ func (g *candyCrush) fillBoard() {
 // matchAt reports whether cell i participates in a 3-run.
 func (g *candyCrush) matchAt(i int) bool {
 	r, c := i/ccCols, i%ccCols
-	col := g.store.Get(ccCell[i])
+	col := g.store.At(ccCell(i))
 	run := func(dr, dc int) int {
 		n := 0
 		for k := 1; ; k++ {
@@ -81,7 +94,7 @@ func (g *candyCrush) matchAt(i int) bool {
 			if rr < 0 || rr >= ccRows || cc < 0 || cc >= ccCols {
 				break
 			}
-			if g.store.Get(ccCell[rr*ccCols+cc]) != col {
+			if g.store.At(ccCell(rr*ccCols+cc)) != col {
 				break
 			}
 			n++
@@ -155,15 +168,15 @@ func (g *candyCrush) swipe(c *Ctx, e *events.Event) {
 			b = -1
 		}
 	}
-	if b < 0 || b >= ccCols*ccRows {
+	if b < 0 || b >= ccCells {
 		c.Temp("temp.swipe-trail", 24, trace.HashValues(x0, y0, x1, y1))
 		return
 	}
 	// The match test reads the neighborhood of both cells — a sizable
 	// In.History region.
 	boardHash := c.ReadBlob("cell.")
-	colA := c.Read(ccCell[a])
-	colB := c.Read(ccCell[b])
+	colA := c.Read(ccCell(a))
+	colB := c.Read(ccCell(b))
 	c.CPUPure("match-test", trace.Combine(boardHash, trace.HashValues(int64(a), int64(b))), 3_500_000, 64*units.KB)
 	if colA == colB {
 		// Swapping identical candies can never create a new match.
@@ -171,33 +184,33 @@ func (g *candyCrush) swipe(c *Ctx, e *events.Event) {
 		return
 	}
 	// Tentatively swap and test.
-	g.store.Set(ccCell[a], colB)
-	g.store.Set(ccCell[b], colA)
+	g.store.SetAt(ccCell(a), colB)
+	g.store.SetAt(ccCell(b), colA)
 	legal := g.matchAt(a) || g.matchAt(b)
 	if !legal {
 		// Revert. Nothing changed: the illegal-swap wiggle is Out.Temp.
-		g.store.Set(ccCell[a], colA)
-		g.store.Set(ccCell[b], colB)
+		g.store.SetAt(ccCell(a), colA)
+		g.store.SetAt(ccCell(b), colB)
 		c.Temp("temp.wiggle", 32, trace.HashValues(int64(a), int64(b)))
 		return
 	}
 	// Legal move: record the swap as outputs, resolve cascades.
-	c.Write(ccCell[a], colB)
-	c.Write(ccCell[b], colA)
+	c.Write(ccCell(a), colB)
+	c.Write(ccCell(b), colA)
 	removed := g.resolve(c)
-	c.Write("score", c.Read("score")+int64(removed)*20)
-	c.Write("moves", c.Read("moves")-1)
-	c.Write("anim", 90)
+	c.Write(ccScore, c.Read(ccScore)+int64(removed)*20)
+	c.Write(ccMoves, c.Read(ccMoves)-1)
+	c.Write(ccAnim, 90)
 	// Where the cascade falls drives the animation overlay's content.
-	c.Write("cascadeRow", int64(a/ccCols))
-	c.Write("cascadeCol", int64(a%ccCols))
+	c.Write(ccCascadeRow, int64(a/ccCols))
+	c.Write(ccCascadeCol, int64(a%ccCols))
 	c.CPU("cascade", trace.Combine(boardHash, uint64(removed)), 9_000_000, 256*units.KB)
 	c.IP(energy.AudioCodec, "crush", trace.HashValues(int64(removed)), 1200*units.Microsecond, 16*units.KB)
 	c.Temp("temp.cascade-anim", 64, trace.HashValues(int64(removed)))
-	if c.Read("moves") <= 0 {
-		c.Write("level", c.Read("level")+1)
-		c.Write("moves", 30)
-		c.CPU("level-load", trace.HashValues(c.Read("level")), 5_000_000, 512*units.KB)
+	if c.Read(ccMoves) <= 0 {
+		c.Write(ccLevel, c.Read(ccLevel)+1)
+		c.Write(ccMoves, 30)
+		c.CPU("level-load", trace.HashValues(c.Read(ccLevel)), 5_000_000, 512*units.KB)
 	}
 }
 
@@ -205,10 +218,10 @@ func (g *candyCrush) swipe(c *Ctx, e *events.Event) {
 // board is stable, recording cell writes. Returns candies removed.
 func (g *candyCrush) resolve(c *Ctx) int {
 	removed := 0
-	var buf [ccCols * ccRows]int
+	var buf [ccCells]int
 	for pass := 0; pass < 6; pass++ {
 		dead := buf[:0]
-		for i := 0; i < ccCols*ccRows; i++ {
+		for i := 0; i < ccCells; i++ {
 			if g.matchAt(i) {
 				dead = append(dead, i)
 			}
@@ -218,7 +231,7 @@ func (g *candyCrush) resolve(c *Ctx) int {
 		}
 		removed += len(dead)
 		for _, i := range dead {
-			c.Write(ccCell[i], c.Rand(ccColors))
+			c.Write(ccCell(i), c.Rand(ccColors))
 		}
 	}
 	return removed
@@ -234,18 +247,18 @@ func CandyHint(g Game) (a, b int, ok bool) {
 		return 0, 0, false
 	}
 	try := func(i, j int) bool {
-		ci, cj := cc.store.Get(ccCell[i]), cc.store.Get(ccCell[j])
+		ci, cj := cc.store.At(ccCell(i)), cc.store.At(ccCell(j))
 		if ci == cj {
 			return false
 		}
-		cc.store.Set(ccCell[i], cj)
-		cc.store.Set(ccCell[j], ci)
+		cc.store.SetAt(ccCell(i), cj)
+		cc.store.SetAt(ccCell(j), ci)
 		legal := cc.matchAt(i) || cc.matchAt(j)
-		cc.store.Set(ccCell[i], ci)
-		cc.store.Set(ccCell[j], cj)
+		cc.store.SetAt(ccCell(i), ci)
+		cc.store.SetAt(ccCell(j), cj)
 		return legal
 	}
-	for i := 0; i < ccCols*ccRows; i++ {
+	for i := 0; i < ccCells; i++ {
 		if i%ccCols < ccCols-1 && try(i, i+1) {
 			return i, i + 1, true
 		}
@@ -273,8 +286,8 @@ func (g *candyCrush) tap(c *Ctx, e *events.Event) {
 
 func (g *candyCrush) vsync(c *Ctx) {
 	boardHash := c.ReadBlob("cell.")
-	anim := c.Read("anim")
-	score := c.Read("score")
+	anim := c.Read(ccAnim)
+	score := c.Read(ccScore)
 	frameHash := trace.Combine(boardHash, trace.HashValues(anim, score))
 	c.CPU("compose-ui", frameHash, 16_000_000, 512*units.KB)
 	c.IP(energy.GPU, "render", frameHash, 4200*units.Microsecond, 2*units.MB)
@@ -282,8 +295,8 @@ func (g *candyCrush) vsync(c *Ctx) {
 	// settled board redraws identically.
 	if anim > 0 {
 		c.Temp("temp.overlay.cascade", 40,
-			trace.HashValues(anim, c.Read("cascadeRow"), c.Read("cascadeCol")))
-		c.Write("anim", anim-1)
+			trace.HashValues(anim, c.Read(ccCascadeRow), c.Read(ccCascadeCol)))
+		c.Write(ccAnim, anim-1)
 	}
 }
 
@@ -297,6 +310,18 @@ const (
 	gwWaveKinds = 3  // distinct wave trajectories
 	gwWaveLen   = 96 // frames per wave
 	gwFruit     = 5  // fruit per wave
+)
+
+// Greenwall's locations, in declaration order after rngState.
+const (
+	gwScore Var = iota + 1
+	gwCombo
+	gwWaveKind
+	gwWavePhase
+	gwGap
+	gwSliced
+	gwFruitSet
+	gwWave
 )
 
 type greenwall struct {
@@ -313,16 +338,14 @@ func NewGreenwall() Game {
 // Reset implements Game.
 func (g *greenwall) Reset(seed uint64) {
 	g.resetBase(seed)
-	s := g.store
-	s.Declare("rngstate", 8, int64(seed|1))
-	s.Declare("score", 4, 0)
-	s.Declare("combo", 1, 0)
-	s.Declare("waveKind", 1, 0)
-	s.Declare("wavePhase", 2, 0) // 0..gwWaveLen during a wave
-	s.Declare("gap", 1, 1)       // 1 = between waves ("slice to start"), 0 = wave flying
-	s.Declare("sliced", 1, 0)    // bitmask of sliced fruit in the current wave
-	s.Declare("fruitSet", 1, 0)  // which fruit sprites fly this wave
-	s.Declare("wave", 2, 0)
+	g.declare(gwScore, "score", 4, 0)
+	g.declare(gwCombo, "combo", 1, 0)
+	g.declare(gwWaveKind, "waveKind", 1, 0)
+	g.declare(gwWavePhase, "wavePhase", 2, 0) // 0..gwWaveLen during a wave
+	g.declare(gwGap, "gap", 1, 1)             // 1 = between waves ("slice to start"), 0 = wave flying
+	g.declare(gwSliced, "sliced", 1, 0)       // bitmask of sliced fruit in the current wave
+	g.declare(gwFruitSet, "fruitSet", 1, 0)   // which fruit sprites fly this wave
+	g.declare(gwWave, "wave", 2, 0)
 }
 
 // Clone implements Game.
@@ -365,23 +388,23 @@ func (g *greenwall) swipe(c *Ctx, e *events.Event) {
 	y0 := c.Event(e, "y0")
 	x1 := c.Event(e, "x1")
 	y1 := c.Event(e, "y1")
-	kind := c.Read("waveKind")
-	phase := c.Read("wavePhase")
-	gap := c.Read("gap")
-	sliced := c.Read("sliced")
+	kind := c.Read(gwWaveKind)
+	phase := c.Read(gwWavePhase)
+	gap := c.Read(gwGap)
+	sliced := c.Read(gwSliced)
 	c.CPUPure("slice-test", trace.HashValues(x0, y0, x1, y1, kind, phase, sliced), 5_200_000, 32*units.KB)
 	c.Temp("temp.blade-trail", 40, trace.HashValues(x0, y0, x1, y1))
 	if gap > 0 {
 		// "Slice to start": the first swipe after a wave ends launches
 		// the next wave with a traced-RNG kind.
-		c.Write("gap", 0)
-		c.Write("wavePhase", 0)
-		c.Write("sliced", 0)
-		c.Write("combo", 0)
-		c.Write("waveKind", c.Rand(gwWaveKinds))
-		c.Write("fruitSet", c.Rand(40))
-		c.Write("wave", c.Read("wave")+1)
-		c.CPUPure("wave-launch", trace.HashValues(c.Read("wave")), 1_500_000, 32*units.KB)
+		c.Write(gwGap, 0)
+		c.Write(gwWavePhase, 0)
+		c.Write(gwSliced, 0)
+		c.Write(gwCombo, 0)
+		c.Write(gwWaveKind, c.Rand(gwWaveKinds))
+		c.Write(gwFruitSet, c.Rand(40))
+		c.Write(gwWave, c.Read(gwWave)+1)
+		c.CPUPure("wave-launch", trace.HashValues(c.Read(gwWave)), 1_500_000, 32*units.KB)
 		return
 	}
 	hits := 0
@@ -399,10 +422,10 @@ func (g *greenwall) swipe(c *Ctx, e *events.Event) {
 	if hits == 0 {
 		return // missed everything: useless
 	}
-	c.Write("sliced", newMask)
-	combo := c.Read("combo") + int64(hits)
-	c.Write("combo", combo)
-	c.Write("score", c.Read("score")+int64(hits)*15*max64(combo, 1))
+	c.Write(gwSliced, newMask)
+	combo := c.Read(gwCombo) + int64(hits)
+	c.Write(gwCombo, combo)
+	c.Write(gwScore, c.Read(gwScore)+int64(hits)*15*max64(combo, 1))
 	c.CPU("splash", trace.HashValues(newMask, int64(hits)), 3_200_000, 128*units.KB)
 	c.IP(energy.AudioCodec, "slice", trace.HashValues(int64(hits)), 800*units.Microsecond, 8*units.KB)
 	c.Temp("temp.splash-anim", 96, trace.HashValues(newMask))
@@ -430,11 +453,11 @@ func max64(a, b int64) int64 {
 }
 
 func (g *greenwall) vsync(c *Ctx) {
-	kind := c.Read("waveKind")
-	phase := c.Read("wavePhase")
-	gap := c.Read("gap")
-	sliced := c.Read("sliced")
-	score := c.Read("score")
+	kind := c.Read(gwWaveKind)
+	phase := c.Read(gwWavePhase)
+	gap := c.Read(gwGap)
+	sliced := c.Read(gwSliced)
+	score := c.Read(gwScore)
 	frameHash := trace.HashValues(kind, phase, gap, sliced, score)
 	c.CPU("physics", frameHash, 8_000_000, 128*units.KB)
 	c.CPU("compose-ui", frameHash, 10_000_000, 384*units.KB)
@@ -442,17 +465,17 @@ func (g *greenwall) vsync(c *Ctx) {
 	// Screen delta: flying fruit. Between waves the "slice to start"
 	// banner is static.
 	if gap == 0 {
-		c.Temp("temp.overlay.fruit", 48, trace.HashValues(kind, phase, sliced, c.Read("fruitSet")))
+		c.Temp("temp.overlay.fruit", 48, trace.HashValues(kind, phase, sliced, c.Read(gwFruitSet)))
 	}
 	switch {
 	case gap > 0:
 		// Between waves the "slice to start" banner is static: the frame
 		// is re-composed and re-rendered with no change — useless.
 	case phase < gwWaveLen-1:
-		c.Write("wavePhase", phase+1)
+		c.Write(gwWavePhase, phase+1)
 	default:
 		// Wave over: unsliced fruit falls away; await the next swipe.
-		c.Write("gap", 1)
-		c.Write("wavePhase", 0)
+		c.Write(gwGap, 1)
+		c.Write(gwWavePhase, 0)
 	}
 }

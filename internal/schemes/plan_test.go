@@ -65,8 +65,8 @@ func (s *swapSink) Hit(_ int64, served []trace.Field, _ *games.Execution) []trac
 func (s *swapSink) Executed(*games.Execution) {}
 
 // growingGame declares a new location every 200 events, before every
-// other in slot order, so each one shifts all slots and drops the
-// store's digests: every Loc compiled before it goes stale.
+// other in sorted-name order, so each one drops the store's digests and
+// changes its layout: every blob Loc compiled before it goes stale.
 type growingGame struct {
 	games.Game
 	n int
@@ -81,7 +81,7 @@ func (g *growingGame) Process(e *events.Event, profile *trace.Dataset) *games.Ex
 
 // TestKeyPlanMatchesNameLookup: the device's compiled key plan probes
 // exactly as resolving every selected field by name would, across table
-// swaps and store inserts that shift slots mid-session.
+// swaps and store inserts that drop digests mid-session.
 func TestKeyPlanMatchesNameLookup(t *testing.T) {
 	for _, name := range []string{"CandyCrush", "MemoryGame", "ABEvolution", "ChaseWhisply"} {
 		gen, err := workload.ForGame(name)
@@ -103,7 +103,7 @@ func TestKeyPlanMatchesNameLookup(t *testing.T) {
 			}
 		}
 		if game.n < 400 {
-			t.Fatalf("%s: only %d events, too few to shift the slots", name, game.n)
+			t.Fatalf("%s: only %d events, too few to insert a location", name, game.n)
 		}
 	}
 }

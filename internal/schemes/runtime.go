@@ -1,7 +1,8 @@
 package schemes
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"snip/internal/events"
@@ -87,6 +88,9 @@ type Device struct {
 	// served holds the outputs of the latest hit, decoded from the
 	// table's entry view.
 	served []trace.Field
+	// synth synthesizes each session's events into buffers it keeps
+	// across sessions.
+	synth events.Synthesizer
 }
 
 // NewDevice wraps a game instance.
@@ -174,29 +178,50 @@ func (d *Device) Play(s Session, sink Sink) Played {
 	synthCfg := events.DefaultSynthesizerConfig()
 	// Frame counters count from device boot: no two sessions share them.
 	synthCfg.FrameBase = int64(s.Seed%1_000_000) * 10_000_000
-	evs := events.NewSynthesizer(synthCfg).SynthesizeAll(stream)
-	sort.SliceStable(evs, func(i, j int) bool {
-		if evs[i].Time != evs[j].Time {
-			return evs[i].Time < evs[j].Time
-		}
-		return evs[i].Seq < evs[j].Seq
-	})
+	d.synth.Reset(synthCfg)
+	evs := d.synth.SynthesizeAll(stream)
+	if !inDeliveryOrder(evs) {
+		// Synthesis emits in delivery order from a time-ordered stream
+		// (TestSynthesizedSessionsInDeliveryOrder), so this never runs
+		// on a stream the sensors package built.
+		slices.SortStableFunc(evs, deliveryOrder)
+	}
 	var shadow *rng.Source
 	if s.ShadowRate > 0 {
 		shadow = rng.New(s.Seed ^ 0x5348414457475244) // "SHADWGRD"
 	}
 
+	// The log's events share one values array, sized for every handled
+	// event; the synthesizer's own buffers are reused next session.
+	var logVals []int64
+	if s.Log != nil {
+		n, m := 0, 0
+		for i := range evs {
+			if d.handled[evs[i].Type] {
+				n, m = n+1, m+len(evs[i].Values)
+			}
+		}
+		s.Log.Events = slices.Grow(s.Log.Events, n)
+		logVals = make([]int64, 0, m)
+	}
+
 	p := Played{End: stream.End()}
-	for _, e := range evs {
+	// Each probe's wall time is the difference of two monotonic reads
+	// against one clock base per session.
+	base := time.Now()
+	for i := range evs {
+		e := &evs[i]
 		if !d.handled[e.Type] {
 			p.Unhandled++
 			continue
 		}
 		p.Events++
 		if s.Log != nil {
+			k := len(logVals)
+			logVals = append(logVals, e.Values...)
 			s.Log.Events = append(s.Log.Events, trace.LoggedEvent{
 				Type: e.Type.String(), Seq: e.Seq, Time: e.Time,
-				Values: append([]int64(nil), e.Values...),
+				Values: logVals[k:len(logVals):len(logVals)],
 			})
 		}
 		tab := sink.Deliver(e)
@@ -207,11 +232,11 @@ func (d *Device) Play(s Session, sink Sink) Played {
 		if d.plan.stale(tab, loc) {
 			d.plan.compile(tab, loc)
 		}
-		start := time.Now()
+		start := time.Since(base)
 		tp := &d.plan.types[e.Type]
 		ek, sk := tp.keys(loc, e)
 		entry, probes, cmpBytes, hit := tab.Probe(tp.name, ek, sk)
-		wall := time.Since(start).Nanoseconds()
+		wall := (time.Since(base) - start).Nanoseconds()
 		p.Lookup.Observe(probes, cmpBytes, hit)
 		sink.Probed(probes, cmpBytes, hit, wall)
 		if !hit {
@@ -228,4 +253,22 @@ func (d *Device) Play(s Session, sink Sink) Played {
 		game.ApplyOutputs(sink.Hit(entry.Instr(), d.served, truth))
 	}
 	return p
+}
+
+// inDeliveryOrder reports whether evs is ordered by deliveryOrder.
+func inDeliveryOrder(evs []events.Event) bool {
+	for i := 1; i < len(evs); i++ {
+		if a, b := &evs[i-1], &evs[i]; a.Time > b.Time || a.Time == b.Time && a.Seq > b.Seq {
+			return false
+		}
+	}
+	return true
+}
+
+// deliveryOrder orders events by time, then by sequence number.
+func deliveryOrder(a, b events.Event) int {
+	if a.Time != b.Time {
+		return cmp.Compare(a.Time, b.Time)
+	}
+	return cmp.Compare(a.Seq, b.Seq)
 }

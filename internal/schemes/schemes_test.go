@@ -109,7 +109,7 @@ func TestMaxSchemesSaveEnergy(t *testing.T) {
 	}
 }
 
-func buildTable(t *testing.T, game string, sessions int) *memo.SnipTable {
+func buildTable(t testing.TB, game string, sessions int) *memo.SnipTable {
 	t.Helper()
 	prof := &trace.Dataset{Game: game}
 	for i := 0; i < sessions; i++ {
@@ -128,7 +128,7 @@ func buildTable(t *testing.T, game string, sessions int) *memo.SnipTable {
 
 // buildFlatTable is buildTable's table in the flat form the fleet
 // serves and the chaos injector poisons.
-func buildFlatTable(t *testing.T, game string, sessions int) *memo.FlatTable {
+func buildFlatTable(t testing.TB, game string, sessions int) *memo.FlatTable {
 	t.Helper()
 	ft, err := memo.Flatten(buildTable(t, game, sessions))
 	if err != nil {
