@@ -113,9 +113,10 @@ go test -run '^$' -bench '^BenchmarkReplay$' -benchtime 1x -benchmem ./internal/
 echo "== replay allocation gate (BenchmarkReplay allocs/record per game must stay within its committed bound)"
 # Allocation counts are deterministic, so the bounds are hard. Each sits
 # at about 1.2x what replay with one reused execution context per game
-# and a store kept across Reset measures (0.092 to 0.25 allocs/record);
-# a store rebuilt per Reset took 0.12 to 0.39, a context per event 3.19
-# to 4.16, and replay into a record list 11.2 to 12.4.
+# measures when the session's Reset keeps the store the game's
+# constructor filled (0.092 to 0.25 allocs/record); a store rebuilt by
+# that Reset took 0.12 to 0.39, a context per event 3.19 to 4.16, and
+# replay into a record list 11.2 to 12.4.
 replay_out=$(go test -run '^$' -bench '^BenchmarkReplay$' -benchtime 3x ./internal/cloud)
 echo "$replay_out"
 echo "$replay_out" | awk '
@@ -141,10 +142,10 @@ echo "== device allocation gate (BenchmarkDevicePlay allocs/event per game, with
 # Allocation counts are deterministic, so the bounds are hard. Each sits
 # at about 1.2x what one 5 s session per op measures with handle-addressed
 # state, events synthesized into reused buffers and a store kept across
-# Reset (0.088 to 0.75 allocs/event, the same with a table and without:
-# what is left is per session, most of it the sensor stream); an event
-# object per synthesized event and a store rebuilt per Reset took 2.3 to
-# 3.7.
+# the device's sessions (0.088 to 0.75 allocs/event, the same with a
+# table and without: what is left is per session, most of it the sensor
+# stream); an event object per synthesized event and a store rebuilt per
+# Reset took 2.3 to 3.7.
 play_out=$(go test -run '^$' -bench '^BenchmarkDevicePlay$' -benchtime 2x ./internal/schemes)
 echo "$play_out"
 echo "$play_out" | awk '

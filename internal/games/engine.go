@@ -577,7 +577,9 @@ func (b *base) Locator() Locator { return Locator{b.store} }
 // declares the same locations in the same order every time, so a store
 // that holds exactly the latest Reset's locations is kept: declaring
 // each again sets its initial value and size. A store that gained a
-// location since is replaced.
+// location since is replaced. Every game's constructor Resets once, so
+// the Reset that starts a session always finds a filled store;
+// TestResetMatchesFresh pins that a kept store reads as a fresh one.
 func (b *base) resetBase(seed uint64) {
 	if b.store.Len() != b.declared {
 		b.store = NewStore()

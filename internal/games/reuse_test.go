@@ -138,3 +138,37 @@ func TestHandlesStable(t *testing.T) {
 		}
 	}
 }
+
+// TestResetMatchesFresh: Reset keeps a store that holds exactly the
+// locations its previous Reset declared, and replaces one that gained a
+// location since. Either way a reset game must read as a freshly built
+// one: the same handles, the same state, and the same executions.
+func TestResetMatchesFresh(t *testing.T) {
+	const seed = 11
+	for _, name := range games.Names() {
+		evs := sessionEvents(t, name, seed, 6)
+		for _, grow := range []bool{false, true} {
+			g := games.MustNew(name)
+			for _, e := range evs {
+				g.ApplyOutputs(g.Process(e, nil).Record.Outputs)
+			}
+			if grow {
+				g.ApplyOutputs([]trace.Field{{Name: "state.undeclared", Category: trace.OutHistory, Size: 8, Value: 3}})
+			}
+			g.Reset(seed)
+			fresh := games.MustNew(name)
+			fresh.Reset(seed)
+			got, _ := games.Handles(g)
+			want, _ := games.Handles(fresh)
+			if !slices.Equal(got, want) || g.StateHash() != fresh.StateHash() {
+				t.Fatalf("%s grow=%v: reset game's handles %v hash %x, fresh %v hash %x", name, grow, got, g.StateHash(), want, fresh.StateHash())
+			}
+			for i, e := range evs {
+				x, y := snapshot(g.Process(e, nil)), snapshot(fresh.Process(e, nil))
+				if !reflect.DeepEqual(x, y) {
+					t.Fatalf("%s grow=%v event %d: reset game executes %+v, fresh %+v", name, grow, i, x.Record, y.Record)
+				}
+			}
+		}
+	}
+}
