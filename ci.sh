@@ -33,8 +33,8 @@ go test -race ./internal/parallel ./internal/experiments ./internal/pfi ./intern
 echo "== go test -race (fleet serving: shared table + device fleet + chaos)"
 go test -race ./internal/fleet ./internal/memo ./internal/chaos
 
-echo "== go test -race (tracing + telemetry + energy paths: span recording and fleet rollups under concurrent drains)"
-go test -race -run 'Span|Trace|Healthz|Telemetry|Fleetz|Window|Energy|Ledger|Energyz' ./internal/obs ./internal/cloud ./internal/fleet ./internal/energy
+echo "== go test -race (tracing + telemetry + energy paths: span recording and fleet rollups under concurrent drains, and snipstat polling a live service)"
+go test -race -run 'Span|Trace|Healthz|Telemetry|Fleetz|Window|Energy|Ledger|Energyz' ./internal/obs ./internal/cloud ./internal/fleet ./internal/energy ./cmd/snipstat
 
 echo "== go test -race (shard router + delta OTA: queue-routed ingest, update negotiation, multi-round swaps)"
 go test -race -run 'Shard|Delta|Update|OTA' ./internal/cloud ./internal/memo ./internal/trace ./internal/fleet

@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"snip"
+	"snip/internal/cloud"
 )
 
 // benchFile is the BENCH_fleet.json schema. The ci.sh smoke gate runs a
@@ -108,86 +109,11 @@ type benchFile struct {
 }
 
 // fleetRun is one sweep point: the fleet report plus the cloud's
-// admission-controller view captured right after the run.
+// admission-controller view (GET /v1/overloadz) captured right after
+// the run.
 type fleetRun struct {
 	*snip.FleetReport
-	Overloadz *overloadzReply `json:"overloadz,omitempty"`
-}
-
-// overloadzReply mirrors GET /v1/overloadz: the admission controller's
-// queue occupancy, shed ratio, autoscale signal, and per-class
-// conservation ledger (offered = accepted + shed + dropped per class).
-type overloadzReply struct {
-	QueueCap   int             `json:"queue_cap"`
-	Shards     int             `json:"shards"`
-	Occupancy  float64         `json:"occupancy"`
-	ShedRatio  float64         `json:"shed_ratio"`
-	Signal     float64         `json:"signal"`
-	Verdict    string          `json:"verdict"`
-	QuotaRate  float64         `json:"quota_rate_per_sec,omitempty"`
-	QuotaBurst float64         `json:"quota_burst,omitempty"`
-	QuotaShed  int64           `json:"quota_shed"`
-	Classes    []overloadClass `json:"classes"`
-}
-
-type overloadClass struct {
-	Class    string `json:"class"`
-	Offered  int64  `json:"offered"`
-	Accepted int64  `json:"accepted"`
-	Shed     int64  `json:"shed"`
-	Dropped  int64  `json:"dropped"`
-}
-
-// fleetzReply mirrors the subset of GET /v1/fleetz the bench prints and
-// gates on: the per-game drift and ingest-pressure signals derived from
-// the telemetry the sweep just shipped.
-type fleetzReply struct {
-	Records int64        `json:"telemetry_records"`
-	Games   []fleetzGame `json:"games"`
-}
-
-type fleetzGame struct {
-	Game            string      `json:"game"`
-	LiveGeneration  int64       `json:"live_generation"`
-	PrevGeneration  int64       `json:"prev_generation"`
-	Drift           float64     `json:"drift"`
-	DriftVerdict    string      `json:"drift_verdict"`
-	Pressure        float64     `json:"pressure"`
-	PressureVerdict string      `json:"pressure_verdict"`
-	Generations     []fleetzGen `json:"generations"`
-}
-
-type fleetzGen struct {
-	Generation       int64   `json:"generation"`
-	Records          int64   `json:"records"`
-	Devices          int     `json:"devices"`
-	WindowedHitRate  float64 `json:"windowed_hit_rate"`
-	Mispredict       float64 `json:"windowed_mispredict_ratio"`
-	EffectiveHitRate float64 `json:"effective_hit_rate"`
-}
-
-// energyzReply mirrors the subset of GET /v1/energyz the bench prints
-// and gates on: the per-game energy-regression verdict and the device
-// monotone-conservation counter.
-type energyzReply struct {
-	Games []energyzGame `json:"games"`
-}
-
-type energyzGame struct {
-	Game               string       `json:"game"`
-	LiveGeneration     int64        `json:"live_generation"`
-	PrevGeneration     int64        `json:"prev_generation"`
-	Regression         float64      `json:"regression"`
-	RegressionVerdict  string       `json:"regression_verdict"`
-	MonotoneViolations int64        `json:"monotone_violations"`
-	Generations        []energyzGen `json:"generations"`
-}
-
-type energyzGen struct {
-	Generation       int64   `json:"generation"`
-	EnergyPerEventUJ float64 `json:"energy_per_event_uj"`
-	NetPerEventUJ    float64 `json:"net_per_event_uj"`
-	BatteryHours     float64 `json:"battery_hours"`
+	Overloadz *cloud.OverloadzReply `json:"overloadz,omitempty"`
 }
 
 func main() {
@@ -374,7 +300,7 @@ func main() {
 				fmt.Fprintf(os.Stderr,
 					"            gen %-2d  %3d records / %d devices  hit=%5.1f%%  mispredict=%4.1f%%  eff=%5.1f%%\n",
 					gen.Generation, gen.Records, gen.Devices, 100*gen.WindowedHitRate,
-					100*gen.Mispredict, 100*gen.EffectiveHitRate)
+					100*gen.WindowedMispredict, 100*gen.EffectiveHitRate)
 			}
 		}
 		for _, g := range ez.Games {
@@ -437,7 +363,7 @@ type runSettings struct {
 // in the sweep output. Every run also captures /v1/overloadz — the
 // admission controller's conservation ledger — and, in overload runs,
 // probes /v1/healthz to prove guard-class traffic is never shed.
-func runOnce(set runSettings, devices int, met *snip.Metrics) (*fleetRun, *fleetzReply, *energyzReply, error) {
+func runOnce(set runSettings, devices int, met *snip.Metrics) (*fleetRun, *cloud.FleetzReply, *cloud.EnergyzReply, error) {
 	svc := snip.NewCloudService(snip.DefaultPFIOptions(), snip.CloudServiceOptions{
 		Shards:          set.shards,
 		QueueCap:        set.queueCap,
@@ -508,16 +434,15 @@ func runOnce(set runSettings, devices int, met *snip.Metrics) (*fleetRun, *fleet
 			return nil, nil, nil, err
 		}
 	}
-	if run.Overloadz, err = fetchOverloadz(cloudURL); err != nil {
-		return nil, nil, nil, fmt.Errorf("overloadz after run: %w", err)
-	}
-	fz, err := fetchFleetz(cloudURL)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("fleetz after run: %w", err)
-	}
-	ez, err := fetchEnergyz(cloudURL)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("energyz after run: %w", err)
+	run.Overloadz = new(cloud.OverloadzReply)
+	fz, ez := new(cloud.FleetzReply), new(cloud.EnergyzReply)
+	for _, v := range []struct {
+		path  string
+		reply any
+	}{{"/v1/overloadz", run.Overloadz}, {"/v1/fleetz", fz}, {"/v1/energyz", ez}} {
+		if err := getJSON(cloudURL+v.path, v.reply); err != nil {
+			return nil, nil, nil, fmt.Errorf("%s after run: %w", v.path, err)
+		}
 	}
 	return run, fz, ez, nil
 }
@@ -541,21 +466,19 @@ func probeHealthz(base string, n int) error {
 	return nil
 }
 
-// fetchOverloadz reads the admission controller's post-run state.
-func fetchOverloadz(base string) (*overloadzReply, error) {
-	resp, err := http.Get(base + "/v1/overloadz")
+// getJSON decodes one of the in-process cloud's JSON views into reply.
+// The service is local and alive, so any failure here is a harness bug,
+// not weather.
+func getJSON(url string, reply any) error {
+	resp, err := http.Get(url)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("overloadz: HTTP %d", resp.StatusCode)
+		return fmt.Errorf("HTTP %d", resp.StatusCode)
 	}
-	var oz overloadzReply
-	if err := json.NewDecoder(resp.Body).Decode(&oz); err != nil {
-		return nil, err
-	}
-	return &oz, nil
+	return json.NewDecoder(resp.Body).Decode(reply)
 }
 
 // parseGrades parses the -grades cycle ("1.0,0.8,0.5").
@@ -572,42 +495,6 @@ func parseGrades(s string) ([]float64, error) {
 		out = append(out, g)
 	}
 	return out, nil
-}
-
-// fetchFleetz reads the in-process cloud's fleet rollup. The service is
-// local and alive, so any failure here is a harness bug, not weather.
-func fetchFleetz(base string) (*fleetzReply, error) {
-	resp, err := http.Get(base + "/v1/fleetz")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fleetz: HTTP %d", resp.StatusCode)
-	}
-	var fz fleetzReply
-	if err := json.NewDecoder(resp.Body).Decode(&fz); err != nil {
-		return nil, err
-	}
-	return &fz, nil
-}
-
-// fetchEnergyz reads the in-process cloud's energy rollup — the bench's
-// post-run conservation gate (monotone violations must be zero).
-func fetchEnergyz(base string) (*energyzReply, error) {
-	resp, err := http.Get(base + "/v1/energyz")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("energyz: HTTP %d", resp.StatusCode)
-	}
-	var ez energyzReply
-	if err := json.NewDecoder(resp.Body).Decode(&ez); err != nil {
-		return nil, err
-	}
-	return &ez, nil
 }
 
 func parseCounts(s string) ([]int, error) {

@@ -8,7 +8,9 @@
 // (per-generation hit-rate sparklines and the drift /
 // ingest-pressure verdicts), the fleet energy ledger (Fig-2-style
 // group breakdown, net-energy-per-event regression verdicts) and the
-// most recent distributed traces.
+// most recent distributed traces. Each view decodes into its reply type
+// in internal/cloud, the type the service encodes, so the dashboard
+// cannot drift from the schema it reads.
 //
 // Every pane polls independently: a restarting or flapping cloud
 // degrades the affected panes in place ("unavailable: ...") while the
@@ -34,160 +36,10 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"snip/internal/cloud"
+	"snip/internal/obs"
 )
-
-type healthCheck struct {
-	Name      string  `json:"name"`
-	OK        bool    `json:"ok"`
-	Value     float64 `json:"value"`
-	Threshold float64 `json:"threshold"`
-	Detail    string  `json:"detail,omitempty"`
-}
-
-type healthz struct {
-	Status        string        `json:"status"`
-	UptimeSeconds float64       `json:"uptime_seconds"`
-	Games         int           `json:"games"`
-	SpansRetained int           `json:"spans_retained"`
-	Checks        []healthCheck `json:"checks"`
-}
-
-type span struct {
-	Trace   string `json:"trace_id"`
-	Span    string `json:"span_id"`
-	Parent  string `json:"parent_id"`
-	Name    string `json:"name"`
-	Service string `json:"service"`
-	WallNS  int64  `json:"wall_ns"`
-	Err     bool   `json:"err"`
-}
-
-type tracez struct {
-	Total    int64  `json:"total_recorded"`
-	Retained int    `json:"retained"`
-	Spans    []span `json:"spans"`
-}
-
-// shardz mirrors GET /v1/shardz — the per-shard rollup of the profiler
-// tier behind the rendezvous router.
-type shardz struct {
-	Shards   int          `json:"shards"`
-	DeltaCap int          `json:"delta_chain_cap"`
-	PerShard []shardzsRow `json:"per_shard"`
-}
-
-type shardzsRow struct {
-	Shard          int      `json:"shard"`
-	Games          []string `json:"games"`
-	IngestBatches  int64    `json:"ingest_batches"`
-	IngestSessions int64    `json:"ingest_sessions"`
-	IngestRecords  int64    `json:"ingest_records"`
-	Rebuilds       int64    `json:"rebuilds"`
-	QueueDepth     int64    `json:"queue_depth"`
-	QueueCap       int      `json:"queue_cap"`
-	QueueShed      int64    `json:"queue_shed"`
-	OTADeltaServed int64    `json:"ota_delta_served"`
-	OTAFullServed  int64    `json:"ota_full_served"`
-	OTADeltaBytes  int64    `json:"ota_delta_bytes"`
-	OTAFullBytes   int64    `json:"ota_full_bytes"`
-	MaxDeltaChain  int      `json:"max_delta_chain"`
-}
-
-// overloadz mirrors GET /v1/overloadz — the admission controller's
-// live view: priority-class ledgers, per-game quota buckets and the
-// autoscale signal.
-type overloadz struct {
-	QueueCap   int             `json:"queue_cap"`
-	Shards     int             `json:"shards"`
-	Occupancy  float64         `json:"occupancy"`
-	ShedRatio  float64         `json:"shed_ratio"`
-	Signal     float64         `json:"signal"`
-	Verdict    string          `json:"verdict"`
-	QuotaRate  float64         `json:"quota_rate_per_sec"`
-	QuotaBurst float64         `json:"quota_burst"`
-	QuotaShed  int64           `json:"quota_shed"`
-	Classes    []overloadClass `json:"classes"`
-	Quotas     []overloadQuota `json:"quotas"`
-}
-
-type overloadClass struct {
-	Class    string `json:"class"`
-	Offered  int64  `json:"offered"`
-	Accepted int64  `json:"accepted"`
-	Shed     int64  `json:"shed"`
-	Dropped  int64  `json:"dropped"`
-}
-
-type overloadQuota struct {
-	Game   string  `json:"game"`
-	Tokens float64 `json:"tokens"`
-	Shed   int64   `json:"shed"`
-}
-
-// fleetz mirrors the subset of GET /v1/fleetz the dashboard renders.
-type fleetz struct {
-	Batches int64        `json:"telemetry_batches"`
-	Records int64        `json:"telemetry_records"`
-	Games   []fleetzGame `json:"games"`
-}
-
-type fleetzGame struct {
-	Game            string      `json:"game"`
-	LiveGeneration  int64       `json:"live_generation"`
-	PrevGeneration  int64       `json:"prev_generation"`
-	Drift           float64     `json:"drift"`
-	DriftVerdict    string      `json:"drift_verdict"`
-	Pressure        float64     `json:"pressure"`
-	PressureVerdict string      `json:"pressure_verdict"`
-	Generations     []fleetzGen `json:"generations"`
-}
-
-type fleetzGen struct {
-	Generation       int64     `json:"generation"`
-	Records          int64     `json:"records"`
-	Devices          int       `json:"devices"`
-	WindowedHitRate  float64   `json:"windowed_hit_rate"`
-	Mispredict       float64   `json:"windowed_mispredict_ratio"`
-	EffectiveHitRate float64   `json:"effective_hit_rate"`
-	HitHistory       []wbucket `json:"hit_history"`
-}
-
-// wbucket is one windowed time-series bucket; for the hit-rate series
-// Sum counts hits and Count counts lookups, for the energy series Sum
-// carries net µJ and Count events.
-type wbucket struct {
-	Count int64 `json:"count"`
-	Sum   int64 `json:"sum"`
-}
-
-// energyz mirrors the subset of GET /v1/energyz the dashboard renders.
-type energyz struct {
-	Games []energyzGame `json:"games"`
-}
-
-type energyzGame struct {
-	Game               string       `json:"game"`
-	LiveGeneration     int64        `json:"live_generation"`
-	PrevGeneration     int64        `json:"prev_generation"`
-	Regression         float64      `json:"regression"`
-	RegressionVerdict  string       `json:"regression_verdict"`
-	MonotoneViolations int64        `json:"monotone_violations"`
-	Generations        []energyzGen `json:"generations"`
-}
-
-type energyzGen struct {
-	Generation       int64     `json:"generation"`
-	EnergyUJ         float64   `json:"energy_uj"`
-	SensorsUJ        float64   `json:"sensors_uj"`
-	MemoryUJ         float64   `json:"memory_uj"`
-	CPUUJ            float64   `json:"cpu_uj"`
-	IPsUJ            float64   `json:"ips_uj"`
-	SavedUJ          float64   `json:"saved_uj"`
-	EnergyPerEventUJ float64   `json:"energy_per_event_uj"`
-	NetPerEventUJ    float64   `json:"net_per_event_uj"`
-	BatteryHours     float64   `json:"battery_hours"`
-	NetHistory       []wbucket `json:"net_history"`
-}
 
 func main() {
 	base := flag.String("url", "http://localhost:8080", "profilerd base URL")
@@ -251,7 +103,7 @@ func fetchJSON(client *http.Client, url string, v any, allow503 bool) (int, erro
 // first error. clear redraws in place (ANSI home + wipe) for the watch
 // loop; -once prints plainly for piping.
 func render(w io.Writer, client *http.Client, base string, traces int, clear bool, failStreak int) (int, error) {
-	var hz healthz
+	var hz cloud.HealthzReply
 	// healthz deliberately answers 503 with a JSON body when degraded —
 	// that is a successful poll of an unhealthy service, not a failure.
 	hzCode, hzErr := fetchJSON(client, base+"/v1/healthz", &hz, true)
@@ -265,19 +117,19 @@ func render(w io.Writer, client *http.Client, base string, traces int, clear boo
 		series = parsePrometheus(string(metBody))
 	}
 
-	var sz shardz
+	var sz cloud.ShardzReply
 	_, szErr := fetchJSON(client, base+"/v1/shardz", &sz, false)
 
-	var oz overloadz
+	var oz cloud.OverloadzReply
 	_, ozErr := fetchJSON(client, base+"/v1/overloadz", &oz, false)
 
-	var fz fleetz
+	var fz cloud.FleetzReply
 	_, fzErr := fetchJSON(client, base+"/v1/fleetz", &fz, false)
 
-	var ez energyz
+	var ez cloud.EnergyzReply
 	_, ezErr := fetchJSON(client, base+"/v1/energyz", &ez, false)
 
-	var tz tracez
+	var tz cloud.TracezReply
 	_, tzErr := fetchJSON(client, base+"/v1/tracez?limit="+strconv.Itoa(traces), &tz, false)
 
 	out := bufio.NewWriter(w)
@@ -406,7 +258,7 @@ func render(w io.Writer, client *http.Client, base string, traces int, clear boo
 				}
 				fmt.Fprintf(out, "   %sgen %-3d hit=%5.1f%% eff=%5.1f%% mispredict=%4.1f%%  %-16s %d dev / %d rec\n",
 					live, gen.Generation, 100*gen.WindowedHitRate, 100*gen.EffectiveHitRate,
-					100*gen.Mispredict, sparkline(gen.HitHistory, 16), gen.Devices, gen.Records)
+					100*gen.WindowedMispredict, sparkline(gen.HitHistory, 16), gen.Devices, gen.Records)
 			}
 		}
 	}
@@ -480,7 +332,7 @@ var sparkLevels = []rune("▁▂▃▄▅▆▇█")
 // sparkline renders the newest max buckets of a windowed ratio series
 // (Sum/Count in [0,1]) as a block-glyph strip, oldest first. Empty
 // buckets render as spaces so gaps in the window stay visible.
-func sparkline(hist []wbucket, max int) string {
+func sparkline(hist []obs.WindowBucket, max int) string {
 	if len(hist) > max {
 		hist = hist[len(hist)-max:]
 	}
@@ -508,7 +360,7 @@ func sparkline(hist []wbucket, max int) string {
 // largest rate in view, so the strip shows the shape of the series
 // rather than an absolute scale. Negative rates (net credit exceeding
 // spend) clamp to the floor glyph.
-func rateSparkline(hist []wbucket, max int) string {
+func rateSparkline(hist []obs.WindowBucket, max int) string {
 	if len(hist) > max {
 		hist = hist[len(hist)-max:]
 	}

@@ -145,12 +145,7 @@ type FleetOptions struct {
 // OverloadOptions tunes the client-side overload contract. Zero values
 // take the defaults (budget 8 tokens, 0.5 credited back per accepted
 // upload).
-type OverloadOptions struct {
-	// RetryBudget is each device's 429-retry token budget.
-	RetryBudget float64
-	// RefillPerSuccess is the budget credited back per accepted upload.
-	RefillPerSuccess float64
-}
+type OverloadOptions = fleet.OverloadConfig
 
 // ChaosOptions selects a fault-injection profile for a fleet run.
 type ChaosOptions struct {
@@ -162,30 +157,18 @@ type ChaosOptions struct {
 	Seed uint64
 }
 
-// GuardOptions tunes the fleet's mispredict guard. Zero thresholds fall
+// GuardOptions tunes the fleet's mispredict guard: ShadowSampleRate is
+// the fraction of memo hits shadow-verified (<= 0 disables the guard),
+// MaxMispredictRatio trips the circuit breaker and MinShadowSamples is
+// the evidence floor before a generation can trip. Zero thresholds fall
 // back to the defaults (trip past a 2% mispredict ratio, judge a table
 // generation only after 20 shadow checks).
-type GuardOptions struct {
-	// ShadowSampleRate is the fraction of memo hits shadow-verified.
-	// <= 0 disables the guard.
-	ShadowSampleRate float64
-	// MaxMispredictRatio trips the circuit breaker.
-	MaxMispredictRatio float64
-	// MinShadowSamples is the evidence floor before a generation can trip.
-	MinShadowSamples int64
-}
+type GuardOptions = fleet.GuardConfig
 
 // FleetGuardReport summarizes the mispredict guard's run: how many hits
 // were shadow-verified, how many served wrong outputs, and whether the
 // breaker tripped and the table rolled back.
-type FleetGuardReport struct {
-	ShadowChecks       int64   `json:"shadow_checks"`
-	Mispredicts        int64   `json:"mispredicts"`
-	Trips              int64   `json:"trips"`
-	Rollbacks          int64   `json:"rollbacks"`
-	BreakerOpen        bool    `json:"breaker_open"`
-	TrippedGenerations []int64 `json:"tripped_generations,omitempty"`
-}
+type FleetGuardReport = fleet.GuardReport
 
 // FleetChaosReport summarizes the faults a chaos profile injected.
 type FleetChaosReport struct {
@@ -196,42 +179,16 @@ type FleetChaosReport struct {
 }
 
 // FleetSLOVerdict is one health threshold comparison.
-type FleetSLOVerdict struct {
-	Name      string  `json:"name"`
-	OK        bool    `json:"ok"`
-	Value     float64 `json:"value"`
-	Threshold float64 `json:"threshold"`
-	Detail    string  `json:"detail,omitempty"`
-}
+type FleetSLOVerdict = fleet.SLOVerdict
 
 // FleetDeviceHealth is one device's health view. SavedInstr is a plain
 // instruction counter; EnergyUJ/SavedEnergyUJ carry the real modeled µJ
 // from the energy ledger (zero when FleetOptions.Energy is off).
-type FleetDeviceHealth struct {
-	Device        int     `json:"device"`
-	HitRate       float64 `json:"hit_rate"`
-	SavedInstr    int64   `json:"saved_instr"`
-	EnergyUJ      float64 `json:"energy_uj,omitempty"`
-	SavedEnergyUJ float64 `json:"saved_energy_uj,omitempty"`
-	P99LookupNS   int64   `json:"p99_lookup_ns"`
-	Retries       int     `json:"retries"`
-	Failed        bool    `json:"failed,omitempty"`
-}
+type FleetDeviceHealth = fleet.DeviceHealth
 
 // FleetHealth is the run judged against the fleet SLO envelope: hit-rate
 // floor, p99 probe-latency ceiling, and a retries-per-batch ceiling.
-type FleetHealth struct {
-	Healthy         bool                `json:"healthy"`
-	HitRate         float64             `json:"hit_rate"`
-	SavedInstr      int64               `json:"saved_instr"`
-	EnergyUJ        float64             `json:"energy_uj,omitempty"`
-	SavedEnergyUJ   float64             `json:"saved_energy_uj,omitempty"`
-	P99LookupNS     int64               `json:"p99_lookup_ns"`
-	Retries         int                 `json:"retries"`
-	RetriesPerBatch float64             `json:"retries_per_batch"`
-	Verdicts        []FleetSLOVerdict   `json:"verdicts"`
-	Devices         []FleetDeviceHealth `json:"devices,omitempty"`
-}
+type FleetHealth = fleet.HealthSnapshot
 
 // FleetReport aggregates a fleet run, JSON-encodable for BENCH files.
 type FleetReport struct {
@@ -308,32 +265,12 @@ type FleetReport struct {
 // extrapolation of the run's average per-device power (the paper's
 // 5–10-minute-measurement methodology). SavedUJ is a credit — energy the
 // verified short-circuits avoided — and is never part of TotalUJ.
-type FleetEnergyReport struct {
-	TotalUJ   float64 `json:"total_uj"`
-	SensorsUJ float64 `json:"sensors_uj"`
-	MemoryUJ  float64 `json:"memory_uj"`
-	CPUUJ     float64 `json:"cpu_uj"`
-	IPsUJ     float64 `json:"ips_uj"`
-
-	LookupOverheadUJ float64 `json:"lookup_overhead_uj"`
-	ShadowVerifyUJ   float64 `json:"shadow_verify_uj"`
-	SavedUJ          float64 `json:"saved_uj"`
-	WastedUJ         float64 `json:"wasted_uj"`
-
-	EnergyPerEventUJ float64 `json:"energy_per_event_uj"`
-	ElapsedUS        int64   `json:"elapsed_us"`
-	BatteryHours     float64 `json:"battery_hours"`
-}
+type FleetEnergyReport = fleet.EnergyReport
 
 // FleetTelemetryReport summarizes the device→cloud telemetry pipeline:
 // records folded, batches/bytes shipped, and records lost to failed
 // best-effort uploads.
-type FleetTelemetryReport struct {
-	Records     int64 `json:"records"`
-	Batches     int64 `json:"batches"`
-	UploadBytes int64 `json:"upload_bytes"`
-	Dropped     int64 `json:"dropped"`
-}
+type FleetTelemetryReport = fleet.TelemetryReport
 
 // RunFleet executes a fleet serving run and reports its aggregate rates.
 func RunFleet(o FleetOptions) (*FleetReport, error) {
@@ -360,12 +297,8 @@ func RunFleet(o FleetOptions) (*FleetReport, error) {
 		Spans:                o.Metrics.SpanBuffer(),
 		Workers:              o.Workers,
 		SpeedGrades:          o.SpeedGrades,
-	}
-	if o.Overload != nil {
-		cfg.Overload = &fleet.OverloadConfig{
-			RetryBudget:      o.Overload.RetryBudget,
-			RefillPerSuccess: o.Overload.RefillPerSuccess,
-		}
+		Guard:                o.Guard,
+		Overload:             o.Overload,
 	}
 	if o.Table != nil {
 		cfg.Table = o.Table.s
@@ -379,13 +312,6 @@ func RunFleet(o FleetOptions) (*FleetReport, error) {
 		prof.Seed = o.Chaos.Seed
 		inj = chaos.New(prof)
 		cfg.Chaos = inj
-	}
-	if o.Guard != nil && o.Guard.ShadowSampleRate > 0 {
-		cfg.Guard = &fleet.GuardConfig{
-			ShadowSampleRate:   o.Guard.ShadowSampleRate,
-			MaxMispredictRatio: o.Guard.MaxMispredictRatio,
-			MinShadowSamples:   o.Guard.MinShadowSamples,
-		}
 	}
 	if o.Telemetry {
 		cfg.Telemetry = &fleet.TelemetryConfig{FlushRecords: o.TelemetryFlushRecords}
@@ -444,62 +370,12 @@ func RunFleet(o FleetOptions) (*FleetReport, error) {
 		Shed429:          r.Shed429,
 		BackoffNS:        r.BackoffNS,
 		FailedDevices:    r.FailedDevices,
-		Health:           healthReport(r.Health),
-		Guard:            guardReport(r.Guard),
+		Health:           r.Health,
+		Guard:            r.Guard,
 		Chaos:            chaosReport(inj),
-		Telemetry:        telemetryReport(r.Telemetry),
-		Energy:           energyReport(r.Energy),
+		Telemetry:        r.Telemetry,
+		Energy:           r.Energy,
 	}, nil
-}
-
-// energyReport mirrors the internal energy rollup into the public type.
-func energyReport(e *fleet.EnergyReport) *FleetEnergyReport {
-	if e == nil {
-		return nil
-	}
-	return &FleetEnergyReport{
-		TotalUJ:          e.TotalUJ,
-		SensorsUJ:        e.SensorsUJ,
-		MemoryUJ:         e.MemoryUJ,
-		CPUUJ:            e.CPUUJ,
-		IPsUJ:            e.IPsUJ,
-		LookupOverheadUJ: e.LookupOverheadUJ,
-		ShadowVerifyUJ:   e.ShadowVerifyUJ,
-		SavedUJ:          e.SavedUJ,
-		WastedUJ:         e.WastedUJ,
-		EnergyPerEventUJ: e.EnergyPerEventUJ,
-		ElapsedUS:        e.ElapsedUS,
-		BatteryHours:     e.BatteryHours,
-	}
-}
-
-// telemetryReport mirrors the internal telemetry summary into the
-// public type.
-func telemetryReport(t *fleet.TelemetryReport) *FleetTelemetryReport {
-	if t == nil {
-		return nil
-	}
-	return &FleetTelemetryReport{
-		Records:     t.Records,
-		Batches:     t.Batches,
-		UploadBytes: t.UploadBytes.Bytes(),
-		Dropped:     t.Dropped,
-	}
-}
-
-// guardReport mirrors the internal guard summary into the public type.
-func guardReport(g *fleet.GuardReport) *FleetGuardReport {
-	if g == nil {
-		return nil
-	}
-	return &FleetGuardReport{
-		ShadowChecks:       g.ShadowChecks,
-		Mispredicts:        g.Mispredicts,
-		Trips:              g.Trips,
-		Rollbacks:          g.Rollbacks,
-		BreakerOpen:        g.BreakerOpen,
-		TrippedGenerations: g.TrippedGenerations,
-	}
 }
 
 // chaosReport mirrors the injector's fault tallies into the public type.
@@ -510,29 +386,4 @@ func chaosReport(inj *chaos.Injector) *FleetChaosReport {
 	c := inj.Counts()
 	p := inj.Profile()
 	return &FleetChaosReport{Profile: p.Name, Seed: p.Seed, Total: c.Total(), Counts: c.Map()}
-}
-
-// healthReport mirrors the internal health snapshot into the public,
-// JSON-stable report types.
-func healthReport(h *fleet.HealthSnapshot) *FleetHealth {
-	if h == nil {
-		return nil
-	}
-	out := &FleetHealth{
-		Healthy:         h.Healthy,
-		HitRate:         h.HitRate,
-		SavedInstr:      h.SavedInstr,
-		EnergyUJ:        h.EnergyUJ,
-		SavedEnergyUJ:   h.SavedEnergyUJ,
-		P99LookupNS:     h.P99LookupNS,
-		Retries:         h.Retries,
-		RetriesPerBatch: h.RetriesPerBatch,
-	}
-	for _, v := range h.Verdicts {
-		out.Verdicts = append(out.Verdicts, FleetSLOVerdict(v))
-	}
-	for _, d := range h.Devices {
-		out.Devices = append(out.Devices, FleetDeviceHealth(d))
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package cloud
 
 import (
-	"encoding/json"
 	"net/http"
 	"sort"
 	"strconv"
@@ -315,32 +314,32 @@ type OverloadClass struct {
 	Dropped  int64  `json:"dropped"`
 }
 
-// overloadQuotaGame is one game's quota bucket state in /v1/overloadz.
-type overloadQuotaGame struct {
+// OverloadQuota is one game's quota bucket state in /v1/overloadz.
+type OverloadQuota struct {
 	Game   string  `json:"game"`
 	Tokens float64 `json:"tokens"`
 	Shed   int64   `json:"shed"`
 }
 
-// overloadzReply is the GET /v1/overloadz JSON schema.
-type overloadzReply struct {
-	QueueCap   int                 `json:"queue_cap"`
-	Shards     int                 `json:"shards"`
-	Occupancy  float64             `json:"occupancy"`
-	ShedRatio  float64             `json:"shed_ratio"`
-	Signal     float64             `json:"signal"`
-	Verdict    string              `json:"verdict"` // "steady" | "hold" | "scale_up"
-	QuotaRate  float64             `json:"quota_rate_per_sec,omitempty"`
-	QuotaBurst float64             `json:"quota_burst,omitempty"`
-	QuotaShed  int64               `json:"quota_shed"`
-	Classes    []OverloadClass     `json:"classes"`
-	Quotas     []overloadQuotaGame `json:"quotas,omitempty"`
+// OverloadzReply is the GET /v1/overloadz JSON schema.
+type OverloadzReply struct {
+	QueueCap   int             `json:"queue_cap"`
+	Shards     int             `json:"shards"`
+	Occupancy  float64         `json:"occupancy"`
+	ShedRatio  float64         `json:"shed_ratio"`
+	Signal     float64         `json:"signal"`
+	Verdict    string          `json:"verdict"` // "steady" | "hold" | "scale_up"
+	QuotaRate  float64         `json:"quota_rate_per_sec,omitempty"`
+	QuotaBurst float64         `json:"quota_burst,omitempty"`
+	QuotaShed  int64           `json:"quota_shed"`
+	Classes    []OverloadClass `json:"classes"`
+	Quotas     []OverloadQuota `json:"quotas,omitempty"`
 }
 
 // Overloadz snapshots the overload view served at /v1/overloadz — the
 // feed for snipstat's overload pane and fleetbench's cloud-side
 // conservation check.
-func (s *Service) Overloadz() overloadzReply {
+func (s *Service) Overloadz() OverloadzReply {
 	a := s.adm
 	occ := s.maxOccupancy()
 	a.mu.Lock()
@@ -350,10 +349,10 @@ func (s *Service) Overloadz() overloadzReply {
 		games = append(games, g)
 	}
 	sort.Strings(games)
-	quotas := make([]overloadQuotaGame, 0, len(games))
+	quotas := make([]OverloadQuota, 0, len(games))
 	for _, g := range games {
 		b := a.buckets[g]
-		quotas = append(quotas, overloadQuotaGame{Game: g, Tokens: b.tokens, Shed: b.shed})
+		quotas = append(quotas, OverloadQuota{Game: g, Tokens: b.tokens, Shed: b.shed})
 	}
 	a.mu.Unlock()
 	signal := occ * ratio
@@ -364,7 +363,7 @@ func (s *Service) Overloadz() overloadzReply {
 	case ratio > 0 || occ >= bulkShedOccupancy:
 		verdict = "hold"
 	}
-	reply := overloadzReply{
+	reply := OverloadzReply{
 		QueueCap:   a.queueCap,
 		Shards:     len(s.shards),
 		Occupancy:  occ,
@@ -387,13 +386,6 @@ func (s *Service) Overloadz() overloadzReply {
 		})
 	}
 	return reply
-}
-
-func (s *Service) handleOverloadz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(s.Overloadz())
 }
 
 // endpointClass maps tracked ingest endpoints to their priority class;

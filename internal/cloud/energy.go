@@ -1,11 +1,9 @@
 package cloud
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
-	"sort"
 
 	"snip/internal/energy"
 	"snip/internal/obs"
@@ -117,17 +115,16 @@ type EnergyzReply struct {
 // GET /v1/energyz. Games and generations sort for stable output; games
 // with no energy-bearing records are omitted rather than reported as
 // all-zero (a fleet running without the ledger has no energy view).
-func (s *Service) Energyz() EnergyzReply {
+func (s *Service) Energyz() EnergyzReply { return s.energyz(viewFilter{}) }
+
+// energyz builds the energy view under the /v1/fleetz filter contract;
+// the generation limit counts energy-bearing generations only.
+func (s *Service) energyz(f viewFilter) EnergyzReply {
 	a := s.tel
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	reply := EnergyzReply{Games: []EnergyzGame{}}
-	names := make([]string, 0, len(a.games))
-	for name := range a.games {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range a.gameNames(f.game) {
 		gt := a.games[name]
 		eg := EnergyzGame{
 			Game:               name,
@@ -145,18 +142,10 @@ func (s *Service) Energyz() EnergyzReply {
 				eg.RegressionVerdict = "improved"
 			}
 		}
-		gens := make([]int64, 0, len(gt.gens))
-		for gen := range gt.gens {
-			gens = append(gens, gen)
-		}
-		sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
-		hasEnergy := false
-		for _, gen := range gens {
-			g := gt.gens[gen]
+		for _, g := range gt.generations() {
 			if g.energyUJ == 0 && g.savedUJ == 0 {
 				continue
 			}
-			hasEnergy = true
 			egen := EnergyzGeneration{
 				Generation: g.generation,
 				Records:    g.records,
@@ -185,83 +174,42 @@ func (s *Service) Energyz() EnergyzReply {
 			}
 			eg.Generations = append(eg.Generations, egen)
 		}
-		if hasEnergy {
+		if eg.Generations != nil {
+			eg.Generations = newest(f, eg.Generations)
 			reply.Games = append(reply.Games, eg)
 		}
 	}
 	return reply
 }
 
-// handleEnergyz serves the fleet energy view; same filter contract as
-// /v1/fleetz: ?game=G (present-but-empty → 400) and ?limit=N capping
-// generations per game (newest retained, bad value → 400).
 func (s *Service) handleEnergyz(w http.ResponseWriter, r *http.Request) {
-	game, ok := gameFilterParam(w, r)
-	if !ok {
-		return
+	if f, ok := parseViewFilter(w, r); ok {
+		writeJSON(w, http.StatusOK, s.energyz(f))
 	}
-	limit, ok := limitParam(w, r)
-	if !ok {
-		return
-	}
-	reply := s.Energyz()
-	if game != "" {
-		filtered := reply.Games[:0]
-		for _, g := range reply.Games {
-			if g.Game == game {
-				filtered = append(filtered, g)
-			}
-		}
-		reply.Games = filtered
-	}
-	if limit > 0 {
-		for i := range reply.Games {
-			if gens := reply.Games[i].Generations; len(gens) > limit {
-				reply.Games[i].Generations = gens[len(gens)-limit:]
-			}
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(reply)
 }
 
 // energyHealthChecks appends the per-game energy-regression verdicts to
 // a /v1/healthz reply: a game whose live generation's windowed net
 // energy per event exceeds its predecessor's by more than the threshold
 // is degraded — the energy-domain corroboration of the drift check.
-func (s *Service) energyHealthChecks(reply *healthzReply) {
+func (s *Service) energyHealthChecks(reply *HealthzReply) {
 	a := s.tel
 	a.mu.Lock()
-	names := make([]string, 0, len(a.games))
-	for name := range a.games {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	type gameReg struct {
-		name       string
-		regression float64
-		violations int64
-	}
-	regs := make([]gameReg, 0, len(names))
-	for _, name := range names {
+	defer a.mu.Unlock()
+	for _, name := range a.gameNames("") {
 		gt := a.games[name]
-		if reg, ok := gt.energyRegression(); ok {
-			regs = append(regs, gameReg{name, reg, gt.monotoneViolations})
-		}
-	}
-	a.mu.Unlock()
-	for _, g := range regs {
-		ok := g.regression <= energyRegressionThreshold && g.violations == 0
-		check := healthCheck{
-			Name: "energy_regression_" + g.name, OK: ok,
-			Value: g.regression, Threshold: energyRegressionThreshold,
-		}
+		reg, ok := gt.energyRegression()
 		if !ok {
+			continue
+		}
+		check := HealthCheck{
+			Name: "energy_regression_" + name, OK: reg <= energyRegressionThreshold && gt.monotoneViolations == 0,
+			Value: reg, Threshold: energyRegressionThreshold,
+		}
+		if !check.OK {
 			check.Detail = fmt.Sprintf(
 				"live generation spends %.1f%% more net energy per event than its predecessor (%d monotone violations)",
-				100*g.regression, g.violations)
+				100*reg, gt.monotoneViolations)
 			reply.Status = "degraded"
 		}
 		reply.Checks = append(reply.Checks, check)

@@ -328,7 +328,9 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/upload-batch", s.instrument("upload-batch", s.handleUploadBatch))
 	mux.HandleFunc("POST /v1/rebuild", s.instrument("rebuild", s.handleRebuild))
 	mux.HandleFunc("GET /v1/update", s.instrument("update", s.handleUpdate))
-	mux.HandleFunc("GET /v1/shardz", s.instrument("shardz", s.handleShardz))
+	mux.HandleFunc("GET /v1/shardz", s.instrument("shardz", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, s.Shardz())
+	}))
 	mux.HandleFunc("GET /v1/status", s.instrument("status", s.handleStatus))
 	mux.HandleFunc("GET /v1/metrics", s.instrument("metrics", s.handleMetrics))
 	mux.HandleFunc("GET /v1/healthz", s.instrument("healthz", s.handleHealthz))
@@ -337,7 +339,9 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/telemetry", s.instrument("telemetry", s.handleTelemetry))
 	mux.HandleFunc("GET /v1/fleetz", s.instrument("fleetz", s.handleFleetz))
 	mux.HandleFunc("GET /v1/energyz", s.instrument("energyz", s.handleEnergyz))
-	mux.HandleFunc("GET /v1/overloadz", s.instrument("overloadz", s.handleOverloadz))
+	mux.HandleFunc("GET /v1/overloadz", s.instrument("overloadz", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, s.Overloadz())
+	}))
 	// net/http/pprof, wired explicitly (the service never touches the
 	// DefaultServeMux): CPU/heap/goroutine/block profiles for debugging
 	// a live profiler under fleet load.
@@ -349,8 +353,8 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-// healthCheck is one /v1/healthz verdict line.
-type healthCheck struct {
+// HealthCheck is one /v1/healthz verdict line.
+type HealthCheck struct {
 	Name      string  `json:"name"`
 	OK        bool    `json:"ok"`
 	Value     float64 `json:"value"`
@@ -358,21 +362,38 @@ type healthCheck struct {
 	Detail    string  `json:"detail,omitempty"`
 }
 
-// healthzReply is the /v1/healthz JSON schema.
-type healthzReply struct {
+// HealthzReply is the GET /v1/healthz JSON schema.
+type HealthzReply struct {
 	Status        string        `json:"status"` // "ok" | "degraded"
 	UptimeSeconds float64       `json:"uptime_seconds"`
 	Games         int           `json:"games"`
 	SpansRetained int           `json:"spans_retained"`
-	Checks        []healthCheck `json:"checks"`
+	Checks        []HealthCheck `json:"checks"`
+}
+
+// TracezReply is the GET /v1/tracez JSON schema.
+type TracezReply struct {
+	Total    int64      `json:"total_recorded"`
+	Retained int        `json:"retained"`
+	Spans    []obs.Span `json:"spans"`
+}
+
+// writeJSON answers a GET view: the reply, indented, with the status
+// code. Every JSON view is served through it.
+func writeJSON(w http.ResponseWriter, code int, reply any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(reply)
 }
 
 // Healthz evaluates the service's SLO checks: the data-path endpoints'
 // error ratio must stay under 10% (once enough requests exist to
 // judge), and rebuilds must not be failing more often than succeeding.
-func (s *Service) Healthz() healthzReply {
+func (s *Service) Healthz() HealthzReply {
 	games := s.gameCount()
-	reply := healthzReply{
+	reply := HealthzReply{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Games:         games,
@@ -391,7 +412,7 @@ func (s *Service) Healthz() healthzReply {
 			ratio = float64(errs) / float64(reqs)
 		}
 		ok := reqs < minJudgeable || ratio <= errorRatioMax
-		reply.Checks = append(reply.Checks, healthCheck{
+		reply.Checks = append(reply.Checks, HealthCheck{
 			Name: "error_ratio_" + ep, OK: ok, Value: ratio, Threshold: errorRatioMax,
 			Detail: fmt.Sprintf("%d/%d requests errored", errs, reqs),
 		})
@@ -406,7 +427,7 @@ func (s *Service) Healthz() healthzReply {
 		failRatio = float64(fails) / float64(rebuilds+fails)
 	}
 	rebuildOK := failRatio <= rebuildFailMax
-	reply.Checks = append(reply.Checks, healthCheck{
+	reply.Checks = append(reply.Checks, HealthCheck{
 		Name: "rebuild_failures", OK: rebuildOK, Value: failRatio, Threshold: rebuildFailMax,
 		Detail: fmt.Sprintf("%d failed of %d attempts", fails, rebuilds+fails),
 	})
@@ -430,7 +451,7 @@ func (s *Service) Healthz() healthzReply {
 	for _, game := range guardGames {
 		st := guards[game]
 		ok := !st.BreakerOpen
-		reply.Checks = append(reply.Checks, healthCheck{
+		reply.Checks = append(reply.Checks, HealthCheck{
 			Name: "guard_breaker_" + game, OK: ok, Value: st.MispredictRatio(), Threshold: 0,
 			Detail: fmt.Sprintf("%d mispredicts in %d checks, %d trips, %d rollbacks, generation %d",
 				st.Mispredicts, st.ShadowChecks, st.Trips, st.Rollbacks, st.Generation),
@@ -448,13 +469,11 @@ func (s *Service) Healthz() healthzReply {
 
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	reply := s.Healthz()
-	w.Header().Set("Content-Type", "application/json")
+	code := http.StatusOK
 	if reply.Status != "ok" {
-		w.WriteHeader(http.StatusServiceUnavailable)
+		code = http.StatusServiceUnavailable
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(reply)
+	writeJSON(w, code, reply)
 }
 
 // handleTracez dumps recently recorded ingest spans, oldest first.
@@ -485,14 +504,7 @@ func (s *Service) handleTracez(w http.ResponseWriter, r *http.Request) {
 	if spans == nil {
 		spans = []obs.Span{}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(struct {
-		Total    int64      `json:"total_recorded"`
-		Retained int        `json:"retained"`
-		Spans    []obs.Span `json:"spans"`
-	}{Total: s.spans.Total(), Retained: s.spans.Len(), Spans: spans})
+	writeJSON(w, http.StatusOK, TracezReply{Total: s.spans.Total(), Retained: s.spans.Len(), Spans: spans})
 }
 
 // gameParam extracts and validates the required ?game= query parameter.

@@ -218,7 +218,7 @@ func TestHealthzEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fresh healthz status %d, want 200: %s", resp.StatusCode, body)
 	}
-	var hz healthzReply
+	var hz HealthzReply
 	if err := json.Unmarshal([]byte(body), &hz); err != nil {
 		t.Fatalf("healthz not JSON: %v", err)
 	}

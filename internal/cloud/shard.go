@@ -166,8 +166,8 @@ func (sh *shard) games() []string {
 	return names
 }
 
-// shardzShard is one shard's row in the /v1/shardz rollup.
-type shardzShard struct {
+// ShardzShard is one shard's row in the /v1/shardz rollup.
+type ShardzShard struct {
 	Shard          int      `json:"shard"`
 	Games          []string `json:"games"`
 	IngestBatches  int64    `json:"ingest_batches"`
@@ -184,19 +184,19 @@ type shardzShard struct {
 	MaxDeltaChain  int      `json:"max_delta_chain"`
 }
 
-// shardzReply is the GET /v1/shardz JSON schema.
-type shardzReply struct {
+// ShardzReply is the GET /v1/shardz JSON schema.
+type ShardzReply struct {
 	Shards   int           `json:"shards"`
 	DeltaCap int           `json:"delta_chain_cap"`
-	PerShard []shardzShard `json:"per_shard"`
+	PerShard []ShardzShard `json:"per_shard"`
 }
 
 // Shardz snapshots the per-shard rollup served at /v1/shardz — the feed
 // for snipstat's shard pane.
-func (s *Service) Shardz() shardzReply {
-	reply := shardzReply{Shards: len(s.shards), DeltaCap: s.deltaCap}
+func (s *Service) Shardz() ShardzReply {
+	reply := ShardzReply{Shards: len(s.shards), DeltaCap: s.deltaCap}
 	for _, sh := range s.shards {
-		row := shardzShard{
+		row := ShardzShard{
 			Shard:          sh.id,
 			Games:          sh.games(),
 			IngestBatches:  sh.met.batches.Value(),
@@ -221,13 +221,6 @@ func (s *Service) Shardz() shardzReply {
 		reply.PerShard = append(reply.PerShard, row)
 	}
 	return reply
-}
-
-func (s *Service) handleShardz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(s.Shardz())
 }
 
 // handleUpdate is the generation-negotiated OTA endpoint, and the only

@@ -293,7 +293,7 @@ func TestShardzEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("shardz status %d", resp.StatusCode)
 	}
-	var reply shardzReply
+	var reply ShardzReply
 	if err := json.Unmarshal([]byte(body), &reply); err != nil {
 		t.Fatalf("shardz not JSON: %v\n%s", err, body)
 	}

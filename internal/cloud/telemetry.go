@@ -2,7 +2,6 @@ package cloud
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -320,17 +319,14 @@ type FleetzReply struct {
 
 // Fleetz snapshots the telemetry aggregator — the same view served at
 // GET /v1/fleetz. Games and generations are sorted for stable output.
-func (s *Service) Fleetz() FleetzReply {
+func (s *Service) Fleetz() FleetzReply { return s.fleetz(viewFilter{}) }
+
+func (s *Service) fleetz(f viewFilter) FleetzReply {
 	a := s.tel
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	reply := FleetzReply{Batches: a.batches, Records: a.records, Games: []FleetzGame{}}
-	names := make([]string, 0, len(a.games))
-	for name := range a.games {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range a.gameNames(f.game) {
 		gt := a.games[name]
 		fg := FleetzGame{
 			Game:           name,
@@ -349,13 +345,7 @@ func (s *Service) Fleetz() FleetzReply {
 		if fg.Pressure > pressureThreshold {
 			fg.PressureVerdict = "overloaded"
 		}
-		gens := make([]int64, 0, len(gt.gens))
-		for gen := range gt.gens {
-			gens = append(gens, gen)
-		}
-		sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
-		for _, gen := range gens {
-			g := gt.gens[gen]
+		for _, g := range newest(f, gt.generations()) {
 			fgen := FleetzGeneration{
 				Generation: g.generation, Records: g.records,
 				Sessions: g.sessions, Events: g.events,
@@ -376,6 +366,29 @@ func (s *Service) Fleetz() FleetzReply {
 		reply.Games = append(reply.Games, fg)
 	}
 	return reply
+}
+
+// gameNames returns the aggregator's games in name order, or only the
+// named one when game is set. The caller holds a.mu.
+func (a *telemetryAggregator) gameNames(game string) []string {
+	names := make([]string, 0, len(a.games))
+	for name := range a.games {
+		if game == "" || name == game {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
+// generations returns the game's retained rollups, oldest first.
+func (gt *gameTelemetry) generations() []*genRollup {
+	gens := make([]*genRollup, 0, len(gt.gens))
+	for _, g := range gt.gens {
+		gens = append(gens, g)
+	}
+	sort.Slice(gens, func(i, j int) bool { return gens[i].generation < gens[j].generation })
+	return gens
 }
 
 // updateFleetGauges refreshes the per-game fleet gauges after an
@@ -468,72 +481,52 @@ func (s *Service) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "ok records=%d\n", len(batch.Records))
 }
 
-// handleFleetz serves the aggregated fleet view; ?game=G filters to
-// one game and ?limit=N caps the generations returned per game (newest
-// retained). A present-but-empty game or a non-positive limit is the
-// caller's bug and gets a 400, not a silently unfiltered reply.
+// viewFilter is the query filter /v1/fleetz and /v1/energyz share:
+// ?game=G keeps one game, ?limit=N the newest N generations per game.
+// The zero value keeps everything.
+type viewFilter struct {
+	game  string
+	limit int
+}
+
+// parseViewFilter reads the filter. Both parameters are optional, but a
+// present-and-empty "?game=" (the caller asked for a filter and named
+// nothing, which would otherwise read as "no filter") and a limit that
+// is not a positive integer are the caller's bug and get a 400.
+func parseViewFilter(w http.ResponseWriter, r *http.Request) (viewFilter, bool) {
+	var f viewFilter
+	q := r.URL.Query()
+	if vals, present := q["game"]; present {
+		if vals[0] == "" {
+			http.Error(w, "empty game", http.StatusBadRequest)
+			return f, false
+		}
+		f.game = vals[0]
+	}
+	if lq := q.Get("limit"); lq != "" {
+		n, err := strconv.Atoi(lq)
+		if err != nil || n < 1 {
+			http.Error(w, "bad limit", http.StatusBadRequest)
+			return f, false
+		}
+		f.limit = n
+	}
+	return f, true
+}
+
+// newest caps a game's generation list, oldest first, to the filter's
+// limit.
+func newest[T any](f viewFilter, gens []T) []T {
+	if f.limit > 0 && len(gens) > f.limit {
+		return gens[len(gens)-f.limit:]
+	}
+	return gens
+}
+
 func (s *Service) handleFleetz(w http.ResponseWriter, r *http.Request) {
-	game, ok := gameFilterParam(w, r)
-	if !ok {
-		return
+	if f, ok := parseViewFilter(w, r); ok {
+		writeJSON(w, http.StatusOK, s.fleetz(f))
 	}
-	limit, ok := limitParam(w, r)
-	if !ok {
-		return
-	}
-	reply := s.Fleetz()
-	if game != "" {
-		filtered := reply.Games[:0]
-		for _, g := range reply.Games {
-			if g.Game == game {
-				filtered = append(filtered, g)
-			}
-		}
-		reply.Games = filtered
-	}
-	if limit > 0 {
-		for i := range reply.Games {
-			if gens := reply.Games[i].Generations; len(gens) > limit {
-				reply.Games[i].Generations = gens[len(gens)-limit:]
-			}
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(reply)
-}
-
-// gameFilterParam reads the optional ?game= filter. Unlike gameParam
-// (which requires the value), absence is fine — but a present-and-empty
-// "?game=" is rejected with a 400: the caller asked for a filter and
-// named nothing, which would otherwise read as "no filter" and return
-// every game.
-func gameFilterParam(w http.ResponseWriter, r *http.Request) (string, bool) {
-	vals, present := r.URL.Query()["game"]
-	if !present {
-		return "", true
-	}
-	if vals[0] == "" {
-		http.Error(w, "empty game", http.StatusBadRequest)
-		return "", false
-	}
-	return vals[0], true
-}
-
-// limitParam reads the optional ?limit= cap (0 = uncapped); a value
-// that does not parse as a positive integer gets a 400.
-func limitParam(w http.ResponseWriter, r *http.Request) (int, bool) {
-	lq := r.URL.Query().Get("limit")
-	if lq == "" {
-		return 0, true
-	}
-	n, err := strconv.Atoi(lq)
-	if err != nil || n < 1 {
-		http.Error(w, "bad limit", http.StatusBadRequest)
-		return 0, false
-	}
-	return n, true
 }
 
 // UploadTelemetry ships a device's folded telemetry records to the

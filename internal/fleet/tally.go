@@ -34,8 +34,8 @@ type deviceTally struct {
 	device int
 	rates  energy.Rates
 	res    *DeviceResult
-	hist   *latHist
-	trace  obs.ID // the session's trace, for latency exemplars
+	hist   *latHist // the device's (or worker's) probe latencies, filled by fold
+	trace  obs.ID   // the session's trace, for latency exemplars
 
 	// gens holds the session's per-generation tallies; order is their
 	// first-touch order, which is deterministic because the event
@@ -94,7 +94,6 @@ func (t *deviceTally) Deliver(e *events.Event) memo.Table {
 }
 
 func (t *deviceTally) Probed(probes int64, cmpBytes units.Size, hit bool, wallNS int64) {
-	t.hist.observe(wallNS)
 	// Exemplar, not a span: two atomic adds plus one atomic store keep
 	// the probe loop lock-free while still linking the latency
 	// histogram back to a concrete trace ID.
@@ -181,6 +180,10 @@ func (t *deviceTally) fold(session int, queueDepth, queueCap int) {
 			rec.ElapsedUS = elapsed
 			rec.DeviceTotalUJ = t.devTotalUJ
 		}
+		// Probes are observed once, into their generation's histogram;
+		// bucket counts add, so folding each into the device's gives the
+		// same quantiles as observing every probe into both.
+		t.hist.merge(&a.hist)
 		delete(t.gens, g)
 		if !ships {
 			continue

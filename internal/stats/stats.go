@@ -1,5 +1,5 @@
 // Package stats provides the small statistical toolkit the report layer
-// needs: running means, histograms, empirical CDFs and labelled series.
+// needs: running means, empirical CDFs and labelled series.
 // Everything is plain-Go and allocation-conscious; there are no external
 // dependencies.
 package stats
@@ -141,52 +141,6 @@ func (c *CDF) Range() (lo, hi float64) {
 	c.ensureSorted()
 	return c.samples[0], c.samples[len(c.samples)-1]
 }
-
-// Histogram is a fixed-bucket histogram over float64 values.
-type Histogram struct {
-	lo, hi  float64
-	buckets []int
-	under   int
-	over    int
-	n       int
-}
-
-// NewHistogram builds a histogram with nb equal-width buckets on [lo, hi).
-func NewHistogram(lo, hi float64, nb int) *Histogram {
-	if hi <= lo || nb <= 0 {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{lo: lo, hi: hi, buckets: make([]int, nb)}
-}
-
-// Add records a value.
-func (h *Histogram) Add(x float64) {
-	h.n++
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		i := int((x - h.lo) / (h.hi - h.lo) * float64(len(h.buckets)))
-		if i >= len(h.buckets) {
-			i = len(h.buckets) - 1
-		}
-		h.buckets[i]++
-	}
-}
-
-// N returns the number of recorded values.
-func (h *Histogram) N() int { return h.n }
-
-// Bucket returns the count in bucket i and its [lo, hi) range.
-func (h *Histogram) Bucket(i int) (count int, lo, hi float64) {
-	w := (h.hi - h.lo) / float64(len(h.buckets))
-	return h.buckets[i], h.lo + float64(i)*w, h.lo + float64(i+1)*w
-}
-
-// NumBuckets returns the bucket count.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
 
 // Series is a labelled sequence of (x-label, value) points, the common
 // currency between experiments and the report renderers.

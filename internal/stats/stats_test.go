@@ -113,41 +113,6 @@ func TestCDFAddAfterQuery(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{-1, 0, 1.9, 2, 5, 9.9, 10, 11} {
-		h.Add(v)
-	}
-	if h.N() != 8 {
-		t.Fatalf("N=%d", h.N())
-	}
-	count, lo, hi := h.Bucket(0)
-	if count != 2 || lo != 0 || hi != 2 {
-		t.Fatalf("bucket0 = %d [%v,%v)", count, lo, hi)
-	}
-	if h.NumBuckets() != 5 {
-		t.Fatalf("buckets=%d", h.NumBuckets())
-	}
-	// under=1 (-1), over=2 (10, 11); total in-range = 5.
-	total := 0
-	for i := 0; i < h.NumBuckets(); i++ {
-		c, _, _ := h.Bucket(i)
-		total += c
-	}
-	if total != 5 {
-		t.Fatalf("in-range total %d, want 5", total)
-	}
-}
-
-func TestHistogramPanicsOnBadBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on hi<=lo")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
 func TestSeries(t *testing.T) {
 	s := &Series{Name: "x"}
 	s.Append("a", 1)
