@@ -83,7 +83,7 @@ rm -f /tmp/snip_bench_chaos_gate.json
 
 echo "== overload smoke (5000 devices on the shared scheduler, tiny quota + queue: conservation on both ledgers, guard never shed)"
 go run ./cmd/fleetbench -devices 5000 -sessions 1 -secs 2 -profile-sessions 2 \
-	-ota=false -overload -shard-queue-cap 2 -quota-rate 2 -quota-burst 2 \
+	-ota=false -shard-queue-cap 2 -quota-rate 2 -quota-burst 2 \
 	-out /tmp/snip_bench_overload_smoke.json
 go run ./cmd/fleetbench -validate /tmp/snip_bench_overload_smoke.json
 rm -f /tmp/snip_bench_overload_smoke.json

@@ -18,16 +18,14 @@ import (
 )
 
 func main() {
-	duration := flag.Duration("duration", 0, "unused; see -secs")
 	secs := flag.Int("secs", 60, "simulated session length in seconds")
 	seed := flag.Uint64("seed", 1, "session seed")
 	withPFI := flag.Bool("pfi", false, "also run PFI + SNIP per game")
 	game := flag.String("game", "", "restrict to one game")
 	flag.Parse()
-	_ = duration
 
 	dur := units.Time(*secs) * units.Second
-	names := []string{"Colorphun", "MemoryGame", "CandyCrush", "Greenwall", "ABEvolution", "ChaseWhisply", "RaceKings"}
+	names := games.Names()
 	if *game != "" {
 		names = []string{*game}
 	}

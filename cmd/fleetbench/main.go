@@ -14,16 +14,16 @@
 // Devices run on a shared scheduler (a fixed worker pool claiming
 // device indexes, -fleet-workers to size it), so -devices 100000 runs
 // on one box; past snip.FleetDetailMax devices reports carry aggregates
-// only. -overload opts the fleet into the 429 backpressure contract
-// against a quota-/queue-constrained cloud (-shard-queue-cap,
-// -quota-rate, -quota-burst) and -validate then proves the conservation
-// identity offered = accepted + shed + dropped on both the device and
-// cloud ledgers, with guard-class traffic never shed.
+// only. Every fleet speaks the 429 backpressure contract; against a
+// cloud configured to shed (-shard-queue-cap, -quota-rate, -quota-burst)
+// -validate proves the conservation identity offered = accepted + shed
+// + dropped on both the device and cloud ledgers, with guard-class
+// traffic never shed.
 //
 // Usage:
 //
 //	fleetbench -game Colorphun -devices 1,2,4,8 -out BENCH_fleet.json
-//	fleetbench -devices 100000 -overload -ota=false -quota-rate 50 -out BENCH_overload.json
+//	fleetbench -devices 100000 -ota=false -quota-rate 50 -out BENCH_overload.json
 //	fleetbench -lookup-sweep default -out BENCH_lookup.json
 //	fleetbench -validate BENCH_fleet.json
 package main
@@ -89,17 +89,14 @@ type benchFile struct {
 	// Workload names the behaviour-model preset the sweep ran under
 	// ("" = default human play, "eventcam" = high-rate sensor overlay).
 	Workload string `json:"workload,omitempty"`
-	// Overload records whether the sweep ran the overload contract
-	// (cloud admission control + 429-aware client backpressure); when
-	// set, validation enforces the batch conservation identity on both
-	// the device and cloud ledgers and that guard-class traffic was
-	// never shed.
-	Overload bool `json:"overload,omitempty"`
 	// ShardQueueCap is the per-shard ingest queue bound the cloud ran
 	// with (0 = service default).
 	ShardQueueCap int `json:"shard_queue_cap,omitempty"`
 	// QuotaRate/QuotaBurst are the per-game bulk-ingest token-bucket
-	// quota the cloud enforced (0 = no quota).
+	// quota the cloud enforced (0 = no quota). A quota or a queue bound
+	// means the cloud was configured to shed (see sheds): validation
+	// then lets a clean run shed and drop batches and lose telemetry,
+	// and requires an overloadz snapshot on every run.
 	QuotaRate  float64 `json:"quota_rate,omitempty"`
 	QuotaBurst float64 `json:"quota_burst,omitempty"`
 	// Grades is the SoC speed-grade cycle the fleet ran with ("" =
@@ -135,7 +132,6 @@ func main() {
 	chaosSeed := flag.Uint64("chaos-seed", 0, "chaos RNG seed (0 = fixed default)")
 	shadowRate := flag.Float64("shadow-rate", 0, "mispredict-guard shadow-verification sample rate (0 = guard off)")
 	workloadPreset := flag.String("workload", "", `behaviour-model preset: "" or "default" (human play), "eventcam" (high-rate sensor overlay, 10-100x event rate)`)
-	overload := flag.Bool("overload", false, "run the overload contract: 429-aware client backpressure with retry budgets; pair with -shard-queue-cap/-quota-rate to make the cloud shed")
 	queueCap := flag.Int("shard-queue-cap", 0, "per-shard ingest queue bound on the cloud (0 = service default, 64)")
 	quotaRate := flag.Float64("quota-rate", 0, "per-game bulk-ingest quota: sustained requests/second (0 = no quota)")
 	quotaBurst := flag.Float64("quota-burst", 0, "per-game quota burst capacity (0 = same as -quota-rate)")
@@ -214,8 +210,7 @@ func main() {
 		GoMaxProcs: runtime.GOMAXPROCS(0), Backend: "flat",
 		Shards: *shards, DeltaCap: *deltaCap, Refreshes: *refreshes,
 		Chaos: *chaosProf, ChaosSeed: *chaosSeed, ShadowRate: *shadowRate,
-		Telemetry: true, Energy: true,
-		Workload: *workloadPreset, Overload: *overload,
+		Telemetry: true, Energy: true, Workload: *workloadPreset,
 		ShardQueueCap: *queueCap, QuotaRate: *quotaRate, QuotaBurst: *quotaBurst,
 		Grades: *grades,
 	}
@@ -224,7 +219,7 @@ func main() {
 		ota: *ota, refreshAfter: *refreshAfter, refreshes: *refreshes,
 		shards: *shards, deltaCap: *deltaCap,
 		chaosProf: *chaosProf, chaosSeed: *chaosSeed, shadowRate: *shadowRate,
-		workload: *workloadPreset, overload: *overload,
+		workload: *workloadPreset,
 		queueCap: *queueCap, quotaRate: *quotaRate, quotaBurst: *quotaBurst,
 		grades: gradeCycle, fleetWorkers: *fleetWorkers,
 	}
@@ -257,7 +252,7 @@ func main() {
 			}
 			fmt.Fprintln(os.Stderr, line)
 		}
-		if *overload {
+		if sheds(*quotaRate, *queueCap) {
 			fmt.Fprintf(os.Stderr,
 				"          overload: offered=%d accepted=%d shed=%d dropped=%d  429s=%d  backoff=%.2fs\n",
 				rep.OfferedBatches, rep.Batches, rep.BatchesShed, rep.BatchesDropped,
@@ -349,7 +344,6 @@ type runSettings struct {
 	chaosSeed                                 uint64
 	shadowRate                                float64
 	workload                                  string
-	overload                                  bool
 	queueCap                                  int
 	quotaRate, quotaBurst                     float64
 	grades                                    []float64
@@ -361,8 +355,9 @@ type runSettings struct {
 // cloud's /v1/fleetz and /v1/energyz rollups before the service goes away,
 // so the drift and ingest-pressure verdicts the run produced are visible
 // in the sweep output. Every run also captures /v1/overloadz — the
-// admission controller's conservation ledger — and, in overload runs,
-// probes /v1/healthz to prove guard-class traffic is never shed.
+// admission controller's conservation ledger — and, against a cloud
+// configured to shed, probes /v1/healthz to prove guard-class traffic is
+// never shed.
 func runOnce(set runSettings, devices int, met *snip.Metrics) (*fleetRun, *cloud.FleetzReply, *cloud.EnergyzReply, error) {
 	svc := snip.NewCloudService(snip.DefaultPFIOptions(), snip.CloudServiceOptions{
 		Shards:          set.shards,
@@ -389,13 +384,9 @@ func runOnce(set runSettings, devices int, met *snip.Metrics) (*fleetRun, *cloud
 		CloudURL:    cloudURL,
 		BatchSize:   set.batch,
 		Metrics:     met,
-		Telemetry:   true,
 		Energy:      true,
 		Workers:     set.fleetWorkers,
 		SpeedGrades: set.grades,
-	}
-	if set.overload {
-		opts.Overload = &snip.OverloadOptions{}
 	}
 	if set.ota {
 		// One live rebuild+swap once half the fleet's sessions are in —
@@ -426,7 +417,7 @@ func runOnce(set runSettings, devices int, met *snip.Metrics) (*fleetRun, *cloud
 		return nil, nil, nil, err
 	}
 	run := &fleetRun{FleetReport: rep}
-	if set.overload {
+	if sheds(set.quotaRate, set.queueCap) {
 		// Guard-class traffic must be admitted even while bulk is being
 		// shed: probe the health endpoint right after the run, while the
 		// admission controller still remembers its worst occupancy.
@@ -445,6 +436,13 @@ func runOnce(set runSettings, devices int, met *snip.Metrics) (*fleetRun, *cloud
 		}
 	}
 	return run, fz, ez, nil
+}
+
+// sheds reports whether the cloud was configured to shed bulk uploads:
+// a per-game quota or a shard queue bound. Only such a cloud may answer
+// a clean run's uploads with 429s or a full queue.
+func sheds(quotaRate float64, queueCap int) bool {
+	return quotaRate > 0 || queueCap > 0
 }
 
 // probeHealthz hits GET /v1/healthz n times and fails only on a 429,
@@ -537,7 +535,7 @@ func validateFile(path string) error {
 		return err
 	}
 	if f.Bench != "fleet" {
-		return fmt.Errorf("bench %q, want \"fleet\" or \"lookup\"", f.Bench)
+		return fmt.Errorf("bench %q, want \"fleet\", \"lookup\" or \"shards\"", f.Bench)
 	}
 	if f.Backend != "" && f.Backend != "flat" {
 		return fmt.Errorf("backend %q, want flat", f.Backend)
@@ -549,6 +547,7 @@ func validateFile(path string) error {
 		return fmt.Errorf("no runs")
 	}
 	chaotic := f.Chaos != "" && f.Chaos != "off"
+	shedding := sheds(f.QuotaRate, f.ShardQueueCap)
 	var totalShed429 int64
 	for i, r := range f.Runs {
 		totalShed429 += r.Shed429
@@ -593,9 +592,10 @@ func validateFile(path string) error {
 		if err := validateOTA(i, r, &f, chaotic); err != nil {
 			return err
 		}
-		// Overload sweeps may legitimately drop telemetry: a shed upload
-		// (429 to the end) counts its records dropped, never silently.
-		if err := validateTelemetry(i, r, f.Telemetry, chaotic || f.Overload); err != nil {
+		// A cloud configured to shed may legitimately drop telemetry: a
+		// shed upload (429 to the end) counts its records dropped, never
+		// silently.
+		if err := validateTelemetry(i, r, f.Telemetry, chaotic || shedding); err != nil {
 			return err
 		}
 		if err := validateEnergy(i, r, f.Energy); err != nil {
@@ -604,15 +604,15 @@ func validateFile(path string) error {
 		if err := validateHealth(i, r, chaotic); err != nil {
 			return err
 		}
-		if err := validateOverload(i, r, &f, chaotic); err != nil {
+		if err := validateOverload(i, r, shedding, chaotic); err != nil {
 			return err
 		}
 	}
-	// A quota-gated overload sweep must actually have shed: the quota is
-	// sized to refuse part of the offered load, and the client ledger
-	// counts every 429 it absorbed.
-	if f.Overload && f.QuotaRate > 0 && totalShed429 == 0 {
-		return fmt.Errorf("overload sweep with quota rate %.1f/s absorbed zero 429s", f.QuotaRate)
+	// A quota-gated sweep must actually have shed: the quota is sized to
+	// refuse part of the offered load, and the client ledger counts every
+	// 429 it absorbed.
+	if f.QuotaRate > 0 && totalShed429 == 0 {
+		return fmt.Errorf("sweep with quota rate %.1f/s absorbed zero 429s", f.QuotaRate)
 	}
 	return nil
 }
@@ -621,17 +621,18 @@ func validateFile(path string) error {
 // ledgers. Device side: every offered batch ends accepted, shed, or
 // dropped. Cloud side (the /v1/overloadz snapshot): the same identity
 // per priority class, and the guard class — health and guard probes —
-// must never have been shed, no matter how hard bulk was.
-func validateOverload(i int, r *fleetRun, f *benchFile, chaotic bool) error {
+// must never have been shed, no matter how hard bulk was. shedding says
+// whether the cloud was configured to shed (see sheds).
+func validateOverload(i int, r *fleetRun, shedding, chaotic bool) error {
 	switch {
 	case r.OfferedBatches != r.Batches+r.BatchesShed+r.BatchesDropped:
 		return fmt.Errorf("run %d: offered %d != accepted %d + shed %d + dropped %d",
 			i, r.OfferedBatches, r.Batches, r.BatchesShed, r.BatchesDropped)
-	case !f.Overload && r.BatchesShed != 0:
-		return fmt.Errorf("run %d: %d batches shed without the overload contract", i, r.BatchesShed)
-	case !f.Overload && r.Shed429 != 0:
-		return fmt.Errorf("run %d: %d client 429s recorded without the overload contract", i, r.Shed429)
-	case !chaotic && !f.Overload && r.BatchesDropped != 0:
+	case !shedding && r.BatchesShed != 0:
+		return fmt.Errorf("run %d: %d batches shed by a cloud without a quota or queue bound", i, r.BatchesShed)
+	case !shedding && r.Shed429 != 0:
+		return fmt.Errorf("run %d: %d client 429s from a cloud without a quota or queue bound", i, r.Shed429)
+	case !chaotic && !shedding && r.BatchesDropped != 0:
 		return fmt.Errorf("run %d: %d batches dropped on a clean run", i, r.BatchesDropped)
 	case r.BackoffNS < 0:
 		return fmt.Errorf("run %d: negative backoff time", i)
@@ -640,8 +641,8 @@ func validateOverload(i int, r *fleetRun, f *benchFile, chaotic bool) error {
 	}
 	oz := r.Overloadz
 	if oz == nil {
-		if f.Overload {
-			return fmt.Errorf("run %d: overload sweep without an overloadz snapshot", i)
+		if shedding {
+			return fmt.Errorf("run %d: sweep against a shedding cloud without an overloadz snapshot", i)
 		}
 		return nil
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -32,6 +34,24 @@ func TestCommittedBenchFilesDecodeStrictly(t *testing.T) {
 	for i, r := range fleet.Runs {
 		if r.FleetReport == nil || r.Health == nil || r.Energy == nil || r.Telemetry == nil || r.Overloadz == nil {
 			t.Errorf("BENCH_fleet.json run %d lost a section: %+v", i, r)
+		}
+	}
+}
+
+// TestValidateUnknownBenchKind: a bench kind -validate does not know is
+// rejected with every kind it does know named in the message.
+func TestValidateUnknownBenchKind(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_bogus.json")
+	if err := os.WriteFile(path, []byte(`{"bench": "bogus", "runs": []}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := validateFile(path)
+	if err == nil {
+		t.Fatal("unknown bench kind accepted")
+	}
+	for _, kind := range []string{`"fleet"`, `"lookup"`, `"shards"`} {
+		if !strings.Contains(err.Error(), kind) {
+			t.Errorf("error %q does not name %s", err, kind)
 		}
 	}
 }

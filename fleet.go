@@ -55,8 +55,8 @@ const FleetDetailMax = fleet.PerDeviceDetailMax
 
 // FleetOptions configures a device-fleet serving run: N concurrent
 // simulated devices playing workload-generated sessions against one
-// SharedTable, optionally uploading their event logs to a cloud profiler
-// in gzip'd batches and performing one live OTA table refresh mid-run.
+// SharedTable, optionally speaking the device→cloud protocol with a
+// cloud profiler (batched uploads, telemetry, live OTA refreshes).
 type FleetOptions struct {
 	// Game names the workload every device plays.
 	Game string
@@ -76,8 +76,17 @@ type FleetOptions struct {
 	SeedBase uint64
 	// Table is the shared table to serve from. Required.
 	Table *SharedTable
-	// CloudURL, when non-empty, points at a CloudService; devices then
-	// upload finished sessions in batches of BatchSize.
+	// CloudURL, when non-empty, points at a CloudService. Devices then
+	// upload finished sessions in batches of BatchSize, fold
+	// per-table-generation telemetry into compact records and ship them
+	// to POST /v1/telemetry every 8 records (the cloud's GET /v1/fleetz
+	// rolls them up), and run the overload contract: a 429 is retried
+	// after its Retry-After on simulated time within a budget of 8
+	// retries per device, and a batch the cloud still refuses is counted
+	// shed (or dropped) instead of failing the device, so OfferedBatches
+	// = Batches + BatchesShed + BatchesDropped holds on every report.
+	// Telemetry consumes no randomness and no wall-clock, so it leaves
+	// every deterministic run tally byte-identical.
 	CloudURL string
 	// BatchSize is sessions per batched upload (default 1).
 	BatchSize int
@@ -105,21 +114,10 @@ type FleetOptions struct {
 	// circuit breaker on the mispredict ratio, and automatic rollback of
 	// a bad OTA table. Nil disables.
 	Guard *GuardOptions
-	// Telemetry, when true, has every device fold per-table-generation
-	// tallies into compact records and ship them to the cloud's
-	// POST /v1/telemetry alongside the upload batches (requires
-	// CloudURL). The cloud aggregates them into the windowed fleet
-	// rollups served at GET /v1/fleetz. Telemetry consumes no
-	// randomness and no wall-clock: enabling it leaves every
-	// deterministic run tally byte-identical.
-	Telemetry bool
-	// TelemetryFlushRecords is how many folded records a device buffers
-	// before shipping a batch (default 8).
-	TelemetryFlushRecords int
 	// Energy, when true, enables the device-side energy attribution
 	// ledger: every handled event charges modeled µJ split by the
 	// paper's Fig. 2 groups and tagged cause buckets, rolled up into
-	// FleetReport.Energy, the health verdicts, and (with Telemetry) the
+	// FleetReport.Energy, the health verdicts, and (with CloudURL) the
 	// records behind the cloud's GET /v1/energyz. The ledger consumes no
 	// randomness and no wall-clock: enabling it leaves every
 	// deterministic run tally byte-identical.
@@ -133,19 +131,7 @@ type FleetOptions struct {
 	// (0.5 = half-speed part, twice the µJ per instruction). Nil is a
 	// homogeneous fleet, byte-identical to builds without the knob.
 	SpeedGrades []float64
-	// Overload, when non-nil, opts the fleet into the client-side
-	// overload contract: 429s become retryable with Retry-After honored,
-	// each device carries a retry budget, and a terminally refused batch
-	// is counted shed (or dropped) instead of failing the device. The
-	// conservation identity OfferedBatches = Batches + BatchesShed +
-	// BatchesDropped then holds on every report.
-	Overload *OverloadOptions
 }
-
-// OverloadOptions tunes the client-side overload contract. Zero values
-// take the defaults (budget 8 tokens, 0.5 credited back per accepted
-// upload).
-type OverloadOptions = fleet.OverloadConfig
 
 // ChaosOptions selects a fault-injection profile for a fleet run.
 type ChaosOptions struct {
@@ -252,7 +238,7 @@ type FleetReport struct {
 	// Chaos reports injected faults (nil when chaos was off).
 	Chaos *FleetChaosReport `json:"chaos,omitempty"`
 	// Telemetry reports the telemetry pipeline's shipping outcome (nil
-	// when disabled).
+	// without CloudURL).
 	Telemetry *FleetTelemetryReport `json:"telemetry,omitempty"`
 	// Energy is the fleet-wide energy attribution rollup (nil when the
 	// ledger is disabled).
@@ -298,7 +284,6 @@ func RunFleet(o FleetOptions) (*FleetReport, error) {
 		Workers:              o.Workers,
 		SpeedGrades:          o.SpeedGrades,
 		Guard:                o.Guard,
-		Overload:             o.Overload,
 	}
 	if o.Table != nil {
 		cfg.Table = o.Table.s
@@ -312,9 +297,6 @@ func RunFleet(o FleetOptions) (*FleetReport, error) {
 		prof.Seed = o.Chaos.Seed
 		inj = chaos.New(prof)
 		cfg.Chaos = inj
-	}
-	if o.Telemetry {
-		cfg.Telemetry = &fleet.TelemetryConfig{FlushRecords: o.TelemetryFlushRecords}
 	}
 	if o.Energy {
 		cfg.Energy = &fleet.EnergyConfig{}

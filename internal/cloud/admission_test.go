@@ -88,7 +88,7 @@ func TestOverloadBudgetExhaustionDrops(t *testing.T) {
 	c.Retry.MaxAttempts = 10
 
 	ctl := &CallControl{
-		Budget: NewRetryBudget(2, 0),
+		Budget: NewRetryBudget(2),
 		Sleep:  func(time.Duration) {},
 	}
 	_, retries, shed, err := c.doCtl(http.MethodGet, srv.URL, "", nil, obs.SpanContext{}, ctl)
@@ -103,23 +103,8 @@ func TestOverloadBudgetExhaustionDrops(t *testing.T) {
 	if shed != 3 || retries != 2 || attempts.Load() != 3 {
 		t.Fatalf("shed=%d retries=%d attempts=%d, want 3/2/3", shed, retries, attempts.Load())
 	}
-	if ctl.Budget.Tokens() != 0 {
-		t.Fatalf("budget left %v, want 0", ctl.Budget.Tokens())
-	}
-
-	// A success credits the budget back.
-	b := NewRetryBudget(4, 0.5)
-	for i := 0; i < 4; i++ {
-		if !b.Allow() {
-			t.Fatalf("retry %d denied with tokens left", i)
-		}
-	}
-	if b.Allow() {
-		t.Fatal("empty budget allowed a retry")
-	}
-	b.Credit()
-	if b.Tokens() != 0.5 {
-		t.Fatalf("credit left %v tokens, want 0.5", b.Tokens())
+	if ctl.Budget.Tokens() != 0 || ctl.Budget.Allow() {
+		t.Fatalf("budget left %v, want 0 and no further retry", ctl.Budget.Tokens())
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // Client-side half of the overload contract: when the cloud sheds with
 // 429 + Retry-After, a well-behaved device backs off for the advertised
 // horizon (plus jitter, so a synchronized fleet desynchronizes) and
-// bounds its persistence with a retry budget refilled by successes.
+// bounds its persistence with a fixed retry budget.
 // Without the budget, a fleet of devices all retrying shed batches is
 // itself the overload; with it, sustained shedding converges to each
 // device dropping its batch after a bounded number of attempts and
@@ -22,30 +22,18 @@ import (
 // network failure with errors.Is.
 var ErrShed = errors.New("shed by cloud admission control")
 
-// RetryBudget bounds a device's 429-driven retries SRE-style: a retry
-// consumes one token, a successful upload refills RefillPerSuccess
-// back (capped at the initial budget). A device that keeps succeeding
-// earns the right to ride out occasional sheds; one that is being
-// persistently shed runs dry and starts dropping instead of hammering.
-// Not safe for concurrent use — each device owns its budget and the
-// fleet scheduler runs one device on one worker at a time.
+// RetryBudget bounds a device's 429-driven retries: a retry consumes
+// one token, and nothing refills it. A device that is being persistently
+// shed runs dry and starts dropping instead of hammering. Not safe for
+// concurrent use — each device owns its budget and the fleet scheduler
+// runs one device on one worker at a time.
 type RetryBudget struct {
-	tokens float64
-	max    float64
-	refill float64
+	tokens int
 }
 
-// NewRetryBudget returns a budget holding max tokens, crediting
-// refillPerSuccess per successful upload. max <= 0 defaults to 8,
-// refillPerSuccess < 0 defaults to 0.5.
-func NewRetryBudget(max, refillPerSuccess float64) *RetryBudget {
-	if max <= 0 {
-		max = 8
-	}
-	if refillPerSuccess < 0 {
-		refillPerSuccess = 0.5
-	}
-	return &RetryBudget{tokens: max, max: max, refill: refillPerSuccess}
+// NewRetryBudget returns a budget holding tokens retries.
+func NewRetryBudget(tokens int) *RetryBudget {
+	return &RetryBudget{tokens: tokens}
 }
 
 // Allow consumes one token for a retry; false means the budget is
@@ -61,19 +49,8 @@ func (b *RetryBudget) Allow() bool {
 	return true
 }
 
-// Credit refills the budget after a successful upload.
-func (b *RetryBudget) Credit() {
-	if b == nil {
-		return
-	}
-	b.tokens += b.refill
-	if b.tokens > b.max {
-		b.tokens = b.max
-	}
-}
-
 // Tokens returns the remaining budget (for tests and tallies).
-func (b *RetryBudget) Tokens() float64 {
+func (b *RetryBudget) Tokens() int {
 	if b == nil {
 		return 0
 	}

@@ -230,17 +230,3 @@ func TestBackendCostMonotone(t *testing.T) {
 		t.Fatalf("backend cost not monotone: %v %v", small, big)
 	}
 }
-
-func TestShrinkSummary(t *testing.T) {
-	ds := record(t, "Colorphun", 5).Dataset
-	p := NewProfiler("Colorphun", pfi.DefaultConfig())
-	p.IngestDataset(ds)
-	up, err := p.Rebuild()
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive, deployed := ShrinkSummary(ds, up)
-	if naive <= deployed {
-		t.Fatalf("naive %v should dwarf deployed %v", naive, deployed)
-	}
-}

@@ -37,14 +37,6 @@ func (g GuardStatus) MispredictRatio() float64 {
 	return float64(g.Mispredicts) / float64(g.ShadowChecks)
 }
 
-// GuardStatusFor returns the latest reported guard status for a game.
-func (s *Service) GuardStatusFor(game string) (GuardStatus, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g, ok := s.guards[game]
-	return g, ok
-}
-
 // handleGuard ingests a fleet's guard report (JSON body, ?game=G).
 func (s *Service) handleGuard(w http.ResponseWriter, r *http.Request) {
 	game, ok := gameParam(w, r)

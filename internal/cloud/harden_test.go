@@ -221,12 +221,20 @@ func TestGuardEndpointDrivesHealthz(t *testing.T) {
 		t.Fatalf("closed breaker: guard check found=%v ok=%v, want passing check", found, ok)
 	}
 
-	st, ok := svc.GuardStatusFor("Colorphun")
-	if !ok || st.Rollbacks != 1 || st.BreakerOpen {
-		t.Fatalf("stored guard status %+v, want the recovery report", st)
+	// The check carries the stored report: the recovery's rollback and
+	// generation, and no check for a game that never reported.
+	var stored *HealthCheck
+	for _, c := range svc.Healthz().Checks {
+		switch c.Name {
+		case "guard_breaker_Colorphun":
+			stored = &c
+		case "guard_breaker_NeverReported":
+			t.Fatal("guard check invented for an unreported game")
+		}
 	}
-	if _, ok := svc.GuardStatusFor("NeverReported"); ok {
-		t.Fatal("guard status invented for an unreported game")
+	if stored == nil || !stored.OK ||
+		!strings.Contains(stored.Detail, "1 rollbacks") || !strings.Contains(stored.Detail, "generation 2") {
+		t.Fatalf("stored guard check %+v, want the recovery report", stored)
 	}
 }
 

@@ -963,9 +963,8 @@ func (c *Client) UploadBatchTraced(game string, sessions []trace.SessionEvents, 
 // UploadBatchControlled is UploadBatchTraced with per-call backpressure
 // control: ctl carries the device's retry budget, sim-time sleep and
 // deterministic jitter through the retry loop (see CallControl; nil is
-// fine). A successful upload credits the budget; a terminal shed fails
-// with an ErrShed-wrapped error the fleet ledger counts apart from
-// genuine failures.
+// fine). A terminal shed fails with an ErrShed-wrapped error the fleet
+// ledger counts apart from genuine failures.
 func (c *Client) UploadBatchControlled(game string, sessions []trace.SessionEvents, sc obs.SpanContext, ctl *CallControl) (BatchResult, error) {
 	var buf bytes.Buffer
 	if err := trace.EncodeBatch(&buf, &trace.SessionBatch{Game: game, Sessions: sessions}); err != nil {
@@ -979,9 +978,6 @@ func (c *Client) UploadBatchControlled(game string, sessions []trace.SessionEven
 	defer resp.Body.Close()
 	if err := errFromResponse(resp); err != nil {
 		return BatchResult{Retries: retries, Shed: shed}, err
-	}
-	if ctl != nil && ctl.Budget != nil {
-		ctl.Budget.Credit()
 	}
 	return BatchResult{Wire: units.Size(buf.Len()), Retries: retries, Shed: shed}, nil
 }

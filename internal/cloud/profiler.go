@@ -19,7 +19,6 @@ import (
 	"snip/internal/parallel"
 	"snip/internal/pfi"
 	"snip/internal/trace"
-	"snip/internal/units"
 )
 
 // ErrBadLog marks an events-only log the emulator cannot replay: an
@@ -358,12 +357,4 @@ func BackendCost(profileRecords, inputFields int) (coreSeconds float64) {
 	// field-hashes per core-second.
 	passes := float64(inputFields * inputFields)
 	return passes * float64(profileRecords) * float64(inputFields) / 5e6 / 100
-}
-
-// ShrinkSummary reports the table-shrink headline of §VII-C for a built
-// update: the naive table size the profile implies versus the deployed
-// SNIP table size.
-func ShrinkSummary(profile *trace.Dataset, up *TableUpdate) (naive, deployed units.Size) {
-	n := memo.BuildNaive(profile)
-	return n.Size(), up.Table.Size()
 }

@@ -13,7 +13,7 @@ import (
 // handler execution, shadow verification — into per-table-generation
 // energy.Ledgers, split by the paper's Fig. 2 groups (Sensors, Memory,
 // CPU, IPs) and tagged with cause buckets. At session boundaries the
-// tally folds into the device's result and, when telemetry is enabled,
+// tally folds into the device's result and, with a cloud client,
 // onto the outgoing TelemetryRecords (see deviceTally), making energy the fleet's
 // first-class observable rather than a post-hoc report figure.
 //

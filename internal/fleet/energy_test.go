@@ -159,8 +159,7 @@ func TestFleetEnergyRegressionCycle(t *testing.T) {
 		Game: testGame, Devices: 1, SessionsPerDevice: 4,
 		SessionDuration: testDur, SeedBase: 9000,
 		Table: shared, Client: client, BatchSize: 1,
-		Telemetry: &TelemetryConfig{FlushRecords: 1},
-		Energy:    &EnergyConfig{},
+		Energy: &EnergyConfig{},
 		Guard: &GuardConfig{
 			ShadowSampleRate: 1.0, MaxMispredictRatio: 0.05, MinShadowSamples: 200,
 		},

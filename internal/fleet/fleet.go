@@ -70,8 +70,15 @@ type Config struct {
 	// it may start empty (Load() == nil) if an OTA refresh will publish
 	// the first table mid-run.
 	Table *memo.Shared
-	// Client reaches the cloud profiler. Nil disables uploads and OTA
-	// refresh (a pure lookup-serving run).
+	// Client reaches the cloud profiler. With a client, devices speak the
+	// one device→cloud protocol: they upload their sessions in batches,
+	// fold per-generation telemetry and ship it every
+	// telemetryFlushRecords records (see telemetry.go), and run the
+	// overload contract (see callControl): a 429 is retried on simulated
+	// time within a fixed per-device budget, and a batch the cloud still
+	// refuses is booked shed or dropped instead of failing the device.
+	// Nil disables uploads, telemetry and OTA refresh (a pure
+	// lookup-serving run).
 	Client *cloud.Client
 	// BatchSize is the number of finished sessions a device packs into
 	// one gzip'd upload-batch. <= 1 uploads every session individually
@@ -109,13 +116,6 @@ type Config struct {
 	// on the cloud client's transport). Nil means no chaos and no code
 	// path even touches the injector.
 	Chaos *chaos.Injector
-	// Telemetry, when non-nil, enables the device→cloud telemetry
-	// pipeline: devices fold per-generation tallies into compact records
-	// at session boundaries and ship them to POST /v1/telemetry,
-	// piggybacked on the upload cadence. Requires Client. Telemetry
-	// consumes no randomness and reads no wall-clock, so enabling it
-	// leaves every deterministic run tally byte-identical.
-	Telemetry *TelemetryConfig
 	// Guard, when non-nil with a positive ShadowSampleRate, enables the
 	// sampled mispredict guard: shadow verification of memo hits, the
 	// circuit breaker, and automatic table rollback. Nil disables — and a
@@ -124,8 +124,8 @@ type Config struct {
 	Guard *GuardConfig
 	// Energy, when non-nil, enables the device-side energy attribution
 	// ledger: per-generation modeled µJ split by Fig. 2 group and cause
-	// bucket, folded into results, health verdicts and (when telemetry is
-	// on) TelemetryRecords. Like telemetry, the ledger consumes no
+	// bucket, folded into results, health verdicts and (with a Client)
+	// TelemetryRecords. Like telemetry, the ledger consumes no
 	// randomness and reads no wall-clock, so enabling it leaves every
 	// deterministic run tally byte-identical.
 	Energy *EnergyConfig
@@ -140,12 +140,6 @@ type Config struct {
 	// knob. A non-positive grade counts as 1; a NaN or infinite one is
 	// rejected.
 	SpeedGrades []float64
-	// Overload, when non-nil, opts the fleet into the client-side
-	// overload contract (429 retry with Retry-After, per-device retry
-	// budgets, shed/dropped batch accounting — see OverloadConfig). Nil
-	// keeps the legacy behaviour: a terminal upload error fails the
-	// device.
-	Overload *OverloadConfig
 }
 
 func (c Config) validate() error {
@@ -166,9 +160,6 @@ func (c Config) validate() error {
 	}
 	if c.RefreshAfterSessions > 0 && c.Client == nil {
 		return fmt.Errorf("fleet: OTA refresh needs a cloud client")
-	}
-	if c.Telemetry != nil && c.Client == nil {
-		return fmt.Errorf("fleet: telemetry needs a cloud client")
 	}
 	for _, g := range c.SpeedGrades {
 		if math.IsNaN(g) || math.IsInf(g, 0) {
@@ -252,7 +243,7 @@ type DeviceResult struct {
 	Shed429        int64 `json:"shed_429,omitempty"`
 	// SpeedGrade is the device's SoC speed grade (0 when homogeneous).
 	SpeedGrade float64 `json:"speed_grade,omitempty"`
-	// Telemetry accounting (zero when the pipeline is disabled):
+	// Telemetry accounting (zero without a client):
 	// records folded, batches/bytes shipped, records lost to failed
 	// best-effort uploads.
 	TelemetryRecords int64      `json:"telemetry_records,omitempty"`
@@ -264,9 +255,10 @@ type DeviceResult struct {
 	Energy *EnergyBreakdown `json:"energy,omitempty"`
 	// P99LookupNS is the device's own p99 probe latency estimate.
 	P99LookupNS int64 `json:"p99_lookup_ns"`
-	// Failed marks a device that died mid-run (injected crash or a
-	// terminal upload error). The coordinator isolates it — its tallies
-	// up to the failure still count — and the run continues.
+	// Failed marks a device that died mid-run (an injected crash or a
+	// failed OTA round; a refused upload costs only its batch). The
+	// coordinator isolates it — its tallies up to the failure still
+	// count — and the run continues.
 	Failed bool `json:"failed,omitempty"`
 	// FailReason says why (empty for healthy devices).
 	FailReason string `json:"fail_reason,omitempty"`
@@ -348,8 +340,8 @@ type Result struct {
 
 	// Guard reports the mispredict guard (nil when disabled); Chaos the
 	// injected-fault tallies (nil when no injector was configured);
-	// Telemetry the telemetry pipeline's shipping outcome (nil when
-	// disabled).
+	// Telemetry the telemetry pipeline's shipping outcome (nil without a
+	// client).
 	Guard     *GuardReport     `json:"guard,omitempty"`
 	Chaos     *chaos.Counts    `json:"chaos,omitempty"`
 	Telemetry *TelemetryReport `json:"telemetry,omitempty"`
@@ -569,24 +561,19 @@ func (co *coordinator) device(id int, gen workload.Generator, dev *schemes.Devic
 		sp.Err = err != nil
 		cfg.Spans.FinishWall(&sp, time.Since(uploadStart).Nanoseconds())
 		if err != nil {
-			if cfg.Overload != nil {
-				// Overload contract: the batch is consumed, not fatal. A
-				// terminal 429 chain books it shed (the cloud chose to
-				// refuse it); anything else books it dropped. Either way
-				// the device clears pending and keeps playing — exactly
-				// what a real client does when the cloud is protecting
-				// itself.
-				if errors.Is(err, cloud.ErrShed) {
-					res.BatchesShed++
-				} else {
-					res.BatchesDropped++
-				}
-				pending = pending[:0]
-				tally.flush(false)
-				return nil
+			// Overload contract: the batch is consumed, not fatal. A
+			// terminal 429 chain books it shed (the cloud chose to refuse
+			// it); anything else books it dropped. Either way the device
+			// clears pending and keeps playing — exactly what a real
+			// client does when the cloud is protecting itself.
+			if errors.Is(err, cloud.ErrShed) {
+				res.BatchesShed++
+			} else {
+				res.BatchesDropped++
 			}
-			res.BatchesDropped++
-			return fmt.Errorf("fleet: device %d upload: %w", id, err)
+			pending = pending[:0]
+			tally.flush(false)
+			return nil
 		}
 		res.Batches++
 		res.UploadBytes += br.Wire
@@ -693,7 +680,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Overload != nil && cfg.Client != nil {
+	if cfg.Client != nil {
 		// The overload contract needs the shared client to treat 429 as
 		// retryable; everything per-device (budget, jitter, sim-time
 		// sleep) rides the CallControl instead.
@@ -786,7 +773,7 @@ func Run(cfg Config) (*Result, error) {
 		c := cfg.Chaos.Counts()
 		res.Chaos = &c
 	}
-	if cfg.Telemetry != nil {
+	if cfg.Client != nil {
 		res.Telemetry = &TelemetryReport{}
 	}
 	if cfg.Energy != nil {

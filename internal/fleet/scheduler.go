@@ -29,21 +29,9 @@ import (
 // carries. Aggregate tallies are identical either way.
 const PerDeviceDetailMax = 4096
 
-// OverloadConfig opts a run into the client-side overload contract:
-// 429s become retryable (the fleet's shared cloud.Client gets
-// Retry429), each device carries a retry budget refilled by successes,
-// and a terminal outcome consumes the batch — shed or dropped, counted
-// in the conservation ledger — instead of failing the device. Backoff
-// runs on simulated time (an atomic virtual-nanosecond sum, reported as
-// Result.BackoffNS) with per-device pre-split jitter RNG, so overload
-// runs stay deterministic and never wall-clock stall the harness.
-type OverloadConfig struct {
-	// RetryBudget is each device's 429-retry token budget (<= 0: 8).
-	RetryBudget float64
-	// RefillPerSuccess is the budget credited back per accepted upload
-	// (< 0: 0.5).
-	RefillPerSuccess float64
-}
+// deviceRetryBudget is each device's 429-retry token budget for the
+// whole run; nothing refills it.
+const deviceRetryBudget = 8
 
 // overloadJitterSalt seeds each device's private backoff-jitter stream;
 // XORed with SeedBase+device so streams never collide with session or
@@ -65,17 +53,22 @@ func workerCount(cfg Config) int {
 }
 
 // callControl builds a device's per-call backpressure control under the
-// overload contract: retry budget, sim-time sleep, pre-split jitter.
-// Nil when overload is off — the legacy path stays byte-identical.
+// overload contract every run with a client speaks: 429s are retryable
+// (Run gives the shared cloud.Client Retry429), each device carries a
+// fixed retry budget, and backoff runs on simulated time (an atomic
+// virtual-nanosecond sum, reported as Result.BackoffNS) with a
+// per-device pre-split jitter RNG, so faulted runs stay deterministic
+// and never wall-clock stall the harness. A clean run never consults
+// it: no 429 and no transient failure means no retry. Nil without a
+// client.
 func (co *coordinator) callControl(id int) *cloud.CallControl {
 	cfg := co.cfg
-	if cfg.Overload == nil || cfg.Client == nil {
+	if cfg.Client == nil {
 		return nil
 	}
-	budget := cloud.NewRetryBudget(cfg.Overload.RetryBudget, cfg.Overload.RefillPerSuccess)
 	jr := rng.New((cfg.SeedBase + uint64(id)) ^ overloadJitterSalt)
 	return &cloud.CallControl{
-		Budget: budget,
+		Budget: cloud.NewRetryBudget(deviceRetryBudget),
 		Sleep: func(d time.Duration) {
 			if d > 0 {
 				co.backoffNS.Add(int64(d))

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
@@ -101,7 +102,6 @@ func TestOverloadFleetShedConservation(t *testing.T) {
 		Game: testGame, Devices: 6, SessionsPerDevice: 2,
 		SessionDuration: testDur, SeedBase: 6000,
 		Table: memo.NewShared(nil), Client: client, BatchSize: 1,
-		Overload: &OverloadConfig{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,9 +154,54 @@ func TestOverloadFleetShedConservation(t *testing.T) {
 	}
 }
 
+// TestOverloadRejectedUploadDropsBatch: a cloud that answers every
+// upload batch with a non-429 error (here 400) costs each batch, never
+// the device. Every device plays all its sessions, every offered batch
+// is booked dropped, and telemetry, which the cloud still accepts,
+// ships in full.
+func TestOverloadRejectedUploadDropsBatch(t *testing.T) {
+	svc, srv, client, table := bootCloud(t)
+	srv.Close()
+	cloudSrv := svc.Handler()
+	rejecting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/upload-batch" {
+			http.Error(w, "rejected", http.StatusBadRequest)
+			return
+		}
+		cloudSrv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(rejecting.Close)
+	client.BaseURL = rejecting.URL
+
+	const devices, sessions = 3, 2
+	res, err := Run(Config{
+		Game: testGame, Devices: devices, SessionsPerDevice: sessions,
+		SessionDuration: testDur, SeedBase: 8500,
+		Table: memo.NewShared(table), Client: client, BatchSize: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FailedDevices != 0 || res.Sessions != devices*sessions {
+		t.Fatalf("rejected uploads cost devices: %d failed, %d sessions, want 0 and %d",
+			res.FailedDevices, res.Sessions, devices*sessions)
+	}
+	if res.OfferedBatches != devices*sessions || res.BatchesDropped != res.OfferedBatches ||
+		res.Batches != 0 || res.BatchesShed != 0 || res.Shed429 != 0 {
+		t.Fatalf("ledger: offered=%d accepted=%d shed=%d dropped=%d 429s=%d, want every batch dropped",
+			res.OfferedBatches, res.Batches, res.BatchesShed, res.BatchesDropped, res.Shed429)
+	}
+	if res.Retries != 0 || res.BackoffNS != 0 {
+		t.Fatalf("a 400 was retried: %d retries, %d ns backoff", res.Retries, res.BackoffNS)
+	}
+	if res.Telemetry == nil || res.Telemetry.Records == 0 || res.Telemetry.Dropped != 0 {
+		t.Fatalf("telemetry: %+v, want every record shipped", res.Telemetry)
+	}
+}
+
 // TestOverloadOffIsByteIdentical pins the regression gate the figures
-// depend on: with Overload nil the scheduler path must produce exactly
-// the tallies the legacy goroutine-per-device harness did, and no
+// depend on: without a client the scheduler path must produce exactly
+// the tallies the goroutine-per-device harness did, and no overload
 // ledger field may leak in.
 func TestOverloadOffIsByteIdentical(t *testing.T) {
 	_, srv, _, table := bootCloud(t)

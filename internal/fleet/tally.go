@@ -50,21 +50,18 @@ type deviceTally struct {
 	// construction.
 	devTotalUJ float64
 
-	// Telemetry shipping state (pending stays empty when telemetry is
-	// off): folded records awaiting a flush, the flush threshold, and
-	// the retry counter at the last fold, so each fold ships only the
-	// interval's delta.
+	// Telemetry shipping state (pending stays empty without a client):
+	// folded records awaiting a flush, and the retry counter at the last
+	// fold, so each fold ships only the interval's delta.
 	pending     []trace.TelemetryRecord
-	flushAt     int
 	lastRetries int
 }
 
 func newDeviceTally(co *coordinator, device int, res *DeviceResult, hist *latHist) *deviceTally {
 	return &deviceTally{
 		co: co, device: device, res: res, hist: hist,
-		rates:   speedRates(co.cfg.speedGrade(device)),
-		gens:    make(map[int64]*genAccum),
-		flushAt: co.cfg.Telemetry.flushRecords(),
+		rates: speedRates(co.cfg.speedGrade(device)),
+		gens:  make(map[int64]*genAccum),
 	}
 }
 
@@ -140,7 +137,7 @@ func (t *deviceTally) Executed(exec *games.Execution) {
 // fold closes the session: each generation's tally, in first-touch
 // order, is added to the device's energy breakdown (ledger on) and
 // becomes one TelemetryRecord stamped with the session's deterministic
-// simulated end time (telemetry on). Session time is attributed to
+// simulated end time (with a client). Session time is attributed to
 // generations by event share, with the remainder on the last one, so
 // the slices sum exactly to the session duration. queueDepth is the
 // device's pending upload-batch occupancy at fold time.
@@ -149,7 +146,7 @@ func (t *deviceTally) fold(session int, queueDepth, queueCap int) {
 		return
 	}
 	cfg, res := t.co.cfg, t.res
-	ships := cfg.Telemetry != nil && cfg.Client != nil
+	ships := cfg.Client != nil
 	if cfg.Energy != nil && res.Energy == nil {
 		res.Energy = &EnergyBreakdown{}
 	}
@@ -199,7 +196,7 @@ func (t *deviceTally) fold(session int, queueDepth, queueCap int) {
 		rec.Retries = retries
 		retries = 0 // the interval's delta rides the first record only
 		rec.QueueDepth, rec.QueueCap = int64(queueDepth), int64(queueCap)
-		rec.TelemetryPending, rec.TelemetryCap = int64(len(t.pending)), int64(t.flushAt)
+		rec.TelemetryPending, rec.TelemetryCap = int64(len(t.pending)), telemetryFlushRecords
 		t.pending = append(t.pending, rec)
 		res.TelemetryRecords++
 		t.co.met.telRecords.Inc()

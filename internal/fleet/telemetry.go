@@ -9,36 +9,23 @@ import (
 // tallies (see deviceTally) into compact trace.TelemetryRecords at
 // session boundaries and ships them to the cloud over POST
 // /v1/telemetry, piggyback-flushed alongside the upload batches so
-// telemetry adds no extra connection churn. The pipeline is deliberately decoupled from correctness:
+// telemetry adds no extra connection churn. Every run with a cloud
+// client ships it. The pipeline is deliberately decoupled from
+// correctness:
 //
 //   - It consumes no randomness and reads no wall-clock — record
 //     timestamps are the deterministic simulated session clock — so a
-//     telemetry-enabled run produces byte-identical game results,
-//     lookups and energy tallies to a disabled one (pinned by
-//     TestFleetTelemetryDoesNotPerturbRun).
+//     run with a client produces byte-identical game results, lookups
+//     and energy tallies to one without (pinned by
+//     TestFleetClientDoesNotPerturbRun).
 //   - Shipping is best-effort. A failed telemetry upload drops the
 //     records (counted in TelemetryDropped) and the device plays on;
 //     telemetry must never kill a device that is serving fine.
 
-// DefaultTelemetryFlushRecords is how many folded records a device
-// buffers before shipping a batch when the config doesn't say.
-const DefaultTelemetryFlushRecords = 8
-
-// TelemetryConfig enables the device→cloud telemetry pipeline.
-type TelemetryConfig struct {
-	// FlushRecords is how many folded records a device buffers before
-	// shipping a telemetry batch; <= 0 means
-	// DefaultTelemetryFlushRecords. A forced flush at device end ships
-	// whatever remains.
-	FlushRecords int
-}
-
-func (c *TelemetryConfig) flushRecords() int {
-	if c == nil || c.FlushRecords <= 0 {
-		return DefaultTelemetryFlushRecords
-	}
-	return c.FlushRecords
-}
+// telemetryFlushRecords is how many folded records a device buffers
+// before shipping a telemetry batch. A forced flush at device end ships
+// whatever remains.
+const telemetryFlushRecords = 8
 
 // TelemetryReport aggregates the fleet's telemetry-shipping outcome.
 type TelemetryReport struct {
@@ -55,7 +42,7 @@ type TelemetryReport struct {
 // Best-effort: a failed upload drops the records and the device plays
 // on — serving health must not depend on telemetry health.
 func (t *deviceTally) flush(force bool) {
-	if len(t.pending) == 0 || (!force && len(t.pending) < t.flushAt) {
+	if len(t.pending) == 0 || (!force && len(t.pending) < telemetryFlushRecords) {
 		return
 	}
 	res := t.res

@@ -9,19 +9,20 @@ import (
 	"snip/internal/obs"
 )
 
-// TestFleetTelemetryDoesNotPerturbRun pins the determinism contract:
-// enabling telemetry changes nothing about what the fleet computes —
-// sessions, events, lookups, hits and the SavedInstr energy proxy are
-// byte-identical with the pipeline on and off. (No OTA refresh here, so
-// hit counts are seed-deterministic and comparable.)
-func TestFleetTelemetryDoesNotPerturbRun(t *testing.T) {
-	run := func(tel *TelemetryConfig) *Result {
-		_, _, client, table := bootCloud(t)
+// TestFleetClientDoesNotPerturbRun pins the determinism contract of the
+// device→cloud protocol: a fleet with a cloud client uploads, folds and
+// ships telemetry and carries the overload contract, yet computes
+// exactly what the same fleet without a client does — sessions, events,
+// lookups, hits and the SavedInstr energy proxy are byte-identical. (No
+// OTA refresh here, so hit counts are seed-deterministic and
+// comparable.)
+func TestFleetClientDoesNotPerturbRun(t *testing.T) {
+	_, _, client, table := bootCloud(t)
+	run := func(client *cloud.Client) *Result {
 		res, err := Run(Config{
 			Game: testGame, Devices: 4, SessionsPerDevice: 2,
 			SessionDuration: testDur, SeedBase: 6000,
 			Table: memo.NewShared(table), Client: client, BatchSize: 2,
-			Telemetry: tel,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -29,10 +30,10 @@ func TestFleetTelemetryDoesNotPerturbRun(t *testing.T) {
 		return res
 	}
 	off := run(nil)
-	on := run(&TelemetryConfig{})
+	on := run(client)
 	if off.Sessions != on.Sessions || off.Events != on.Events ||
 		off.Lookup != on.Lookup {
-		t.Fatalf("telemetry perturbed the run:\n off: %+v\n on: %+v", off.Lookup, on.Lookup)
+		t.Fatalf("the client perturbed the run:\n off: %+v\n on: %+v", off.Lookup, on.Lookup)
 	}
 	for d := range off.PerDevice {
 		a, b := off.PerDevice[d], on.PerDevice[d]
@@ -40,11 +41,14 @@ func TestFleetTelemetryDoesNotPerturbRun(t *testing.T) {
 			t.Fatalf("device %d diverged:\n off: %+v\n on: %+v", d, a, b)
 		}
 	}
-	if off.Telemetry != nil {
-		t.Fatal("telemetry report on a disabled run")
+	if off.Telemetry != nil || off.OfferedBatches != 0 {
+		t.Fatalf("a run without a client reports shipping: %+v, %d batches", off.Telemetry, off.OfferedBatches)
+	}
+	if on.Batches != on.OfferedBatches || on.Batches == 0 {
+		t.Fatalf("client run accepted %d of %d batches", on.Batches, on.OfferedBatches)
 	}
 	if on.Telemetry == nil || on.Telemetry.Records == 0 || on.Telemetry.Batches == 0 {
-		t.Fatalf("telemetry enabled but nothing shipped: %+v", on.Telemetry)
+		t.Fatalf("client run shipped no telemetry: %+v", on.Telemetry)
 	}
 	if on.Telemetry.Dropped != 0 {
 		t.Fatalf("healthy cloud dropped %d records", on.Telemetry.Dropped)
@@ -61,7 +65,7 @@ func TestFleetTelemetryReachesCloud(t *testing.T) {
 		Game: testGame, Devices: 4, SessionsPerDevice: 2,
 		SessionDuration: testDur, SeedBase: 7000,
 		Table: memo.NewShared(table), Client: client, BatchSize: 1,
-		Telemetry: &TelemetryConfig{FlushRecords: 1}, Obs: reg,
+		Obs: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,8 +111,8 @@ func TestFleetTelemetryReachesCloud(t *testing.T) {
 
 // TestFleetTelemetryBestEffort: a dead cloud mid-run must not kill the
 // device — telemetry records are dropped and counted, serving and the
-// run result stay intact. (The cloud is closed after boot, so the
-// upload path is off too: serve-only with telemetry configured.)
+// run result stay intact. (The cloud is closed after boot, so every
+// upload fails at the transport too.)
 func TestFleetTelemetryBestEffort(t *testing.T) {
 	_, srv, client, table := bootCloud(t)
 	srv.Close() // telemetry (and uploads) now fail at the transport
@@ -116,13 +120,17 @@ func TestFleetTelemetryBestEffort(t *testing.T) {
 		Game: testGame, Devices: 2, SessionsPerDevice: 1,
 		SessionDuration: testDur, SeedBase: 8000,
 		Table: memo.NewShared(table), Client: client, BatchSize: 4,
-		Telemetry: &TelemetryConfig{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The upload failure marks devices failed, but telemetry records are
-	// still folded and their loss is accounted, never silent.
+	// The failed uploads are booked dropped and the devices play on;
+	// telemetry records are still folded and their loss is accounted,
+	// never silent.
+	if res.FailedDevices != 0 || res.BatchesDropped != res.OfferedBatches || res.OfferedBatches != 2 {
+		t.Fatalf("dead cloud: %d failed devices, %d of %d batches dropped, want 0 and 2 of 2",
+			res.FailedDevices, res.BatchesDropped, res.OfferedBatches)
+	}
 	if res.Telemetry == nil || res.Telemetry.Records == 0 {
 		t.Fatalf("no records folded: %+v", res.Telemetry)
 	}
@@ -171,7 +179,6 @@ func TestFleetTelemetryDriftCycle(t *testing.T) {
 		Game: testGame, Devices: 1, SessionsPerDevice: 4,
 		SessionDuration: testDur, SeedBase: 9000,
 		Table: shared, Client: client, BatchSize: 1,
-		Telemetry: &TelemetryConfig{FlushRecords: 1},
 		Guard: &GuardConfig{
 			ShadowSampleRate: 1.0, MaxMispredictRatio: 0.05, MinShadowSamples: 200,
 		},
