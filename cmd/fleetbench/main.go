@@ -11,10 +11,10 @@
 // map and flat table backends head to head across row counts (1k–10M)
 // without any fleet machinery in the way.
 //
-// Devices run on a shared scheduler (a fixed worker pool claiming
-// device indexes, -fleet-workers to size it), so -devices 100000 runs
-// on one box; past snip.FleetDetailMax devices reports carry aggregates
-// only. Every fleet speaks the 429 backpressure contract; against a
+// Devices run on a shared scheduler (a fixed pool of 2×GOMAXPROCS
+// workers claiming device indexes), so -devices 100000 runs on one box;
+// past snip.FleetDetailMax devices reports carry aggregates only. Every
+// fleet speaks the 429 backpressure contract; against a
 // cloud configured to shed (-shard-queue-cap, -quota-rate, -quota-burst)
 // -validate proves the conservation identity offered = accepted + shed
 // + dropped on both the device and cloud ledgers, with guard-class
@@ -76,16 +76,6 @@ type benchFile struct {
 	Chaos      string  `json:"chaos,omitempty"`
 	ChaosSeed  uint64  `json:"chaos_seed,omitempty"`
 	ShadowRate float64 `json:"shadow_rate,omitempty"`
-	// Telemetry records that the fleet shipped per-generation telemetry
-	// to the cloud's /v1/telemetry during the sweep; when set,
-	// validation requires every run to carry a consistent telemetry
-	// section. Energy records that the device-side energy ledger ran;
-	// when set, validation enforces the ledger's conservation identities
-	// on every run (group sums equal the total, per-event and
-	// battery-hours figures consistent). Every sweep runs both, so both
-	// are written true.
-	Telemetry bool `json:"telemetry,omitempty"`
-	Energy    bool `json:"energy,omitempty"`
 	// Workload names the behaviour-model preset the sweep ran under
 	// ("" = default human play, "eventcam" = high-rate sensor overlay).
 	Workload string `json:"workload,omitempty"`
@@ -97,12 +87,9 @@ type benchFile struct {
 	// means the cloud was configured to shed (see sheds): validation
 	// then lets a clean run shed and drop batches and lose telemetry,
 	// and requires an overloadz snapshot on every run.
-	QuotaRate  float64 `json:"quota_rate,omitempty"`
-	QuotaBurst float64 `json:"quota_burst,omitempty"`
-	// Grades is the SoC speed-grade cycle the fleet ran with ("" =
-	// homogeneous).
-	Grades string      `json:"grades,omitempty"`
-	Runs   []*fleetRun `json:"runs"`
+	QuotaRate  float64     `json:"quota_rate,omitempty"`
+	QuotaBurst float64     `json:"quota_burst,omitempty"`
+	Runs       []*fleetRun `json:"runs"`
 }
 
 // fleetRun is one sweep point: the fleet report plus the cloud's
@@ -135,8 +122,6 @@ func main() {
 	queueCap := flag.Int("shard-queue-cap", 0, "per-shard ingest queue bound on the cloud (0 = service default, 64)")
 	quotaRate := flag.Float64("quota-rate", 0, "per-game bulk-ingest quota: sustained requests/second (0 = no quota)")
 	quotaBurst := flag.Float64("quota-burst", 0, "per-game quota burst capacity (0 = same as -quota-rate)")
-	grades := flag.String("grades", "", `SoC speed-grade cycle, comma-separated (e.g. "1.0,0.8,0.5"): device d runs at grade d mod len`)
-	fleetWorkers := flag.Int("fleet-workers", 0, "fleet scheduler worker-pool size (0 = 2x GOMAXPROCS)")
 	workers := flag.Int("workers", 0, "worker-pool size for profiling and PFI; 0 = GOMAXPROCS")
 	gmp := flag.Int("gomaxprocs", 0, "set GOMAXPROCS for the run (0 = leave the runtime default)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -201,18 +186,14 @@ func main() {
 	fmt.Fprintf(os.Stderr, "table: %d rows, %d bytes (flat image %d bytes)\n",
 		table.Rows(), table.SizeBytes(), table.ImageBytes())
 
-	gradeCycle, err := parseGrades(*grades)
-	fatalIf(err)
-
 	file := &benchFile{
 		Bench: "fleet", Game: *game,
 		SessionsPerDevice: *sessions, SessionSecs: *secs, BatchSize: *batch,
 		GoMaxProcs: runtime.GOMAXPROCS(0), Backend: "flat",
 		Shards: *shards, DeltaCap: *deltaCap, Refreshes: *refreshes,
 		Chaos: *chaosProf, ChaosSeed: *chaosSeed, ShadowRate: *shadowRate,
-		Telemetry: true, Energy: true, Workload: *workloadPreset,
+		Workload:      *workloadPreset,
 		ShardQueueCap: *queueCap, QuotaRate: *quotaRate, QuotaBurst: *quotaBurst,
-		Grades: *grades,
 	}
 	set := runSettings{
 		game: *game, table: table, sessions: *sessions, dur: dur, batch: *batch,
@@ -221,7 +202,6 @@ func main() {
 		chaosProf: *chaosProf, chaosSeed: *chaosSeed, shadowRate: *shadowRate,
 		workload: *workloadPreset,
 		queueCap: *queueCap, quotaRate: *quotaRate, quotaBurst: *quotaBurst,
-		grades: gradeCycle, fleetWorkers: *fleetWorkers,
 	}
 	// One Metrics across the sweep: the snip_fleet_* series accumulate
 	// over every device count, and the span ring retains the tail of the
@@ -346,8 +326,6 @@ type runSettings struct {
 	workload                                  string
 	queueCap                                  int
 	quotaRate, quotaBurst                     float64
-	grades                                    []float64
-	fleetWorkers                              int
 }
 
 // runOnce measures one device count against a fresh in-process cloud, so
@@ -380,13 +358,10 @@ func runOnce(set runSettings, devices int, met *snip.Metrics) (*fleetRun, *cloud
 		Game: set.game, Workload: set.workload,
 		Devices: devices, SessionsPerDevice: set.sessions,
 		Duration: set.dur, SeedBase: 5000,
-		Table:       snip.NewSharedTable(set.table),
-		CloudURL:    cloudURL,
-		BatchSize:   set.batch,
-		Metrics:     met,
-		Energy:      true,
-		Workers:     set.fleetWorkers,
-		SpeedGrades: set.grades,
+		Table:     snip.NewSharedTable(set.table),
+		CloudURL:  cloudURL,
+		BatchSize: set.batch,
+		Metrics:   met,
 	}
 	if set.ota {
 		// One live rebuild+swap once half the fleet's sessions are in —
@@ -477,22 +452,6 @@ func getJSON(url string, reply any) error {
 		return fmt.Errorf("HTTP %d", resp.StatusCode)
 	}
 	return json.NewDecoder(resp.Body).Decode(reply)
-}
-
-// parseGrades parses the -grades cycle ("1.0,0.8,0.5").
-func parseGrades(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		g, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || !(g > 0) || math.IsInf(g, 1) {
-			return nil, fmt.Errorf("bad speed grade %q", part)
-		}
-		out = append(out, g)
-	}
-	return out, nil
 }
 
 func parseCounts(s string) ([]int, error) {
@@ -595,10 +554,10 @@ func validateFile(path string) error {
 		// A cloud configured to shed may legitimately drop telemetry: a
 		// shed upload (429 to the end) counts its records dropped, never
 		// silently.
-		if err := validateTelemetry(i, r, f.Telemetry, chaotic || shedding); err != nil {
+		if err := validateTelemetry(i, r, chaotic || shedding); err != nil {
 			return err
 		}
-		if err := validateEnergy(i, r, f.Energy); err != nil {
+		if err := validateEnergy(i, r); err != nil {
 			return err
 		}
 		if err := validateHealth(i, r, chaotic); err != nil {
@@ -711,22 +670,16 @@ func validateOTA(i int, r *fleetRun, f *benchFile, chaotic bool) error {
 	return nil
 }
 
-// validateTelemetry checks the telemetry section against the bench
-// file's telemetry setting: an enabled pipeline must have folded records
-// and accounted for every one of them (shipped or explicitly dropped —
-// telemetry is best-effort but never silently lossy), and a disabled one
-// must not report anything.
-func validateTelemetry(i int, r *fleetRun, enabled, chaotic bool) error {
+// validateTelemetry checks the telemetry section every run carries (a
+// sweep's fleet always has a cloud client): the pipeline must have
+// folded records and accounted for every one of them (shipped or
+// explicitly dropped — telemetry is best-effort but never silently
+// lossy).
+func validateTelemetry(i int, r *fleetRun, chaotic bool) error {
 	t := r.Telemetry
-	if !enabled {
-		if t != nil {
-			return fmt.Errorf("run %d: telemetry report on a disabled run", i)
-		}
-		return nil
-	}
 	switch {
 	case t == nil:
-		return fmt.Errorf("run %d: telemetry enabled but no report", i)
+		return fmt.Errorf("run %d: no telemetry report", i)
 	case t.Records <= 0:
 		return fmt.Errorf("run %d: telemetry shipped no records", i)
 	case t.Dropped > t.Records:
@@ -744,22 +697,16 @@ func validateTelemetry(i int, r *fleetRun, enabled, chaotic bool) error {
 	return nil
 }
 
-// validateEnergy checks the energy ledger's conservation identities —
-// the same on chaos runs, since fault injection changes what was charged
+// validateEnergy checks the energy ledger's conservation identities on
+// the energy section every run carries — the same on chaos runs, since fault injection changes what was charged
 // but never the accounting arithmetic: the Fig. 2 group fields must sum
 // to the total, a run that served events must have charged energy, and
 // the derived per-event and battery-hours figures must be present and
 // consistent.
-func validateEnergy(i int, r *fleetRun, enabled bool) error {
+func validateEnergy(i int, r *fleetRun) error {
 	e := r.Energy
-	if !enabled {
-		if e != nil {
-			return fmt.Errorf("run %d: energy report on a disabled run", i)
-		}
-		return nil
-	}
 	if e == nil {
-		return fmt.Errorf("run %d: energy ledger enabled but no report", i)
+		return fmt.Errorf("run %d: no energy report", i)
 	}
 	sum := e.SensorsUJ + e.MemoryUJ + e.CPUUJ + e.IPsUJ
 	switch {

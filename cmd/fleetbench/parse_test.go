@@ -40,26 +40,3 @@ func TestParseCounts(t *testing.T) {
 		}
 	}
 }
-
-// TestParseGrades: grades are positive, finite floats; no grades is the
-// homogeneous fleet.
-func TestParseGrades(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want []float64
-	}{
-		{"", nil},
-		{"1.0, 0.8,0.5", []float64{1, 0.8, 0.5}},
-		{"2", []float64{2}},
-	} {
-		got, err := parseGrades(tc.in)
-		if err != nil || !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("parseGrades(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	for _, in := range []string{"0", "-1", "x", "1,,2", "NaN", "nan", "+Inf", "Inf", "-Inf", "1e400"} {
-		if got, err := parseGrades(in); err == nil {
-			t.Errorf("parseGrades(%q) = %v, want an error", in, got)
-		}
-	}
-}

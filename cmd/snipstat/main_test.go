@@ -61,7 +61,7 @@ func TestRenderTelemetryPanes(t *testing.T) {
 		EnergyUJ: 900, SensorsUJ: 100, MemoryUJ: 200, CPUUJ: 500, IPsUJ: 100,
 		SavedUJ: 300, ElapsedUS: 5_000_000, DeviceTotalUJ: 900,
 	}
-	if _, err := client.UploadTelemetry(game, []trace.TelemetryRecord{rec}, obs.SpanContext{}); err != nil {
+	if _, err := client.UploadTelemetry(game, []trace.TelemetryRecord{rec}, obs.SpanContext{}, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -57,6 +57,15 @@ const FleetDetailMax = fleet.PerDeviceDetailMax
 // simulated devices playing workload-generated sessions against one
 // SharedTable, optionally speaking the device→cloud protocol with a
 // cloud profiler (batched uploads, telemetry, live OTA refreshes).
+//
+// Every run books each handled event into the device-side energy
+// ledger: modeled µJ split by the paper's Fig. 2 groups and tagged cause
+// buckets, rolled up into FleetReport.Energy, the health verdicts, and
+// (with CloudURL) the records behind the cloud's GET /v1/energyz. The
+// ledger consumes no randomness and no wall-clock, so it leaves every
+// deterministic run tally byte-identical. Devices play on a shared
+// scheduler pool of 2×GOMAXPROCS workers (capped at Devices), so
+// 100k-device runs fit on one box.
 type FleetOptions struct {
 	// Game names the workload every device plays.
 	Game string
@@ -114,23 +123,6 @@ type FleetOptions struct {
 	// circuit breaker on the mispredict ratio, and automatic rollback of
 	// a bad OTA table. Nil disables.
 	Guard *GuardOptions
-	// Energy, when true, enables the device-side energy attribution
-	// ledger: every handled event charges modeled µJ split by the
-	// paper's Fig. 2 groups and tagged cause buckets, rolled up into
-	// FleetReport.Energy, the health verdicts, and (with CloudURL) the
-	// records behind the cloud's GET /v1/energyz. The ledger consumes no
-	// randomness and no wall-clock: enabling it leaves every
-	// deterministic run tally byte-identical.
-	Energy bool
-	// Workers sizes the fleet's shared scheduler pool (0 = 2×GOMAXPROCS
-	// capped at Devices). The scheduler plays every device on this fixed
-	// pool, so 100k-device runs fit on one box.
-	Workers int
-	// SpeedGrades assigns heterogeneous SoC speed grades cyclically by
-	// device index; a grade scales the device's energy-ledger CPU rates
-	// (0.5 = half-speed part, twice the µJ per instruction). Nil is a
-	// homogeneous fleet, byte-identical to builds without the knob.
-	SpeedGrades []float64
 }
 
 // ChaosOptions selects a fault-injection profile for a fleet run.
@@ -169,11 +161,13 @@ type FleetSLOVerdict = fleet.SLOVerdict
 
 // FleetDeviceHealth is one device's health view. SavedInstr is a plain
 // instruction counter; EnergyUJ/SavedEnergyUJ carry the real modeled µJ
-// from the energy ledger (zero when FleetOptions.Energy is off).
+// from the energy ledger.
 type FleetDeviceHealth = fleet.DeviceHealth
 
-// FleetHealth is the run judged against the fleet SLO envelope: hit-rate
-// floor, p99 probe-latency ceiling, and a retries-per-batch ceiling.
+// FleetHealth is the run judged against the fleet's fixed SLO envelope:
+// floors on the hit rate (0.05) and the saved-energy fraction (0.02),
+// ceilings on the p99 probe latency (2^20 ns), retries per batch (1.0),
+// the mispredict ratio (0.10) and the failed-device fraction (0.5).
 type FleetHealth = fleet.HealthSnapshot
 
 // FleetReport aggregates a fleet run, JSON-encodable for BENCH files.
@@ -240,8 +234,7 @@ type FleetReport struct {
 	// Telemetry reports the telemetry pipeline's shipping outcome (nil
 	// without CloudURL).
 	Telemetry *FleetTelemetryReport `json:"telemetry,omitempty"`
-	// Energy is the fleet-wide energy attribution rollup (nil when the
-	// ledger is disabled).
+	// Energy is the fleet-wide energy attribution rollup. Always set.
 	Energy *FleetEnergyReport `json:"energy,omitempty"`
 }
 
@@ -281,9 +274,8 @@ func RunFleet(o FleetOptions) (*FleetReport, error) {
 		Refreshes:            o.Refreshes,
 		Obs:                  o.Metrics.Registry(),
 		Spans:                o.Metrics.SpanBuffer(),
-		Workers:              o.Workers,
-		SpeedGrades:          o.SpeedGrades,
 		Guard:                o.Guard,
+		Energy:               &fleet.EnergyConfig{},
 	}
 	if o.Table != nil {
 		cfg.Table = o.Table.s
@@ -297,9 +289,6 @@ func RunFleet(o FleetOptions) (*FleetReport, error) {
 		prof.Seed = o.Chaos.Seed
 		inj = chaos.New(prof)
 		cfg.Chaos = inj
-	}
-	if o.Energy {
-		cfg.Energy = &fleet.EnergyConfig{}
 	}
 	if o.CloudURL != "" {
 		cfg.Client = cloud.NewClient(o.CloudURL)

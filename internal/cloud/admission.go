@@ -68,9 +68,9 @@ const (
 // (internal/fleet/health.go) and the telemetry pressure monitor: a
 // device retries a shed batch, so a sustained bulk shed ratio of
 // 1/MaxAttempts (~0.33 at the default 3-attempt RetryPolicy) pushes
-// retries-per-batch past SLOConfig.MaxRetriesPerBatch (1.0) and breaks
-// the SLO, and the drift monitor flags a shard "hot" at 0.80 windowed
-// occupancy (pressureThreshold). scale_up fires at
+// retries-per-batch past the fleet's ceiling (sloMaxRetriesPerBatch,
+// 1.0) and breaks the SLO, and the drift monitor flags a shard "hot" at
+// 0.80 windowed occupancy (pressureThreshold). scale_up fires at
 // signal = occupancy x shed ratio = 0.80 x 0.33 ~ 0.25 — before the
 // fleet SLO breaks, not after.
 const (

@@ -59,14 +59,16 @@ func (s *Service) handleGuard(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// ReportGuard pushes a fleet's guard status to the cloud.
-func (c *Client) ReportGuard(game string, st GuardStatus) error {
+// ReportGuard pushes a fleet's guard status to the cloud. ctl carries
+// the caller's retry sleep and jitter through the retry loop (see
+// CallControl; nil is fine).
+func (c *Client) ReportGuard(game string, st GuardStatus, ctl *CallControl) error {
 	body, err := json.Marshal(st)
 	if err != nil {
 		return err
 	}
 	u := c.endpoint("/v1/guard", url.Values{"game": {game}})
-	resp, _, err := c.do(http.MethodPost, u, "application/json", body, obs.SpanContext{})
+	resp, _, _, err := c.doCtl(http.MethodPost, u, "application/json", body, obs.SpanContext{}, ctl)
 	if err != nil {
 		return err
 	}

@@ -177,7 +177,7 @@ func TestGuardEndpointDrivesHealthz(t *testing.T) {
 		err := client.ReportGuard("Colorphun", GuardStatus{
 			BreakerOpen: open, ShadowChecks: 40, Mispredicts: 6,
 			Trips: 1, Rollbacks: rollbacks, Generation: 2,
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -531,18 +531,19 @@ func (s *Service) handleFleetz(w http.ResponseWriter, r *http.Request) {
 
 // UploadTelemetry ships a device's folded telemetry records to the
 // cloud as one SNIPTEL1 batch. Same transport contract as batch
-// uploads: bounded retry on transient failures, trace propagation via
-// sc, wire bytes and retry count reported either way.
-func (c *Client) UploadTelemetry(game string, recs []trace.TelemetryRecord, sc obs.SpanContext) (BatchResult, error) {
+// uploads: bounded retry on transient failures under ctl (see
+// CallControl; nil is fine), trace propagation via sc, wire bytes,
+// retry and shed counts reported either way.
+func (c *Client) UploadTelemetry(game string, recs []trace.TelemetryRecord, sc obs.SpanContext, ctl *CallControl) (BatchResult, error) {
 	var buf bytes.Buffer
 	if err := trace.EncodeTelemetry(&buf, &trace.TelemetryBatch{Game: game, Records: recs}); err != nil {
 		return BatchResult{}, err
 	}
 	u := c.endpoint("/v1/telemetry", url.Values{"game": {game}})
-	resp, retries, err := c.do(http.MethodPost, u, "application/octet-stream", buf.Bytes(), sc)
+	resp, retries, shed, err := c.doCtl(http.MethodPost, u, "application/octet-stream", buf.Bytes(), sc, ctl)
 	if err != nil {
-		return BatchResult{Retries: retries}, err
+		return BatchResult{Retries: retries, Shed: shed}, err
 	}
 	defer resp.Body.Close()
-	return BatchResult{Wire: units.Size(buf.Len()), Retries: retries}, errFromResponse(resp)
+	return BatchResult{Wire: units.Size(buf.Len()), Retries: retries, Shed: shed}, errFromResponse(resp)
 }

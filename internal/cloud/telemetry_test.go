@@ -159,7 +159,7 @@ func TestUploadTelemetryClient(t *testing.T) {
 	svc, srv := testServer(t)
 	c := NewClient(srv.URL)
 	recs := []trace.TelemetryRecord{{Device: 2, SimTimeUS: 5_000_000, Generation: 1, Lookups: 4, Hits: 2}}
-	br, err := c.UploadTelemetry("Colorphun", recs, obs.SpanContext{})
+	br, err := c.UploadTelemetry("Colorphun", recs, obs.SpanContext{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

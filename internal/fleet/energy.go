@@ -76,19 +76,12 @@ type EnergyReport struct {
 	BatteryHours float64 `json:"battery_hours"`
 }
 
-// speedRates derives the ledger's charge rates from the same SoC
-// calibration the schemes simulation runs on — so fleet µJ and schemes
-// µJ share one power model — scaled by a device's speed grade: a
-// grade-g part clocks at g× the reference frequency, so at the same
-// draw it spends 1/g× the µJ per instruction (energy.NewRates divides
-// draw by freq×IPC). Grade 1 is the exact reference — same float math,
-// byte-identical ledgers.
-func speedRates(grade float64) energy.Rates {
-	if grade <= 0 {
-		grade = 1
-	}
+// ledgerRates derives the ledger's charge rates from the same SoC
+// calibration the schemes simulation runs on, so fleet µJ and schemes
+// µJ share one power model.
+func ledgerRates() energy.Rates {
 	c := soc.DefaultConfig()
-	return energy.NewRates(c.CPUFreqMHz*grade, c.IPC, c.MemBytesPerMicro, nil)
+	return energy.NewRates(c.CPUFreqMHz, c.IPC, c.MemBytesPerMicro, nil)
 }
 
 // ledgerBreakdown reads a generation's ledger as a breakdown: the

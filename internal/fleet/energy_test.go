@@ -224,9 +224,8 @@ func TestFleetEnergyRegressionCycle(t *testing.T) {
 // buildHealth: vacuous without a ledger or without a single credit,
 // failing with a detail when the credits are too small to matter.
 func TestSavedEnergyVerdict(t *testing.T) {
-	slo := SLOConfig{MinSavedEnergyFraction: 0.05}
 	verdict := func(res *Result) *SLOVerdict {
-		h := buildHealth(slo, res)
+		h := buildHealth(res)
 		for i := range h.Verdicts {
 			if h.Verdicts[i].Name == "saved_energy_fraction" {
 				return &h.Verdicts[i]
@@ -259,7 +258,7 @@ func TestSavedEnergyVerdict(t *testing.T) {
 	if v == nil || v.OK {
 		t.Fatalf("thin credits passed: %+v", v)
 	}
-	if v.Value != 0.01 || !strings.Contains(v.Detail, "0.010") {
+	if v.Value != 0.01 || v.Threshold != sloMinSavedEnergyFraction || !strings.Contains(v.Detail, "0.010") {
 		t.Fatalf("verdict value/detail wrong: %+v", v)
 	}
 	// Healthy fraction passes.

@@ -28,7 +28,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -107,9 +106,6 @@ type Config struct {
 	// The batch upload's span context rides the X-Snip-Trace header, so
 	// the cloud's ingest span lands in the same trace.
 	Spans *obs.SpanBuffer
-	// SLO overrides the health thresholds the run is judged against.
-	// Nil uses DefaultSLOConfig.
-	SLO *SLOConfig
 
 	// Chaos, when non-nil, injects deterministic sensor, device, and
 	// table faults into the run (wire faults are injected one layer up,
@@ -133,13 +129,6 @@ type Config struct {
 	// Workers sizes the shared scheduler's worker pool (see
 	// scheduler.go). <= 0 picks 2×GOMAXPROCS, capped at Devices.
 	Workers int
-	// SpeedGrades assigns heterogeneous SoC speed grades: device d runs
-	// at SpeedGrades[d % len], scaling its energy ledger's CPU rates (a
-	// 0.5-grade part spends twice the µJ per instruction). Nil or empty
-	// is the homogeneous fleet — byte-identical to builds without the
-	// knob. A non-positive grade counts as 1; a NaN or infinite one is
-	// rejected.
-	SpeedGrades []float64
 }
 
 func (c Config) validate() error {
@@ -160,11 +149,6 @@ func (c Config) validate() error {
 	}
 	if c.RefreshAfterSessions > 0 && c.Client == nil {
 		return fmt.Errorf("fleet: OTA refresh needs a cloud client")
-	}
-	for _, g := range c.SpeedGrades {
-		if math.IsNaN(g) || math.IsInf(g, 0) {
-			return fmt.Errorf("fleet: speed grade %v is not finite", g)
-		}
 	}
 	return nil
 }
@@ -241,8 +225,6 @@ type DeviceResult struct {
 	BatchesShed    int   `json:"batches_shed,omitempty"`
 	BatchesDropped int   `json:"batches_dropped,omitempty"`
 	Shed429        int64 `json:"shed_429,omitempty"`
-	// SpeedGrade is the device's SoC speed grade (0 when homogeneous).
-	SpeedGrade float64 `json:"speed_grade,omitempty"`
 	// Telemetry accounting (zero without a client):
 	// records folded, batches/bytes shipped, records lost to failed
 	// best-effort uploads.
@@ -349,8 +331,8 @@ type Result struct {
 	// ledger is disabled).
 	Energy *EnergyReport `json:"energy,omitempty"`
 
-	// Health is the run judged against the SLO envelope (Config.SLO or
-	// DefaultSLOConfig). Always set by Run.
+	// Health is the run judged against the fixed SLO envelope (see
+	// health.go). Always set by Run.
 	Health *HealthSnapshot `json:"health"`
 }
 
@@ -412,6 +394,9 @@ type coordinator struct {
 	uploaded atomic.Int64 // sessions confirmed ingested by the cloud
 	rounds   atomic.Int64 // OTA refresh rounds claimed
 	guard    *guard       // nil when the mispredict guard is disabled
+	// rates are the energy ledger's charge rates, derived once per run
+	// from the SoC calibration (see ledgerRates).
+	rates energy.Rates
 
 	// backoffNS accumulates the fleet's simulated backoff time under the
 	// overload contract: CallControl.Sleep adds here instead of sleeping,
@@ -535,12 +520,7 @@ func (co *coordinator) maybeRefresh() error {
 func (co *coordinator) device(id int, gen workload.Generator, dev *schemes.Device, hist *latHist) (DeviceResult, error) {
 	cfg := co.cfg
 	res := DeviceResult{Device: id}
-
-	if len(cfg.SpeedGrades) > 0 {
-		res.SpeedGrade = cfg.speedGrade(id)
-	}
 	tally := newDeviceTally(co, id, &res, hist)
-	ctl := co.callControl(id)
 
 	var pending []trace.SessionEvents
 	flush := func() error {
@@ -553,7 +533,7 @@ func (co *coordinator) device(id int, gen workload.Generator, dev *schemes.Devic
 		sc := co.sessionCtx(pending[0].Seed)
 		res.OfferedBatches++
 		uploadStart := time.Now()
-		br, err := cfg.Client.UploadBatchControlled(cfg.Game, pending, sc, ctl)
+		br, err := cfg.Client.UploadBatchControlled(cfg.Game, pending, sc, tally.ctl)
 		res.Retries += br.Retries
 		res.Shed429 += int64(br.Shed)
 		sp := obs.StartSpan(sc.Child(obs.HashName("upload.batch")), sc.Span, "upload.batch", 0)
@@ -690,8 +670,9 @@ func Run(cfg Config) (*Result, error) {
 		cfg:   cfg,
 		met:   newFleetMetrics(cfg.Obs),
 		salt:  obs.HashName("fleet/" + cfg.Game),
-		guard: newGuard(cfg.Guard, cfg.Table, cfg.Client, cfg.Game, cfg.Obs),
+		rates: ledgerRates(),
 	}
+	co.guard = newGuard(cfg.Guard, cfg.Table, cfg.Client, co.guardControl(), cfg.Game, cfg.Obs)
 	cfg.Chaos.SetMetrics(cfg.Obs)
 
 	workers := workerCount(cfg)
@@ -830,10 +811,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res.P50LookupNS = merged.quantile(0.50)
 	res.P99LookupNS = merged.quantile(0.99)
-	slo := DefaultSLOConfig()
-	if cfg.SLO != nil {
-		slo = *cfg.SLO
-	}
-	res.Health = buildHealth(slo, res)
+	res.Health = buildHealth(res)
 	return res, nil
 }

@@ -23,6 +23,12 @@ const (
 // joins.
 func bootCloud(t *testing.T) (*cloud.Service, *httptest.Server, *cloud.Client, *memo.FlatTable) {
 	t.Helper()
+	return bootGame(t, testGame)
+}
+
+// bootGame is bootCloud for any game.
+func bootGame(t *testing.T, game string) (*cloud.Service, *httptest.Server, *cloud.Client, *memo.FlatTable) {
+	t.Helper()
 	svc := cloud.NewServiceWithOptions(pfi.DefaultConfig(), cloud.ServiceOptions{})
 	srv := httptest.NewServer(svc.Handler())
 	t.Cleanup(srv.Close)
@@ -30,7 +36,7 @@ func bootCloud(t *testing.T) (*cloud.Service, *httptest.Server, *cloud.Client, *
 	var boot []trace.SessionEvents
 	for seed := uint64(900); seed < 903; seed++ {
 		r, err := schemes.Run(schemes.Config{
-			Game: testGame, Seed: seed, Duration: testDur,
+			Game: game, Seed: seed, Duration: testDur,
 			Scheme: schemes.Baseline, CollectEventLog: true,
 		})
 		if err != nil {
@@ -38,13 +44,13 @@ func bootCloud(t *testing.T) (*cloud.Service, *httptest.Server, *cloud.Client, *
 		}
 		boot = append(boot, trace.SessionEvents{Seed: seed, Log: r.EventLog})
 	}
-	if _, err := client.UploadBatch(testGame, boot); err != nil {
+	if _, err := client.UploadBatch(game, boot); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Rebuild(testGame); err != nil {
+	if err := client.Rebuild(game); err != nil {
 		t.Fatal(err)
 	}
-	up, err := client.FetchTable(testGame)
+	up, err := client.FetchTable(game)
 	if err != nil {
 		t.Fatal(err)
 	}

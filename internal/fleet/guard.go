@@ -79,6 +79,7 @@ type guard struct {
 	cfg    GuardConfig
 	shared *memo.Shared
 	client *cloud.Client
+	ctl    *cloud.CallControl // the reports' simulated-time retry control
 	game   string
 
 	// open is read by every device on every event (breaker check), so it
@@ -103,7 +104,7 @@ type guard struct {
 // newGuard builds the guard, filling zero tuning fields from the
 // defaults. Returns nil (guard disabled) when cfg is nil or the sample
 // rate is zero.
-func newGuard(cfg *GuardConfig, shared *memo.Shared, client *cloud.Client, game string, reg *obs.Registry) *guard {
+func newGuard(cfg *GuardConfig, shared *memo.Shared, client *cloud.Client, ctl *cloud.CallControl, game string, reg *obs.Registry) *guard {
 	if cfg == nil || cfg.ShadowSampleRate <= 0 {
 		return nil
 	}
@@ -116,7 +117,7 @@ func newGuard(cfg *GuardConfig, shared *memo.Shared, client *cloud.Client, game 
 		c.MinShadowSamples = def.MinShadowSamples
 	}
 	return &guard{
-		cfg: c, shared: shared, client: client, game: game,
+		cfg: c, shared: shared, client: client, ctl: ctl, game: game,
 		tallies:      make(map[int64]*genTally),
 		metChecks:    reg.Counter("snip_fleet_guard_checks_total", "memo hits shadow-verified by the fleet guard"),
 		metMispreds:  reg.Counter("snip_fleet_guard_mispredicts_total", "shadow-verified hits that served wrong outputs"),
@@ -205,7 +206,9 @@ func (g *guard) onSwap() {
 
 // report pushes the guard state to the cloud's /v1/guard endpoint so
 // /v1/healthz reflects the degradation (and the recovery). Best-effort:
-// a dead cloud must not stop the local defense.
+// a dead cloud must not stop the local defense. It runs under mu, so its
+// retries back off on simulated time: a wall-clock wait here would stall
+// every device's shadow check.
 func (g *guard) report() {
 	if g.client == nil {
 		return
@@ -217,7 +220,7 @@ func (g *guard) report() {
 		Trips:        g.trips,
 		Rollbacks:    g.rollbacks,
 		Generation:   g.shared.Generation(),
-	})
+	}, g.ctl)
 }
 
 // snapshot returns the run-level report; nil-safe (nil when disabled).

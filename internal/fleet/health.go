@@ -2,58 +2,43 @@ package fleet
 
 import "fmt"
 
-// SLOConfig sets the thresholds a fleet run is judged against. A zero
-// threshold disables that check. The defaults encode the paper's
-// operating envelope: SNIP only pays for itself while the table keeps
-// short-circuiting a solid fraction of events, the probe stays far
-// below a frame budget, and uploads are not retry-storming the cloud.
-type SLOConfig struct {
-	// MinHitRate is the floor on the fleet-wide short-circuit rate.
-	MinHitRate float64 `json:"min_hit_rate"`
-	// MaxP99LookupNS is the ceiling on the fleet-wide p99 probe latency.
-	MaxP99LookupNS int64 `json:"max_p99_lookup_ns"`
-	// MaxRetriesPerBatch is the ceiling on transport retries per upload
-	// batch (a retry storm means the cloud, not the devices, is sick).
-	MaxRetriesPerBatch float64 `json:"max_retries_per_batch"`
-	// MaxMispredictRatio is the ceiling on the guard's observed
+// The SLO envelope a fleet run is judged against. The thresholds encode
+// the paper's operating envelope: SNIP only pays for itself while the
+// table keeps short-circuiting a solid fraction of events, the probe
+// stays far below a frame budget, and uploads are not retry-storming the
+// cloud.
+const (
+	// sloMinHitRate is the floor on the fleet-wide short-circuit rate.
+	// Conservative: it catches a broken or mistrained table (hit rate
+	// near zero) without flagging lightly-trained ones, whose legitimate
+	// rates vary widely with training-set size.
+	sloMinHitRate = 0.05
+	// sloMaxP99LookupNS is the ceiling on the fleet-wide p99 probe
+	// latency: ~1ms, orders of magnitude above a healthy probe.
+	sloMaxP99LookupNS = 1 << 20
+	// sloMaxRetriesPerBatch is the ceiling on transport retries per
+	// upload batch (a retry storm means the cloud, not the devices, is
+	// sick).
+	sloMaxRetriesPerBatch = 1.0
+	// sloMaxMispredictRatio is the ceiling on the guard's observed
 	// mispredicts per shadow check; the verdict also fails whenever the
 	// run ends with the circuit breaker open (the guard tripped and had
-	// nothing to roll back to). Zero disables, like every other check.
-	MaxMispredictRatio float64 `json:"max_mispredict_ratio"`
-	// MaxFailedDeviceFraction is the ceiling on the fraction of devices
-	// that died mid-run. Zero disables.
-	MaxFailedDeviceFraction float64 `json:"max_failed_device_fraction"`
-	// MinSavedEnergyFraction is the floor on the fraction of modeled
-	// energy the table's verified short-circuits recovered:
-	// saved / (spent + saved), both in real µJ from the energy ledger.
-	// This replaces the earlier SavedInstr instruction proxy in the
-	// verdicts (SavedInstr remains reported, as a plain counter). The
-	// check passes vacuously when the ledger is off or no hit ever
-	// earned a credit to judge. Zero disables.
-	MinSavedEnergyFraction float64 `json:"min_saved_energy_fraction"`
-}
-
-// DefaultSLOConfig is the envelope used when Config.SLO is nil.
-func DefaultSLOConfig() SLOConfig {
-	return SLOConfig{
-		// Conservative floor: catches a broken or mistrained table (hit
-		// rate near zero) without flagging lightly-trained ones, whose
-		// legitimate rates vary widely with training-set size.
-		MinHitRate:         0.05,
-		MaxP99LookupNS:     1 << 20, // ~1ms: orders of magnitude above a healthy probe
-		MaxRetriesPerBatch: 1.0,
-		// The guard trips on a per-generation basis well before the
-		// run-wide ratio reaches this; exceeding it overall means the
-		// defense itself is not keeping up.
-		MaxMispredictRatio: 0.10,
-		// Half the fleet dying is a run to investigate even under an
-		// aggressive chaos profile.
-		MaxFailedDeviceFraction: 0.5,
-		// A table whose verified short-circuits recover under 2% of the
-		// modeled energy is not paying for its own lookups.
-		MinSavedEnergyFraction: 0.02,
-	}
-}
+	// nothing to roll back to). The guard trips on a per-generation
+	// basis well before the run-wide ratio reaches this; exceeding it
+	// overall means the defense itself is not keeping up.
+	sloMaxMispredictRatio = 0.10
+	// sloMaxFailedDeviceFraction is the ceiling on the fraction of
+	// devices that died mid-run: half the fleet dying is a run to
+	// investigate even under an aggressive chaos profile.
+	sloMaxFailedDeviceFraction = 0.5
+	// sloMinSavedEnergyFraction is the floor on the fraction of modeled
+	// energy the table's verified short-circuits recovered: saved /
+	// (spent + saved), both in real µJ from the energy ledger. A table
+	// whose short-circuits recover under 2% is not paying for its own
+	// lookups. The check passes vacuously when the ledger is off or no
+	// hit ever earned a credit to judge.
+	sloMinSavedEnergyFraction = 0.02
+)
 
 // SLOVerdict is one threshold comparison; Value and Threshold are in
 // the check's native unit (ratio or nanoseconds).
@@ -80,7 +65,7 @@ type DeviceHealth struct {
 }
 
 // HealthSnapshot rolls per-device health into fleet-wide SLO verdicts.
-// Healthy is the conjunction of every enabled verdict.
+// Healthy is the conjunction of every verdict.
 type HealthSnapshot struct {
 	Healthy         bool           `json:"healthy"`
 	HitRate         float64        `json:"hit_rate"`
@@ -98,7 +83,7 @@ type HealthSnapshot struct {
 // whose denominator never moved (no lookups, no batches) pass
 // vacuously: a pure serving run with an empty table is not "unhealthy",
 // it just has nothing to judge.
-func buildHealth(slo SLOConfig, res *Result) *HealthSnapshot {
+func buildHealth(res *Result) *HealthSnapshot {
 	h := &HealthSnapshot{
 		Healthy:     true,
 		SavedInstr:  res.SavedInstr,
@@ -142,88 +127,81 @@ func buildHealth(slo SLOConfig, res *Result) *HealthSnapshot {
 			h.Healthy = false
 		}
 	}
-	if slo.MinHitRate > 0 {
-		v := SLOVerdict{
-			Name: "hit_rate", Value: h.HitRate, Threshold: slo.MinHitRate,
-			OK: res.Lookup.Lookups == 0 || h.HitRate >= slo.MinHitRate,
-		}
-		if !v.OK {
-			v.Detail = fmt.Sprintf("fleet hit rate %.3f below floor %.3f", h.HitRate, slo.MinHitRate)
-		}
-		add(v)
+	hit := SLOVerdict{
+		Name: "hit_rate", Value: h.HitRate, Threshold: sloMinHitRate,
+		OK: res.Lookup.Lookups == 0 || h.HitRate >= sloMinHitRate,
 	}
-	if slo.MaxP99LookupNS > 0 {
-		v := SLOVerdict{
-			Name: "p99_lookup_ns", Value: float64(res.P99LookupNS), Threshold: float64(slo.MaxP99LookupNS),
-			OK: res.Lookup.Lookups == 0 || res.P99LookupNS <= slo.MaxP99LookupNS,
-		}
-		if !v.OK {
-			v.Detail = fmt.Sprintf("p99 probe %dns above ceiling %dns", res.P99LookupNS, slo.MaxP99LookupNS)
-		}
-		add(v)
+	if !hit.OK {
+		hit.Detail = fmt.Sprintf("fleet hit rate %.3f below floor %.3f", h.HitRate, sloMinHitRate)
 	}
-	if slo.MaxRetriesPerBatch > 0 {
-		v := SLOVerdict{
-			Name: "retries_per_batch", Value: h.RetriesPerBatch, Threshold: slo.MaxRetriesPerBatch,
-			OK: res.Batches == 0 || h.RetriesPerBatch <= slo.MaxRetriesPerBatch,
-		}
-		if !v.OK {
-			v.Detail = fmt.Sprintf("%.2f retries per batch above ceiling %.2f (retry storm)", h.RetriesPerBatch, slo.MaxRetriesPerBatch)
-		}
-		add(v)
+	add(hit)
+
+	p99 := SLOVerdict{
+		Name: "p99_lookup_ns", Value: float64(res.P99LookupNS), Threshold: sloMaxP99LookupNS,
+		OK: res.Lookup.Lookups == 0 || res.P99LookupNS <= sloMaxP99LookupNS,
 	}
-	if slo.MaxMispredictRatio > 0 {
-		ratio := 0.0
-		open := false
-		var checks int64
-		if res.Guard != nil {
-			ratio = res.Guard.MispredictRatio()
-			open = res.Guard.BreakerOpen
-			checks = res.Guard.ShadowChecks
-		}
-		v := SLOVerdict{
-			Name: "mispredict_ratio", Value: ratio, Threshold: slo.MaxMispredictRatio,
-			OK: checks == 0 || (!open && ratio <= slo.MaxMispredictRatio),
-		}
-		if !v.OK {
-			if open {
-				v.Detail = "run ended with the circuit breaker open (tripped with no rollback target)"
-			} else {
-				v.Detail = fmt.Sprintf("mispredict ratio %.3f above ceiling %.3f", ratio, slo.MaxMispredictRatio)
-			}
-		}
-		add(v)
+	if !p99.OK {
+		p99.Detail = fmt.Sprintf("p99 probe %dns above ceiling %dns", res.P99LookupNS, sloMaxP99LookupNS)
 	}
-	if slo.MinSavedEnergyFraction > 0 {
-		frac := 0.0
-		if denom := h.EnergyUJ + h.SavedEnergyUJ; denom > 0 {
-			frac = h.SavedEnergyUJ / denom
-		}
-		v := SLOVerdict{
-			Name: "saved_energy_fraction", Value: frac, Threshold: slo.MinSavedEnergyFraction,
-			// Vacuous without a ledger or without a single credited hit:
-			// the hit_rate check owns "the table never hits"; this one
-			// judges whether the hits that did land were worth their µJ.
-			OK: res.Energy == nil || res.Energy.SavedUJ == 0 || frac >= slo.MinSavedEnergyFraction,
-		}
-		if !v.OK {
-			v.Detail = fmt.Sprintf("short-circuits recovered %.3f of modeled energy, below floor %.3f", frac, slo.MinSavedEnergyFraction)
-		}
-		add(v)
+	add(p99)
+
+	retries := SLOVerdict{
+		Name: "retries_per_batch", Value: h.RetriesPerBatch, Threshold: sloMaxRetriesPerBatch,
+		OK: res.Batches == 0 || h.RetriesPerBatch <= sloMaxRetriesPerBatch,
 	}
-	if slo.MaxFailedDeviceFraction > 0 {
-		frac := 0.0
-		if res.Devices > 0 {
-			frac = float64(res.FailedDevices) / float64(res.Devices)
-		}
-		v := SLOVerdict{
-			Name: "failed_devices", Value: frac, Threshold: slo.MaxFailedDeviceFraction,
-			OK: res.FailedDevices == 0 || frac <= slo.MaxFailedDeviceFraction,
-		}
-		if !v.OK {
-			v.Detail = fmt.Sprintf("%d of %d devices died mid-run", res.FailedDevices, res.Devices)
-		}
-		add(v)
+	if !retries.OK {
+		retries.Detail = fmt.Sprintf("%.2f retries per batch above ceiling %.2f (retry storm)", h.RetriesPerBatch, sloMaxRetriesPerBatch)
 	}
+	add(retries)
+
+	ratio := 0.0
+	open := false
+	var checks int64
+	if res.Guard != nil {
+		ratio = res.Guard.MispredictRatio()
+		open = res.Guard.BreakerOpen
+		checks = res.Guard.ShadowChecks
+	}
+	mis := SLOVerdict{
+		Name: "mispredict_ratio", Value: ratio, Threshold: sloMaxMispredictRatio,
+		OK: checks == 0 || (!open && ratio <= sloMaxMispredictRatio),
+	}
+	if !mis.OK {
+		if open {
+			mis.Detail = "run ended with the circuit breaker open (tripped with no rollback target)"
+		} else {
+			mis.Detail = fmt.Sprintf("mispredict ratio %.3f above ceiling %.3f", ratio, sloMaxMispredictRatio)
+		}
+	}
+	add(mis)
+
+	saved := 0.0
+	if denom := h.EnergyUJ + h.SavedEnergyUJ; denom > 0 {
+		saved = h.SavedEnergyUJ / denom
+	}
+	credit := SLOVerdict{
+		Name: "saved_energy_fraction", Value: saved, Threshold: sloMinSavedEnergyFraction,
+		// Vacuous without a ledger or without a single credited hit:
+		// the hit_rate check owns "the table never hits"; this one
+		// judges whether the hits that did land were worth their µJ.
+		OK: res.Energy == nil || res.Energy.SavedUJ == 0 || saved >= sloMinSavedEnergyFraction,
+	}
+	if !credit.OK {
+		credit.Detail = fmt.Sprintf("short-circuits recovered %.3f of modeled energy, below floor %.3f", saved, sloMinSavedEnergyFraction)
+	}
+	add(credit)
+
+	failed := 0.0
+	if res.Devices > 0 {
+		failed = float64(res.FailedDevices) / float64(res.Devices)
+	}
+	dead := SLOVerdict{
+		Name: "failed_devices", Value: failed, Threshold: sloMaxFailedDeviceFraction,
+		OK: res.FailedDevices == 0 || failed <= sloMaxFailedDeviceFraction,
+	}
+	if !dead.OK {
+		dead.Detail = fmt.Sprintf("%d of %d devices died mid-run", res.FailedDevices, res.Devices)
+	}
+	add(dead)
 	return h
 }

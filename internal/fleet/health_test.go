@@ -9,31 +9,51 @@ import (
 	"snip/internal/obs"
 )
 
-// TestSLOVerdicts pins the judgment logic against hand-built results.
+// TestSLOVerdicts pins the judgment logic against hand-built results:
+// every run gets the same six verdicts, in order, against the fixed
+// envelope.
 func TestSLOVerdicts(t *testing.T) {
-	slo := SLOConfig{MinHitRate: 0.5, MaxP99LookupNS: 1000, MaxRetriesPerBatch: 1.0}
-
 	healthy := &Result{
 		Lookup:      memo.LookupStats{Lookups: 100, Hits: 80},
 		P99LookupNS: 500, Batches: 10, Retries: 5,
 	}
-	h := buildHealth(slo, healthy)
+	h := buildHealth(healthy)
 	if !h.Healthy {
 		t.Fatalf("healthy result judged unhealthy: %+v", h.Verdicts)
 	}
-	if len(h.Verdicts) != 3 {
-		t.Fatalf("got %d verdicts, want 3", len(h.Verdicts))
+	want := []struct {
+		name      string
+		threshold float64
+	}{
+		{"hit_rate", 0.05},
+		{"p99_lookup_ns", 1 << 20},
+		{"retries_per_batch", 1.0},
+		{"mispredict_ratio", 0.10},
+		{"saved_energy_fraction", 0.02},
+		{"failed_devices", 0.5},
+	}
+	if len(h.Verdicts) != len(want) {
+		t.Fatalf("got %d verdicts, want %d", len(h.Verdicts), len(want))
+	}
+	for i, w := range want {
+		if v := h.Verdicts[i]; v.Name != w.name || v.Threshold != w.threshold {
+			t.Errorf("verdict %d = %s at %v, want %s at %v", i, v.Name, v.Threshold, w.name, w.threshold)
+		}
 	}
 	if h.HitRate != 0.8 || h.RetriesPerBatch != 0.5 {
 		t.Fatalf("hit rate %.2f retries/batch %.2f", h.HitRate, h.RetriesPerBatch)
 	}
 
 	for name, bad := range map[string]*Result{
-		"hit_rate":          {Lookup: memo.LookupStats{Lookups: 100, Hits: 10}, P99LookupNS: 500},
-		"p99_lookup_ns":     {Lookup: memo.LookupStats{Lookups: 100, Hits: 80}, P99LookupNS: 5000},
+		"hit_rate":          {Lookup: memo.LookupStats{Lookups: 100, Hits: 1}, P99LookupNS: 500},
+		"p99_lookup_ns":     {Lookup: memo.LookupStats{Lookups: 100, Hits: 80}, P99LookupNS: 1 << 21},
 		"retries_per_batch": {Lookup: memo.LookupStats{Lookups: 100, Hits: 80}, P99LookupNS: 500, Batches: 2, Retries: 9},
+		"mispredict_ratio": {Lookup: memo.LookupStats{Lookups: 100, Hits: 80}, P99LookupNS: 500,
+			Guard: &GuardReport{ShadowChecks: 20, Mispredicts: 5}},
+		"failed_devices": {Lookup: memo.LookupStats{Lookups: 100, Hits: 80}, P99LookupNS: 500,
+			Devices: 4, FailedDevices: 3},
 	} {
-		h := buildHealth(slo, bad)
+		h := buildHealth(bad)
 		if h.Healthy {
 			t.Errorf("%s breach judged healthy", name)
 		}
@@ -52,14 +72,9 @@ func TestSLOVerdicts(t *testing.T) {
 	}
 
 	// Vacuous pass: nothing probed, nothing uploaded — nothing to judge.
-	h = buildHealth(slo, &Result{})
+	h = buildHealth(&Result{})
 	if !h.Healthy {
 		t.Fatal("idle run judged unhealthy")
-	}
-	// Disabled checks emit no verdicts.
-	h = buildHealth(SLOConfig{}, healthy)
-	if len(h.Verdicts) != 0 || !h.Healthy {
-		t.Fatalf("zero SLOConfig produced verdicts: %+v", h.Verdicts)
 	}
 }
 
@@ -160,20 +175,37 @@ func TestFleetHealthRollup(t *testing.T) {
 		t.Fatalf("device saved-instr sum %d != fleet %d", devSaved, h.SavedInstr)
 	}
 
-	// A custom SLO the run cannot meet flips the verdict without
+	// A table trained on another game misses every lookup: the run
+	// breaches the hit-rate floor, which flips the verdict without
 	// failing the run.
-	strict := &SLOConfig{MinHitRate: 1.1}
 	res2, err := Run(Config{
 		Game: testGame, Devices: 1, SessionsPerDevice: 1,
 		SessionDuration: testDur, SeedBase: 5000,
-		Table: memo.NewShared(table), SLO: strict,
+		Table: memo.NewShared(foreignTable(t)),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Health.Healthy {
-		t.Fatal("impossible SLO judged healthy")
+	if res2.Lookup.Lookups == 0 || res2.Lookup.Hits != 0 {
+		t.Fatalf("foreign table: %d hits of %d lookups, want 0 of some", res2.Lookup.Hits, res2.Lookup.Lookups)
 	}
+	if res2.Health.Healthy {
+		t.Fatal("run that never hit judged healthy")
+	}
+	for _, v := range res2.Health.Verdicts {
+		if v.OK != (v.Name != "hit_rate") {
+			t.Errorf("verdict %s ok=%v on a run whose only breach is the hit rate", v.Name, v.OK)
+		}
+	}
+}
+
+// foreignTable builds a table from another game's sessions: its keys
+// never match a Colorphun event.
+func foreignTable(t *testing.T) *memo.FlatTable {
+	t.Helper()
+	_, srv, _, table := bootGame(t, "Greenwall")
+	srv.Close()
+	return table
 }
 
 // TestFleetSpanRecordingRace drives devices recording spans while

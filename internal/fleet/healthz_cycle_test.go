@@ -3,8 +3,10 @@ package fleet
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
+	"snip/internal/cloud"
 	"snip/internal/memo"
 	"snip/internal/obs"
 )
@@ -54,7 +56,7 @@ func TestHealthzDegradationCycle(t *testing.T) {
 	// target) accumulates mispredict evidence and trips: the breaker
 	// stays open, and the degradation is reported to the cloud.
 	shared := memo.NewShared(table)
-	g := newGuard(aggressiveGuard(), shared, client, testGame, obs.NewRegistry())
+	g := newGuard(aggressiveGuard(), shared, client, nil, testGame, obs.NewRegistry())
 	for i := int64(0); i < g.cfg.MinShadowSamples; i++ {
 		g.observe(1, true)
 	}
@@ -83,4 +85,33 @@ func TestHealthzDegradationCycle(t *testing.T) {
 	if ok := checks["guard_breaker_"+testGame]; !ok {
 		t.Fatal("guard check still failing after recovery")
 	}
+}
+
+// TestGuardReportBacksOffOnSimulatedTime: the guard reports under its
+// own lock, so a report the cloud answers 503 must retry on simulated
+// time, booked to the run's backoff, and still reach /v1/healthz.
+func TestGuardReportBacksOffOnSimulatedTime(t *testing.T) {
+	svc, _, _, table := bootCloud(t)
+	srv := httptest.NewServer(failFirst(svc.Handler(), "/v1/guard"))
+	t.Cleanup(srv.Close)
+	co := &coordinator{cfg: Config{Client: cloud.NewClient(srv.URL)}}
+	g := newGuard(aggressiveGuard(), memo.NewShared(table), co.cfg.Client, co.guardControl(), testGame, obs.NewRegistry())
+	for i := int64(0); i < g.cfg.MinShadowSamples; i++ {
+		g.observe(1, true)
+	}
+	if !g.isOpen() {
+		t.Fatal("guard did not trip on pure mispredict evidence")
+	}
+	if co.backoffNS.Load() <= 0 {
+		t.Fatal("the retried guard report booked no simulated backoff")
+	}
+	for _, c := range svc.Healthz().Checks {
+		if c.Name == "guard_breaker_"+testGame {
+			if c.OK {
+				t.Fatal("guard check passing after the breaker opened")
+			}
+			return
+		}
+	}
+	t.Fatal("the retried guard report never reached the cloud")
 }

@@ -38,6 +38,10 @@ const deviceRetryBudget = 8
 // shadow-guard RNG.
 const overloadJitterSalt = 0x4F564C4444455649 // "OVLDDEVI"
 
+// guardJitterSalt seeds the guard reports' backoff-jitter stream, apart
+// from every device's.
+const guardJitterSalt = 0x4755415244525054 // "GUARDRPT"
+
 // workerCount sizes the pool: explicit Config.Workers, else twice
 // GOMAXPROCS (the devices block on in-process HTTP, so modest
 // oversubscription keeps cores busy), never more than the devices.
@@ -58,17 +62,36 @@ func workerCount(cfg Config) int {
 // fixed retry budget, and backoff runs on simulated time (an atomic
 // virtual-nanosecond sum, reported as Result.BackoffNS) with a
 // per-device pre-split jitter RNG, so faulted runs stay deterministic
-// and never wall-clock stall the harness. A clean run never consults
-// it: no 429 and no transient failure means no retry. Nil without a
-// client.
+// and never wall-clock stall the harness. The device's batch uploads and
+// telemetry flushes both ride it. A clean run never consults it: no 429
+// and no transient failure means no retry. Nil without a client.
 func (co *coordinator) callControl(id int) *cloud.CallControl {
-	cfg := co.cfg
-	if cfg.Client == nil {
+	if co.cfg.Client == nil {
 		return nil
 	}
-	jr := rng.New((cfg.SeedBase + uint64(id)) ^ overloadJitterSalt)
+	return co.simControl((co.cfg.SeedBase+uint64(id))^overloadJitterSalt,
+		cloud.NewRetryBudget(deviceRetryBudget))
+}
+
+// guardControl is the coordinator's own call control, for the guard's
+// reports: the same simulated-time backoff as a device's, with no retry
+// budget (admission never sheds guard-class traffic) and a jitter stream
+// of its own. Reports are sent under guard.mu, so the stream is never
+// drawn concurrently. Nil without a client.
+func (co *coordinator) guardControl() *cloud.CallControl {
+	if co.cfg.Client == nil {
+		return nil
+	}
+	return co.simControl(co.cfg.SeedBase^guardJitterSalt, nil)
+}
+
+// simControl is a CallControl whose backoff adds to the run's simulated
+// BackoffNS instead of sleeping, with jitter drawn from a private stream
+// seeded by seed.
+func (co *coordinator) simControl(seed uint64, budget *cloud.RetryBudget) *cloud.CallControl {
+	jr := rng.New(seed)
 	return &cloud.CallControl{
-		Budget: cloud.NewRetryBudget(deviceRetryBudget),
+		Budget: budget,
 		Sleep: func(d time.Duration) {
 			if d > 0 {
 				co.backoffNS.Add(int64(d))
@@ -81,17 +104,4 @@ func (co *coordinator) callControl(id int) *cloud.CallControl {
 			return int64(jr.Uint64() % uint64(n))
 		},
 	}
-}
-
-// speedGrade returns device id's SoC speed grade: SpeedGrades cycled by
-// id, 1.0 (homogeneous) when unset.
-func (cfg Config) speedGrade(id int) float64 {
-	if len(cfg.SpeedGrades) == 0 {
-		return 1
-	}
-	g := cfg.SpeedGrades[id%len(cfg.SpeedGrades)]
-	if g <= 0 {
-		return 1
-	}
-	return g
 }

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -41,46 +40,6 @@ func TestOverloadSchedulerWorkerInvariance(t *testing.T) {
 		if da.Events != db.Events || da.Lookup != db.Lookup || da.Sessions != db.Sessions {
 			t.Fatalf("device %d differs across worker counts:\n  1 worker:  %+v\n  4 workers: %+v", i, da, db)
 		}
-	}
-}
-
-// TestOverloadSpeedGrades pins the heterogeneous-SoC knob: grades cycle
-// by device id, grade 1.0 (and no grades at all) is the exact baseline,
-// and a slower grade shows up as a slower modeled device.
-func TestOverloadSpeedGrades(t *testing.T) {
-	cfg := Config{SpeedGrades: []float64{1, 0.5, 2}}
-	for id, want := range map[int]float64{0: 1, 1: 0.5, 2: 2, 3: 1, 4: 0.5} {
-		if got := cfg.speedGrade(id); got != want {
-			t.Errorf("grade(%d) = %v, want %v", id, got, want)
-		}
-	}
-	if got := (Config{}).speedGrade(3); got != 1 {
-		t.Errorf("homogeneous fleet grade %v, want 1", got)
-	}
-	if got := (Config{SpeedGrades: []float64{-2}}).speedGrade(0); got != 1 {
-		t.Errorf("non-positive grade not defaulted: %v", got)
-	}
-	valid := Config{Game: testGame, Devices: 1, SessionsPerDevice: 1, SessionDuration: testDur,
-		Table: memo.NewShared(nil), SpeedGrades: []float64{1, -2, 0.5}}
-	if err := valid.validate(); err != nil {
-		t.Fatalf("finite grades rejected: %v", err)
-	}
-	for _, g := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		bad := valid
-		bad.SpeedGrades = []float64{1, g}
-		if err := bad.validate(); err == nil {
-			t.Errorf("grade %v accepted", g)
-		}
-	}
-	base := speedRates(1)
-	slow := speedRates(0.5)
-	// A slower clock holds the pipeline longer per instruction, so each
-	// instruction costs more energy.
-	if slow.PerInstrUJ <= base.PerInstrUJ {
-		t.Fatalf("grade 0.5 not costlier per instruction: %v vs %v µJ", slow.PerInstrUJ, base.PerInstrUJ)
-	}
-	if zero := speedRates(0); zero != base {
-		t.Fatalf("grade 0 must fall back to the baseline rates")
 	}
 }
 
@@ -222,19 +181,14 @@ func TestOverloadOffIsByteIdentical(t *testing.T) {
 	if res.OfferedBatches != res.Batches {
 		t.Fatalf("offered %d != accepted %d on a clean run", res.OfferedBatches, res.Batches)
 	}
-	for _, d := range res.PerDevice {
-		if d.SpeedGrade != 0 {
-			t.Fatalf("homogeneous run reports a speed grade: %+v", d)
-		}
-	}
 }
 
 // BenchmarkSchedulerClaim is in ci.sh's zero-allocation gate: the
 // per-device work a scheduler worker does to claim and parameterize the
-// next device (atomic claim, speed grade, jitter draw) must stay
-// allocation-free — it runs 100k times per fleet run.
+// next device (atomic claim, jitter draw) must stay allocation-free —
+// it runs 100k times per fleet run.
 func BenchmarkSchedulerClaim(b *testing.B) {
-	cfg := Config{Devices: 1 << 30, SpeedGrades: []float64{1, 1.5, 0.75, 1.25}}
+	cfg := Config{Devices: 1 << 30}
 	var next atomic.Int64
 	jr := rng.New(1)
 	b.ReportAllocs()
@@ -244,7 +198,6 @@ func BenchmarkSchedulerClaim(b *testing.B) {
 		if d >= cfg.Devices {
 			b.Fatal("claimed past the fleet")
 		}
-		_ = cfg.speedGrade(d)
 		_ = jr.Uint64() % 1000
 	}
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"snip/internal/cloud"
 	"snip/internal/energy"
 	"snip/internal/events"
 	"snip/internal/games"
@@ -32,7 +33,7 @@ type genAccum struct {
 type deviceTally struct {
 	co     *coordinator
 	device int
-	rates  energy.Rates
+	ctl    *cloud.CallControl // the device's overload control (nil without a client)
 	res    *DeviceResult
 	hist   *latHist // the device's (or worker's) probe latencies, filled by fold
 	trace  obs.ID   // the session's trace, for latency exemplars
@@ -60,8 +61,8 @@ type deviceTally struct {
 func newDeviceTally(co *coordinator, device int, res *DeviceResult, hist *latHist) *deviceTally {
 	return &deviceTally{
 		co: co, device: device, res: res, hist: hist,
-		rates: speedRates(co.cfg.speedGrade(device)),
-		gens:  make(map[int64]*genAccum),
+		ctl:  co.callControl(device),
+		gens: make(map[int64]*genAccum),
 	}
 }
 
@@ -72,7 +73,7 @@ func (t *deviceTally) Deliver(e *events.Event) memo.Table {
 		if !ok {
 			a = &genAccum{}
 			if t.co.cfg.Energy != nil {
-				a.led = energy.NewLedger(t.rates)
+				a.led = energy.NewLedger(t.co.rates)
 			}
 			t.gens[gen] = a
 			t.order = append(t.order, gen)

@@ -50,7 +50,7 @@ func (t *deviceTally) flush(force bool) {
 	// device index so the cloud-side ingest spans of different devices
 	// land in different traces.
 	sc := obs.Root(obs.NewTraceID(uint64(t.device), t.co.salt^obs.HashName("telemetry")))
-	br, err := t.co.cfg.Client.UploadTelemetry(t.co.cfg.Game, t.pending, sc)
+	br, err := t.co.cfg.Client.UploadTelemetry(t.co.cfg.Game, t.pending, sc, t.ctl)
 	res.Retries += br.Retries
 	if err != nil {
 		res.TelemetryDropped += int64(len(t.pending))

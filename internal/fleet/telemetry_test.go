@@ -1,6 +1,9 @@
 package fleet
 
 import (
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"snip/internal/chaos"
@@ -143,6 +146,45 @@ func TestFleetTelemetryBestEffort(t *testing.T) {
 	}
 	if res.Lookup.Lookups == 0 {
 		t.Fatal("serving stopped because telemetry failed")
+	}
+}
+
+// failFirst wraps h so that the first request to path answers 503.
+func failFirst(h http.Handler, path string) http.Handler {
+	var failed atomic.Bool
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == path && failed.CompareAndSwap(false, true) {
+			http.Error(w, "injected outage", http.StatusServiceUnavailable)
+			return
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// TestFleetTelemetryRetryBacksOffOnSimulatedTime: a telemetry flush the
+// cloud answers 503 retries under the device's own call control, so its
+// backoff is booked as simulated BackoffNS instead of slept on the wall,
+// and the retried batch ships: nothing is dropped.
+func TestFleetTelemetryRetryBacksOffOnSimulatedTime(t *testing.T) {
+	svc, _, _, table := bootCloud(t)
+	srv := httptest.NewServer(failFirst(svc.Handler(), "/v1/telemetry"))
+	t.Cleanup(srv.Close)
+	res, err := Run(Config{
+		Game: testGame, Devices: 2, SessionsPerDevice: 2,
+		SessionDuration: testDur, SeedBase: 8100,
+		Table: memo.NewShared(table), Client: cloud.NewClient(srv.URL), BatchSize: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.BackoffNS <= 0 || res.Retries == 0 {
+		t.Fatalf("a 503 on telemetry left backoff %dns after %d retries, want both > 0", res.BackoffNS, res.Retries)
+	}
+	if tel := res.Telemetry; tel == nil || tel.Batches == 0 || tel.Dropped != 0 {
+		t.Fatalf("retried telemetry: %+v, want shipped with 0 dropped", tel)
+	}
+	if res.BatchesDropped != 0 || res.FailedDevices != 0 {
+		t.Fatalf("a telemetry outage cost %d batches and %d devices", res.BatchesDropped, res.FailedDevices)
 	}
 }
 
