@@ -118,7 +118,7 @@ func touchSeq(s *Synthesizer, pts [][3]int64) []Event {
 		} else if i == len(pts)-1 {
 			phase = sensors.TouchUp
 		}
-		out = append(out, feed(s, sensors.TouchReading(units.Time(p[0]), phase, p[1], p[2], 500, 0))...)
+		out = append(out, feed(s, sensors.TouchReading(nil, units.Time(p[0]), phase, p[1], p[2], 500, 0))...)
 	}
 	return out
 }
@@ -180,17 +180,17 @@ func TestDragClassificationAndUpdates(t *testing.T) {
 
 func TestGyroQuantizationSuppression(t *testing.T) {
 	s := synth()
-	e1 := feed(s, sensors.GyroReading(0, 100, 200, 300))
+	e1 := feed(s, sensors.GyroReading(nil, 0, 100, 200, 300))
 	if len(e1) != 1 || e1[0].Type != Tilt {
 		t.Fatalf("first gyro reading: %v", e1)
 	}
 	// Sub-quantum tremor (±2° grid) produces no event.
-	e2 := feed(s, sensors.GyroReading(100, 101, 201, 301))
+	e2 := feed(s, sensors.GyroReading(nil, 100, 101, 201, 301))
 	if len(e2) != 0 {
 		t.Fatalf("tremor produced events: %v", e2)
 	}
 	// A real turn does.
-	e3 := feed(s, sensors.GyroReading(200, 160, 200, 300))
+	e3 := feed(s, sensors.GyroReading(nil, 200, 160, 200, 300))
 	if len(e3) != 1 {
 		t.Fatalf("turn missed: %v", e3)
 	}
@@ -201,21 +201,21 @@ func TestGyroQuantizationSuppression(t *testing.T) {
 
 func TestShakeThreshold(t *testing.T) {
 	s := synth()
-	if evs := feed(s, sensors.AccelReading(0, 100, 100, 100)); len(evs) != 0 {
+	if evs := feed(s, sensors.AccelReading(nil, 0, 100, 100, 100)); len(evs) != 0 {
 		t.Fatalf("weak accel made events: %v", evs)
 	}
-	if evs := feed(s, sensors.AccelReading(1, 2000, 100, 100)); len(evs) != 1 || evs[0].Type != Shake {
+	if evs := feed(s, sensors.AccelReading(nil, 1, 2000, 100, 100)); len(evs) != 1 || evs[0].Type != Shake {
 		t.Fatalf("strong accel: %v", evs)
 	}
 }
 
 func TestCameraAndGPSEvents(t *testing.T) {
 	s := synth()
-	evs := feed(s, sensors.CameraReading(0, 101, 4, 120))
+	evs := feed(s, sensors.CameraReading(nil, 0, 101, 4, 120))
 	if len(evs) != 1 || evs[0].Type != CameraFrame {
 		t.Fatalf("camera: %v", evs)
 	}
-	evs = feed(s, sensors.GPSReading(0, 1, 2))
+	evs = feed(s, sensors.GPSReading(nil, 0, 1, 2))
 	if len(evs) != 1 || evs[0].Type != GPSFix {
 		t.Fatalf("gps: %v", evs)
 	}
@@ -224,8 +224,8 @@ func TestCameraAndGPSEvents(t *testing.T) {
 func TestSynthesizeAllEmitsVSync(t *testing.T) {
 	s := synth()
 	var stream sensors.Stream
-	stream.Append(sensors.GyroReading(0, 0, 0, 0))
-	stream.Append(sensors.GyroReading(units.Second, 900, 0, 0))
+	stream.Append(sensors.GyroReading(nil, 0, 0, 0, 0))
+	stream.Append(sensors.GyroReading(nil, units.Second, 900, 0, 0))
 	evs := s.SynthesizeAll(&stream)
 	var vsyncs int
 	for _, e := range evs {
@@ -323,27 +323,27 @@ func mixedStream() *sensors.Stream {
 	at := units.Time(0)
 	for i := int64(0); i < 40; i++ {
 		moves := []int64{0, 8, 30}[i%3]
-		s.Append(sensors.TouchReading(at, sensors.TouchDown, 200+i*10, 900, 500, 0))
+		s.Append(sensors.TouchReading(nil, at, sensors.TouchDown, 200+i*10, 900, 500, 0))
 		for k := int64(1); k <= moves; k++ {
 			at += 9_000
-			s.Append(sensors.TouchReading(at, sensors.TouchMove, 200+i*10+k*30, 900-k*20, 500, 0))
+			s.Append(sensors.TouchReading(nil, at, sensors.TouchMove, 200+i*10+k*30, 900-k*20, 500, 0))
 		}
 		at += 9_000
-		s.Append(sensors.TouchReading(at, sensors.TouchUp, 200+i*10+moves*30, 900-moves*20, 500, 0))
-		s.Append(sensors.GyroReading(at, 100*i, 40*i, -30*i))
-		s.Append(sensors.AccelReading(at, 900*(i%3), 100, 100))
-		s.Append(sensors.GPSReading(at, 4000+i, 7000-i))
-		s.Append(sensors.CameraReading(at, 100+i%4, i%5, 120))
+		s.Append(sensors.TouchReading(nil, at, sensors.TouchUp, 200+i*10+moves*30, 900-moves*20, 500, 0))
+		s.Append(sensors.GyroReading(nil, at, 100*i, 40*i, -30*i))
+		s.Append(sensors.AccelReading(nil, at, 900*(i%3), 100, 100))
+		s.Append(sensors.GPSReading(nil, at, 4000+i, 7000-i))
+		s.Append(sensors.CameraReading(nil, at, 100+i%4, i%5, 120))
 		// A pinch: both pointers down, moving apart.
-		s.Append(sensors.TouchReading(at, sensors.TouchDown, 500, 1000, 500, 0))
-		s.Append(sensors.TouchReading(at, sensors.TouchDown, 600, 1100, 500, 1))
+		s.Append(sensors.TouchReading(nil, at, sensors.TouchDown, 500, 1000, 500, 0))
+		s.Append(sensors.TouchReading(nil, at, sensors.TouchDown, 600, 1100, 500, 1))
 		for k := int64(1); k <= 4; k++ {
 			at += 9_000
-			s.Append(sensors.TouchReading(at, sensors.TouchMove, 500-k*20, 1000-k*20, 500, 0))
-			s.Append(sensors.TouchReading(at, sensors.TouchMove, 600+k*20, 1100+k*20, 500, 1))
+			s.Append(sensors.TouchReading(nil, at, sensors.TouchMove, 500-k*20, 1000-k*20, 500, 0))
+			s.Append(sensors.TouchReading(nil, at, sensors.TouchMove, 600+k*20, 1100+k*20, 500, 1))
 		}
-		s.Append(sensors.TouchReading(at, sensors.TouchUp, 420, 920, 500, 0))
-		s.Append(sensors.TouchReading(at, sensors.TouchUp, 680, 1180, 500, 1))
+		s.Append(sensors.TouchReading(nil, at, sensors.TouchUp, 420, 920, 500, 0))
+		s.Append(sensors.TouchReading(nil, at, sensors.TouchUp, 680, 1180, 500, 1))
 		at += 30_000
 	}
 	return &s

@@ -235,7 +235,8 @@ type DeviceResult struct {
 	// Energy is the device's modeled-energy breakdown (nil when the
 	// ledger is disabled).
 	Energy *EnergyBreakdown `json:"energy,omitempty"`
-	// P99LookupNS is the device's own p99 probe latency estimate.
+	// P99LookupNS is the device's own p99 probe latency estimate, over
+	// its timed probes (1 in 16).
 	P99LookupNS int64 `json:"p99_lookup_ns"`
 	// Failed marks a device that died mid-run (an injected crash or a
 	// failed OTA round; a refused upload costs only its batch). The
@@ -261,7 +262,8 @@ type Result struct {
 	Wall          time.Duration `json:"wall_ns"`
 	LookupsPerSec float64       `json:"lookups_per_sec"`
 	// P50/P99LookupNS are power-of-two-bucket estimates of per-probe
-	// latency (table probe only, not handler execution).
+	// latency (table probe only, not handler execution), over the 1 in
+	// 16 probes each session times.
 	P50LookupNS int64 `json:"p50_lookup_ns"`
 	P99LookupNS int64 `json:"p99_lookup_ns"`
 
@@ -375,7 +377,7 @@ func newFleetMetrics(reg *obs.Registry) fleetMetrics {
 		bytes:    reg.Counter("snip_fleet_upload_bytes_total", "compressed bytes the fleet put on the wire"),
 		swaps:    reg.Counter("snip_fleet_table_swaps_total", "live OTA table swaps observed by the fleet"),
 		failures: reg.Counter("snip_fleet_device_failures_total", "devices that died mid-run and were isolated"),
-		lookupNS: reg.Histogram("snip_fleet_lookup_ns", "shared-table probe wall time in nanoseconds", obs.NanoBuckets()),
+		lookupNS: reg.Histogram("snip_fleet_lookup_ns", "shared-table probe wall time in nanoseconds, of 1 probe in 16 (each session's 0th, 16th, 32nd ...)", obs.NanoBuckets()),
 
 		unhandled: reg.Counter("snip_dispatch_unhandled_total", "events with no registered handler"),
 

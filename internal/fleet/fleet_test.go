@@ -136,8 +136,20 @@ func TestFleetEndToEnd(t *testing.T) {
 	if got := fsnap.Counters["snip_fleet_table_swaps_total"]; got != 1 {
 		t.Errorf("fleet swap counter %d, want 1", got)
 	}
-	if h, ok := fsnap.Histograms["snip_fleet_lookup_ns"]; !ok || h.Count != res.Lookup.Lookups {
-		t.Errorf("latency histogram count %d, want %d", h.Count, res.Lookup.Lookups)
+	// The probe clock times each session's 0th, 16th, 32nd … probe, and
+	// every handled event probes (lookups == events above), so the
+	// histogram holds ceil(events / 16) probes per session, counted here
+	// from each session's events as schemes.Run plays them.
+	var timed int64
+	for seed := uint64(1000); seed < 1000+devices*sessions; seed++ {
+		r, err := schemes.Run(schemes.Config{Game: testGame, Seed: seed, Duration: testDur, Scheme: schemes.Baseline})
+		if err != nil {
+			t.Fatal(err)
+		}
+		timed += (int64(r.Events) + 15) / 16
+	}
+	if h, ok := fsnap.Histograms["snip_fleet_lookup_ns"]; !ok || h.Count != timed {
+		t.Errorf("latency histogram count %d, want %d timed of %d probes", h.Count, timed, res.Lookup.Lookups)
 	}
 }
 

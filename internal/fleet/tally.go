@@ -92,16 +92,19 @@ func (t *deviceTally) Deliver(e *events.Event) memo.Table {
 }
 
 func (t *deviceTally) Probed(probes int64, cmpBytes units.Size, hit bool, wallNS int64) {
-	// Exemplar, not a span: two atomic adds plus one atomic store keep
-	// the probe loop lock-free while still linking the latency
-	// histogram back to a concrete trace ID.
-	t.co.met.lookupNS.ObserveExemplar(wallNS, t.trace)
 	a := t.cur
 	a.lookups++
 	if hit {
 		a.hits++
 	}
-	a.hist.observe(wallNS)
+	if wallNS >= 0 {
+		// A timed probe, 1 in 16 (see schemes.Sink.Probed). Exemplar,
+		// not a span: two atomic adds plus one atomic store keep the
+		// probe loop lock-free while still linking the latency
+		// histogram back to a concrete trace ID.
+		t.co.met.lookupNS.ObserveExemplar(wallNS, t.trace)
+		a.hist.observe(wallNS)
+	}
 	chargeLookup(a.led, probes, cmpBytes)
 }
 

@@ -74,11 +74,7 @@ func (g *abEvolution) Reset(seed uint64) {
 }
 
 // Clone implements Game.
-func (g *abEvolution) Clone() Game {
-	c := *g
-	c.base = g.cloneBase()
-	return &c
-}
+func (g *abEvolution) Clone(into Game) Game { return cloneGame(g, into) }
 
 // Overrides implements Game: the AB Evolution developers mark the fields
 // the impact handler branches on. The flight/impact path runs on ~2% of
@@ -379,11 +375,7 @@ func (g *chaseWhisply) Reset(seed uint64) {
 }
 
 // Clone implements Game.
-func (g *chaseWhisply) Clone() Game {
-	c := *g
-	c.base = g.cloneBase()
-	return &c
-}
+func (g *chaseWhisply) Clone(into Game) Game { return cloneGame(g, into) }
 
 // Process implements Game.
 func (g *chaseWhisply) Process(e *events.Event, profile *trace.Dataset) *Execution {
@@ -600,11 +592,7 @@ func (g *raceKings) Reset(seed uint64) {
 }
 
 // Clone implements Game.
-func (g *raceKings) Clone() Game {
-	c := *g
-	c.base = g.cloneBase()
-	return &c
-}
+func (g *raceKings) Clone(into Game) Game { return cloneGame(g, into) }
 
 // Overrides implements Game: the physics integrator's dependencies, as
 // the Race Kings developers would annotate them (§V-B Option 1) — speed

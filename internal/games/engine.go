@@ -117,8 +117,12 @@ type Game interface {
 	// it first. A clone has its own.
 	Process(e *events.Event, profile *trace.Dataset) *Execution
 	// Clone returns an independent deep copy (for shadow execution when
-	// checking short-circuit correctness).
-	Clone() Game
+	// checking short-circuit correctness). Given an earlier clone of
+	// this game as into, it copies the game's state into into's buffers
+	// and returns it; given any other into, nil included, it returns a
+	// new copy. Either reads the same. A clone's last Execution is
+	// invalid once the clone is copied into again.
+	Clone(into Game) Game
 	// ApplyOutputs applies memoized Out.History outputs to the state
 	// without executing — the short-circuit path.
 	ApplyOutputs(fields []trace.Field)
@@ -260,12 +264,19 @@ func (s *Store) Hash() uint64 {
 
 // Clone copies the store's values, sizes and digests; the name side is
 // shared copy-on-write.
-func (s *Store) Clone() *Store {
-	c := *s
-	c.vals, c.sizes = slices.Clone(s.vals), slices.Clone(s.sizes)
-	c.digests, c.chains = slices.Clone(s.digests), slices.Clone(s.chains)
-	s.shared, c.shared = true, true
-	return &c
+func (s *Store) Clone() *Store { return s.cloneInto(nil) }
+
+// cloneInto is Clone into dst's buffers, or new ones when dst is nil.
+func (s *Store) cloneInto(dst *Store) *Store {
+	if dst == nil || dst == s {
+		dst = &Store{}
+	}
+	vals, sizes, digests, chains := dst.vals[:0], dst.sizes[:0], dst.digests[:0], dst.chains[:0]
+	*dst = *s
+	dst.vals, dst.sizes = append(vals, s.vals...), append(sizes, s.sizes...)
+	dst.digests, dst.chains = append(digests, s.digests...), append(chains, s.chains...)
+	s.shared, dst.shared = true, true
+	return dst
 }
 
 // Len returns the number of declared locations.
@@ -599,22 +610,41 @@ func (b *base) declare(v Var, name string, size units.Size, init int64) {
 	b.declared++
 }
 
-func (b *base) cloneBase() base {
-	c := *b
-	c.store = b.store.Clone()
+// cloneGame implements Clone for every game type G: G's fields are
+// copied, and its base's state deep-copied into dst's buffers when dst
+// is an earlier clone, a *G other than g, else into new ones.
+func cloneGame[G any, P interface {
+	*G
+	Game
+	gameBase() *base
+}](g P, dst Game) Game {
+	c, ok := dst.(P)
+	if !ok || c == nil || c == g {
+		c = P(new(G))
+	}
+	b, cb := g.gameBase(), c.gameBase()
+	store, rnd, cpu, ips, out := cb.store, cb.rnd, cb.cx.cpu[:0], cb.cx.ips[:0], cb.cx.out[:0]
+	*c = *g
+	cb.store = b.store.cloneInto(store)
 	// The RNG is part of game state (content generation order matters).
-	rc := *b.rnd
-	c.rnd = &rc
+	if rnd == nil {
+		rnd = new(rng.Source)
+	}
+	*rnd = *b.rnd
+	cb.rnd = rnd
 	// The clone's context shares no buffer with the original's; its
-	// buffers start at the original's capacity, so its first handler
+	// buffers grow to the original's capacity, so its first handler
 	// call does not grow them.
-	c.cx = Ctx{
-		cpu: make([]CPUFunc, 0, cap(b.cx.cpu)),
-		ips: make([]soc.IPCall, 0, cap(b.cx.ips)),
-		out: make([]trace.Field, 0, cap(b.cx.out)),
+	cb.cx = Ctx{
+		cpu: slices.Grow(cpu, cap(b.cx.cpu)),
+		ips: slices.Grow(ips, cap(b.cx.ips)),
+		out: slices.Grow(out, cap(b.cx.out)),
 	}
 	return c
 }
+
+// gameBase returns the game's base, for cloneGame.
+func (b *base) gameBase() *base { return b }
 
 func (b *base) ctx(e *events.Event, profile *trace.Dataset) *Ctx {
 	return b.cx.begin(b.store, e, profile)

@@ -121,7 +121,7 @@ func TestCloneIndependence(t *testing.T) {
 		for _, e := range evs[:len(evs)/2] {
 			g.Process(e, nil)
 		}
-		c := g.Clone()
+		c := g.Clone(nil)
 		if c.StateHash() != g.StateHash() {
 			t.Fatalf("%s: clone differs immediately", name)
 		}
@@ -145,7 +145,7 @@ func TestApplyOutputsRoundtrip(t *testing.T) {
 		g := games.MustNew(name)
 		g.Reset(11)
 		for i, e := range evs {
-			shadow := g.Clone()
+			shadow := g.Clone(nil)
 			exec := g.Process(e, nil)
 			shadow.ApplyOutputs(exec.Record.Outputs)
 			if shadow.StateHash() != g.StateHash() {
@@ -200,7 +200,7 @@ func TestLocatorMatchesRecordedInputs(t *testing.T) {
 		g.Reset(17)
 		for i, e := range evs {
 			// Peek every input BEFORE processing.
-			shadow := g.Clone()
+			shadow := g.Clone(nil)
 			loc := shadow.Locator()
 			prof := &trace.Dataset{}
 			g.Process(e, prof)
@@ -352,7 +352,7 @@ func TestShadowExecutionProperty(t *testing.T) {
 		for _, e := range evs[:n] {
 			g.Process(e, nil)
 		}
-		clone := g.Clone()
+		clone := g.Clone(nil)
 		if n >= len(evs) {
 			return true
 		}

@@ -11,7 +11,8 @@ import (
 // reads, without executing, when it compares an event's necessary inputs
 // against the table (§V-B). Locate compiles a traced input field's
 // record name once; Peek then reads its live value by index, hashing no
-// name.
+// name. It is also the short-circuit's write side: Var compiles a served
+// output's name to a handle once, and SetAt writes its value.
 type Locator struct{ s *Store }
 
 // Loc is a compiled input field: an index into the pending event's
@@ -77,3 +78,15 @@ func (l Locator) Peek(loc Loc, e *events.Event) uint64 {
 // digests, which is when a blob's Loc, or an undeclared location's,
 // compiled before it may go stale.
 func (l Locator) Layout() uint64 { return l.s.layout }
+
+// Var returns the handle of the location an Out.History output named
+// name writes, as ApplyOutputs resolves it: "state.<n>", or a bare n,
+// names location n. ok is false while n is undeclared.
+func (l Locator) Var(name string) (v Var, ok bool) {
+	v, ok = l.s.index[strings.TrimPrefix(name, "state.")]
+	return v, ok
+}
+
+// SetAt writes a served output's value to the location v, as
+// ApplyOutputs writes it by name.
+func (l Locator) SetAt(v Var, x int64) { l.s.SetAt(v, x) }

@@ -25,7 +25,7 @@ func TestNoLogMatchesLog(t *testing.T) {
 			bare.Reset(seed)
 			prof := &trace.Dataset{Game: name}
 			for i, e := range sessionEvents(t, name, seed, 8) {
-				shadow := logged.Clone().Process(e, nil)
+				shadow := logged.Clone(nil).Process(e, nil)
 				want := logged.Process(e, prof)
 				if prof.Len() != i+1 {
 					t.Fatalf("%s seed %d event %d: profile has %d rows", name, seed, i, prof.Len())
@@ -87,7 +87,7 @@ func TestNoLogVSyncAllocs(t *testing.T) {
 		}
 		clones := make([]games.Game, runs)
 		for i := range clones {
-			clones[i] = g.Clone()
+			clones[i] = g.Clone(nil)
 		}
 		if got := mallocs(func() {
 			for _, c := range clones {

@@ -29,7 +29,7 @@ func TestCloneKeepsOriginalExecution(t *testing.T) {
 		for i, e := range evs {
 			x := g.Process(e, nil)
 			want := snapshot(x)
-			c := g.Clone()
+			c := g.Clone(nil)
 			for _, next := range evs[i:min(i+3, len(evs))] {
 				c.Process(next, nil)
 			}
@@ -120,9 +120,9 @@ func TestHandlesStable(t *testing.T) {
 			}
 			_, layout := games.Handles(g)
 			prof := &trace.Dataset{Game: name}
-			twin := g.Clone()
+			twin := g.Clone(nil)
 			for i, e := range sessionEvents(t, name, seed, 6) {
-				c := g.Clone()
+				c := g.Clone(nil)
 				x := c.Process(e, nil)
 				twin.ApplyOutputs(x.Record.Outputs)
 				if got, _ := games.Handles(c); !slices.Equal(got, want) {

@@ -54,11 +54,7 @@ func (g *colorphun) Reset(seed uint64) {
 }
 
 // Clone implements Game.
-func (g *colorphun) Clone() Game {
-	c := *g
-	c.base = g.cloneBase()
-	return &c
-}
+func (g *colorphun) Clone(into Game) Game { return cloneGame(g, into) }
 
 // Process implements Game.
 func (g *colorphun) Process(e *events.Event, profile *trace.Dataset) *Execution {
@@ -230,11 +226,7 @@ func (g *memoryGame) shuffleBoard(seed uint64) {
 }
 
 // Clone implements Game.
-func (g *memoryGame) Clone() Game {
-	c := *g
-	c.base = g.cloneBase()
-	return &c
-}
+func (g *memoryGame) Clone(into Game) Game { return cloneGame(g, into) }
 
 // Process implements Game.
 func (g *memoryGame) Process(e *events.Event, profile *trace.Dataset) *Execution {

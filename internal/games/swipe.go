@@ -105,11 +105,7 @@ func (g *candyCrush) matchAt(i int) bool {
 }
 
 // Clone implements Game.
-func (g *candyCrush) Clone() Game {
-	c := *g
-	c.base = g.cloneBase()
-	return &c
-}
+func (g *candyCrush) Clone(into Game) Game { return cloneGame(g, into) }
 
 // Process implements Game.
 func (g *candyCrush) Process(e *events.Event, profile *trace.Dataset) *Execution {
@@ -349,11 +345,7 @@ func (g *greenwall) Reset(seed uint64) {
 }
 
 // Clone implements Game.
-func (g *greenwall) Clone() Game {
-	c := *g
-	c.base = g.cloneBase()
-	return &c
-}
+func (g *greenwall) Clone(into Game) Game { return cloneGame(g, into) }
 
 // Process implements Game.
 func (g *greenwall) Process(e *events.Event, profile *trace.Dataset) *Execution {

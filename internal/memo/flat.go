@@ -790,6 +790,10 @@ func (t *FlatTable) Image() []byte { return t.img }
 // Selection returns the table's field selection.
 func (t *FlatTable) Selection() Selection { return t.sel }
 
+// OutputNames returns the output-name pool that Entry.AppendOutputRefs
+// indexes. Callers must treat it as read-only.
+func (t *FlatTable) OutputNames() []string { return t.names }
+
 // Rows returns the number of entries.
 func (t *FlatTable) Rows() int { return t.rows }
 

@@ -105,3 +105,18 @@ func (e Entry) AppendOutputs(dst []trace.Field) []trace.Field {
 	}
 	return dst
 }
+
+// AppendOutputRefs appends to dst, for each of a flat row's outputs in
+// AppendOutputs' order, the index of its name in the table's output-name
+// pool (FlatTable.OutputNames). A map row's names have no pool: it
+// appends nothing.
+func (e Entry) AppendOutputRefs(dst []uint32) []uint32 {
+	if e.t == nil {
+		return dst
+	}
+	out := e.t.outputs(e.i)
+	for f := 0; f < len(out); f += flatFieldRecLen {
+		dst = append(dst, binary.LittleEndian.Uint32(out[f:]))
+	}
+	return dst
+}

@@ -185,7 +185,10 @@ type Span struct {
 	Service string `json:"service,omitempty"`
 
 	// StartUS/DurationUS are simulated time where the subsystem has a
-	// simulated clock (0 otherwise); WallNS is measured wall time.
+	// simulated clock (0 otherwise); WallNS is measured wall time. A
+	// traced device session times every probe, so each memo.lookup span
+	// carries one; untraced sessions time 1 probe in 16 and record no
+	// span for any.
 	StartUS    int64 `json:"start_us,omitempty"`
 	DurationUS int64 `json:"duration_us,omitempty"`
 	WallNS     int64 `json:"wall_ns,omitempty"`

@@ -22,7 +22,8 @@ import (
 // memoized outputs — or run the handler. The runtime owns that decision
 // and everything both callers must do identically: the event stream,
 // its delivery order, the event log, the probe and the key plan behind
-// it, and the sampled shadow verify. What a decision costs — simulated
+// it, the probe clock's sample, the apply of served outputs and the
+// sampled shadow verify. What a decision costs — simulated
 // energy on one phone, or a fleet device's ledger, telemetry and guard
 // — is each caller's own, booked through a Sink.
 
@@ -33,13 +34,21 @@ type Sink interface {
 	// Deliver is called for every handled event in delivery order. It
 	// returns the table to probe, or nil to run the handler in full.
 	Deliver(e *events.Event) memo.Table
-	// Probed reports one table probe: its modeled cost and wall time.
+	// Probed reports one table probe: its modeled cost and its wall
+	// time. The probe clock is sampled: a session times its 0th, 16th,
+	// 32nd … probe (probeTimeEvery) and reports every other one with
+	// wallNS < 0, unless the sink records a span per probe (schemes.Run
+	// with Config.Spans), which has every probe timed. The counts and
+	// the modeled cost are exact on every probe.
 	Probed(probes int64, cmpBytes units.Size, hit bool, wallNS int64)
 	// Hit reports a short-circuit of a handler whose profiled run
 	// weighed instr instructions. served is the entry's outputs, in a
 	// buffer the runtime reuses on its next hit. truth is the handler run
-	// on a clone of the game when this hit was shadow-verified, else nil.
-	// Hit returns the outputs to apply to the live game.
+	// on the device's shadow clone of the game when this hit was
+	// shadow-verified, else nil; the clone reuses it on the next verify,
+	// so Hit keeps nothing of it. Hit returns the outputs to apply to the
+	// live game: served itself, which the runtime applies by handle, or
+	// a correction, which it applies by name.
 	Hit(instr int64, served []trace.Field, truth *games.Execution) []trace.Field
 	// Executed reports a handler run in full: a miss, or no table. The
 	// game reuses exec for its next event (see games.Game.Process), so
@@ -86,8 +95,11 @@ type Device struct {
 	// plan keys every probe of the table it was compiled for.
 	plan keyPlan
 	// served holds the outputs of the latest hit, decoded from the
-	// table's entry view.
+	// table's entry view, and refs their names' pool indices.
 	served []trace.Field
+	refs   []uint32
+	// clone is the shadow verify's game, copied into before each check.
+	clone games.Game
 	// synth synthesizes each session's events into buffers it keeps
 	// across sessions.
 	synth events.Synthesizer
@@ -107,11 +119,14 @@ func NewDevice(game games.Game) *Device {
 // and how it folds into the table's two-level key. It is compiled once
 // per table and store layout, so a probe resolves no name: it reads
 // values by index, folds them, and probes the table with the keys.
+// It also compiles a flat table's output-name pool: outs holds the
+// handle each name writes, or -1 for a name that is no location yet.
 type keyPlan struct {
 	tab    memo.Table
 	loc    games.Locator
 	layout uint64
 	types  [events.NumTypes]typePlan
+	outs   []games.Var
 }
 
 // typePlan is one event type's part of a keyPlan.
@@ -147,6 +162,16 @@ func (p *keyPlan) compile(tab memo.Table, loc games.Locator) {
 		for _, f := range sel[tp.name] {
 			l, _ := loc.Locate(events.Type(t), f.Name)
 			tp.fields = append(tp.fields, planField{loc: l, step: trace.StepOf(f.NameHash), event: f.Category == trace.InEvent})
+		}
+	}
+	p.outs = p.outs[:0]
+	if ft, ok := tab.(interface{ OutputNames() []string }); ok {
+		for _, name := range ft.OutputNames() {
+			v, ok := loc.Var(name)
+			if !ok {
+				v = -1
+			}
+			p.outs = append(p.outs, v)
 		}
 	}
 }
@@ -206,8 +231,12 @@ func (d *Device) Play(s Session, sink Sink) Played {
 	}
 
 	p := Played{End: stream.End()}
-	// Each probe's wall time is the difference of two monotonic reads
+	// A timed probe's wall time is the difference of two monotonic reads
 	// against one clock base per session.
+	timeAll := false
+	if ps, ok := sink.(probeSpans); ok {
+		timeAll = ps.spansPerProbe()
+	}
 	base := time.Now()
 	for i := range evs {
 		e := &evs[i]
@@ -232,11 +261,18 @@ func (d *Device) Play(s Session, sink Sink) Played {
 		if d.plan.stale(tab, loc) {
 			d.plan.compile(tab, loc)
 		}
-		start := time.Since(base)
+		timed := timeAll || p.Lookup.Lookups%probeTimeEvery == 0
+		var start time.Duration
+		if timed {
+			start = time.Since(base)
+		}
 		tp := &d.plan.types[e.Type]
 		ek, sk := tp.keys(loc, e)
 		entry, probes, cmpBytes, hit := tab.Probe(tp.name, ek, sk)
-		wall := (time.Since(base) - start).Nanoseconds()
+		wall := int64(-1)
+		if timed {
+			wall = (time.Since(base) - start).Nanoseconds()
+		}
 		p.Lookup.Observe(probes, cmpBytes, hit)
 		sink.Probed(probes, cmpBytes, hit, wall)
 		if !hit {
@@ -245,14 +281,57 @@ func (d *Device) Play(s Session, sink Sink) Played {
 		}
 		var truth *games.Execution
 		if s.VerifyAll || (shadow != nil && shadow.Bool(s.ShadowRate)) {
-			// Shadow verify: run the real handler on a clone, before
-			// the short-circuit mutates the live game.
-			truth = game.Clone().Process(e, nil)
+			// Shadow verify: run the real handler on the kept clone,
+			// copied from the live game before the short-circuit
+			// mutates it.
+			d.clone = game.Clone(d.clone)
+			truth = d.clone.Process(e, nil)
 		}
 		d.served = entry.AppendOutputs(d.served[:0])
-		game.ApplyOutputs(sink.Hit(entry.Instr(), d.served, truth))
+		if out := sink.Hit(entry.Instr(), d.served, truth); isServed(out, d.served) {
+			d.applyServed(game, loc, entry)
+		} else {
+			game.ApplyOutputs(out)
+		}
 	}
 	return p
+}
+
+// probeTimeEvery is the probe clock's sample rate: an untraced session
+// times the probes whose ordinal within the session is a multiple of it.
+const probeTimeEvery = 16
+
+// probeSpans is a Sink that may record a span per probe, and so have
+// every probe timed.
+type probeSpans interface{ spansPerProbe() bool }
+
+// isServed reports whether Hit returned served itself rather than a
+// correction.
+func isServed(out, served []trace.Field) bool {
+	return len(out) == len(served) && (len(out) == 0 || &out[0] == &served[0])
+}
+
+// applyServed writes the latest hit's served outputs to the live game by
+// handle, through the plan's compiled output-name pool. A map table's
+// row, and an output the plan has no location for, go by name:
+// ApplyOutputs inserts the location, and the layout change recompiles
+// the plan before the next probe.
+func (d *Device) applyServed(game games.Game, loc games.Locator, entry memo.Entry) {
+	d.refs = entry.AppendOutputRefs(d.refs[:0])
+	if len(d.refs) != len(d.served) {
+		game.ApplyOutputs(d.served)
+		return
+	}
+	for k, f := range d.served {
+		if f.Category != trace.OutHistory {
+			continue
+		}
+		if r := d.refs[k]; int(r) < len(d.plan.outs) && d.plan.outs[r] >= 0 {
+			loc.SetAt(d.plan.outs[r], int64(f.Value))
+		} else {
+			game.ApplyOutputs(d.served[k : k+1])
+		}
+	}
 }
 
 // inDeliveryOrder reports whether evs is ordered by deliveryOrder.

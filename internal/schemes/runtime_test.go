@@ -90,10 +90,11 @@ func (s *benchSink) Hit(_ int64, served []trace.Field, _ *games.Execution) []tra
 }
 
 // BenchmarkDevicePlay times Device.Play on one 5 s session per op for
-// every game, probing a table trained on two other sessions and with no
-// table, and reports allocs/event: what the device allocates per
-// delivered event, the session's sensor stream and synthesis included.
-// ci.sh gates allocs/event per game and mode.
+// every game, probing a table trained on two other sessions, probing it
+// with every hit shadow-verified, and with no table, and reports
+// allocs/event: what the device allocates per delivered event, the
+// session's sensor stream and synthesis included. ci.sh gates
+// allocs/event per game and mode.
 func BenchmarkDevicePlay(b *testing.B) {
 	for _, name := range games.Names() {
 		gen, err := workload.ForGame(name)
@@ -102,13 +103,14 @@ func BenchmarkDevicePlay(b *testing.B) {
 		}
 		tab := buildFlatTable(b, name, 2)
 		for _, mode := range []struct {
-			name string
-			tab  memo.Table
-		}{{"table", tab}, {"notable", nil}} {
+			name   string
+			tab    memo.Table
+			verify bool
+		}{{"table", tab, false}, {"shadow", tab, true}, {"notable", nil, false}} {
 			b.Run(name+"/"+mode.name, func(b *testing.B) {
 				d := NewDevice(games.MustNew(name))
 				sink := &benchSink{tab: mode.tab}
-				s := Session{Gen: gen, Seed: 0xC3, Duration: 5 * units.Second}
+				s := Session{Gen: gen, Seed: 0xC3, Duration: 5 * units.Second, VerifyAll: mode.verify}
 				d.Play(s, sink) // grow the device's buffers
 				var before, after runtime.MemStats
 				var evs int64

@@ -391,6 +391,10 @@ func (k *runSink) Deliver(e *events.Event) memo.Table {
 	return nil
 }
 
+// spansPerProbe implements probeSpans: a traced session records a
+// memo.lookup span with the wall time of every probe.
+func (k *runSink) spansPerProbe() bool { return k.cfg.Spans != nil }
+
 func (k *runSink) Probed(probes int64, cmpBytes units.Size, hit bool, wallNS int64) {
 	if k.cfg.Spans != nil {
 		k.ev.Probes = probes

@@ -51,6 +51,10 @@ func (k Kind) String() string {
 // fixed-point microdegrees, the camera a scene identifier plus a
 // complexity measure (number of detected surfaces — the paper's Fig. 7c
 // empty-room vs cluttered-room contrast).
+//
+// The constructors below append a reading's values to an arena, so the
+// readings of a stream share one array instead of allocating a slice
+// each; a nil arena gives the reading its own.
 type Reading struct {
 	Sensor Kind
 	Time   units.Time
@@ -69,30 +73,41 @@ const (
 
 // TouchReading builds a touchscreen sample: phase, x, y, pressure,
 // pointer id.
-func TouchReading(t units.Time, phase TouchPhase, x, y, pressure, pointer int64) Reading {
-	return Reading{Sensor: Touch, Time: t, Values: []int64{int64(phase), x, y, pressure, pointer}}
+func TouchReading(arena *[]int64, t units.Time, phase TouchPhase, x, y, pressure, pointer int64) Reading {
+	return reading(arena, Touch, t, int64(phase), x, y, pressure, pointer)
 }
 
 // GyroReading builds a rotation sample: alpha, beta, gamma in tenths of a
 // degree (0–3600).
-func GyroReading(t units.Time, alpha, beta, gamma int64) Reading {
-	return Reading{Sensor: Gyro, Time: t, Values: []int64{alpha, beta, gamma}}
+func GyroReading(arena *[]int64, t units.Time, alpha, beta, gamma int64) Reading {
+	return reading(arena, Gyro, t, alpha, beta, gamma)
 }
 
 // AccelReading builds an accelerometer sample in milli-g per axis.
-func AccelReading(t units.Time, ax, ay, az int64) Reading {
-	return Reading{Sensor: Accel, Time: t, Values: []int64{ax, ay, az}}
+func AccelReading(arena *[]int64, t units.Time, ax, ay, az int64) Reading {
+	return reading(arena, Accel, t, ax, ay, az)
 }
 
 // GPSReading builds a position fix in microdegrees.
-func GPSReading(t units.Time, latMicro, lngMicro int64) Reading {
-	return Reading{Sensor: GPS, Time: t, Values: []int64{latMicro, lngMicro}}
+func GPSReading(arena *[]int64, t units.Time, latMicro, lngMicro int64) Reading {
+	return reading(arena, GPS, t, latMicro, lngMicro)
 }
 
 // CameraReading builds a camera frame sample: scene id, surface count
 // (complexity), mean luma.
-func CameraReading(t units.Time, sceneID, surfaces, luma int64) Reading {
-	return Reading{Sensor: Camera, Time: t, Values: []int64{sceneID, surfaces, luma}}
+func CameraReading(arena *[]int64, t units.Time, sceneID, surfaces, luma int64) Reading {
+	return reading(arena, Camera, t, sceneID, surfaces, luma)
+}
+
+// reading builds a reading whose values are appended to *arena, or, with
+// a nil arena, held in a slice of its own.
+func reading(arena *[]int64, k Kind, t units.Time, vals ...int64) Reading {
+	if arena == nil {
+		arena = new([]int64)
+	}
+	n := len(*arena)
+	*arena = append(*arena, vals...)
+	return Reading{Sensor: k, Time: t, Values: (*arena)[n:len(*arena):len(*arena)]}
 }
 
 // RawSize returns the raw payload size of a reading as transported from

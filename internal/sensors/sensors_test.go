@@ -17,26 +17,26 @@ func TestKindNames(t *testing.T) {
 }
 
 func TestReadingConstructors(t *testing.T) {
-	r := TouchReading(10, TouchDown, 100, 200, 500, 0)
+	r := TouchReading(nil, 10, TouchDown, 100, 200, 500, 0)
 	if r.Sensor != Touch || r.Time != 10 {
 		t.Fatalf("touch reading %+v", r)
 	}
 	if TouchPhase(r.Values[0]) != TouchDown || r.Values[1] != 100 || r.Values[2] != 200 {
 		t.Fatalf("touch values %v", r.Values)
 	}
-	g := GyroReading(5, 100, 200, 300)
+	g := GyroReading(nil, 5, 100, 200, 300)
 	if g.Sensor != Gyro || len(g.Values) != 3 {
 		t.Fatalf("gyro %+v", g)
 	}
-	a := AccelReading(5, 1, 2, 3)
+	a := AccelReading(nil, 5, 1, 2, 3)
 	if a.Sensor != Accel {
 		t.Fatalf("accel %+v", a)
 	}
-	p := GPSReading(5, 40_000_000, -77_000_000)
+	p := GPSReading(nil, 5, 40_000_000, -77_000_000)
 	if p.Sensor != GPS || p.Values[0] != 40_000_000 {
 		t.Fatalf("gps %+v", p)
 	}
-	c := CameraReading(5, 101, 4, 120)
+	c := CameraReading(nil, 5, 101, 4, 120)
 	if c.Sensor != Camera || c.Values[1] != 4 {
 		t.Fatalf("camera %+v", c)
 	}
@@ -47,11 +47,11 @@ func TestRawSizes(t *testing.T) {
 		r    Reading
 		want units.Size
 	}{
-		{TouchReading(0, TouchDown, 1, 2, 3, 0), 12},
-		{GyroReading(0, 1, 2, 3), 12},
-		{AccelReading(0, 1, 2, 3), 12},
-		{GPSReading(0, 1, 2), 16},
-		{CameraReading(0, 1, 2, 3), 64},
+		{TouchReading(nil, 0, TouchDown, 1, 2, 3, 0), 12},
+		{GyroReading(nil, 0, 1, 2, 3), 12},
+		{AccelReading(nil, 0, 1, 2, 3), 12},
+		{GPSReading(nil, 0, 1, 2), 16},
+		{CameraReading(nil, 0, 1, 2, 3), 64},
 	}
 	for _, c := range cases {
 		if got := c.r.RawSize(); got != c.want {
@@ -62,9 +62,9 @@ func TestRawSizes(t *testing.T) {
 
 func TestStreamOrdering(t *testing.T) {
 	var s Stream
-	s.Append(GyroReading(10, 0, 0, 0))
-	s.Append(GyroReading(10, 0, 0, 0)) // equal time is fine
-	s.Append(GyroReading(20, 0, 0, 0))
+	s.Append(GyroReading(nil, 10, 0, 0, 0))
+	s.Append(GyroReading(nil, 10, 0, 0, 0)) // equal time is fine
+	s.Append(GyroReading(nil, 20, 0, 0, 0))
 	if s.Len() != 3 || s.End() != 20 {
 		t.Fatalf("len=%d end=%v", s.Len(), s.End())
 	}
@@ -74,7 +74,7 @@ func TestStreamOrdering(t *testing.T) {
 	if len(s.All()) != 3 {
 		t.Fatal("All length wrong")
 	}
-	if err := s.Append(GyroReading(5, 0, 0, 0)); !errors.Is(err, ErrOutOfOrder) {
+	if err := s.Append(GyroReading(nil, 5, 0, 0, 0)); !errors.Is(err, ErrOutOfOrder) {
 		t.Fatalf("out-of-order append: err = %v, want ErrOutOfOrder", err)
 	}
 	if s.Len() != 3 {

@@ -43,7 +43,9 @@ type TelemetryRecord struct {
 
 	// SavedInstr is the interval's saved-instruction energy proxy.
 	SavedInstr int64
-	// P99LookupNS is the interval's p99 lookup latency in nanoseconds.
+	// P99LookupNS is the interval's p99 lookup latency in nanoseconds,
+	// over the 1 in 16 probes a session times (0 when none of the
+	// interval's probes was timed).
 	P99LookupNS int64
 
 	// Retries counts transport retries the device burned this interval.

@@ -282,7 +282,7 @@ func (chaseUser) Generate(seed uint64, duration units.Time) *sensors.Stream {
 				walkLeft = 60 + b.r.Intn(120)
 			}
 			luma := int64(120 + b.r.Intn(8))
-			b.emit(sensors.CameraReading(now, scene, surfaces, luma))
+			b.emit(sensors.CameraReading(&b.vals, now, scene, surfaces, luma))
 		}
 		if now >= gyroAt {
 			gyroAt += gyroPeriod
@@ -301,7 +301,7 @@ func (chaseUser) Generate(seed uint64, duration units.Time) *sensors.Stream {
 			}
 			lat += drift + int64(b.r.Intn(30)) - 15
 			lng += drift/2 + int64(b.r.Intn(30)) - 15
-			b.emit(sensors.GPSReading(now, lat, lng))
+			b.emit(sensors.GPSReading(&b.vals, now, lat, lng))
 		}
 		if shotIdx < len(shots) && now >= shots[shotIdx].at {
 			s := shots[shotIdx]

@@ -58,9 +58,11 @@ func MustForGame(name string) Generator {
 // buffered and merge-sorted into the final stream by finish().
 type builder struct {
 	buf []sensors.Reading
-	r   *rng.Source
-	now units.Time
-	end units.Time
+	// vals is the arena the readings' values are appended to.
+	vals []int64
+	r    *rng.Source
+	now  units.Time
+	end  units.Time
 }
 
 func newBuilder(seed uint64, duration units.Time) *builder {
@@ -110,9 +112,9 @@ func (b *builder) tap(x, y int64) {
 	x = clampI(x, 0, 1439)
 	y = clampI(y, 0, 2559)
 	pressure := int64(400 + b.r.Intn(400))
-	b.emit(sensors.TouchReading(b.now, sensors.TouchDown, x, y, pressure, 0))
+	b.emit(sensors.TouchReading(&b.vals, b.now, sensors.TouchDown, x, y, pressure, 0))
 	b.now += units.Time(60+b.r.Intn(80)) * units.Millisecond
-	b.emit(sensors.TouchReading(b.now, sensors.TouchUp, x, y, pressure, 0))
+	b.emit(sensors.TouchReading(&b.vals, b.now, sensors.TouchUp, x, y, pressure, 0))
 }
 
 // stroke emits a down, `samples` moves, and an up along a straight line
@@ -123,7 +125,7 @@ func (b *builder) stroke(x0, y0, x1, y1 int64, samples int, dur units.Time) {
 	x1 = clampI(x1, 0, 1439)
 	y1 = clampI(y1, 0, 2559)
 	pressure := int64(500 + b.r.Intn(300))
-	b.emit(sensors.TouchReading(b.now, sensors.TouchDown, x0, y0, pressure, 0))
+	b.emit(sensors.TouchReading(&b.vals, b.now, sensors.TouchDown, x0, y0, pressure, 0))
 	step := dur / units.Time(samples+1)
 	for i := 1; i <= samples; i++ {
 		b.now += step
@@ -131,10 +133,10 @@ func (b *builder) stroke(x0, y0, x1, y1 int64, samples int, dur units.Time) {
 		y := y0 + (y1-y0)*int64(i)/int64(samples+1)
 		x = clampI(b.jittered(x, 3), 0, 1439)
 		y = clampI(b.jittered(y, 3), 0, 2559)
-		b.emit(sensors.TouchReading(b.now, sensors.TouchMove, x, y, pressure, 0))
+		b.emit(sensors.TouchReading(&b.vals, b.now, sensors.TouchMove, x, y, pressure, 0))
 	}
 	b.now += step
-	b.emit(sensors.TouchReading(b.now, sensors.TouchUp, x1, y1, pressure, 0))
+	b.emit(sensors.TouchReading(&b.vals, b.now, sensors.TouchUp, x1, y1, pressure, 0))
 }
 
 // swipeGesture emits a short flick (classified as Swipe: <12 moves).
@@ -158,28 +160,28 @@ func (b *builder) stroke2(x0, y0, x1, y1 int64, samples, holdMoves int) {
 	x1 = clampI(x1, 0, 1439)
 	y1 = clampI(y1, 0, 2559)
 	pressure := int64(500 + b.r.Intn(300))
-	b.emit(sensors.TouchReading(b.now, sensors.TouchDown, x0, y0, pressure, 0))
+	b.emit(sensors.TouchReading(&b.vals, b.now, sensors.TouchDown, x0, y0, pressure, 0))
 	step := 9 * units.Millisecond
 	for i := 1; i <= samples; i++ {
 		b.now += step
 		x := x0 + (x1-x0)*int64(i)/int64(samples+1)
 		y := y0 + (y1-y0)*int64(i)/int64(samples+1)
-		b.emit(sensors.TouchReading(b.now, sensors.TouchMove,
+		b.emit(sensors.TouchReading(&b.vals, b.now, sensors.TouchMove,
 			clampI(b.jittered(x, 3), 0, 1439), clampI(b.jittered(y, 3), 0, 2559), pressure, 0))
 	}
 	for i := 0; i < holdMoves; i++ {
 		b.now += step
-		b.emit(sensors.TouchReading(b.now, sensors.TouchMove,
+		b.emit(sensors.TouchReading(&b.vals, b.now, sensors.TouchMove,
 			clampI(b.jittered(x1, 2), 0, 1439), clampI(b.jittered(y1, 2), 0, 2559), pressure, 0))
 	}
 	b.now += step
-	b.emit(sensors.TouchReading(b.now, sensors.TouchUp, x1, y1, pressure, 0))
+	b.emit(sensors.TouchReading(&b.vals, b.now, sensors.TouchUp, x1, y1, pressure, 0))
 }
 
 // gyroTremor emits one gyro sample around a base orientation with hand
 // tremor (sub-quantum most of the time).
 func (b *builder) gyro(alpha, beta, gamma int64, tremor float64) {
-	b.emit(sensors.GyroReading(b.now,
+	b.emit(sensors.GyroReading(&b.vals, b.now,
 		b.jittered(alpha, tremor), b.jittered(beta, tremor), b.jittered(gamma, tremor)))
 }
 

@@ -43,7 +43,9 @@ func (m *Metrics) Registry() *obs.Registry {
 // layers record session/event/lookup/upload spans into it: each
 // delivered event's "event.deliver" span says what it cost (probe,
 // handler or snipped instructions, IP calls, shadow check, energy),
-// and its "memo.lookup" child how long the probe took. The same
+// and its "memo.lookup" child how long the probe took (a traced
+// session times every probe; an untraced one times 1 in 16, which the
+// fleet's snip_fleet_lookup_ns histogram then holds). The same
 // trace IDs reappear in the cloud service's /v1/tracez after an upload
 // propagates them.
 func (m *Metrics) SpanBuffer() *obs.SpanBuffer {
