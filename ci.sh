@@ -176,8 +176,31 @@ END {
 echo "== handler smoke (one pass of BenchmarkProcess: every game, logging inputs and not)"
 go test -run '^$' -bench '^BenchmarkProcess$' -benchtime 1x -benchmem ./internal/games
 
-echo "== batch codec smoke (one pass of BenchmarkBatchCodec: encode + decode of every game's 4-session batch)"
-go test -run '^$' -bench '^BenchmarkBatchCodec$' -benchtime 1x -benchmem ./internal/cloud
+echo "== batch codec smoke + wire-size gate (one pass of BenchmarkBatchCodec: encode + decode of every game's 4-session batch; B/batch per game must stay within its committed bound)"
+# Wire bytes are deterministic, so the bounds are hard. Each sits at
+# about 1.02x what the SNIPBTCH3 stream layout at gzip level 4 measures
+# (926 to 7,680 B/batch); the row-major SNIPBTCH2 payload at the default
+# level took 1,013 to 18,228.
+batch_out=$(go test -run '^$' -bench '^BenchmarkBatchCodec$' -benchtime 1x -benchmem ./internal/cloud)
+echo "$batch_out"
+echo "$batch_out" | awk '
+BEGIN {
+	bound["Colorphun"] = 945; bound["MemoryGame"] = 863; bound["CandyCrush"] = 1398
+	bound["Greenwall"] = 1950; bound["ABEvolution"] = 5056; bound["ChaseWhisply"] = 7834
+	bound["RaceKings"] = 3796
+}
+/^BenchmarkBatchCodec\/.*\/encode/ {
+	split($1, name, "/"); game = name[2]
+	v = ""
+	for (i = 2; i < NF; i++) if ($(i + 1) == "B/batch") v = $i
+	seen[game] = 1
+	if (!(game in bound) || v == "") { printf "batch wire-size gate: no bound or no B/batch for %s\n", game > "/dev/stderr"; bad = 1 }
+	else if (v + 0 > bound[game]) { printf "batch wire-size gate: %s batch is %s B on the wire, bound %s\n", game, v, bound[game] > "/dev/stderr"; bad = 1 }
+}
+END {
+	for (game in bound) if (!(game in seen)) { printf "batch wire-size gate: %s not measured\n", game > "/dev/stderr"; bad = 1 }
+	exit bad
+}'
 
 echo "== delta codec smoke + decode allocation gate (one pass of BenchmarkDeltaCodec: encode + decode of every game's learn-shaped delta, B/frame; decode allocs/upsert per game must stay within its committed bound)"
 # The decoder allocates per string, per table and per frame, never per

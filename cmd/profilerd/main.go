@@ -16,7 +16,7 @@
 //
 // Endpoints (the full list is in internal/cloud/http.go):
 //
-//	POST /v1/upload-batch?game=G     (body: SNIPBTCH2 session batch)
+//	POST /v1/upload-batch?game=G     (body: SNIPBTCH3 session batch: a header, then each event field in its own delta-coded stream)
 //	POST /v1/rebuild?game=G
 //	GET  /v1/update?game=G&gen=N     (CRC-guarded delta chain from gen N, or the full flat image; gen=0 always gets the image)
 //	GET  /v1/status?game=G

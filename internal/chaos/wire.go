@@ -152,7 +152,7 @@ func synthetic503(req *http.Request) *http.Response {
 	}
 }
 
-// The gzip bomb: a syntactically valid SNIPBTCH2 body — correct magic,
+// The gzip bomb: a syntactically valid SNIPBTCH3 body — correct magic,
 // well-formed gzip stream, valid CRC trailer — whose DECOMPRESSED size
 // (~48 MiB of zeros) blows far past the server's decoded-size cap while
 // compressing to a few tens of KiB on the wire. It sails through the
@@ -166,7 +166,7 @@ var (
 func bombBody() []byte {
 	bombOnce.Do(func() {
 		var buf bytes.Buffer
-		buf.WriteString("SNIPBTCH2")
+		buf.WriteString("SNIPBTCH3")
 		crc := crc32.NewIEEE()
 		zw := gzip.NewWriter(io.MultiWriter(&buf, crc))
 		// Plain zeros suffice: the decoder drains the whole decompressed

@@ -29,7 +29,7 @@ func TestBatchOversizedCompressedRejected(t *testing.T) {
 	}
 }
 
-// gzipBomb builds a syntactically valid SNIPBTCH2 body whose payload
+// gzipBomb builds a syntactically valid SNIPBTCH3 body whose payload
 // decompresses past the server's decoded cap: correct magic, valid gzip,
 // valid CRC trailer — only the decoded-size guard can stop it. The
 // payload is plain zeros: the decoder drains the stream to the cap
@@ -37,7 +37,7 @@ func TestBatchOversizedCompressedRejected(t *testing.T) {
 func gzipBomb(t *testing.T, decoded int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	buf.WriteString("SNIPBTCH2")
+	buf.WriteString("SNIPBTCH3")
 	crc := crc32.NewIEEE()
 	zw := gzip.NewWriter(io.MultiWriter(&buf, crc))
 	zeros := make([]byte, 1<<16)
@@ -107,7 +107,7 @@ func TestBatchCorruptCounted(t *testing.T) {
 }
 
 // TestBatchTrailerlessCounted: a batch cut short by its 8-byte trailer
-// — a truncated body; no writer of a trailerless SNIPBTCH2 frame ever
+// — a truncated body; no writer of a trailerless SNIPBTCH3 frame ever
 // existed — answers 400 and counts as corrupt, like any other body
 // that is not the one that was sent.
 func TestBatchTrailerlessCounted(t *testing.T) {
@@ -136,11 +136,11 @@ func TestBatchTrailerlessCounted(t *testing.T) {
 	}
 }
 
-// TestBatchOldMagicCounted: a batch framed under the retired SNIPBTCH1
-// magic — a writer older than the columnar payload — answers 400 at the
-// header and counts as corrupt; no reader for that format remains.
+// TestBatchOldMagicCounted: a batch framed under a retired magic —
+// SNIPBTCH1, the gob batch, or SNIPBTCH2, the row-major payload —
+// answers 400 at the header and counts as corrupt; no reader for either
+// format remains.
 func TestBatchOldMagicCounted(t *testing.T) {
-	svc, srv := testServer(t)
 	log := &trace.EventLog{Game: "Colorphun", Events: []trace.LoggedEvent{
 		{Type: "touch", Seq: 1, Time: 1000, Values: []int64{3}},
 	}}
@@ -151,17 +151,20 @@ func TestBatchOldMagicCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire := append([]byte("SNIPBTCH1"), buf.Bytes()[len("SNIPBTCH2"):]...)
-	resp, body := post(t, srv.URL+"/v1/upload-batch?game=Colorphun", bytes.NewReader(wire))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d body %q, want 400", resp.StatusCode, body)
-	}
-	if !strings.Contains(body, "magic") {
-		t.Fatalf("body %q, want a bad-magic message", body)
-	}
-	snap := svc.Metrics().Snapshot()
-	if snap.Counters["snip_cloud_uploads_rejected_corrupt_total"] != 1 {
-		t.Fatal("old-magic rejection not counted as corrupt")
+	for _, magic := range []string{"SNIPBTCH1", "SNIPBTCH2"} {
+		svc, srv := testServer(t)
+		wire := append([]byte(magic), buf.Bytes()[len("SNIPBTCH3"):]...)
+		resp, body := post(t, srv.URL+"/v1/upload-batch?game=Colorphun", bytes.NewReader(wire))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d body %q, want 400", magic, resp.StatusCode, body)
+		}
+		if !strings.Contains(body, "magic") {
+			t.Fatalf("%s: body %q, want a bad-magic message", magic, body)
+		}
+		snap := svc.Metrics().Snapshot()
+		if snap.Counters["snip_cloud_uploads_rejected_corrupt_total"] != 1 {
+			t.Fatalf("%s: old-magic rejection not counted as corrupt", magic)
+		}
 	}
 }
 

@@ -28,7 +28,7 @@ import (
 // Service exposes the profiler fleet over HTTP — the device/cloud split
 // of Fig. 10. Endpoints:
 //
-//	POST /v1/upload-batch?game=G    body: SNIPBTCH2 session batch (events-only logs)
+//	POST /v1/upload-batch?game=G    body: SNIPBTCH3 session batch (events-only logs)
 //	POST /v1/rebuild?game=G         retrain PFI, build a new table
 //	GET  /v1/update?game=G&gen=N    OTA table: delta chain from gen N, or the full flat image
 //	GET  /v1/status?game=G          text status

@@ -790,7 +790,7 @@ func (t *FlatTable) Image() []byte { return t.img }
 // Selection returns the table's field selection.
 func (t *FlatTable) Selection() Selection { return t.sel }
 
-// OutputNames returns the output-name pool that Entry.AppendOutputRefs
+// OutputNames returns the output-name pool that Entry.AppendOutputsRefs
 // indexes. Callers must treat it as read-only.
 func (t *FlatTable) OutputNames() []string { return t.names }
 

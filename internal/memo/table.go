@@ -90,33 +90,35 @@ func (e Entry) Instr() int64 {
 // and returns the extended slice. A flat row's names come from the
 // image's name pool, so once dst has room nothing allocates.
 func (e Entry) AppendOutputs(dst []trace.Field) []trace.Field {
+	dst, _ = e.appendOutputs(dst, nil, false)
+	return dst
+}
+
+// AppendOutputsRefs is AppendOutputs that, in the same walk over the
+// row, also appends to refs the index of each of a flat row's output
+// names in the table's output-name pool (FlatTable.OutputNames). A map
+// row's names have no pool: it appends no refs.
+func (e Entry) AppendOutputsRefs(dst []trace.Field, refs []uint32) ([]trace.Field, []uint32) {
+	return e.appendOutputs(dst, refs, true)
+}
+
+func (e Entry) appendOutputs(dst []trace.Field, refs []uint32, withRefs bool) ([]trace.Field, []uint32) {
 	if e.t == nil {
-		return append(dst, e.row.Outputs...)
+		return append(dst, e.row.Outputs...), refs
 	}
 	out := e.t.outputs(e.i)
 	for f := 0; f < len(out); f += flatFieldRecLen {
 		rec := out[f : f+flatFieldRecLen]
+		ref := binary.LittleEndian.Uint32(rec)
 		dst = append(dst, trace.Field{
-			Name:     e.t.names[binary.LittleEndian.Uint32(rec)],
+			Name:     e.t.names[ref],
 			Category: trace.Category(binary.LittleEndian.Uint32(rec[4:])),
 			Size:     units.Size(int64(binary.LittleEndian.Uint64(rec[8:]))),
 			Value:    binary.LittleEndian.Uint64(rec[16:]),
 		})
+		if withRefs {
+			refs = append(refs, ref)
+		}
 	}
-	return dst
-}
-
-// AppendOutputRefs appends to dst, for each of a flat row's outputs in
-// AppendOutputs' order, the index of its name in the table's output-name
-// pool (FlatTable.OutputNames). A map row's names have no pool: it
-// appends nothing.
-func (e Entry) AppendOutputRefs(dst []uint32) []uint32 {
-	if e.t == nil {
-		return dst
-	}
-	out := e.t.outputs(e.i)
-	for f := 0; f < len(out); f += flatFieldRecLen {
-		dst = append(dst, binary.LittleEndian.Uint32(out[f:]))
-	}
-	return dst
+	return dst, refs
 }

@@ -287,9 +287,9 @@ func (d *Device) Play(s Session, sink Sink) Played {
 			d.clone = game.Clone(d.clone)
 			truth = d.clone.Process(e, nil)
 		}
-		d.served = entry.AppendOutputs(d.served[:0])
+		d.served, d.refs = entry.AppendOutputsRefs(d.served[:0], d.refs[:0])
 		if out := sink.Hit(entry.Instr(), d.served, truth); isServed(out, d.served) {
-			d.applyServed(game, loc, entry)
+			d.applyServed(game, loc)
 		} else {
 			game.ApplyOutputs(out)
 		}
@@ -312,12 +312,11 @@ func isServed(out, served []trace.Field) bool {
 }
 
 // applyServed writes the latest hit's served outputs to the live game by
-// handle, through the plan's compiled output-name pool. A map table's
-// row, and an output the plan has no location for, go by name:
-// ApplyOutputs inserts the location, and the layout change recompiles
-// the plan before the next probe.
-func (d *Device) applyServed(game games.Game, loc games.Locator, entry memo.Entry) {
-	d.refs = entry.AppendOutputRefs(d.refs[:0])
+// handle, through their name-pool indices in d.refs and the plan's
+// compiled output-name pool. A map table's row, and an output the plan
+// has no location for, go by name: ApplyOutputs inserts the location,
+// and the layout change recompiles the plan before the next probe.
+func (d *Device) applyServed(game games.Game, loc games.Locator) {
 	if len(d.refs) != len(d.served) {
 		game.ApplyOutputs(d.served)
 		return

@@ -79,29 +79,36 @@ func TestSessionEventsMatchFreshSynthesis(t *testing.T) {
 }
 
 // benchSink probes tab, or runs every handler when tab is nil, and books
-// nothing.
-type benchSink struct{ tab memo.Table }
+// nothing but the shadow checks it sees.
+type benchSink struct {
+	tab    memo.Table
+	checks int64
+}
 
 func (s *benchSink) Deliver(*events.Event) memo.Table      { return s.tab }
 func (s *benchSink) Probed(int64, units.Size, bool, int64) {}
 func (s *benchSink) Executed(*games.Execution)             {}
-func (s *benchSink) Hit(_ int64, served []trace.Field, _ *games.Execution) []trace.Field {
+func (s *benchSink) Hit(_ int64, served []trace.Field, truth *games.Execution) []trace.Field {
+	if truth != nil {
+		s.checks++
+	}
 	return served
 }
 
 // BenchmarkDevicePlay times Device.Play on one 5 s session per op for
-// every game, probing a table trained on two other sessions, probing it
-// with every hit shadow-verified, and with no table, and reports
-// allocs/event: what the device allocates per delivered event, the
-// session's sensor stream and synthesis included. ci.sh gates
-// allocs/event per game and mode.
+// every game, probing a table (benchTable), probing it with every hit
+// shadow-verified, and with no table, and reports allocs/event: what the
+// device allocates per delivered event, the session's sensor stream and
+// synthesis included. ci.sh gates allocs/event per game and mode. A
+// shadow run that verifies no hit fails: it would gate nothing.
 func BenchmarkDevicePlay(b *testing.B) {
 	for _, name := range games.Names() {
 		gen, err := workload.ForGame(name)
 		if err != nil {
 			b.Fatal(err)
 		}
-		tab := buildFlatTable(b, name, 2)
+		s := Session{Gen: gen, Seed: 0xC3, Duration: 5 * units.Second}
+		tab := benchTable(b, name, s)
 		for _, mode := range []struct {
 			name   string
 			tab    memo.Table
@@ -110,7 +117,8 @@ func BenchmarkDevicePlay(b *testing.B) {
 			b.Run(name+"/"+mode.name, func(b *testing.B) {
 				d := NewDevice(games.MustNew(name))
 				sink := &benchSink{tab: mode.tab}
-				s := Session{Gen: gen, Seed: 0xC3, Duration: 5 * units.Second, VerifyAll: mode.verify}
+				s := s
+				s.VerifyAll = mode.verify
 				d.Play(s, sink) // grow the device's buffers
 				var before, after runtime.MemStats
 				var evs int64
@@ -122,7 +130,33 @@ func BenchmarkDevicePlay(b *testing.B) {
 				}
 				runtime.ReadMemStats(&after)
 				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(evs), "allocs/event")
+				if mode.verify && sink.checks == 0 {
+					b.Fatalf("%s: the shadow mode verified no hit", name)
+				}
 			})
 		}
 	}
+}
+
+// benchTable is BenchmarkDevicePlay's table for game, trained on two
+// other sessions. Greenwall's keys hold state only the session that
+// reached it has, so a table trained on other sessions never hits its
+// benchmarked session s: its table also learns s, or the shadow mode
+// would verify nothing.
+func benchTable(tb testing.TB, game string, s Session) *memo.FlatTable {
+	tb.Helper()
+	if game != "Greenwall" {
+		return buildFlatTable(tb, game, 2)
+	}
+	prof := trainingProfile(tb, game, 2)
+	r, err := Profile(game, s.Seed, s.Duration)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prof.Merge(r.Dataset)
+	ft, err := memo.Flatten(tableFrom(tb, prof))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ft
 }

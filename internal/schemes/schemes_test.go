@@ -111,6 +111,13 @@ func TestMaxSchemesSaveEnergy(t *testing.T) {
 
 func buildTable(t testing.TB, game string, sessions int) *memo.SnipTable {
 	t.Helper()
+	return tableFrom(t, trainingProfile(t, game, sessions))
+}
+
+// trainingProfile merges the profiles of sessions testDur sessions of
+// game, seeds 0xA1, 0xA2, ….
+func trainingProfile(t testing.TB, game string, sessions int) *trace.Dataset {
+	t.Helper()
 	prof := &trace.Dataset{Game: game}
 	for i := 0; i < sessions; i++ {
 		r, err := Profile(game, uint64(0xA1+i), testDur)
@@ -119,6 +126,12 @@ func buildTable(t testing.TB, game string, sessions int) *memo.SnipTable {
 		}
 		prof.Merge(r.Dataset)
 	}
+	return prof
+}
+
+// tableFrom is the SNIP table PFI selects on prof.
+func tableFrom(t testing.TB, prof *trace.Dataset) *memo.SnipTable {
+	t.Helper()
 	res, err := pfi.Run(prof, pfi.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -12,10 +12,26 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
+
+	"snip/internal/units"
 )
+
+// appendBatch appends b's SNIPBTCH3 payload to dst.
+func appendBatch(dst []byte, b *SessionBatch) ([]byte, error) {
+	e := batchEncoders.Get().(*batchEncoder)
+	defer batchEncoders.Put(e)
+	if err := e.encode(b); err != nil {
+		return nil, err
+	}
+	for _, s := range e.sections {
+		dst = append(dst, s...)
+	}
+	return dst, nil
+}
 
 // goldenBatch is a fixed batch exercising every part of the payload:
 // several sessions and event types, value counts that grow and shrink
@@ -46,12 +62,19 @@ func goldenBatch() *SessionBatch {
 }
 
 // The golden digests of goldenBatch's payload and wire bytes. They move
-// only when the SNIPBTCH2 format (the payload) or the frame around it
+// only when the SNIPBTCH3 format (the payload) or the frame around it
 // changes, so a format change has to be deliberate: bump the magic and
 // update them. The wire digest also covers compress/flate's output.
 const (
-	goldenBatchPayloadSHA256 = "b600aabd8a6f53fdca84eff0f85214ebd131f07f1e3828bc690e5a4576f53134"
-	goldenBatchWireSHA256    = "3378bc5bcc6a0ccc056b66fdf2388a34271382a3cd9ad1d77bd325d08f28b27b"
+	goldenBatchPayloadSHA256 = "0d0993ad4ac1f78ae3d40300500af5172dea20a7f96f3c8a2123091ee2634b9d"
+	goldenBatchWireSHA256    = "7388d8ac7990b70ee69e1a0bf20d64cbe160dbc6e4c5dc1ecb034bfe772e8135"
+)
+
+// The digests goldenBatch had in SNIPBTCH2, the row-major format
+// SNIPBTCH3 replaced; they pin snipbtch2Frame to that format.
+const (
+	goldenBatchV2PayloadSHA256 = "b600aabd8a6f53fdca84eff0f85214ebd131f07f1e3828bc690e5a4576f53134"
+	goldenBatchV2WireSHA256    = "3378bc5bcc6a0ccc056b66fdf2388a34271382a3cd9ad1d77bd325d08f28b27b"
 )
 
 func TestBatchGoldenBytes(t *testing.T) {
@@ -74,6 +97,112 @@ func TestBatchGoldenBytes(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != c.want {
 			t.Errorf("%s sha256 %s, want %s (%d bytes)", c.name, got, c.want, len(c.b))
 		}
+	}
+}
+
+// snipbtch2Frame is b in the SNIPBTCH2 format SNIPBTCH3 replaced, and
+// its payload: per event, the type id, Seq and Time deltas from the
+// previous event of the session, the value count, and value deltas from
+// the previous event of the same type, at the default gzip level.
+func snipbtch2Frame(tb testing.TB, b *SessionBatch) (wire, p []byte) {
+	tb.Helper()
+	ids := make(map[string]uint64)
+	var types []string
+	for _, s := range b.Sessions {
+		for _, e := range s.Log.Events {
+			if _, ok := ids[e.Type]; !ok {
+				ids[e.Type] = uint64(len(types))
+				types = append(types, e.Type)
+			}
+		}
+	}
+	p = payload(b.Game, len(b.Sessions), len(types))
+	for _, t := range types {
+		p = appendString(p, t)
+	}
+	prev := make([][]int64, len(types))
+	for _, s := range b.Sessions {
+		clear(prev)
+		p = payload(p, s.Seed, s.Log.Game, len(s.Log.Events))
+		var seq int64
+		var t units.Time
+		for _, e := range s.Log.Events {
+			id := ids[e.Type]
+			p = payload(p, id, zz(e.Seq-seq), zz(int64(e.Time-t)), len(e.Values))
+			seq, t = e.Seq, e.Time
+			for j, v := range e.Values {
+				if j < len(prev[id]) {
+					v -= prev[id][j]
+				}
+				p = payload(p, zz(v))
+			}
+			prev[id] = e.Values
+		}
+	}
+	var buf bytes.Buffer
+	err := writeFrame(&buf, "SNIPBTCH2", "batch", gzip.DefaultCompression, func(zw io.Writer) error {
+		_, err := zw.Write(p)
+		return err
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes(), p
+}
+
+// TestBatchRejectsSNIPBTCH2: a frame in the previous format fails on its
+// magic, and its payload under the SNIPBTCH3 magic fails to parse.
+func TestBatchRejectsSNIPBTCH2(t *testing.T) {
+	wire, p := snipbtch2Frame(t, goldenBatch())
+	for _, c := range []struct {
+		name, want string
+		b          []byte
+	}{
+		{"payload", goldenBatchV2PayloadSHA256, p},
+		{"wire", goldenBatchV2WireSHA256, wire},
+	} {
+		if sum := sha256.Sum256(c.b); hex.EncodeToString(sum[:]) != c.want {
+			t.Fatalf("the SNIPBTCH2 %s is not the format's: sha256 %x", c.name, sum)
+		}
+	}
+	if b, err := DecodeBatch(bytes.NewReader(wire)); err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("a SNIPBTCH2 frame: got %+v, %v; want a bad-magic error", b, err)
+	}
+	if b, err := DecodeBatch(bytes.NewReader(framed(t, magicBatch, p))); err == nil {
+		t.Fatalf("a SNIPBTCH2 payload decoded as SNIPBTCH3: %+v", b)
+	}
+}
+
+// TestBatchPayloadLayout: a small batch's payload is the header, the
+// directory and the streams exactly as the format comment lays them out.
+func TestBatchPayloadLayout(t *testing.T) {
+	b := &SessionBatch{Game: "G", Sessions: []SessionEvents{{Seed: 5, Log: &EventLog{Game: "H", Events: []LoggedEvent{
+		{Type: "touch", Seq: 1, Time: 100, Values: []int64{3, 7}},
+		{Type: "tick", Seq: 2, Time: 150},
+		{Type: "touch", Seq: 3, Time: 300, Values: []int64{4}},
+	}}}}}
+	streams := [][]byte{
+		payload(0, 1, 0),              // type ids
+		payload(zz(1), zz(1), zz(1)),  // Seq deltas
+		payload(zz(2), zz(0), zz(-1)), // value-count deltas, per type
+		payload(zz(100), zz(200)),     // touch: Time deltas
+		payload(zz(3), zz(1)),         // touch: value 0
+		payload(zz(7)),                // touch: value 1
+		payload(zz(150)),              // tick: Time deltas
+	}
+	want := payload("G", 1, 2, "touch", 2, "tick", 0, 5, "H", 3)
+	for _, st := range streams {
+		want = payload(want, len(st))
+	}
+	for _, st := range streams {
+		want = payload(want, st)
+	}
+	got, err := appendBatch(nil, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("payload\n got % x\nwant % x", got, want)
 	}
 }
 
@@ -158,7 +287,7 @@ func framed(tb testing.TB, magic string, payload []byte) []byte {
 	return binary.BigEndian.AppendUint32(buf.Bytes(), crc.Sum32())
 }
 
-// payload assembles a hand-built SNIPBTCH2 or SNIPDLT2 payload: uint64s
+// payload assembles a hand-built SNIPBTCH3 or SNIPDLT2 payload: uint64s
 // and ints become uvarints, strings length-prefixed strings and []byte
 // raw bytes.
 func payload(parts ...any) []byte {
@@ -179,21 +308,29 @@ func payload(parts ...any) []byte {
 }
 
 // hostilePayloads are a few bytes each, declaring far more than they
-// hold. Each must fail with an error without allocating for what it
-// declares.
+// hold or naming ids and counts past their tables. Each must fail with
+// an error without allocating for what it declares.
 var hostilePayloads = map[string][]byte{
-	"2^40 sessions":        payload("G", uint64(1)<<40, 0),
-	"2^40 event types":     payload("G", 1, uint64(1)<<40),
-	"2^40 events":          payload("G", 1, 0, 7, "G", uint64(1)<<40),
-	"2^40 values":          payload("G", 1, 1, "t", 7, "G", 1, 0, 0, 0, uint64(1)<<40, 0, 0),
-	"game past payload":    payload(1000, []byte("abc")),
-	"type past payload":    payload("G", 1, 1, 1<<20, []byte("tick")),
-	"log game past end":    payload("G", 1, 0, 7, 1<<30, []byte("G")),
-	"type id past table":   payload("G", 1, 1, "t", 7, "G", 1, 1, 0, 0, 0),
-	"type id, empty table": payload("G", 1, 0, 7, "G", 1, 0, 0, 0, 0),
-	"overlong varint":      payload("G", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}),
-	"truncated event":      payload("G", 1, 1, "t", 7, "G", 2, 0, 2, 2, 1, 5),
-	"trailing bytes":       payload("G", 0, 0, []byte{0}),
+	"2^40 sessions":            payload("G", uint64(1)<<40, 0),
+	"2^40 event types":         payload("G", 1, uint64(1)<<40),
+	"2^40 value columns":       payload("G", 1, 1, "t", uint64(1)<<40),
+	"columns past end, summed": payload("G", 0, 2, "t", 8, "u", 8, make([]byte, 10)),
+	"2^40 events":              payload("G", 1, 0, 7, "G", uint64(1)<<40),
+	"events past end, summed":  payload("G", 2, 0, 7, "G", 6, 7, "G", 6, make([]byte, 30)),
+	"2^40 stream bytes":        payload("G", 0, 0, uint64(1)<<40, 0, 0),
+	"stream past payload end":  payload("G", 0, 0, 0, 0, 5, []byte{1, 2}),
+	"streams past end, summed": payload("G", 0, 0, 2, 2, 0, []byte{1, 2, 3}),
+	"2^40 values":              payload("G", 1, 1, "t", 1, 7, "G", 1, 1, 1, 6, 1, 1, 0, 0, zz(1<<40), 0, 0),
+	"negative value count":     payload("G", 1, 1, "t", 1, 7, "G", 1, 1, 1, 1, 1, 0, 0, 0, zz(-1), 0),
+	"game past payload":        payload(1000, []byte("abc")),
+	"type past payload":        payload("G", 1, 1, 1<<20, []byte("tick")),
+	"log game past end":        payload("G", 1, 0, 7, 1<<30, []byte("G")),
+	"type id past table":       payload("G", 1, 1, "t", 0, 7, "G", 1, 1, 1, 1, 1, 1, 0, 0, 0),
+	"type id, empty table":     payload("G", 1, 0, 7, "G", 1, 1, 1, 1, 0, 0, 0),
+	"overlong varint":          payload("G", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}),
+	"truncated event":          payload("G", 1, 1, "t", 1, 7, "G", 2, 2, 2, 2, 1, 2, 0, 0, 0, 0, zz(1), zz(0), 5, zz(-1), 1),
+	"stream not consumed":      payload("G", 1, 1, "t", 0, 7, "G", 1, 1, 1, 2, 1, 0, 0, 0, 0, 0),
+	"trailing bytes":           payload("G", 0, 0, 0, 0, 0, []byte{0}),
 }
 
 func TestBatchHostilePayloadsRejected(t *testing.T) {
@@ -219,9 +356,11 @@ func TestBatchHostilePayloadsRejected(t *testing.T) {
 			t.Errorf("%s: %d bytes allocated per framed decode, want <= 64 KiB", name, got)
 		}
 	}
-	_, err := DecodeBatch(bytes.NewReader(framed(t, magicBatch, hostilePayloads["trailing bytes"])))
-	if !errors.Is(err, ErrBatchChecksum) {
-		t.Errorf("trailing bytes: got %v, want ErrBatchChecksum", err)
+	for _, name := range []string{"trailing bytes", "stream not consumed"} {
+		_, err := DecodeBatch(bytes.NewReader(framed(t, magicBatch, hostilePayloads[name])))
+		if !errors.Is(err, ErrBatchChecksum) {
+			t.Errorf("%s: got %v, want ErrBatchChecksum", name, err)
+		}
 	}
 }
 

@@ -17,19 +17,19 @@ import (
 )
 
 // The wire formats for shipping profiles to the cloud profiler: a
-// columnar batch payload for the fleet's upload (batch.go) and JSON for
-// debugging/inspection. The gob streams Encode and EncodeEventsOnly
-// write are never sent: they are the §VII-C size model behind
-// TransferSize and EventsOnlyTransferSize. The paper notes that SNIP
-// records "only the event inputs" on-device to keep the client overhead
-// negligible; the events-only form models that reduced upload.
+// stream-separated batch payload for the fleet's upload (batch.go) and
+// JSON for debugging/inspection. The gob streams Encode and
+// EncodeEventsOnly write are never sent: they are the §VII-C size model
+// behind TransferSize and EventsOnlyTransferSize. The paper notes that
+// SNIP records "only the event inputs" on-device to keep the client
+// overhead negligible; the events-only form models that reduced upload.
 
 // magic distinguishes full profiles, events-only profiles, gzip'd
 // session batches and telemetry batches on the wire.
 const (
 	magicFull       = "SNIPPROF1"
 	magicEventsOnly = "SNIPEVTS1"
-	magicBatch      = "SNIPBTCH2"
+	magicBatch      = "SNIPBTCH3"
 	magicTelemetry  = "SNIPTEL1"
 )
 
@@ -84,7 +84,7 @@ func EncodeEventsOnly(w io.Writer, l *EventLog) error {
 	return bw.Flush()
 }
 
-// The trailer-guarded frame shared by the SNIPBTCH2 session-batch,
+// The trailer-guarded frame shared by the SNIPBTCH3 session-batch,
 // SNIPTEL1 telemetry and SNIPDLT2 delta codecs: magic, gzip(body), then
 // an integrity trailer of 4 marker bytes plus the big-endian CRC32
 // (IEEE) of the gzip bytes. A flipped or truncated body is rejected
@@ -210,6 +210,31 @@ func readFrame(r io.Reader, magic, label string, maxDecoded int64, body func(io.
 	}
 	return nil
 }
+
+// withPayload reads a frame's whole decompressed payload and hands it
+// to parse. A parsed batch or chain keeps no reference to its payload's
+// bytes, so the buffers that hold payloads up to maxPooledPayload bytes
+// are reused.
+func withPayload(zr io.Reader, parse func([]byte) error) error {
+	buf, _ := payloadBufs.Get().(*bytes.Buffer)
+	if buf == nil {
+		buf = new(bytes.Buffer)
+	}
+	defer func() {
+		if buf.Cap() <= maxPooledPayload {
+			payloadBufs.Put(buf)
+		}
+	}()
+	buf.Reset()
+	if _, err := buf.ReadFrom(zr); err != nil {
+		return err
+	}
+	return parse(buf.Bytes())
+}
+
+var payloadBufs sync.Pool // *bytes.Buffer
+
+const maxPooledPayload = 16 << 20
 
 // encodeGobFrame writes v as one gob-bodied frame — the SNIPTEL1 wire
 // form.

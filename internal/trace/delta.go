@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"compress/gzip"
 	"encoding/binary"
 	"fmt"
@@ -28,7 +27,7 @@ import (
 // this package, so the codec speaks only in the identity keys both ends
 // already share — the open-addressing event/state key hashes.
 
-// magicDelta frames a delta chain on the wire, alongside SNIPBTCH2
+// magicDelta frames a delta chain on the wire, alongside SNIPBTCH3
 // batches and SNIPTEL1 telemetry. A frame of any other format, SNIPDLT1
 // included, fails on its magic, and the device falls back to the full
 // image.
@@ -180,34 +179,16 @@ func DecodeDeltaChain(r io.Reader, maxDecoded int64) (*DeltaChain, error) {
 	}
 	var c *DeltaChain
 	err := readFrame(r, magicDelta, "delta", maxDecoded, func(zr io.Reader) error {
-		buf, _ := payloadBufs.Get().(*bytes.Buffer)
-		if buf == nil {
-			buf = new(bytes.Buffer)
-		}
-		defer func() {
-			if buf.Cap() <= maxPooledPayload {
-				payloadBufs.Put(buf)
-			}
-		}()
-		buf.Reset()
-		if _, err := buf.ReadFrom(zr); err != nil {
+		return withPayload(zr, func(p []byte) (err error) {
+			c, err = parseDeltaChain(p)
 			return err
-		}
-		var err error
-		c, err = parseDeltaChain(buf.Bytes())
-		return err
+		})
 	})
 	if err != nil {
 		return nil, err
 	}
 	return c, nil
 }
-
-// A parsed chain keeps no reference to its payload's bytes, so decoders
-// reuse the buffers that hold payloads up to maxPooledPayload bytes.
-var payloadBufs sync.Pool // *bytes.Buffer
-
-const maxPooledPayload = 16 << 20
 
 // Encoders keep their buffers and tables between frames.
 var deltaEncoders = sync.Pool{New: func() any {

@@ -27,12 +27,17 @@ func FuzzDecodeBatch(f *testing.F) {
 		f.Add(flipped)
 		f.Add(append([]byte("SNIPBTCH1"), wire[9:]...))
 	}
+	// The format SNIPBTCH3 replaced, and its payload in a SNIPBTCH3
+	// frame: both must be rejected.
+	v2, p := snipbtch2Frame(f, goldenBatch())
+	f.Add(v2)
+	f.Add(framed(f, magicBatch, p))
 	// Valid frames around hostile payloads start the fuzzer past the
 	// checksum, in the parser.
 	for _, p := range hostilePayloads {
 		f.Add(framed(f, magicBatch, p))
 	}
-	f.Add([]byte("SNIPBTCH2"))
+	f.Add([]byte("SNIPBTCH3"))
 	f.Add([]byte("SNIPEVTS1junk"))
 	f.Add([]byte{})
 
@@ -45,6 +50,9 @@ func FuzzDecodeBatch(f *testing.F) {
 		}
 		if b == nil {
 			t.Fatal("nil batch with nil error")
+		}
+		if !bytes.HasPrefix(data, []byte(magicBatch)) {
+			t.Fatalf("a frame without the %s magic decoded", magicBatch)
 		}
 		// Whatever decodes is a batch the encoder can carry unchanged.
 		var wire bytes.Buffer
@@ -83,7 +91,7 @@ func FuzzDecodeDelta(f *testing.F) {
 		f.Add(framed(f, magicDelta, p))
 	}
 	f.Add([]byte("SNIPDLT2"))
-	f.Add([]byte("SNIPBTCH2junk"))
+	f.Add([]byte("SNIPBTCH3junk"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -5,7 +5,7 @@ import "io"
 // Telemetry wire format. Devices periodically fold their tallies into
 // compact TelemetryRecords and ship them to the cloud over
 // POST /v1/telemetry as SNIPTEL1 frames — the same trailer-guarded
-// magic + gzip + CRC32 framing as SNIPBTCH2 session batches, with a gob
+// magic + gzip + CRC32 framing as SNIPBTCH3 session batches, with a gob
 // body, so the telemetry path inherits the batch codec's corruption and
 // gzip-bomb defenses (and its error sentinels: ErrBatchChecksum,
 // ErrBatchTooLarge).

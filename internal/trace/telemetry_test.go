@@ -123,7 +123,7 @@ func FuzzDecodeTelemetry(f *testing.F) {
 	flipped[len(flipped)/2] ^= 0x01
 	f.Add(flipped)
 	f.Add([]byte("SNIPTEL1"))
-	f.Add([]byte("SNIPBTCH2junk"))
+	f.Add([]byte("SNIPBTCH3junk"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
