@@ -143,17 +143,18 @@ echo "== device allocation gate (BenchmarkDevicePlay allocs/event per game, with
 # at about 1.2x what one 5 s session per op measures with handle-addressed
 # state, events synthesized into reused buffers, a store kept across the
 # device's sessions, sensor values in one arena per stream and a shadow
-# clone kept across checks (0.066 to 0.61 allocs/event, the same in all
-# three modes: what is left is per session, most of it the sensor stream
-# and, for CandyCrush, the game its user model plays). A slice per sensor
-# reading took 0.088 to 0.75; a fresh clone per shadow check took 1.7 to
-# 9.9 in the shadow mode; an event object per synthesized event and a
-# store rebuilt per Reset took 2.3 to 3.7.
+# clone kept across checks (0.066 to 0.131 allocs/event, the same in all
+# three modes: what is left is per session, most of it the sensor stream).
+# CandyCrush's user model took 0.61 while it built the game it plays per
+# stream instead of resetting a kept one. A slice per sensor reading took
+# 0.088 to 0.75; a fresh clone per shadow check took 1.7 to 9.9 in the
+# shadow mode; an event object per synthesized event and a store rebuilt
+# per Reset took 2.3 to 3.7.
 play_out=$(go test -run '^$' -bench '^BenchmarkDevicePlay$' -benchtime 2x ./internal/schemes)
 echo "$play_out"
 echo "$play_out" | awk '
 BEGIN {
-	bound["Colorphun"] = 0.095; bound["MemoryGame"] = 0.087; bound["CandyCrush"] = 0.74
+	bound["Colorphun"] = 0.095; bound["MemoryGame"] = 0.087; bound["CandyCrush"] = 0.16
 	bound["Greenwall"] = 0.11; bound["ABEvolution"] = 0.095; bound["ChaseWhisply"] = 0.079
 	bound["RaceKings"] = 0.089
 }
@@ -229,27 +230,49 @@ END {
 	exit bad
 }'
 
-echo "== table build gate (BenchmarkBuildFlat: BuildFlat allocs/op must stay within its committed bound, and its ns/op within 1.25x of the BuildSnip + Flatten path's, both measured now)"
+echo "== table build gate (BenchmarkBuildFlat: BuildFlat allocs/op and the wide build's B/op must stay within their committed bounds, and its ns/op within 1.25x of the BuildSnip + Flatten path's, both measured now)"
 # Allocation counts are deterministic, so the bound is hard; it sits at
-# about 1.2x the 80 allocs/op the direct build measures (the map path
-# takes 106). Both paths key the same 4096 rows into 8 entries, so the
+# about 1.2x the 69 allocs/op the direct build measures (the map path
+# takes 90). Both paths key the same 4096 rows into 8 entries, so the
 # direct build saves little here: single runs measure 0.7x to 1.1x of
 # the map path's ns/op on a shared 2-vCPU VM. The gate takes each path's
 # fastest of five runs, made in one process so machine speed cancels
 # out, and fails when the direct build is 1.25x slower than the path it
-# replaced.
+# replaced. The wide build keys every row as an entry, so its image is
+# most of its bytes: the bound sits at about 1.1x the 583,280 B/op it
+# measures writing every section in place into one image allocation;
+# building the sections apart and copying them into the image took
+# 853,688.
 build_out=$(go test -run '^$' -bench '^BenchmarkBuildFlat$' -benchmem -benchtime 200x -count 5 ./internal/memo)
 echo "$build_out"
 echo "$build_out" | awk '
 function field(unit,   i) { for (i = 2; i < NF; i++) if ($(i + 1) == unit) return $i; return "" }
 /BuildFlat\/direct/ { v = field("ns/op") + 0; if (d == "" || v < d) d = v; a = field("allocs/op") + 0 > a ? field("allocs/op") + 0 : a }
 /BuildFlat\/map/ { v = field("ns/op") + 0; if (m == "" || v < m) m = v }
+/BuildFlat\/wide/ { v = field("B/op") + 0; if (v > w) w = v }
 END {
-	if (d == "" || m == "" || a == "") { print "table build gate: BenchmarkBuildFlat did not report" > "/dev/stderr"; exit 1 }
-	if (a > 96) { printf "table build gate: BuildFlat allocates %s per build, bound 96\n", a > "/dev/stderr"; bad = 1 }
+	if (d == "" || m == "" || a == "" || w == "") { print "table build gate: BenchmarkBuildFlat did not report" > "/dev/stderr"; exit 1 }
+	if (a > 83) { printf "table build gate: BuildFlat allocates %s per build, bound 83\n", a > "/dev/stderr"; bad = 1 }
+	if (w > 642000) { printf "table build gate: the wide BuildFlat allocates %s B per build, bound 642000\n", w > "/dev/stderr"; bad = 1 }
 	if (d / m > 1.25) { printf "table build gate: ns/op(BuildFlat) / ns/op(BuildSnip + Flatten) = %.2f, bound 1.25\n", d / m > "/dev/stderr"; bad = 1 }
-	printf "BuildFlat allocs/op = %s; fastest ns/op(BuildFlat) / fastest ns/op(BuildSnip + Flatten) = %.2f\n", a, d / m
+	printf "BuildFlat allocs/op = %s; wide B/op = %s; fastest ns/op(BuildFlat) / fastest ns/op(BuildSnip + Flatten) = %.2f\n", a, w, d / m
 	exit bad
+}'
+
+echo "== ingest allocation gate (BenchmarkProfilerIngest: B/op of every game's 4 x 4-session ingest cycle into fresh profilers must stay within its committed bound)"
+# The bytes repeat to within a few hundred per op, so the bound is hard.
+# It sits at about 1.2x the 40,906,000 B/op measured when Merge appends
+# each replayed session to the profile as a chunk; copying the profile
+# into a grown array on every merge took 110,819,000.
+ingest_out=$(go test -run '^$' -bench '^BenchmarkProfilerIngest$' -benchmem -benchtime 2x ./internal/cloud)
+echo "$ingest_out"
+echo "$ingest_out" | awk '
+function field(unit,   i) { for (i = 2; i < NF; i++) if ($(i + 1) == unit) return $i; return "" }
+/^BenchmarkProfilerIngest/ { v = field("B/op") }
+END {
+	if (v == "") { print "ingest allocation gate: BenchmarkProfilerIngest did not report B/op" > "/dev/stderr"; exit 1 }
+	if (v + 0 > 49000000) { printf "ingest allocation gate: an ingest cycle allocates %s B, bound 49000000\n", v > "/dev/stderr"; exit 1 }
+	printf "ingest cycle B/op = %s\n", v
 }'
 
 echo "== flat load allocation gate (BenchmarkFlatLoad: B/op at 4k and 32k rows must stay within its committed bound, far below the image, and must not grow with the row count)"

@@ -4,6 +4,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"snip/internal/memo"
 	"snip/internal/pfi"
 	"snip/internal/schemes"
 	"snip/internal/trace"
@@ -197,6 +198,11 @@ func TestHTTPServiceEndToEnd(t *testing.T) {
 	}
 	if up.Table.Rows() == 0 || up.Game != "Colorphun" {
 		t.Fatalf("fetched update %+v", up)
+	}
+	// The table serves from the buffer the reply was read into, sized
+	// from its Content-Length: no slack rides along as arena.
+	if img := up.Table.(*memo.FlatTable).Image(); cap(img) != len(img) {
+		t.Fatalf("fetched image holds %d bytes in a buffer of %d", len(img), cap(img))
 	}
 
 	// The fetched table actually works in a session.

@@ -3,12 +3,16 @@ package cloud
 import (
 	"bytes"
 	"encoding/gob"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
 	"snip/internal/memo"
+	"snip/internal/trace"
 )
 
 // otaStub is an httptest server that answers every /v1/update request
@@ -93,5 +97,52 @@ func TestFetchDeltaReplyToGenZero(t *testing.T) {
 	}
 	if got := gens(); len(got) != 2 || got[0] != "1" || got[1] != "0" {
 		t.Fatalf("FetchUpdate made requests for gens %q, want gen 1 then one gen 0 fallback", got)
+	}
+}
+
+// An update reply whose stated length is over the decoded-delta cap is
+// refused before a byte of it is read, by both fetch calls.
+func TestFetchRejectsOversizeBody(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-Snip-Format", "flat")
+		w.Header().Set("Content-Length", strconv.Itoa(trace.DefaultMaxDecodedDelta+1))
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write([]byte("SNIPFLT1"))
+	}))
+	defer srv.Close()
+	client := NewClient(srv.URL)
+	if up, err := client.FetchTable("Colorphun"); err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Fatalf("FetchTable = %+v, %v; want the cap error", up, err)
+	}
+	if res, err := client.FetchUpdate("Colorphun", 0, nil); err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Fatalf("FetchUpdate = %+v, %v; want the cap error", res, err)
+	}
+}
+
+// readBody reads a stated length into a buffer of exactly that length,
+// and refuses a body of no stated length, one over the cap, and one
+// longer or shorter than it states.
+func TestReadBodyBounds(t *testing.T) {
+	reply := func(body string, stated int64) *http.Response {
+		return &http.Response{Body: io.NopCloser(strings.NewReader(body)), ContentLength: stated}
+	}
+	for _, c := range []struct {
+		name   string
+		resp   *http.Response
+		wantOK bool
+	}{
+		{"stated", reply("0123456789", 10), true},
+		{"unstated", reply("0123456789", -1), false},
+		{"stated over the cap", reply("0123456789abcdef", 16), false},
+		{"longer than stated", reply("0123456789", 8), false},
+		{"shorter than stated", reply("01234567", 10), false},
+	} {
+		body, err := readBody(c.resp, 12)
+		if (err == nil) != c.wantOK {
+			t.Fatalf("%s: read %q, %v", c.name, body, err)
+		}
+		if c.wantOK && (string(body) != "0123456789" || cap(body) != len(body)) {
+			t.Fatalf("%s: read %q into a buffer of %d", c.name, body, cap(body))
+		}
 	}
 }

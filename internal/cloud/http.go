@@ -288,10 +288,12 @@ func (w *statusWriter) WriteHeader(code int) {
 func (s *Service) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
+		// Counted on receipt: a reply that states its length may reach
+		// the client before h returns.
+		s.met.requests[endpoint].Inc()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		h(sw, r)
 		elapsed := time.Since(start)
-		s.met.requests[endpoint].Inc()
 		if sw.code >= 400 {
 			s.met.errors[endpoint].Inc()
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"snip/internal/games"
+	"snip/internal/pfi"
 	"snip/internal/schemes"
 	"snip/internal/trace"
 )
@@ -156,5 +157,42 @@ func BenchmarkReplay(b *testing.B) {
 			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(rows), "allocs/record")
 		})
+	}
+}
+
+// ingestBatches is how many batches of codecBatchSessions sessions
+// BenchmarkProfilerIngest feeds each game's profiler: the batches of one
+// perfbench ingest cycle.
+const ingestBatches = 4
+
+// BenchmarkProfilerIngest feeds every bundled game's Profiler its
+// ingest cycle, 4 batches of 4 sessions through IngestLogs, on one
+// worker; an op is one cycle of every game into fresh profilers. Its
+// B/op is what the replays and the growing profiles allocate, which
+// ci.sh gates.
+func BenchmarkProfilerIngest(b *testing.B) {
+	names := games.Names()
+	batches := make([][][]SessionLog, len(names))
+	for g, game := range names {
+		for k := range ingestBatches {
+			var batch []SessionLog
+			for i := range codecBatchSessions {
+				seed := replayGoldenSeed + uint64(k*codecBatchSessions+i)
+				batch = append(batch, SessionLog{Seed: seed, Log: recordLog(b, game, seed)})
+			}
+			batches[g] = append(batches[g], batch)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for g, game := range names {
+			p := NewProfiler(game, pfi.DefaultConfig())
+			for _, batch := range batches[g] {
+				if err := p.IngestLogs(1, batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
 	}
 }

@@ -269,29 +269,30 @@ func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// Serving a chain larger than the image it reconstructs would be
 	// delta theater; prefer the full image.
 	if frame == nil || len(frame) >= len(img) {
-		if writeTable(w, up, "flat", img) {
+		writeTable(w, up, "flat", img, func() {
 			s.met.tablesServed.Inc()
 			sh.met.otaFull.Inc()
 			sh.met.fullBytes.Add(int64(len(img)))
-		}
+		})
 		return
 	}
-	if writeTable(w, up, "delta", frame) {
+	writeTable(w, up, "delta", frame, func() {
 		sh.met.otaDelta.Inc()
 		sh.met.deltaBytes.Add(int64(len(frame)))
-	}
+	})
 }
 
 // writeTable answers a table request with payload in the given
 // X-Snip-Format. A flat image's bytes ARE the serving structure, so the
 // device validates the header + CRC and probes straight out of the
-// buffer; the update's metadata rides the X-Snip-* headers. It reports
-// whether the reply was written.
-func writeTable(w http.ResponseWriter, up *TableUpdate, format string, payload []byte) bool {
+// buffer; the update's metadata rides the X-Snip-* headers. The reply
+// states its length, so a client may have all of it before the handler
+// returns: served, which counts it, runs before the payload is written.
+func writeTable(w http.ResponseWriter, up *TableUpdate, format string, payload []byte, served func()) {
 	pm, err := json.Marshal(up.Metrics)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return false
+		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Snip-Format", format)
@@ -299,8 +300,9 @@ func writeTable(w http.ResponseWriter, up *TableUpdate, format string, payload [
 	w.Header().Set("X-Snip-Version", strconv.Itoa(up.Version))
 	w.Header().Set("X-Snip-Records", strconv.Itoa(up.ProfileRecords))
 	w.Header().Set("X-Snip-Pfi", string(pm))
+	w.Header().Set("Content-Length", strconv.Itoa(len(payload)))
+	served()
 	_, _ = w.Write(payload)
-	return true
 }
 
 // UpdateResult describes how FetchUpdate brought the device current.
@@ -389,8 +391,8 @@ func (c *Client) FetchUpdate(game string, haveVersion int, have *memo.FlatTable)
 }
 
 // getUpdate issues GET /v1/update for a game and generation and reads
-// the reply. A 304 comes back with a nil body; any other status but 200
-// is an error.
+// the reply (readBody, at most trace.DefaultMaxDecodedDelta bytes). A
+// 304 comes back with a nil body; any other status but 200 is an error.
 func (c *Client) getUpdate(game string, gen int) (*http.Response, []byte, error) {
 	u := c.endpoint("/v1/update", url.Values{
 		"game": {game}, "gen": {strconv.Itoa(gen)},
@@ -406,11 +408,30 @@ func (c *Client) getUpdate(game string, gen int) (*http.Response, []byte, error)
 	if err := errFromResponse(resp); err != nil {
 		return nil, nil, err
 	}
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBody(resp, trace.DefaultMaxDecodedDelta)
 	if err != nil {
 		return nil, nil, fmt.Errorf("cloud: read update: %w", err)
 	}
 	return resp, body, nil
+}
+
+// readBody reads a reply body of a stated length of at most limit bytes
+// into one buffer of exactly that length, which a loaded table keeps as
+// its image. A body of no stated length, or longer than limit or than
+// its stated length, is an error.
+func readBody(resp *http.Response, limit int64) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > limit {
+		return nil, fmt.Errorf("body of stated length %d: want 0 to the %d-byte cap", n, limit)
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, body); err != nil {
+		return nil, err
+	}
+	if k, _ := resp.Body.Read(make([]byte, 1)); k > 0 {
+		return nil, fmt.Errorf("body runs past its stated %d bytes", n)
+	}
+	return body, nil
 }
 
 // fullUpdate loads a full-table reply: a flat image, validated by

@@ -162,12 +162,20 @@ func BenchmarkBuildFlat(b *testing.B) {
 		{Name: "event.tap.x", Category: trace.InEvent, Size: 4},
 		{Name: "state.mode", Category: trace.InHistory, Size: 1},
 	}}
+	// wide keys on the noise input too, so every row is an entry and the
+	// image, not the keying, is most of what a build allocates.
+	wide := Selection{"tap": {
+		{Name: "event.tap.x", Category: trace.InEvent, Size: 4},
+		{Name: "state.mode", Category: trace.InHistory, Size: 1},
+		{Name: "state.noise", Category: trace.InHistory, Size: 8},
+	}}
 	for _, path := range []struct {
 		name  string
 		build func() (*FlatTable, error)
 	}{
 		{"direct", func() (*FlatTable, error) { return BuildFlat(d, sel) }},
 		{"map", func() (*FlatTable, error) { return Flatten(BuildSnip(d, sel)) }},
+		{"wide", func() (*FlatTable, error) { return BuildFlat(d, wide) }},
 	} {
 		b.Run(path.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -443,7 +443,19 @@ func planSplice(old *FlatTable, d *trace.TableDelta) (*splice, error) {
 func (s *splice) write(sel Selection) ([]byte, error) {
 	old := s.old
 	var types []string
-	buckets, entries, fields := 0, 0, len(old.section(secFields))/flatFieldRecLen
+	buckets, entries, fields := 0, 0, 0
+	for j, f := range s.fate { // kept base entries, and the upserts replacing some
+		if _, _, n := old.meta(uint32(j)); f == 0 {
+			fields += int(n)
+		} else if f > 0 {
+			fields += len(s.d.Upserts[f-1].Outputs)
+		}
+	}
+	for _, i := range s.seq { // and the inserted upserts
+		if i < 0 {
+			fields += len(s.d.Upserts[-i-1].Outputs)
+		}
+	}
 	for c := old.cursor(); c.next(); {
 		n := int(c.count)
 		if i := s.byBase[c.bi]; i != 0 {
@@ -466,12 +478,20 @@ func (s *splice) write(sel Selection) ([]byte, error) {
 			}
 		}
 	}
+	// The pool is sized for every base name and every upserted one: it
+	// is shorter only if the delta removes a name's last entry.
+	names := make(map[string]bool, len(old.names))
+	for _, n := range old.names {
+		names[n] = true
+	}
 	for i := range s.d.Upserts {
-		fields += len(s.d.Upserts[i].Outputs)
+		for _, f := range s.d.Upserts[i].Outputs {
+			names[f.Name] = true
+		}
 	}
 	sort.Strings(types)
 	slices.SortFunc(added, func(a, b *touchedBucket) int { return compareBuckets(a.et, a.ek, b.et, b.ek) })
-	w, err := newImageWriter(sel, types, buckets, entries, fields)
+	w, err := newImageWriter(sel, types, buckets, entries, fields, poolLen(names))
 	if err != nil {
 		return nil, err
 	}

@@ -118,9 +118,16 @@ func (w *flatWriter) str(s string) {
 // in canonical order: newImageWriter takes the selection and the sorted
 // bucket-owning types, then each bucket is one bucket call followed by
 // its entries, each entry followed by its output fields. image compiles
-// both slot indexes, the directory and the header.
+// both slot indexes, the name pool, the directory and the header.
+//
+// The image is one allocation: newImageWriter sizes every section from
+// the counts it is given, and the bucket, key, meta and field writers
+// append in place into their sections of it.
 type imageWriter struct {
-	sel, types, buckets, keys, meta, fields flatWriter
+	img []byte
+	at  [flatDirSections + 1]int // each section's offset in img, then the end
+
+	buckets, keys, meta, fields flatWriter
 	// names is the output-name pool in first-use order, nameRef its index.
 	names   []string
 	nameRef map[string]uint32
@@ -130,11 +137,12 @@ type imageWriter struct {
 	bh                        uint64
 }
 
-// newImageWriter starts an image with room for the given numbers of
-// buckets, entries and output fields. The index stores type hashes, not
-// names; a hash collision between two type names would alias their
-// buckets, so it refuses to build one.
-func newImageWriter(sel Selection, types []string, buckets, entries, fields int) (*imageWriter, error) {
+// newImageWriter starts an image of the given numbers of buckets,
+// entries and output fields, whose name pool is namesLen bytes long
+// (poolLen). The index stores type hashes, not names; a hash collision
+// between two type names would alias their buckets, so it refuses to
+// build one.
+func newImageWriter(sel Selection, types []string, buckets, entries, fields, namesLen int) (*imageWriter, error) {
 	hashes := make([]uint64, len(types))
 	for i, et := range types {
 		hashes[i] = trace.HashString(et)
@@ -146,31 +154,58 @@ func newImageWriter(sel Selection, types []string, buckets, entries, fields int)
 	}
 	w := &imageWriter{nameRef: make(map[string]uint32), bucketHashes: make([]uint64, 0, buckets),
 		entryHashes: make([]uint64, 0, entries)}
-	w.buckets.b = make([]byte, 0, flatBucketRecLen*buckets)
-	w.keys.b = make([]byte, 0, 8*entries)
-	w.meta.b = make([]byte, 0, flatMetaRecLen*entries)
-	w.fields.b = make([]byte, 0, flatFieldRecLen*fields)
 
+	var head flatWriter // the selection, then the types
 	selTypes := make([]string, 0, len(sel))
 	for et := range sel {
 		selTypes = append(selTypes, et)
 	}
 	sort.Strings(selTypes)
-	w.sel.u32(uint32(len(selTypes)))
+	head.u32(uint32(len(selTypes)))
 	for _, et := range selTypes {
-		w.sel.str(et)
-		w.sel.u32(uint32(len(sel[et])))
+		head.str(et)
+		head.u32(uint32(len(sel[et])))
 		for _, f := range sel[et] {
-			w.sel.str(f.Name)
-			w.sel.u32(uint32(f.Category))
-			w.sel.u64(uint64(f.Size))
+			head.str(f.Name)
+			head.u32(uint32(f.Category))
+			head.u64(uint64(f.Size))
 		}
 	}
-	w.types.u32(uint32(len(types)))
+	selLen := len(head.b)
+	head.u32(uint32(len(types)))
 	for _, et := range types {
-		w.types.str(et)
+		head.str(et)
+	}
+	size := [flatDirSections]int{secSelection: selLen, secTypes: len(head.b) - selLen,
+		secBuckets: flatBucketRecLen * buckets, secSlots: 4 * int(slotCount(buckets)),
+		secKeys: 8 * entries, secMeta: flatMetaRecLen * entries, secFields: flatFieldRecLen * fields,
+		secNames: namesLen, secEntrySlots: 8 + 4*int(slotCount(entries))}
+	w.at[0] = flatHeaderLen + flatDirLen
+	for sec, n := range size {
+		w.at[sec+1] = w.at[sec] + n
+	}
+	w.img = make([]byte, w.at[flatDirSections])
+	copy(w.img[w.at[secSelection]:], head.b)
+	for sec, v := range w.written() {
+		if v != nil {
+			v.b = w.img[w.at[sec]:w.at[sec]:w.at[sec+1]]
+		}
 	}
 	return w, nil
+}
+
+// written returns, by section, the writers the walk appends to.
+func (w *imageWriter) written() [secFields + 1]*flatWriter {
+	return [...]*flatWriter{secBuckets: &w.buckets, secKeys: &w.keys, secMeta: &w.meta, secFields: &w.fields}
+}
+
+// poolLen returns the length of a name pool section holding names.
+func poolLen(names map[string]bool) int {
+	n := 4
+	for s := range names {
+		n += 4 + len(s)
+	}
+	return n
 }
 
 // bucket starts the record of a bucket holding count entries.
@@ -213,18 +248,23 @@ func (w *imageWriter) name(s string) uint32 {
 	return id
 }
 
-// slotIndex returns an open-addressing slot array over hashes: a power
-// of two at least twice as long, so linear probe chains stay short and
-// always end at an empty slot. Slot s holds 1 + the index of the hash
-// that claimed it, in hash order. Slots cost 4 bytes each — noise next
-// to the records they index.
-func slotIndex(hashes []uint64) (count uint64, slots []byte) {
-	count = 8
-	for count < 2*uint64(len(hashes)) {
+// slotCount returns the slot count of an open-addressing index over n
+// hashes: a power of two at least twice n, so linear probe chains stay
+// short and always end at an empty slot.
+func slotCount(n int) uint64 {
+	count := uint64(8)
+	for count < 2*uint64(n) {
 		count <<= 1
 	}
-	slots = make([]byte, 4*count)
-	mask := count - 1
+	return count
+}
+
+// slotIndex fills slots, 4 zeroed bytes per slot of slotCount(len(hashes)),
+// with the open-addressing index over hashes: slot s holds 1 + the index
+// of the hash that claimed it, in hash order. Slots cost 4 bytes each —
+// noise next to the records they index.
+func slotIndex(hashes []uint64, slots []byte) {
+	mask := uint64(len(slots)/4 - 1)
 	for i, h := range hashes {
 		slot := h & mask
 		for binary.LittleEndian.Uint32(slots[4*slot:]) != 0 {
@@ -232,7 +272,6 @@ func slotIndex(hashes []uint64) (count uint64, slots []byte) {
 		}
 		binary.LittleEndian.PutUint32(slots[4*slot:], uint32(i)+1)
 	}
-	return count, slots
 }
 
 // image compiles the finished image. The bucket index resolves
@@ -245,45 +284,36 @@ func (w *imageWriter) image() ([]byte, error) {
 	if entryCount > math.MaxUint32 || fieldCount > math.MaxUint32 {
 		return nil, fmt.Errorf("memo: flat image: table too large (%d entries, %d fields)", entryCount, fieldCount)
 	}
-	var names flatWriter
+	for sec, v := range w.written() {
+		if v != nil && len(v.b) != w.at[sec+1]-w.at[sec] {
+			return nil, fmt.Errorf("memo: flat image: section %d holds %d bytes, sized for %d", sec, len(v.b), w.at[sec+1]-w.at[sec])
+		}
+	}
+	img := w.img
+	slotIndex(w.bucketHashes, img[w.at[secSlots]:w.at[secKeys]])
+	names := flatWriter{img[w.at[secNames]:w.at[secNames]]}
 	names.u32(uint32(len(w.names)))
 	for _, s := range w.names {
 		names.str(s)
 	}
-	slotCount, slots := slotIndex(w.bucketHashes)
-	eSlotCount, eslots := slotIndex(w.entryHashes)
-	eslots = append(binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(eslots)), eSlotCount), eslots...)
+	if len(names.b) != w.at[secEntrySlots]-w.at[secNames] { // a pool sized wrong: move the entry slots
+		n := w.at[flatDirSections] - w.at[secEntrySlots]
+		img = append(img[:w.at[secNames]:w.at[secNames]], names.b...)
+		w.at[secEntrySlots], img = len(img), append(img, make([]byte, n)...)
+	}
+	eslots := img[w.at[secEntrySlots]:]
+	binary.LittleEndian.PutUint64(eslots, slotCount(len(w.entryHashes)))
+	slotIndex(w.entryHashes, eslots[8:])
 
-	sections := [flatDirSections][]byte{
-		secSelection:  w.sel.b,
-		secTypes:      w.types.b,
-		secBuckets:    w.buckets.b,
-		secSlots:      slots,
-		secKeys:       w.keys.b,
-		secMeta:       w.meta.b,
-		secFields:     w.fields.b,
-		secNames:      names.b,
-		secEntrySlots: eslots,
+	arenaLen := uint64(len(img) - flatHeaderLen)
+	for sec, at := range w.at[:flatDirSections] {
+		binary.LittleEndian.PutUint64(img[flatHeaderLen+8*sec:], uint64(at-flatHeaderLen))
 	}
-	arenaLen := uint64(flatDirLen)
-	for _, s := range sections {
-		arenaLen += uint64(len(s))
-	}
-	img := make([]byte, flatHeaderLen, flatHeaderLen+arenaLen)
-	off := uint64(flatDirLen)
-	for _, s := range sections {
-		img = binary.LittleEndian.AppendUint64(img, off)
-		off += uint64(len(s))
-	}
-	for _, s := range sections {
-		img = append(img, s...)
-	}
-
 	copy(img[0:8], flatMagic)
 	binary.LittleEndian.PutUint32(img[8:], FlatLayoutVersion)
 	binary.LittleEndian.PutUint64(img[16:], entryCount)
 	binary.LittleEndian.PutUint64(img[24:], uint64(len(w.bucketHashes)))
-	binary.LittleEndian.PutUint64(img[32:], slotCount)
+	binary.LittleEndian.PutUint64(img[32:], slotCount(len(w.bucketHashes)))
 	binary.LittleEndian.PutUint64(img[40:], arenaLen)
 	binary.LittleEndian.PutUint32(img[48:], crc32.ChecksumIEEE(img[flatHeaderLen:]))
 	binary.LittleEndian.PutUint32(img[52:], crc32.ChecksumIEEE(img[0:52]))
@@ -301,7 +331,18 @@ func (t *SnipTable) FlatImage() ([]byte, error) {
 		types = append(types, et)
 	}
 	sort.Strings(types)
-	w, err := newImageWriter(t.sel, types, t.Buckets(), t.Rows(), 0)
+	fields, names := 0, make(map[string]bool)
+	for _, byEvent := range t.buckets {
+		for _, b := range byEvent {
+			for _, e := range b.Order {
+				fields += len(e.Outputs)
+				for _, f := range e.Outputs {
+					names[f.Name] = true
+				}
+			}
+		}
+	}
+	w, err := newImageWriter(t.sel, types, t.Buckets(), t.Rows(), fields, poolLen(names))
 	if err != nil {
 		return nil, err
 	}

@@ -24,6 +24,9 @@ func BuildFlat(d *trace.Dataset, sel Selection) (*FlatTable, error) {
 	var buckets, entries pairIndex
 	var row []int32
 	fields := 0
+	// named marks the dictionary ids among the entries' outputs; names
+	// holds their names, the pool the image is sized for.
+	named, names := make([]bool, d.NumFields()), make(map[string]bool)
 	for i := 0; i < d.Len(); i++ {
 		r := d.Row(i)
 		k := keyers[r.Type]
@@ -37,6 +40,12 @@ func BuildFlat(d *trace.Dataset, sel Selection) (*FlatTable, error) {
 		if _, added := entries.id(uint32(b), sk); added {
 			row = append(row, int32(i))
 			fields += len(r.Outputs)
+			for _, c := range r.Outputs {
+				if !named[c.ID] {
+					named[c.ID] = true
+					names[d.Field(c.ID).Name] = true
+				}
+			}
 		}
 	}
 
@@ -79,7 +88,7 @@ func BuildFlat(d *trace.Dataset, sel Selection) (*FlatTable, error) {
 		pos[b]++
 	}
 
-	w, err := newImageWriter(sel, types, len(order), len(row), fields)
+	w, err := newImageWriter(sel, types, len(order), len(row), fields, poolLen(names))
 	if err != nil {
 		return nil, err
 	}

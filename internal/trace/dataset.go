@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"maps"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"snip/internal/stats"
 	"snip/internal/units"
@@ -10,13 +13,16 @@ import (
 // Dataset is an ordered collection of profiled event executions from one
 // or more sessions — the profile SNIP ships to the cloud.
 //
-// It is stored column-major and pointer-free. A field dictionary holds
-// each distinct (Name, Category, Size) triple once under a dense id, and
-// an event-type dictionary each type name. One column per row holds each
-// scalar record attribute, and each row's inputs and outputs are a run
-// of (id, value) cells in logged order, duplicates kept. Handlers log
-// into it a row at a time (BeginRow, LogInput, LogOutput, EndRow);
-// readers walk the rows in place (Row, Field) or rebuild a Record
+// It is stored column-major and pointer-free per row. A field dictionary
+// holds each distinct (Name, Category, Size) triple once under a dense
+// id, and an event-type dictionary each type name. The rows sit in a
+// sequence of chunks. One column per chunk holds each scalar record
+// attribute, and each row's inputs and outputs are a run of (id, value)
+// cells in logged order, duplicates kept. Handlers log into the open
+// chunk a row at a time (BeginRow, LogInput, LogOutput, EndRow); Merge
+// seals the other dataset's chunks and appends them by reference, so a
+// profile grows by whole sessions without copying the rows it holds.
+// Readers walk the rows in place (Row, Field) or rebuild a Record
 // (Record, All). A Dataset with only Game set is empty and ready for use.
 type Dataset struct {
 	Game string
@@ -28,23 +34,36 @@ type Dataset struct {
 	types     []string
 	typeID    map[string]uint32
 
-	seq     []int64
-	typ     []uint32
-	time    []units.Time
-	instr   []int64
-	pre     []uint64
-	ehash   []uint64
-	changed []bool
-	// cells[dir] is the stream of input (dirIn) or output (dirOut) cells;
-	// row i's run ends at ends[dir][i] and starts where row i-1's ends.
-	cells [2][]Cell
-	ends  [2][]uint32
+	// chunks[k] holds rows first[k] onwards; n is the row count. Only
+	// cur, the last chunk, takes new rows, until Merge seals it.
+	chunks []*chunk
+	first  []int
+	n      int
+	cur    *chunk
+	hint   atomic.Int32 // the chunk Row last found: walks go in order
 
 	open openRow
 	// guess[dir][t][k] is the field id logged last at position k of dir's
 	// run in a row of type t: the id the next such row most likely logs
 	// there, checked before the dictionary map is consulted.
 	guess [2][][]uint32
+}
+
+// chunk is a run of rows in columns, its cells holding ids of the
+// dictionaries of every dataset that references it. A sealed chunk is
+// never appended to, and a shared one, referenced more than once, never
+// remapped.
+type chunk struct {
+	seq, instr []int64
+	typ        []uint32
+	time       []units.Time
+	pre, ehash []uint64
+	changed    []bool
+	// cells[dir] is the stream of input (dirIn) or output (dirOut) cells;
+	// row j's run ends at ends[dir][j] and starts where row j-1's ends.
+	cells  [2][]Cell
+	ends   [2][]uint32
+	shared bool
 }
 
 // The two cell streams of a Dataset.
@@ -91,33 +110,61 @@ type Row struct {
 }
 
 // Len returns the number of rows.
-func (d *Dataset) Len() int { return len(d.seq) }
+func (d *Dataset) Len() int { return d.n }
 
-// Grow makes room for n more rows. Once the dataset has rows, it also
+func (c *chunk) len() int { return len(c.seq) }
+
+// Grow makes room for n more rows. Once the open chunk has rows, it also
 // makes room for their cells, at the mean run length so far.
 func (d *Dataset) Grow(n int) {
+	c := d.openChunk()
 	var cells [2]int
-	if rows := d.Len(); rows > 0 {
+	if rows := c.len(); rows > 0 {
 		for dir := range cells {
-			cells[dir] = n*d.runEnd(dir, rows-1)/rows + 1
+			cells[dir] = n*c.runEnd(dir, rows-1)/rows + 1
 		}
 	}
-	d.reserve(n, cells)
+	c.reserve(n, cells)
+}
+
+// openChunk returns the chunk new rows go to, starting one if Merge
+// sealed the last.
+func (d *Dataset) openChunk() *chunk {
+	if d.cur == nil {
+		d.cur = &chunk{}
+		d.push(d.cur)
+	}
+	return d.cur
+}
+
+// push appends a chunk's rows.
+func (d *Dataset) push(c *chunk) {
+	d.chunks = append(d.chunks, c)
+	d.first = append(d.first, d.n)
+	d.n += c.len()
+}
+
+// seal closes the open chunk, dropping a row left open.
+func (d *Dataset) seal() {
+	if d.cur != nil {
+		d.cur.dropOpen()
+		d.cur = nil
+	}
 }
 
 // reserve makes room for rows more rows holding cells[dir] more cells.
-func (d *Dataset) reserve(rows int, cells [2]int) {
-	d.seq, d.typ, d.time = grow(d.seq, rows), grow(d.typ, rows), grow(d.time, rows)
-	d.instr, d.pre, d.ehash = grow(d.instr, rows), grow(d.pre, rows), grow(d.ehash, rows)
-	d.changed = grow(d.changed, rows)
-	for dir := range d.cells {
-		d.ends[dir], d.cells[dir] = grow(d.ends[dir], rows), grow(d.cells[dir], cells[dir])
+func (c *chunk) reserve(rows int, cells [2]int) {
+	c.seq, c.typ, c.time = grow(c.seq, rows), grow(c.typ, rows), grow(c.time, rows)
+	c.instr, c.pre, c.ehash = grow(c.instr, rows), grow(c.pre, rows), grow(c.ehash, rows)
+	c.changed = grow(c.changed, rows)
+	for dir := range c.cells {
+		c.ends[dir], c.cells[dir] = grow(c.ends[dir], rows), grow(c.cells[dir], cells[dir])
 	}
 }
 
 // grow returns s with room for n more elements. It at least doubles the
-// capacity when it must grow: a profile grows by whole sessions, and
-// append's smaller steps for large slices would recopy it many times.
+// capacity when it must grow, so a copy of many rows into one chunk
+// recopies it only a few times.
 func grow[E any](s []E, n int) []E {
 	if n <= cap(s)-len(s) {
 		return s
@@ -135,17 +182,18 @@ func (d *Dataset) BeginRow(seq int64, eventType string, t units.Time, eventHash,
 	if !ok {
 		typ = d.addType(eventType)
 	}
+	c := d.openChunk()
+	c.dropOpen()
 	d.open = openRow{seq: seq, typ: typ, time: t, ehash: eventHash, pre: preStateHash}
-	d.dropOpen()
-	for dir := range d.cells {
-		d.open.at[dir] = len(d.cells[dir])
+	for dir := range c.cells {
+		d.open.at[dir] = len(c.cells[dir])
 	}
 }
 
 // dropOpen discards the cells of a row left open.
-func (d *Dataset) dropOpen() {
-	for dir := range d.cells {
-		d.cells[dir] = d.cells[dir][:d.runEnd(dir, d.Len()-1)]
+func (c *chunk) dropOpen() {
+	for dir := range c.cells {
+		c.cells[dir] = c.cells[dir][:c.runEnd(dir, c.len()-1)]
 	}
 }
 
@@ -163,30 +211,32 @@ func (d *Dataset) LogOutput(prefix, name string, cat Category, size units.Size, 
 
 // EndRow closes the open row.
 func (d *Dataset) EndRow(instr int64, stateChanged bool) {
-	o := &d.open
-	d.seq = append(d.seq, o.seq)
-	d.typ = append(d.typ, o.typ)
-	d.time = append(d.time, o.time)
-	d.instr = append(d.instr, instr)
-	d.pre = append(d.pre, o.pre)
-	d.ehash = append(d.ehash, o.ehash)
-	d.changed = append(d.changed, stateChanged)
-	for dir := range d.ends {
-		d.ends[dir] = append(d.ends[dir], uint32(len(d.cells[dir])))
+	o, c := &d.open, d.cur
+	c.seq = append(c.seq, o.seq)
+	c.typ = append(c.typ, o.typ)
+	c.time = append(c.time, o.time)
+	c.instr = append(c.instr, instr)
+	c.pre = append(c.pre, o.pre)
+	c.ehash = append(c.ehash, o.ehash)
+	c.changed = append(c.changed, stateChanged)
+	for dir := range c.ends {
+		c.ends[dir] = append(c.ends[dir], uint32(len(c.cells[dir])))
 	}
+	d.n++
 }
 
 // log appends one cell to the open row's dir run. The field's id is
 // guessed from the last row of the same type at the same position; the
 // dictionary map resolves it only when the guess misses.
 func (d *Dataset) log(dir int, prefix, name string, cat Category, size units.Size, value uint64) {
-	k := len(d.cells[dir]) - d.open.at[dir]
+	c := d.cur
+	k := len(c.cells[dir]) - d.open.at[dir]
 	g := d.guess[dir][d.open.typ]
 	if k < len(g) {
 		id := g[k]
 		if f := &d.fields[id]; f.Size == size && f.Category == cat &&
 			len(f.Name) == len(prefix)+len(name) && f.Name[:len(prefix)] == prefix && f.Name[len(prefix):] == name {
-			d.cells[dir] = append(d.cells[dir], Cell{id, value})
+			c.cells[dir] = append(c.cells[dir], Cell{id, value})
 			return
 		}
 	}
@@ -196,7 +246,7 @@ func (d *Dataset) log(dir int, prefix, name string, cat Category, size units.Siz
 	} else {
 		d.guess[dir][d.open.typ] = append(g, id)
 	}
-	d.cells[dir] = append(d.cells[dir], Cell{id, value})
+	c.cells[dir] = append(c.cells[dir], Cell{id, value})
 }
 
 // intern returns k's dictionary id, adding it if absent, and marks it
@@ -230,25 +280,39 @@ func (d *Dataset) addType(name string) uint32 {
 	return id
 }
 
-// runEnd returns where row i's dir run ends (0 for i < 0).
-func (d *Dataset) runEnd(dir, i int) int {
-	if i < 0 {
+// runEnd returns where row j's dir run ends (0 for j < 0).
+func (c *chunk) runEnd(dir, j int) int {
+	if j < 0 {
 		return 0
 	}
-	return int(d.ends[dir][i])
+	return int(c.ends[dir][j])
 }
 
-// run returns row i's dir cells.
-func (d *Dataset) run(dir, i int) []Cell {
-	return d.cells[dir][d.runEnd(dir, i-1):d.ends[dir][i]]
+// run returns row j's dir cells.
+func (c *chunk) run(dir, j int) []Cell {
+	return c.cells[dir][c.runEnd(dir, j-1):c.ends[dir][j]]
+}
+
+// locate returns the chunk holding row i and the row's index in it. A
+// walk in row order finds each row in the chunk of the row before.
+func (d *Dataset) locate(i int) (*chunk, int) {
+	k := int(d.hint.Load())
+	c, j := d.chunks[k], i-d.first[k]
+	if uint(j) >= uint(c.len()) {
+		k = sort.Search(len(d.first), func(k int) bool { return d.first[k] > i }) - 1
+		c, j = d.chunks[k], i-d.first[k]
+		d.hint.Store(int32(k))
+	}
+	return c, j
 }
 
 // Row returns a view of row i.
 func (d *Dataset) Row(i int) Row {
+	c, j := d.locate(i)
 	return Row{
-		EventSeq: d.seq[i], Type: d.typ[i], Time: d.time[i], Instr: d.instr[i],
-		PreStateHash: d.pre[i], EventHash: d.ehash[i], StateChanged: d.changed[i],
-		Inputs: d.run(dirIn, i), Outputs: d.run(dirOut, i),
+		EventSeq: c.seq[j], Type: c.typ[j], Time: c.time[j], Instr: c.instr[j],
+		PreStateHash: c.pre[j], EventHash: c.ehash[j], StateChanged: c.changed[j],
+		Inputs: c.run(dirIn, j), Outputs: c.run(dirOut, j),
 	}
 }
 
@@ -314,13 +378,41 @@ func (d *Dataset) Append(rs ...*Record) {
 	}
 }
 
-// Merge appends all of other's rows.
+// Merge appends all of other's rows. It seals other's chunks and appends
+// them by reference, after one pass that remaps their field and type ids
+// to d's dictionaries in place; other then reads them through a copy of
+// d's dictionaries. If a third dataset also references one of them,
+// which fixes its ids, Merge copies other's rows instead.
 func (d *Dataset) Merge(other *Dataset) {
-	newCopier(d, other).copy(0, other.Len())
+	other.seal()
+	d.seal()
+	cp := newCopier(d, other)
+	if slices.ContainsFunc(other.chunks, func(c *chunk) bool { return c.shared }) {
+		cp.copy(0, other.Len())
+		return
+	}
+	for _, c := range other.chunks {
+		cp.remap(c)
+		c.shared = true
+		d.push(c)
+	}
+	dirs := make([]uint8, len(d.fields))
+	for dir, ids := range cp.ids {
+		for _, id := range ids {
+			if id != 0 {
+				dirs[id-1] |= 1 << dir
+			}
+		}
+	}
+	other.fields, other.fieldHash, other.fieldDirs = slices.Clip(d.fields), slices.Clip(d.fieldHash), dirs
+	other.types, other.fieldID, other.typeID = slices.Clip(d.types), maps.Clone(d.fieldID), maps.Clone(d.typeID)
+	for dir := range other.guess {
+		other.guess[dir] = make([][]uint32, len(d.types))
+	}
 }
 
-// copier appends row ranges of src to dst, remapping src's field and
-// type ids to dst's as it meets them.
+// copier moves rows of src into dst, remapping src's field and type ids
+// to dst's as it meets them.
 type copier struct {
 	dst, src *Dataset
 	ids      [2][]uint32 // src field id → 1 + dst id, per stream; 0 until met
@@ -342,12 +434,39 @@ func newCopier(dst, src *Dataset) *copier {
 	return c
 }
 
-// copy appends src's rows [lo, hi).
-func (c *copier) copy(lo, hi int) {
-	d, s := c.dst, c.src
-	if lo >= hi {
-		return
+// id returns the dst id of src's field id, logged to dir.
+func (c *copier) id(dir int, id uint32) uint32 {
+	if c.ids[dir][id] == 0 {
+		c.ids[dir][id] = 1 + c.dst.intern(c.src.fields[id], dir)
 	}
+	return c.ids[dir][id] - 1
+}
+
+// remap rewrites a sealed chunk of src's rows to dst's ids in place.
+func (c *copier) remap(ch *chunk) {
+	for j, t := range ch.typ {
+		ch.typ[j] = c.types[t]
+	}
+	for dir, cells := range ch.cells {
+		for j := range cells {
+			cells[j].ID = c.id(dir, cells[j].ID)
+		}
+	}
+}
+
+// copy appends copies of src's rows [lo, hi) to dst's open chunk.
+func (c *copier) copy(lo, hi int) {
+	for lo < hi {
+		s, j := c.src.locate(lo)
+		n := min(hi-lo, s.len()-j)
+		c.copyChunk(s, j, j+n)
+		lo += n
+	}
+}
+
+// copyChunk appends copies of a src chunk's rows [lo, hi).
+func (c *copier) copyChunk(s *chunk, lo, hi int) {
+	d := c.dst.openChunk()
 	var from, to [2]int
 	for dir := range from {
 		from[dir], to[dir] = s.runEnd(dir, lo-1), s.runEnd(dir, hi-1)
@@ -368,38 +487,37 @@ func (c *copier) copy(lo, hi int) {
 		for _, e := range s.ends[dir][lo:hi] {
 			d.ends[dir] = append(d.ends[dir], uint32(int(e)+shift))
 		}
-		ids := c.ids[dir]
 		for _, cell := range s.cells[dir][from[dir]:to[dir]] {
-			if ids[cell.ID] == 0 {
-				ids[cell.ID] = 1 + d.intern(s.fields[cell.ID], dir)
-			}
-			d.cells[dir] = append(d.cells[dir], Cell{ids[cell.ID] - 1, cell.Value})
+			d.cells[dir] = append(d.cells[dir], Cell{c.id(dir, cell.ID), cell.Value})
 		}
 	}
+	c.dst.n += hi - lo
 }
 
 // TotalInstr returns the summed dynamic-instruction weight, the
 // denominator of the paper's execution-coverage metric (Fig. 6).
 func (d *Dataset) TotalInstr() int64 {
 	var t int64
-	for _, n := range d.instr {
-		t += n
+	for _, c := range d.chunks {
+		for _, n := range c.instr {
+			t += n
+		}
 	}
 	return t
 }
 
 // InputHash digests the names and values of row i's inputs, in logged
 // order, so hashes are comparable across rows of the same event type.
-func (d *Dataset) InputHash(i int) uint64 { return d.runHash(dirIn, i) }
+func (d *Dataset) InputHash(i int) uint64 { return d.cellHash(d.Row(i).Inputs) }
 
 // OutputHash digests the names and values of row i's outputs; two rows
 // with equal OutputHash produced identical outputs (the paper's
 // "redundant events" compare on exactly this).
-func (d *Dataset) OutputHash(i int) uint64 { return d.runHash(dirOut, i) }
+func (d *Dataset) OutputHash(i int) uint64 { return d.cellHash(d.Row(i).Outputs) }
 
-func (d *Dataset) runHash(dir, i int) uint64 {
+func (d *Dataset) cellHash(cells []Cell) uint64 {
 	h := KeySeed
-	for _, c := range d.run(dir, i) {
+	for _, c := range cells {
 		h = Mix(Mix(h, d.fieldHash[c.ID]), c.Value)
 	}
 	return h
@@ -424,19 +542,21 @@ func (d *Dataset) InputFieldUniverse() []FieldInfo {
 	}
 	byName := make(map[string]*acc)
 	byID := make([]*acc, len(d.fields))
-	for _, c := range d.cells[dirIn][:d.runEnd(dirIn, d.Len()-1)] {
-		a := byID[c.ID]
-		if a == nil {
-			f := d.fields[c.ID]
-			if a = byName[f.Name]; a == nil {
-				a = &acc{info: FieldInfo{Name: f.Name, Category: f.Category}, values: make(map[uint64]struct{})}
-				byName[f.Name] = a
+	for _, ch := range d.chunks {
+		for _, c := range ch.cells[dirIn][:ch.runEnd(dirIn, ch.len()-1)] {
+			a := byID[c.ID]
+			if a == nil {
+				f := d.fields[c.ID]
+				if a = byName[f.Name]; a == nil {
+					a = &acc{info: FieldInfo{Name: f.Name, Category: f.Category}, values: make(map[uint64]struct{})}
+					byName[f.Name] = a
+				}
+				a.info.Size = max(a.info.Size, f.Size)
+				byID[c.ID] = a
 			}
-			a.info.Size = max(a.info.Size, f.Size)
-			byID[c.ID] = a
+			a.info.Occurrence++
+			a.values[c.Value] = struct{}{}
 		}
-		a.info.Occurrence++
-		a.values[c.Value] = struct{}{}
 	}
 	out := make([]FieldInfo, 0, len(byName))
 	for _, a := range byName {
@@ -478,11 +598,13 @@ func (d *Dataset) UselessFraction() (events, instr float64) {
 		return 0, 0
 	}
 	var useless, uselessInstr, totalInstr int64
-	for i, n := range d.instr {
-		totalInstr += n
-		if !d.changed[i] {
-			useless++
-			uselessInstr += n
+	for _, c := range d.chunks {
+		for j, n := range c.instr {
+			totalInstr += n
+			if !c.changed[j] {
+				useless++
+				uselessInstr += n
+			}
 		}
 	}
 	events = float64(useless) / float64(d.Len())
@@ -510,7 +632,8 @@ func (d *Dataset) RepeatedFraction() float64 {
 	// the event object AND every byte of application state.
 	th := d.TypeHashes()
 	return d.fractionSeen(func(i int) uint64 {
-		return Combine(Combine(d.InputHash(i), th[d.typ[i]]), d.pre[i])
+		r := d.Row(i)
+		return Combine(Combine(d.cellHash(r.Inputs), th[r.Type]), r.PreStateHash)
 	})
 }
 
@@ -519,7 +642,10 @@ func (d *Dataset) RepeatedFraction() float64 {
 // inputs may differ (the paper's 17–43% "redundant events").
 func (d *Dataset) RedundantFraction() float64 {
 	th := d.TypeHashes()
-	return d.fractionSeen(func(i int) uint64 { return Combine(d.OutputHash(i), th[d.typ[i]]) })
+	return d.fractionSeen(func(i int) uint64 {
+		r := d.Row(i)
+		return Combine(d.cellHash(r.Outputs), th[r.Type])
+	})
 }
 
 // fractionSeen returns the fraction of rows whose key an earlier row had.
@@ -553,8 +679,9 @@ func (d *Dataset) SizeCDFs() (cdfs [NumCategories]*stats.CDF, occurrence [NumCat
 	for i := 0; i < d.Len(); i++ {
 		var sizes [NumCategories]units.Size
 		var has [NumCategories]bool
-		for dir := range d.cells {
-			for _, c := range d.run(dir, i) {
+		r := d.Row(i)
+		for _, run := range [2][]Cell{r.Inputs, r.Outputs} {
+			for _, c := range run {
 				f := &d.fields[c.ID]
 				sizes[f.Category] += f.Size
 				has[f.Category] = true
@@ -587,7 +714,7 @@ func (d *Dataset) FilterTypes(exclude ...string) *Dataset {
 	c := newCopier(out, d)
 	for lo := 0; lo < d.Len(); {
 		hi := lo
-		for hi < d.Len() && !skip[d.typ[hi]] {
+		for hi < d.Len() && !skip[d.Row(hi).Type] {
 			hi++
 		}
 		c.copy(lo, hi)

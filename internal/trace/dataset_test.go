@@ -115,6 +115,76 @@ func TestDatasetMergeMatchesAppend(t *testing.T) {
 	}
 }
 
+// TestDatasetChunksMatchReference: a profile merged from sessions holds
+// each session as a chunk of its own. Every reader, and Split, Truncate
+// and FilterTypes across chunk bounds, answer as the record list does;
+// so do the sessions, which now read through the profile's dictionaries,
+// and a second profile the first is merged into, which must leave the
+// chunks the two share as they were. Rows logged after a merge go to a
+// new chunk.
+func TestDatasetChunksMatchReference(t *testing.T) {
+	for seed := uint64(0); seed < 100; seed++ {
+		r := rand.New(rand.NewPCG(seed, 2))
+		d, ref := &Dataset{Game: "g"}, &refDataset{Game: "g"}
+		var sessions []*Dataset
+		var sessionRefs []*refDataset
+		for k := r.IntN(5); k > 0; k-- {
+			recs := randomRecords(r, r.IntN(20), []string{"", "b."}[r.IntN(2)])
+			s := &Dataset{Game: "g"}
+			s.Append(recs...)
+			d.Merge(s)
+			ref.Append(recs...)
+			sessions, sessionRefs = append(sessions, s), append(sessionRefs, &refDataset{Game: "g", Records: recs})
+		}
+		checkAgainstRef(t, seed, d, ref)
+		checkAgainstRef(t, seed, d.FilterTypes("vsync"), ref.FilterTypes("vsync"))
+		frac := r.Float64()
+		tr, ev := d.Split(frac)
+		trRef, evRef := ref.Split(frac)
+		checkAgainstRef(t, seed, tr, trRef)
+		checkAgainstRef(t, seed, ev, evRef)
+		n := r.IntN(80)
+		checkAgainstRef(t, seed, d.Truncate(n), ref.Truncate(n))
+
+		e := &Dataset{Game: "g"}
+		e.Append(randomRecords(r, 5, "c.")...)
+		eRef := &refDataset{Game: "g", Records: records(e)}
+		e.Merge(d)
+		eRef.Merge(ref)
+		checkAgainstRef(t, seed, e, eRef)
+		extra := randomRecords(r, 3, "")
+		d.Append(extra...)
+		ref.Append(extra...)
+		checkAgainstRef(t, seed, d, ref)
+		checkAgainstRef(t, seed, e, eRef)
+		for k, s := range sessions {
+			checkAgainstRef(t, seed, s, sessionRefs[k])
+		}
+	}
+}
+
+// TestDatasetConcurrentRows: readers on several goroutines walk one
+// chunked dataset at once, as PFI's per-type workers do.
+func TestDatasetConcurrentRows(t *testing.T) {
+	r := rand.New(rand.NewPCG(3, 3))
+	d := &Dataset{Game: "g"}
+	for k := 0; k < 8; k++ {
+		s := &Dataset{Game: "g"}
+		s.Append(randomRecords(r, 25, "")...)
+		d.Merge(s)
+	}
+	want := records(d)
+	done := make(chan []*Record)
+	for w := 0; w < 4; w++ {
+		go func() { done <- records(d) }()
+	}
+	for w := 0; w < 4; w++ {
+		if got := <-done; !reflect.DeepEqual(got, want) {
+			t.Fatal("a concurrent walk read other rows")
+		}
+	}
+}
+
 // TestDatasetSplitTruncateIndependent: Split and Truncate return copies.
 // Appending to a Split train half must not overwrite the first eval row,
 // nor appending to a Truncate the source's next row.

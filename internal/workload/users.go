@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"sync"
+
 	"snip/internal/events"
 	"snip/internal/games"
 	"snip/internal/sensors"
@@ -86,6 +88,11 @@ func (memoryUser) Generate(seed uint64, duration units.Time) *sensors.Stream {
 
 type candyUser struct{}
 
+// candyShadows keeps the games Generate co-simulates. A game Reset to a
+// seed plays as a fresh one does, so each stream reuses a kept game
+// instead of building one.
+var candyShadows = sync.Pool{New: func() any { return games.MustNew("CandyCrush") }}
+
 func (candyUser) Game() string { return "CandyCrush" }
 
 func (candyUser) Generate(seed uint64, duration units.Time) *sensors.Stream {
@@ -94,7 +101,8 @@ func (candyUser) Generate(seed uint64, duration units.Time) *sensors.Stream {
 	// (same seed → identical board evolution) so the player can "see" the
 	// board, finding a legal move most of the time the way real players
 	// do, while still fumbling a fair share of illegal swaps.
-	shadow := games.MustNew("CandyCrush")
+	shadow := candyShadows.Get().(games.Game)
+	defer candyShadows.Put(shadow)
 	shadow.Reset(seed)
 	seq := int64(1 << 40) // disjoint from real session sequence numbers
 	for !b.done() {
