@@ -21,6 +21,9 @@ fi
 echo "== go build"
 go build ./...
 
+echo "== non-test Go lines outside perfbench/ (information only, no gate)"
+git ls-files '*.go' | grep -v _test.go | grep -v '^perfbench/' | xargs cat | wc -l
+
 echo "== perfbench module (vet + build: the root ./... does not cross its module boundary)"
 (cd perfbench && go vet . && go build -o /dev/null .)
 

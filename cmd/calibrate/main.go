@@ -29,7 +29,7 @@ func main() {
 	if *game != "" {
 		names = []string{*game}
 	}
-	fmt.Printf("idle phone: %.1f h\n", schemes.IdlePhoneHours(nil))
+	fmt.Printf("idle phone: %.1f h\n", schemes.IdlePhoneHours())
 	fmt.Printf("%-13s %7s %7s %7s %7s %7s | %6s %6s %6s %6s | %6s %7s\n",
 		"game", "events", "useless", "wasteE", "repeat", "redund", "sens%", "mem%", "cpu%", "ips%", "batt_h", "elapsed")
 	for _, n := range names {

@@ -7,6 +7,9 @@
 //	experiments                # all figures at default scale
 //	experiments -fig 11        # one figure
 //	experiments -secs 90 -profile-sessions 12
+//
+// The parallel runners use GOMAXPROCS workers; every count prints the
+// same bytes.
 package main
 
 import (
@@ -22,10 +25,9 @@ func main() {
 	secs := flag.Int("secs", 45, "simulated seconds per session")
 	sessions := flag.Int("profile-sessions", 8, "training sessions per game")
 	epochs := flag.Int("epochs", 12, "continuous-learning epochs (fig 12)")
-	workers := flag.Int("workers", 0, "worker-pool size for the parallel runners; 0 = GOMAXPROCS (or $SNIP_WORKERS)")
 	flag.Parse()
 
-	scale := snip.ExperimentScale{SessionSeconds: *secs, ProfileSessions: *sessions, Workers: *workers}
+	scale := snip.ExperimentScale{SessionSeconds: *secs, ProfileSessions: *sessions}
 	w := os.Stdout
 
 	var err error

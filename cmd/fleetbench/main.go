@@ -54,9 +54,9 @@ type benchFile struct {
 	SessionsPerDevice int    `json:"sessions_per_device"`
 	SessionSecs       int    `json:"session_secs"`
 	BatchSize         int    `json:"batch_size"`
-	// GoMaxProcs records the runtime's actual GOMAXPROCS at run time
-	// (after any -gomaxprocs override), so bench files are comparable
-	// across machines and pinned runs.
+	// GoMaxProcs records the runtime's GOMAXPROCS at run time (set it
+	// with the GOMAXPROCS environment variable), so bench files are
+	// comparable across machines and pinned runs.
 	GoMaxProcs int `json:"gomaxprocs"`
 	// Backend names the table backend the sweep served from: always
 	// "flat", the zero-copy image.
@@ -122,8 +122,6 @@ func main() {
 	queueCap := flag.Int("shard-queue-cap", 0, "per-shard ingest queue bound on the cloud (0 = service default, 64)")
 	quotaRate := flag.Float64("quota-rate", 0, "per-game bulk-ingest quota: sustained requests/second (0 = no quota)")
 	quotaBurst := flag.Float64("quota-burst", 0, "per-game quota burst capacity (0 = same as -quota-rate)")
-	workers := flag.Int("workers", 0, "worker-pool size for profiling and PFI; 0 = GOMAXPROCS")
-	gmp := flag.Int("gomaxprocs", 0, "set GOMAXPROCS for the run (0 = leave the runtime default)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
 	sweep := flag.String("lookup-sweep", "", `run the lookup-only map-vs-flat microbench instead of the fleet: comma-separated row counts (k/m suffixes ok) or "default" for 1k,10k,100k,1m,10m`)
@@ -147,9 +145,6 @@ func main() {
 		return
 	}
 
-	if *gmp > 0 {
-		runtime.GOMAXPROCS(*gmp)
-	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		fatalIf(err)
@@ -176,12 +171,10 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "training %s table on %d sessions...\n", *game, *profileSessions)
 	profile, err := snip.Profile(*game, snip.ProfileOptions{
-		Sessions: *profileSessions, Duration: dur, Workers: *workers,
+		Sessions: *profileSessions, Duration: dur,
 	})
 	fatalIf(err)
-	pfiOpts := snip.DefaultPFIOptions()
-	pfiOpts.Workers = *workers
-	table, _, err := snip.BuildTable(profile, pfiOpts)
+	table, _, err := snip.BuildTable(profile, snip.DefaultPFIOptions())
 	fatalIf(err)
 	fmt.Fprintf(os.Stderr, "table: %d rows, %d bytes (flat image %d bytes)\n",
 		table.Rows(), table.SizeBytes(), table.ImageBytes())
@@ -195,20 +188,12 @@ func main() {
 		Workload:      *workloadPreset,
 		ShardQueueCap: *queueCap, QuotaRate: *quotaRate, QuotaBurst: *quotaBurst,
 	}
-	set := runSettings{
-		game: *game, table: table, sessions: *sessions, dur: dur, batch: *batch,
-		ota: *ota, refreshAfter: *refreshAfter, refreshes: *refreshes,
-		shards: *shards, deltaCap: *deltaCap,
-		chaosProf: *chaosProf, chaosSeed: *chaosSeed, shadowRate: *shadowRate,
-		workload: *workloadPreset,
-		queueCap: *queueCap, quotaRate: *quotaRate, quotaBurst: *quotaBurst,
-	}
 	// One Metrics across the sweep: the snip_fleet_* series accumulate
 	// over every device count, and the span ring retains the tail of the
 	// last runs' traces.
 	met := snip.NewMetrics()
 	for _, n := range counts {
-		rep, fz, ez, err := runOnce(set, n, met)
+		rep, fz, ez, err := runOnce(file, table, *ota, *refreshAfter, n, met)
 		fatalIf(err)
 		file.Runs = append(file.Runs, rep)
 		health := "healthy"
@@ -232,7 +217,7 @@ func main() {
 			}
 			fmt.Fprintln(os.Stderr, line)
 		}
-		if sheds(*quotaRate, *queueCap) {
+		if file.sheds() {
 			fmt.Fprintf(os.Stderr,
 				"          overload: offered=%d accepted=%d shed=%d dropped=%d  429s=%d  backoff=%.2fs\n",
 				rep.OfferedBatches, rep.Batches, rep.BatchesShed, rep.BatchesDropped,
@@ -310,39 +295,23 @@ func main() {
 	}
 }
 
-// runSettings carries the sweep-wide knobs runOnce applies to every
-// device count.
-type runSettings struct {
-	game                                      string
-	table                                     *snip.Table
-	sessions                                  int
-	dur                                       time.Duration
-	batch                                     int
-	ota                                       bool
-	refreshAfter, refreshes, shards, deltaCap int
-	chaosProf                                 string
-	chaosSeed                                 uint64
-	shadowRate                                float64
-	workload                                  string
-	queueCap                                  int
-	quotaRate, quotaBurst                     float64
-}
-
 // runOnce measures one device count against a fresh in-process cloud, so
-// sweep points don't feed each other's profiles. It also reads the
-// cloud's /v1/fleetz and /v1/energyz rollups before the service goes away,
-// so the drift and ingest-pressure verdicts the run produced are visible
-// in the sweep output. Every run also captures /v1/overloadz — the
+// sweep points don't feed each other's profiles. It runs the settings
+// file records, plus the three inputs the file does not record: the
+// table, -ota and -refresh-after. It also reads the cloud's /v1/fleetz
+// and /v1/energyz rollups before the service goes away, so the drift and
+// ingest-pressure verdicts the run produced are visible in the sweep
+// output. Every run also captures /v1/overloadz — the
 // admission controller's conservation ledger — and, against a cloud
 // configured to shed, probes /v1/healthz to prove guard-class traffic is
 // never shed.
-func runOnce(set runSettings, devices int, met *snip.Metrics) (*fleetRun, *cloud.FleetzReply, *cloud.EnergyzReply, error) {
+func runOnce(file *benchFile, table *snip.Table, ota bool, refreshAfter, devices int, met *snip.Metrics) (*fleetRun, *cloud.FleetzReply, *cloud.EnergyzReply, error) {
 	svc := snip.NewCloudService(snip.DefaultPFIOptions(), snip.CloudServiceOptions{
-		Shards:          set.shards,
-		QueueCap:        set.queueCap,
-		QuotaRatePerSec: set.quotaRate,
-		QuotaBurst:      set.quotaBurst,
-		DeltaCap:        set.deltaCap,
+		Shards:          file.Shards,
+		QueueCap:        file.ShardQueueCap,
+		QuotaRatePerSec: file.QuotaRate,
+		QuotaBurst:      file.QuotaBurst,
+		DeltaCap:        file.DeltaCap,
 	})
 	defer svc.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -355,44 +324,44 @@ func runOnce(set runSettings, devices int, met *snip.Metrics) (*fleetRun, *cloud
 
 	cloudURL := "http://" + ln.Addr().String()
 	opts := snip.FleetOptions{
-		Game: set.game, Workload: set.workload,
-		Devices: devices, SessionsPerDevice: set.sessions,
-		Duration: set.dur, SeedBase: 5000,
-		Table:     snip.NewSharedTable(set.table),
+		Game: file.Game, Workload: file.Workload,
+		Devices: devices, SessionsPerDevice: file.SessionsPerDevice,
+		Duration: time.Duration(file.SessionSecs) * time.Second, SeedBase: 5000,
+		Table:     snip.NewSharedTable(table),
 		CloudURL:  cloudURL,
-		BatchSize: set.batch,
+		BatchSize: file.BatchSize,
 		Metrics:   met,
 	}
-	if set.ota {
+	if ota {
 		// One live rebuild+swap once half the fleet's sessions are in —
 		// or earlier/later when -refresh-after overrides the midpoint
 		// (an early swap gives a bad OTA generation a longer live window,
 		// which is what makes the drift signal visible end to end). With
 		// -refreshes > 1 the refresh threshold shrinks so every round fits
 		// inside the run; rounds past the first ride the delta path.
-		opts.RefreshAfterSessions = (devices*set.sessions + 1) / 2
-		if set.refreshAfter > 0 {
-			opts.RefreshAfterSessions = set.refreshAfter
+		opts.RefreshAfterSessions = (devices*file.SessionsPerDevice + 1) / 2
+		if refreshAfter > 0 {
+			opts.RefreshAfterSessions = refreshAfter
 		}
-		opts.Refreshes = set.refreshes
-		if set.refreshes > 1 {
-			if per := devices * set.sessions / (set.refreshes + 1); per > 0 && set.refreshAfter == 0 {
+		opts.Refreshes = file.Refreshes
+		if file.Refreshes > 1 {
+			if per := devices * file.SessionsPerDevice / (file.Refreshes + 1); per > 0 && refreshAfter == 0 {
 				opts.RefreshAfterSessions = per
 			}
 		}
 	}
-	if set.chaosProf != "" && set.chaosProf != "off" {
-		opts.Chaos = &snip.ChaosOptions{Profile: set.chaosProf, Seed: set.chaosSeed}
+	if file.Chaos != "" && file.Chaos != "off" {
+		opts.Chaos = &snip.ChaosOptions{Profile: file.Chaos, Seed: file.ChaosSeed}
 	}
-	if set.shadowRate > 0 {
-		opts.Guard = &snip.GuardOptions{ShadowSampleRate: set.shadowRate}
+	if file.ShadowRate > 0 {
+		opts.Guard = &snip.GuardOptions{ShadowSampleRate: file.ShadowRate}
 	}
 	rep, err := snip.RunFleet(opts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	run := &fleetRun{FleetReport: rep}
-	if sheds(set.quotaRate, set.queueCap) {
+	if file.sheds() {
 		// Guard-class traffic must be admitted even while bulk is being
 		// shed: probe the health endpoint right after the run, while the
 		// admission controller still remembers its worst occupancy.
@@ -416,8 +385,8 @@ func runOnce(set runSettings, devices int, met *snip.Metrics) (*fleetRun, *cloud
 // sheds reports whether the cloud was configured to shed bulk uploads:
 // a per-game quota or a shard queue bound. Only such a cloud may answer
 // a clean run's uploads with 429s or a full queue.
-func sheds(quotaRate float64, queueCap int) bool {
-	return quotaRate > 0 || queueCap > 0
+func (f *benchFile) sheds() bool {
+	return f.QuotaRate > 0 || f.ShardQueueCap > 0
 }
 
 // probeHealthz hits GET /v1/healthz n times and fails only on a 429,
@@ -506,7 +475,7 @@ func validateFile(path string) error {
 		return fmt.Errorf("no runs")
 	}
 	chaotic := f.Chaos != "" && f.Chaos != "off"
-	shedding := sheds(f.QuotaRate, f.ShardQueueCap)
+	shedding := f.sheds()
 	var totalShed429 int64
 	for i, r := range f.Runs {
 		totalShed429 += r.Shed429

@@ -29,7 +29,6 @@ func main() {
 	list := flag.Bool("list", false, "list game workloads and exit")
 	check := flag.Bool("check", true, "shadow-check short-circuit correctness (snip only)")
 	shadowRate := flag.Float64("shadow-rate", 0, "sampled shadow-verification rate for memo hits, 0..1 (snip only; needs -check=false, which verifies every hit)")
-	workers := flag.Int("workers", 0, "worker-pool size for profiling and PFI; 0 = GOMAXPROCS (or $SNIP_WORKERS)")
 	metricsMode := flag.String("metrics", "", "dump collected metrics at exit: text (Prometheus) | json")
 	flag.Parse()
 
@@ -65,11 +64,9 @@ func main() {
 		profile, err := snip.Profile(*game, snip.ProfileOptions{
 			Sessions: *profileSessions,
 			Duration: opts.Duration,
-			Workers:  *workers,
 		})
 		fatalIf(err)
 		pfiOpts := snip.DefaultPFIOptions()
-		pfiOpts.Workers = *workers
 		pfiOpts.Metrics = met
 		table, sel, err := snip.BuildTable(profile, pfiOpts)
 		fatalIf(err)

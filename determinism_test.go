@@ -2,6 +2,7 @@ package snip_test
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"snip"
@@ -11,12 +12,15 @@ import (
 // TestProfileDeterministicAcrossWorkers is the parallelism contract for
 // the public API: profiling with one worker and with many must yield the
 // byte-identical merged dataset, because sessions are seeded up front and
-// merged in seed order regardless of completion order.
+// merged in seed order regardless of completion order. The worker count
+// is GOMAXPROCS, restored on exit.
 func TestProfileDeterministicAcrossWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	profile := func(workers int) *snip.SessionProfile {
 		t.Helper()
+		runtime.GOMAXPROCS(workers)
 		p, err := snip.Profile("Colorphun", snip.ProfileOptions{
-			Sessions: 4, Duration: testDur, Workers: workers,
+			Sessions: 4, Duration: testDur,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -29,7 +33,7 @@ func TestProfileDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal("empty profile")
 	}
 	if !reflect.DeepEqual(serial.Dataset(), parallel.Dataset()) {
-		t.Fatal("Workers=8 profile differs from Workers=1")
+		t.Fatal("GOMAXPROCS=8 profile differs from GOMAXPROCS=1")
 	}
 }
 
@@ -39,13 +43,15 @@ func TestProfileDeterministicAcrossWorkers(t *testing.T) {
 // count. This is the regression test for the rng.Split pre-splitting
 // discipline: if any stage consumed a shared RNG from inside a
 // goroutine, results would depend on scheduling and this would flake.
+// The worker count is GOMAXPROCS, restored on exit.
 func TestFig11DeterministicAcrossWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	run := func(workers int) *experiments.Fig11Result {
 		t.Helper()
+		runtime.GOMAXPROCS(workers)
 		cfg := experiments.DefaultConfig()
 		cfg.SessionSeconds = 15
 		cfg.ProfileSessions = 2
-		cfg.Workers = workers
 		r, err := experiments.Fig11Schemes(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -60,7 +66,7 @@ func TestFig11DeterministicAcrossWorkers(t *testing.T) {
 	if !reflect.DeepEqual(serial, parallel) {
 		for i := range serial.Rows {
 			if !reflect.DeepEqual(serial.Rows[i], parallel.Rows[i]) {
-				t.Errorf("game %s: Workers=8 row differs from Workers=1\n serial:   %+v\n parallel: %+v",
+				t.Errorf("game %s: GOMAXPROCS=8 row differs from GOMAXPROCS=1\n serial:   %+v\n parallel: %+v",
 					serial.Rows[i].Game, serial.Rows[i], parallel.Rows[i])
 			}
 		}

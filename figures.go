@@ -8,17 +8,14 @@ import (
 	"snip/internal/report"
 )
 
-// ExperimentScale fixes the workload scale of the figure runners.
+// ExperimentScale fixes the workload scale of the figure runners. Every
+// fan-out inside them (games, profile sessions, the PFI search) runs
+// runtime.GOMAXPROCS(0) workers; results are identical for every count.
 type ExperimentScale struct {
 	// SessionSeconds per simulated session (default 45).
 	SessionSeconds int
 	// ProfileSessions per game before a table is built (default 8).
 	ProfileSessions int
-	// Workers bounds every fan-out inside the runners: games, profile
-	// sessions and the PFI search. <= 0 uses runtime.GOMAXPROCS(0)
-	// (overridable via the SNIP_WORKERS environment variable); results
-	// are identical for every worker count.
-	Workers int
 }
 
 // DefaultScale returns the repository's standard experiment scale.
@@ -32,7 +29,6 @@ func (s ExperimentScale) config() experiments.Config {
 	if s.ProfileSessions > 0 {
 		cfg.ProfileSessions = s.ProfileSessions
 	}
-	cfg.Workers = s.Workers
 	return cfg
 }
 

@@ -192,12 +192,9 @@ type Meter struct {
 	tagged map[string]units.Energy
 }
 
-// NewMeter returns a meter over the given power model.
-func NewMeter(model *PowerModel) *Meter {
-	if model == nil {
-		model = DefaultPowerModel()
-	}
-	return &Meter{model: model, tagged: make(map[string]units.Energy)}
+// NewMeter returns a meter over DefaultPowerModel.
+func NewMeter() *Meter {
+	return &Meter{model: DefaultPowerModel(), tagged: make(map[string]units.Energy)}
 }
 
 // Model returns the meter's power model.
@@ -218,20 +215,9 @@ func (m *Meter) Accrue(c Component, s State, d units.Time) units.Energy {
 	return e
 }
 
-// AccrueTagged charges like Accrue and also attributes the energy to a
-// named bucket.
-func (m *Meter) AccrueTagged(tag string, c Component, s State, d units.Time) units.Energy {
-	e := m.Accrue(c, s, d)
-	m.tagged[tag] += e
-	return e
-}
-
 // Tag attributes an already-accrued amount of energy to a named bucket
 // without charging it again.
 func (m *Meter) Tag(tag string, e units.Energy) { m.tagged[tag] += e }
-
-// Tagged returns the energy attributed to tag.
-func (m *Meter) Tagged(tag string) units.Energy { return m.tagged[tag] }
 
 // Energy returns the total energy charged to component c.
 func (m *Meter) Energy(c Component) units.Energy { return m.energy[c] }
@@ -271,10 +257,6 @@ func (m *Meter) Breakdown() [NumGroups]float64 {
 	}
 	return out
 }
-
-// Snapshot captures the current per-component totals; useful for charging
-// deltas to tags after the fact.
-func (m *Meter) Snapshot() units.Energy { return m.Total() }
 
 // String summarizes the meter for debugging.
 func (m *Meter) String() string {
@@ -317,14 +299,4 @@ func (b Battery) HoursToDrain(consumed units.Energy, elapsed units.Time) float64
 	avgPowerUJPerSec := float64(consumed) / float64(elapsed) * 1e6
 	seconds := float64(b.Capacity.EnergyCapacity()) / avgPowerUJPerSec
 	return seconds / 3600
-}
-
-// AveragePower returns the mean power draw implied by an energy total over
-// an elapsed simulated time.
-func AveragePower(consumed units.Energy, elapsed units.Time) units.Power {
-	if elapsed <= 0 {
-		return 0
-	}
-	// µJ / µs = W → ×1000 mW.
-	return units.Power(float64(consumed) / float64(elapsed) * 1000)
 }

@@ -60,12 +60,9 @@ type Rates struct {
 
 // NewRates derives charge rates from SoC timing parameters (CPU frequency
 // in MHz, sustained IPC, memory bytes per microsecond — the same numbers
-// soc.DefaultConfig carries) and a power model. A nil model uses
-// DefaultPowerModel.
-func NewRates(cpuFreqMHz, ipc, memBytesPerMicro float64, pm *PowerModel) Rates {
-	if pm == nil {
-		pm = DefaultPowerModel()
-	}
+// soc.DefaultConfig carries) and DefaultPowerModel.
+func NewRates(cpuFreqMHz, ipc, memBytesPerMicro float64) Rates {
+	pm := DefaultPowerModel()
 	var r Rates
 	if instrPerUS := cpuFreqMHz * ipc; instrPerUS > 0 {
 		r.PerInstrUJ = float64(units.EnergyOf(pm.Draw(CPU, Active), units.Microsecond)) / instrPerUS

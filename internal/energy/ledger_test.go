@@ -7,7 +7,7 @@ import (
 	"snip/internal/units"
 )
 
-func testRates() Rates { return NewRates(2150, 1.8, 9000, nil) }
+func testRates() Rates { return NewRates(2150, 1.8, 9000) }
 
 func TestRatesDerivation(t *testing.T) {
 	r := testRates()
@@ -31,7 +31,7 @@ func TestRatesDerivation(t *testing.T) {
 	}
 
 	// Degenerate parameters must not divide by zero.
-	z := NewRates(0, 0, 0, pm)
+	z := NewRates(0, 0, 0)
 	if z.PerInstrUJ != 0 || z.PerByteUJ != 0 {
 		t.Fatalf("zero-parameter rates = %+v, want zero conversion factors", z)
 	}

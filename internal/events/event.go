@@ -173,12 +173,6 @@ func (e *Event) Hash() uint64 {
 	return h
 }
 
-// TypeHash returns a hash of only the event type — the coarse index used
-// for the SNIP table's first-level bucket.
-func (e *Event) TypeHash() uint64 {
-	return uint64(e.Type)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
-}
-
 // Clone returns a deep copy of the event.
 func (e *Event) Clone() *Event {
 	c := *e

@@ -84,9 +84,6 @@ func TestHashSensitivity(t *testing.T) {
 	if d.Hash() == e.Hash() {
 		t.Fatal("vsync hash collision on frame change")
 	}
-	if a.TypeHash() == d.TypeHash() {
-		t.Fatal("type hash collision")
-	}
 }
 
 func TestCloneIsDeep(t *testing.T) {

@@ -8,31 +8,27 @@ import (
 	"snip/internal/units"
 )
 
-// SynthesizerConfig tunes gesture classification.
+// Gesture classification parameters of the one detector modeled.
+const (
+	tapMaxDist     = 24                      // max travel (px) for a touch to remain a tap
+	tapMaxDuration = 180 * units.Millisecond // max press time for a tap
+	quantizePx     = 8                       // coordinate grid; collapses near-identical gestures
+	tiltQuantum    = 20                      // tilt angle grid in tenths of a degree (2.0°)
+	shakeThreshold = 1800                    // accel magnitude (milli-g) that becomes a Shake
+
+	vsyncPeriod units.Time = 16667 // ≈60 fps
+)
+
+// SynthesizerConfig holds a session's synthesis settings.
 type SynthesizerConfig struct {
-	TapMaxDist     int64      // max travel (px) for a touch to remain a tap
-	TapMaxDuration units.Time // max press time for a tap
-	QuantizePx     int64      // coordinate grid; collapses near-identical gestures
-	TiltQuantum    int64      // tilt angle grid in tenths of a degree
-	ShakeThreshold int64      // accel magnitude (milli-g) that becomes a Shake
-	VSyncPeriod    units.Time // 0 disables VSync generation
 	// FrameBase offsets the VSync frame counter: on a real device it
 	// counts from boot, so two sessions never share frame numbers.
 	FrameBase int64
 }
 
-// DefaultSynthesizerConfig returns the standard gesture parameters:
-// 60 Hz VSync, 8 px coordinate quantization, 2° tilt quantization.
-func DefaultSynthesizerConfig() SynthesizerConfig {
-	return SynthesizerConfig{
-		TapMaxDist:     24,
-		TapMaxDuration: 180 * units.Millisecond,
-		QuantizePx:     8,
-		TiltQuantum:    20, // 2.0°
-		ShakeThreshold: 1800,
-		VSyncPeriod:    16667, // ≈60 fps
-	}
-}
+// DefaultSynthesizerConfig returns the settings of a session whose frame
+// counter starts at 0.
+func DefaultSynthesizerConfig() SynthesizerConfig { return SynthesizerConfig{} }
 
 // Synthesizer converts raw sensor readings into high-level events. It
 // plays the role of Android's SensorManager/GestureDetector: raw touch
@@ -65,41 +61,23 @@ type touchTrack struct {
 	moves          int
 }
 
-// NewSynthesizer builds a synthesizer with the given config (zero-value
-// fields are filled from defaults).
+// NewSynthesizer builds a synthesizer with the given config.
 func NewSynthesizer(cfg SynthesizerConfig) *Synthesizer {
 	s := new(Synthesizer)
 	s.Reset(cfg)
 	return s
 }
 
-// Reset readies the synthesizer for a new session with the given config
-// (zero-value fields are filled from defaults), keeping its buffers.
+// Reset readies the synthesizer for a new session with the given config,
+// keeping its buffers.
 func (s *Synthesizer) Reset(cfg SynthesizerConfig) {
-	def := DefaultSynthesizerConfig()
-	if cfg.TapMaxDist == 0 {
-		cfg.TapMaxDist = def.TapMaxDist
-	}
-	if cfg.TapMaxDuration == 0 {
-		cfg.TapMaxDuration = def.TapMaxDuration
-	}
-	if cfg.QuantizePx == 0 {
-		cfg.QuantizePx = def.QuantizePx
-	}
-	if cfg.TiltQuantum == 0 {
-		cfg.TiltQuantum = def.TiltQuantum
-	}
-	if cfg.ShakeThreshold == 0 {
-		cfg.ShakeThreshold = def.ShakeThreshold
-	}
 	*s = Synthesizer{cfg: cfg, evs: s.evs[:0], vals: s.vals[:0]}
 }
 
 func (s *Synthesizer) next() int64 { s.seq++; return s.seq - 1 }
 
 func (s *Synthesizer) quant(v int64) int64 {
-	q := s.cfg.QuantizePx
-	return v / q * q
+	return v / quantizePx * quantizePx
 }
 
 // emit appends an event of type t at time at, numbered in sequence, to
@@ -204,7 +182,7 @@ func (s *Synthesizer) classify(tr *touchTrack, up units.Time, pointer int64) {
 	dx, dy := tr.x1-tr.x0, tr.y1-tr.y0
 	dist := isqrt(dx*dx + dy*dy)
 	dur := up - tr.startT
-	if dist <= s.cfg.TapMaxDist && dur <= s.cfg.TapMaxDuration {
+	if dist <= tapMaxDist && dur <= tapMaxDuration {
 		s.emit(Tap, up, s.quant(tr.x0), s.quant(tr.y0), tr.pressure/64*64, pointer, 1)
 		return
 	}
@@ -229,7 +207,7 @@ func (s *Synthesizer) classify(tr *touchTrack, up units.Time, pointer int64) {
 }
 
 func (s *Synthesizer) feedGyro(r sensors.Reading) {
-	q := s.cfg.TiltQuantum
+	const q = tiltQuantum
 	a, b, g := r.Values[0]/q*q, r.Values[1]/q*q, r.Values[2]/q*q
 	if s.haveTilt && a == s.lastTilt[0] && b == s.lastTilt[1] && g == s.lastTilt[2] {
 		// No quantized change: SensorManager suppresses the callback.
@@ -247,7 +225,7 @@ func (s *Synthesizer) feedGyro(r sensors.Reading) {
 func (s *Synthesizer) feedAccel(r sensors.Reading) {
 	ax, ay, az := r.Values[0], r.Values[1], r.Values[2]
 	mag := isqrt(ax*ax + ay*ay + az*az)
-	if mag < s.cfg.ShakeThreshold {
+	if mag < shakeThreshold {
 		return
 	}
 	axis := int64(0)
@@ -268,11 +246,8 @@ func (s *Synthesizer) SynthesizeAll(stream *sensors.Stream) []Event {
 	// Each reading yields at most one event, of a type its sensor
 	// determines, so the buffers never grow past the readings plus the
 	// VSync ticks.
-	n, m := 0, 0
-	if s.cfg.VSyncPeriod > 0 {
-		n = int(stream.End()/s.cfg.VSyncPeriod) + 1
-		m = n * len(schemas[VSync])
-	}
+	n := int(stream.End()/vsyncPeriod) + 1
+	m := n * len(schemas[VSync])
 	for _, r := range stream.All() {
 		n, m = n+1, m+maxValues[r.Sensor]
 	}
@@ -283,13 +258,10 @@ func (s *Synthesizer) SynthesizeAll(stream *sensors.Stream) []Event {
 		frame = s.cfg.FrameBase
 	}
 	emitVSyncUpTo := func(t units.Time) {
-		if s.cfg.VSyncPeriod <= 0 {
-			return
-		}
 		for vsyncAt <= t {
 			frame++
 			s.emit(VSync, vsyncAt, frame)
-			vsyncAt += s.cfg.VSyncPeriod
+			vsyncAt += vsyncPeriod
 		}
 	}
 	for _, r := range stream.All() {

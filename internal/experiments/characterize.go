@@ -20,7 +20,7 @@ type Fig2Result struct {
 // game) and measures the component-group energy split.
 func Fig2EnergyBreakdown(cfg Config) (*Fig2Result, error) {
 	games := GameNames()
-	runs, err := parallel.Map(cfg.Workers, len(games), func(i int) (*schemes.Result, error) {
+	runs, err := parallel.Map(0, len(games), func(i int) (*schemes.Result, error) {
 		return schemes.Run(schemes.Config{
 			Game: games[i], Seed: cfg.DeploySeed, Duration: cfg.Duration(), Scheme: schemes.Baseline,
 			Obs: cfg.Obs, Spans: cfg.Spans,
@@ -63,7 +63,7 @@ type Fig3Result struct {
 // methodology.
 func Fig3BatteryDrain(cfg Config) (*Fig3Result, error) {
 	games := GameNames()
-	hours, err := parallel.Map(cfg.Workers, len(games), func(i int) (float64, error) {
+	hours, err := parallel.Map(0, len(games), func(i int) (float64, error) {
 		r, err := schemes.Run(schemes.Config{
 			Game: games[i], Seed: cfg.DeploySeed, Duration: cfg.Duration(), Scheme: schemes.Baseline,
 		})
@@ -75,7 +75,7 @@ func Fig3BatteryDrain(cfg Config) (*Fig3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig3Result{IdleHours: schemes.IdlePhoneHours(nil)}
+	res := &Fig3Result{IdleHours: schemes.IdlePhoneHours()}
 	for i, h := range hours {
 		res.Games = append(res.Games, games[i])
 		res.Hours = append(res.Hours, h)
@@ -113,7 +113,7 @@ type Fig4Result struct {
 // tracking, one worker per game.
 func Fig4UselessEvents(cfg Config) (*Fig4Result, error) {
 	games := GameNames()
-	runs, err := parallel.Map(cfg.Workers, len(games), func(i int) (*schemes.Result, error) {
+	runs, err := parallel.Map(0, len(games), func(i int) (*schemes.Result, error) {
 		return schemes.Run(schemes.Config{
 			Game: games[i], Seed: cfg.DeploySeed, Duration: cfg.Duration(),
 			Scheme: schemes.Baseline, CollectTrace: true, CollectEventLog: true,

@@ -17,6 +17,9 @@ import (
 )
 
 // Config fixes the workload scale and seeds shared by all experiments.
+// Every fan-out (profile sessions, games in the per-game runners, the
+// PFI search) runs runtime.GOMAXPROCS(0) workers, and every experiment
+// returns identical results for every worker count.
 type Config struct {
 	// SessionSeconds is the simulated length of one play session.
 	SessionSeconds int
@@ -30,11 +33,6 @@ type Config struct {
 	ProfileSeedBase uint64
 	// PFI tunes the necessary-input selection.
 	PFI pfi.Config
-	// Workers bounds the fan-out over profile sessions, over games in
-	// the per-game runners, and (unless PFI.Workers is set explicitly)
-	// the PFI search. <= 0 means parallel.DefaultWorkers(). Every
-	// experiment returns identical results for every worker count.
-	Workers int
 	// Obs, when non-nil, instruments the runners' sessions and PFI
 	// searches. Write-only: every figure is byte-identical with Obs set
 	// or nil (pinned by the determinism regression test).
@@ -70,7 +68,7 @@ func GameNames() []string { return games.Names() }
 // worker per session seed, merged in seed order so the dataset is
 // byte-identical to a serial replay.
 func (c Config) profile(game string) (*trace.Dataset, error) {
-	sessions, err := parallel.Map(c.Workers, c.ProfileSessions, func(i int) (*trace.Dataset, error) {
+	sessions, err := parallel.Map(0, c.ProfileSessions, func(i int) (*trace.Dataset, error) {
 		r, err := schemes.Profile(game, c.ProfileSeedBase+uint64(i), c.Duration())
 		if err != nil {
 			return nil, err
@@ -96,9 +94,6 @@ func (c Config) buildTable(game string) (*memo.FlatTable, *trace.Dataset, error)
 		return nil, nil, err
 	}
 	pfiCfg := c.PFI
-	if pfiCfg.Workers == 0 {
-		pfiCfg.Workers = c.Workers
-	}
 	if pfiCfg.Obs == nil {
 		pfiCfg.Obs = c.Obs
 	}

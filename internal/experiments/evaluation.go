@@ -3,7 +3,6 @@ package experiments
 import (
 	"snip/internal/parallel"
 	"snip/internal/schemes"
-	"snip/internal/stats"
 	"snip/internal/units"
 )
 
@@ -51,7 +50,7 @@ type Fig11Result struct {
 // across schemes safely: lookups are read-only and each session owns its
 // cost accumulation.
 func Fig11Schemes(cfg Config) (*Fig11Result, error) {
-	rows, err := parallel.Map(cfg.Workers, len(GameNames()), func(i int) (*Fig11Row, error) {
+	rows, err := parallel.Map(0, len(GameNames()), func(i int) (*Fig11Row, error) {
 		return fig11Game(cfg, GameNames()[i])
 	})
 	if err != nil {
@@ -102,46 +101,6 @@ func fig11Game(cfg Config, game string) (*Fig11Row, error) {
 		}
 	}
 	return row, nil
-}
-
-// SavingTable renders Fig. 11a.
-func (r *Fig11Result) SavingTable() *stats.Table {
-	t := &stats.Table{Title: "Fig 11a: energy savings vs baseline (%)", XName: "game"}
-	for _, k := range []schemes.Kind{schemes.MaxCPU, schemes.MaxIP, schemes.SNIP, schemes.NoOverheads} {
-		s := &stats.Series{Name: k.String()}
-		for _, row := range r.Rows {
-			s.Append(row.Game, 100*row.Saving[k])
-		}
-		t.AddSeries(s)
-	}
-	return t
-}
-
-// CoverageTable renders Fig. 11b.
-func (r *Fig11Result) CoverageTable() *stats.Table {
-	t := &stats.Table{Title: "Fig 11b: % execution short-circuited", XName: "game"}
-	for _, k := range []schemes.Kind{schemes.MaxCPU, schemes.MaxIP, schemes.SNIP} {
-		s := &stats.Series{Name: k.String()}
-		for _, row := range r.Rows {
-			s.Append(row.Game, 100*row.Coverage[k])
-		}
-		t.AddSeries(s)
-	}
-	return t
-}
-
-// OverheadTable renders Fig. 11c.
-func (r *Fig11Result) OverheadTable() *stats.Table {
-	t := &stats.Table{Title: "Fig 11c: SNIP lookup overheads", XName: "game"}
-	oe := &stats.Series{Name: "% energy in lookups"}
-	cb := &stats.Series{Name: "compare bytes/event"}
-	for _, row := range r.Rows {
-		oe.Append(row.Game, 100*row.OverheadEnergyFrac)
-		cb.Append(row.Game, row.CompareBytesPerEvent)
-	}
-	t.AddSeries(oe)
-	t.AddSeries(cb)
-	return t
 }
 
 // AverageSaving returns the mean SNIP energy saving across games (the

@@ -81,7 +81,7 @@ type EnergyReport struct {
 // µJ share one power model.
 func ledgerRates() energy.Rates {
 	c := soc.DefaultConfig()
-	return energy.NewRates(c.CPUFreqMHz, c.IPC, c.MemBytesPerMicro, nil)
+	return energy.NewRates(c.CPUFreqMHz, c.IPC, c.MemBytesPerMicro)
 }
 
 // ledgerBreakdown reads a generation's ledger as a breakdown: the

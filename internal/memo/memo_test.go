@@ -83,12 +83,6 @@ func TestNaiveCoverageCurve(t *testing.T) {
 	if curve[1].Coverage < curve[0].Coverage {
 		t.Fatal("curve not monotone")
 	}
-	if sz, ok := nt.SizeForCoverage(curve, 0.4); !ok || sz != curve[0].Size {
-		t.Fatalf("SizeForCoverage %v %v", sz, ok)
-	}
-	if _, ok := nt.SizeForCoverage(curve, 0.99); ok {
-		t.Fatal("unattainable coverage reported attainable")
-	}
 }
 
 func TestEventOnlyTableAmbiguity(t *testing.T) {

@@ -141,18 +141,3 @@ func (t *NaiveTable) CoverageCurve(totalInstr int64) []CoveragePoint {
 	}
 	return pts
 }
-
-// SizeForCoverage interpolates the curve: the table size needed to cover
-// the given fraction of execution. Returns the last point's size if the
-// target exceeds attainable coverage, and ok=false in that case.
-func (t *NaiveTable) SizeForCoverage(curve []CoveragePoint, target float64) (units.Size, bool) {
-	for _, p := range curve {
-		if p.Coverage >= target {
-			return p.Size, true
-		}
-	}
-	if len(curve) == 0 {
-		return 0, false
-	}
-	return curve[len(curve)-1].Size, false
-}

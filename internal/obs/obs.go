@@ -86,9 +86,6 @@ func (g *Gauge) Add(n int64) {
 // Inc adds one.
 func (g *Gauge) Inc() { g.Add(1) }
 
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.Add(-1) }
-
 // Value returns the current value (0 on a nil handle).
 func (g *Gauge) Value() int64 {
 	if g == nil {

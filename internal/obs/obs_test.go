@@ -21,7 +21,6 @@ func TestNilSafety(t *testing.T) {
 	c.Add(5)
 	g.Set(1)
 	g.Inc()
-	g.Dec()
 	h.Observe(100)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil handles reported values")
@@ -45,7 +44,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 	g := r.Gauge("snip_depth", "a gauge")
 	g.Set(7)
-	g.Dec()
+	g.Add(-1)
 	if g.Value() != 6 {
 		t.Fatalf("gauge %d", g.Value())
 	}

@@ -23,7 +23,7 @@ type poolMetrics struct {
 var metrics atomic.Pointer[poolMetrics]
 
 // Instrument registers the fan-out series on reg and routes all
-// subsequent Map/ForEach calls through them. A nil registry detaches
+// subsequent Map calls through them. A nil registry detaches
 // (the default). Instrumentation is observational only: it never
 // changes scheduling, ordering, or error semantics.
 func Instrument(reg *obs.Registry) {

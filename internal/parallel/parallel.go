@@ -14,27 +14,16 @@
 package parallel
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// EnvWorkers is the environment variable that overrides the default
-// worker count repo-wide (0 or unset means runtime.GOMAXPROCS(0)).
-const EnvWorkers = "SNIP_WORKERS"
-
 // DefaultWorkers returns the pool size used when a caller passes
-// workers <= 0: the SNIP_WORKERS environment override if set to a
-// positive integer, otherwise runtime.GOMAXPROCS(0).
+// workers <= 0: runtime.GOMAXPROCS(0), which the Go runtime reads from
+// the GOMAXPROCS environment variable.
 func DefaultWorkers() int {
-	if s := os.Getenv(EnvWorkers); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
 	return runtime.GOMAXPROCS(0)
 }
 
@@ -123,13 +112,4 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 		}
 	}
 	return results, nil
-}
-
-// ForEach is Map without results: fn(0..n-1) on a bounded pool,
-// first-failing-index error semantics.
-func ForEach(workers, n int, fn func(i int) error) error {
-	_, err := Map(workers, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
 }

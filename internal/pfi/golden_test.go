@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -114,7 +115,7 @@ func digestResult(res *Result) uint64 {
 }
 
 // TestGoldenResults pins the complete PFI result of every bundled game
-// at one and at four workers.
+// at GOMAXPROCS 1 and 4, the pool size every fan-out defaults to.
 func TestGoldenResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("records a multi-session profile per game")
@@ -122,9 +123,9 @@ func TestGoldenResults(t *testing.T) {
 	for _, game := range games.Names() {
 		ds := recordProfile(t, game, goldenSessions)
 		for _, workers := range []int{1, 4} {
-			cfg := DefaultConfig()
-			cfg.Workers = workers
-			res, err := Run(ds, cfg)
+			prev := runtime.GOMAXPROCS(workers)
+			res, err := Run(ds, DefaultConfig())
+			runtime.GOMAXPROCS(prev)
 			if err != nil {
 				t.Fatalf("%s: %v", game, err)
 			}

@@ -44,10 +44,6 @@ type Config struct {
 	// MaxTempError bounds Out.Temp field errors; the paper tolerates
 	// these (wrong frame tile for <16 ms) so the default is generous.
 	MaxTempError float64
-	// Permutations is how many shuffles average each field's importance.
-	Permutations int
-	// Seed drives the permutation shuffles.
-	Seed uint64
 	// ForceInclude lists field names a developer marked as necessary
 	// (Option 1 in §V-B); they are never eliminated.
 	ForceInclude map[string]bool
@@ -55,12 +51,6 @@ type Config struct {
 	ForceExclude map[string]bool
 	// Log, when non-nil, receives a line per elimination decision.
 	Log io.Writer
-	// Workers bounds the fan-out across event types and across the
-	// per-field permutation scoring (<= 0 means parallel.DefaultWorkers).
-	// Results are identical for every worker count: each type and each
-	// field owns a pre-Split rng.Source, so the shuffle streams do not
-	// depend on scheduling.
-	Workers int
 	// Obs, when non-nil, receives search-progress counters (types
 	// searched, fields scored, drops attempted/accepted). Write-only:
 	// the Result is identical with Obs set or nil.
@@ -93,19 +83,24 @@ func newSearchMetrics(reg *obs.Registry) *searchMetrics {
 	}
 }
 
+const (
+	// permutations is how many shuffles average each field's importance.
+	permutations = 3
+	// seed drives the permutation shuffles.
+	seed = 42
+)
+
 // DefaultConfig returns the standard tuning.
 func DefaultConfig() Config {
 	return Config{
 		TrainFrac: 0.6,
-		// The paper's operating point (Fig. 9): ~1% erroneous output
-		// fields tolerated; recovering the last 1% would require ALL
-		// remaining input fields.
+		// The paper's operating point (Fig. 9): ε = 0.2% erroneous
+		// Out.History/Out.Extern output fields tolerated; recovering the
+		// last of them would require ALL remaining input fields.
 		MaxNonTempError: 0.002,
 		// Out.Temp errors are tolerable by design (§IV-B): a wrong frame
 		// tile shows for <16 ms. No constraint.
 		MaxTempError: 0.10,
-		Permutations: 3,
-		Seed:         42,
 	}
 }
 
@@ -159,10 +154,7 @@ func Run(d *trace.Dataset, cfg Config) (*Result, error) {
 	if cfg.TrainFrac <= 0 || cfg.TrainFrac >= 1 {
 		return nil, fmt.Errorf("pfi: TrainFrac must be in (0,1), got %v", cfg.TrainFrac)
 	}
-	if cfg.Permutations <= 0 {
-		cfg.Permutations = 1
-	}
-	r := rng.New(cfg.Seed)
+	r := rng.New(seed)
 	cfg.metrics = newSearchMetrics(cfg.Obs)
 	res := &Result{Selection: memo.Selection{}}
 	res.InputBytesTotal = d.UnionInputWidth()
@@ -177,7 +169,10 @@ func Run(d *trace.Dataset, cfg Config) (*Result, error) {
 	}
 	// Elimination logging writes one line per decision; keep the type
 	// fan-out serial when a log is attached so lines stay in type order.
-	typeWorkers := cfg.Workers
+	// Results are identical for every worker count: each type and each
+	// field owns a pre-Split rng.Source, so the shuffle streams do not
+	// depend on scheduling.
+	typeWorkers := 0
 	if cfg.Log != nil {
 		typeWorkers = 1
 	}
@@ -602,19 +597,19 @@ func selectForType(td *typeData, cfg Config, r *rng.Source) typeResult {
 	// whose corruption poisons future execution. Each field is scored on
 	// its own pre-Split source (split in sorted-name order), so the
 	// scores are independent of how the fields are scheduled across
-	// workers — Workers=1 and Workers=N shuffle identically.
+	// workers — one worker and N workers shuffle identically.
 	score := func(m Metrics) float64 { return 10*m.NonTempError + m.TempError }
 	fieldSrcs := make([]*rng.Source, nf)
 	for i := range fieldSrcs {
 		fieldSrcs[i] = r.Split()
 	}
-	imps, _ := parallel.Map(cfg.Workers, nf, func(f int) (FieldImportance, error) {
+	imps, _ := parallel.Map(0, nf, func(f int) (FieldImportance, error) {
 		orig := c.vals[f][c.nTrain:]
 		vals := make([]uint64, len(orig))
 		var moved []int       // validation records whose value the shuffle changed
 		var movedKey []uint64 // and their permuted keys
 		var total float64
-		for p := 0; p < cfg.Permutations; p++ {
+		for p := 0; p < permutations; p++ {
 			copy(vals, orig)
 			fieldSrcs[f].Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
 			// A record whose value the shuffle left in place keeps its
@@ -650,7 +645,7 @@ func selectForType(td *typeData, cfg Config, r *rng.Source) typeResult {
 		meta := c.fields[f]
 		return FieldImportance{
 			Name: meta.name, Category: meta.category, Size: meta.size,
-			EventType: td.eventType, Importance: total / float64(cfg.Permutations),
+			EventType: td.eventType, Importance: total / permutations,
 		}, nil
 	})
 

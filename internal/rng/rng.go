@@ -83,9 +83,6 @@ func (r *Source) Intn(n int) int {
 	}
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *Source) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Source) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

@@ -74,9 +74,9 @@ type Config struct {
 	Duration units.Time
 	Scheme   Kind
 	// Table is the deployed SNIP lookup table (required for SNIP and
-	// NoOverheads): the flat image the cloud serves, or the map table
-	// the figures build. Both return bit-identical results and costs, so
-	// the choice never shows up in a Result.
+	// NoOverheads): the flat image the cloud serves and the figures
+	// build. The map table tests pass returns bit-identical results and
+	// costs, so the choice never shows up in a Result.
 	Table memo.Table
 	// CollectTrace captures the full per-event profile, inputs included
 	// (the cloud-side instrumentation; adds memory, not simulated
@@ -97,10 +97,6 @@ type Config struct {
 	// tally that trips the circuit breaker. Zero disables it; a zero rate
 	// draws no randomness, so unguarded runs are byte-identical.
 	ShadowSampleRate float64
-	// PowerModel overrides the default component power model.
-	PowerModel *energy.PowerModel
-	// SoC overrides the default SoC performance config.
-	SoC soc.Config
 	// Obs, when non-nil, receives runtime counters: events delivered by
 	// type, executed vs. short-circuited, shadow-check errors. Strictly
 	// write-only — a Result is byte-identical with Obs set or nil
@@ -294,16 +290,12 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	meter := energy.NewMeter(cfg.PowerModel)
-	socCfg := cfg.SoC
-	if socCfg.CPUFreqMHz == 0 {
-		socCfg = soc.DefaultConfig()
-	}
+	meter := energy.NewMeter()
 	var policy soc.IdlePolicy = soc.DefaultIdlePolicy{}
 	if cfg.Scheme == MaxIP {
 		policy = soc.SleepIdleIPs{}
 	}
-	chip := soc.New(socCfg, meter, policy)
+	chip := soc.New(soc.DefaultConfig(), meter, policy)
 
 	res := &Result{Game: cfg.Game, Scheme: cfg.Scheme, Meter: meter}
 	s := Session{Gen: gen, Seed: cfg.Seed, Duration: cfg.Duration,
@@ -558,12 +550,10 @@ func Profile(gameName string, seed uint64, duration units.Time) (*Result, error)
 }
 
 // IdlePhoneHours returns the battery life of an idle phone under the
-// power model: every component in its idle state (Fig. 3's ≈20 h
+// default power model: every component in its idle state (Fig. 3's ≈20 h
 // reference line).
-func IdlePhoneHours(pm *energy.PowerModel) float64 {
-	if pm == nil {
-		pm = energy.DefaultPowerModel()
-	}
+func IdlePhoneHours() float64 {
+	pm := energy.DefaultPowerModel()
 	var total units.Power
 	for _, c := range energy.Components() {
 		total += pm.Draw(c, energy.Idle)

@@ -232,7 +232,7 @@ func TestProfileHelper(t *testing.T) {
 }
 
 func TestIdlePhoneHours(t *testing.T) {
-	h := IdlePhoneHours(nil)
+	h := IdlePhoneHours()
 	if h < 15 || h > 30 {
 		t.Fatalf("idle phone %v h, paper says ≈20 h", h)
 	}
@@ -249,7 +249,7 @@ func TestBatteryDrainOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idle := IdlePhoneHours(nil)
+	idle := IdlePhoneHours()
 	if !(heavy.BatteryHours() < light.BatteryHours() && light.BatteryHours() < idle) {
 		t.Fatalf("ordering broken: race %v < colorphun %v < idle %v",
 			heavy.BatteryHours(), light.BatteryHours(), idle)

@@ -8,7 +8,7 @@ import (
 )
 
 func newTestSoC(policy IdlePolicy) (*SoC, *energy.Meter) {
-	m := energy.NewMeter(nil)
+	m := energy.NewMeter()
 	return New(DefaultConfig(), m, policy), m
 }
 
@@ -25,9 +25,6 @@ func TestExecuteChargesCPU(t *testing.T) {
 	}
 	if s.Now() != st.CPUTime {
 		t.Fatalf("clock %v, want %v", s.Now(), st.CPUTime)
-	}
-	if s.InstrRetired() != instr {
-		t.Fatal("instr accounting wrong")
 	}
 }
 
@@ -51,9 +48,6 @@ func TestExecuteOverlapsCPUAndIP(t *testing.T) {
 	}
 	if m.BusyTime(energy.CPU) < 1999 || m.BusyTime(energy.CPU) > 2001 {
 		t.Fatalf("CPU busy %v", m.BusyTime(energy.CPU))
-	}
-	if s.IPCallsMade() != 1 {
-		t.Fatal("IP call not counted")
 	}
 }
 
@@ -126,22 +120,6 @@ func TestLookupOverheadScalesWithBytesAndProbes(t *testing.T) {
 	}
 	if big <= small*10 {
 		t.Fatalf("large lookup (%v) should cost much more than small (%v)", big, small)
-	}
-}
-
-func TestExecuteCPUOnlyAndIPOnly(t *testing.T) {
-	s, m := newTestSoC(nil)
-	w := Work{
-		CPUInstr: 4_000_000,
-		IPCalls:  []IPCall{{IP: energy.GPU, Duration: 2000}},
-	}
-	s.ExecuteCPUOnly(w)
-	if m.BusyTime(energy.GPU) != 0 {
-		t.Fatal("CPU-only executed the IP call")
-	}
-	s.ExecuteIPOnly(w)
-	if m.BusyTime(energy.GPU) != 2000 {
-		t.Fatal("IP-only skipped the IP call")
 	}
 }
 

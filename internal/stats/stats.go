@@ -32,17 +32,6 @@ func Sum(xs []float64) float64 {
 	return s
 }
 
-// Min returns the minimum of xs, or +Inf for an empty slice.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the maximum of xs, or -Inf for an empty slice.
 func Max(xs []float64) float64 {
 	m := math.Inf(-1)

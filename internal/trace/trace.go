@@ -84,37 +84,6 @@ type Record struct {
 	StateChanged bool
 }
 
-// InputSize returns the summed size of input fields in the given
-// categories (all inputs if none given).
-func (r *Record) InputSize(cats ...Category) units.Size {
-	return fieldSize(r.Inputs, cats)
-}
-
-// OutputSize returns the summed size of output fields in the given
-// categories (all outputs if none given).
-func (r *Record) OutputSize(cats ...Category) units.Size {
-	return fieldSize(r.Outputs, cats)
-}
-
-func fieldSize(fs []Field, cats []Category) units.Size {
-	var s units.Size
-	for _, f := range fs {
-		if len(cats) == 0 || containsCat(cats, f.Category) {
-			s += f.Size
-		}
-	}
-	return s
-}
-
-func containsCat(cats []Category, c Category) bool {
-	for _, x := range cats {
-		if x == c {
-			return true
-		}
-	}
-	return false
-}
-
 // Output returns the output field with the given name, if present.
 func (r *Record) Output(name string) (Field, bool) {
 	for _, f := range r.Outputs {

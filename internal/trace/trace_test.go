@@ -39,21 +39,6 @@ func TestCategoryProperties(t *testing.T) {
 	}
 }
 
-func TestRecordSizes(t *testing.T) {
-	r := rec(1, "tap", true,
-		[]Field{f("a", InEvent, 4, 1), f("b", InHistory, 100, 2), f("c", InExtern, 1000, 3)},
-		[]Field{f("d", OutTemp, 8, 4), f("e", OutHistory, 16, 5)})
-	if r.InputSize() != 1104 {
-		t.Fatalf("input size %v", r.InputSize())
-	}
-	if r.InputSize(InEvent) != 4 || r.InputSize(InHistory, InExtern) != 1100 {
-		t.Fatal("category-filtered sizes wrong")
-	}
-	if r.OutputSize() != 24 || r.OutputSize(OutTemp) != 8 {
-		t.Fatal("output sizes wrong")
-	}
-}
-
 func TestInputHashSelectivity(t *testing.T) {
 	d := &Dataset{}
 	d.Append(
