@@ -26,31 +26,29 @@ import (
 // not have. The uploader sent a bad request; retrying cannot help.
 var ErrBadLog = errors.New("cloud: bad log")
 
-// Replay re-executes an events-only log against a fresh instance of the
+// Replay re-executes an events-only log against a reset instance of the
 // game (the emulator step): it reconstructs the full input/output profile
-// that the device-side recording deliberately omitted.
+// that the device-side recording deliberately omitted. The rows are
+// logged into scratch buffers and kept in one exactly sized chunk.
 //
 // The log's events must carry the same seed-deterministic game content as
 // the device run, which the paper achieves by replaying the recorded
 // inputs "in the same manner as if the user is playing the game once
 // again in the emulator"; here the game seed travels with the replay.
 func Replay(gameName string, seed uint64, log *trace.EventLog) (*trace.Dataset, error) {
-	g, err := games.New(gameName)
+	g, err := games.Borrow(gameName, seed)
 	if err != nil {
 		return nil, err
 	}
-	g.Reset(seed)
+	defer games.Return(g)
 	var handled [events.NumTypes]bool
 	for _, t := range g.Types() {
 		handled[t] = true
 	}
-	ds := &trace.Dataset{Game: gameName}
-	ds.Grow(len(log.Events))
 	var ev events.Event // one for every event: handlers do not retain it
-	for i, le := range log.Events {
-		if i == replaySample {
-			ds.Grow(len(log.Events) - i) // presize the cells from the rows so far
-		}
+	ds := trace.Scratch(gameName)
+	defer ds.Keep() // on every return: it hands the scratch buffers back
+	for _, le := range log.Events {
 		// Unknown names mean a corrupt log; known-but-unregistered types
 		// are simply not delivered, as on the device.
 		t, ok := eventTypes[le.Type]
@@ -71,10 +69,6 @@ func Replay(gameName string, seed uint64, log *trace.EventLog) (*trace.Dataset, 
 	return ds, nil
 }
 
-// replaySample is how many events Replay runs before it presizes the
-// profile's cell streams.
-const replaySample = 64
-
 // eventTypes maps every event type's name to the type.
 var eventTypes = func() map[string]events.Type {
 	m := make(map[string]events.Type, events.NumTypes)
@@ -94,7 +88,7 @@ type SessionLog struct {
 // ReplayBatch replays many sessions against the emulator fleet — the
 // paper's cloud profiler runs exactly this fan-out of parallel emulator
 // replays (§VI, Fig. 10). Each session replays on its own worker (each
-// builds a private game instance); results come back in input order, so
+// borrows a private game instance); results come back in input order, so
 // the batch is byte-identical to replaying the logs serially. workers
 // <= 0 selects parallel.DefaultWorkers().
 func ReplayBatch(gameName string, workers int, logs []SessionLog) ([]*trace.Dataset, error) {

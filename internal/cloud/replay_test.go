@@ -2,9 +2,12 @@ package cloud
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/fnv"
 	"math/bits"
 	"runtime"
+	"slices"
 	"testing"
 
 	"snip/internal/games"
@@ -103,6 +106,58 @@ func TestReplayGolden(t *testing.T) {
 		}
 		if got, want := digestDataset(ds), replayGoldenDigests[game]; got != want {
 			t.Errorf("%s: digest %#x, want %#x", game, got, want)
+		}
+	}
+}
+
+// TestReplayReusedGames: Replay borrows reset games and logs into reused
+// scratch buffers. Neither a replay that fails partway, which hands back
+// a game mid-session and buffers holding rows, nor replays of every game
+// interleaved on several goroutines may change what a replay rebuilds.
+// Which kept game or buffer a replay gets is up to sync.Pool, so every
+// replay is checked against the golden digest.
+func TestReplayReusedGames(t *testing.T) {
+	names := games.Names()
+	logs := make(map[string]*trace.EventLog, len(names))
+	for _, game := range names {
+		logs[game] = recordLog(t, game, replayGoldenSeed)
+	}
+	replay := func(game string) error {
+		ds, err := Replay(game, replayGoldenSeed, logs[game])
+		if err != nil {
+			return fmt.Errorf("%s: %v", game, err)
+		}
+		if got, want := digestDataset(ds), replayGoldenDigests[game]; got != want {
+			return fmt.Errorf("%s: digest %#x, want %#x", game, got, want)
+		}
+		return nil
+	}
+	for _, game := range names {
+		bad := &trace.EventLog{Game: game, Events: slices.Clone(logs[game].Events)}
+		bad.Events[len(bad.Events)/2].Type = "NoSuchType"
+		if _, err := Replay(game, replayGoldenSeed, bad); !errors.Is(err, ErrBadLog) {
+			t.Fatalf("%s: Replay error %v, want ErrBadLog", game, err)
+		}
+		if err := replay(game); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const workers, rounds = 4, 2
+	errs := make(chan error, workers)
+	for w := range workers {
+		go func() {
+			for i := range rounds * len(names) {
+				if err := replay(names[(w+i)%len(names)]); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range workers {
+		if err := <-errs; err != nil {
+			t.Error(err)
 		}
 	}
 }

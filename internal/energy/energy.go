@@ -7,8 +7,6 @@ package energy
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"snip/internal/units"
 )
@@ -187,14 +185,11 @@ type Meter struct {
 	energy [numComponents]units.Energy
 	busy   [numComponents]units.Time // time spent Active
 	total  [numComponents]units.Time // time accounted in any state
-	// tagged buckets let schemes attribute energy to causes
-	// (e.g. "lookup-overhead", "wasted-on-useless-events").
-	tagged map[string]units.Energy
 }
 
 // NewMeter returns a meter over DefaultPowerModel.
 func NewMeter() *Meter {
-	return &Meter{model: DefaultPowerModel(), tagged: make(map[string]units.Energy)}
+	return &Meter{model: DefaultPowerModel()}
 }
 
 // Model returns the meter's power model.
@@ -214,10 +209,6 @@ func (m *Meter) Accrue(c Component, s State, d units.Time) units.Energy {
 	}
 	return e
 }
-
-// Tag attributes an already-accrued amount of energy to a named bucket
-// without charging it again.
-func (m *Meter) Tag(tag string, e units.Energy) { m.tagged[tag] += e }
 
 // Energy returns the total energy charged to component c.
 func (m *Meter) Energy(c Component) units.Energy { return m.energy[c] }
@@ -256,28 +247,6 @@ func (m *Meter) Breakdown() [NumGroups]float64 {
 		out[i] = float64(g[i]) / float64(total)
 	}
 	return out
-}
-
-// String summarizes the meter for debugging.
-func (m *Meter) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "total=%v", m.Total())
-	for c := Component(0); int(c) < NumComponents; c++ {
-		if m.energy[c] > 0 {
-			fmt.Fprintf(&b, " %s=%v", c, m.energy[c])
-		}
-	}
-	if len(m.tagged) > 0 {
-		tags := make([]string, 0, len(m.tagged))
-		for t := range m.tagged {
-			tags = append(tags, t)
-		}
-		sort.Strings(tags)
-		for _, t := range tags {
-			fmt.Fprintf(&b, " [%s=%v]", t, m.tagged[t])
-		}
-	}
-	return b.String()
 }
 
 // Battery models the phone battery.

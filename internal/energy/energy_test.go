@@ -105,15 +105,6 @@ func TestBreakdownEmptyMeter(t *testing.T) {
 	}
 }
 
-func TestTaggedBuckets(t *testing.T) {
-	m := NewMeter()
-	m.Tag("useless", 5)
-	m.Tag("useless", 2)
-	if !strings.Contains(m.String(), "[useless=7") {
-		t.Fatalf("String() = %q, want the useless bucket's 7 µJ", m.String())
-	}
-}
-
 func TestBatteryHoursToDrain(t *testing.T) {
 	b := DefaultBattery()
 	// Draw exactly 1 W: capacity 47196 J -> 13.1 h.

@@ -3,6 +3,7 @@ package games
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Factory constructs a fresh game instance.
@@ -55,6 +56,33 @@ func MustNew(name string) Game {
 	}
 	return g
 }
+
+// kept holds, per game name, the games handed back with Return.
+var kept = func() map[string]*sync.Pool {
+	m := make(map[string]*sync.Pool, len(catalog))
+	for name, f := range catalog {
+		m[name] = &sync.Pool{New: func() any { return f() }}
+	}
+	return m
+}()
+
+// Borrow returns a game by name, Reset to seed: one handed back with
+// Return if there is one, else a new one. A game Reset to a seed plays
+// as a new one does, so the caller cannot tell which it got. An unknown
+// name gets New's error.
+func Borrow(name string, seed uint64) (Game, error) {
+	p, ok := kept[name]
+	if !ok {
+		return New(name)
+	}
+	g := p.Get().(Game)
+	g.Reset(seed)
+	return g, nil
+}
+
+// Return hands back a game from Borrow for a later Borrow of its name.
+// The caller must not use the game, or an Execution it returned, again.
+func Return(g Game) { kept[g.Name()].Put(g) }
 
 // All returns fresh instances of every game in paper order.
 func All() []Game {

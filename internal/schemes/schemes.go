@@ -490,7 +490,6 @@ func (k *runSink) Executed(exec *games.Execution) {
 			delta := k.meter.Total() - before
 			res.UselessEvents++
 			res.UselessEnergy += delta
-			k.meter.Tag("useless", delta)
 			if k.met != nil {
 				k.met.useless++
 			}

@@ -145,10 +145,3 @@ func TestMemoryBoundWindow(t *testing.T) {
 		t.Fatalf("memory-bound window %v, want ≈3ms", s.Now())
 	}
 }
-
-func TestStringer(t *testing.T) {
-	s, _ := newTestSoC(nil)
-	if s.String() == "" {
-		t.Fatal("empty String()")
-	}
-}

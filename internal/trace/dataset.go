@@ -4,6 +4,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"snip/internal/stats"
@@ -42,7 +43,8 @@ type Dataset struct {
 	cur    *chunk
 	hint   atomic.Int32 // the chunk Row last found: walks go in order
 
-	open openRow
+	open    openRow
+	scratch bool // cur logs into buffers from scratchChunks
 	// guess[dir][t][k] is the field id logged last at position k of dir's
 	// run in a row of type t: the id the next such row most likely logs
 	// there, checked before the dictionary map is consulted.
@@ -114,17 +116,78 @@ func (d *Dataset) Len() int { return d.n }
 
 func (c *chunk) len() int { return len(c.seq) }
 
-// Grow makes room for n more rows. Once the open chunk has rows, it also
-// makes room for their cells, at the mean run length so far.
-func (d *Dataset) Grow(n int) {
-	c := d.openChunk()
-	var cells [2]int
-	if rows := c.len(); rows > 0 {
-		for dir := range cells {
-			cells[dir] = n*c.runEnd(dir, rows-1)/rows + 1
-		}
+// Scratch returns an empty dataset that logs its rows into scratch
+// buffers reused from one Scratch dataset to the next. Keep copies the
+// rows out and hands the buffers back.
+func Scratch(game string) *Dataset {
+	d := &Dataset{Game: game, scratch: true}
+	d.cur = scratchChunks.Get().(*chunk)
+	d.push(d.cur)
+	return d
+}
+
+// Keep seals the open chunk. If it logs into scratch buffers, Keep moves
+// its rows into a chunk with one exactly sized array per column and
+// hands the buffers back, unless they grew past maxScratchBytes.
+func (d *Dataset) Keep() {
+	c, scratch := d.cur, d.scratch
+	d.seal()
+	if !scratch {
+		return
 	}
-	c.reserve(n, cells)
+	d.chunks[len(d.chunks)-1] = c.exact()
+	if c.bytes() <= maxScratchBytes {
+		c.truncate()
+		scratchChunks.Put(c)
+	}
+}
+
+// scratchChunks holds the buffers of Scratch datasets between sessions.
+var scratchChunks = sync.Pool{New: func() any { return new(chunk) }}
+
+// maxScratchBytes bounds the buffers scratchChunks keeps, so one huge
+// session does not pin its buffers for every session after it.
+const maxScratchBytes = 16 << 20
+
+// exact returns a copy of c whose every column has capacity equal to its
+// length.
+func (c *chunk) exact() *chunk {
+	k := &chunk{
+		seq: exact(c.seq), instr: exact(c.instr), typ: exact(c.typ), time: exact(c.time),
+		pre: exact(c.pre), ehash: exact(c.ehash), changed: exact(c.changed),
+	}
+	for dir := range c.cells {
+		k.cells[dir], k.ends[dir] = exact(c.cells[dir]), exact(c.ends[dir])
+	}
+	return k
+}
+
+// exact returns a copy of s with capacity len(s). The compiler turns
+// the make and the copy into one allocation that it does not zero (its
+// makeslicecopy rewrite); slices.Clone would round the capacity up to
+// the allocator's size class.
+func exact[E any](s []E) []E {
+	t := make([]E, len(s))
+	copy(t, s)
+	return t
+}
+
+// truncate empties every column, keeping its capacity.
+func (c *chunk) truncate() {
+	c.seq, c.instr, c.typ, c.time = c.seq[:0], c.instr[:0], c.typ[:0], c.time[:0]
+	c.pre, c.ehash, c.changed = c.pre[:0], c.ehash[:0], c.changed[:0]
+	for dir := range c.cells {
+		c.cells[dir], c.ends[dir] = c.cells[dir][:0], c.ends[dir][:0]
+	}
+}
+
+// bytes returns the capacity of c's columns in bytes.
+func (c *chunk) bytes() int {
+	n := 8*(cap(c.seq)+cap(c.instr)+cap(c.time)+cap(c.pre)+cap(c.ehash)) + 4*cap(c.typ) + cap(c.changed)
+	for dir := range c.cells {
+		n += 16*cap(c.cells[dir]) + 4*cap(c.ends[dir]) // a Cell is 16 bytes
+	}
+	return n
 }
 
 // openChunk returns the chunk new rows go to, starting one if Merge
@@ -144,11 +207,12 @@ func (d *Dataset) push(c *chunk) {
 	d.n += c.len()
 }
 
-// seal closes the open chunk, dropping a row left open.
+// seal closes the open chunk, dropping a row left open. A scratch chunk
+// sealed by Merge stays in the dataset as it is.
 func (d *Dataset) seal() {
 	if d.cur != nil {
 		d.cur.dropOpen()
-		d.cur = nil
+		d.cur, d.scratch = nil, false
 	}
 }
 

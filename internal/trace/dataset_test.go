@@ -115,6 +115,58 @@ func TestDatasetMergeMatchesAppend(t *testing.T) {
 	}
 }
 
+// TestDatasetScratchKeepsExact: a session logged into scratch buffers
+// and kept holds its rows in one chunk with capacity equal to length in
+// every column and both cell streams, a row left open dropped. A session
+// logged after it, into the buffers Keep handed back, shares no array
+// with it and leaves its rows as they were.
+func TestDatasetScratchKeepsExact(t *testing.T) {
+	r := rand.New(rand.NewPCG(5, 0))
+	var kept []*Dataset
+	var want [][]*Record
+	for _, n := range []int{300, 500, 0, 40} {
+		recs := randomRecords(r, n, "")
+		d := Scratch("g")
+		d.Append(recs...)
+		d.BeginRow(int64(n), "tap", 0, 1, 2)
+		d.LogInput("", "s.a", InHistory, 8, 3)
+		d.Keep()
+		d.Keep()
+		if len(d.chunks) != 1 {
+			t.Fatalf("%d rows kept in %d chunks, want 1", n, len(d.chunks))
+		}
+		cols := chunkColumns(d.chunks[0])
+		for i, col := range cols {
+			if col.Cap() != col.Len() {
+				t.Fatalf("%d rows: column %d has cap %d, len %d", n, i, col.Cap(), col.Len())
+			}
+		}
+		for k, prev := range kept {
+			for i, col := range chunkColumns(prev.chunks[0]) {
+				if col.Len() > 0 && cols[i].Len() > 0 && col.Pointer() == cols[i].Pointer() {
+					t.Fatalf("session %d shares column %d with session %d", len(kept), i, k)
+				}
+			}
+		}
+		kept, want = append(kept, d), append(want, recs)
+	}
+	for i, d := range kept {
+		sameRecords(t, "kept session", d, want[i])
+	}
+}
+
+// chunkColumns returns every column of c, both cell streams included.
+func chunkColumns(c *chunk) []reflect.Value {
+	cols := []reflect.Value{
+		reflect.ValueOf(c.seq), reflect.ValueOf(c.instr), reflect.ValueOf(c.typ), reflect.ValueOf(c.time),
+		reflect.ValueOf(c.pre), reflect.ValueOf(c.ehash), reflect.ValueOf(c.changed),
+	}
+	for dir := range c.cells {
+		cols = append(cols, reflect.ValueOf(c.cells[dir]), reflect.ValueOf(c.ends[dir]))
+	}
+	return cols
+}
+
 // TestDatasetChunksMatchReference: a profile merged from sessions holds
 // each session as a chunk of its own. Every reader, and Split, Truncate
 // and FilterTypes across chunk bounds, answer as the record list does;

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"sync"
-
 	"snip/internal/events"
 	"snip/internal/games"
 	"snip/internal/sensors"
@@ -88,11 +86,6 @@ func (memoryUser) Generate(seed uint64, duration units.Time) *sensors.Stream {
 
 type candyUser struct{}
 
-// candyShadows keeps the games Generate co-simulates. A game Reset to a
-// seed plays as a fresh one does, so each stream reuses a kept game
-// instead of building one.
-var candyShadows = sync.Pool{New: func() any { return games.MustNew("CandyCrush") }}
-
 func (candyUser) Game() string { return "CandyCrush" }
 
 func (candyUser) Generate(seed uint64, duration units.Time) *sensors.Stream {
@@ -101,9 +94,8 @@ func (candyUser) Generate(seed uint64, duration units.Time) *sensors.Stream {
 	// (same seed → identical board evolution) so the player can "see" the
 	// board, finding a legal move most of the time the way real players
 	// do, while still fumbling a fair share of illegal swaps.
-	shadow := candyShadows.Get().(games.Game)
-	defer candyShadows.Put(shadow)
-	shadow.Reset(seed)
+	shadow, _ := games.Borrow("CandyCrush", seed) // a catalog game: no error
+	defer games.Return(shadow)
 	seq := int64(1 << 40) // disjoint from real session sequence numbers
 	for !b.done() {
 		if b.r.Float64() < 0.05 {
