@@ -114,19 +114,25 @@ echo "== replay smoke (one pass of BenchmarkReplay over every game's golden log)
 go test -run '^$' -bench '^BenchmarkReplay$' -benchtime 1x -benchmem ./internal/cloud
 
 echo "== replay allocation gate (BenchmarkReplay allocs/record per game must stay within its committed bound)"
-# Allocation counts are deterministic, so the bounds are hard. Each sits
-# at about 1.2x what replay with one reused execution context per game
-# measures when the session's Reset keeps the store the game's
-# constructor filled (0.092 to 0.25 allocs/record); a store rebuilt by
-# that Reset took 0.12 to 0.39, a context per event 3.19 to 4.16, and
+# Replay takes its scratch buffers and games from sync.Pools, whose
+# fast slot belongs to one P: on more than one P the benchmark goroutine
+# may move between Put and Get, miss, and allocate anew. Fifteen runs at
+# GOMAXPROCS=2 read 0.050 to 0.091 (ChaseWhisply) up to 0.080 to 0.182
+# (CandyCrush) allocs/record, with or without GOGC=off; at -cpu 1 every
+# run reads the same count, so the gate runs there and the bounds are
+# hard. Each sits at about 1.2x what replay measures logging into pooled
+# scratch buffers and keeping one exact chunk per session on a reset
+# game (0.050 to 0.080 allocs/record); presizing each session's profile
+# from its first 64 events took 0.094 to 0.255, a store rebuilt by each
+# session's Reset 0.12 to 0.39, a context per event 3.19 to 4.16, and
 # replay into a record list 11.2 to 12.4.
-replay_out=$(go test -run '^$' -bench '^BenchmarkReplay$' -benchtime 3x ./internal/cloud)
+replay_out=$(go test -run '^$' -bench '^BenchmarkReplay$' -benchtime 3x -cpu 1 ./internal/cloud)
 echo "$replay_out"
 echo "$replay_out" | awk '
 BEGIN {
-	bound["Colorphun"] = 0.16; bound["MemoryGame"] = 0.26; bound["CandyCrush"] = 0.30
-	bound["Greenwall"] = 0.17; bound["ABEvolution"] = 0.14; bound["ChaseWhisply"] = 0.11
-	bound["RaceKings"] = 0.13
+	bound["Colorphun"] = 0.081; bound["MemoryGame"] = 0.092; bound["CandyCrush"] = 0.096
+	bound["Greenwall"] = 0.083; bound["ABEvolution"] = 0.068; bound["ChaseWhisply"] = 0.060
+	bound["RaceKings"] = 0.062
 }
 /^BenchmarkReplay\// {
 	split($1, name, "/"); game = name[2]; sub(/-[0-9]+$/, "", game)

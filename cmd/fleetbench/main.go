@@ -193,7 +193,7 @@ func main() {
 	// last runs' traces.
 	met := snip.NewMetrics()
 	for _, n := range counts {
-		rep, fz, ez, err := runOnce(file, table, *ota, *refreshAfter, n, met)
+		rep, fz, err := runOnce(file, table, *ota, *refreshAfter, n, met)
 		fatalIf(err)
 		file.Runs = append(file.Runs, rep)
 		health := "healthy"
@@ -252,6 +252,10 @@ func main() {
 				100*e.CPUUJ/e.TotalUJ, 100*e.IPsUJ/e.TotalUJ)
 		}
 		for _, g := range fz.Games {
+			if g.MonotoneViolations != 0 {
+				fatalIf(fmt.Errorf("cloud counted %d energy monotone violations for %s (device ledger totals must only grow)",
+					g.MonotoneViolations, g.Game))
+			}
 			fmt.Fprintf(os.Stderr,
 				"          fleetz: live_gen=%d prev=%d  drift=%+.3f (%s)  pressure=%.2f (%s)\n",
 				g.LiveGeneration, g.PrevGeneration, g.Drift, g.DriftVerdict,
@@ -262,19 +266,15 @@ func main() {
 					gen.Generation, gen.Records, gen.Devices, 100*gen.WindowedHitRate,
 					100*gen.WindowedMispredict, 100*gen.EffectiveHitRate)
 			}
-		}
-		for _, g := range ez.Games {
-			if g.MonotoneViolations != 0 {
-				fatalIf(fmt.Errorf("cloud counted %d energy monotone violations for %s (device ledger totals must only grow)",
-					g.MonotoneViolations, g.Game))
-			}
 			fmt.Fprintf(os.Stderr,
 				"          energyz: regression=%+.3f (%s)  monotone_violations=%d\n",
 				g.Regression, g.RegressionVerdict, g.MonotoneViolations)
 			for _, gen := range g.Generations {
-				fmt.Fprintf(os.Stderr,
-					"            gen %-2d  %6.2fµJ/event (net %6.2f)  battery=%.1fh\n",
-					gen.Generation, gen.EnergyPerEventUJ, gen.NetPerEventUJ, gen.BatteryHours)
+				if e := gen.Energy; e != nil {
+					fmt.Fprintf(os.Stderr,
+						"            gen %-2d  %6.2fµJ/event (net %6.2f)  battery=%.1fh\n",
+						gen.Generation, e.EnergyPerEventUJ, e.NetPerEventUJ, e.BatteryHours)
+				}
 			}
 		}
 	}
@@ -299,13 +299,13 @@ func main() {
 // sweep points don't feed each other's profiles. It runs the settings
 // file records, plus the three inputs the file does not record: the
 // table, -ota and -refresh-after. It also reads the cloud's /v1/fleetz
-// and /v1/energyz rollups before the service goes away, so the drift and
-// ingest-pressure verdicts the run produced are visible in the sweep
+// rollup before the service goes away, so the drift, ingest-pressure and
+// energy-regression verdicts the run produced are visible in the sweep
 // output. Every run also captures /v1/overloadz — the
 // admission controller's conservation ledger — and, against a cloud
 // configured to shed, probes /v1/healthz to prove guard-class traffic is
 // never shed.
-func runOnce(file *benchFile, table *snip.Table, ota bool, refreshAfter, devices int, met *snip.Metrics) (*fleetRun, *cloud.FleetzReply, *cloud.EnergyzReply, error) {
+func runOnce(file *benchFile, table *snip.Table, ota bool, refreshAfter, devices int, met *snip.Metrics) (*fleetRun, *cloud.FleetzReply, error) {
 	svc := snip.NewCloudService(snip.DefaultPFIOptions(), snip.CloudServiceOptions{
 		Shards:          file.Shards,
 		QueueCap:        file.ShardQueueCap,
@@ -316,7 +316,7 @@ func runOnce(file *benchFile, table *snip.Table, ota bool, refreshAfter, devices
 	defer svc.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	srv := &http.Server{Handler: svc.Handler()}
 	go srv.Serve(ln)
@@ -358,7 +358,7 @@ func runOnce(file *benchFile, table *snip.Table, ota bool, refreshAfter, devices
 	}
 	rep, err := snip.RunFleet(opts)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	run := &fleetRun{FleetReport: rep}
 	if file.sheds() {
@@ -366,20 +366,20 @@ func runOnce(file *benchFile, table *snip.Table, ota bool, refreshAfter, devices
 		// shed: probe the health endpoint right after the run, while the
 		// admission controller still remembers its worst occupancy.
 		if err := probeHealthz(cloudURL, 3); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 	}
 	run.Overloadz = new(cloud.OverloadzReply)
-	fz, ez := new(cloud.FleetzReply), new(cloud.EnergyzReply)
+	fz := new(cloud.FleetzReply)
 	for _, v := range []struct {
 		path  string
 		reply any
-	}{{"/v1/overloadz", run.Overloadz}, {"/v1/fleetz", fz}, {"/v1/energyz", ez}} {
+	}{{"/v1/overloadz", run.Overloadz}, {"/v1/fleetz", fz}} {
 		if err := getJSON(cloudURL+v.path, v.reply); err != nil {
-			return nil, nil, nil, fmt.Errorf("%s after run: %w", v.path, err)
+			return nil, nil, fmt.Errorf("%s after run: %w", v.path, err)
 		}
 	}
-	return run, fz, ez, nil
+	return run, fz, nil
 }
 
 // sheds reports whether the cloud was configured to shed bulk uploads:

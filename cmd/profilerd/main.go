@@ -22,6 +22,7 @@
 //	GET  /v1/status?game=G
 //	GET  /v1/shardz                  (per-shard ingest/queue/OTA rollup)
 //	GET  /v1/overloadz               (admission controller: classes, quotas, autoscale signal)
+//	GET  /v1/fleetz?game=G&limit=N   (device telemetry: drift, pressure and energy verdicts; per-generation hit-rate and energy rollups)
 //	GET  /v1/metrics                 (Prometheus text exposition)
 //
 // -shard-queue-cap bounds each shard's ingest queue and -quota-rate /

@@ -1,13 +1,14 @@
 // Command snipstat is a live text dashboard for a running profilerd:
 // it polls /v1/healthz, /v1/metrics, /v1/shardz, /v1/overloadz,
-// /v1/fleetz, /v1/energyz and /v1/tracez and renders the service's
+// /v1/fleetz and /v1/tracez and renders the service's
 // health verdicts, the key ingest counters, the per-shard rollup
 // (ingest, queue pressure, delta-vs-full OTA serving), the admission
 // controller's overload view (priority-class shed ledgers, per-game
 // quotas, the autoscale signal), the fleet-telemetry rollups
 // (per-generation hit-rate sparklines and the drift /
-// ingest-pressure verdicts), the fleet energy ledger (Fig-2-style
-// group breakdown, net-energy-per-event regression verdicts) and the
+// ingest-pressure verdicts), the fleet energy ledger from the same
+// /v1/fleetz reply (Fig-2-style group breakdown,
+// net-energy-per-event regression verdicts) and the
 // most recent distributed traces. Each view decodes into its reply type
 // in internal/cloud, the type the service encodes, so the dashboard
 // cannot drift from the schema it reads.
@@ -125,9 +126,6 @@ func render(w io.Writer, client *http.Client, base string, traces int, clear boo
 
 	var fz cloud.FleetzReply
 	_, fzErr := fetchJSON(client, base+"/v1/fleetz", &fz, false)
-
-	var ez cloud.EnergyzReply
-	_, ezErr := fetchJSON(client, base+"/v1/energyz", &ez, false)
 
 	var tz cloud.TracezReply
 	_, tzErr := fetchJSON(client, base+"/v1/tracez?limit="+strconv.Itoa(traces), &tz, false)
@@ -264,13 +262,15 @@ func render(w io.Writer, client *http.Client, base string, traces int, clear boo
 	}
 
 	fmt.Fprintln(out, "\nFleet energy")
-	switch {
-	case ezErr != nil:
-		fmt.Fprintf(out, "  (unavailable: %v)\n", ezErr)
-	case len(ez.Games) == 0:
-		fmt.Fprintln(out, "  (no energy-bearing telemetry yet — run the fleet with the ledger on)")
-	default:
-		for _, g := range ez.Games {
+	if fzErr != nil {
+		fmt.Fprintf(out, "  (unavailable: %v)\n", fzErr)
+	} else {
+		shown := 0
+		for _, g := range fz.Games {
+			if !hasEnergy(g) {
+				continue
+			}
+			shown++
 			fmt.Fprintf(out, "  %-14s live_gen=%d prev=%d  regression=%+.1f%% (%s)",
 				g.Game, g.LiveGeneration, g.PrevGeneration, 100*g.Regression, g.RegressionVerdict)
 			if g.MonotoneViolations > 0 {
@@ -278,22 +278,29 @@ func render(w io.Writer, client *http.Client, base string, traces int, clear boo
 			}
 			fmt.Fprintln(out)
 			for _, gen := range g.Generations {
+				e := gen.Energy
+				if e == nil {
+					continue
+				}
 				live := " "
 				if gen.Generation == g.LiveGeneration {
 					live = "*"
 				}
 				pct := func(v float64) float64 {
-					if gen.EnergyUJ <= 0 {
+					if e.EnergyUJ <= 0 {
 						return 0
 					}
-					return 100 * v / gen.EnergyUJ
+					return 100 * v / e.EnergyUJ
 				}
 				fmt.Fprintf(out,
 					"   %sgen %-3d net=%6.2fµJ/ev raw=%6.2f saved=%.1fmJ batt=%.1fh  %-16s sens=%2.0f%% mem=%2.0f%% cpu=%2.0f%% ips=%2.0f%%\n",
-					live, gen.Generation, gen.NetPerEventUJ, gen.EnergyPerEventUJ,
-					gen.SavedUJ/1000, gen.BatteryHours, rateSparkline(gen.NetHistory, 16),
-					pct(gen.SensorsUJ), pct(gen.MemoryUJ), pct(gen.CPUUJ), pct(gen.IPsUJ))
+					live, gen.Generation, e.NetPerEventUJ, e.EnergyPerEventUJ,
+					e.SavedUJ/1000, e.BatteryHours, rateSparkline(e.NetHistory, 16),
+					pct(e.SensorsUJ), pct(e.MemoryUJ), pct(e.CPUUJ), pct(e.IPsUJ))
 			}
+		}
+		if shown == 0 {
+			fmt.Fprintln(out, "  (no energy-bearing telemetry yet — run the fleet with the ledger on)")
 		}
 	}
 
@@ -315,7 +322,7 @@ func render(w io.Writer, client *http.Client, base string, traces int, clear boo
 
 	failed := 0
 	var firstErr error
-	for _, err := range []error{hzErr, metErr, szErr, ozErr, fzErr, ezErr, tzErr} {
+	for _, err := range []error{hzErr, metErr, szErr, ozErr, fzErr, tzErr} {
 		if err != nil {
 			failed++
 			if firstErr == nil {
@@ -324,6 +331,17 @@ func render(w io.Writer, client *http.Client, base string, traces int, clear boo
 		}
 	}
 	return failed, firstErr
+}
+
+// hasEnergy reports whether any of the game's generations carries an
+// energy rollup: a game played without the ledger has no energy pane.
+func hasEnergy(g cloud.FleetzGame) bool {
+	for _, gen := range g.Generations {
+		if gen.Energy != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // sparkLevels are the eight block glyphs a hit-rate bucket maps onto.

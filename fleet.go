@@ -61,11 +61,11 @@ const FleetDetailMax = fleet.PerDeviceDetailMax
 // Every run books each handled event into the device-side energy
 // ledger: modeled µJ split by the paper's Fig. 2 groups and tagged cause
 // buckets, rolled up into FleetReport.Energy, the health verdicts, and
-// (with CloudURL) the records behind the cloud's GET /v1/energyz. The
-// ledger consumes no randomness and no wall-clock, so it leaves every
-// deterministic run tally byte-identical. Devices play on a shared
-// scheduler pool of 2×GOMAXPROCS workers (capped at Devices), so
-// 100k-device runs fit on one box.
+// (with CloudURL) the records behind the energy view of the cloud's
+// GET /v1/fleetz. The ledger consumes no randomness and no wall-clock,
+// so it leaves every deterministic run tally byte-identical. Devices
+// play on a shared scheduler pool of 2×GOMAXPROCS workers (capped at
+// Devices), so 100k-device runs fit on one box.
 type FleetOptions struct {
 	// Game names the workload every device plays.
 	Game string
@@ -95,7 +95,9 @@ type FleetOptions struct {
 	// shed (or dropped) instead of failing the device, so OfferedBatches
 	// = Batches + BatchesShed + BatchesDropped holds on every report.
 	// Telemetry consumes no randomness and no wall-clock, so it leaves
-	// every deterministic run tally byte-identical.
+	// every deterministic run tally byte-identical, and a run without OTA
+	// refresh ships the same telemetry bytes every time. Probe latencies
+	// are wall-clock and stay on the device side (P50/P99LookupNS).
 	CloudURL string
 	// BatchSize is sessions per batched upload (default 1).
 	BatchSize int

@@ -3,7 +3,6 @@ package cloud
 import (
 	"fmt"
 	"math"
-	"net/http"
 
 	"snip/internal/energy"
 	"snip/internal/obs"
@@ -23,7 +22,7 @@ import (
 //     spend cannot see the regression — but those hits forfeit their
 //     credit, and the net rate jumps.
 //
-// The rollups surface as JSON on GET /v1/energyz, as per-game gauges on
+// The rollups surface as JSON on GET /v1/fleetz, as per-game gauges on
 // /v1/metrics, and as energy_regression_<game> checks on /v1/healthz.
 
 // energyRegressionThreshold is the relative net-energy-per-event delta
@@ -52,15 +51,11 @@ func (gt *gameTelemetry) energyRegression() (float64, bool) {
 	return (liveRate - prevRate) / math.Abs(prevRate), true
 }
 
-// EnergyzGeneration is one generation's energy rollup in the
-// /v1/energyz reply. The group fields follow the paper's Fig. 2
-// grouping; their sum equals EnergyUJ. SavedUJ is the short-circuit
-// credit and is not part of EnergyUJ.
-type EnergyzGeneration struct {
-	Generation int64 `json:"generation"`
-	Records    int64 `json:"records"`
-	Events     int64 `json:"events"`
-
+// FleetzEnergy is one generation's energy rollup in the /v1/fleetz
+// reply. The group fields follow the paper's Fig. 2 grouping; their sum
+// equals EnergyUJ. SavedUJ is the short-circuit credit and is not part
+// of EnergyUJ.
+type FleetzEnergy struct {
 	EnergyUJ  float64 `json:"energy_uj"`
 	SensorsUJ float64 `json:"sensors_uj"`
 	MemoryUJ  float64 `json:"memory_uj"`
@@ -88,104 +83,53 @@ type EnergyzGeneration struct {
 	NetHistory []obs.WindowBucket `json:"net_history,omitempty"`
 }
 
-// EnergyzGame is one game's fleet energy view in the /v1/energyz reply.
-type EnergyzGame struct {
-	Game           string `json:"game"`
-	Shard          int    `json:"shard"`
-	LiveGeneration int64  `json:"live_generation"`
-	PrevGeneration int64  `json:"prev_generation"`
-	// Regression is the live-vs-predecessor relative delta in windowed
-	// net energy per event (positive = live costs more); the verdict is
-	// "steady", "regressed" or "improved" against the 10% threshold.
-	Regression        float64 `json:"regression"`
-	RegressionVerdict string  `json:"regression_verdict"`
-	// MonotoneViolations counts records whose cumulative device total
-	// went backwards — a conservation break in the device ledger or the
-	// transport, never expected to be non-zero.
-	MonotoneViolations int64               `json:"monotone_violations"`
-	Generations        []EnergyzGeneration `json:"generations"`
-}
-
-// EnergyzReply is the GET /v1/energyz JSON schema.
-type EnergyzReply struct {
-	Games []EnergyzGame `json:"games"`
-}
-
-// Energyz snapshots the fleet energy rollups — the same view served at
-// GET /v1/energyz. Games and generations sort for stable output; games
-// with no energy-bearing records are omitted rather than reported as
-// all-zero (a fleet running without the ledger has no energy view).
-func (s *Service) Energyz() EnergyzReply { return s.energyz(viewFilter{}) }
-
-// energyz builds the energy view under the /v1/fleetz filter contract;
-// the generation limit counts energy-bearing generations only.
-func (s *Service) energyz(f viewFilter) EnergyzReply {
-	a := s.tel
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	reply := EnergyzReply{Games: []EnergyzGame{}}
-	for _, name := range a.gameNames(f.game) {
-		gt := a.games[name]
-		eg := EnergyzGame{
-			Game:               name,
-			Shard:              ShardFor(name, len(s.shards)),
-			LiveGeneration:     gt.liveGen,
-			PrevGeneration:     gt.prevGen,
-			MonotoneViolations: gt.monotoneViolations,
-			RegressionVerdict:  "steady",
-		}
-		if reg, ok := gt.energyRegression(); ok {
-			eg.Regression = reg
-			if reg > energyRegressionThreshold {
-				eg.RegressionVerdict = "regressed"
-			} else if reg < -energyRegressionThreshold {
-				eg.RegressionVerdict = "improved"
-			}
-		}
-		for _, g := range gt.generations() {
-			if g.energyUJ == 0 && g.savedUJ == 0 {
-				continue
-			}
-			egen := EnergyzGeneration{
-				Generation: g.generation,
-				Records:    g.records,
-				Events:     g.events,
-				EnergyUJ:   g.energyUJ,
-				SensorsUJ:  g.groupUJ[0],
-				MemoryUJ:   g.groupUJ[1],
-				CPUUJ:      g.groupUJ[2],
-				IPsUJ:      g.groupUJ[3],
-
-				LookupOverheadUJ: g.lookupUJ,
-				ShadowVerifyUJ:   g.shadowUJ,
-				SavedUJ:          g.savedUJ,
-				WastedUJ:         g.wastedUJ,
-
-				ElapsedUS: g.elapsedUS,
-				BatteryHours: energy.DefaultBattery().HoursToDrain(
-					units.Energy(g.energyUJ), units.Time(g.elapsedUS)),
-				NetHistory: g.energyWindow.Snapshot(),
-			}
-			if g.events > 0 {
-				egen.EnergyPerEventUJ = g.energyUJ / float64(g.events)
-			}
-			if sum, cnt := g.energyWindow.Totals(); cnt > 0 {
-				egen.NetPerEventUJ = float64(sum) / float64(cnt)
-			}
-			eg.Generations = append(eg.Generations, egen)
-		}
-		if eg.Generations != nil {
-			eg.Generations = newest(f, eg.Generations)
-			reply.Games = append(reply.Games, eg)
-		}
+// energy returns the generation's energy rollup, or nil when none of
+// its records carried energy: a fleet running without the ledger has
+// no energy view.
+func (g *genRollup) energy() *FleetzEnergy {
+	if g.energyUJ == 0 && g.savedUJ == 0 {
+		return nil
 	}
-	return reply
+	e := &FleetzEnergy{
+		EnergyUJ:  g.energyUJ,
+		SensorsUJ: g.groupUJ[0],
+		MemoryUJ:  g.groupUJ[1],
+		CPUUJ:     g.groupUJ[2],
+		IPsUJ:     g.groupUJ[3],
+
+		LookupOverheadUJ: g.lookupUJ,
+		ShadowVerifyUJ:   g.shadowUJ,
+		SavedUJ:          g.savedUJ,
+		WastedUJ:         g.wastedUJ,
+
+		ElapsedUS: g.elapsedUS,
+		BatteryHours: energy.DefaultBattery().HoursToDrain(
+			units.Energy(g.energyUJ), units.Time(g.elapsedUS)),
+		NetHistory: g.energyWindow.Snapshot(),
+	}
+	if g.events > 0 {
+		e.EnergyPerEventUJ = g.energyUJ / float64(g.events)
+	}
+	if sum, cnt := g.energyWindow.Totals(); cnt > 0 {
+		e.NetPerEventUJ = float64(sum) / float64(cnt)
+	}
+	return e
 }
 
-func (s *Service) handleEnergyz(w http.ResponseWriter, r *http.Request) {
-	if f, ok := parseViewFilter(w, r); ok {
-		writeJSON(w, http.StatusOK, s.energyz(f))
+// regressionVerdict returns the energy regression signal and its
+// verdict: "steady", "regressed" (live costs more than its predecessor
+// by more than the threshold) or "improved".
+func (gt *gameTelemetry) regressionVerdict() (float64, string) {
+	reg, ok := gt.energyRegression()
+	switch {
+	case !ok:
+		return 0, "steady"
+	case reg > energyRegressionThreshold:
+		return reg, "regressed"
+	case reg < -energyRegressionThreshold:
+		return reg, "improved"
 	}
+	return reg, "steady"
 }
 
 // energyHealthChecks appends the per-game energy-regression verdicts to

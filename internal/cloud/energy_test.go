@@ -23,10 +23,13 @@ func energyRec(device int, simUS, gen, events int64, total, saved, devTotal floa
 	}
 }
 
+// TestEnergyzRegressionCycle drives the energy view of /v1/fleetz
+// through a regression and its rollback.
 func TestEnergyzRegressionCycle(t *testing.T) {
 	svc, srv := testServer(t)
 
-	// A fleet running without the ledger has no energy view at all.
+	// A fleet running without the ledger has no energy view at all: its
+	// generations carry no energy rollup, and the JSON no energy field.
 	plain := &trace.TelemetryBatch{Game: "Pong", Records: []trace.TelemetryRecord{
 		{Device: 9, SimTimeUS: 1_000_000, Generation: 1, Events: 10, Lookups: 10, Hits: 5},
 	}}
@@ -34,8 +37,18 @@ func TestEnergyzRegressionCycle(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("plain post: %d %s", resp.StatusCode, body)
 	}
-	if reply := svc.Energyz(); len(reply.Games) != 0 {
+	if reply := svc.Fleetz(); len(reply.Games) != 1 || len(reply.Games[0].Generations) != 1 ||
+		reply.Games[0].Generations[0].Energy != nil {
 		t.Fatalf("energy view without a ledger: %+v", reply.Games)
+	}
+	resp, body = get(t, srv.URL+"/v1/fleetz?game=Pong")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fleetz: %d %s", resp.StatusCode, body)
+	}
+	for _, field := range []string{`"energy"`, `"energy_uj"`, `"net_per_event_uj"`, `"battery_hours"`} {
+		if strings.Contains(body, field) {
+			t.Fatalf("a generation without energy serializes %s:\n%s", field, body)
+		}
 	}
 
 	// Generation 1 nets 5 µJ/event (10 spent, 5 credited); generation 2
@@ -51,13 +64,13 @@ func TestEnergyzRegressionCycle(t *testing.T) {
 		t.Fatalf("energy post: %d %s", resp.StatusCode, body)
 	}
 
-	resp, body = get(t, srv.URL+"/v1/energyz")
+	resp, body = get(t, srv.URL+"/v1/fleetz?game=Colorphun")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("energyz: %d %s", resp.StatusCode, body)
+		t.Fatalf("fleetz: %d %s", resp.StatusCode, body)
 	}
-	var reply EnergyzReply
+	var reply FleetzReply
 	if err := json.Unmarshal([]byte(body), &reply); err != nil {
-		t.Fatalf("energyz json: %v\n%s", err, body)
+		t.Fatalf("fleetz json: %v\n%s", err, body)
 	}
 	if len(reply.Games) != 1 {
 		t.Fatalf("games: %+v", reply.Games)
@@ -72,10 +85,10 @@ func TestEnergyzRegressionCycle(t *testing.T) {
 	if eg.MonotoneViolations != 0 {
 		t.Fatalf("unexpected monotone violations: %d", eg.MonotoneViolations)
 	}
-	if len(eg.Generations) != 2 {
+	if len(eg.Generations) != 2 || eg.Generations[0].Energy == nil || eg.Generations[1].Energy == nil {
 		t.Fatalf("generations: %+v", eg.Generations)
 	}
-	g1, g2 := eg.Generations[0], eg.Generations[1]
+	g1, g2 := eg.Generations[0].Energy, eg.Generations[1].Energy
 	if g1.NetPerEventUJ != 5 || g2.NetPerEventUJ != 10 {
 		t.Fatalf("net per event: gen1=%v gen2=%v, want 5 and 10", g1.NetPerEventUJ, g2.NetPerEventUJ)
 	}
@@ -113,7 +126,7 @@ func TestEnergyzRegressionCycle(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("rollback post: %d %s", resp.StatusCode, body)
 	}
-	eg = svc.Energyz().Games[0]
+	eg = svc.Fleetz().Games[0]
 	if eg.LiveGeneration != 1 || eg.PrevGeneration != 2 {
 		t.Fatalf("rollback live/prev: %+v", eg)
 	}
@@ -139,7 +152,7 @@ func TestEnergyzMonotoneViolation(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post: %d %s", resp.StatusCode, body)
 	}
-	eg := svc.Energyz().Games[0]
+	eg := svc.Fleetz().Games[0]
 	if eg.MonotoneViolations != 1 {
 		t.Fatalf("monotone violations %d, want 1", eg.MonotoneViolations)
 	}
@@ -147,18 +160,22 @@ func TestEnergyzMonotoneViolation(t *testing.T) {
 
 // TestFleetViewErrorPaths pins the introspection endpoints' error
 // contract: wrong method → 405 (the mux's method patterns), bad filter
-// parameters → 400 — same style as the upload rejection tests.
+// parameters → 400 — same style as the upload rejection tests. The
+// retired /v1/energyz is not served at all.
 func TestFleetViewErrorPaths(t *testing.T) {
 	_, srv := testServer(t)
-	for _, ep := range []string{"/v1/fleetz", "/v1/energyz", "/v1/shardz"} {
+	if resp, body := get(t, srv.URL+"/v1/energyz"); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/energyz: %d %s, want 404", resp.StatusCode, body)
+	}
+	for _, ep := range []string{"/v1/fleetz", "/v1/shardz"} {
 		resp, _ := post(t, srv.URL+ep, strings.NewReader(""))
 		if resp.StatusCode != http.StatusMethodNotAllowed {
 			t.Fatalf("POST %s: %d, want 405", ep, resp.StatusCode)
 		}
 	}
 	for _, u := range []string{
-		"/v1/fleetz?game=", "/v1/energyz?game=",
-		"/v1/fleetz?limit=0", "/v1/fleetz?limit=bogus", "/v1/energyz?limit=-3",
+		"/v1/fleetz?game=",
+		"/v1/fleetz?limit=0", "/v1/fleetz?limit=bogus", "/v1/fleetz?limit=-3",
 	} {
 		resp, body := get(t, srv.URL+u)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -167,12 +184,13 @@ func TestFleetViewErrorPaths(t *testing.T) {
 	}
 }
 
-// TestFleetzLimit pins the ?limit= cap: newest generations retained.
+// TestFleetzLimit pins the ?limit= cap: newest generations retained,
+// counting every retained generation whether or not it carries energy.
 func TestFleetzLimit(t *testing.T) {
 	_, srv := testServer(t)
 	batch := &trace.TelemetryBatch{Game: "Colorphun", Records: []trace.TelemetryRecord{
-		{Device: 0, SimTimeUS: 10_000_000, Generation: 1, Events: 10, Lookups: 10, Hits: 5},
-		{Device: 0, SimTimeUS: 20_000_000, Generation: 2, Events: 10, Lookups: 10, Hits: 5},
+		energyRec(0, 10_000_000, 1, 10, 100, 50, 100),
+		energyRec(0, 20_000_000, 2, 10, 100, 50, 200),
 		{Device: 0, SimTimeUS: 30_000_000, Generation: 3, Events: 10, Lookups: 10, Hits: 5},
 	}}
 	resp, body := post(t, srv.URL+"/v1/telemetry?game=Colorphun", telemetryWire(t, batch))
@@ -190,7 +208,8 @@ func TestFleetzLimit(t *testing.T) {
 	if len(reply.Games) != 1 || len(reply.Games[0].Generations) != 2 {
 		t.Fatalf("limit not applied: %+v", reply.Games)
 	}
-	if g := reply.Games[0].Generations; g[0].Generation != 2 || g[1].Generation != 3 {
+	if g := reply.Games[0].Generations; g[0].Generation != 2 || g[1].Generation != 3 ||
+		g[0].Energy == nil || g[1].Energy != nil {
 		t.Fatalf("kept wrong generations: %+v", g)
 	}
 }

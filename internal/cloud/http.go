@@ -37,8 +37,7 @@ import (
 //	GET  /v1/tracez                 recent ingest spans (JSON)
 //	POST /v1/guard                  fleet guard status report
 //	POST /v1/telemetry              SNIPTEL1 telemetry batch ingest
-//	GET  /v1/fleetz                 fleet telemetry rollups (JSON)
-//	GET  /v1/energyz                fleet energy rollups (JSON)
+//	GET  /v1/fleetz                 fleet telemetry + energy rollups (JSON)
 //	GET  /v1/shardz                 shard ownership/queue view (JSON)
 //	GET  /v1/overloadz              admission/overload ledger (JSON)
 //	GET  /debug/pprof/*             net/http/pprof profiles
@@ -110,7 +109,7 @@ type serviceMetrics struct {
 
 // endpoints the middleware tracks; fixed so every series exists from
 // the first scrape rather than appearing after first use.
-var endpointNames = []string{"upload-batch", "rebuild", "update", "status", "metrics", "healthz", "tracez", "guard", "telemetry", "fleetz", "shardz", "energyz", "overloadz"}
+var endpointNames = []string{"upload-batch", "rebuild", "update", "status", "metrics", "healthz", "tracez", "guard", "telemetry", "fleetz", "shardz", "overloadz"}
 
 // ingestEndpoints are the ones whose error rate feeds the /v1/healthz
 // verdict — the data-path endpoints, not the introspection ones.
@@ -340,7 +339,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/guard", s.instrument("guard", s.handleGuard))
 	mux.HandleFunc("POST /v1/telemetry", s.instrument("telemetry", s.handleTelemetry))
 	mux.HandleFunc("GET /v1/fleetz", s.instrument("fleetz", s.handleFleetz))
-	mux.HandleFunc("GET /v1/energyz", s.instrument("energyz", s.handleEnergyz))
 	mux.HandleFunc("GET /v1/overloadz", s.instrument("overloadz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Overloadz())
 	}))

@@ -35,7 +35,7 @@ import (
 //     telemetry queues — the admission-control input.
 //
 // Both surface as per-game gauges on /v1/metrics and, with the full
-// rollups, as JSON on GET /v1/fleetz.
+// rollups and the energy view (energy.go), as JSON on GET /v1/fleetz.
 
 // Telemetry ingest bounds. Records are tiny, so the caps sit far below
 // the session-batch ones; the aggregator itself is bounded too, so a
@@ -81,7 +81,6 @@ type genRollup struct {
 	shadow     int64
 	mispredict int64
 	savedInstr int64
-	maxP99NS   int64
 	devices    map[int]struct{}
 	// Energy ledger rollup, all zero when the fleet ran without the
 	// device-side ledger. energyUJ always equals the sum of groupUJ
@@ -224,9 +223,6 @@ func (a *telemetryAggregator) ingest(game string, recs []trace.TelemetryRecord) 
 				gt.lastDevUJ[rec.Device] = rec.DeviceTotalUJ
 			}
 		}
-		if rec.P99LookupNS > g.maxP99NS {
-			g.maxP99NS = rec.P99LookupNS
-		}
 		if len(g.devices) < maxTelemetryDevices {
 			g.devices[rec.Device] = struct{}{}
 		}
@@ -280,7 +276,6 @@ type FleetzGeneration struct {
 	Mispredict int64 `json:"mispredicts"`
 	SavedInstr int64 `json:"saved_instr"`
 	Devices    int   `json:"devices"`
-	MaxP99NS   int64 `json:"max_p99_lookup_ns"`
 	// HitRate is cumulative hits/lookups; the windowed fields are over
 	// the retained window only, and EffectiveHitRate discounts the
 	// windowed mispredict ratio.
@@ -291,11 +286,15 @@ type FleetzGeneration struct {
 	// HitHistory is the per-bucket (hits, lookups) time series, oldest
 	// first — what snipstat renders as a sparkline.
 	HitHistory []obs.WindowBucket `json:"hit_history,omitempty"`
+	// Energy is the generation's energy ledger rollup, absent when none
+	// of its records carried energy.
+	Energy *FleetzEnergy `json:"energy,omitempty"`
 }
 
 // FleetzGame is one game's fleet view in the /v1/fleetz reply.
 type FleetzGame struct {
 	Game           string  `json:"game"`
+	Shard          int     `json:"shard"`
 	LiveGeneration int64   `json:"live_generation"`
 	PrevGeneration int64   `json:"prev_generation"`
 	Drift          float64 `json:"drift"`
@@ -306,8 +305,17 @@ type FleetzGame struct {
 	DriftVerdict string  `json:"drift_verdict"`
 	Pressure     float64 `json:"pressure"`
 	// PressureVerdict is "ok" or "overloaded".
-	PressureVerdict string             `json:"pressure_verdict"`
-	Generations     []FleetzGeneration `json:"generations"`
+	PressureVerdict string `json:"pressure_verdict"`
+	// Regression is the live-vs-predecessor relative delta in windowed
+	// net energy per event (positive = live costs more); the verdict is
+	// "steady", "regressed" or "improved" against the 10% threshold.
+	Regression        float64 `json:"regression"`
+	RegressionVerdict string  `json:"regression_verdict"`
+	// MonotoneViolations counts records whose cumulative device total
+	// went backwards — a conservation break in the device ledger or the
+	// transport, never expected to be non-zero.
+	MonotoneViolations int64              `json:"monotone_violations"`
+	Generations        []FleetzGeneration `json:"generations"`
 }
 
 // FleetzReply is the GET /v1/fleetz JSON schema.
@@ -318,7 +326,9 @@ type FleetzReply struct {
 }
 
 // Fleetz snapshots the telemetry aggregator — the same view served at
-// GET /v1/fleetz. Games and generations are sorted for stable output.
+// GET /v1/fleetz: per game the drift, ingest-pressure and energy
+// regression verdicts, per retained generation its hit-rate and energy
+// rollups. Games and generations are sorted for stable output.
 func (s *Service) Fleetz() FleetzReply { return s.fleetz(viewFilter{}) }
 
 func (s *Service) fleetz(f viewFilter) FleetzReply {
@@ -329,11 +339,14 @@ func (s *Service) fleetz(f viewFilter) FleetzReply {
 	for _, name := range a.gameNames(f.game) {
 		gt := a.games[name]
 		fg := FleetzGame{
-			Game:           name,
-			LiveGeneration: gt.liveGen,
-			PrevGeneration: gt.prevGen,
-			Pressure:       gt.pressureWindow.Rate(),
+			Game:               name,
+			Shard:              ShardFor(name, len(s.shards)),
+			LiveGeneration:     gt.liveGen,
+			PrevGeneration:     gt.prevGen,
+			Pressure:           gt.pressureWindow.Rate(),
+			MonotoneViolations: gt.monotoneViolations,
 		}
+		fg.Regression, fg.RegressionVerdict = gt.regressionVerdict()
 		fg.Drift, _ = gt.drift()
 		fg.DriftVerdict = "steady"
 		if fg.Drift > driftThreshold {
@@ -345,18 +358,18 @@ func (s *Service) fleetz(f viewFilter) FleetzReply {
 		if fg.Pressure > pressureThreshold {
 			fg.PressureVerdict = "overloaded"
 		}
-		for _, g := range newest(f, gt.generations()) {
+		for _, g := range gt.generations(f.limit) {
 			fgen := FleetzGeneration{
 				Generation: g.generation, Records: g.records,
 				Sessions: g.sessions, Events: g.events,
 				Lookups: g.lookups, Hits: g.hits,
 				Shadow: g.shadow, Mispredict: g.mispredict,
 				SavedInstr: g.savedInstr, Devices: len(g.devices),
-				MaxP99NS:           g.maxP99NS,
 				WindowedHitRate:    g.hitWindow.Rate(),
 				WindowedMispredict: g.shadowWindow.Rate(),
 				EffectiveHitRate:   g.effectiveHitRate(),
 				HitHistory:         g.hitWindow.Snapshot(),
+				Energy:             g.energy(),
 			}
 			if g.lookups > 0 {
 				fgen.HitRate = float64(g.hits) / float64(g.lookups)
@@ -381,13 +394,17 @@ func (a *telemetryAggregator) gameNames(game string) []string {
 	return names
 }
 
-// generations returns the game's retained rollups, oldest first.
-func (gt *gameTelemetry) generations() []*genRollup {
+// generations returns the game's retained rollups, oldest first: the
+// newest limit of them, or all when limit is 0.
+func (gt *gameTelemetry) generations(limit int) []*genRollup {
 	gens := make([]*genRollup, 0, len(gt.gens))
 	for _, g := range gt.gens {
 		gens = append(gens, g)
 	}
 	sort.Slice(gens, func(i, j int) bool { return gens[i].generation < gens[j].generation })
+	if limit > 0 && len(gens) > limit {
+		gens = gens[len(gens)-limit:]
+	}
 	return gens
 }
 
@@ -481,8 +498,8 @@ func (s *Service) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "ok records=%d\n", len(batch.Records))
 }
 
-// viewFilter is the query filter /v1/fleetz and /v1/energyz share:
-// ?game=G keeps one game, ?limit=N the newest N generations per game.
+// viewFilter is /v1/fleetz's query filter: ?game=G keeps one game,
+// ?limit=N the newest N retained generations per game.
 // The zero value keeps everything.
 type viewFilter struct {
 	game  string
@@ -512,15 +529,6 @@ func parseViewFilter(w http.ResponseWriter, r *http.Request) (viewFilter, bool) 
 		f.limit = n
 	}
 	return f, true
-}
-
-// newest caps a game's generation list, oldest first, to the filter's
-// limit.
-func newest[T any](f viewFilter, gens []T) []T {
-	if f.limit > 0 && len(gens) > f.limit {
-		return gens[len(gens)-f.limit:]
-	}
-	return gens
 }
 
 func (s *Service) handleFleetz(w http.ResponseWriter, r *http.Request) {

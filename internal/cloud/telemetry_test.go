@@ -25,7 +25,7 @@ func TestTelemetryEndpointAndFleetz(t *testing.T) {
 	batch := &trace.TelemetryBatch{Game: "Colorphun", Records: []trace.TelemetryRecord{
 		{Device: 0, SimTimeUS: 10_000_000, Generation: 1,
 			Sessions: 1, Events: 100, Lookups: 100, Hits: 80,
-			ShadowChecks: 10, SavedInstr: 2400, P99LookupNS: 900,
+			ShadowChecks: 10, SavedInstr: 2400,
 			QueueDepth: 1, QueueCap: 4, TelemetryCap: 8},
 		{Device: 1, SimTimeUS: 20_000_000, Generation: 2,
 			Sessions: 1, Events: 100, Lookups: 100, Hits: 80,

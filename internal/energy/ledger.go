@@ -60,7 +60,7 @@ type Rates struct {
 
 // NewRates derives charge rates from SoC timing parameters (CPU frequency
 // in MHz, sustained IPC, memory bytes per microsecond — the same numbers
-// soc.DefaultConfig carries) and DefaultPowerModel.
+// the soc package's constants) and DefaultPowerModel.
 func NewRates(cpuFreqMHz, ipc, memBytesPerMicro float64) Rates {
 	pm := DefaultPowerModel()
 	var r Rates

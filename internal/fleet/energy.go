@@ -23,8 +23,8 @@ import (
 // tallies to a disabled one (pinned by TestFleetEnergyDoesNotPerturbRun).
 //
 // The charge model is the SoC simulator's, collapsed to precomputed
-// per-unit rates (energy.NewRates over soc.DefaultConfig): per dynamic
-// instruction, per memory byte, per µs of IP busy time. Two documented
+// per-unit rates (energy.NewRates over the soc package's constants): per
+// dynamic instruction, per memory byte, per µs of IP busy time. Two documented
 // deviations from a full soc.SoC run: no idle-power accrual (the ledger
 // charges event work, not wall time), and the short-circuit credit is a
 // CPU-side estimate from the table entry's saved-instruction count (the
@@ -80,8 +80,7 @@ type EnergyReport struct {
 // calibration the schemes simulation runs on, so fleet µJ and schemes
 // µJ share one power model.
 func ledgerRates() energy.Rates {
-	c := soc.DefaultConfig()
-	return energy.NewRates(c.CPUFreqMHz, c.IPC, c.MemBytesPerMicro)
+	return energy.NewRates(soc.CPUFreqMHz, soc.IPC, soc.MemBytesPerMicro)
 }
 
 // ledgerBreakdown reads a generation's ledger as a breakdown: the

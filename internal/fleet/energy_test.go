@@ -174,21 +174,22 @@ func TestFleetEnergyRegressionCycle(t *testing.T) {
 		t.Fatalf("shadow verification spent no energy: %+v", res.Energy)
 	}
 
-	ez := svc.Energyz()
-	if len(ez.Games) != 1 {
-		t.Fatalf("energyz games: %+v", ez.Games)
+	fz := svc.Fleetz()
+	if len(fz.Games) != 1 {
+		t.Fatalf("fleetz games: %+v", fz.Games)
 	}
-	eg := ez.Games[0]
+	eg := fz.Games[0]
 	if eg.MonotoneViolations != 0 {
 		t.Fatalf("monotone violations %d, want 0", eg.MonotoneViolations)
 	}
-	var g1, g2 *cloud.EnergyzGeneration
-	for i := range eg.Generations {
-		switch eg.Generations[i].Generation {
+	var g1, g2 *cloud.FleetzEnergy
+	var events1, events2 int64
+	for _, gen := range eg.Generations {
+		switch gen.Generation {
 		case 1:
-			g1 = &eg.Generations[i]
+			g1, events1 = gen.Energy, gen.Events
 		case 2:
-			g2 = &eg.Generations[i]
+			g2, events2 = gen.Energy, gen.Events
 		}
 	}
 	if g1 == nil || g2 == nil {
@@ -196,8 +197,8 @@ func TestFleetEnergyRegressionCycle(t *testing.T) {
 	}
 	// The discriminator: the poisoned generation earns far less credit
 	// per event, so its net rate is decisively higher.
-	saved1 := g1.SavedUJ / float64(g1.Events)
-	saved2 := g2.SavedUJ / float64(g2.Events)
+	saved1 := g1.SavedUJ / float64(events1)
+	saved2 := g2.SavedUJ / float64(events2)
 	if saved2 >= saved1 {
 		t.Fatalf("poisoned credit/event %v should trail clean %v", saved2, saved1)
 	}

@@ -21,7 +21,6 @@ type genAccum struct {
 	shadow      int64
 	mispredicts int64
 	savedInstr  int64
-	hist        latHist
 	led         *energy.Ledger // nil when the ledger is off
 }
 
@@ -35,7 +34,7 @@ type deviceTally struct {
 	device int
 	ctl    *cloud.CallControl // the device's overload control (nil without a client)
 	res    *DeviceResult
-	hist   *latHist // the device's (or worker's) probe latencies, filled by fold
+	hist   *latHist // the device's (or worker's) probe latencies; only its worker touches it
 	trace  obs.ID   // the session's trace, for latency exemplars
 
 	// gens holds the session's per-generation tallies; order is their
@@ -103,7 +102,7 @@ func (t *deviceTally) Probed(probes int64, cmpBytes units.Size, hit bool, wallNS
 		// probe loop lock-free while still linking the latency
 		// histogram back to a concrete trace ID.
 		t.co.met.lookupNS.ObserveExemplar(wallNS, t.trace)
-		a.hist.observe(wallNS)
+		t.hist.observe(wallNS)
 	}
 	chargeLookup(a.led, probes, cmpBytes)
 }
@@ -181,10 +180,6 @@ func (t *deviceTally) fold(session int, queueDepth, queueCap int) {
 			rec.ElapsedUS = elapsed
 			rec.DeviceTotalUJ = t.devTotalUJ
 		}
-		// Probes are observed once, into their generation's histogram;
-		// bucket counts add, so folding each into the device's gives the
-		// same quantiles as observing every probe into both.
-		t.hist.merge(&a.hist)
 		delete(t.gens, g)
 		if !ships {
 			continue
@@ -196,7 +191,6 @@ func (t *deviceTally) fold(session int, queueDepth, queueCap int) {
 		rec.Events, rec.Lookups, rec.Hits = a.events, a.lookups, a.hits
 		rec.ShadowChecks, rec.Mispredicts = a.shadow, a.mispredicts
 		rec.SavedInstr = a.savedInstr
-		rec.P99LookupNS = a.hist.quantile(0.99)
 		rec.Retries = retries
 		retries = 0 // the interval's delta rides the first record only
 		rec.QueueDepth, rec.QueueCap = int64(queueDepth), int64(queueCap)

@@ -104,56 +104,10 @@ func (r *Source) NormFloat64() float64 {
 	}
 }
 
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *Source) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
-// Perm returns a random permutation of [0, n) (Fisher–Yates).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Shuffle permutes the first n elements using the provided swap function.
 func (r *Source) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Choice returns a random index weighted by the given non-negative
-// weights. It panics if all weights are zero or the slice is empty.
-func (r *Source) Choice(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w < 0 {
-			panic("rng: negative weight")
-		}
-		total += w
-	}
-	if total == 0 {
-		panic("rng: zero total weight")
-	}
-	x := r.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
 }

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -119,43 +118,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Positive(t *testing.T) {
-	r := New(17)
-	var sum float64
-	const n = 50000
-	for i := 0; i < n; i++ {
-		v := r.ExpFloat64()
-		if v <= 0 {
-			t.Fatalf("exp variate %v <= 0", v)
-		}
-		sum += v
-	}
-	if math.Abs(sum/n-1) > 0.05 {
-		t.Fatalf("exp mean %v, want ≈1", sum/n)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := New(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestShufflePreservesMultiset(t *testing.T) {
 	r := New(23)
 	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
@@ -170,32 +132,6 @@ func TestShufflePreservesMultiset(t *testing.T) {
 	}
 	if sum != after {
 		t.Fatal("shuffle changed elements")
-	}
-}
-
-func TestChoiceRespectsWeights(t *testing.T) {
-	r := New(29)
-	counts := [3]int{}
-	weights := []float64{1, 0, 3}
-	for i := 0; i < 40000; i++ {
-		counts[r.Choice(weights)]++
-	}
-	if counts[1] != 0 {
-		t.Fatalf("zero-weight option chosen %d times", counts[1])
-	}
-	ratio := float64(counts[2]) / float64(counts[0])
-	if ratio < 2.6 || ratio > 3.4 {
-		t.Fatalf("weight ratio %v, want ≈3", ratio)
-	}
-}
-
-func TestChoicePanics(t *testing.T) {
-	for _, ws := range [][]float64{{}, {0, 0}, {-1, 2}} {
-		func() {
-			defer func() { recover() }()
-			New(1).Choice(ws)
-			t.Fatalf("Choice(%v) did not panic", ws)
-		}()
 	}
 }
 

@@ -295,7 +295,7 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Scheme == MaxIP {
 		policy = soc.SleepIdleIPs{}
 	}
-	chip := soc.New(soc.DefaultConfig(), meter, policy)
+	chip := soc.New(meter, policy)
 
 	res := &Result{Game: cfg.Game, Scheme: cfg.Scheme, Meter: meter}
 	s := Session{Gen: gen, Seed: cfg.Seed, Duration: cfg.Duration,

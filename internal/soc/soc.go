@@ -48,26 +48,16 @@ func (w Work) TotalIPTime() units.Time {
 	return t
 }
 
-// Config sets the SoC's performance parameters. Defaults approximate a
-// Snapdragon-821-class part.
-type Config struct {
-	CPUFreqMHz       float64 // CPU clock
-	IPC              float64 // sustained instructions per cycle
-	MemBytesPerMicro float64 // memory bandwidth in bytes per µs
-	DisplayAlwaysOn  bool    // display stays active during a game session
-	SensorsAlwaysOn  bool    // input sensors sample continuously
-}
+// The SoC's calibrated performance parameters, approximating a
+// Snapdragon-821-class part. During a game session the display stays
+// Active and the input sensors sample continuously.
+const (
+	CPUFreqMHz       = 2150.0 // Kryo performance cluster clock
+	IPC              = 1.8    // sustained instructions per cycle
+	MemBytesPerMicro = 9000.0 // memory bandwidth in bytes per µs: ≈9 GB/s sustained LPDDR4
 
-// DefaultConfig returns the calibrated SoC configuration.
-func DefaultConfig() Config {
-	return Config{
-		CPUFreqMHz:       2150, // Kryo performance cluster
-		IPC:              1.8,
-		MemBytesPerMicro: 9000, // ≈9 GB/s sustained LPDDR4
-		DisplayAlwaysOn:  true,
-		SensorsAlwaysOn:  true,
-	}
-}
+	instrPerMicro = CPUFreqMHz * IPC // MHz = instr/µs at IPC=1
+)
 
 // IdlePolicy decides the power state of a component when it has no work.
 // The default (baseline Android) keeps components in Idle; the Max IP
@@ -112,25 +102,21 @@ type ExecStats struct {
 // loop model of Android's main looper): work executes sequentially on the
 // virtual clock.
 type SoC struct {
-	cfg    Config
 	meter  *energy.Meter
 	clock  units.Time
 	policy IdlePolicy
 }
 
-// New builds a SoC over the given meter. A nil config uses defaults; a nil
-// policy uses DefaultIdlePolicy.
-func New(cfg Config, meter *energy.Meter, policy IdlePolicy) *SoC {
+// New builds a SoC over the given meter. A nil policy uses
+// DefaultIdlePolicy.
+func New(meter *energy.Meter, policy IdlePolicy) *SoC {
 	if meter == nil {
 		meter = energy.NewMeter()
 	}
 	if policy == nil {
 		policy = DefaultIdlePolicy{}
 	}
-	if cfg.CPUFreqMHz == 0 {
-		cfg = DefaultConfig()
-	}
-	return &SoC{cfg: cfg, meter: meter, policy: policy}
+	return &SoC{meter: meter, policy: policy}
 }
 
 // Meter returns the SoC's energy meter.
@@ -144,7 +130,6 @@ func (s *SoC) cpuTime(instr int64) units.Time {
 	if instr <= 0 {
 		return 0
 	}
-	instrPerMicro := s.cfg.CPUFreqMHz * s.cfg.IPC // MHz = instr/µs at IPC=1
 	t := float64(instr) / instrPerMicro
 	d := units.Time(t)
 	if d == 0 {
@@ -158,7 +143,7 @@ func (s *SoC) memTime(bytes units.Size) units.Time {
 	if bytes <= 0 {
 		return 0
 	}
-	t := float64(bytes) / s.cfg.MemBytesPerMicro
+	t := float64(bytes) / MemBytesPerMicro
 	d := units.Time(t)
 	if d == 0 {
 		d = 1
@@ -177,14 +162,15 @@ func (s *SoC) idleAll(d units.Time, active map[energy.Component]bool) {
 			continue
 		}
 		state := s.policy.IdleState(c)
-		// Display and sensors are pinned Active during gameplay when
-		// configured always-on: the screen renders continuously and the
-		// touchscreen/gyro sample continuously regardless of events.
-		if s.cfg.DisplayAlwaysOn && c == energy.Display {
+		// The display is pinned Active during gameplay: the screen
+		// renders continuously regardless of events. The touchscreen/gyro
+		// sample continuously too, their draw folded into the sensors'
+		// Idle rating.
+		switch c {
+		case energy.Display:
 			state = energy.Active
-		}
-		if s.cfg.SensorsAlwaysOn && c == energy.Sensors {
-			state = energy.Idle // sampling draw folded into idle rating
+		case energy.Sensors:
+			state = energy.Idle
 		}
 		s.meter.Accrue(c, state, d)
 	}
@@ -242,7 +228,7 @@ func (s *SoC) Execute(w Work) ExecStats {
 		}
 		if rem := window - b; rem > 0 {
 			state := s.policy.IdleState(c)
-			if s.cfg.DisplayAlwaysOn && c == energy.Display {
+			if c == energy.Display {
 				state = energy.Active
 			}
 			s.meter.Accrue(c, state, rem)

@@ -9,13 +9,12 @@ import (
 
 func newTestSoC(policy IdlePolicy) (*SoC, *energy.Meter) {
 	m := energy.NewMeter()
-	return New(DefaultConfig(), m, policy), m
+	return New(m, policy), m
 }
 
 func TestExecuteChargesCPU(t *testing.T) {
 	s, m := newTestSoC(nil)
-	cfg := DefaultConfig()
-	instr := int64(cfg.CPUFreqMHz * cfg.IPC * 1000) // exactly 1000 µs of work
+	instr := int64(CPUFreqMHz * IPC * 1000) // exactly 1000 µs of work
 	st := s.Execute(Work{CPUInstr: instr})
 	if st.CPUTime < 999 || st.CPUTime > 1001 {
 		t.Fatalf("cpu time %v, want ≈1000µs", st.CPUTime)
@@ -30,8 +29,7 @@ func TestExecuteChargesCPU(t *testing.T) {
 
 func TestExecuteOverlapsCPUAndIP(t *testing.T) {
 	s, m := newTestSoC(nil)
-	cfg := DefaultConfig()
-	instr := int64(cfg.CPUFreqMHz * cfg.IPC * 2000) // 2 ms CPU
+	instr := int64(CPUFreqMHz * IPC * 2000) // 2 ms CPU
 	w := Work{
 		CPUInstr: instr,
 		IPCalls: []IPCall{{
@@ -137,9 +135,8 @@ func TestWorkAddAndTotals(t *testing.T) {
 
 func TestMemoryBoundWindow(t *testing.T) {
 	s, _ := newTestSoC(nil)
-	cfg := DefaultConfig()
 	// Enough memory traffic to dominate the window.
-	bytes := units.Size(cfg.MemBytesPerMicro * 3000) // 3 ms of traffic
+	bytes := units.Size(MemBytesPerMicro * 3000) // 3 ms of traffic
 	s.Execute(Work{CPUInstr: 1000, MemBytes: bytes})
 	if s.Now() < 2999 || s.Now() > 3001 {
 		t.Fatalf("memory-bound window %v, want ≈3ms", s.Now())

@@ -43,20 +43,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	mu := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - mu
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
 // Percentile returns the p-th percentile (0–100) of xs using linear
 // interpolation between closest ranks. xs need not be sorted.
 func Percentile(xs []float64, p float64) float64 {
@@ -171,13 +157,3 @@ type Table struct {
 
 // AddSeries appends a series to the table.
 func (t *Table) AddSeries(s *Series) { t.Series = append(t.Series, s) }
-
-// Find returns the series with the given name, or nil.
-func (t *Table) Find(name string) *Series {
-	for _, s := range t.Series {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
-}

@@ -30,13 +30,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := StdDev(xs); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("stddev = %v, want 2", got)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	cases := []struct{ p, want float64 }{
@@ -122,15 +115,6 @@ func TestSeries(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Fatal("empty string render")
-	}
-}
-
-func TestTableFind(t *testing.T) {
-	tb := &Table{Title: "t"}
-	tb.AddSeries(&Series{Name: "a"})
-	tb.AddSeries(&Series{Name: "b"})
-	if tb.Find("b") == nil || tb.Find("c") != nil {
-		t.Fatal("Find misbehaves")
 	}
 }
 

@@ -15,9 +15,13 @@ import "io"
 // an import cycle.
 
 // TelemetryRecord is one device's folded tally for one table
-// generation over one reporting interval. All times are simulated
-// (deterministic) — never wall-clock — so telemetry never perturbs
-// paper figures.
+// generation over one reporting interval. Every field is a count, a
+// simulated time or a modeled energy (deterministic) — never
+// wall-clock — so telemetry never perturbs paper figures, and a fleet
+// whose table does not change ships the same records on every run.
+// (The lookup cost a record reports is the modeled LookupOverheadUJ;
+// frames from devices that still send the retired wall-clock
+// P99LookupNS decode, since gob skips fields the record lacks.)
 type TelemetryRecord struct {
 	// Device is the reporting device's fleet index.
 	Device int
@@ -43,10 +47,6 @@ type TelemetryRecord struct {
 
 	// SavedInstr is the interval's saved-instruction energy proxy.
 	SavedInstr int64
-	// P99LookupNS is the interval's p99 lookup latency in nanoseconds,
-	// over the 1 in 16 probes a session times (0 when none of the
-	// interval's probes was timed).
-	P99LookupNS int64
 
 	// Retries counts transport retries the device burned this interval.
 	Retries int64

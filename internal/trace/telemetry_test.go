@@ -14,8 +14,8 @@ func sampleTelemetryBatch() *TelemetryBatch {
 				Device: 3, SimTimeUS: 10_000_000, Generation: 2,
 				Sessions: 1, Events: 400, Lookups: 380, Hits: 310,
 				ShadowChecks: 40, Mispredicts: 1,
-				SavedInstr: 9300, P99LookupNS: 850,
-				Retries: 1, QueueDepth: 2, QueueCap: 8,
+				SavedInstr: 9300,
+				Retries:    1, QueueDepth: 2, QueueCap: 8,
 				TelemetryPending: 1, TelemetryCap: 8,
 				EnergyUJ: 6400.5, SensorsUJ: 144.0, MemoryUJ: 310.25,
 				CPUUJ: 5686.25, IPsUJ: 260.0,
@@ -26,7 +26,7 @@ func sampleTelemetryBatch() *TelemetryBatch {
 			{
 				Device: 3, SimTimeUS: 20_000_000, Generation: 3,
 				Sessions: 1, Events: 400, Lookups: 390, Hits: 355,
-				SavedInstr: 10650, P99LookupNS: 790, QueueCap: 8, TelemetryCap: 8,
+				SavedInstr: 10650, QueueCap: 8, TelemetryCap: 8,
 				EnergyUJ: 5900.0, SensorsUJ: 144.0, MemoryUJ: 290.0,
 				CPUUJ: 5206.0, IPsUJ: 260.0,
 				LookupOverheadUJ: 580.0, SavedUJ: 2760.0,
@@ -56,6 +56,37 @@ func TestTelemetryRoundtrip(t *testing.T) {
 		if out.Records[i] != in.Records[i] {
 			t.Fatalf("record %d mismatch:\n got %+v\nwant %+v", i, out.Records[i], in.Records[i])
 		}
+	}
+}
+
+// TestTelemetryDecodesFramesWithP99 pins wire compatibility with
+// devices that still stamp the record's retired wall-clock
+// P99LookupNS: gob skips a field the receiver's type lacks, so such a
+// frame decodes with every other field intact.
+func TestTelemetryDecodesFramesWithP99(t *testing.T) {
+	type olderRecord struct {
+		Device      int
+		Generation  int64
+		Events      int64
+		SavedInstr  int64
+		P99LookupNS int64
+		EnergyUJ    float64
+	}
+	older := struct {
+		Game    string
+		Records []olderRecord
+	}{"Colorphun", []olderRecord{{Device: 3, Generation: 2, Events: 400, SavedInstr: 9300, P99LookupNS: 850, EnergyUJ: 6400.5}}}
+	var buf bytes.Buffer
+	if err := encodeGobFrame(&buf, magicTelemetry, "telemetry", &older); err != nil {
+		t.Fatal(err)
+	}
+	out, err := DecodeTelemetry(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := TelemetryRecord{Device: 3, Generation: 2, Events: 400, SavedInstr: 9300, EnergyUJ: 6400.5}
+	if out.Game != older.Game || len(out.Records) != 1 || out.Records[0] != want {
+		t.Fatalf("older frame decoded as %+v, want game %q and %+v", out, older.Game, want)
 	}
 }
 
